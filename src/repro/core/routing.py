@@ -116,12 +116,10 @@ def scan_views(
         all_values.append(result.values)
         qualifying.append(result.qualifying_fpages)
 
-        non_qual = ~result.page_qualifies
-        if non_qual.any():
-            below = result.max_below[non_qual]
-            above = result.min_above[non_qual]
-            max_below_seen = max(max_below_seen, int(below.max()))
-            min_above_seen = min(min_above_seen, int(above.min()))
+        # Evidence comes from non-qualifying pages only (Section 2.2);
+        # qualifying pages carry the sentinels, neutral under max/min.
+        max_below_seen = max(max_below_seen, int(result.max_below.max()))
+        min_above_seen = min(min_above_seen, int(result.min_above.min()))
 
     extended_lo = covered_lo
     if max_below_seen != NO_BELOW:

@@ -223,7 +223,7 @@ class Session:
             sql_session.set_planner(
                 PLANNER_FULLSCAN if self._query_tier() else self.options.planner
             )
-            result = sql_session.execute(sql)
+            result = sql_session.execute(statement)
             if self.options.autocommit and isinstance(
                 statement, (UpdateStatement, DeleteStatement)
             ):

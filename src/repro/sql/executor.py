@@ -128,9 +128,13 @@ class Session:
             )
         self.planner = planner
 
-    def execute(self, sql: str) -> ResultTable:
-        """Parse and execute one statement."""
-        statement = parse(sql)
+    def execute(self, sql: str | Statement) -> ResultTable:
+        """Execute one statement, parsing it first when given as text.
+
+        A caller that already parsed the text (the server does, to
+        classify the statement) hands the statement over as it is.
+        """
+        statement = parse(sql) if isinstance(sql, str) else sql
         obs = self.db.observer
         if obs is None:
             return self._dispatch(statement)

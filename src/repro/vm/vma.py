@@ -12,7 +12,7 @@ Addresses here are in units of pages (virtual page numbers, "vpn");
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .physical import MemoryFile
 
@@ -85,18 +85,34 @@ class Vma:
         """The single VMA covering this area plus ``successor``."""
         if not self.can_merge_with(successor):
             raise ValueError(f"cannot merge {self} with {successor}")
-        return replace(self, npages=self.npages + successor.npages)
+        return Vma(
+            self.start,
+            self.npages + successor.npages,
+            self.file,
+            self.file_page,
+            self.shared,
+            self.perms,
+        )
 
     def split_at(self, vpn: int) -> tuple["Vma", "Vma"]:
         """Split into two VMAs at virtual page ``vpn`` (strictly inside)."""
         if not self.start < vpn < self.end:
             raise ValueError(f"split point {vpn} not strictly inside {self}")
         head_pages = vpn - self.start
-        head = replace(self, npages=head_pages)
-        tail = replace(
-            self,
-            start=vpn,
-            npages=self.npages - head_pages,
-            file_page=self.file_page + head_pages if self.file else 0,
+        head = Vma(
+            self.start,
+            head_pages,
+            self.file,
+            self.file_page,
+            self.shared,
+            self.perms,
+        )
+        tail = Vma(
+            vpn,
+            self.npages - head_pages,
+            self.file,
+            self.file_page + head_pages if self.file else 0,
+            self.shared,
+            self.perms,
         )
         return head, tail

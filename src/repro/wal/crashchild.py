@@ -8,8 +8,12 @@ The parent test SIGKILLs the process mid-stream, recovers the
 directory, and asserts every acked value is present: lines the kernel
 delivered are writes the log must replay.
 
-The child never exits on its own before the final ``done`` line, so a
-fast parent can kill it at any acked prefix.
+After each ``acked`` line the child waits for a one-byte go-ahead on
+stdin, which the parent writes once it has read the line.  The child is
+therefore never more than one insert ahead of the acks the parent holds,
+however the two processes are scheduled, and a kill sent right after a
+go-ahead still lands anywhere inside the next insert.  End-of-file on
+stdin (the parent is gone) ends the stream early.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ def main(argv: list[str]) -> int:
         value = int(rng.integers(0, 1_000_000))
         db.insert(TABLE, {"k": 1000 + i, "v": value})
         print(f"acked {i} {value}", flush=True)
+        if not sys.stdin.read(1):
+            break
     db.close()
     print("done", flush=True)
     return 0

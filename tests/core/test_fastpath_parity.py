@@ -21,6 +21,7 @@ from repro.bench.harness import fresh_column, make_update_batch
 from repro.core.adaptive import AdaptiveStorageLayer
 from repro.core.config import AdaptiveConfig, RoutingMode
 from repro.core.scan import batch_scan
+from repro.vm.constants import VALUES_PER_PAGE
 from repro.vm.procmaps import maps_line_count
 from repro.workloads.distributions import linear, sine, sparse, uniform
 
@@ -111,12 +112,15 @@ def test_fast_paths_match_reference(dist_name, steps, mode):
 @given(
     lo=st.integers(DOMAIN[0], DOMAIN[1]),
     width=st.integers(0, DOMAIN[1]),
+    dropped=st.integers(0, VALUES_PER_PAGE - 1),
     data=st.data(),
 )
-def test_batch_scan_results_identical(dist_name, lo, width, data):
-    """Direct scan parity: identical ``BatchScanResult`` field by field."""
+def test_batch_scan_results_identical(dist_name, lo, width, dropped, data):
+    """Direct scan parity: identical ``BatchScanResult`` field by field,
+    evidence sentinels on qualifying pages included, in both branches."""
     hi = min(lo + width, DOMAIN[1])
     values = DISTRIBUTIONS[dist_name](NUM_PAGES, seed=5)
+    values = values[: values.size - dropped]  # a partial last page
     fpages = data.draw(
         st.lists(
             st.integers(0, NUM_PAGES - 1), max_size=NUM_PAGES, unique=True

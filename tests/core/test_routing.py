@@ -126,6 +126,27 @@ class TestExtendedRange:
         assert routed.extended_lo == MIN_VALUE
         assert routed.extended_hi == MAX_VALUE
 
+    def test_multi_view_extension_is_the_evidence_of_non_qualifying_pages(self):
+        """Section 2.2 by brute force: l' and u' are taken over the
+        non-qualifying pages of all scanned views, each page once."""
+        col = banded_column()  # page p: values in [100p, 100p+50)
+        a = view_over(col, 100, 449)
+        b = view_over(col, 400, 849)
+        lo, hi = 310, 520  # pages 1, 2, 6, 7, 8 are scanned and hold no hit
+        routed = scan_views(col, [a, b], lo, hi)
+
+        data = col.file.data
+        scanned = np.union1d(a.mapped_fpages(), b.mapped_fpages())
+        non_qualifying = [
+            data[p] for p in scanned if not ((data[p] >= lo) & (data[p] <= hi)).any()
+        ]
+        assert len(non_qualifying) == 5
+        largest_below = max(int(v[v < lo].max()) for v in non_qualifying if (v < lo).any())
+        smallest_above = min(int(v[v > hi].min()) for v in non_qualifying if (v > hi).any())
+        assert routed.extended_lo == max(a.lo, largest_below + 1)
+        assert routed.extended_hi == min(b.hi, smallest_above - 1)
+        assert a.lo < routed.extended_lo <= lo and hi <= routed.extended_hi < b.hi
+
     def test_qualifying_pages_in_scan_order(self):
         col = banded_column()
         full = VirtualView.full_view(col)

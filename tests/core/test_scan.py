@@ -1,12 +1,13 @@
 """Unit and property tests for the vectorized batch scan."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scan import NO_ABOVE, NO_BELOW, batch_scan
-from repro.vm.constants import VALUES_PER_PAGE
+from repro import fastpath
+from repro.core.scan import BLOCK_PAGES, NO_ABOVE, NO_BELOW, batch_scan
+from repro.vm.constants import MAX_VALUE, MIN_VALUE, VALUES_PER_PAGE
+from repro.workloads.distributions import DISTRIBUTIONS, sine
 
 from ..conftest import build_column, uniform_column
 
@@ -72,6 +73,16 @@ class TestBatchScan:
         result = batch_scan(col, np.arange(2), 0, 0)
         assert result.rowids.size == 0
 
+    def test_padding_is_no_evidence_on_a_straddling_page(self):
+        # the last page holds -100 and 50 beside 509 padding zeros
+        values = np.concatenate([np.full(VALUES_PER_PAGE, 5), [-100, 50]])
+        col = build_column(values)
+        for lo, hi in [(10, 20), (-20, -10)]:
+            result = batch_scan(col, np.arange(2), lo, hi)
+            assert not result.page_qualifies[1]
+            assert result.max_below[1] == -100
+            assert result.min_above[1] == 50
+
     def test_charges_per_page(self, small_column):
         cost = small_column.mapper.cost
         before = cost.ledger.counter("pages_scanned")
@@ -97,30 +108,98 @@ class TestBatchScan:
         assert result.rowids.size == 2 * VALUES_PER_PAGE
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 1000),
-    lo=st.integers(0, 1_000_000),
-    width=st.integers(0, 1_000_000),
-    data=st.data(),
-)
-def test_batch_scan_equals_per_page_scan(seed, lo, width, data):
-    """The vectorized scan agrees with page-by-page scanning."""
-    col = uniform_column(num_pages=6, seed=seed)
-    hi = lo + width
-    pages = data.draw(
-        st.lists(st.integers(0, 5), min_size=0, max_size=6, unique=True)
-    )
-    fpages = np.array(pages, dtype=np.int64)
-    result = batch_scan(col, fpages, lo, hi, charge=False)
+def test_blocks_and_partial_last_page_match_reference():
+    """A scan longer than two kernel blocks, unordered, with the partial
+    last page in the middle of the list, equals the reference branch."""
+    num_pages = 2 * BLOCK_PAGES + 40
+    values = sine(num_pages, seed=3)[: -(VALUES_PER_PAGE - 9)]
+    fpages = np.random.default_rng(0).permutation(num_pages)
+    results = []
+    for ctx in (fastpath.reference_paths, fastpath.fast_paths):
+        with ctx():
+            results.append(
+                batch_scan(build_column(values), fpages, 20_000_000, 60_000_000)
+            )
+    reference, fast = results
+    assert 0 < reference.page_qualifies.sum() < num_pages
+    for name in ("rowids", "values", "page_qualifies", "max_below", "min_above"):
+        np.testing.assert_array_equal(
+            getattr(fast, name), getattr(reference, name)
+        )
 
-    all_rowids = []
-    for i, p in enumerate(pages):
-        single = col.scan_page(p, lo, hi, charge=False)
-        all_rowids.extend(single.rowids.tolist())
-        assert bool(result.page_qualifies[i]) == (not single.empty)
-        expected_below = single.max_below if single.max_below is not None else NO_BELOW
-        expected_above = single.min_above if single.min_above is not None else NO_ABOVE
-        assert result.max_below[i] == expected_below
-        assert result.min_above[i] == expected_above
-    assert sorted(result.rowids.tolist()) == sorted(all_rowids)
+
+#: A small value domain, so that narrow ranges fall between the values
+#: of a page (a straddling page without a hit) as often as on them, and
+#: one around zero, so that the padding of a partial page would count as
+#: a hit, as evidence on either side or as part of the page's extent.
+_DOMAIN = (-2_500, 2_500)
+_PAGES = 7
+_BOUND = st.one_of(
+    st.integers(_DOMAIN[0] - 10, _DOMAIN[1] + 10),
+    st.sampled_from([MIN_VALUE - 1, MIN_VALUE, MIN_VALUE + 1]),
+    st.sampled_from([MAX_VALUE - 1, MAX_VALUE, MAX_VALUE + 1]),
+)
+_RANGE = st.one_of(
+    st.tuples(_BOUND, _BOUND).map(sorted),
+    # A few values wide: most pages straddle it, many without a hit.
+    st.tuples(st.integers(*_DOMAIN), st.integers(0, 3)).map(
+        lambda r: (r[0], r[0] + r[1])
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dist_name=st.sampled_from(["uniform", "sine", "linear", "sparse"]),
+    seed=st.integers(0, 1000),
+    dropped=st.integers(0, VALUES_PER_PAGE - 1),
+    planted=st.lists(
+        st.tuples(
+            st.integers(0, _PAGES * VALUES_PER_PAGE - 1),
+            st.sampled_from([MIN_VALUE, MAX_VALUE]),
+        ),
+        max_size=3,
+    ),
+    query=_RANGE,
+    fpages=st.lists(st.integers(0, _PAGES - 1), max_size=_PAGES, unique=True),
+)
+def test_batch_scan_equals_per_page_scan(
+    dist_name, seed, dropped, planted, query, fpages
+):
+    """Both branches agree with page-by-page ``scan_and_filter``.
+
+    Hits and ``page_qualifies`` are exact for every page; the evidence
+    is exact for every non-qualifying page and the sentinels on every
+    qualifying one; the two branches charge identical ledgers.
+    """
+    values = DISTRIBUTIONS[dist_name](_PAGES, *_DOMAIN, seed=seed)
+    for position, value in planted:
+        values[position] = value
+    values = values[: values.size - dropped]
+    lo, hi = query
+
+    ledgers = []
+    for ctx in (fastpath.reference_paths, fastpath.fast_paths):
+        col = build_column(values)
+        with ctx():
+            result = batch_scan(col, np.array(fpages, dtype=np.int64), lo, hi)
+        ledger = col.mapper.cost.ledger
+        ledgers.append((ledger.lanes(), ledger.counters()))
+
+        rowids, hits = [], []
+        for i, p in enumerate(fpages):
+            single = col.scan_page(p, lo, hi, charge=False)
+            rowids.extend(single.rowids.tolist())
+            hits.extend(single.values.tolist())
+            assert bool(result.page_qualifies[i]) == (not single.empty)
+            below, above = NO_BELOW, NO_ABOVE
+            if single.empty:
+                if single.max_below is not None:
+                    below = single.max_below
+                if single.min_above is not None:
+                    above = single.min_above
+            assert result.max_below[i] == below
+            assert result.min_above[i] == above
+        assert result.rowids.tolist() == rowids
+        assert result.values.tolist() == hits
+    assert ledgers[0] == ledgers[1]

@@ -11,6 +11,7 @@ from repro.server import (
     render_response,
     result_digest,
 )
+from repro.sql.parser import parse
 from repro.vm.constants import VALUES_PER_PAGE
 
 NUM_PAGES = 8
@@ -148,6 +149,23 @@ class TestSql:
             )
             assert result.ok
             assert result.scalar() == 10
+
+    def test_statement_is_parsed_once(self, manager, monkeypatch):
+        from repro.server import session as server_session
+        from repro.sql import executor
+
+        parsed = []
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(server_session, "parse", counting_parse)
+        monkeypatch.setattr(executor, "parse", counting_parse)
+        sql = "SELECT COUNT(*) FROM t WHERE x BETWEEN 10 AND 19"
+        with manager.open_session() as session:
+            assert session.execute(sql).scalar() == 10
+        assert parsed == [sql]
 
     def test_autocommit_sql_update_flushes(self, manager):
         with manager.open_session() as session:

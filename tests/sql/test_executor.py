@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import AdaptiveConfig
 from repro.sql import ExecutionError, ResultTable, Session
+from repro.sql.parser import parse
 
 
 @pytest.fixture
@@ -57,6 +58,10 @@ class TestSelect:
             "SELECT v FROM t WHERE k BETWEEN 10 AND 12 ORDER BY rowid"
         )
         assert result.rows == [(100,), (110,), (120,)]
+
+    def test_parsed_statement_runs_like_its_text(self, loaded):
+        sql = "SELECT v FROM t WHERE k BETWEEN 10 AND 12 ORDER BY rowid"
+        assert loaded.execute(parse(sql)).rows == loaded.execute(sql).rows
 
     def test_star_projects_all_columns(self, loaded):
         result = loaded.execute("SELECT * FROM t WHERE k = 5")

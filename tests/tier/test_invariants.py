@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import AdaptiveConfig
 from repro.core.facade import AdaptiveDatabase
+from repro.core.scan import batch_scan
 from repro.tier import TierConfig, TieredPageStore, WriteBuffer
 from repro.vm.cost import CostModel
 
@@ -220,6 +221,25 @@ class TestTierMechanics:
         store = db.table("t").column("x").file
         assert store.hot_count() == 3
         assert store.hot[:3].all() and not store.hot[3:].any()
+        db.close()
+
+    def test_batch_scan_records_its_pages_once(self):
+        db, _ = self._make_db(hot_budget=3)
+        column = db.table("t").column("x")
+        store = column.file
+        seen = []
+        record = store.record_batch_access
+
+        def spy(fpages, cost, lane, kind):
+            seen.append((fpages.tolist(), kind))
+            record(fpages, cost, lane=lane, kind=kind)
+
+        store.record_batch_access = spy
+        fpages = np.array([column.num_pages - 1, 0, 4, 2])  # hot and cold
+        accesses = store.hot_hits + store.cold_hits
+        batch_scan(column, fpages, 0, DOMAIN // 2, access_kind="random")
+        assert seen == [(fpages.tolist(), "random")]
+        assert store.hot_hits + store.cold_hits == accesses + fpages.size
         db.close()
 
     def test_repeated_access_promotes(self):

@@ -4,6 +4,11 @@ The child (``repro.wal.crashchild``) prints a flushed ``acked i value``
 line only *after* each insert returns — after the WAL append the ack
 contract requires. A line the parent read is therefore a write the
 recovered database must contain, no matter where the kill landed.
+
+The child then waits for a go-ahead byte on stdin, written here after
+each line is read, so it is at most one insert ahead of the acks this
+process holds whatever the scheduler does: the bound on the recovered
+rows rests on that handshake, not on timing.
 """
 
 import os
@@ -22,6 +27,7 @@ from repro.wal.crashchild import TABLE
 SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
 KILL_AFTER_ACKS = 10
 CHILD_COUNT = 100_000  # far more than the parent ever lets it finish
+GO_AHEAD = "\n"
 
 
 def _spawn_child(durable_dir: str, seed: int, backend: str):
@@ -37,6 +43,7 @@ def _spawn_child(durable_dir: str, seed: int, backend: str):
             str(CHILD_COUNT),
             backend,
         ],
+        stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
@@ -45,7 +52,11 @@ def _spawn_child(durable_dir: str, seed: int, backend: str):
 
 
 def _kill_after_acks(proc, n: int) -> list[tuple[int, int]]:
-    """Read ``n`` ack lines then SIGKILL; returns the acked pairs."""
+    """Read ``n`` ack lines then SIGKILL; returns the acked pairs.
+
+    Every line, the last included, is answered with the go-ahead, so the
+    kill races the child's next insert: that one may land or not.
+    """
     acked: list[tuple[int, int]] = []
     line = proc.stdout.readline().strip()
     assert line == "ready", f"child failed to start: {line!r}\n{proc.stderr.read()}"
@@ -54,6 +65,8 @@ def _kill_after_acks(proc, n: int) -> list[tuple[int, int]]:
         assert line.startswith("acked "), line
         _, i, value = line.split()
         acked.append((int(i), int(value)))
+        proc.stdin.write(GO_AHEAD)
+        proc.stdin.flush()
     os.kill(proc.pid, signal.SIGKILL)
     proc.wait(timeout=30)
     assert proc.returncode == -signal.SIGKILL
@@ -120,3 +133,15 @@ class TestSigkillRecovery:
         rng = np.random.default_rng(77)
         want = [int(rng.integers(0, 1_000_000)) for _ in range(5)]
         assert [v for _, v in acked] == want
+
+    def test_child_stops_at_end_of_file_on_stdin(self, tmp_path):
+        """With no parent left to send the go-ahead the child ends its
+        stream after the insert in flight instead of running on."""
+        proc = _spawn_child(str(tmp_path), seed=77, backend="simulated")
+        out, err = proc.communicate(input="", timeout=60)
+        assert proc.returncode == 0, err
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "ready",
+            "acked",
+            "done",
+        ]
