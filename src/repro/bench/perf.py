@@ -178,7 +178,14 @@ def bench_view_creation(num_pages: int, iterations: int) -> PerfResult:
 def bench_maintenance(
     num_pages: int, iterations: int, batch_size: int = 1000
 ) -> PerfResult:
-    """Update-alignment batches per second across four partial views."""
+    """Update-alignment batches per second across four partial views.
+
+    Both modes run the same alignment kernel; what differs between them
+    is the maps snapshot (columns off the VMA list vs. rendered and
+    parsed text).  The reference/fast ratio of this benchmark therefore
+    shows the snapshot only — the committed ``BENCH_perf.json`` row was
+    measured when alignment itself still had two branches.
+    """
     domain_lo, domain_hi = DEFAULT_DOMAIN
     quarter = (domain_hi - domain_lo) // 4
 
@@ -212,11 +219,12 @@ def bench_maintenance(
 
 
 def bench_maps_snapshot(num_pages: int, iterations: int) -> PerfResult:
-    """Maps snapshot builds per second (render + parse + bimap build).
+    """Maps snapshot builds per second.
 
     Each timed call takes several back-to-back snapshots of an unchanged
-    address space — exactly the maintenance pattern the generation cache
-    targets.  The reference path re-renders and re-parses every time.
+    address space.  The reference path renders the maps text, parses it
+    and fills the bimap page by page every time; the fast path reads the
+    entries' columns off the VMA list and expands them to pages.
     """
     lo, hi = DEFAULT_DOMAIN[0], DEFAULT_DOMAIN[1] // 2
 

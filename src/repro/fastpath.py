@@ -3,8 +3,8 @@
 The substrate has two implementations of several hot operations:
 
 * the **fast path** (default) — bulk page-table operations, the
-  numpy-built :class:`~repro.vm.procmaps.MappingSnapshot`, the
-  generation-cached maps render/parse and the vectorized run planning of
+  column-built :class:`~repro.vm.procmaps.MappingSnapshot`, the
+  generation-cached maps render and the vectorized run planning of
   :meth:`~repro.core.view.VirtualView.plan_runs`;
 * the **reference path** — the straightforward per-page implementations
   the fast paths were derived from.

@@ -33,7 +33,7 @@ class AddressSpace:
         self._faulted: set[int] = set()
         #: Monotonic mapping-change counter.  Bumped by every mutation
         #: that can change the rendered maps file (map/unmap/protect);
-        #: consumers (the maps render/parse cache in
+        #: consumers (the maps render cache in
         #: :mod:`repro.vm.procmaps`) compare generations instead of
         #: re-rendering to detect "nothing changed".
         self.generation = 0

@@ -26,6 +26,8 @@ import re
 import threading
 import weakref
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
@@ -76,24 +78,18 @@ class MapsEntry:
 
 @dataclass
 class _MapsCacheEntry:
-    """Render/parse results of one address-space generation.
-
-    ``entries`` is filled lazily by :func:`snapshot_address_space`; a
-    plain :func:`render_maps` call caches only the text.
-    """
+    """Rendered text of one address-space generation."""
 
     generation: int
     shm_prefix: str
     text: str
-    entries: tuple[MapsEntry, ...] | None = None
 
 
-#: Generation-keyed render/parse cache, one slot per address space.
+#: Generation-keyed render cache, one slot per address space.
 #: Invalidation rule: any map/unmap/protect bumps
 #: :attr:`AddressSpace.generation`, which makes the slot stale; a stale
-#: or missing slot re-renders (and re-parses) from scratch.  The cache
-#: only skips *wall-clock* work — the simulated open/parse cost is
-#: charged on every snapshot, hit or miss.
+#: or missing slot re-renders from scratch.  Only :func:`render_maps`
+#: (the maps-text API) reads it; snapshots do not go through text.
 _MAPS_CACHE: "weakref.WeakKeyDictionary[AddressSpace, _MapsCacheEntry]" = (
     weakref.WeakKeyDictionary()
 )
@@ -218,6 +214,14 @@ def parse_maps(
 PhysPage = tuple[str, int]
 
 
+def _expand_runs(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of the given lengths laid end to end: per element, the run
+    it belongs to and its offset inside that run."""
+    run = np.repeat(np.arange(lengths.size), lengths)
+    offset = np.arange(run.size) - (np.cumsum(lengths) - lengths)[run]
+    return run, offset
+
+
 class MappingSnapshot:
     """Page-wise virtual↔physical mapping built from parsed maps entries.
 
@@ -291,28 +295,36 @@ class MappingSnapshot:
             self._cost.bimap_op(1)
         return frozenset(self._reverse.get(phys, ()))
 
-    def any_virtual_in_range(
-        self, phys: PhysPage, lo_vpn: int, hi_vpn: int
-    ) -> bool:
-        """Whether any virtual page in ``[lo_vpn, hi_vpn)`` maps ``phys``.
+    def virtuals_of_pages(
+        self, path: str, fpages: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every virtual page currently mapping one of ``path``'s ``fpages``.
 
-        One bimap lookup, like :meth:`virtuals_of` — this is the "is this
-        physical page indexed by this view?" question of Section 2.5.
+        The bulk form of :meth:`virtuals_of`: returns ``(which, vpns)``,
+        one element per mapping in no particular order, meaning virtual
+        page ``vpns[i]`` maps ``(path, fpages[which[i]])``.  Charges
+        nothing: batch alignment puts the question once per (view, page)
+        pair and charges those lookups itself, on its lane, as it walks
+        the pairs.
         """
-        if self._cost is not None:
-            self._cost.bimap_op(1)
-        return any(lo_vpn <= vpn < hi_vpn for vpn in self._reverse.get(phys, ()))
+        which: list[int] = []
+        vpns: list[int] = []
+        for i, fpage in enumerate(fpages.tolist()):
+            virtuals = self._reverse.get((path, fpage), ())
+            which.extend([i] * len(virtuals))
+            vpns.extend(virtuals)
+        return np.array(which, dtype=np.int64), np.array(vpns, dtype=np.int64)
 
 
 class _ArrayMappingSnapshot(MappingSnapshot):
     """Array-backed snapshot: numpy-built, binary-search lookups.
 
     The bulk of a snapshot's life is construction — one entry per mapped
-    page — so this backend materializes each maps *entry* as an
-    ``arange`` instead of looping page by page, and answers lookups by
-    binary search over the (virtually sorted) page arrays.  The handful
-    of mutations a maintenance batch performs live in a small overlay
-    dict on top of the immutable base arrays.
+    page — so this backend takes the maps entries as *columns* and
+    expands them to pages with whole-array operations, and answers
+    lookups by binary search over the (virtually sorted) page arrays.
+    The handful of mutations a maintenance batch performs live in a
+    small overlay dict on top of the immutable base arrays.
 
     Simulated costs are charged exactly as the dict-backed reference:
     one bimap op per constructed page (in a single ledger call), one per
@@ -321,44 +333,23 @@ class _ArrayMappingSnapshot(MappingSnapshot):
 
     def __init__(
         self,
-        entries: list[MapsEntry] | None = None,
+        paths: list[str],
+        rows: list[tuple[int, int, int, int]],
         cost: CostModel | None = None,
         lane: str = MAIN_LANE,
-        file_filter: str | None = None,
     ) -> None:
+        """Build from one ``(start_vpn, npages, file_page, path id)`` row
+        per file-backed maps entry; ``paths[path id]`` is its pathname."""
         self._cost = cost
-        self._paths: list[str] = []
-        self._path_ids: dict[str, int] = {}
-        vpn_parts: list[np.ndarray] = []
-        fp_parts: list[np.ndarray] = []
-        pid_parts: list[np.ndarray] = []
-        total = 0
-        for entry in entries or []:
-            if entry.anonymous:
-                continue
-            if file_filter is not None and entry.pathname != file_filter:
-                continue
-            pid = self._path_ids.setdefault(entry.pathname, len(self._path_ids))
-            if pid == len(self._paths):
-                self._paths.append(entry.pathname)
-            vpn_parts.append(
-                np.arange(entry.start_vpn, entry.end_vpn, dtype=np.int64)
-            )
-            fp_parts.append(
-                np.arange(
-                    entry.file_page, entry.file_page + entry.npages, dtype=np.int64
-                )
-            )
-            pid_parts.append(np.full(entry.npages, pid, dtype=np.int64))
-            total += entry.npages
-        if total:
-            self._vpns = np.concatenate(vpn_parts)
-            self._fpages = np.concatenate(fp_parts)
-            self._pids = np.concatenate(pid_parts)
-        else:
-            self._vpns = np.empty(0, dtype=np.int64)
-            self._fpages = np.empty(0, dtype=np.int64)
-            self._pids = np.empty(0, dtype=np.int64)
+        self._paths = paths
+        self._path_ids = {path: pid for pid, path in enumerate(paths)}
+        flat = np.fromiter(chain.from_iterable(rows), np.int64, 4 * len(rows))
+        start_vpn, npages, file_page, path_id = flat.reshape(-1, 4).T
+        # A page is its entry's first page plus its offset inside it.
+        entry, offset = _expand_runs(npages)
+        self._vpns = start_vpn[entry] + offset
+        self._fpages = file_page[entry] + offset
+        self._pids = path_id[entry]
         if self._vpns.size > 1 and not np.all(np.diff(self._vpns) > 0):
             # Hand-built entry lists may overlap virtually; keep the
             # last occurrence per vpn, as the dict reference does.
@@ -377,8 +368,31 @@ class _ArrayMappingSnapshot(MappingSnapshot):
         self._rev_order: np.ndarray | None = None
         self._rev_sorted: np.ndarray | None = None
         self._rev_base: int = 1
-        if cost is not None and total:
-            cost.bimap_op(total, lane)
+        if cost is not None and entry.size:
+            cost.bimap_op(int(entry.size), lane)
+
+    @classmethod
+    def from_entries(
+        cls,
+        entries: Iterable[MapsEntry],
+        cost: CostModel | None = None,
+        lane: str = MAIN_LANE,
+        file_filter: str | None = None,
+    ) -> "_ArrayMappingSnapshot":
+        """Build from parsed maps entries (anonymous and filtered-out
+        lines skipped, as the dict-backed reference does)."""
+        path_ids: dict[str, int] = {}
+        rows = [
+            (
+                entry.start_vpn,
+                entry.npages,
+                entry.file_page,
+                path_ids.setdefault(entry.pathname, len(path_ids)),
+            )
+            for entry in entries
+            if not entry.anonymous and file_filter in (None, entry.pathname)
+        ]
+        return cls(list(path_ids), rows, cost=cost, lane=lane)
 
     # -- internal lookups (uncharged) -----------------------------------
 
@@ -457,35 +471,48 @@ class _ArrayMappingSnapshot(MappingSnapshot):
                 virtuals.add(vpn)
         return frozenset(virtuals)
 
-    def any_virtual_in_range(
-        self, phys: PhysPage, lo_vpn: int, hi_vpn: int
-    ) -> bool:
-        if self._cost is not None:
-            self._cost.bimap_op(1)
-        overlay = self._overlay
-        for vpn, current in overlay.items():
-            if current == phys and lo_vpn <= vpn < hi_vpn:
-                return True
-        for vpn in self._base_virtuals(phys):
-            v = int(vpn)
-            if lo_vpn <= v < hi_vpn and v not in overlay:
-                return True
-        return False
+    def virtuals_of_pages(
+        self, path: str, fpages: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        which = vpns = np.empty(0, dtype=np.int64)
+        pid = self._path_ids.get(path)
+        if pid is not None and self._vpns.size:
+            self._ensure_reverse()
+            # Pages beyond the base layer's largest match nothing; the
+            # clip keeps their composite key from aliasing another path.
+            keys = pid * self._rev_base + fpages
+            keys[(fpages < 0) | (fpages >= self._rev_base)] = -1
+            first = np.searchsorted(self._rev_sorted, keys, side="left")
+            count = np.searchsorted(self._rev_sorted, keys, side="right") - first
+            which, offset = _expand_runs(count)
+            vpns = self._vpns[self._rev_order[first[which] + offset]]
+        if self._overlay:
+            shadowed = np.fromiter(self._overlay, np.int64, len(self._overlay))
+            keep = ~np.isin(vpns, shadowed)
+            extra_which, extra_vpns = [which[keep]], [vpns[keep]]
+            for vpn, current in self._overlay.items():
+                if current is not None and current[0] == path:
+                    hits = np.flatnonzero(fpages == current[1])
+                    extra_which.append(hits)
+                    extra_vpns.append(np.full(hits.size, vpn, dtype=np.int64))
+            which = np.concatenate(extra_which)
+            vpns = np.concatenate(extra_vpns)
+        return which, vpns
 
 
 def make_snapshot(
-    entries: list[MapsEntry] | tuple[MapsEntry, ...] | None,
+    entries: Iterable[MapsEntry] | None,
     cost: CostModel | None = None,
     lane: str = MAIN_LANE,
     file_filter: str | None = None,
 ) -> MappingSnapshot:
     """Build a snapshot on the active backend (array fast / dict reference)."""
-    entry_list = list(entries or [])
-    if fastpath.enabled():
-        return _ArrayMappingSnapshot(
-            entry_list, cost=cost, lane=lane, file_filter=file_filter
-        )
-    return MappingSnapshot(entry_list, cost=cost, lane=lane, file_filter=file_filter)
+    snapshot = (
+        _ArrayMappingSnapshot.from_entries
+        if fastpath.enabled()
+        else MappingSnapshot
+    )
+    return snapshot(entries or (), cost=cost, lane=lane, file_filter=file_filter)
 
 
 def snapshot_address_space(
@@ -495,39 +522,38 @@ def snapshot_address_space(
     file_filter: str | None = None,
     shm_prefix: str = "/dev/shm/",
 ) -> MappingSnapshot:
-    """Render, parse and materialize one address space in one step.
+    """Materialize one address space page-wise in one step.
 
     This is the "parse the file only once before applying a batch of
-    updates" operation from Section 2.5.  Back-to-back snapshots of an
-    unchanged address space (same :attr:`AddressSpace.generation`) skip
-    the wall-clock re-render and re-parse but still charge the paper's
-    simulated open + per-line parse cost — the simulated process *does*
-    re-read ``/proc/PID/maps`` every time.
+    updates" operation from Section 2.5.  The fast branch reads the
+    columns of the maps file straight off the VMA list instead of
+    rendering text and parsing it back, but charges what the simulated
+    process pays for re-reading ``/proc/PID/maps``: the open, one parse
+    per line (= VMA) and one bimap insert per file-backed page.  The
+    reference branch goes through the text and is the parity oracle.
     """
-    if fastpath.enabled():
-        cached = _cache_lookup(address_space, shm_prefix)
-        if cached is not None and cached.entries is not None:
-            if cost is not None:
-                cost.maps_parse(len(cached.entries), lane)
-            return make_snapshot(
-                cached.entries, cost=cost, lane=lane, file_filter=file_filter
-            )
-        generation = address_space.generation
-        if cached is not None:  # fresh text, not yet parsed
-            text = cached.text
-        else:
-            text = _render_maps_uncached(address_space, shm_prefix)
+    if not fastpath.enabled():
+        text = render_maps(address_space, shm_prefix=shm_prefix)
         entries = parse_maps(text, cost=cost, lane=lane)
-        _cache_store(
-            address_space,
-            _MapsCacheEntry(
-                generation=generation,
-                shm_prefix=shm_prefix,
-                text=text,
-                entries=tuple(entries),
-            ),
+        return MappingSnapshot(
+            entries, cost=cost, lane=lane, file_filter=file_filter
         )
-        return make_snapshot(entries, cost=cost, lane=lane, file_filter=file_filter)
-    text = render_maps(address_space, shm_prefix=shm_prefix)
-    entries = parse_maps(text, cost=cost, lane=lane)
-    return MappingSnapshot(entries, cost=cost, lane=lane, file_filter=file_filter)
+    paths: list[str] = []
+    path_id_of: dict[str, int] = {}  # file name -> path id, -1: filtered out
+    rows = []
+    for vma in address_space.vmas():
+        if vma.file is None:
+            continue
+        name = vma.file.name
+        pid = path_id_of.get(name)
+        if pid is None:
+            path = f"{shm_prefix}{name}"
+            pid = len(paths) if file_filter in (None, path) else -1
+            path_id_of[name] = pid
+            if pid >= 0:
+                paths.append(path)
+        if pid >= 0:
+            rows.append((vma.start, vma.npages, vma.file_page, pid))
+    if cost is not None:
+        cost.maps_parse(address_space.num_vmas, lane)
+    return _ArrayMappingSnapshot(paths, rows, cost=cost, lane=lane)

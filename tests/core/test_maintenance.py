@@ -9,6 +9,7 @@ from repro.core.maintenance import align_partial_views, rebuild_partial_views
 from repro.core.view import VirtualView
 from repro.storage.updates import UpdateBatch, UpdateRecord
 from repro.vm.constants import VALUES_PER_PAGE
+from repro.vm.cost import MAIN_LANE, MAPPER_LANE
 
 from ..conftest import build_column, reference_rows
 
@@ -174,6 +175,25 @@ class TestBatchSemantics:
         assert stats.parse_ns > 0
         assert stats.update_ns > 0
         assert stats.total_ns == pytest.approx(stats.parse_ns + stats.update_ns)
+
+    def test_alignment_charges_only_the_lane_it_was_given(self):
+        """Run on the mapper lane, alignment leaves the main lane alone —
+        the per-pair snapshot lookup included — and the mapper lane ends
+        up with what the main lane is charged otherwise."""
+        charged = {}
+        for lane in (MAIN_LANE, MAPPER_LANE):
+            col = banded_column()
+            views = [aligned_view(col, 3000, 3999), aligned_view(col, 5000, 6999)]
+            rows = [3 * VALUES_PER_PAGE + i for i in range(VALUES_PER_PAGE)]
+            batch = apply_and_log(col, [(r, 50) for r in rows] + [(0, 5500)])
+            before = col.cost.ledger.lanes()
+            stats = align_partial_views(col, views, batch, lane=lane)
+            after = col.cost.ledger.lanes()
+            assert (stats.pages_added, stats.pages_removed) == (1, 1)
+            charged[lane] = after[lane] - before.get(lane, 0.0)
+            if lane == MAPPER_LANE:
+                assert after[MAIN_LANE] == before[MAIN_LANE]
+        assert charged[MAPPER_LANE] == pytest.approx(charged[MAIN_LANE])
 
     def test_queries_correct_after_alignment(self):
         col = banded_column()

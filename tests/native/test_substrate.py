@@ -153,6 +153,55 @@ class TestNativeMapsSource:
         assert snap.physical_of(base + 2) == (path, 6)
         assert snap.physical_of(base) is None
 
+    @pytest.mark.parametrize("filtered", [True, False])
+    def test_column_built_snapshot_matches_dict_snapshot(self, sub, file, filtered):
+        """Real ``/proc/self/maps`` → entries → both snapshot classes:
+        same answers and same charges (the array one expands the
+        entries' columns, the dict one loops page by page)."""
+        from repro import fastpath
+        from repro.vm.cost import CostModel
+
+        other = sub.create_file("t.aux", 4)
+        base = sub.reserve(12)
+        sub.map_fixed(base, 2, file, 3)
+        sub.map_fixed(base + 2, 1, file, 5)  # merges with the run before
+        sub.map_fixed(base + 5, 2, other, 1)
+        sub.map_fixed(base + 9, 1, file, 3)  # page 3 shared by two vpns
+        path, other_path = sub.file_map_path(file), sub.file_map_path(other)
+        file_filter = path if filtered else None
+
+        built = []
+        for ctx in (fastpath.reference_paths, fastpath.fast_paths):
+            cost = CostModel()
+            with ctx():
+                snap = sub.maps_snapshot(
+                    cost=cost, lane="mapper", file_filter=file_filter
+                )
+            asked = np.array([5, 3, 0, 4, 1, 99])
+            built.append(
+                {
+                    "type": type(snap),
+                    "len": len(snap),
+                    "forward": [snap.physical_of(base + i) for i in range(12)],
+                    "reverse": [
+                        snap.virtuals_of((p, f))
+                        for p in (path, other_path)
+                        for f in range(8)
+                    ],
+                    "bulk": [
+                        sorted(zip(*(a.tolist() for a in
+                                     snap.virtuals_of_pages(p, asked))))
+                        for p in (path, other_path)
+                    ],
+                    "ledger": cost.ledger.snapshot(),
+                }
+            )
+        reference, fast = built
+        assert fast.pop("type") is not reference.pop("type")
+        assert fast == reference
+        assert fast["len"] == (4 if filtered else 6)
+        assert fast["bulk"][0] == [(0, base + 2), (1, base), (1, base + 9), (3, base + 1)]
+
     def test_wall_clock_ledger_records_syscalls(self, sub, file):
         sub.reserve(2)
         sub.maps_text()

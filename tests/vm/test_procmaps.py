@@ -1,5 +1,6 @@
 """Unit tests for /proc/PID/maps rendering, parsing and snapshots."""
 
+import numpy as np
 import pytest
 
 from repro import fastpath
@@ -192,6 +193,7 @@ class TestMapsCache:
         mapper.mmap(2)  # anonymous
         mapper.mmap(3, file=file, file_page=10)
         aspace = mapper.address_space
+        base = 0x10000
         with fastpath.reference_paths():
             reference = snapshot_address_space(aspace)
         with fastpath.fast_paths():
@@ -202,9 +204,14 @@ class TestMapsCache:
         for fpage in range(12):
             phys = ("/dev/shm/db", fpage)
             assert fast.virtuals_of(phys) == reference.virtuals_of(phys)
-            assert fast.any_virtual_in_range(
-                phys, 0x10000, 0x10004
-            ) == reference.any_virtual_in_range(phys, 0x10000, 0x10004)
+        asked = np.arange(-1, 14)  # incl. pages nothing maps
+        assert _bulk(fast, "/dev/shm/db", asked) == _bulk(
+            reference, "/dev/shm/db", asked
+        )
+        assert _bulk(fast, "/dev/shm/db", asked)[3] == {base + 2}  # page 2
+        assert _bulk(fast, "/dev/shm/other", asked) == _bulk(
+            reference, "/dev/shm/other", asked
+        )
 
     def test_array_snapshot_mutations_match_reference(self, mapper, file):
         mapper.mmap(6, file=file, file_page=0)
@@ -225,6 +232,25 @@ class TestMapsCache:
         for fpage in range(7):
             phys = ("/dev/shm/db", fpage)
             assert fast.virtuals_of(phys) == reference.virtuals_of(phys)
-            assert fast.any_virtual_in_range(
-                phys, base, base + 3
-            ) == reference.any_virtual_in_range(phys, base, base + 3)
+        # the bulk lookup sees the overlay: unmapped, remapped and added
+        asked = np.array([5, 2, 1, 2, 9])  # unordered, with a repeat
+        answer = _bulk(fast, "/dev/shm/db", asked)
+        assert answer == _bulk(reference, "/dev/shm/db", asked)
+        assert answer == {
+            0: {base + 1, base + 5},
+            1: {base + 40},
+            2: set(),
+            3: {base + 40},
+            4: set(),
+        }
+
+
+def _bulk(snapshot, path, fpages) -> dict[int, set[int]]:
+    """``virtuals_of_pages`` as {position in fpages: set of vpns}."""
+    which, vpns = snapshot.virtuals_of_pages(path, np.asarray(fpages))
+    assert which.shape == vpns.shape
+    answer = {i: set() for i in range(len(fpages))}
+    for i, vpn in zip(which.tolist(), vpns.tolist()):
+        assert vpn not in answer[i]  # each mapping reported once
+        answer[i].add(vpn)
+    return answer
