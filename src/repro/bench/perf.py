@@ -1,7 +1,7 @@
 """Wall-clock microbenchmarks for the substrate fast paths.
 
 ``python -m repro perf`` times the hot substrate operations — scans,
-view creation, maintenance batches and maps snapshot builds — once with
+maintenance batches and maps snapshot builds — once with
 the fast paths enabled and once on the per-page reference paths, and
 writes the speedups to ``BENCH_perf.json``.  Unlike every other command
 in the CLI, this one measures *wall-clock* time: the simulated costs are
@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .. import fastpath
-from ..core.creation import create_partial_view, materialize_pages
+from ..core.creation import create_partial_view
 from ..core.maintenance import align_partial_views
 from ..core.routing import scan_views
 from ..core.view import VirtualView
@@ -55,7 +55,7 @@ SHARDED_SELECTIVITY = 0.02
 class PerfResult:
     """One microbenchmark: best-of-N wall-clock in both modes."""
 
-    #: Benchmark name ("scan", "view_creation", ...).
+    #: Benchmark name ("scan", "maps_snapshot", ...).
     name: str
     #: What one unit of :attr:`throughput` means ("pages/s", ...).
     unit: str
@@ -138,40 +138,6 @@ def bench_scan(num_pages: int, iterations: int) -> PerfResult:
     reference_s, fast_s = _run_modes(make_calls, iterations)
     return _result(
         "scan", "pages/s", num_pages, num_pages, iterations, reference_s, fast_s
-    )
-
-
-def bench_view_creation(num_pages: int, iterations: int) -> PerfResult:
-    """Partial views created per second from an already-scanned page set.
-
-    Times the creation fast path proper — planning the runs and mapping
-    ~half the column's pages into a fresh view.  The value scan that
-    produces the page set is mode-independent and measured separately by
-    the ``scan`` benchmark, so it is excluded here.
-    """
-    lo, hi = DEFAULT_DOMAIN[0], DEFAULT_DOMAIN[1] // 2
-
-    def make_calls():
-        column = fresh_column(linear(num_pages, seed=7), name="perf_create")
-        full = VirtualView.full_view(column)
-        routed = scan_views(column, [full], lo, hi)
-
-        def call():
-            view = VirtualView(column, lo, hi)
-            materialize_pages(view, routed.qualifying_fpages)
-            view.update_range(routed.extended_lo, routed.extended_hi)
-
-        return [call]
-
-    reference_s, fast_s = _run_modes(make_calls, iterations)
-    return _result(
-        "view_creation",
-        "views/s",
-        1,
-        num_pages,
-        iterations,
-        reference_s,
-        fast_s,
     )
 
 
@@ -648,7 +614,6 @@ def run_perf(
     if not (serve_only or tiered_only or durability_only):
         results = [
             bench_scan(num_pages, iterations),
-            bench_view_creation(num_pages, iterations),
             bench_maintenance(num_pages, iterations),
             bench_maps_snapshot(num_pages, iterations),
         ]

@@ -6,7 +6,6 @@ from .config import AdaptiveConfig, EvictionPolicy, RoutingMode
 from .creation import (
     BackgroundMapper,
     CreationReport,
-    consecutive_runs,
     create_partial_view,
     materialize_pages,
 )
@@ -26,7 +25,7 @@ from .stats import (
     ViewLifecycleEvent,
     view_utility,
 )
-from .view import MapRequest, VirtualView
+from .view import MapPlan, VirtualView
 from .view_index import QuarantineEntry, ViewIndex
 
 __all__ = [
@@ -50,12 +49,11 @@ __all__ = [
     "BackgroundMapper",
     "batch_scan",
     "BatchScanResult",
-    "consecutive_runs",
     "create_partial_view",
     "CreationReport",
     "EvictionPolicy",
     "MaintenanceStats",
-    "MapRequest",
+    "MapPlan",
     "materialize_pages",
     "NO_ABOVE",
     "NO_BELOW",

@@ -23,34 +23,59 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .. import fastpath
 from ..faults.errors import SubstrateFault
 from ..obs.observer import NULL_OBSERVER, NullObserver
 from ..storage.column import PhysicalColumn
 from ..vm.cost import MAIN_LANE, MAPPER_LANE, CostModel
 from .routing import scan_views
-from .view import MapRequest, VirtualView
+from .view import MapPlan, VirtualView
 
 
-def consecutive_runs(fpages: np.ndarray) -> list[np.ndarray]:
-    """Split a page sequence into maximal runs of consecutive pages."""
-    fpages = np.asarray(fpages, dtype=np.int64)
-    if fpages.size == 0:
-        return []
-    breaks = np.nonzero(np.diff(fpages) != 1)[0] + 1
-    return np.split(fpages, breaks)
+def _issue(
+    view: VirtualView, plan: MapPlan, lane: str
+) -> Iterator[tuple[MapPlan, SubstrateFault]]:
+    """Execute ``plan`` with one substrate call; yield the runs that fault.
+
+    A substrate fault names the run it hit and leaves the runs before it
+    mapped.  That one run is yielded with its fault — for the caller to
+    heal, park or re-raise — and the rest of the plan goes out as the
+    next call, first attempts all: the fault plane sees one ``map_fixed``
+    per run, in plan order, whatever faults on the way.
+    """
+    while plan.num_runs:
+        try:
+            view.execute_plan(plan, lane)
+            return
+        except SubstrateFault as fault:
+            failed = fault.run_index
+            yield plan.runs(failed, failed + 1), fault
+            plan = plan.runs(failed + 1)
+
+
+def _heal(
+    retry, view: VirtualView, run: MapPlan, fault: SubstrateFault, lane: str
+) -> None:
+    """Re-attempt one faulted run under the retry policy, or re-raise.
+
+    The fault plane raises before the backend mutates, so re-attempting
+    the run wholesale is safe.
+    """
+    if retry is None:
+        raise fault
+    retry.resume("map_fixed", fault, lambda: view.execute_plan(run, lane), lane)
 
 
 class BackgroundMapper:
     """The separate mapping thread of Section 2.3, optimization 2.
 
-    The scanning thread submits :class:`~repro.core.view.MapRequest`
-    items into a concurrent queue; this thread constantly polls the queue
-    and performs the mmap() calls, charging the mapper lane.  ``flush``
-    blocks until every submitted request has been executed — the "view is
+    The scanning thread submits a view's :class:`~repro.core.view.MapPlan`
+    into a concurrent queue; this thread constantly polls the queue and
+    performs the mmap() calls, charging the mapper lane.  ``flush``
+    blocks until every submitted plan has been executed — the "view is
     completely mapped, insert it" signal.
     """
 
@@ -62,42 +87,31 @@ class BackgroundMapper:
         self._thread = threading.Thread(
             target=self._run, name="view-mapper", daemon=True
         )
-        self._failures: list[tuple[VirtualView, MapRequest, BaseException]] = []
+        self._failures: list[tuple[VirtualView, MapPlan, BaseException]] = []
         self._thread.start()
 
-    def submit(self, view: VirtualView, request: MapRequest) -> None:
-        """Enqueue one map request (charges a queue push on the caller)."""
-        self._cost.queue_op(1, MAIN_LANE)
-        self._queue.put((view, request))
+    def submit(self, view: VirtualView, plan: MapPlan) -> None:
+        """Enqueue a plan (charges one queue push per run on the caller)."""
+        self._cost.queue_op(plan.num_runs, MAIN_LANE)
+        self._queue.put((view, plan))
 
     def flush(self, retry=None) -> None:
-        """Wait until all submitted requests have been mapped.
+        """Wait until all submitted plans have been mapped.
 
-        With a :class:`~repro.resilience.retry.RetryPolicy`, requests
-        the mapping thread lost to *transient* substrate faults are
-        retried here (on the mapper lane, like the attempt they replace)
-        before any failure surfaces.  Re-raises the first unrecovered
+        With a :class:`~repro.resilience.retry.RetryPolicy`, runs the
+        mapping thread lost to *transient* substrate faults are retried
+        here (on the mapper lane, like the attempt they replace) before
+        any failure surfaces.  Re-raises the first unrecovered
         exception, then clears the failure list — the thread stays alive
         and the mapper is reusable for the next view.
         """
         self._queue.join()
         failures, self._failures = self._failures, []
         unrecovered: BaseException | None = None
-        for view, request, exc in failures:
-            if (
-                retry is not None
-                and isinstance(exc, SubstrateFault)
-                and exc.transient
-            ):
+        for view, run, exc in failures:
+            if isinstance(exc, SubstrateFault):
                 try:
-                    retry.resume(
-                        "map_fixed",
-                        exc,
-                        lambda v=view, r=request: v.execute_request(
-                            r, lane=MAPPER_LANE
-                        ),
-                        lane=MAPPER_LANE,
-                    )
+                    _heal(retry, view, run, exc, MAPPER_LANE)
                     continue
                 except SubstrateFault as final:
                     exc = final
@@ -118,14 +132,16 @@ class BackgroundMapper:
             try:
                 if item is self._STOP:
                     return
-                view, request = item
-                self._cost.queue_op(1, MAPPER_LANE)
+                view, plan = item
+                self._cost.queue_op(plan.num_runs, MAPPER_LANE)
                 try:
-                    view.execute_request(request, lane=MAPPER_LANE)
+                    # Park each faulted run for the flusher, which can
+                    # retry transient faults before surfacing anything,
+                    # and carry on with the runs after it.
+                    for run, fault in _issue(view, plan, MAPPER_LANE):
+                        self._failures.append((view, run, fault))
                 except BaseException as exc:
-                    # Park the failed request for the flusher, which can
-                    # retry transient faults before surfacing anything.
-                    self._failures.append((view, request, exc))
+                    self._failures.append((view, plan, exc))
             finally:
                 self._queue.task_done()
 
@@ -143,12 +159,12 @@ def materialize_pages(
 
     With ``coalesce`` enabled, maximal runs of consecutive physical pages
     become single calls; otherwise every page is mapped individually.
-    With a ``background`` mapper, the calls run on the mapping thread and
-    this function returns only after the view is completely mapped.
-    With a ``retry`` policy, transient substrate faults are retried with
-    backoff instead of aborting the creation (each request issues exactly
-    one substrate call and the fault plane raises before the backend
-    mutates, so re-attempting a request wholesale is safe).
+    Either way the view plans all calls in one vectorized pass and hands
+    the substrate the whole plan at once.  With a ``background`` mapper,
+    the plan runs on the mapping thread and this function returns only
+    after the view is completely mapped.  With a ``retry`` policy,
+    transient substrate faults are retried with backoff instead of
+    aborting the creation.
     """
     obs = observer or NULL_OBSERVER
     fpages = np.asarray(fpages, dtype=np.int64)
@@ -160,32 +176,15 @@ def materialize_pages(
         coalesce=coalesce,
         background=background is not None,
     ) as mspan:
-        if fastpath.enabled():
-            # Run-length batching: one vectorized planning pass hands
-            # out every run's request; each coalesced run still issues
-            # exactly one (bulk) page-table operation.
-            requests = view.plan_runs(fpages, coalesce=coalesce)
-        elif coalesce:
-            requests = [view.plan_run(run) for run in consecutive_runs(fpages)]
-        else:
-            requests = [
-                view.plan_run(fpages[i : i + 1]) for i in range(fpages.size)
-            ]
-        for request in requests:
-            if background is not None:
-                background.submit(view, request)
-            elif retry is not None:
-                retry.run(
-                    "map_fixed",
-                    lambda r=request: view.execute_request(r, lane=lane),
-                    lane,
-                )
-            else:
-                view.execute_request(request, lane=lane)
+        plan = view.plan_runs(fpages, coalesce=coalesce)
         if background is not None:
+            background.submit(view, plan)
             background.flush(retry=retry)
-        mspan.set(runs=len(requests))
-    return len(requests)
+        else:
+            for run, fault in _issue(view, plan, lane):
+                _heal(retry, view, run, fault, lane)
+        mspan.set(runs=plan.num_runs)
+    return plan.num_runs
 
 
 @dataclass

@@ -15,26 +15,40 @@ states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from ..faults.errors import SubstrateFault
 from ..faults.plane import suppress_faults
 from ..storage.column import PhysicalColumn
 from ..vm.constants import MAX_VALUE, MIN_VALUE
 from ..vm.cost import MAIN_LANE
 
 
-@dataclass(frozen=True)
-class MapRequest:
-    """A planned mmap(MAP_FIXED) call: map ``npages`` physical pages
-    starting at ``fpage_start`` onto the view's virtual pages starting at
-    ``vpn_start``.  Produced by :meth:`VirtualView.plan_run`, executed
-    either inline or by the background mapping thread."""
+class MapPlan(NamedTuple):
+    """A view's planned mmap(MAP_FIXED) calls, one row per call.
 
-    vpn_start: int
-    fpage_start: int
-    npages: int
+    Run ``i`` maps ``npages[i]`` physical pages starting at
+    ``file_pages[i]`` onto the view's virtual pages starting at
+    ``vpns[i]``.  Produced by :meth:`VirtualView.plan_runs` over
+    consecutive fresh slots, so the runs are in address order and touch;
+    executed by :meth:`VirtualView.execute_plan`, inline or on the
+    background mapping thread.
+    """
+
+    vpns: np.ndarray
+    file_pages: np.ndarray
+    npages: np.ndarray
+
+    @property
+    def num_runs(self) -> int:
+        """Number of mmap calls the plan stands for."""
+        return int(self.vpns.size)
+
+    def runs(self, start: int, stop: int | None = None) -> "MapPlan":
+        """The sub-plan of runs ``[start, stop)``."""
+        return MapPlan(*(column[start:stop] for column in self))
 
 
 class VirtualView:
@@ -51,7 +65,7 @@ class VirtualView:
 
         Reserves a virtual area as large as the whole column (anonymous
         over-allocation; almost free).  Pages are mapped in afterwards
-        via :meth:`add_page` / :meth:`map_run`.
+        via :meth:`add_page` or a planned run set (:meth:`plan_runs`).
         """
         if lo > hi:
             raise ValueError(f"inverted value range [{lo}, {hi}]")
@@ -173,58 +187,23 @@ class VirtualView:
         self._next_fresh += 1
         return slot
 
-    def plan_run(self, fpages: np.ndarray | list[int]) -> MapRequest:
-        """Reserve consecutive fresh slots for a run of consecutive
-        physical pages and record the bookkeeping, without issuing the
-        mmap call yet.
-
-        Used by the optimized creation path: the returned request can be
-        executed inline (one coalesced call) or handed to the background
-        mapping thread.  The run must be consecutive in physical pages.
-        """
-        if self.is_full_view:
-            raise RuntimeError("cannot map pages into the full view")
-        fpages = np.asarray(fpages, dtype=np.int64)
-        n = int(fpages.size)
-        if n == 0:
-            raise ValueError("empty map run")
-        if n > 1 and not np.all(np.diff(fpages) == 1):
-            raise ValueError("map run must cover consecutive physical pages")
-        if self._next_fresh + n > self.capacity:
-            raise RuntimeError("view over-allocation exhausted")
-        if np.any(self._slot_by_fpage[fpages] >= 0):
-            raise ValueError("run contains pages already indexed by this view")
-        slot_start = self._next_fresh
-        self._next_fresh += n
-        self._fpage_at[slot_start : slot_start + n] = fpages
-        self._slot_by_fpage[fpages] = np.arange(slot_start, slot_start + n)
-        self._touched[slot_start : slot_start + n] = False
-        self._num_mapped += n
-        self._mapped_cache = None
-        return MapRequest(
-            vpn_start=self.base_vpn + slot_start,
-            fpage_start=int(fpages[0]),
-            npages=n,
-        )
-
     def plan_runs(
         self, fpages: np.ndarray | list[int], coalesce: bool = True
-    ) -> list[MapRequest]:
+    ) -> MapPlan:
         """Plan mapping an ordered page set into fresh slots, in bulk.
 
-        The vectorized counterpart of splitting ``fpages`` into maximal
-        consecutive runs and calling :meth:`plan_run` once per run: one
-        pass validates the whole set, reserves all slots, and records
-        the bookkeeping with whole-array operations; the returned
-        requests are identical (one per run with ``coalesce``, one per
-        page without).
+        One pass validates the whole set, reserves consecutive fresh
+        slots for it and records the bookkeeping with whole-array
+        operations, without issuing any mmap call yet.  The plan holds
+        one run per maximal stretch of consecutive physical pages with
+        ``coalesce``, one per page without.
         """
         if self.is_full_view:
             raise RuntimeError("cannot map pages into the full view")
         fpages = np.asarray(fpages, dtype=np.int64)
         n = int(fpages.size)
         if n == 0:
-            return []
+            return MapPlan(fpages, fpages, fpages)
         if self._next_fresh + n > self.capacity:
             raise RuntimeError("view over-allocation exhausted")
         diffs = np.diff(fpages)
@@ -251,44 +230,45 @@ class VirtualView:
         self._mapped_cache = None
 
         if coalesce:
-            breaks = np.nonzero(diffs != 1)[0] + 1
-            starts = np.concatenate(([0], breaks))
-            ends = np.concatenate((breaks, [n]))
+            bounds = np.concatenate(([0], np.flatnonzero(diffs != 1) + 1, [n]))
         else:
-            starts = np.arange(n)
-            ends = starts + 1
-        return [
-            MapRequest(
-                vpn_start=self.base_vpn + slot_start + int(start),
-                fpage_start=int(fpages[start]),
-                npages=int(end - start),
-            )
-            for start, end in zip(starts, ends)
-        ]
+            bounds = np.arange(n + 1)
+        starts = bounds[:-1]
+        return MapPlan(
+            vpns=self.base_vpn + slot_start + starts,
+            file_pages=fpages[starts],
+            npages=np.diff(bounds),
+        )
 
-    def execute_request(self, request: MapRequest, lane: str = MAIN_LANE) -> None:
-        """Issue the mmap(MAP_FIXED) call for a planned run.
+    def execute_plan(self, plan: MapPlan, lane: str = MAIN_LANE) -> None:
+        """Issue a plan's mmap(MAP_FIXED) calls with one substrate call.
 
         The freshly mapped pages are populated immediately (their soft
         faults are paid here, as part of creation), so subsequent view
         scans run fault-free — the paper's "negligible overhead for the
         very first page access after (re-)mapping" is amortized into the
-        mapping step.
+        mapping step.  A substrate fault names the run it hit; the runs
+        before it are mapped and marked so before it propagates.
         """
-        self.substrate.map_fixed(
-            request.vpn_start,
-            request.npages,
-            self.column.file,
-            request.fpage_start,
-            populate=True,
-            lane=lane,
-        )
-        start_slot = request.vpn_start - self.base_vpn
-        self._touched[start_slot : start_slot + request.npages] = True
+        try:
+            self.substrate.map_runs(
+                plan.vpns,
+                plan.npages,
+                self.column.file,
+                plan.file_pages,
+                populate=True,
+                lane=lane,
+            )
+        except SubstrateFault as fault:
+            self._mark_touched(plan.runs(0, fault.run_index))
+            raise
+        self._mark_touched(plan)
 
-    def map_run(self, fpages: np.ndarray | list[int], lane: str = MAIN_LANE) -> None:
-        """Map a run of consecutive physical pages with one mmap call."""
-        self.execute_request(self.plan_run(fpages), lane=lane)
+    def _mark_touched(self, plan: MapPlan) -> None:
+        if plan.num_runs:
+            start = int(plan.vpns[0]) - self.base_vpn
+            end = int(plan.vpns[-1] + plan.npages[-1]) - self.base_vpn
+            self._touched[start:end] = True
 
     def add_page(self, fpage: int, lane: str = MAIN_LANE) -> None:
         """Map one physical page into an unused virtual slot.

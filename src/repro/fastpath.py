@@ -2,10 +2,8 @@
 
 The substrate has two implementations of several hot operations:
 
-* the **fast path** (default) — bulk page-table operations, the
-  column-built :class:`~repro.vm.procmaps.MappingSnapshot`, the
-  generation-cached maps render and the vectorized run planning of
-  :meth:`~repro.core.view.VirtualView.plan_runs`;
+* the **fast path** (default) — the extent-first scan kernel and the
+  column-built :class:`~repro.vm.procmaps.MappingSnapshot`;
 * the **reference path** — the straightforward per-page implementations
   the fast paths were derived from.
 

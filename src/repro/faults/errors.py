@@ -25,7 +25,9 @@ class SubstrateFault(RuntimeError):
     per-operation call count at which the schedule triggered, and
     ``transient`` whether the failure is classified as recoverable by
     retrying (resource exhaustion is permanent; a lost mapping race or
-    torn maps read clears on its own).
+    torn maps read clears on its own).  ``run_index`` is, for a fault
+    inside a ``map_runs`` plan, the run that failed: the runs before it
+    were applied, it and the ones after it were not.
     """
 
     def __init__(
@@ -34,6 +36,7 @@ class SubstrateFault(RuntimeError):
         kind: str,
         call_index: int | None = None,
         transient: bool = False,
+        run_index: int = 0,
     ) -> None:
         detail = f" (call #{call_index})" if call_index is not None else ""
         grade = "transient" if transient else "permanent"
@@ -44,6 +47,7 @@ class SubstrateFault(RuntimeError):
         self.kind = kind
         self.call_index = call_index
         self.transient = transient
+        self.run_index = run_index
 
 
 class TornSnapshotError(SubstrateFault):

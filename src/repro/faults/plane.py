@@ -25,6 +25,8 @@ from __future__ import annotations
 from contextlib import contextmanager, nullcontext
 from typing import Iterator
 
+import numpy as np
+
 from ..substrate.interface import PageStore, Substrate
 from ..vm.cost import MAIN_LANE, CostModel
 from .errors import SubstrateFault
@@ -149,13 +151,17 @@ class FaultySubstrate(Substrate):
         """Consult the schedule; raise the injected fault, if any."""
         fault = self._consult(op)
         if fault is not None:
-            self._on_fault(op, fault.kind.value)
-            raise SubstrateFault(
-                op,
-                fault.kind.value,
-                fault.call_index,
-                transient=fault.transient,
-            )
+            self._raise(op, fault)
+
+    def _raise(self, op: str, fault, run_index: int = 0) -> None:
+        self._on_fault(op, fault.kind.value)
+        raise SubstrateFault(
+            op,
+            fault.kind.value,
+            fault.call_index,
+            transient=fault.transient,
+            run_index=run_index,
+        )
 
     def _check_budget(self, op: str, num_pages: int) -> None:
         """Enforce the per-store page budget (capacity exhaustion)."""
@@ -235,6 +241,32 @@ class FaultySubstrate(Substrate):
             file_page,
             populate=populate,
             lane=lane,
+        )
+
+    def map_runs(
+        self,
+        vpns: np.ndarray,
+        npages: np.ndarray,
+        file: PageStore,
+        file_pages: np.ndarray,
+        populate: bool = False,
+        lane: str = MAIN_LANE,
+    ) -> None:
+        # One consultation per run, as when each run was its own
+        # ``map_fixed``: a fault at run k leaves runs [0, k) mapped and
+        # names k, so the caller can resume exactly there.
+        file = unwrap_store(file)
+        for k in range(len(vpns)):
+            fault = self._consult("map_fixed")
+            if fault is not None:
+                if k:
+                    self.inner.map_runs(
+                        vpns[:k], npages[:k], file, file_pages[:k],
+                        populate=populate, lane=lane,
+                    )
+                self._raise("map_fixed", fault, run_index=k)
+        self.inner.map_runs(
+            vpns, npages, file, file_pages, populate=populate, lane=lane
         )
 
     def unmap_slot(self, vpn: int, npages: int = 1, lane: str = MAIN_LANE) -> None:

@@ -10,7 +10,8 @@ supported by the vanilla Linux kernel":
   view performs at creation (:meth:`Substrate.reserve`);
 * **fixed rewiring** — pointing runs of virtual pages at runs of file
   pages with single ``mmap(MAP_FIXED)``-style calls
-  (:meth:`Substrate.map_fixed`, :meth:`Substrate.unmap_slot`);
+  (:meth:`Substrate.map_fixed`, :meth:`Substrate.unmap_slot`), or a
+  view's whole plan of them at once (:meth:`Substrate.map_runs`);
 * **tear-down** — ``munmap`` semantics (:meth:`Substrate.munmap`,
   :meth:`Substrate.release_region`) and permission changes
   (:meth:`Substrate.protect`);
@@ -217,6 +218,28 @@ class Substrate(ABC):
         The hot ``mmap(MAP_FIXED)`` operation of memory rewiring.  With
         ``populate`` the page tables are installed eagerly.
         """
+
+    def map_runs(
+        self,
+        vpns: np.ndarray,
+        npages: np.ndarray,
+        file: PageStore,
+        file_pages: np.ndarray,
+        populate: bool = False,
+        lane: str = MAIN_LANE,
+    ) -> None:
+        """Apply a view's whole mapping plan: :meth:`map_fixed` per run.
+
+        Run ``i`` rewires ``npages[i]`` virtual pages at ``vpns[i]`` onto
+        the file pages from ``file_pages[i]``; runs come in address order
+        and do not overlap.  State, charges and counters afterwards are
+        those of issuing the runs one by one, which is what this default
+        does; a backend may take the plan in one step instead.
+        """
+        for vpn, n, file_page in zip(
+            vpns.tolist(), npages.tolist(), file_pages.tolist()
+        ):
+            self.map_fixed(vpn, n, file, file_page, populate=populate, lane=lane)
 
     @abstractmethod
     def unmap_slot(self, vpn: int, npages: int = 1, lane: str = MAIN_LANE) -> None:

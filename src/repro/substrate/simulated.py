@@ -117,6 +117,19 @@ class SimulatedSubstrate(Substrate):
             vpn, npages, file, file_page, populate=populate, lane=lane
         )
 
+    def map_runs(
+        self,
+        vpns: np.ndarray,
+        npages: np.ndarray,
+        file: MemoryFile,
+        file_pages: np.ndarray,
+        populate: bool = False,
+        lane: str = MAIN_LANE,
+    ) -> None:
+        self.mapper.map_runs(
+            vpns, npages, file, file_pages, populate=populate, lane=lane
+        )
+
     def unmap_slot(self, vpn: int, npages: int = 1, lane: str = MAIN_LANE) -> None:
         self.mapper.mmap(npages, addr=vpn, fixed=True, lane=lane)
 

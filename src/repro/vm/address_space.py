@@ -1,7 +1,9 @@
 """A process address space: VMA bookkeeping plus fault tracking.
 
 This is pure mechanism — it answers "what maps where" and performs the
-kernel-side mutations (insert with merge, unmap with split).  Cost
+kernel-side mutations.  Every mutation is one :meth:`AddressSpace._splice`
+of the sorted VMA list: clip what was there, place what is new, merge
+compatible neighbours, assign one slice.  Cost
 accounting and syscall-style argument checking live one level up in
 :mod:`repro.vm.mmap_api`.
 """
@@ -10,9 +12,8 @@ from __future__ import annotations
 
 import bisect
 import threading
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .. import fastpath
 from .errors import BadAddressError, MapError
 from .physical import MemoryFile
 from .vma import Vma
@@ -31,12 +32,6 @@ class AddressSpace:
         self._starts: list[int] = []  # parallel list for bisect
         self._next_vpn = _MMAP_BASE_VPN
         self._faulted: set[int] = set()
-        #: Monotonic mapping-change counter.  Bumped by every mutation
-        #: that can change the rendered maps file (map/unmap/protect);
-        #: consumers (the maps render cache in
-        #: :mod:`repro.vm.procmaps`) compare generations instead of
-        #: re-rendering to detect "nothing changed".
-        self.generation = 0
         #: Serializes mutations; the background mapping thread
         #: (Section 2.3, optimization 2) maps pages concurrently with the
         #: scanning thread, just as the kernel serializes mmap internally.
@@ -52,6 +47,26 @@ class AddressSpace:
     def num_vmas(self) -> int:
         """Number of VMAs (= lines in the rendered maps file)."""
         return len(self._vmas)
+
+    def _overlapping(self, lo: int, hi: int) -> tuple[int, int]:
+        """Slice bounds of the VMAs that overlap ``[lo, hi)``."""
+        i = bisect.bisect_right(self._starts, lo)
+        if i and self._vmas[i - 1].end > lo:
+            i -= 1
+        return i, bisect.bisect_left(self._starts, hi, i)
+
+    def _first_unmapped(self, start: int, end: int) -> int | None:
+        """The first page of ``[start, end)`` no VMA holds, if any.
+
+        Walks the (sorted) VMAs of the range, so the check is
+        O(VMAs in range), not O(pages).
+        """
+        i, j = self._overlapping(start, end)
+        for vma in self._vmas[i:j]:
+            if vma.start > start:
+                break
+            start = vma.end
+        return start if start < end else None
 
     def find_vma(self, vpn: int) -> Vma | None:
         """The VMA containing virtual page ``vpn``, if any."""
@@ -101,32 +116,12 @@ class AddressSpace:
         if npages <= 0:
             raise MapError("cannot fault in an empty range")
         with self.lock:
-            if not fastpath.enabled():
-                return sum(
-                    self.fault_in(vpn) for vpn in range(start, start + npages)
-                )
-            self._check_range_mapped(start, npages)
+            hole = self._first_unmapped(start, start + npages)
+            if hole is not None:
+                raise BadAddressError(f"fault on unmapped page {hole:#x}")
             before = len(self._faulted)
             self._faulted.update(range(start, start + npages))
             return len(self._faulted) - before
-
-    def _check_range_mapped(self, start: int, npages: int) -> None:
-        """Raise :class:`BadAddressError` unless the range is fully mapped.
-
-        Walks the (sorted) VMA list instead of testing page by page, so
-        the check is O(VMAs in range), not O(pages).
-        """
-        end = start + npages
-        point = start
-        idx = max(bisect.bisect_right(self._starts, start) - 1, 0)
-        while point < end:
-            if idx >= len(self._vmas):
-                raise BadAddressError(f"fault on unmapped page {point:#x}")
-            vma = self._vmas[idx]
-            if not vma.contains(point):
-                raise BadAddressError(f"fault on unmapped page {point:#x}")
-            point = vma.end
-            idx += 1
 
     def _invalidate_faults(self, start: int, npages: int) -> None:
         """Forget fault state for a remapped/unmapped range.
@@ -139,21 +134,8 @@ class AddressSpace:
             end = start + npages
             overlap = [vpn for vpn in self._faulted if start <= vpn < end]
             self._faulted.difference_update(overlap)
-        elif npages < 64:
-            for vpn in range(start, start + npages):
-                self._faulted.discard(vpn)
         else:
-            self._faulted -= set(range(start, start + npages))
-
-    def _resident_in_range(self, start: int, npages: int) -> set[int]:
-        """Resident (faulted-in) pages inside ``[start, start + npages)``.
-
-        Like :meth:`_invalidate_faults`, iterates the smaller side.
-        """
-        end = start + npages
-        if len(self._faulted) < npages:
-            return {vpn for vpn in self._faulted if start <= vpn < end}
-        return set(range(start, end)) & self._faulted
+            self._faulted.difference_update(range(start, start + npages))
 
     # -- region allocation ---------------------------------------------------
 
@@ -168,38 +150,63 @@ class AddressSpace:
 
     # -- mutations ----------------------------------------------------------
 
+    def _splice(self, lo: int, hi: int, new: Sequence[Vma]) -> list[Vma]:
+        """Clear ``[lo, hi)`` and place ``new`` there, in one list edit.
+
+        ``new`` is sorted and non-overlapping and, unless empty, begins
+        at ``lo`` and ends at ``hi``.  Old mappings survive outside the
+        range and in the gaps between consecutive new areas, clipped to
+        fit; adjacent compatible areas merge, as the kernel merges them.
+        Fault state is the caller's business.  Returns the old VMAs the
+        range touched.
+        """
+        vmas = self._vmas
+        i, j = self._overlapping(lo, hi)
+        old = vmas[i:j]
+        first = max(i - 1, 0)
+        pieces = vmas[first:i]  # the predecessor may merge with what follows
+        if old and old[0].start < lo:
+            pieces.append(old[0].clipped(old[0].start, lo))
+        cursor = 0
+        reach = lo
+        for vma in new:
+            while reach < vma.start and cursor < len(old):
+                survivor = old[cursor]
+                if survivor.end <= reach:
+                    cursor += 1
+                elif survivor.start >= vma.start:
+                    break
+                else:
+                    pieces.append(survivor.clipped(reach, vma.start))
+                    reach = survivor.end
+            pieces.append(vma)
+            reach = vma.end
+        if old and old[-1].end > hi:
+            pieces.append(old[-1].clipped(hi, old[-1].end))
+        pieces += vmas[j : j + 1]  # ... and so may the successor
+        merged: list[Vma] = []
+        for vma in pieces:
+            if merged and merged[-1].can_merge_with(vma):
+                merged[-1] = merged[-1].merged_with(vma)
+            else:
+                merged.append(vma)
+        vmas[first : j + 1] = merged
+        self._starts[first : j + 1] = [vma.start for vma in merged]
+        # keep the bump allocator clear of explicitly placed mappings
+        if new and new[-1].end > self._next_vpn:
+            self._next_vpn = new[-1].end
+        return old
+
     def add_mapping(self, vma: Vma) -> None:
         """Insert ``vma``; the range must currently be unmapped.
 
         Adjacent compatible VMAs are merged, as the kernel does.
         """
         with self.lock:
-            self._add_mapping_locked(vma)
-            self.generation += 1
-
-    def _add_mapping_locked(self, vma: Vma) -> None:
-        idx = bisect.bisect_left(self._starts, vma.start)
-        if idx < len(self._vmas) and self._vmas[idx].overlaps(vma.start, vma.npages):
-            raise MapError(f"{vma} overlaps {self._vmas[idx]}")
-        if idx > 0 and self._vmas[idx - 1].overlaps(vma.start, vma.npages):
-            raise MapError(f"{vma} overlaps {self._vmas[idx - 1]}")
-
-        # Merge with predecessor and/or successor where possible.
-        merged = vma
-        if idx > 0 and self._vmas[idx - 1].can_merge_with(merged):
-            merged = self._vmas[idx - 1].merged_with(merged)
-            del self._vmas[idx - 1]
-            del self._starts[idx - 1]
-            idx -= 1
-        if idx < len(self._vmas) and merged.can_merge_with(self._vmas[idx]):
-            merged = merged.merged_with(self._vmas[idx])
-            del self._vmas[idx]
-            del self._starts[idx]
-        self._vmas.insert(idx, merged)
-        self._starts.insert(idx, merged.start)
-        # keep the bump allocator clear of explicitly placed mappings
-        if merged.end > self._next_vpn:
-            self._next_vpn = merged.end
+            i, j = self._overlapping(vma.start, vma.end)
+            if i < j:
+                raise MapError(f"{vma} overlaps {self._vmas[i]}")
+            self._splice(vma.start, vma.end, [vma])
 
     def remove_mapping(self, start: int, npages: int) -> int:
         """Unmap ``[start, start + npages)``; returns pages removed.
@@ -207,46 +214,43 @@ class AddressSpace:
         Like ``munmap``, the range may cover holes and partial VMAs;
         affected VMAs are split as needed.
         """
-        with self.lock:
-            removed = self._remove_mapping_locked(start, npages)
-            self.generation += 1
-            return removed
-
-    def _remove_mapping_locked(self, start: int, npages: int) -> int:
         if npages <= 0:
             raise MapError("cannot unmap an empty range")
         end = start + npages
-        removed = 0
-        idx = max(bisect.bisect_right(self._starts, start) - 1, 0)
-        while idx < len(self._vmas):
-            vma = self._vmas[idx]
-            if vma.start >= end:
-                break
-            if not vma.overlaps(start, npages):
-                idx += 1
-                continue
-            del self._vmas[idx]
-            del self._starts[idx]
-            if vma.start < start:
-                head, vma = vma.split_at(start)
-                self._vmas.insert(idx, head)
-                self._starts.insert(idx, head.start)
-                idx += 1
-            if vma.end > end:
-                vma, tail = vma.split_at(end)
-                self._vmas.insert(idx, tail)
-                self._starts.insert(idx, tail.start)
-            removed += vma.npages
-        self._invalidate_faults(start, npages)
-        return removed
+        with self.lock:
+            old = self._splice(start, end, ())
+            self._invalidate_faults(start, npages)
+            return sum(min(vma.end, end) - max(vma.start, start) for vma in old)
 
     def replace_mapping(self, vma: Vma) -> None:
         """MAP_FIXED semantics: atomically unmap the range, then map ``vma``."""
+        self.map_runs([vma])
+
+    def map_runs(self, runs: Sequence[Vma], populate: bool = False) -> None:
+        """MAP_FIXED a whole plan: every run replaces what its range held.
+
+        ``runs`` must be sorted by address and must not overlap; what
+        lies between two runs stays mapped as it was.  The fault state
+        of every run is reset and, with ``populate``, installed again
+        (``MAP_POPULATE``) — for a plan without gaps, in one set
+        operation over its hull.
+        """
+        if not runs:
+            return
+        gaps = False
+        for before, after in zip(runs, runs[1:]):
+            if after.start < before.end:
+                raise MapError(f"plan not in address order: {after} after {before}")
+            gaps = gaps or after.start > before.end
+        lo, hi = runs[0].start, runs[-1].end
         with self.lock:
-            self._remove_mapping_locked(vma.start, vma.npages)
-            self._add_mapping_locked(vma)
-            self._invalidate_faults(vma.start, vma.npages)
-            self.generation += 1
+            self._splice(lo, hi, runs)
+            spans = [(run.start, run.end) for run in runs] if gaps else [(lo, hi)]
+            for start, end in spans:
+                if populate:
+                    self._faulted.update(range(start, end))
+                else:
+                    self._invalidate_faults(start, end - start)
 
     def protect_mapping(self, start: int, npages: int, perms: str) -> None:
         """mprotect semantics: change permissions of a mapped range.
@@ -254,49 +258,20 @@ class AddressSpace:
         The whole range must be mapped; affected VMAs are split at the
         boundaries and re-inserted with the new permissions (adjacent
         compatible areas merge back together, as the kernel does).
+        Resident pages stay resident.
         """
         if npages <= 0:
             raise MapError("cannot protect an empty range")
         if not set(perms) <= set("rwx"):
             raise MapError(f"bad permission string: {perms!r}")
+        end = start + npages
         with self.lock:
-            for vpn in (start, start + npages - 1):
-                if not self.is_mapped(vpn):
-                    raise BadAddressError(
-                        f"mprotect on unmapped page {vpn:#x}"
-                    )
-            covered = [
-                vma for vma in self._vmas if vma.overlaps(start, npages)
-            ]
-            span = sum(
-                min(vma.end, start + npages) - max(vma.start, start)
-                for vma in covered
+            hole = self._first_unmapped(start, end)
+            if hole is not None:
+                raise BadAddressError(f"mprotect on unmapped page {hole:#x}")
+            i, j = self._overlapping(start, end)
+            self._splice(
+                start,
+                end,
+                [vma.clipped(start, end, perms) for vma in self._vmas[i:j]],
             )
-            if span != npages:
-                raise BadAddressError("mprotect range contains a hole")
-            import dataclasses
-
-            pieces = []
-            for vma in covered:
-                piece_start = max(vma.start, start)
-                piece_end = min(vma.end, start + npages)
-                file_page = (
-                    vma.file_page + (piece_start - vma.start) if vma.file else 0
-                )
-                pieces.append(
-                    dataclasses.replace(
-                        vma,
-                        start=piece_start,
-                        npages=piece_end - piece_start,
-                        file_page=file_page,
-                        perms=perms,
-                    )
-                )
-            # mprotect must not invalidate resident pages: preserve the
-            # fault state across the remove/re-add below.
-            resident = self._resident_in_range(start, npages)
-            self._remove_mapping_locked(start, npages)
-            for piece in pieces:
-                self._add_mapping_locked(piece)
-            self._faulted |= resident
-            self.generation += 1

@@ -348,12 +348,14 @@ class CostModel:
 
     # -- mapping costs ---------------------------------------------------
 
-    def mmap_call(self, pages: int, lane: str = MAIN_LANE) -> None:
-        """Charge one mmap() syscall mapping ``pages`` pages."""
+    def mmap_call(self, pages: int, lane: str = MAIN_LANE, calls: int = 1) -> None:
+        """Charge ``calls`` mmap() syscalls mapping ``pages`` pages in all."""
         self.ledger.charge(
-            self.params.mmap_syscall_ns + pages * self.params.mmap_per_page_ns, lane
+            calls * self.params.mmap_syscall_ns
+            + pages * self.params.mmap_per_page_ns,
+            lane,
         )
-        self.ledger.count("mmap_calls")
+        self.ledger.count("mmap_calls", calls)
         self.ledger.count("pages_mapped", pages)
 
     def munmap_call(self, pages: int, lane: str = MAIN_LANE) -> None:

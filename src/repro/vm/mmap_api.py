@@ -29,6 +29,17 @@ from .physical import MemoryFile, PhysicalMemory
 from .vma import Vma
 
 
+def _check_run(npages: int, file: MemoryFile | None, file_page: int) -> None:
+    """Reject an empty mapping and one that reaches outside its file."""
+    if npages <= 0:
+        raise MapError("mmap of zero pages")
+    if file is not None and not 0 <= file_page <= file.num_pages - npages:
+        raise MapError(
+            f"file range [{file_page}, {file_page + npages}) outside "
+            f"{file.name!r} ({file.num_pages} pages)"
+        )
+
+
 class MemoryMapper:
     """mmap-style interface over one simulated address space."""
 
@@ -67,16 +78,9 @@ class MemoryMapper:
         (``MAP_POPULATE``): the soft faults are paid here and later
         accesses are fault-free.
         """
-        if npages <= 0:
-            raise MapError("mmap of zero pages")
+        _check_run(npages, file, file_page)
         if fixed and addr is None:
             raise MapError("MAP_FIXED requires an explicit address")
-        if file is not None:
-            if file_page < 0 or file_page + npages > file.num_pages:
-                raise MapError(
-                    f"file range [{file_page}, {file_page + npages}) outside "
-                    f"{file.name!r} ({file.num_pages} pages)"
-                )
 
         if addr is None:
             addr = self.address_space.allocate_region(npages)
@@ -145,6 +149,42 @@ class MemoryMapper:
             lane=lane,
         )
 
+    def map_runs(
+        self,
+        vpns: np.ndarray,
+        npages: np.ndarray,
+        file: MemoryFile,
+        file_pages: np.ndarray,
+        populate: bool = False,
+        lane: str = MAIN_LANE,
+    ) -> None:
+        """Apply a whole rewiring plan: :meth:`remap_fixed` once per run.
+
+        Run ``i`` rewires ``npages[i]`` virtual pages from ``vpns[i]`` onto
+        the file pages from ``file_pages[i]``; runs come in address order
+        and do not overlap, and a bad run rejects the whole plan.  The
+        address space takes the plan in one step and the ledger one sum
+        — the charges and counters of the ``len(vpns)`` calls are whole
+        nanoseconds, so every lane holds what issuing them one by one
+        leaves.
+        """
+        runs, pages = [], 0
+        for vpn, n, file_page in zip(
+            vpns.tolist(), npages.tolist(), file_pages.tolist()
+        ):
+            _check_run(n, file, file_page)
+            runs.append(Vma(vpn, n, file, file_page))
+            pages += n
+        if not runs:
+            return
+        self.address_space.map_runs(runs, populate)
+        self.cost.mmap_call(pages, lane, calls=len(runs))
+        if populate:
+            self.cost.soft_fault(pages, lane)
+        if self.observer is not None:
+            for run in runs:
+                self.observer.on_mmap("fixed", run.npages)
+
     def mprotect(
         self, start: int, npages: int, perms: str, lane: str = MAIN_LANE
     ) -> None:
@@ -187,7 +227,7 @@ class MemoryMapper:
 
         Anonymous pages read as zeros, like fresh anonymous memory.
         """
-        backing = self.access(vpn, lane)
+        backing = self.access(vpn, lane=lane)
         if backing is None:
             from .constants import VALUES_PER_PAGE
 

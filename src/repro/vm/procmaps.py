@@ -23,8 +23,6 @@ VMAs, and the maps file shrinks.
 from __future__ import annotations
 
 import re
-import threading
-import weakref
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
@@ -76,72 +74,8 @@ class MapsEntry:
         return self.start_vpn + self.npages
 
 
-@dataclass
-class _MapsCacheEntry:
-    """Rendered text of one address-space generation."""
-
-    generation: int
-    shm_prefix: str
-    text: str
-
-
-#: Generation-keyed render cache, one slot per address space.
-#: Invalidation rule: any map/unmap/protect bumps
-#: :attr:`AddressSpace.generation`, which makes the slot stale; a stale
-#: or missing slot re-renders from scratch.  Only :func:`render_maps`
-#: (the maps-text API) reads it; snapshots do not go through text.
-_MAPS_CACHE: "weakref.WeakKeyDictionary[AddressSpace, _MapsCacheEntry]" = (
-    weakref.WeakKeyDictionary()
-)
-_MAPS_CACHE_LOCK = threading.Lock()
-
-
-def _cache_lookup(
-    address_space: AddressSpace, shm_prefix: str
-) -> _MapsCacheEntry | None:
-    """The cache slot for this address space, if still fresh."""
-    with _MAPS_CACHE_LOCK:
-        cached = _MAPS_CACHE.get(address_space)
-    if (
-        cached is not None
-        and cached.generation == address_space.generation
-        and cached.shm_prefix == shm_prefix
-    ):
-        return cached
-    return None
-
-
-def _cache_store(address_space: AddressSpace, entry: _MapsCacheEntry) -> None:
-    with _MAPS_CACHE_LOCK:
-        _MAPS_CACHE[address_space] = entry
-
-
 def render_maps(address_space: AddressSpace, shm_prefix: str = "/dev/shm/") -> str:
-    """Render the address space in ``/proc/PID/maps`` text format.
-
-    The rendered text is cached per address-space generation: as long as
-    no mapping changes, repeated renders return the same string without
-    re-walking the VMA list.
-    """
-    if fastpath.enabled():
-        generation = address_space.generation
-        cached = _cache_lookup(address_space, shm_prefix)
-        if cached is not None:
-            return cached.text
-        text = _render_maps_uncached(address_space, shm_prefix)
-        _cache_store(
-            address_space,
-            _MapsCacheEntry(
-                generation=generation, shm_prefix=shm_prefix, text=text
-            ),
-        )
-        return text
-    return _render_maps_uncached(address_space, shm_prefix)
-
-
-def _render_maps_uncached(
-    address_space: AddressSpace, shm_prefix: str = "/dev/shm/"
-) -> str:
+    """Render the address space in ``/proc/PID/maps`` text format."""
     lines = []
     for vma in address_space.vmas():
         start = vma.start * PAGE_SIZE

@@ -94,25 +94,21 @@ class Vma:
             self.perms,
         )
 
+    def clipped(self, start: int, end: int, perms: str | None = None) -> "Vma":
+        """The part of the area inside ``[start, end)``, which must overlap
+        it; with ``perms``, under those permissions instead of its own."""
+        start = max(start, self.start)
+        return Vma(
+            start,
+            min(end, self.end) - start,
+            self.file,
+            self.file_page + (start - self.start) if self.file else 0,
+            self.shared,
+            self.perms if perms is None else perms,
+        )
+
     def split_at(self, vpn: int) -> tuple["Vma", "Vma"]:
         """Split into two VMAs at virtual page ``vpn`` (strictly inside)."""
         if not self.start < vpn < self.end:
             raise ValueError(f"split point {vpn} not strictly inside {self}")
-        head_pages = vpn - self.start
-        head = Vma(
-            self.start,
-            head_pages,
-            self.file,
-            self.file_page,
-            self.shared,
-            self.perms,
-        )
-        tail = Vma(
-            vpn,
-            self.npages - head_pages,
-            self.file,
-            self.file_page + head_pages if self.file else 0,
-            self.shared,
-            self.perms,
-        )
-        return head, tail
+        return self.clipped(self.start, vpn), self.clipped(vpn, self.end)

@@ -4,7 +4,7 @@ import json
 
 from repro.bench.perf import render_perf, run_perf, write_perf_json
 
-REQUIRED_BENCHES = {"scan", "view_creation", "maintenance_batch", "maps_snapshot"}
+REQUIRED_BENCHES = {"scan", "maintenance_batch", "maps_snapshot"}
 
 
 def test_run_perf_small_scale(tmp_path):

@@ -5,32 +5,41 @@ import pytest
 
 from repro.core.creation import (
     BackgroundMapper,
-    consecutive_runs,
     create_partial_view,
     materialize_pages,
 )
-from repro.core.view import VirtualView
+from repro.core.view import MapPlan, VirtualView
 from repro.vm.cost import MAIN_LANE, MAPPER_LANE
 from repro.vm.errors import MapError
 
 from ..conftest import uniform_column
 
 
+def planned_runs(fpages) -> list[list[int]]:
+    """The physical pages of each run a fresh view plans for ``fpages``."""
+    view = VirtualView(uniform_column(num_pages=16), 0, 10)
+    plan = view.plan_runs(np.asarray(fpages, dtype=np.int64))
+    return [
+        list(range(start, start + n))
+        for start, n in zip(plan.file_pages.tolist(), plan.npages.tolist())
+    ]
+
+
 class TestConsecutiveRuns:
+    """Coalescing: one planned run per maximal stretch of consecutive
+    physical pages."""
+
     def test_empty(self):
-        assert consecutive_runs(np.array([], dtype=np.int64)) == []
+        assert planned_runs([]) == []
 
     def test_single_run(self):
-        runs = consecutive_runs(np.array([3, 4, 5]))
-        assert [r.tolist() for r in runs] == [[3, 4, 5]]
+        assert planned_runs([3, 4, 5]) == [[3, 4, 5]]
 
     def test_multiple_runs(self):
-        runs = consecutive_runs(np.array([1, 2, 5, 6, 7, 10]))
-        assert [r.tolist() for r in runs] == [[1, 2], [5, 6, 7], [10]]
+        assert planned_runs([1, 2, 5, 6, 7, 10]) == [[1, 2], [5, 6, 7], [10]]
 
     def test_all_singletons(self):
-        runs = consecutive_runs(np.array([1, 3, 5]))
-        assert len(runs) == 3
+        assert len(planned_runs([1, 3, 5])) == 3
 
 
 class TestMaterializePages:
@@ -120,17 +129,15 @@ class TestBackgroundMapper:
         bg = BackgroundMapper(col.mapper.cost)
         try:
             view = VirtualView(col, 0, 10)
-            request = view.plan_run([2])
-            # sabotage: destroy the view so the mapped-to region vanishes
-            bad = type(request)(
-                vpn_start=request.vpn_start, fpage_start=99, npages=1
-            )
+            plan = view.plan_runs([2])
+            # sabotage: point the run at a page the file does not have
+            bad = MapPlan(plan.vpns, np.array([99]), plan.npages)
             bg.submit(view, bad)
             with pytest.raises(MapError):
                 bg.flush()
             # the failure is cleared on flush: the thread stays alive
             # and the mapper remains usable for the next view
-            bg.submit(view, view.plan_run([3]))
+            bg.submit(view, view.plan_runs([3]))
             bg.flush()
             assert view.contains_page(3)
         finally:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core.creation import (
     BackgroundMapper,
-    consecutive_runs,
     create_partial_view,
     materialize_pages,
 )
@@ -95,8 +94,8 @@ class TestBackgroundMapperStress:
             a = VirtualView(column, 0, 10)
             b = VirtualView(column, 20, 30)
             for fpage in range(0, 16, 2):
-                bg.submit(a, a.plan_run([fpage]))
-                bg.submit(b, b.plan_run([fpage + 1]))
+                bg.submit(a, a.plan_runs([fpage]))
+                bg.submit(b, b.plan_runs([fpage + 1]))
             bg.flush()
             assert a.mapped_fpages().tolist() == list(range(0, 16, 2))
             assert b.mapped_fpages().tolist() == list(range(1, 16, 2))
@@ -113,7 +112,11 @@ class TestConsecutiveRunsProperty:
     )
     def test_runs_partition_the_input(self, pages):
         fpages = np.sort(np.array(pages, dtype=np.int64))
-        runs = consecutive_runs(fpages)
+        plan = VirtualView(uniform_column(num_pages=201), 0, 10).plan_runs(fpages)
+        runs = [
+            np.arange(start, start + n)
+            for start, n in zip(plan.file_pages.tolist(), plan.npages.tolist())
+        ]
         # concatenation reproduces the input exactly
         flattened = [p for run in runs for p in run.tolist()]
         assert flattened == fpages.tolist()

@@ -7,9 +7,15 @@ totals and operation counters, and the maps-file line count — must be
 bit-identical to the per-page reference implementation.  These tests run
 the same randomized workload on two fresh stacks, one per mode, and
 compare everything.
+
+View creation has no toggle: its reference is the per-request loop in
+:mod:`tests.core.creation_oracle`, patched in for the reference run.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,12 +24,15 @@ from hypothesis import strategies as st
 
 from repro import fastpath
 from repro.bench.harness import fresh_column, make_update_batch
+from repro.core import adaptive, maintenance
 from repro.core.adaptive import AdaptiveStorageLayer
 from repro.core.config import AdaptiveConfig, RoutingMode
 from repro.core.scan import batch_scan
 from repro.vm.constants import VALUES_PER_PAGE
 from repro.vm.procmaps import maps_line_count
 from repro.workloads.distributions import linear, sine, sparse, uniform
+
+from .creation_oracle import oracle_materialize_pages
 
 DISTRIBUTIONS = {
     "uniform": uniform,
@@ -52,6 +61,18 @@ _STEP = st.one_of(
         st.integers(0, 2**16),
     ),
 )
+
+
+@contextmanager
+def reference_paths():
+    """Reference everything: the ``fastpath`` forks off, and views built
+    request by request through the creation oracle."""
+    with (
+        fastpath.reference_paths(),
+        mock.patch.object(adaptive, "materialize_pages", oracle_materialize_pages),
+        mock.patch.object(maintenance, "materialize_pages", oracle_materialize_pages),
+    ):
+        yield
 
 
 def _run_workload(dist_name: str, mode: RoutingMode, steps) -> dict:
@@ -95,7 +116,7 @@ def _run_workload(dist_name: str, mode: RoutingMode, steps) -> dict:
     mode=st.sampled_from(list(RoutingMode)),
 )
 def test_fast_paths_match_reference(dist_name, steps, mode):
-    with fastpath.reference_paths():
+    with reference_paths():
         reference = _run_workload(dist_name, mode, steps)
     with fastpath.fast_paths():
         fast = _run_workload(dist_name, mode, steps)
@@ -156,7 +177,7 @@ def test_background_mapping_parity():
     values = sine(NUM_PAGES, seed=3)
     observed = {}
     for name, ctx in (
-        ("reference", fastpath.reference_paths),
+        ("reference", reference_paths),
         ("fast", fastpath.fast_paths),
     ):
         with ctx():

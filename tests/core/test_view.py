@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core.view import VirtualView
+from repro.core.creation import materialize_pages
+from repro.core.view import MapPlan, VirtualView
 from repro.vm.constants import MAX_VALUE, MIN_VALUE
 
 from ..conftest import uniform_column
+from .creation_oracle import consecutive_runs, plan_run
+
+
+def runs_of(plan: MapPlan) -> list[tuple[int, int]]:
+    """``(first physical page, pages)`` of every planned run."""
+    return list(zip(plan.file_pages.tolist(), plan.npages.tolist()))
 
 
 @pytest.fixture
@@ -36,7 +43,7 @@ class TestFullView:
         with pytest.raises(RuntimeError):
             view.remove_page(0)
         with pytest.raises(RuntimeError):
-            view.plan_run([0])
+            view.plan_runs([0])
 
 
 class TestPartialView:
@@ -102,37 +109,27 @@ class TestPartialView:
 
     def test_map_run_consecutive(self, column):
         view = VirtualView(column, 0, 100)
-        view.map_run(np.array([4, 5, 6]))
+        assert materialize_pages(view, np.array([4, 5, 6])) == 1
         assert view.num_pages == 3
         assert view.mapped_fpages().tolist() == [4, 5, 6]
         # one coalesced mmap: virtual pages contiguous, file pages contiguous
         assert column.mapper.translate(view.base_vpn) == (column.file, 4)
         assert column.mapper.translate(view.base_vpn + 2) == (column.file, 6)
 
-    def test_map_run_rejects_gaps(self, column):
-        view = VirtualView(column, 0, 100)
-        with pytest.raises(ValueError):
-            view.map_run(np.array([4, 6]))
-
-    def test_map_run_rejects_empty(self, column):
-        view = VirtualView(column, 0, 100)
-        with pytest.raises(ValueError):
-            view.map_run(np.array([], dtype=np.int64))
-
     def test_map_run_rejects_duplicates(self, column):
         view = VirtualView(column, 0, 100)
-        view.map_run([4, 5])
+        materialize_pages(view, [4, 5])
         with pytest.raises(ValueError):
-            view.map_run([5, 6])
+            materialize_pages(view, [5, 6])
 
     def test_capacity_exhaustion(self, column):
         """Fresh over-allocated slots run out even if holes exist —
-        plan_run only consumes fresh space (holes serve add_page)."""
+        plan_runs only consumes fresh space (holes serve add_page)."""
         view = VirtualView(column, 0, 100)
-        view.map_run(np.arange(16))
+        materialize_pages(view, np.arange(16))
         view.remove_page(0)
         with pytest.raises(RuntimeError):
-            view.plan_run([0])
+            view.plan_runs([0])
         # add_page, in contrast, reuses the freed slot
         view.add_page(0)
         assert view.num_pages == 16
@@ -147,7 +144,7 @@ class TestPartialView:
     def test_populate_faults_charged_at_map_time(self, column):
         view = VirtualView(column, 0, 100)
         before = column.mapper.cost.ledger.counter("soft_faults")
-        view.map_run(np.array([1, 2, 3]))
+        materialize_pages(view, np.array([1, 2, 3]))
         view.add_page(9)
         assert column.mapper.cost.ledger.counter("soft_faults") == before + 4
         # scanning afterwards charges nothing more
@@ -196,7 +193,7 @@ class TestDestroy:
 
     def test_destroy_charges_munmap(self, column):
         view = VirtualView(column, 0, 100)
-        view.map_run(np.arange(4))
+        materialize_pages(view, np.arange(4))
         before = column.mapper.cost.ledger.counter("pages_unmapped")
         view.destroy()
         assert column.mapper.cost.ledger.counter("pages_unmapped") == before + 4
@@ -206,15 +203,11 @@ class TestPlanRuns:
     def test_matches_per_run_planning(self, column):
         fpages = np.array([0, 1, 2, 5, 6, 9], dtype=np.int64)
         a = VirtualView(column, 0, 100)
-        from repro.core.creation import consecutive_runs
-
-        expected = [a.plan_run(run) for run in consecutive_runs(fpages)]
+        expected = [plan_run(a, run) for run in consecutive_runs(fpages)]
         b = VirtualView(column, 0, 100)
         got = b.plan_runs(fpages)
-        assert [(r.fpage_start, r.npages) for r in got] == [
-            (r.fpage_start, r.npages) for r in expected
-        ]
-        assert [r.vpn_start - b.base_vpn for r in got] == [
+        assert runs_of(got) == [(r.fpage_start, r.npages) for r in expected]
+        assert (got.vpns - b.base_vpn).tolist() == [
             r.vpn_start - a.base_vpn for r in expected
         ]
         assert b.num_pages == a.num_pages == 6
@@ -222,16 +215,12 @@ class TestPlanRuns:
 
     def test_uncoalesced_one_request_per_page(self, column):
         view = VirtualView(column, 0, 100)
-        requests = view.plan_runs([3, 4, 8], coalesce=False)
-        assert [(r.fpage_start, r.npages) for r in requests] == [
-            (3, 1),
-            (4, 1),
-            (8, 1),
-        ]
+        plan = view.plan_runs([3, 4, 8], coalesce=False)
+        assert runs_of(plan) == [(3, 1), (4, 1), (8, 1)]
 
     def test_empty_set(self, column):
         view = VirtualView(column, 0, 100)
-        assert view.plan_runs(np.empty(0, dtype=np.int64)) == []
+        assert view.plan_runs(np.empty(0, dtype=np.int64)).num_runs == 0
         assert view.num_pages == 0
 
     def test_duplicates_rejected(self, column):
@@ -249,8 +238,7 @@ class TestPlanRuns:
 
     def test_unsorted_input_allowed(self, column):
         view = VirtualView(column, 0, 100)
-        requests = view.plan_runs([7, 2, 3])
-        assert [(r.fpage_start, r.npages) for r in requests] == [(7, 1), (2, 2)]
+        assert runs_of(view.plan_runs([7, 2, 3])) == [(7, 1), (2, 2)]
         assert view.num_pages == 3
 
     def test_full_view_rejected(self, column):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.vm.cost import MAIN_LANE, MAPPER_LANE
 from repro.vm.errors import MapError
 from repro.vm.constants import VALUES_PER_PAGE
 
@@ -101,6 +102,15 @@ class TestAccess:
         base = mapper.mmap(1, file=file, file_page=7)
         values = mapper.read_page_values(base)
         assert int(values[0]) == 7
+
+    def test_read_page_values_charges_the_given_lane(self, mapper, file):
+        """Regression: ``lane`` used to land in ``access``'s ``write``
+        parameter, so a mapper-lane read was charged to the main lane."""
+        base = mapper.mmap(1, file=file, file_page=7)
+        main = mapper.cost.ledger.lane_ns(MAIN_LANE)
+        mapper.read_page_values(base, lane=MAPPER_LANE)
+        assert mapper.cost.ledger.lane_ns(MAIN_LANE) == main
+        assert mapper.cost.ledger.lane_ns(MAPPER_LANE) == mapper.cost.params.soft_fault_ns
 
     def test_read_page_values_anonymous_is_zero(self, mapper):
         base = mapper.mmap(1)

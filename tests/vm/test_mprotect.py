@@ -23,6 +23,14 @@ class TestMprotect:
         with pytest.raises(ProtectionError):
             mapper.access(base, write=True)
 
+    def test_read_only_page_values_readable(self, mapper, file):
+        """Regression: ``read_page_values`` asked for *write* access (its
+        lane argument sat in the ``write`` slot) and was denied here."""
+        base = mapper.mmap(1, file=file, file_page=3)
+        mapper.mprotect(base, 1, "r")
+        assert mapper.read_page_values(base) is not None
+        assert mapper.cost.ledger.counter("soft_faults") == 1
+
     def test_none_blocks_everything(self, mapper, file):
         base = mapper.mmap(2, file=file, file_page=0)
         mapper.mprotect(base, 2, "")
