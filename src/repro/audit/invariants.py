@@ -221,10 +221,11 @@ class InvariantAuditor:
     def _audit_tier_placement(self, store, label: str, report: AuditReport) -> None:
         """Tier-placement invariant over a :class:`TieredPageStore`.
 
-        Every page lives in exactly one tier, the hot count never
-        exceeds budget plus recorded debt (debt only exists after spill
-        failures), and each cold page's far-tier copy matches the
-        authoritative page contents bit for bit.
+        Every page lives in exactly one tier, the store's running hot
+        count equals the pages marked hot and never exceeds budget plus
+        recorded debt (debt only exists after spill failures), and each
+        cold page's far-tier copy matches the authoritative page
+        contents bit for bit.
         """
         num_pages = int(store.num_pages)
 
@@ -252,12 +253,22 @@ class InvariantAuditor:
                 label=label,
             )
 
+        # The running hot count is the placement's, page for page.
+        report.checks += 1
+        hot = store.hot_count()
+        marked = int(store.hot.sum())
+        if hot != marked:
+            report.add_finding(
+                "tier-placement",
+                f"running hot count {hot} != {marked} pages marked hot",
+                label=label,
+            )
+
         # Budget: hot count within budget plus recorded debt, and debt
         # only ever stems from spill failures.
         budget = store.governor.budget
         if budget is not None:
             report.checks += 1
-            hot = store.hot_count()
             if hot > budget + store.governor.debt:
                 report.add_finding(
                     "tier-placement",

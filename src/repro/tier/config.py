@@ -20,7 +20,9 @@ class TierConfig:
     #: demotes.
     hot_budget: int | None = None
 
-    #: Decayed hit count at which a cold page is promoted.
+    #: Decayed hit count at which a cold page becomes a promotion
+    #: candidate (it enters free room, or swaps with a hot page that
+    #: has strictly fewer hits).
     promote_after: float = 2.0
 
     #: Multiplicative decay applied to every page's hit counter at each
@@ -28,8 +30,9 @@ class TierConfig:
     decay: float = 0.5
 
     #: Promotions + demotions per maintenance window at which the tier
-    #: is considered thrashing (health degrades).  ``None`` disables the
-    #: check.
+    #: is considered thrashing (health degrades) — provided the window
+    #: also moved at least as many pages as it served hot.  ``None``
+    #: disables the check.
     thrash_threshold: int | None = 16
 
     #: Staged rows at which the write buffer auto-merges into the

@@ -4,9 +4,12 @@ Mirrors :class:`~repro.resilience.governor.MappingGovernor`, one level
 down the stack: where the mapping governor keeps the *maps-line* count
 under budget by evicting low-utility views, the tier governor keeps the
 *hot-page* count under budget by demoting low-utility pages to the cold
-tier.  Admission is checked before every promotion (demote-until-fits,
-else deny and journal); enforcement runs at maintenance after the hit
-counters decayed.
+tier.  Scan-driven promotion is the store's per-batch placement
+decision, which reads this governor's victim order and journals its
+denials here; :meth:`TierGovernor.admit` (demote-until-fits, else deny)
+remains for the one promotion that may not be refused, a cold page
+whose write-through refresh failed.  Enforcement runs at maintenance
+after the hit counters decayed.
 
 Demotions can fail — spilling a page is real I/O on the native backend
 and a fault-injectable operation everywhere — so the governor carries a
@@ -53,7 +56,7 @@ class TierGovernor:
 
     def hot_count(self) -> int:
         """Hot pages currently resident."""
-        return int(self._store.hot.sum())
+        return self._store.hot_count()
 
     def utilization(self) -> float:
         """Hot pages as a fraction of the budget (0.0 when unlimited)."""
@@ -63,7 +66,7 @@ class TierGovernor:
 
     # -- victim selection -------------------------------------------------
 
-    def _victims(self) -> np.ndarray:
+    def victims(self) -> np.ndarray:
         """Hot pages ordered coldest-first.
 
         Utility order: fewest (decayed) hits, then least recently
@@ -79,30 +82,47 @@ class TierGovernor:
 
     # -- admission and enforcement ---------------------------------------
 
+    def _demote_until(
+        self, target: int, cost: CostModel | None, lane: str
+    ) -> int:
+        """Demote coldest-first until at most ``target`` pages are hot.
+
+        Victims are ordered only when something must go.  A victim
+        whose spill fails is skipped; returns the demotions done.
+        """
+        excess = self.hot_count() - target
+        demoted = 0
+        if excess > 0:
+            for victim in self.victims().tolist():
+                if demoted == excess:
+                    break
+                if self._store.demote(victim, cost, lane=lane):
+                    demoted += 1
+        return demoted
+
+    def deny(self, npages: int) -> None:
+        """Count and journal one refused promotion of ``npages`` pages."""
+        self.denials += 1
+        self.journal.append(
+            {"action": "deny", "requested": npages, "hot": self.hot_count()}
+        )
+
     def admit(
         self, npages: int, cost: CostModel | None, lane: str = MAIN_LANE
     ) -> bool:
         """May ``npages`` more pages enter the hot tier?
 
         Demotes coldest-first victims until the newcomers fit.  Returns
-        False (and journals a denial) when no demotable victim remains —
-        the promotion simply does not happen, so the budget still holds.
+        False (and journals a denial) when no demotable victim remains,
+        so the caller knows the budget will not hold.
         """
         if self.budget is None:
             return True
-        hot = self.hot_count()
-        for victim in self._victims():
-            if hot + npages <= self.budget:
-                break
-            if self._store.demote(int(victim), cost, lane=lane):
-                hot -= 1
-        if hot + npages <= self.budget:
+        self._demote_until(self.budget - npages, cost, lane)
+        if self.hot_count() + npages <= self.budget:
             self._sync_debt()
             return True
-        self.denials += 1
-        self.journal.append(
-            {"action": "deny", "requested": npages, "hot": hot}
-        )
+        self.deny(npages)
         return False
 
     def enforce(
@@ -116,14 +136,7 @@ class TierGovernor:
         """
         if self.budget is None:
             return 0
-        demoted = 0
-        hot = self.hot_count()
-        for victim in self._victims():
-            if hot <= self.budget:
-                break
-            if self._store.demote(int(victim), cost, lane=lane):
-                demoted += 1
-                hot -= 1
+        demoted = self._demote_until(self.budget, cost, lane)
         self._sync_debt()
         return demoted
 

@@ -8,9 +8,11 @@ snapshots, the auditor and both substrates use it unchanged.  The
 delegation — the wrapped store stays the authoritative copy of every
 page, which keeps audits, ``peek_virtual`` and copy-on-write snapshots
 free and exact.  Tier accounting happens only at the explicit charge
-sites: the scan/read/write paths call :meth:`record_access` /
-:meth:`record_write`, which charge far-tier latency for cold pages,
-maintain the per-page hit counters and drive promotion.
+sites: the scan/read/write paths call :meth:`record_batch_access` /
+:meth:`record_access` / :meth:`record_write`, which charge far-tier
+latency for cold pages, maintain the per-page hit counters, make one
+placement decision per batch (:meth:`TieredPageStore._place`) and run
+the maintenance tick once per column's worth of accesses.
 
 The cold tier is a :class:`ColdStore`: a shadow copy of every demoted
 page, charged as far-tier I/O (``cold_read_ns`` / ``cold_write_ns``) on
@@ -141,6 +143,11 @@ class TieredPageStore:
         #: Logical access clock per page (LRU tie-break).
         self.last_access = np.zeros(n, dtype=np.int64)
         self._clock = 0
+        #: ``hot.sum()``, kept by :meth:`demote` / :meth:`_install_hot` /
+        #: :meth:`resize` (the ``tier-placement`` audit cross-checks it).
+        self._hot_count = n
+        #: Charged page accesses since the last :meth:`maintenance`.
+        self._since_maintenance = 0
         self.cold = ColdStore(
             inner.name, inner.slots_per_page, spill_dir=spill_dir
         )
@@ -154,10 +161,11 @@ class TieredPageStore:
         #: Cold reads served from the resident copy after spill-read
         #: failure (queries never fail on a broken far tier).
         self.read_fallbacks = 0
-        #: Latched by maintenance when the placement churn of the last
-        #: window crossed the thrash threshold.
+        #: Latched by maintenance when the last window moved at least
+        #: ``thrash_threshold`` pages and more pages than it served hot.
         self.thrashing = False
         self._churn_mark = 0
+        self._hot_hits_mark = 0
 
     # -- the page-store surface (pure delegation) -------------------------
 
@@ -180,12 +188,14 @@ class TieredPageStore:
             self.last_access = np.concatenate(
                 [self.last_access, np.zeros(grow, dtype=np.int64)]
             )
+            self._hot_count += grow
         elif num_pages < old:
             for fpage in range(num_pages, old):
                 self.cold.drop_page(fpage)
             self.hot = self.hot[:num_pages].copy()
             self.hits = self.hits[:num_pages].copy()
             self.last_access = self.last_access[:num_pages].copy()
+            self._hot_count = int(self.hot.sum())
 
     def set_page_id(self, page: int, page_id: int) -> None:
         self._inner.set_page_id(page, page_id)
@@ -205,7 +215,7 @@ class TieredPageStore:
 
     def hot_count(self) -> int:
         """Pages currently in the hot tier."""
-        return int(self.hot.sum())
+        return self._hot_count
 
     def hit_ratio(self) -> float:
         """Fraction of tier-accounted accesses served hot (1.0 if none)."""
@@ -249,22 +259,10 @@ class TieredPageStore:
         lane: str = MAIN_LANE,
         kind: str = "seq",
     ) -> None:
-        """Account one read access to ``fpage``.
-
-        Hot pages cost nothing extra.  Cold pages pay the far-tier read
-        latency (with fault-plane consultation and fallback), bump
-        their hit counter and are promoted once they earn it.
-        """
-        self._clock += 1
-        self.last_access[fpage] = self._clock
-        self.hits[fpage] += 1.0
-        if self.hot[fpage]:
-            self.hot_hits += 1
-            return
-        self.cold_hits += 1
-        self._spill_read(fpage, cost, lane)
-        if self.hits[fpage] >= self.config.promote_after:
-            self._try_promote(fpage, cost, lane)
+        """Account one read access to ``fpage``: a batch of one."""
+        self.record_batch_access(
+            np.array([fpage], dtype=np.int64), cost, lane=lane, kind=kind
+        )
 
     def record_batch_access(
         self,
@@ -273,12 +271,15 @@ class TieredPageStore:
         lane: str = MAIN_LANE,
         kind: str = "seq",
     ) -> None:
-        """Vectorized :meth:`record_access` for one batch scan.
+        """Account one scan's read accesses to the distinct ``fpages``.
 
-        Hot-page bookkeeping is pure numpy; cold pages take the
-        per-page spill path (each cold read is one fault-plane op).
-        With no fault plane armed the cold reads are charged in one
-        batch instead.
+        Hot pages cost nothing extra.  Cold pages pay the far-tier read
+        latency — per page through the fault plane when one is armed
+        (each cold read is one fault-plane op, with fallback), in one
+        charge otherwise — and then the batch gets one placement
+        decision (:meth:`_place`).  Every ``num_pages`` accounted
+        accesses the batch also runs :meth:`maintenance`, so a
+        read-only stream decays and enforces too.
         """
         fpages = np.asarray(fpages, dtype=np.int64)
         if fpages.size == 0:
@@ -286,23 +287,20 @@ class TieredPageStore:
         self._clock += 1
         self.last_access[fpages] = self._clock
         self.hits[fpages] += 1.0
-        hot_mask = self.hot[fpages]
-        self.hot_hits += int(hot_mask.sum())
-        cold_pages = fpages[~hot_mask]
-        if cold_pages.size == 0:
-            return
-        self.cold_hits += int(cold_pages.size)
-        if getattr(self._substrate, "_check", None) is None:
-            if cost is not None:
-                cost.cold_read(int(cold_pages.size), lane)
-        else:
-            for fpage in cold_pages.tolist():
-                self._spill_read(fpage, cost, lane)
-        promote = cold_pages[
-            self.hits[cold_pages] >= self.config.promote_after
-        ]
-        for fpage in promote.tolist():
-            self._try_promote(int(fpage), cost, lane)
+        cold_pages = fpages[~self.hot[fpages]]
+        self.hot_hits += fpages.size - cold_pages.size
+        if cold_pages.size:
+            self.cold_hits += cold_pages.size
+            if getattr(self._substrate, "_check", None) is None:
+                if cost is not None:
+                    cost.cold_read(cold_pages.size, lane)
+            else:
+                for fpage in cold_pages.tolist():
+                    self._spill_read(fpage, cost, lane)
+            self._place(cold_pages, cost, lane)
+        self._since_maintenance += fpages.size
+        if self._since_maintenance >= self.hot.size:
+            self.maintenance(cost, lane)
 
     def record_write(
         self, fpage: int, cost: CostModel | None, lane: str = MAIN_LANE
@@ -387,18 +385,52 @@ class TieredPageStore:
                 self.spill_failures += 1
                 return False
             self.hot[fpage] = False
+            self._hot_count -= 1
             self.demotions += 1
             self.observer.on_tier_demotion(int(fpage))
         return True
 
-    def _try_promote(
-        self, fpage: int, cost: CostModel | None, lane: str
-    ) -> bool:
-        """Promote ``fpage`` if the governor admits it."""
-        if not self.governor.admit(1, cost, lane):
-            return False
-        self._install_hot(fpage, cost, lane)
-        return True
+    def _place(
+        self, cold_pages: np.ndarray, cost: CostModel | None, lane: str
+    ) -> None:
+        """One placement decision for the cold pages of one batch.
+
+        Candidates are the pages that earned ``promote_after`` hits,
+        hottest first.  They fill free room first; the rest are paired
+        against the governor's victims (coldest first, ordered once,
+        before any page of this batch turned hot) and a pair swaps only
+        while the candidate has *strictly* more hits — equal counters
+        mean one scan touched both, which is no evidence.  Both sides
+        are sorted, so the winning pairs are a prefix.  A victim whose
+        spill stays failed stays hot and its candidate is denied.
+        """
+        hits = self.hits[cold_pages]
+        earned = hits >= self.config.promote_after
+        if not earned.any():
+            return
+        cold_pages, hits = cold_pages[earned], hits[earned]
+        order = np.lexsort((cold_pages, -hits))
+        candidates, hits = cold_pages[order], hits[order]
+        budget = self.governor.budget
+        room = (
+            candidates.size
+            if budget is None
+            else max(budget - self._hot_count, 0)
+        )
+        paired = candidates[room:]
+        victims = paired[:0]
+        if paired.size:
+            victims = self.governor.victims()[: paired.size]
+            wins = hits[room : room + victims.size] > self.hits[victims]
+            victims = victims[: int(np.argmin(np.append(wins, False)))]
+        for fpage in candidates[:room].tolist():
+            self._install_hot(fpage, cost, lane)
+        for fpage, victim in zip(paired.tolist(), victims.tolist()):
+            if self.demote(victim, cost, lane=lane):
+                self._install_hot(fpage, cost, lane)
+            else:
+                self.governor.deny(1)
+        self.governor._sync_debt()
 
     def _install_hot(
         self, fpage: int, cost: CostModel | None, lane: str
@@ -409,6 +441,7 @@ class TieredPageStore:
                 cost.promote(1, lane)
             self.cold.drop_page(fpage)
             self.hot[fpage] = True
+            self._hot_count += 1
             self.promotions += 1
             self.observer.on_tier_promotion(int(fpage))
 
@@ -421,30 +454,42 @@ class TieredPageStore:
 
         With no access history yet, tail pages demote first: scans
         start at page 0, so keeping the prefix resident is the neutral
-        deterministic default.
+        deterministic default.  These demotions are set-up, not churn:
+        the thrash window starts after them.
         """
         budget = self.governor.budget
         if budget is None:
             return
-        hot = self.hot_count()
         for fpage in range(self._inner.num_pages - 1, -1, -1):
-            if hot <= budget:
+            if self._hot_count <= budget:
                 break
-            if self.demote(fpage, cost, lane=lane):
-                hot -= 1
+            self.demote(fpage, cost, lane=lane)
         self.governor._sync_debt()
+        self._churn_mark = self.promotions + self.demotions
 
     def maintenance(
         self, cost: CostModel | None, lane: str = MAIN_LANE
     ) -> dict[str, object]:
-        """Decay hit counters, enforce the budget, update thrash state."""
+        """Decay hit counters, enforce the budget, update thrash state.
+
+        Called by update alignment, write-buffer merges and — once per
+        ``num_pages`` accounted accesses — by the access path itself.
+        The window it closes is thrashing iff the tier moved at least
+        ``thrash_threshold`` pages *and* at least as many pages as it
+        served hot: judged by work, not by count.
+        """
+        self._since_maintenance = 0
         self.hits *= self.config.decay
         demoted = self.governor.enforce(cost, lane=lane)
         churn = (self.promotions + self.demotions) - self._churn_mark
-        self._churn_mark = self.promotions + self.demotions
+        served = self.hot_hits - self._hot_hits_mark
+        self._churn_mark += churn
+        self._hot_hits_mark = self.hot_hits
         threshold = self.config.thrash_threshold
-        self.thrashing = threshold is not None and churn >= threshold
-        hot = self.hot_count()
+        self.thrashing = (
+            threshold is not None and churn >= threshold and churn >= served
+        )
+        hot = self._hot_count
         self.observer.on_tier_maintenance(
             hot, int(self._inner.num_pages) - hot, self.hit_ratio()
         )

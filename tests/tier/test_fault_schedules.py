@@ -77,12 +77,25 @@ def _range(rng: np.random.Generator) -> tuple[int, int]:
     return lo, lo + width
 
 
+def _narrow_range(rng: np.random.Generator) -> tuple[int, int]:
+    """A range a handful of rows wide: with uniform values it lands on
+    one or two of the column's pages, so repeating it makes those pages
+    hotter than any page only whole-domain reads touch."""
+    lo = int(rng.integers(0, DOMAIN - DOMAIN // 1000))
+    return lo, lo + DOMAIN // 1000
+
+
 def _generated_ops(rng: np.random.Generator, count: int) -> list[tuple]:
     ops: list[tuple] = []
+    hot_range = _narrow_range(rng)
     for _ in range(count):
         roll = rng.random()
-        if roll < 0.45:
+        if roll < 0.25:
             ops.append(("query", *_range(rng)))
+        elif roll < 0.45:
+            # The session's one hot range, several reads in a row: the
+            # first builds its view, the rest earn the promotion.
+            ops.extend([("query", *hot_range)] * 3)
         elif roll < 0.70:
             ops.append(
                 (
@@ -122,6 +135,7 @@ def _run_session(
     ) as db:
         db.create_table("t", {"x": values})
         store = db.table("t").column("x").file
+        placed = store.demotions  # initial placement, before any fault
         substrate.schedule = schedule  # setup above stays fault-free
 
         for step, op in enumerate(ops):
@@ -157,6 +171,7 @@ def _run_session(
             )
 
         fired = schedule.faults_fired if schedule else 0
+        armed_moves = (store.promotions, store.demotions - placed)
 
         # Recovery oracle: disarmed, one maintenance cycle restores the
         # budget and clears the debt spill failures may have left.
@@ -178,7 +193,11 @@ def _run_session(
             order = np.argsort(result.rowids)
             assert np.array_equal(result.rowids[order], want_rows)
             assert np.array_equal(result.values[order], want_vals)
-        return fired, db.tier_status()["t.x"]
+        status = db.tier_status()["t.x"]
+        # What moved while the schedule was armed, for the sweep's
+        # coverage assertions.
+        status["armed_promotions"], status["armed_demotions"] = armed_moves
+        return fired, status
 
 
 OPS_STRATEGY = st.lists(
@@ -237,6 +256,8 @@ class TestSpillScheduleSweep:
         total_fired = 0
         fallbacks = 0
         spill_failures = 0
+        armed_promotions = 0
+        armed_demotions = 0
         for i in range(FUZZ_SCHEDULES):
             seed = derive_seed(20_000 + i)
             rng = np.random.default_rng(seed)
@@ -247,12 +268,18 @@ class TestSpillScheduleSweep:
             total_fired += fired
             fallbacks += status["read_fallbacks"]
             spill_failures += status["spill_failures"]
+            armed_promotions += status["armed_promotions"]
+            armed_demotions += status["armed_demotions"]
         assert total_fired >= FUZZ_SCHEDULES // 4, (
             f"only {total_fired} faults fired across {FUZZ_SCHEDULES} "
             "schedules - the schedule generator is too tame"
         )
         assert fallbacks > 0, "no cold read ever fell back to the resident copy"
         assert spill_failures > 0, "no spill write ever failed permanently"
+        # Whole-domain reads alone move nothing (a scan is no evidence),
+        # and then the recovery oracle covers no spill path at all.
+        assert armed_promotions > 0, "no promotion ran under a cold_read rule"
+        assert armed_demotions > 0, "no demotion ran under a cold_write rule"
 
     def test_sweep_is_deterministic(self):
         """Replaying one sweep entry fires the identical fault journal."""

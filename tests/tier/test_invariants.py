@@ -243,12 +243,18 @@ class TestTierMechanics:
         db.close()
 
     def test_repeated_access_promotes(self):
-        db, _ = self._make_db(hot_budget=3)
+        db, values = self._make_db(hot_budget=3)
         store = db.table("t").column("x").file
-        before = store.promotions
+        # A range one value wide on a cold page: the first read scans
+        # the column and builds the view, the next ones touch only the
+        # view's pages, which so out-count every page a scan alone hit.
+        wanted = int(values[5 * SLOTS + 1])
+        pages = np.unique(np.nonzero(values == wanted)[0] // SLOTS)
+        assert not store.hot[pages].any()
         for _ in range(4):
-            db.query("t", "x", 0, DOMAIN)
-        assert store.promotions > before
+            db.query("t", "x", wanted, wanted)
+        assert store.promotions == pages.size
+        assert store.hot[pages].all()
         assert store.hot_count() <= 3 + store.governor.debt
         db.close()
 
@@ -268,23 +274,77 @@ class TestTierMechanics:
         db, _ = self._make_db(hot_budget=2)
         store = db.table("t").column("x").file
         db.query("t", "x", 0, DOMAIN)
+        store._install_hot(5, db.cost, "main")  # one page over budget
         hits_before = store.hits.copy()
+        assert hits_before.any()
         result = store.maintenance(db.cost)
-        assert np.all(store.hits <= hits_before)
-        assert store.hot_count() <= 2
-        assert result["thrashing"] in (False, True)
+        assert np.array_equal(store.hits, hits_before * store.config.decay)
+        assert store.hot_count() == 2
+        assert result == {"demoted": 1, "churn": 2, "thrashing": False}
+        db.close()
+
+    def test_read_only_stream_reaches_maintenance(self):
+        """Reads alone tick maintenance once per column's worth of
+        accounted page accesses (decay and enforcement used to be
+        reachable from update alignment and merges only)."""
+        db, _ = self._make_db(hot_budget=2)
+        store = db.table("t").column("x").file
+        ticks = []
+        maintenance = store.maintenance
+
+        def spy(cost, lane="main"):
+            ticks.append(store.hot_hits + store.cold_hits)
+            return maintenance(cost, lane)
+
+        store.maintenance = spy
+        for _ in range(3):
+            db.query("t", "x", 0, DOMAIN)
+        assert ticks == [store.num_pages * n for n in (1, 2, 3)]
+        assert store.hits.max() < 3.0  # decayed between the scans
         db.close()
 
     def test_thrash_latch_degrades_health(self):
+        """Latched iff a window moved ``thrash_threshold`` pages and at
+        least as many pages as it served hot."""
         db, _ = self._make_db(hot_budget=2)
+        db.layer("t", "x")  # health is reported per instantiated layer
+        column = db.table("t").column("x")
+        store = column.file
+        store.config = TierConfig(hot_budget=2, thrash_threshold=2)
+
+        def touch(pages, times):
+            for _ in range(times):
+                batch_scan(column, np.array(pages), 0, DOMAIN)
+
+        # Initial placement is set-up, not churn.
+        assert store.maintenance(db.cost)["churn"] == 0
+        # Two reads of a cold page swap it in: 2 moves, nothing served.
+        touch([5], 2)
+        assert store.hot[5]
+        result = store.maintenance(db.cost)
+        assert result["churn"] == 2 and result["thrashing"] is True
+        assert store.tier_state() == "degraded"
+        assert db.health().value == "degraded"
+        # The same two moves beside more hot hits are an honest shift.
+        touch([6], 2)
+        touch([5], 3)
+        assert store.hot[6]
+        result = store.maintenance(db.cost)
+        assert result["churn"] == 2 and result["thrashing"] is False
+        assert store.tier_state() == "healthy"
+        assert db.health().value == "healthy"
+        db.close()
+
+    def test_audit_cross_checks_the_running_hot_count(self):
+        """``hot_count()`` is a maintained integer; the tier-placement
+        audit holds it to ``hot.sum()``."""
+        db, _ = self._make_db(hot_budget=3)
         store = db.table("t").column("x").file
-        store.config = TierConfig(hot_budget=2, thrash_threshold=1)
         db.query("t", "x", 0, DOMAIN)
-        db.query("t", "x", 0, DOMAIN)
-        store.maintenance(db.cost)
-        if store.thrashing:
-            assert store.tier_state() == "degraded"
-            assert db.health().value == "degraded"
+        assert db.audit().ok
+        store._hot_count -= 1
+        findings = [f.detail for f in db.audit().findings]
+        assert any("running hot count 2 != 3" in m for m in findings), findings
         db.close()
 
     def test_untiered_store_has_no_tier_surface(self):
