@@ -199,6 +199,9 @@ class AdaptiveDatabase:
                 {
                     "type": "create",
                     "table": name,
+                    # Sorted keys lose the definition order, and binary
+                    # insert rows are positional in it.
+                    "order": list(data),
                     "columns": {
                         column: encode_array(np.asarray(values))
                         for column, values in data.items()
@@ -481,28 +484,18 @@ class AdaptiveDatabase:
         :meth:`flush_inserts`.
         """
         table = self.table(table_name)
-        if self._wal is not None and not self._replaying:
-            if set(values) != set(table.column_names):
-                # Journal-before-apply: mirror the write buffer's
-                # validation so a rejected row never reaches the log.
-                raise ValueError(
-                    f"row must provide exactly the columns "
-                    f"{tuple(table.column_names)}, got {tuple(sorted(values))}"
-                )
-            self._journal(
-                {
-                    "type": "insert",
-                    "table": table_name,
-                    "values": {
-                        column: int(value) for column, value in values.items()
-                    },
-                }
-            )
         buffer = self._write_buffers.get(table_name)
         if buffer is None:
             buffer = WriteBuffer(table.column_names)
             self._write_buffers[table_name] = buffer
-        position = buffer.append(values)
+        # Journal-before-apply: validate -> append -> stage, so a refused
+        # row never reaches the log and a journaled one is never refused.
+        row = buffer.validated(values)
+        if self._wal is not None and not self._replaying:
+            self._last_acked_lsn = self._wal.append(
+                {"type": "insert", "table": table_name, "row": row}
+            )
+        position = buffer.stage(row)
         rowid = table.num_rows + position
         threshold = (
             self.tiering.write_buffer_rows
@@ -511,7 +504,7 @@ class AdaptiveDatabase:
         )
         # During replay, merges happen exactly where the log's merge
         # records sit, never from the threshold.
-        if len(buffer) >= threshold and not self._replaying:
+        if position + 1 >= threshold and not self._replaying:
             self.flush_inserts(table_name)
         return rowid
 

@@ -16,6 +16,8 @@ from typing import Mapping
 
 import numpy as np
 
+from ..vm.constants import MAX_VALUE, MIN_VALUE
+
 
 class WriteBuffer:
     """Staged full-row appends for one table."""
@@ -27,17 +29,39 @@ class WriteBuffer:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def append(self, values: Mapping[str, int]) -> int:
-        """Stage one row; returns its position within the buffer."""
-        if set(values) != set(self.column_names):
+    def validated(self, values: Mapping[str, int]) -> tuple[int, ...]:
+        """The row ``values`` names, as int64s in definition order.
+
+        The one validation a row gets on its way in: raises
+        :class:`ValueError` unless ``values`` provides exactly the
+        table's columns, each within int64 (a wider value could be
+        neither journaled nor merged into a column).
+        """
+        names = self.column_names
+        row = None
+        if len(values) == len(names):
+            try:
+                row = tuple([int(values[name]) for name in names])
+            except KeyError:
+                pass  # as many columns, but not these
+        if row is None:
             raise ValueError(
-                f"row must provide exactly the columns {self.column_names}, "
+                f"row must provide exactly the columns {names}, "
                 f"got {tuple(sorted(values))}"
             )
-        self._rows.append(
-            tuple(int(values[name]) for name in self.column_names)
-        )
+        for value in row:
+            if not MIN_VALUE <= value <= MAX_VALUE:
+                raise ValueError(f"row value outside the int64 range: {row}")
+        return row
+
+    def stage(self, row: tuple[int, ...]) -> int:
+        """Stage one :meth:`validated` row; returns its buffer position."""
+        self._rows.append(row)
         return len(self._rows) - 1
+
+    def append(self, values: Mapping[str, int]) -> int:
+        """Validate and stage one row; returns its buffer position."""
+        return self.stage(self.validated(values))
 
     def column_values(self, name: str) -> np.ndarray:
         """All staged values of one column, in append order."""

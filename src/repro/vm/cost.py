@@ -25,7 +25,7 @@ import threading
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -187,6 +187,19 @@ class CostLedger:
         """Increment the operation counter ``name`` by ``n``."""
         with self._lock:
             self._counters[name] += n
+
+    def book(
+        self, ns: float, lane: str, counts: Iterable[tuple[str, int]]
+    ) -> None:
+        """One :meth:`charge` and a :meth:`count` per ``(name, n)`` pair,
+        under a single lock acquisition (for per-row callers)."""
+        if ns < 0:
+            raise ValueError(f"cannot charge negative time: {ns}")
+        with self._lock:
+            self._lanes[lane] += ns
+            counters = self._counters
+            for name, n in counts:
+                counters[name] += n
 
     def lane_ns(self, lane: str = MAIN_LANE) -> float:
         """Total nanoseconds charged to ``lane`` so far."""
@@ -433,9 +446,11 @@ class CostModel:
 
     def wal_append(self, nbytes: int, lane: str = MAIN_LANE) -> None:
         """Charge appending one ``nbytes``-byte framed record to the WAL."""
-        self.ledger.charge(self.params.wal_append_ns, lane)
-        self.ledger.count("wal_appends")
-        self.ledger.count("wal_bytes", nbytes)
+        self.ledger.book(
+            self.params.wal_append_ns,
+            lane,
+            (("wal_appends", 1), ("wal_bytes", nbytes)),
+        )
 
     def fsync(self, lane: str = MAIN_LANE) -> None:
         """Charge one fsync() of the active WAL segment."""

@@ -48,9 +48,11 @@ def main(argv: list[str]) -> int:
         # so "off" exercises the pure append/ack path at full speed.
         durability=DurabilityConfig(fsync="off"),
     )
+    # "v" before "k": not alphabetical, so a replay that lost the
+    # definition order would swap the positional row values.
     db.create_table(
         TABLE,
-        {"k": np.arange(4, dtype=np.int64), "v": np.zeros(4, dtype=np.int64)},
+        {"v": np.zeros(4, dtype=np.int64), "k": np.arange(4, dtype=np.int64)},
     )
     print("ready", flush=True)
     for i in range(count):

@@ -80,23 +80,10 @@ class WriteAheadLog:
         truncate_torn(self.directory, scan)
         self._lsn = scan.last_lsn
 
-        # Rebuild per-segment bookkeeping by attributing the trusted
-        # records back to the surviving segment files.  Frames are
-        # canonical JSON, so re-encoding reproduces the on-disk length.
         survivors = [path for path in scan.segments if path.exists()]
-        seg_last: dict[str, int] = {}
-        idx = 0
-        for path in survivors:
-            consumed = 0
-            end = scan.valid_end.get(path.name, 0)
-            while consumed < end and idx < len(scan.records):
-                record = scan.records[idx]
-                consumed += len(encode_record(record))
-                seg_last[path.name] = int(record["lsn"])
-                idx += 1
         #: Closed segments as ``(path, last_lsn_in_segment)``.
         self._closed = [
-            (path, seg_last.get(path.name, self._lsn)) for path in survivors[:-1]
+            (path, scan.segment_last_lsn[path.name]) for path in survivors[:-1]
         ]
         self.total_bytes = sum(path.stat().st_size for path in survivors)
         if survivors:
@@ -160,7 +147,9 @@ class WriteAheadLog:
 
         Returns the assigned LSN.  The record dict is *mutated* to
         carry its LSN so callers can journal and remember it in one
-        step.
+        step.  A refused append — :class:`WalFullError`, or
+        :class:`ValueError` for a row the frame cannot carry — writes
+        nothing, burns no LSN and leaves the record without one.
         """
         if self._full:
             raise WalFullError(
@@ -186,47 +175,53 @@ class WriteAheadLog:
                     self._repair_tail()
                     del record["lsn"]
                 raise
-        record["lsn"] = self._lsn + 1
-        frame = encode_record(record)
-        if (
-            self.config.max_bytes is not None
-            and self.total_bytes + len(frame) > self.config.max_bytes
-        ):
+        lsn = record["lsn"] = self._lsn + 1
+        try:
+            frame = encode_record(record)
+        except ValueError:  # a row the frame cannot carry: refused whole
+            del record["lsn"]
+            raise
+        size = len(frame)
+        config = self.config
+        if config.max_bytes is not None and self.total_bytes + size > config.max_bytes:
             self._full = True
             del record["lsn"]
             raise WalFullError(
-                f"appending {len(frame)} bytes would exceed the "
-                f"{self.config.max_bytes}-byte cap; checkpoint to prune"
+                f"appending {size} bytes would exceed the "
+                f"{config.max_bytes}-byte cap; checkpoint to prune"
             )
-        self._maybe_rotate(len(frame))
+        if self._segment_bytes and self._segment_bytes + size > config.segment_bytes:
+            self._rotate()
         if cp is not None and cp.imminent("torn"):
             self._write_partial(frame)
             cp.check("torn")  # raises SimulatedCrash, tail stays torn
-        if self.observer is not None:
-            with self.observer.span("wal.append", lsn=record["lsn"]):
+        observer = self.observer
+        if observer is not None:
+            with observer.span("wal.append", lsn=lsn):
                 self._write_frame(frame)
         else:
             self._write_frame(frame)
         if cp is not None:
             cp.check("after_append")
-        self._lsn = record["lsn"]
-        if self.observer is not None:
-            self.observer.on_wal_append(len(frame))
-        if self.config.fsync == "always":
-            self._fsync()
-        elif self.config.fsync == "batch" and self._unsynced >= self.config.batch_bytes:
+        self._lsn = lsn
+        if observer is not None:
+            observer.on_wal_append(size)
+        if config.fsync == "always" or (
+            config.fsync == "batch" and self._unsynced >= config.batch_bytes
+        ):
             self._fsync()
         if cp is not None:
             cp.check("after_fsync")
-        return self._lsn
+        return lsn
 
     def _write_frame(self, frame: bytes) -> None:
         self._fh.write(frame)
-        self._segment_bytes += len(frame)
-        self.total_bytes += len(frame)
-        self._unsynced += len(frame)
+        size = len(frame)
+        self._segment_bytes += size
+        self.total_bytes += size
+        self._unsynced += size
         if self.cost is not None:
-            self.cost.wal_append(len(frame))
+            self.cost.wal_append(size)
 
     def _write_partial(self, frame: bytes) -> None:
         """Land a torn prefix of ``frame`` (short-write modelling)."""
@@ -247,12 +242,14 @@ class WriteAheadLog:
             self._unsynced = max(0, self._unsynced - removed)
             self._fh = open(self._active_path, "ab", buffering=0)
 
-    def _maybe_rotate(self, incoming: int) -> None:
-        """Start a fresh segment when the active one is over budget."""
-        if self._segment_bytes == 0:
-            return
-        if self._segment_bytes + incoming <= self.config.segment_bytes:
-            return
+    def _rotate(self) -> None:
+        """Close the full active segment and start a fresh one.
+
+        Under a syncing policy the closing segment's unsynced tail is
+        synced first: once closed, no later fsync reaches it.
+        """
+        if self.config.fsync != "off" and self._unsynced:
+            self._fsync()
         self._fh.close()
         self._closed.append((self._active_path, self._lsn))
         self._segment_index += 1

@@ -123,22 +123,23 @@ def recover_database(
         for record in records:
             kind = record["type"]
             if kind == "create":
+                columns = record["columns"]
+                # A log from before the "order" list replays in the
+                # sorted-key order its own writer recovered into.
                 db.create_table(
                     record["table"],
                     {
-                        column: decode_array(payload)
-                        for column, payload in record["columns"].items()
+                        column: decode_array(columns[column])
+                        for column in record.get("order", columns)
                     },
                 )
                 replayed_ops += 1
             elif kind == "insert":
-                db.insert(
-                    record["table"],
-                    {
-                        column: int(value)
-                        for column, value in record["values"].items()
-                    },
-                )
+                values = record.get("values")  # named: a pre-binary log
+                if values is None:
+                    names = db.table(record["table"]).column_names
+                    values = dict(zip(names, record["row"], strict=True))
+                db.insert(record["table"], values)
                 replayed_ops += 1
             elif kind == "update":
                 db.update(

@@ -47,18 +47,30 @@ FUZZ_SCHEDULES = int(os.environ.get("REPRO_FUZZ_SCHEDULES", "200"))
 CONFIG = AdaptiveConfig(background_mapping=False)
 
 
+def _second(x):
+    """The row's ``a`` value, given its ``x``.
+
+    The table is ``(x, a)`` — not alphabetical, so a replay that lost
+    the definition order would hand positional rows back swapped — and
+    ``a`` never equals ``x``, so the oracle sees a swap.
+    """
+    return DOMAIN + 1 - x
+
+
 class Model:
     """Logical ground truth: the rows a client was told are durable."""
 
     def __init__(self) -> None:
         self.created = False
         self.values: list[int] = []
+        self.second: list[int] = []
         self.alive: list[bool] = []
 
     def clone(self) -> "Model":
         other = Model()
         other.created = self.created
         other.values = list(self.values)
+        other.second = list(self.second)
         other.alive = list(self.alive)
         return other
 
@@ -66,10 +78,12 @@ class Model:
         kind = op[0]
         if kind == "create":
             self.created = True
-            self.values = list(op[1])
+            self.values = [int(v) for v in op[1]]
+            self.second = [_second(v) for v in self.values]
             self.alive = [True] * len(self.values)
         elif kind == "insert":
             self.values.append(op[1])
+            self.second.append(_second(op[1]))
             self.alive.append(True)
         elif kind == "update":
             self.values[op[1]] = op[2]
@@ -83,24 +97,32 @@ class Model:
         else:  # pragma: no cover - generator bug
             raise ValueError(kind)
 
-    def content(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        pairs = [
-            (row, value)
-            for row, (value, live) in enumerate(zip(self.values, self.alive))
-            if live
-        ]
-        return tuple(r for r, _ in pairs), tuple(v for _, v in pairs)
+    def content(self) -> tuple[tuple[int, ...], ...]:
+        """Live ``(rowids, x values, a values)``, in row order."""
+        live = [row for row, alive in enumerate(self.alive) if alive]
+        return (
+            tuple(live),
+            tuple(self.values[row] for row in live),
+            tuple(self.second[row] for row in live),
+        )
 
 
-def _db_content(db) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _db_content(db) -> tuple[tuple[int, ...], ...]:
     if "t" not in db.table_names():
-        return (), ()
-    result = db.query("t", "x", -1, DOMAIN + 1)
-    order = np.argsort(result.rowids)
-    return (
-        tuple(int(r) for r in result.rowids[order]),
-        tuple(int(v) for v in result.values[order]),
-    )
+        return (), (), ()
+    by_column = []
+    for column in ("x", "a"):
+        result = db.query("t", column, -1, DOMAIN + 2)
+        order = np.argsort(result.rowids)
+        by_column.append(
+            (
+                tuple(int(r) for r in result.rowids[order]),
+                tuple(int(v) for v in result.values[order]),
+            )
+        )
+    (rows, xs), (rows_again, seconds) = by_column
+    assert rows == rows_again
+    return rows, xs, seconds
 
 
 def _generated_ops(rng: np.random.Generator, count: int) -> list[tuple]:
@@ -134,9 +156,9 @@ def _generated_ops(rng: np.random.Generator, count: int) -> list[tuple]:
 def _issue(db, op: tuple) -> None:
     kind = op[0]
     if kind == "create":
-        db.create_table("t", {"x": op[1]})
+        db.create_table("t", {"x": op[1], "a": _second(op[1])})
     elif kind == "insert":
-        db.insert("t", {"x": op[1]})
+        db.insert("t", {"x": op[1], "a": _second(op[1])})
     elif kind == "update":
         db.update("t", "x", op[1], op[2])
     elif kind == "delete":

@@ -12,7 +12,8 @@ from repro.wal.records import scan_wal
 
 
 def _record(i: int) -> dict:
-    return {"type": "insert", "table": "t", "values": {"x": i}}
+    """One two-column row: a 35-byte frame."""
+    return {"type": "insert", "table": "t", "row": (i, -i)}
 
 
 class TestAppend:
@@ -51,7 +52,7 @@ class TestAppend:
 
 class TestRotation:
     def test_rotates_at_segment_budget(self, tmp_path):
-        wal = WriteAheadLog(tmp_path, DurabilityConfig(segment_bytes=128))
+        wal = WriteAheadLog(tmp_path, DurabilityConfig(segment_bytes=70))
         for i in range(10):
             wal.append(_record(i))
         wal.close()
@@ -61,12 +62,12 @@ class TestRotation:
         assert len(scan.segments) == wal.status()["segments"]
 
     def test_reopen_lands_in_last_segment(self, tmp_path):
-        wal = WriteAheadLog(tmp_path, DurabilityConfig(segment_bytes=128))
+        wal = WriteAheadLog(tmp_path, DurabilityConfig(segment_bytes=70))
         for i in range(10):
             wal.append(_record(i))
         wal.close()
         reopened = WriteAheadLog(
-            tmp_path, DurabilityConfig(segment_bytes=128)
+            tmp_path, DurabilityConfig(segment_bytes=70)
         )
         reopened.append(_record(10))
         reopened.close()
@@ -77,7 +78,7 @@ class TestRotation:
 
 class TestSizeCap:
     def test_full_log_latches_readonly(self, tmp_path):
-        wal = WriteAheadLog(tmp_path, DurabilityConfig(max_bytes=160))
+        wal = WriteAheadLog(tmp_path, DurabilityConfig(max_bytes=88))
         appended = 0
         with pytest.raises(WalFullError):
             for i in range(100):
@@ -92,7 +93,7 @@ class TestSizeCap:
         wal.close()
 
     def test_refused_append_leaves_no_bytes_and_no_lsn(self, tmp_path):
-        wal = WriteAheadLog(tmp_path, DurabilityConfig(max_bytes=160))
+        wal = WriteAheadLog(tmp_path, DurabilityConfig(max_bytes=88))
         with pytest.raises(WalFullError):
             for i in range(100):
                 wal.append(_record(i))
@@ -109,7 +110,7 @@ class TestSizeCap:
 
     def test_prune_clears_the_latch(self, tmp_path):
         wal = WriteAheadLog(
-            tmp_path, DurabilityConfig(segment_bytes=96, max_bytes=400)
+            tmp_path, DurabilityConfig(segment_bytes=48, max_bytes=220)
         )
         with pytest.raises(WalFullError):
             for i in range(100):
