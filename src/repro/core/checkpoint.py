@@ -61,7 +61,7 @@ def save_database(
     }
     for table in db.catalog.tables():
         table_meta: dict = {"columns": {}}
-        tombstones = table.tombstone_mask()
+        tombstones = table.tombstones.mask()
         if tombstones is not None:
             key = f"{table.name}::__tombstones__"
             arrays[key] = tombstones
@@ -124,7 +124,7 @@ def load_database(
                 db.create_table(table_name, data)
                 tombstone_key = table_meta.get("tombstones")
                 if tombstone_key is not None:
-                    db.table(table_name).restore_tombstones(
+                    db.table(table_name).tombstones.restore(
                         archive[tombstone_key]
                     )
                 for column_name, column_meta in table_meta["columns"].items():

@@ -271,7 +271,7 @@ class AdaptiveDatabase:
         if len(table.pending_updates(column_name)):
             layer.apply_updates(table.drain_updates(column_name))
         result = layer.answer_query(lo, hi)
-        keep = table.live_row_mask(result.rowids)
+        keep = table.tombstones.live_row_mask(result.rowids)
         if keep is not None:
             result.rowids = result.rowids[keep]
             result.values = result.values[keep]
@@ -291,7 +291,7 @@ class AdaptiveDatabase:
         """
         table = self.table(table_name)
         result = self.layer(table_name, column_name).scan_full(lo, hi)
-        keep = table.live_row_mask(result.rowids)
+        keep = table.tombstones.live_row_mask(result.rowids)
         if keep is not None:
             result.rowids = result.rowids[keep]
             result.values = result.values[keep]

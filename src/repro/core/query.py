@@ -14,6 +14,7 @@ non-indexed column touches its pages randomly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from ..storage.table import Table
 from ..vm.cost import MAIN_LANE
 from .adaptive import AdaptiveStorageLayer, QueryResult
 from .config import AdaptiveConfig
+
+if TYPE_CHECKING:
+    from .facade import AdaptiveDatabase
 
 
 @dataclass(frozen=True)
@@ -65,8 +69,11 @@ class RecordSet:
 class QueryEngine:
     """Range selection, projection and aggregation over one table.
 
-    Maintains one adaptive storage layer per filtered column (created on
-    demand, all sharing the table's cost model).
+    A standalone engine maintains one adaptive storage layer per
+    filtered column (created on demand, all sharing the table's cost
+    model).  An engine built over a database (``db=``) owns none: it
+    borrows ``db.layer(table, column)``, so a column has one layer — and
+    its pending-update log one consumer — however it is reached.
     """
 
     def __init__(
@@ -74,14 +81,29 @@ class QueryEngine:
         table: Table,
         config: AdaptiveConfig | None = None,
         observer: "NullObserver | None" = None,
+        db: "AdaptiveDatabase | None" = None,
     ) -> None:
+        """``db`` is the database holding ``table``; with it, ``config``
+        and ``observer`` are the database's and must not be passed."""
+        if db is not None:
+            if config is not None or observer is not None:
+                raise ValueError(
+                    "an engine over a database uses the database's config "
+                    "and observer"
+                )
+            config, observer = db.config, db.observer
         self.table = table
         self.config = config or AdaptiveConfig()
         self.observer = observer
+        self._db = db
         self._layers: dict[str, AdaptiveStorageLayer] = {}
 
     def layer(self, column_name: str) -> AdaptiveStorageLayer:
-        """The adaptive layer of one column (created lazily)."""
+        """The adaptive layer of one column: the database's when the
+        engine was built over one, else the engine's own (created
+        lazily)."""
+        if self._db is not None:
+            return self._db.layer(self.table.name, column_name)
         if column_name not in self._layers:
             column = self.table.column(column_name)
             self._layers[column_name] = AdaptiveStorageLayer(
@@ -109,7 +131,7 @@ class QueryEngine:
         layer = self.layer(column_name)
         if full_scan:
             result = layer.scan_full(lo, hi)
-            keep = self.table.live_row_mask(result.rowids)
+            keep = self.table.tombstones.live_row_mask(result.rowids)
             if keep is not None:
                 result.rowids = result.rowids[keep]
                 result.values = result.values[keep]
@@ -119,7 +141,7 @@ class QueryEngine:
         if len(pending):
             layer.apply_updates(self.table.drain_updates(column_name))
         result = layer.answer_query(lo, hi)
-        keep = self.table.live_row_mask(result.rowids)
+        keep = self.table.tombstones.live_row_mask(result.rowids)
         if keep is not None:
             result.rowids = result.rowids[keep]
             result.values = result.values[keep]
@@ -272,7 +294,8 @@ class QueryEngine:
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down all layers (stops background mapping threads)."""
+        """Shut down the engine's own layers (stops background mapping
+        threads); borrowed layers stay with their database."""
         for layer in self._layers.values():
             layer.shutdown()
         self._layers.clear()

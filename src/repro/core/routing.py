@@ -22,7 +22,7 @@ import numpy as np
 from ..obs.observer import NULL_OBSERVER, NullObserver
 from ..storage.column import PhysicalColumn
 from ..vm.cost import MAIN_LANE
-from .scan import NO_ABOVE, NO_BELOW, batch_scan
+from .scan import NO_ABOVE, NO_BELOW, batch_scan, joined
 from .view import VirtualView
 
 
@@ -128,15 +128,12 @@ def scan_views(
     if min_above_seen != NO_ABOVE:
         extended_hi = min(extended_hi, min_above_seen - 1)
 
-    empty = np.empty(0, dtype=np.int64)
     return RoutedScan(
         lo=lo,
         hi=hi,
-        rowids=np.concatenate(all_rowids) if all_rowids else empty,
-        values=np.concatenate(all_values) if all_values else empty.copy(),
-        qualifying_fpages=(
-            np.concatenate(qualifying) if qualifying else empty.copy()
-        ),
+        rowids=joined(all_rowids),
+        values=joined(all_values),
+        qualifying_fpages=joined(qualifying),
         pages_scanned=pages_scanned,
         views_used=views_used,
         extended_lo=extended_lo,

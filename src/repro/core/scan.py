@@ -76,6 +76,16 @@ class BatchScanResult:
 BLOCK_PAGES = 256
 
 
+def joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The int64 parts as one array; a lone part is handed over as it
+    is, not copied."""
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(parts)
+
+
 def _valid_counts(column: PhysicalColumn, fpages: np.ndarray) -> np.ndarray | None:
     """Filled slots per given page, or None if all of them are full."""
     per_page = column.values_per_page
@@ -202,13 +212,13 @@ def _scan_by_extent(
                 rows, axis=1, where=above_mask, initial=NO_ABOVE
             )
 
-    if rowid_parts:
-        rowids = np.concatenate(rowid_parts)
-        values = np.concatenate(value_parts)
-    else:
-        rowids = np.empty(0, dtype=np.int64)
-        values = rowids.copy()
-    return rowids, values, page_qualifies, max_below, min_above
+    return (
+        joined(rowid_parts),
+        joined(value_parts),
+        page_qualifies,
+        max_below,
+        min_above,
+    )
 
 
 def batch_scan(

@@ -11,10 +11,18 @@ creation and when updates add pages (Section 2.4, case 1).
 Per view the layer materializes only the covered value range and the
 number of indexed pages, exactly the meta-data footprint the paper
 states.
+
+The bookkeeping is sized by the pages a view maps, not by its
+reservation.  A view built by one plan on fresh slots *is* that plan's
+page list, in slot order; the column-sized tables (slot → page,
+page → slot, touched bits) are built on the first lookup that needs
+them, so a view kept for maintenance pays for them once and a candidate
+that is planned, mapped and discarded never does.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +59,9 @@ class MapPlan(NamedTuple):
         return MapPlan(*(column[start:stop] for column in self))
 
 
+_NO_PAGES = np.empty(0, dtype=np.int64)
+
+
 class VirtualView:
     """One virtual view over a physical column."""
 
@@ -76,11 +87,22 @@ class VirtualView:
         self.capacity = column.num_pages
         self.is_full_view = False
         self.base_vpn = self.substrate.reserve(self.capacity, lane=lane)
-        self._fpage_at = np.full(self.capacity, -1, dtype=np.int64)
-        self._slot_by_fpage = np.full(self.capacity, -1, dtype=np.int64)
-        self._touched = np.zeros(self.capacity, dtype=bool)
-        self._num_mapped = 0
-        self._next_fresh = 0
+        self._init_slots(_NO_PAGES)
+
+    def _init_slots(self, pages: np.ndarray) -> None:
+        """Start as a view whose slots ``[0, len(pages))`` hold ``pages``,
+        every one of them touched."""
+        #: While no slot table exists: the pages of the first slots, in
+        #: slot order, and how many of those slots have been touched.
+        self._fresh_pages = pages
+        self._touched_upto = int(pages.size)
+        #: ``(fpage_at, slot_by_fpage, touched)`` once a lookup built it.
+        self._table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # The mapping thread marks slots touched while the scanning
+        # thread may be building the table those marks move into.
+        self._table_lock = threading.Lock()
+        self._num_mapped = int(pages.size)
+        self._next_fresh = int(pages.size)
         self._free_slots: list[int] = []
         self._mapped_cache: np.ndarray | None = None
         self._alive = True
@@ -102,16 +124,38 @@ class VirtualView:
         view.base_vpn = view.substrate.map_file(
             column.num_pages, column.file, file_page=0, lane=lane
         )
-        identity = np.arange(column.num_pages, dtype=np.int64)
-        view._fpage_at = identity
-        view._slot_by_fpage = identity
-        view._touched = np.ones(column.num_pages, dtype=bool)
-        view._num_mapped = column.num_pages
-        view._next_fresh = column.num_pages
-        view._free_slots = []
-        view._mapped_cache = identity
-        view._alive = True
+        view._init_slots(np.arange(column.num_pages, dtype=np.int64))
         return view
+
+    # -- the slot table ----------------------------------------------------
+
+    def _slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The column-sized slot arrays, built on first use.
+
+        ``fpage_at[slot]`` is the page a slot maps, ``slot_by_fpage[page]``
+        the slot mapping a page (both -1 for none), ``touched[slot]``
+        whether the slot's soft fault has been paid.  From here on the
+        arrays are the view's bookkeeping; the page list it was planned
+        from is let go.
+        """
+        if self._table is not None:
+            return self._table
+        with self._table_lock:
+            if self._table is None:
+                pages = self._fresh_pages
+                fpage_at = np.full(self.capacity, -1, dtype=np.int64)
+                slot_by_fpage = np.full(self.capacity, -1, dtype=np.int64)
+                touched = np.zeros(self.capacity, dtype=bool)
+                fpage_at[: pages.size] = pages
+                slot_by_fpage[pages] = np.arange(pages.size)
+                touched[: self._touched_upto] = True
+                self._table = (fpage_at, slot_by_fpage, touched)
+                self._fresh_pages = _NO_PAGES
+            return self._table
+
+    _fpage_at = property(lambda self: self._slots()[0])
+    _slot_by_fpage = property(lambda self: self._slots()[1])
+    _touched = property(lambda self: self._slots()[2])
 
     # -- introspection ---------------------------------------------------
 
@@ -138,20 +182,23 @@ class VirtualView:
         """Whether physical page ``fpage`` is indexed by this view."""
         if not 0 <= fpage < self.capacity:
             return False
-        return bool(self._slot_by_fpage[fpage] >= 0)
+        return bool(self._slots()[1][fpage] >= 0)
 
     def mapped_fpages(self) -> np.ndarray:
         """Indexed physical pages in scan (virtual-address) order."""
         if self._mapped_cache is None:
-            slots = np.nonzero(self._fpage_at >= 0)[0]
-            self._mapped_cache = self._fpage_at[slots]
+            if self._table is None:
+                self._mapped_cache = self._fresh_pages
+            else:
+                used = self._table[0][: self._next_fresh]
+                self._mapped_cache = used[used >= 0]
         return self._mapped_cache
 
     def vpn_of(self, fpage: int) -> int:
         """Virtual page of this view currently mapping ``fpage``."""
         if not 0 <= fpage < self.capacity:
             raise ValueError(f"page {fpage} outside the column")
-        slot = int(self._slot_by_fpage[fpage])
+        slot = int(self._slots()[1][fpage])
         if slot < 0:
             raise ValueError(f"page {fpage} is not indexed by this view")
         return self.base_vpn + slot
@@ -200,32 +247,46 @@ class VirtualView:
         """
         if self.is_full_view:
             raise RuntimeError("cannot map pages into the full view")
-        fpages = np.asarray(fpages, dtype=np.int64)
+        # own copy: on an empty view it becomes the view's page list
+        fpages = np.array(fpages, dtype=np.int64)
         n = int(fpages.size)
         if n == 0:
             return MapPlan(fpages, fpages, fpages)
         if self._next_fresh + n > self.capacity:
             raise RuntimeError("view over-allocation exhausted")
         diffs = np.diff(fpages)
-        if diffs.size and not np.all(diffs >= 1):
+        if diffs.size == 0 or np.all(diffs >= 1):
             # Strictly increasing input (the scan output) is duplicate
-            # free; anything else needs the full uniqueness check.
-            if np.any(diffs < 0):
-                has_duplicates = np.unique(fpages).size != n
-            else:
-                has_duplicates = True
-            if has_duplicates:
+            # free and has its extremes at the ends.
+            first, last = fpages[0], fpages[-1]
+        else:
+            # Anything else needs the full uniqueness check.
+            if np.all(diffs >= 0) or np.unique(fpages).size != n:
                 raise ValueError(
                     "run contains pages already indexed by this view"
                 )
-        if np.any(self._slot_by_fpage[fpages] >= 0):
-            raise ValueError("run contains pages already indexed by this view")
+            first, last = fpages.min(), fpages.max()
+        if first < 0 or last >= self.capacity:
+            raise IndexError(
+                f"pages [{first}, {last}] outside the column's "
+                f"{self.capacity} pages"
+            )
         slot_start = self._next_fresh
+        if slot_start == 0 and self._table is None:
+            # An empty view indexes nothing yet: the plan's pages are
+            # its bookkeeping, and no column-sized array is touched.
+            self._fresh_pages = fpages
+            self._touched_upto = 0
+        else:
+            fpage_at, slot_by_fpage, touched = self._slots()
+            if np.any(slot_by_fpage[fpages] >= 0):
+                raise ValueError(
+                    "run contains pages already indexed by this view"
+                )
+            fpage_at[slot_start : slot_start + n] = fpages
+            slot_by_fpage[fpages] = np.arange(slot_start, slot_start + n)
+            touched[slot_start : slot_start + n] = False
         self._next_fresh += n
-        slots = np.arange(slot_start, slot_start + n, dtype=np.int64)
-        self._fpage_at[slots] = fpages
-        self._slot_by_fpage[fpages] = slots
-        self._touched[slot_start : slot_start + n] = False
         self._num_mapped += n
         self._mapped_cache = None
 
@@ -265,10 +326,16 @@ class VirtualView:
         self._mark_touched(plan)
 
     def _mark_touched(self, plan: MapPlan) -> None:
-        if plan.num_runs:
-            start = int(plan.vpns[0]) - self.base_vpn
-            end = int(plan.vpns[-1] + plan.npages[-1]) - self.base_vpn
-            self._touched[start:end] = True
+        if not plan.num_runs:
+            return
+        start = int(plan.vpns[0]) - self.base_vpn
+        end = int(plan.vpns[-1] + plan.npages[-1]) - self.base_vpn
+        with self._table_lock:
+            if self._table is None and start <= self._touched_upto:
+                # in plan order the touched slots stay a prefix
+                self._touched_upto = max(self._touched_upto, end)
+                return
+        self._slots()[2][start:end] = True
 
     def add_page(self, fpage: int, lane: str = MAIN_LANE) -> None:
         """Map one physical page into an unused virtual slot.
@@ -301,11 +368,12 @@ class VirtualView:
             else:
                 self._next_fresh -= 1
             raise
-        self._fpage_at[slot] = fpage
-        self._slot_by_fpage[fpage] = slot
+        fpage_at, slot_by_fpage, touched = self._slots()
+        fpage_at[slot] = fpage
+        slot_by_fpage[fpage] = slot
+        touched[slot] = True
         self._num_mapped += 1
         self._mapped_cache = None
-        self._touched[slot] = True
 
     def remove_page(self, fpage: int, lane: str = MAIN_LANE) -> None:
         """Unmap one physical page (Section 2.4, case 2).
@@ -317,13 +385,14 @@ class VirtualView:
             raise RuntimeError("cannot remove pages from the full view")
         if not self.contains_page(fpage):
             raise ValueError(f"page {fpage} is not indexed by this view")
-        slot = int(self._slot_by_fpage[fpage])
+        fpage_at, slot_by_fpage, touched = self._slots()
+        slot = int(slot_by_fpage[fpage])
         # Unmap first: if the call fails, the page simply stays indexed
         # (a removal that did not happen, not a torn catalog).
         self.substrate.unmap_slot(self.base_vpn + slot, 1, lane=lane)
-        self._slot_by_fpage[fpage] = -1
-        self._fpage_at[slot] = -1
-        self._touched[slot] = False
+        slot_by_fpage[fpage] = -1
+        fpage_at[slot] = -1
+        touched[slot] = False
         self._num_mapped -= 1
         self._free_slots.append(slot)
         self._mapped_cache = None
@@ -340,8 +409,10 @@ class VirtualView:
             self.substrate.release_region(
                 self.base_vpn, self.capacity, removed_pages, lane=lane
             )
-        self._fpage_at[:] = -1
-        self._slot_by_fpage[:] = -1
+        # the bookkeeping is dropped, not cleared: nothing column-sized
+        self._table = None
+        self._fresh_pages = _NO_PAGES
+        self._touched_upto = 0
         self._num_mapped = 0
         self._mapped_cache = None
         self._alive = False
@@ -359,17 +430,20 @@ class VirtualView:
         """
         if self.is_full_view:
             return 0
+        if self._table is None and self._touched_upto >= self._next_fresh:
+            return 0  # planned and populated whole: nothing left to fault
+        fpage_at, slot_by_fpage, touched = self._slots()
         if fpages is None:
-            slots = np.nonzero(self._fpage_at >= 0)[0]
+            slots = np.flatnonzero(fpage_at[: self._next_fresh] >= 0)
         else:
             fpages = np.asarray(fpages, dtype=np.int64)
-            slots = self._slot_by_fpage[fpages]
+            slots = slot_by_fpage[fpages]
             slots = slots[slots >= 0]
-        untouched = slots[~self._touched[slots]]
+        untouched = slots[~touched[slots]]
         n = int(untouched.size)
         if n:
             self.substrate.cost.soft_fault(n, lane)
-            self._touched[untouched] = True
+            touched[untouched] = True
         return n
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

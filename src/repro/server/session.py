@@ -384,7 +384,7 @@ class Session:
                     f"snapshot already pinned on {table}.{column}"
                 )
             snap = self.db.snapshot(table, column)
-            tombstones = self.db.table(table).tombstone_mask()
+            tombstones = self.db.table(table).tombstones.mask()
             self._pinned[key] = _PinnedSnapshot(snap, tombstones)
             return Response(
                 op="snapshot",

@@ -27,6 +27,7 @@ from ..core.config import AdaptiveConfig
 from ..core.stats import MaintenanceStats
 from ..obs.observer import Observer
 from ..resilience.policy import HealthState, ResilienceConfig, worst_health
+from ..storage.tombstones import Tombstones
 from ..substrate import Substrate, make_substrate
 from ..vm.cost import CostModel
 from ..vm.physical import PhysicalMemory
@@ -45,33 +46,12 @@ class _ShardedTable:
         self.name = name
         self.columns = columns
         self.num_rows = row_counts.pop()
-        self._deleted = np.zeros(self.num_rows, dtype=bool)
+        self.tombstones = Tombstones(self.num_rows)
 
     def column(self, name: str) -> ShardedColumn:
         if name not in self.columns:
             raise KeyError(f"table {self.name!r} has no column {name!r}")
         return self.columns[name]
-
-    def live_row_mask(self, rows: np.ndarray) -> np.ndarray | None:
-        """Boolean keep-mask, or None when nothing is deleted."""
-        if not self._deleted.any():
-            return None
-        return ~self._deleted[np.asarray(rows, dtype=np.int64)]
-
-    def delete_rows(self, rows: np.ndarray) -> int:
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return 0
-        if rows.min() < 0 or rows.max() >= self.num_rows:
-            raise IndexError("row id out of range in delete")
-        before = int(self._deleted.sum())
-        self._deleted[rows] = True
-        return int(self._deleted.sum()) - before
-
-    def is_deleted(self, row: int) -> bool:
-        if not 0 <= row < self.num_rows:
-            raise IndexError(f"row {row} out of range")
-        return bool(self._deleted[row])
 
 
 class ShardedDatabase:
@@ -191,7 +171,7 @@ class ShardedDatabase:
         """
         table = self.table(table_name)
         result = table.column(column_name).query(lo, hi)
-        keep = table.live_row_mask(result.rowids)
+        keep = table.tombstones.live_row_mask(result.rowids)
         if keep is not None:
             result.rowids = result.rowids[keep]
             result.values = result.values[keep]
@@ -204,7 +184,7 @@ class ShardedDatabase:
         """Routed full-view scan (no view adaptation); tombstone-filtered."""
         table = self.table(table_name)
         result = table.column(column_name).scan(lo, hi)
-        keep = table.live_row_mask(result.rowids)
+        keep = table.tombstones.live_row_mask(result.rowids)
         if keep is not None:
             result.rowids = result.rowids[keep]
             result.values = result.values[keep]
@@ -216,7 +196,7 @@ class ShardedDatabase:
     ) -> int:
         """Tombstone all rows with ``column_name`` in ``[lo, hi]``."""
         result = self.query(table_name, column_name, lo, hi)
-        return self.table(table_name).delete_rows(result.rowids)
+        return self.table(table_name).tombstones.delete_rows(result.rowids)
 
     # -- updates -----------------------------------------------------------
 
@@ -225,7 +205,7 @@ class ShardedDatabase:
     ) -> int:
         """Update one value on its owning shard (logged per shard)."""
         table = self.table(table_name)
-        if table.is_deleted(row):
+        if table.tombstones.is_deleted(row):
             raise KeyError(f"cannot update deleted row {row}")
         column = table.column(column_name)
         old = column.update(row, new_value)

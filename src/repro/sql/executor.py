@@ -4,7 +4,10 @@ A :class:`Session` owns an :class:`~repro.core.facade.AdaptiveDatabase`
 and one :class:`~repro.core.query.QueryEngine` per table.  Statements
 run through the fused storage/indexing design: every range predicate is
 answered via the column's adaptive views, so a plain SQL workload warms
-the views exactly like the paper's query sequences do.
+the views exactly like the paper's query sequences do.  The engines own
+no storage layer: they borrow the database's, so SQL and
+``AdaptiveDatabase.query`` share one layer — and one consumer of the
+pending-update log — per column.
 
 Tables created via ``CREATE TABLE`` buffer ``INSERT`` rows until the
 first read or update statement materializes them (the storage layer is
@@ -235,9 +238,7 @@ class Session:
                 table = self.db.table(table_name)
             except KeyError as exc:
                 raise ExecutionError(str(exc)) from exc
-            self._engines[table_name] = QueryEngine(
-                table, self.db.config, observer=self.db.observer
-            )
+            self._engines[table_name] = QueryEngine(table, db=self.db)
         return self._engines[table_name]
 
     def _execute_update(self, statement: UpdateStatement) -> ResultTable:
@@ -255,7 +256,7 @@ class Session:
         engine = self._engine(statement.table)
         table = self.db.table(statement.table)
         rowids = self._filter_rows(engine, statement.predicates)
-        rowids = table.filter_live(rowids)
+        rowids = table.tombstones.filter_live(rowids)
         deleted = table.delete_rows(rowids)
         return ResultTable(columns=[], message=f"{deleted} rows deleted")
 
@@ -289,8 +290,10 @@ class Session:
             if predicate.empty:
                 return np.empty(0, dtype=np.int64)
         if not predicates:
-            return table.filter_live(np.arange(table.num_rows, dtype=np.int64))
-        return table.filter_live(
+            return table.tombstones.filter_live(
+                np.arange(table.num_rows, dtype=np.int64)
+            )
+        return table.tombstones.filter_live(
             engine.select_conjunction(
                 {p.column: (p.lo, p.hi) for p in predicates.values()},
                 full_scan=self.planner == "fullscan",

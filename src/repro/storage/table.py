@@ -22,6 +22,7 @@ from ..substrate.simulated import SimulatedSubstrate, as_substrate
 from ..vm.cost import CostModel
 from ..vm.physical import PhysicalMemory
 from .column import PhysicalColumn
+from .tombstones import Tombstones
 from .updates import UpdateBatch
 
 
@@ -40,9 +41,9 @@ class Table:
         self._pending_updates: dict[str, UpdateBatch] = {
             name: UpdateBatch() for name in self.columns
         }
-        # Tombstones: deleted rows stay physically in place (the views
-        # keep mapping their pages) and are filtered at selection time.
-        self._deleted = np.zeros(self.num_rows, dtype=bool)
+        #: Deleted rows stay physically in place (the views keep mapping
+        #: their pages); every selection filters through this.
+        self.tombstones = Tombstones(self.num_rows)
 
     @property
     def column_names(self) -> list[str]:
@@ -69,7 +70,7 @@ class Table:
     def record_iterator(self) -> Iterator[tuple[int, ...]]:
         """getRecordIterator(): iterate all live tuples in row order."""
         for row in range(self.num_rows):
-            if not self._deleted[row]:
+            if not self.tombstones.is_deleted(row):
                 yield self.get_record(row)
 
     # -- deletion (tombstones) -------------------------------------------
@@ -77,64 +78,15 @@ class Table:
     @property
     def num_live_rows(self) -> int:
         """Rows not tombstoned."""
-        return self.num_rows - int(self._deleted.sum())
+        return self.num_rows - self.tombstones.count
 
     def is_deleted(self, row: int) -> bool:
         """Whether ``row`` carries a tombstone."""
-        if not 0 <= row < self.num_rows:
-            raise IndexError(f"row {row} out of range")
-        return bool(self._deleted[row])
+        return self.tombstones.is_deleted(row)
 
     def delete_rows(self, rows: np.ndarray) -> int:
-        """Tombstone the given rows; returns how many were newly deleted.
-
-        Physical pages stay in place and partial views keep mapping
-        them — deleted rows are filtered out of every selection.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return 0
-        if rows.min() < 0 or rows.max() >= self.num_rows:
-            raise IndexError("row id out of range in delete")
-        before = int(self._deleted.sum())
-        self._deleted[rows] = True
-        return int(self._deleted.sum()) - before
-
-    def filter_live(self, rows: np.ndarray) -> np.ndarray:
-        """Drop tombstoned rows from a selection result."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if not self._deleted.any():
-            return rows
-        return rows[~self._deleted[rows]]
-
-    def tombstone_mask(self) -> np.ndarray | None:
-        """Copy of the tombstone bitmap, or None when nothing is deleted.
-
-        Snapshot readers capture this at pin time so point-in-time reads
-        filter exactly the rows that were deleted *then*, regardless of
-        later deletions.
-        """
-        if not self._deleted.any():
-            return None
-        return self._deleted.copy()
-
-    def restore_tombstones(self, mask: np.ndarray) -> None:
-        """Install a checkpointed tombstone bitmap (recovery path)."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.num_rows,):
-            raise ValueError(
-                f"tombstone mask of shape {mask.shape} does not fit a "
-                f"table of {self.num_rows} rows"
-            )
-        self._deleted = mask.copy()
-
-    def live_row_mask(self, rows: np.ndarray) -> np.ndarray | None:
-        """Boolean keep-mask for a selection, or None when nothing is
-        deleted (the fast path)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if not self._deleted.any():
-            return None
-        return ~self._deleted[rows]
+        """Tombstone the given rows; returns how many were newly deleted."""
+        return self.tombstones.delete_rows(rows)
 
     # -- updates -------------------------------------------------------------
 
@@ -176,9 +128,7 @@ class Table:
         if added == 0:
             return
         self.num_rows += added
-        self._deleted = np.concatenate(
-            [self._deleted, np.zeros(added, dtype=bool)]
-        )
+        self.tombstones.grow(added)
 
     def pending_updates(self, column_name: str) -> UpdateBatch:
         """Updates logged against ``column_name`` since the last drain."""

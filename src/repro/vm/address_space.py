@@ -6,6 +6,13 @@ of the sorted VMA list: clip what was there, place what is new, merge
 compatible neighbours, assign one slice.  Cost
 accounting and syscall-style argument checking live one level up in
 :mod:`repro.vm.mmap_api`.
+
+Residency — which pages have been touched since they were last
+(re-)mapped — is kept as sorted, disjoint, non-adjacent intervals
+``[start, end)`` in two parallel lists, the idiom of ``_starts``: a
+populated plan without gaps is one interval, discarding it one bisect
+and one slice deletion, a fault a bisect.  The bookkeeping of a mapping
+is proportional to the intervals it touches, never to its pages.
 """
 
 from __future__ import annotations
@@ -31,7 +38,9 @@ class AddressSpace:
         self._vmas: list[Vma] = []  # sorted by start, non-overlapping
         self._starts: list[int] = []  # parallel list for bisect
         self._next_vpn = _MMAP_BASE_VPN
-        self._faulted: set[int] = set()
+        # resident intervals [start, end): sorted, disjoint, non-adjacent
+        self._res_starts: list[int] = []
+        self._res_ends: list[int] = []
         #: Serializes mutations; the background mapping thread
         #: (Section 2.3, optimization 2) maps pages concurrently with the
         #: scanning thread, just as the kernel serializes mmap internally.
@@ -99,11 +108,12 @@ class AddressSpace:
         the caller charges its cost.
         """
         with self.lock:
-            if vpn in self._faulted:
+            i = bisect.bisect_right(self._res_starts, vpn) - 1
+            if i >= 0 and vpn < self._res_ends[i]:
                 return False
             if not self.is_mapped(vpn):
                 raise BadAddressError(f"fault on unmapped page {vpn:#x}")
-            self._faulted.add(vpn)
+            self._mark_resident(vpn, vpn + 1)
             return True
 
     def fault_in_range(self, start: int, npages: int) -> int:
@@ -119,23 +129,62 @@ class AddressSpace:
             hole = self._first_unmapped(start, start + npages)
             if hole is not None:
                 raise BadAddressError(f"fault on unmapped page {hole:#x}")
-            before = len(self._faulted)
-            self._faulted.update(range(start, start + npages))
-            return len(self._faulted) - before
+            return self._mark_resident(start, start + npages)
+
+    def resident_intervals(self) -> list[tuple[int, int]]:
+        """The resident ranges ``[start, end)`` in address order."""
+        with self.lock:
+            return list(zip(self._res_starts, self._res_ends))
+
+    def resident_pages(self) -> set[int]:
+        """Every resident page (touched since it was last mapped)."""
+        return {
+            vpn
+            for start, end in self.resident_intervals()
+            for vpn in range(start, end)
+        }
+
+    def _mark_resident(self, lo: int, hi: int) -> int:
+        """Make ``[lo, hi)`` resident; returns the pages that were not.
+
+        The intervals the range overlaps or touches fuse with it into
+        one.
+        """
+        starts, ends = self._res_starts, self._res_ends
+        i = bisect.bisect_left(ends, lo)
+        j = bisect.bisect_right(starts, hi, i)
+        fresh = hi - lo
+        if i < j:
+            for k in range(i, j):
+                fresh -= min(ends[k], hi) - max(starts[k], lo)
+            lo = min(lo, starts[i])
+            hi = max(hi, ends[j - 1])
+        starts[i:j] = [lo]
+        ends[i:j] = [hi]
+        return fresh
 
     def _invalidate_faults(self, start: int, npages: int) -> None:
         """Forget fault state for a remapped/unmapped range.
 
-        Iterates the smaller of the remapped range and the resident
-        fault set: unmapping a huge, barely-touched area must not pay
-        for every page of the range.
+        One bisect finds the intervals the range cuts; what lies between
+        the first and the last goes in one slice deletion, however many
+        pages the range or the intervals span.
         """
-        if len(self._faulted) < npages:
-            end = start + npages
-            overlap = [vpn for vpn in self._faulted if start <= vpn < end]
-            self._faulted.difference_update(overlap)
-        else:
-            self._faulted.difference_update(range(start, start + npages))
+        end = start + npages
+        starts, ends = self._res_starts, self._res_ends
+        i = bisect.bisect_right(ends, start)
+        j = bisect.bisect_left(starts, end, i)
+        if i == j:
+            return
+        kept_starts, kept_ends = [], []
+        if starts[i] < start:
+            kept_starts.append(starts[i])
+            kept_ends.append(start)
+        if ends[j - 1] > end:
+            kept_starts.append(end)
+            kept_ends.append(ends[j - 1])
+        starts[i:j] = kept_starts
+        ends[i:j] = kept_ends
 
     # -- region allocation ---------------------------------------------------
 
@@ -170,17 +219,18 @@ class AddressSpace:
         cursor = 0
         reach = lo
         for vma in new:
-            while reach < vma.start and cursor < len(old):
+            start = vma.start
+            while reach < start and cursor < len(old):
                 survivor = old[cursor]
                 if survivor.end <= reach:
                     cursor += 1
-                elif survivor.start >= vma.start:
+                elif survivor.start >= start:
                     break
                 else:
-                    pieces.append(survivor.clipped(reach, vma.start))
+                    pieces.append(survivor.clipped(reach, start))
                     reach = survivor.end
             pieces.append(vma)
-            reach = vma.end
+            reach = start + vma.npages
         if old and old[-1].end > hi:
             pieces.append(old[-1].clipped(hi, old[-1].end))
         pieces += vmas[j : j + 1]  # ... and so may the successor
@@ -220,7 +270,14 @@ class AddressSpace:
         with self.lock:
             old = self._splice(start, end, ())
             self._invalidate_faults(start, npages)
-            return sum(min(vma.end, end) - max(vma.start, start) for vma in old)
+            if not old:
+                return 0
+            # whole areas, less what the first and the last keep outside
+            return (
+                sum([vma.npages for vma in old])
+                - max(start - old[0].start, 0)
+                - max(old[-1].end - end, 0)
+            )
 
     def replace_mapping(self, vma: Vma) -> None:
         """MAP_FIXED semantics: atomically unmap the range, then map ``vma``."""
@@ -232,23 +289,27 @@ class AddressSpace:
         ``runs`` must be sorted by address and must not overlap; what
         lies between two runs stays mapped as it was.  The fault state
         of every run is reset and, with ``populate``, installed again
-        (``MAP_POPULATE``) — for a plan without gaps, in one set
-        operation over its hull.
+        (``MAP_POPULATE``) — for a plan without gaps, as the one
+        interval of its hull.
         """
         if not runs:
             return
         gaps = False
-        for before, after in zip(runs, runs[1:]):
-            if after.start < before.end:
-                raise MapError(f"plan not in address order: {after} after {before}")
-            gaps = gaps or after.start > before.end
-        lo, hi = runs[0].start, runs[-1].end
+        lo = hi = runs[0].start
+        for k, run in enumerate(runs):
+            if run.start != hi:
+                if run.start < hi:
+                    raise MapError(
+                        f"plan not in address order: {run} after {runs[k - 1]}"
+                    )
+                gaps = True
+            hi = run.start + run.npages
         with self.lock:
             self._splice(lo, hi, runs)
             spans = [(run.start, run.end) for run in runs] if gaps else [(lo, hi)]
             for start, end in spans:
                 if populate:
-                    self._faulted.update(range(start, end))
+                    self._mark_resident(start, end)
                 else:
                     self._invalidate_faults(start, end - start)
 

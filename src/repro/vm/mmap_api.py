@@ -162,21 +162,35 @@ class MemoryMapper:
 
         Run ``i`` rewires ``npages[i]`` virtual pages from ``vpns[i]`` onto
         the file pages from ``file_pages[i]``; runs come in address order
-        and do not overlap, and a bad run rejects the whole plan.  The
+        and do not overlap.  The plan's bounds are checked once, as
+        columns, and a bad run rejects the whole plan with the error it
+        would raise alone; the runs are then built unchecked.  The
         address space takes the plan in one step and the ledger one sum
         — the charges and counters of the ``len(vpns)`` calls are whole
         nanoseconds, so every lane holds what issuing them one by one
         leaves.
         """
-        runs, pages = [], 0
-        for vpn, n, file_page in zip(
-            vpns.tolist(), npages.tolist(), file_pages.tolist()
-        ):
-            _check_run(n, file, file_page)
-            runs.append(Vma(vpn, n, file, file_page))
-            pages += n
-        if not runs:
+        if vpns.size == 0:
             return
+        bad = (
+            (npages <= 0)
+            | (file_pages < 0)
+            | (file_pages > file.num_pages - npages)
+            | (vpns < 0)
+        )
+        if bad.any():
+            # the first offending run fails as it would on its own
+            i = int(bad.argmax())
+            _check_run(int(npages[i]), file, int(file_pages[i]))
+            Vma(int(vpns[i]), int(npages[i]), file, int(file_pages[i]))
+        placed = Vma._placed
+        runs = [
+            placed(vpn, n, file, file_page)
+            for vpn, n, file_page in zip(
+                vpns.tolist(), npages.tolist(), file_pages.tolist()
+            )
+        ]
+        pages = int(npages.sum())
         self.address_space.map_runs(runs, populate)
         self.cost.mmap_call(pages, lane, calls=len(runs))
         if populate:

@@ -38,6 +38,30 @@ class Vma:
         if self.start < 0 or self.file_page < 0:
             raise ValueError("VMA addresses must be non-negative")
 
+    @classmethod
+    def _placed(
+        cls,
+        start: int,
+        npages: int,
+        file: MemoryFile | None,
+        file_page: int,
+        shared: bool = True,
+        perms: str = "rw",
+    ) -> "Vma":
+        """An ordinary, immutable VMA from fields already known to be
+        valid — a clip or merge of valid areas, a run of a plan checked
+        as a whole — filled in without the per-field guards and the
+        re-validation of the dataclass constructor."""
+        vma = object.__new__(cls)
+        fields = vma.__dict__
+        fields["start"] = start
+        fields["npages"] = npages
+        fields["file"] = file
+        fields["file_page"] = file_page
+        fields["shared"] = shared
+        fields["perms"] = perms
+        return vma
+
     @property
     def end(self) -> int:
         """One past the last virtual page of the area."""
@@ -71,7 +95,7 @@ class Vma:
         backing object, same flags, and (for file mappings) contiguous
         file offsets.
         """
-        if self.end != successor.start:
+        if self.start + self.npages != successor.start:
             return False
         if self.shared != successor.shared or self.perms != successor.perms:
             return False
@@ -85,7 +109,7 @@ class Vma:
         """The single VMA covering this area plus ``successor``."""
         if not self.can_merge_with(successor):
             raise ValueError(f"cannot merge {self} with {successor}")
-        return Vma(
+        return Vma._placed(
             self.start,
             self.npages + successor.npages,
             self.file,
@@ -98,7 +122,7 @@ class Vma:
         """The part of the area inside ``[start, end)``, which must overlap
         it; with ``perms``, under those permissions instead of its own."""
         start = max(start, self.start)
-        return Vma(
+        return Vma._placed(
             start,
             min(end, self.end) - start,
             self.file,

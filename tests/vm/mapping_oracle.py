@@ -7,7 +7,9 @@ bisected, merged with either neighbour and inserted, ``MAP_FIXED`` was
 the first followed by the second, ``mprotect`` a removal and one
 insertion per piece, and ``MAP_POPULATE`` faulted the range in page by
 page.  The functions below are those methods verbatim, as free
-functions over an :class:`AddressSpace`'s own lists.
+functions over an :class:`AddressSpace`'s own lists — and over the
+touched-page set of a :class:`SetResidencySpace`, which is how residency
+was kept before it became sorted intervals.
 
 :func:`oracle_map_runs` is the loop ``materialize_pages`` used to drive
 through ``Substrate.map_fixed``: one old ``MemoryMapper.mmap(fixed=True,
@@ -30,6 +32,29 @@ from repro.vm.mmap_api import MemoryMapper
 from repro.vm.vma import Vma
 
 
+class SetResidencySpace(AddressSpace):
+    """An address space whose residency is the plain ``set`` of touched
+    pages the resident intervals replaced: the oracle's side of a
+    parity run.  Only the walk below and ``fault_in`` run on it; both
+    sides are read through :meth:`resident_pages`."""
+
+    def __init__(self, pid: int = 1) -> None:
+        super().__init__(pid)
+        self.faulted: set[int] = set()
+
+    def fault_in(self, vpn: int) -> bool:
+        with self.lock:
+            if vpn in self.faulted:
+                return False
+            if not self.is_mapped(vpn):
+                raise BadAddressError(f"fault on unmapped page {vpn:#x}")
+            self.faulted.add(vpn)
+            return True
+
+    def resident_pages(self) -> set[int]:
+        return set(self.faulted)
+
+
 def fault_in_range(aspace: AddressSpace, start: int, npages: int) -> int:
     """The per-page reference of ``AddressSpace.fault_in_range``."""
     if npages <= 0:
@@ -37,23 +62,23 @@ def fault_in_range(aspace: AddressSpace, start: int, npages: int) -> int:
     return sum(aspace.fault_in(vpn) for vpn in range(start, start + npages))
 
 
-def _invalidate_faults(aspace: AddressSpace, start: int, npages: int) -> None:
-    if len(aspace._faulted) < npages:
+def _invalidate_faults(aspace: SetResidencySpace, start: int, npages: int) -> None:
+    if len(aspace.faulted) < npages:
         end = start + npages
-        overlap = [vpn for vpn in aspace._faulted if start <= vpn < end]
-        aspace._faulted.difference_update(overlap)
+        overlap = [vpn for vpn in aspace.faulted if start <= vpn < end]
+        aspace.faulted.difference_update(overlap)
     elif npages < 64:
         for vpn in range(start, start + npages):
-            aspace._faulted.discard(vpn)
+            aspace.faulted.discard(vpn)
     else:
-        aspace._faulted -= set(range(start, start + npages))
+        aspace.faulted -= set(range(start, start + npages))
 
 
-def _resident_in_range(aspace: AddressSpace, start: int, npages: int) -> set[int]:
+def _resident_in_range(aspace: SetResidencySpace, start: int, npages: int) -> set[int]:
     end = start + npages
-    if len(aspace._faulted) < npages:
-        return {vpn for vpn in aspace._faulted if start <= vpn < end}
-    return set(range(start, end)) & aspace._faulted
+    if len(aspace.faulted) < npages:
+        return {vpn for vpn in aspace.faulted if start <= vpn < end}
+    return set(range(start, end)) & aspace.faulted
 
 
 def _add_mapping_locked(aspace: AddressSpace, vma: Vma) -> None:
@@ -162,7 +187,7 @@ def protect_mapping(aspace: AddressSpace, start: int, npages: int, perms: str) -
         _remove_mapping_locked(aspace, start, npages)
         for piece in pieces:
             _add_mapping_locked(aspace, piece)
-        aspace._faulted |= resident
+        aspace.faulted |= resident
 
 
 def oracle_map_fixed(

@@ -67,7 +67,8 @@ class Side:
     def __init__(self, oracle: bool) -> None:
         self.oracle = oracle
         self.mapper = MemoryMapper(
-            PhysicalMemory(capacity_bytes=64 * 1024 * 1024, cost=CostModel())
+            PhysicalMemory(capacity_bytes=64 * 1024 * 1024, cost=CostModel()),
+            mapping_oracle.SetResidencySpace() if oracle else None,
         )
         self.files = {
             name: self.mapper.memory.create_file(name, FILE_PAGES) for name in FILES
@@ -143,7 +144,7 @@ class Side:
                 for v in aspace.vmas()
             ],
             "starts": list(aspace._starts),
-            "faulted": set(aspace._faulted),
+            "faulted": aspace.resident_pages(),
             "next_vpn": aspace._next_vpn,
             "maps_text": render_maps(aspace),
             "snapshot": (
@@ -405,7 +406,7 @@ def _faulted_creation(create, rules, retry: bool, background: bool, coalesce: bo
             if v.file is not None and v.start >= view.base_vpn
         ],
         "maps_text": render_maps(aspace),
-        "faulted": set(aspace._faulted),
+        "faulted": aspace.resident_pages(),
         "touched": view._touched.tolist(),
         "pages": view._fpage_at.tolist(),
         "retries": policy and (policy.retries, policy.recovered, policy.exhausted),
