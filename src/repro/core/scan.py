@@ -3,8 +3,8 @@
 This is the batch counterpart of
 :func:`repro.storage.page.scan_and_filter`: given the ordered list of
 physical pages a view maps, it filters them against the query range in
-a handful of numpy operations per block of pages and reports, per page,
-the evidence Listing 1 needs — whether the page qualified and, for a
+a handful of numpy operations per scan and reports, per page, the
+evidence Listing 1 needs — whether the page qualified and, for a
 page that did not, the largest value below the range and the smallest
 value above it.
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .. import fastpath
 from ..storage.column import PhysicalColumn
@@ -70,9 +71,9 @@ class BatchScanResult:
         return int(self.fpages.size)
 
 
-#: Pages classified and filtered per step of the extent-first kernel.
-#: Every temporary of a scan is O(this many pages) + O(hits), whatever
-#: the length of the scanned page list; 256 pages are 1 MiB of values.
+#: Pages per step of the extent pass and of the straddler filter.  Every
+#: temporary of a scan is O(this many pages) + O(hits) beside the
+#: per-page result vectors; 256 pages are 1 MiB of values.
 BLOCK_PAGES = 256
 
 
@@ -105,15 +106,35 @@ def _slot_mask(counts: np.ndarray, per_page: int) -> np.ndarray:
     return np.arange(per_page)[None, :] < counts[:, None]
 
 
-def _block_values(file, block: np.ndarray) -> np.ndarray:
-    """The values of the given pages, one row per page.
+def _page_extents(rows: np.ndarray, page_min: np.ndarray, page_max: np.ndarray) -> None:
+    """Write the min and max of every row of ``rows`` into the vectors.
 
-    Contiguous ascending runs (e.g. the full view) are sliced without a
-    gather copy.
+    The rows are read where they lie, as segments of one flat view of
+    their memory that ``reduceat`` reduces one by one.  Rows back to
+    back (the simulated layout, a gathered copy) are told apart by their
+    starts alone; rows with a gap between them (the native layout: a
+    header slot before every page) by ``[start, end)`` pairs, and the
+    one-slot results ``reduceat`` leaves for the gaps are dropped.  Both
+    reductions visit a block of pages before either moves on, so that
+    the second reads what the first left in the cache.
     """
-    if block[-1] - block[0] == block.size - 1 and np.all(np.diff(block) == 1):
-        return file.data[block[0] : block[0] + block.size]
-    return file.data[block]
+    m, per_page = rows.shape
+    stride = rows.strides[0] // rows.itemsize
+    bounds = np.arange(m) * stride
+    if stride == per_page:
+        flat, step = rows.reshape(-1), 1
+    else:
+        span = (m - 1) * stride + per_page
+        flat, step = as_strided(rows, (span,), (rows.itemsize,), writeable=False), 2
+        bounds = np.repeat(bounds, 2)
+        bounds[1::2] += per_page
+    for start in range(0, m, BLOCK_PAGES):
+        stop = min(start + BLOCK_PAGES, m)
+        last = step * (stop - 1)
+        segments = bounds[step * start : last + 1]
+        block = flat[: bounds[last] + per_page]
+        page_min[start:stop] = np.minimum.reduceat(block, segments)[::step]
+        page_max[start:stop] = np.maximum.reduceat(block, segments)[::step]
 
 
 def _scan_by_extent(
@@ -124,101 +145,120 @@ def _scan_by_extent(
     valid_counts: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Extent-first scan: ``(rowids, values, page_qualifies, max_below,
-    min_above)`` of the given (non-empty) pages.
+    min_above)`` of the given (non-empty) pages, in three phases that
+    each run once per scan.
 
-    Two plain reductions give every page's extent.  A page wholly below
-    ``lo`` or wholly above ``hi`` is finished there: it cannot qualify
-    and its evidence is the extent itself.  Only the remaining
-    *straddling* pages are filtered against ``[lo, hi]``, and only those
-    of them without a hit pay the masked reductions for their evidence.
-    Nothing outlives the call — the extents are recomputed from the
-    page contents by every scan, so, unlike a stored zone map, there is
-    nothing for updates to invalidate.
+    *Extents*: two reductions give every page's min and max.  *Classify*:
+    a page wholly below ``lo`` or wholly above ``hi`` is finished — it
+    cannot qualify and its evidence is the extent itself.  *Filter*:
+    only the remaining *straddling* pages are compared against
+    ``[lo, hi]``, a chunk at a time, and those of them without a hit
+    get their evidence from two more reductions.  Nothing outlives the
+    call — the extents are recomputed from the page contents by every
+    scan, so, unlike a stored zone map, there is nothing for updates to
+    invalidate.  Methods (``.nonzero()``, ``.repeat()``) stand where
+    numpy's Python-level wrappers would: on a scan of a few dozen pages
+    those cost more than the work.
     """
     file = column.file
+    data = file.data
     per_page = column.values_per_page
     n = fpages.size
+    first = int(fpages[0])
+    if fpages[-1] - first == n - 1 and (fpages == np.arange(first, first + n)).all():
+        pages = data[first : first + n]  # the full view, any run: read in place
+    elif n <= BLOCK_PAGES:
+        pages = data[fpages]  # a view hit: gathered once, for all phases
+    else:
+        pages = None  # gathered a block at a time
+
+    page_min = np.empty(n, dtype=np.int64)
+    page_max = np.empty(n, dtype=np.int64)
+    if pages is not None:
+        _page_extents(pages, page_min, page_max)
+    else:
+        for start in range(0, n, BLOCK_PAGES):
+            block = slice(start, start + BLOCK_PAGES)
+            _page_extents(data[fpages[block]], page_min[block], page_max[block])
+    if valid_counts is not None:
+        # The padding of a partial page must not enter its extent.
+        partial = (valid_counts < per_page).nonzero()[0]
+        rows = data[fpages[partial]]
+        valid = _slot_mask(valid_counts[partial], per_page)
+        page_min[partial] = np.minimum.reduce(
+            rows, axis=1, where=valid, initial=NO_ABOVE
+        )
+        page_max[partial] = np.maximum.reduce(
+            rows, axis=1, where=valid, initial=NO_BELOW
+        )
+
+    # The extent of a page wholly outside [lo, hi] is its evidence: the
+    # two vectors become the evidence where they stand.
+    reaches_lo = page_max >= lo
+    reaches_hi = page_min <= hi
+    straddling = (reaches_lo & reaches_hi).nonzero()[0]
+    max_below, min_above = page_max, page_min
+    max_below[reaches_lo] = NO_BELOW
+    min_above[reaches_hi] = NO_ABOVE
     page_qualifies = np.zeros(n, dtype=bool)
-    max_below = np.full(n, NO_BELOW, dtype=np.int64)
-    min_above = np.full(n, NO_ABOVE, dtype=np.int64)
     rowid_parts: list[np.ndarray] = []
     value_parts: list[np.ndarray] = []
 
-    for start in range(0, n, BLOCK_PAGES):
-        stop = min(start + BLOCK_PAGES, n)
-        block = fpages[start:stop]
-        data = _block_values(file, block)
-        page_min = data.min(axis=1)
-        page_max = data.max(axis=1)
-        counts = None if valid_counts is None else valid_counts[start:stop]
-        if counts is not None and counts.min() < per_page:
-            # The padding of a partial page must not enter its extent.
-            partial = np.flatnonzero(counts < per_page)
-            valid = _slot_mask(counts[partial], per_page)
-            page_min[partial] = np.minimum.reduce(
-                data[partial], axis=1, where=valid, initial=NO_ABOVE
-            )
-            page_max[partial] = np.maximum.reduce(
-                data[partial], axis=1, where=valid, initial=NO_BELOW
-            )
-
-        below = page_max < lo
-        above = page_min > hi
-        np.copyto(max_below[start:stop], page_max, where=below)
-        np.copyto(min_above[start:stop], page_min, where=above)
-        straddling = np.flatnonzero(~(below | above))
-        if straddling.size == 0:
-            continue
-
+    for start in range(0, straddling.size, BLOCK_PAGES):
+        chunk = straddling[start : start + BLOCK_PAGES]
         # One row per straddling page, contiguous, so that flat hit
         # positions index values and rowids alike.
-        if straddling.size == block.size:
-            sub = np.ascontiguousarray(data)
+        if pages is None:
+            sub = data[fpages[chunk]]
+        elif chunk[-1] - chunk[0] == chunk.size - 1:
+            sub = np.ascontiguousarray(pages[chunk[0] : chunk[-1] + 1])
         else:
-            sub = data[straddling]
+            sub = pages[chunk]
         hit_mask = sub >= lo
         hit_mask &= sub <= hi
         valid = None
-        if counts is not None and counts[straddling].min() < per_page:
-            valid = _slot_mask(counts[straddling], per_page)
+        if valid_counts is not None and valid_counts[chunk].min() < per_page:
+            valid = _slot_mask(valid_counts[chunk], per_page)
             hit_mask &= valid
-        hits_per_page = np.count_nonzero(hit_mask, axis=1)
+        # The flat hit positions ascend: a page's hits are those between
+        # its two boundaries.
+        hits = hit_mask.reshape(-1).nonzero()[0]
+        ends = hits.searchsorted(np.arange(chunk.size + 1) * per_page)
+        hits_per_page = ends[1:] - ends[:-1]
         has_hit = hits_per_page > 0
-        page_qualifies[start + straddling] = has_hit
-
-        hits = np.flatnonzero(hit_mask)
+        page_qualifies[chunk] = has_hit
         if hits.size:
             # rowid = pageID * per_page + slot, and the flat position of
             # a hit is its row in ``sub`` * per_page + slot.
             rowid_shift = (
-                file.headers[block[straddling]] - np.arange(straddling.size)
+                file.headers[fpages[chunk]] - np.arange(chunk.size)
             ) * per_page
-            rowid_parts.append(hits + np.repeat(rowid_shift, hits_per_page))
+            rowid_parts.append(hits + rowid_shift.repeat(hits_per_page))
             value_parts.append(sub.reshape(-1)[hits])
 
-        missed = np.flatnonzero(~has_hit)
-        if missed.size:
-            rows = sub[missed]
-            below_mask = rows < lo
-            above_mask = rows > hi
-            if valid is not None:
-                below_mask &= valid[missed]
-                above_mask &= valid[missed]
-            where = start + straddling[missed]
-            max_below[where] = np.maximum.reduce(
-                rows, axis=1, where=below_mask, initial=NO_BELOW
-            )
+        missed = (~has_hit).nonzero()[0]
+        if missed.size == 0:
+            continue
+        where = chunk[missed]
+        rows = sub[missed]
+        if valid is None:
+            # A straddling page without a hit has values on both sides.
+            # Counted up from ``lo`` round the wrapping value order,
+            # those above ``hi`` come first and those below ``lo`` last:
+            # two plain reductions find the evidence.
+            turned = np.subtract(rows, lo, out=rows).view(np.uint64)
+            min_above[where] = np.minimum.reduce(turned, axis=1).view(np.int64) + lo
+            max_below[where] = np.maximum.reduce(turned, axis=1).view(np.int64) + lo
+        else:  # a chunk with a padded page: its padding is no evidence
+            ok = valid[missed]
             min_above[where] = np.minimum.reduce(
-                rows, axis=1, where=above_mask, initial=NO_ABOVE
+                rows, axis=1, where=ok & (rows > hi), initial=NO_ABOVE
+            )
+            max_below[where] = np.maximum.reduce(
+                rows, axis=1, where=ok & (rows < lo), initial=NO_BELOW
             )
 
-    return (
-        joined(rowid_parts),
-        joined(value_parts),
-        page_qualifies,
-        max_below,
-        min_above,
-    )
+    return joined(rowid_parts), joined(value_parts), page_qualifies, max_below, min_above
 
 
 def batch_scan(

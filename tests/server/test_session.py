@@ -1,5 +1,7 @@
 """Session layer: options, disciplines, the response envelope."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -263,3 +265,43 @@ class TestRenderResponse:
         lines = []
         render_response(Response(), emit=lines.append)
         assert lines == []
+
+
+class TestResultDigest:
+    @staticmethod
+    def _sorted_copy_digest(rowids, values) -> str:
+        """The digest's definition: blake2b over the bytes of the rowids
+        sorted, then of the values in that order."""
+        order = np.argsort(rowids, kind="stable")
+        digest = hashlib.blake2b(digest_size=16)
+        digest.update(np.asarray(rowids, dtype=np.int64)[order].tobytes())
+        digest.update(np.asarray(values, dtype=np.int64)[order].tobytes())
+        return digest.hexdigest()
+
+    def test_permuted_result_digests_like_its_sorted_twin(self):
+        rng = np.random.default_rng(0)
+        rowids = np.flatnonzero(rng.random(5_000) < 0.3)
+        values = rng.integers(-(2**62), 2**62, size=rowids.size)
+        order = rng.permutation(rowids.size)
+        want = self._sorted_copy_digest(rowids, values)
+        assert result_digest(rowids, values) == want
+        assert result_digest(rowids[order], values[order]) == want
+        # Neither a strided view nor a plain list changes the bytes hashed.
+        assert result_digest(np.stack([rowids, rowids], 1)[:, 0], values.tolist()) == want
+        assert result_digest(rowids[:1], values[:1]) != want
+
+    def test_repeated_rowids_keep_their_order(self):
+        rowids, values = np.array([4, 2, 4, 2]), np.array([1, 2, 3, 4])
+        assert result_digest(rowids, values) == self._sorted_copy_digest(rowids, values)
+
+    @pytest.mark.parametrize("size", [0, 1, 1_000])
+    def test_ascending_input_is_never_sorted(self, size, monkeypatch):
+        rowids = np.arange(size, dtype=np.int64) * 3
+        values = rowids[::-1].copy()
+        want = self._sorted_copy_digest(rowids, values)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("argsort called on ascending rowids")
+
+        monkeypatch.setattr(np, "argsort", no_sort)
+        assert result_digest(rowids, values) == want

@@ -1,7 +1,6 @@
 """Graceful shutdown: drain in-flight statements, flush buffers + WAL."""
 
 import threading
-import time
 
 import numpy as np
 
@@ -75,6 +74,21 @@ class TestStopFlushes:
         manager.close()
 
 
+def _watch_drain(srv):
+    """Wrap ``srv.drain``: ``(entered, outcomes)`` — an event set when
+    ``stop()`` reaches the drain, and the list its verdicts land in."""
+    entered, outcomes = threading.Event(), []
+    drain = srv.drain
+
+    def watched(timeout):
+        entered.set()
+        outcomes.append(drain(timeout))
+        return outcomes[-1]
+
+    srv.drain = watched
+    return entered, outcomes
+
+
 class TestDrain:
     def test_stop_waits_for_inflight_request(self, tmp_path):
         manager, _ = _durable_manager(tmp_path)
@@ -82,15 +96,19 @@ class TestDrain:
         server.start()
         srv = server._server
         srv.request_started()  # a statement is mid-dispatch
+        entered, outcomes = _watch_drain(srv)
         stopper = threading.Thread(
-            target=server.stop, kwargs={"drain_timeout": 10.0}
+            target=server.stop, kwargs={"drain_timeout": 60.0}
         )
         stopper.start()
-        time.sleep(0.3)
-        assert stopper.is_alive(), "stop() returned with a request in flight"
+        assert entered.wait(timeout=30), "stop() never reached the drain"
+        # stop() is in the drain now, and the only way out short of the
+        # timeout is the in-flight counter reaching zero.
+        assert srv._inflight == 1 and not outcomes
         srv.request_finished()
-        stopper.join(timeout=10)
+        stopper.join(timeout=30)
         assert not stopper.is_alive()
+        assert outcomes == [True], "stop() did not wait for the request"
         manager.close()
 
     def test_drain_times_out_rather_than_hanging(self, tmp_path):
@@ -98,10 +116,15 @@ class TestDrain:
         server = QueryServer(manager=manager)
         server.start()
         srv = server._server
-        srv.request_started()
-        start = time.monotonic()
-        server.stop(drain_timeout=0.2)
-        assert time.monotonic() - start < 5
+        srv.request_started()  # never finishes while stop() runs
+        _, outcomes = _watch_drain(srv)
+        stopper = threading.Thread(
+            target=server.stop, kwargs={"drain_timeout": 0.05}
+        )
+        stopper.start()
+        stopper.join(timeout=30)
+        assert not stopper.is_alive(), "stop() hung on a stuck request"
+        assert outcomes == [False] and srv._inflight == 1
         srv.request_finished()
         manager.close()
 
