@@ -60,99 +60,6 @@ def scaled_pages(paper_pages: int = PAPER_COLUMN_PAGES) -> int:
     return max(int(paper_pages / DEFAULT_DIVISOR * scale_factor()), 64)
 
 
-def shard_count() -> int:
-    """User-requested shard count (``REPRO_SHARDS``, default 1).
-
-    Validated exactly like ``REPRO_SCALE``: it must be a positive
-    integer (a shard count is a partition size; zero, negative or
-    fractional values would silently break the partition planner).
-    Consumed by ``python -m repro perf --shards`` as its default and by
-    :func:`session_seed` to derive per-shard workload streams.
-    """
-    raw = os.environ.get("REPRO_SHARDS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SHARDS must be a positive integer, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise ValueError(
-            f"REPRO_SHARDS must be a positive integer, got {raw!r}"
-        )
-    return value
-
-
-def session_count() -> int:
-    """User-requested session count (``REPRO_SESSIONS``, default 1).
-
-    Validated exactly like ``REPRO_SCALE``: it must be a positive
-    integer (a concurrency level of zero, negative or fractional
-    sessions is meaningless).  Consumed by the serving benchmark
-    (``python -m repro perf --serve``) as its default maximum
-    concurrency sweep.
-    """
-    raw = os.environ.get("REPRO_SESSIONS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SESSIONS must be a positive integer, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise ValueError(
-            f"REPRO_SESSIONS must be a positive integer, got {raw!r}"
-        )
-    return value
-
-
-def tier_budget() -> int | None:
-    """User-requested hot-page budget (``REPRO_TIER_BUDGET``, default None).
-
-    Validated exactly like ``REPRO_SCALE``: when set, it must be a
-    positive integer (a hot budget of zero, negative or fractional
-    pages is meaningless).  Consumed by the tiered-scan benchmark
-    (``python -m repro perf --tiered``) as its default hot-page budget;
-    unset means the benchmark sweeps its built-in budget fractions.
-    """
-    raw = os.environ.get("REPRO_TIER_BUDGET")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_TIER_BUDGET must be a positive integer, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise ValueError(
-            f"REPRO_TIER_BUDGET must be a positive integer, got {raw!r}"
-        )
-    return value
-
-
-def wal_fsync_policy() -> str | None:
-    """User-requested WAL fsync policy (``REPRO_WAL_FSYNC``, default None).
-
-    Validated exactly like ``REPRO_SCALE``: when set, it must be one of
-    the :data:`~repro.wal.config.FSYNC_POLICIES` names — an unknown
-    policy would silently benchmark nothing.  Consumed by the
-    durability benchmark (``python -m repro perf --durability``) to
-    restrict the sweep to one policy; unset means all policies run.
-    """
-    raw = os.environ.get("REPRO_WAL_FSYNC")
-    if raw is None:
-        return None
-    from ..wal.config import FSYNC_POLICIES
-
-    if raw not in FSYNC_POLICIES:
-        raise ValueError(
-            f"REPRO_WAL_FSYNC must be one of {'/'.join(FSYNC_POLICIES)}, "
-            f"got {raw!r}"
-        )
-    return raw
-
-
 def session_seed(shard: int | None = None) -> int:
     """User-requested session seed (``REPRO_SEED``, default 0).
 
@@ -163,8 +70,8 @@ def session_seed(shard: int | None = None) -> int:
 
     With ``shard`` set, returns that shard's derived sub-seed
     (:func:`repro.seeds.derive_seed`): per-shard workload streams stay
-    deterministic *and* decorrelated under any ``REPRO_SHARDS`` value,
-    while ``shard=None`` keeps the historical whole-session seed.
+    deterministic *and* decorrelated from one another and from the
+    whole-session seed, which ``shard=None`` keeps.
     """
     if shard is None:
         return base_seed()

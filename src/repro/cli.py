@@ -211,162 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                 help="emit JSON instead of the Prometheus text format",
             )
 
-    from .bench.perf import DEFAULT_PERF_PAGES
-
-    perf = subparsers.add_parser(
-        "perf",
-        help="wall-clock fast-path microbenchmarks (writes BENCH_perf.json)",
-    )
-    perf.add_argument(
-        "--pages",
-        type=int,
-        default=DEFAULT_PERF_PAGES,
-        help=f"column size in pages (default: {DEFAULT_PERF_PAGES})",
-    )
-    perf.add_argument(
-        "--iterations",
-        type=int,
-        default=3,
-        help="timed calls per benchmark and mode; the best counts (default: 3)",
-    )
-    perf.add_argument(
-        "--json",
-        type=str,
-        default="BENCH_perf.json",
-        help="output JSON path (default: BENCH_perf.json)",
-    )
-    perf.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help=(
-            "max shard count for the sharded-scan sweep; powers of two up "
-            "to it are benchmarked (default: 8, or REPRO_SHARDS when set; "
-            "0 disables the sweep)"
-        ),
-    )
-    perf.add_argument(
-        "--sharded-pages",
-        type=int,
-        default=None,
-        help=(
-            "column size in pages for the sharded-scan sweep "
-            "(default: --pages)"
-        ),
-    )
-    perf.add_argument(
-        "--paper-scale",
-        action="store_true",
-        help=(
-            "additionally run the paper's 1M-page column through the "
-            "sharded scan (native backend when available; needs ~12 GB "
-            "RAM to generate and hold the column)"
-        ),
-    )
-    perf.add_argument(
-        "--serve",
-        action="store_true",
-        help=(
-            "additionally run the serving-layer concurrency benchmark "
-            "(queries/sec over the wire at increasing session counts)"
-        ),
-    )
-    perf.add_argument(
-        "--serve-only",
-        action="store_true",
-        help=(
-            "run only the serving benchmark (pair with --merge to "
-            "refresh just the 'serving' section of an existing JSON)"
-        ),
-    )
-    perf.add_argument(
-        "--sessions",
-        type=int,
-        default=None,
-        help=(
-            "max session count for the serving sweep (default: "
-            "REPRO_SESSIONS when set, else the 1/2/4/8 sweep)"
-        ),
-    )
-    perf.add_argument(
-        "--serving-pages",
-        type=int,
-        default=None,
-        help="column size in pages for the serving benchmark (default: 4096)",
-    )
-    perf.add_argument(
-        "--tiered",
-        action="store_true",
-        help=(
-            "additionally run the tiered-scan benchmark (hot-budget "
-            "sweep with hot-hit ratios, cross-checked against an "
-            "untiered baseline)"
-        ),
-    )
-    perf.add_argument(
-        "--tiered-only",
-        action="store_true",
-        help=(
-            "run only the tiered-scan benchmark (pair with --merge to "
-            "refresh just the 'tiered_scan' section of an existing JSON)"
-        ),
-    )
-    perf.add_argument(
-        "--tiered-pages",
-        type=int,
-        default=None,
-        help=(
-            "column size in pages for the tiered-scan benchmark "
-            "(default: --pages)"
-        ),
-    )
-    perf.add_argument(
-        "--tier-budget",
-        type=int,
-        default=None,
-        help=(
-            "hot-page budget for the tiered-scan benchmark (default: "
-            "REPRO_TIER_BUDGET when set, else a 1.0/0.5/0.25/0.1 "
-            "budget-fraction sweep)"
-        ),
-    )
-    perf.add_argument(
-        "--durability",
-        action="store_true",
-        help=(
-            "additionally run the durability benchmark (insert "
-            "throughput per fsync policy against a no-WAL baseline)"
-        ),
-    )
-    perf.add_argument(
-        "--durability-only",
-        action="store_true",
-        help=(
-            "run only the durability benchmark (pair with --merge to "
-            "refresh just the 'durability' section of an existing JSON)"
-        ),
-    )
-    from .wal.config import FSYNC_POLICIES
-
-    perf.add_argument(
-        "--fsync",
-        choices=FSYNC_POLICIES,
-        default=None,
-        help=(
-            "restrict the durability benchmark to one fsync policy "
-            "(default: REPRO_WAL_FSYNC when set, else all policies)"
-        ),
-    )
-    perf.add_argument(
-        "--merge",
-        action="store_true",
-        help=(
-            "merge the payload's sections into the existing JSON file "
-            "instead of overwriting it"
-        ),
-    )
-
     from .server.server import DEFAULT_HOST, DEFAULT_PORT
+    from .wal.config import FSYNC_POLICIES
 
     serve = subparsers.add_parser(
         "serve",
@@ -698,55 +544,6 @@ def _run_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_perf(args: argparse.Namespace) -> int:
-    from .bench.harness import shard_count, tier_budget
-    from .bench.perf import render_perf, run_perf, write_perf_json
-
-    max_shards = args.shards
-    if max_shards is None:
-        env_shards = shard_count()
-        max_shards = env_shards if env_shards > 1 else 8
-    if max_shards < 0:
-        print(f"error: --shards must be >= 0, got {max_shards}")
-        return 2
-    shard_counts = tuple(
-        n for n in (1, 2, 4, 8, 16, 32, 64) if n <= max_shards
-    )
-    budget = args.tier_budget
-    if budget is None:
-        budget = tier_budget()
-    elif budget <= 0:
-        print(f"error: --tier-budget must be positive, got {budget}")
-        return 2
-    fsync_policy = args.fsync
-    if fsync_policy is None:
-        from .bench.harness import wal_fsync_policy
-
-        fsync_policy = wal_fsync_policy()
-    payload = run_perf(
-        num_pages=args.pages,
-        iterations=args.iterations,
-        shard_counts=shard_counts,
-        sharded_pages=args.sharded_pages,
-        paper_scale=args.paper_scale,
-        serve=args.serve,
-        serve_sessions=args.sessions,
-        serving_pages=args.serving_pages,
-        serve_only=args.serve_only,
-        tiered=args.tiered,
-        tiered_pages=args.tiered_pages,
-        tier_budget_pages=budget,
-        tiered_only=args.tiered_only,
-        durability=args.durability,
-        durability_only=args.durability_only,
-        fsync_policy=fsync_policy,
-    )
-    print(render_perf(payload))
-    write_perf_json(payload, args.json, merge=args.merge)
-    print(f"\n[results written to {args.json}]")
-    return 0
-
-
 def _run_serve(args: argparse.Namespace) -> int:
     import signal
 
@@ -832,7 +629,6 @@ def render_backends() -> str:
     """One diagnostic block: backend availability and active toggles."""
     import os
 
-    from . import fastpath
     from .native import is_supported
     from .native.platform import IS_LINUX, libc
     from .vm.constants import PAGE_SIZE
@@ -871,11 +667,6 @@ def render_backends() -> str:
     lines.append("")
     lines.append("session toggles")
     lines.append("-" * 40)
-    raw = os.environ.get(fastpath.ENV_VAR)
-    source = f"{fastpath.ENV_VAR}={raw}" if raw is not None else "default"
-    lines.append(
-        f"fast paths : {'on' if fastpath.enabled() else 'off'} ({source})"
-    )
     lines.append(
         "observe    : per-database opt-in (AdaptiveDatabase(observe=True))"
     )
@@ -966,8 +757,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_audit(args)
     if args.command == "resilience":
         return _run_resilience(args)
-    if args.command == "perf":
-        return _run_perf(args)
     if args.command == "serve":
         return _run_serve(args)
     if args.command == "recover":

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .. import fastpath
 from ..storage.column import PhysicalColumn
 from ..storage.page import clamp_range
 from ..vm.cost import MAIN_LANE
@@ -290,30 +289,9 @@ def batch_scan(
 
     file = column.file
     valid_counts = _valid_counts(column, fpages)
-    if fastpath.enabled():
-        rowids, values, page_qualifies, max_below, min_above = _scan_by_extent(
-            column, fpages, lo, hi, valid_counts
-        )
-    else:
-        # The parity oracle: every page filtered whole, evidence from
-        # full-size sentinel-filled copies, in one pass over all pages.
-        data = file.data[fpages]
-        qual_mask = (data >= lo) & (data <= hi)
-        below_mask = data < lo
-        above_mask = data > hi
-        if valid_counts is not None:
-            valid = _slot_mask(valid_counts, column.values_per_page)
-            qual_mask &= valid
-            below_mask &= valid
-            above_mask &= valid
-        page_qualifies = qual_mask.any(axis=1)
-        max_below = np.where(below_mask, data, NO_BELOW).max(axis=1)
-        min_above = np.where(above_mask, data, NO_ABOVE).min(axis=1)
-        max_below[page_qualifies] = NO_BELOW
-        min_above[page_qualifies] = NO_ABOVE
-        page_idx, slots = np.nonzero(qual_mask)
-        rowids = file.headers[fpages][page_idx] * column.values_per_page + slots
-        values = data[page_idx, slots]
+    rowids, values, page_qualifies, max_below, min_above = _scan_by_extent(
+        column, fpages, lo, hi, valid_counts
+    )
 
     if charge:
         cost = column.cost

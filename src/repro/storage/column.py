@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..substrate.interface import PageStore, Substrate
-from ..substrate.simulated import as_substrate
 from ..vm.cost import MAIN_LANE, CostModel
 from ..vm.constants import VALUE_WIDTH
 from . import layout
@@ -30,9 +29,7 @@ class PhysicalColumn:
     """One column materialized in physical memory (a main-memory file).
 
     The column speaks only the backend-neutral
-    :class:`~repro.substrate.interface.Substrate` protocol; legacy
-    callers may still pass a :class:`~repro.vm.mmap_api.MemoryMapper`,
-    which is wrapped in a simulated substrate transparently.
+    :class:`~repro.substrate.interface.Substrate` protocol.
     """
 
     def __init__(
@@ -44,7 +41,7 @@ class PhysicalColumn:
         record_bytes: int = VALUE_WIDTH,
     ) -> None:
         self.name = name
-        self.substrate = as_substrate(substrate)
+        self.substrate = substrate
         self.file = file
         self.num_rows = num_rows
         #: Width of one stored record; the indexed key is its first 8 B.
@@ -81,7 +78,6 @@ class PhysicalColumn:
         pages with embedded pageIDs, and charges the initial write.
         ``record_bytes`` > 8 models wide records (key + payload).
         """
-        substrate = as_substrate(substrate)
         values = np.asarray(values, dtype=np.int64)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("column values must be a non-empty 1-D array")

@@ -18,7 +18,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from ..substrate.interface import Substrate
-from ..substrate.simulated import SimulatedSubstrate, as_substrate
+from ..substrate.simulated import SimulatedSubstrate
 from ..vm.cost import CostModel
 from ..vm.physical import PhysicalMemory
 from .column import PhysicalColumn
@@ -162,7 +162,7 @@ class Catalog:
         if substrate is not None:
             if memory is not None:
                 raise ValueError("pass either substrate= or memory=, not both")
-            self.substrate = as_substrate(substrate)
+            self.substrate = substrate
         else:
             self.substrate = SimulatedSubstrate(memory=memory, cost=cost)
         self._tables: dict[str, Table] = {}

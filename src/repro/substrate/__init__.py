@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from ..vm.cost import CostModel
 from .interface import PageStore, Substrate, WallClockLedger
-from .simulated import SHM_PREFIX, SimulatedSubstrate, as_substrate
+from .simulated import SHM_PREFIX, SimulatedSubstrate
 
 #: Backend names :func:`make_substrate` accepts.
 BACKENDS = ("simulated", "native")
@@ -59,6 +59,5 @@ __all__ = [
     "SimulatedSubstrate",
     "Substrate",
     "WallClockLedger",
-    "as_substrate",
     "make_substrate",
 ]

@@ -50,7 +50,7 @@ from ..native.rewiring import RewiringUnsupportedError
 from ..vm.constants import PAGE_SIZE, VALUES_PER_PAGE
 from ..vm.cost import MAIN_LANE, CostModel
 from ..vm.errors import FileError
-from ..vm.procmaps import MapsEntry, MappingSnapshot, make_snapshot, parse_maps
+from ..vm.procmaps import MapsEntry, MappingSnapshot, parse_maps
 from .interface import Substrate, WallClockLedger
 
 #: int64 slots in one raw page (header slot + data slots).
@@ -480,7 +480,7 @@ class NativeSubstrate(Substrate):
             ]
             if cost is not None:
                 cost.maps_parse(len(entries), lane)
-            return make_snapshot(
+            return MappingSnapshot.from_entries(
                 entries, cost=cost, lane=lane, file_filter=file_filter
             )
 

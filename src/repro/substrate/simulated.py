@@ -208,23 +208,3 @@ class SimulatedSubstrate(Substrate):
 
     def close(self) -> None:
         pass
-
-
-def as_substrate(obj) -> Substrate:
-    """Coerce legacy handles to a substrate.
-
-    Accepts a :class:`Substrate` (returned as-is), a
-    :class:`MemoryMapper` or a :class:`PhysicalMemory` (wrapped in a
-    :class:`SimulatedSubstrate`).  This is what lets every pre-substrate
-    call site — ``PhysicalColumn.create(mapper, ...)``, ``Catalog(memory)``
-    — keep working unchanged.
-    """
-    if isinstance(obj, Substrate):
-        return obj
-    if isinstance(obj, MemoryMapper):
-        return SimulatedSubstrate(mapper=obj)
-    if isinstance(obj, PhysicalMemory):
-        return SimulatedSubstrate(memory=obj)
-    raise TypeError(
-        f"cannot interpret {type(obj).__name__!r} as a memory substrate"
-    )

@@ -25,11 +25,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .. import fastpath
 from .address_space import AddressSpace
 from .constants import PAGE_SIZE
 from .cost import MAIN_LANE, CostModel
@@ -157,118 +156,29 @@ def _expand_runs(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class MappingSnapshot:
-    """Page-wise virtual↔physical mapping built from parsed maps entries.
+    """Page-wise virtual↔physical mapping built from maps entries.
 
     Forward direction (virtual page → physical page) is one-to-one;
     the reverse direction is one-to-many because overlapping views share
     physical pages.  The snapshot is maintained from user space while a
     batch of updates is applied (pages mapped into / removed from views)
     and discarded afterwards, exactly as Section 2.5 describes.
-    """
-
-    def __init__(
-        self,
-        entries: list[MapsEntry] | None = None,
-        cost: CostModel | None = None,
-        lane: str = MAIN_LANE,
-        file_filter: str | None = None,
-    ) -> None:
-        self._forward: dict[int, PhysPage] = {}
-        self._reverse: dict[PhysPage, set[int]] = {}
-        self._cost = cost
-        total = 0
-        for entry in entries or []:
-            if entry.anonymous:
-                continue
-            if file_filter is not None and entry.pathname != file_filter:
-                continue
-            path = entry.pathname
-            for i in range(entry.npages):
-                self._map_uncharged(entry.start_vpn + i, (path, entry.file_page + i))
-            total += entry.npages
-        # All construction-time inserts are charged with one ledger call
-        # (same total as charging page by page).
-        if cost is not None and total:
-            cost.bimap_op(total, lane)
-
-    def __len__(self) -> int:
-        return len(self._forward)
-
-    def map(self, vpn: int, phys: PhysPage, lane: str = MAIN_LANE) -> None:
-        """Record that virtual page ``vpn`` now maps ``phys``."""
-        self._map_uncharged(vpn, phys)
-        if self._cost is not None:
-            self._cost.bimap_op(1, lane)
-
-    def _map_uncharged(self, vpn: int, phys: PhysPage) -> None:
-        self.unmap(vpn, charge=False)
-        self._forward[vpn] = phys
-        self._reverse.setdefault(phys, set()).add(vpn)
-
-    def unmap(self, vpn: int, lane: str = MAIN_LANE, charge: bool = True) -> None:
-        """Forget the mapping of virtual page ``vpn`` (no-op if absent)."""
-        phys = self._forward.pop(vpn, None)
-        if phys is not None:
-            virtuals = self._reverse.get(phys)
-            if virtuals is not None:
-                virtuals.discard(vpn)
-                if not virtuals:
-                    del self._reverse[phys]
-        if charge and self._cost is not None:
-            self._cost.bimap_op(1, lane)
-
-    def physical_of(self, vpn: int) -> PhysPage | None:
-        """Physical page behind virtual page ``vpn``, if known."""
-        if self._cost is not None:
-            self._cost.bimap_op(1)
-        return self._forward.get(vpn)
-
-    def virtuals_of(self, phys: PhysPage) -> frozenset[int]:
-        """All virtual pages currently mapping ``phys``."""
-        if self._cost is not None:
-            self._cost.bimap_op(1)
-        return frozenset(self._reverse.get(phys, ()))
-
-    def virtuals_of_pages(
-        self, path: str, fpages: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Every virtual page currently mapping one of ``path``'s ``fpages``.
-
-        The bulk form of :meth:`virtuals_of`: returns ``(which, vpns)``,
-        one element per mapping in no particular order, meaning virtual
-        page ``vpns[i]`` maps ``(path, fpages[which[i]])``.  Charges
-        nothing: batch alignment puts the question once per (view, page)
-        pair and charges those lookups itself, on its lane, as it walks
-        the pairs.
-        """
-        which: list[int] = []
-        vpns: list[int] = []
-        for i, fpage in enumerate(fpages.tolist()):
-            virtuals = self._reverse.get((path, fpage), ())
-            which.extend([i] * len(virtuals))
-            vpns.extend(virtuals)
-        return np.array(which, dtype=np.int64), np.array(vpns, dtype=np.int64)
-
-
-class _ArrayMappingSnapshot(MappingSnapshot):
-    """Array-backed snapshot: numpy-built, binary-search lookups.
 
     The bulk of a snapshot's life is construction — one entry per mapped
-    page — so this backend takes the maps entries as *columns* and
-    expands them to pages with whole-array operations, and answers
-    lookups by binary search over the (virtually sorted) page arrays.
-    The handful of mutations a maintenance batch performs live in a
-    small overlay dict on top of the immutable base arrays.
+    page — so it takes the maps entries as *columns* and expands them to
+    pages with whole-array operations, and answers lookups by binary
+    search over the (virtually sorted) page arrays.  The handful of
+    mutations a maintenance batch performs live in a small overlay dict
+    on top of the immutable base arrays.
 
-    Simulated costs are charged exactly as the dict-backed reference:
-    one bimap op per constructed page (in a single ledger call), one per
-    map/unmap/lookup.
+    Simulated costs: one bimap op per constructed page (in a single
+    ledger call), one per map/unmap/lookup.
     """
 
     def __init__(
         self,
-        paths: list[str],
-        rows: list[tuple[int, int, int, int]],
+        paths: Sequence[str] = (),
+        rows: Sequence[tuple[int, int, int, int]] = (),
         cost: CostModel | None = None,
         lane: str = MAIN_LANE,
     ) -> None:
@@ -286,7 +196,7 @@ class _ArrayMappingSnapshot(MappingSnapshot):
         self._pids = path_id[entry]
         if self._vpns.size > 1 and not np.all(np.diff(self._vpns) > 0):
             # Hand-built entry lists may overlap virtually; keep the
-            # last occurrence per vpn, as the dict reference does.
+            # last occurrence per vpn.
             order = np.argsort(self._vpns, kind="stable")
             sorted_vpns = self._vpns[order]
             keep = np.ones(sorted_vpns.size, dtype=bool)
@@ -312,9 +222,9 @@ class _ArrayMappingSnapshot(MappingSnapshot):
         cost: CostModel | None = None,
         lane: str = MAIN_LANE,
         file_filter: str | None = None,
-    ) -> "_ArrayMappingSnapshot":
+    ) -> "MappingSnapshot":
         """Build from parsed maps entries (anonymous and filtered-out
-        lines skipped, as the dict-backed reference does)."""
+        lines skipped)."""
         path_ids: dict[str, int] = {}
         rows = [
             (
@@ -371,6 +281,7 @@ class _ArrayMappingSnapshot(MappingSnapshot):
         return self._len
 
     def map(self, vpn: int, phys: PhysPage, lane: str = MAIN_LANE) -> None:
+        """Record that virtual page ``vpn`` now maps ``phys``."""
         if self._current_phys(vpn) is None:
             self._len += 1
         self._overlay[vpn] = phys
@@ -378,6 +289,7 @@ class _ArrayMappingSnapshot(MappingSnapshot):
             self._cost.bimap_op(1, lane)
 
     def unmap(self, vpn: int, lane: str = MAIN_LANE, charge: bool = True) -> None:
+        """Forget the mapping of virtual page ``vpn`` (no-op if absent)."""
         if self._current_phys(vpn) is not None:
             self._len -= 1
             if self._base_phys(vpn) is not None:
@@ -388,11 +300,13 @@ class _ArrayMappingSnapshot(MappingSnapshot):
             self._cost.bimap_op(1, lane)
 
     def physical_of(self, vpn: int) -> PhysPage | None:
+        """Physical page behind virtual page ``vpn``, if known."""
         if self._cost is not None:
             self._cost.bimap_op(1)
         return self._current_phys(vpn)
 
     def virtuals_of(self, phys: PhysPage) -> frozenset[int]:
+        """All virtual pages currently mapping ``phys``."""
         if self._cost is not None:
             self._cost.bimap_op(1)
         overlay = self._overlay
@@ -408,6 +322,15 @@ class _ArrayMappingSnapshot(MappingSnapshot):
     def virtuals_of_pages(
         self, path: str, fpages: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
+        """Every virtual page currently mapping one of ``path``'s ``fpages``.
+
+        The bulk form of :meth:`virtuals_of`: returns ``(which, vpns)``,
+        one element per mapping in no particular order, meaning virtual
+        page ``vpns[i]`` maps ``(path, fpages[which[i]])``.  Charges
+        nothing: batch alignment puts the question once per (view, page)
+        pair and charges those lookups itself, on its lane, as it walks
+        the pairs.
+        """
         which = vpns = np.empty(0, dtype=np.int64)
         pid = self._path_ids.get(path)
         if pid is not None and self._vpns.size:
@@ -434,21 +357,6 @@ class _ArrayMappingSnapshot(MappingSnapshot):
         return which, vpns
 
 
-def make_snapshot(
-    entries: Iterable[MapsEntry] | None,
-    cost: CostModel | None = None,
-    lane: str = MAIN_LANE,
-    file_filter: str | None = None,
-) -> MappingSnapshot:
-    """Build a snapshot on the active backend (array fast / dict reference)."""
-    snapshot = (
-        _ArrayMappingSnapshot.from_entries
-        if fastpath.enabled()
-        else MappingSnapshot
-    )
-    return snapshot(entries or (), cost=cost, lane=lane, file_filter=file_filter)
-
-
 def snapshot_address_space(
     address_space: AddressSpace,
     cost: CostModel | None = None,
@@ -459,19 +367,12 @@ def snapshot_address_space(
     """Materialize one address space page-wise in one step.
 
     This is the "parse the file only once before applying a batch of
-    updates" operation from Section 2.5.  The fast branch reads the
-    columns of the maps file straight off the VMA list instead of
-    rendering text and parsing it back, but charges what the simulated
-    process pays for re-reading ``/proc/PID/maps``: the open, one parse
-    per line (= VMA) and one bimap insert per file-backed page.  The
-    reference branch goes through the text and is the parity oracle.
+    updates" operation from Section 2.5.  It reads the columns of the
+    maps file straight off the VMA list instead of rendering text and
+    parsing it back, but charges what the simulated process pays for
+    re-reading ``/proc/PID/maps``: the open, one parse per line (= VMA)
+    and one bimap insert per file-backed page.
     """
-    if not fastpath.enabled():
-        text = render_maps(address_space, shm_prefix=shm_prefix)
-        entries = parse_maps(text, cost=cost, lane=lane)
-        return MappingSnapshot(
-            entries, cost=cost, lane=lane, file_filter=file_filter
-        )
     paths: list[str] = []
     path_id_of: dict[str, int] = {}  # file name -> path id, -1: filtered out
     rows = []
@@ -490,4 +391,4 @@ def snapshot_address_space(
             rows.append((vma.start, vma.npages, vma.file_page, pid))
     if cost is not None:
         cost.maps_parse(address_space.num_vmas, lane)
-    return _ArrayMappingSnapshot(paths, rows, cost=cost, lane=lane)
+    return MappingSnapshot(paths, rows, cost=cost, lane=lane)

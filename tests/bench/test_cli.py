@@ -93,7 +93,6 @@ class TestBackendsCommand:
         assert "substrate backends" in out
         assert "simulated : available" in out
         assert "native    :" in out
-        assert "fast paths :" in out
         assert "observe    :" in out
 
     def test_backends_matches_is_supported(self, capsys):
@@ -103,13 +102,3 @@ class TestBackendsCommand:
         out = capsys.readouterr().out
         expected = "available" if is_supported() else "unavailable"
         assert f"native    : {expected}" in out
-
-    def test_backends_reflects_fastpath_toggle(self, capsys, monkeypatch):
-        from repro import fastpath
-
-        previous = fastpath.set_enabled(False)
-        try:
-            assert main(["backends"]) == 0
-            assert "fast paths : off" in capsys.readouterr().out
-        finally:
-            fastpath.set_enabled(previous)

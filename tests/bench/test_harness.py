@@ -15,12 +15,8 @@ from repro.bench.harness import (
     run_full_scan_sequence,
     scale_divisor,
     scaled_pages,
-    session_count,
     session_seed,
-    shard_count,
-    tier_budget,
     verify_runs_agree,
-    wal_fsync_policy,
 )
 from repro.core.adaptive import AdaptiveStorageLayer
 from repro.core.config import AdaptiveConfig
@@ -60,105 +56,6 @@ class TestScaling:
 
     def test_scale_divisor(self):
         assert scale_divisor(1000) == pytest.approx(1000.0)
-
-
-class TestShardCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        assert shard_count() == 1
-
-    def test_env_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "8")
-        assert shard_count() == 8
-
-    def test_non_integer_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "many")
-        with pytest.raises(ValueError, match="REPRO_SHARDS"):
-            shard_count()
-
-    def test_fractional_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "2.5")
-        with pytest.raises(ValueError, match="REPRO_SHARDS"):
-            shard_count()
-
-    def test_non_positive_env_rejected(self, monkeypatch):
-        for bad in ("0", "-2"):
-            monkeypatch.setenv("REPRO_SHARDS", bad)
-            with pytest.raises(ValueError, match="REPRO_SHARDS"):
-                shard_count()
-
-
-class TestSessionCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SESSIONS", raising=False)
-        assert session_count() == 1
-
-    def test_env_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SESSIONS", "8")
-        assert session_count() == 8
-
-    def test_non_integer_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SESSIONS", "crowd")
-        with pytest.raises(ValueError, match="REPRO_SESSIONS"):
-            session_count()
-
-    def test_fractional_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SESSIONS", "1.5")
-        with pytest.raises(ValueError, match="REPRO_SESSIONS"):
-            session_count()
-
-    def test_non_positive_env_rejected(self, monkeypatch):
-        for bad in ("0", "-3"):
-            monkeypatch.setenv("REPRO_SESSIONS", bad)
-            with pytest.raises(ValueError, match="REPRO_SESSIONS"):
-                session_count()
-
-
-class TestTierBudget:
-    def test_default_is_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TIER_BUDGET", raising=False)
-        assert tier_budget() is None
-
-    def test_env_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER_BUDGET", "1024")
-        assert tier_budget() == 1024
-
-    def test_non_integer_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER_BUDGET", "hot")
-        with pytest.raises(ValueError, match="REPRO_TIER_BUDGET"):
-            tier_budget()
-
-    def test_fractional_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER_BUDGET", "0.25")
-        with pytest.raises(ValueError, match="REPRO_TIER_BUDGET"):
-            tier_budget()
-
-    def test_non_positive_env_rejected(self, monkeypatch):
-        for bad in ("0", "-16"):
-            monkeypatch.setenv("REPRO_TIER_BUDGET", bad)
-            with pytest.raises(ValueError, match="REPRO_TIER_BUDGET"):
-                tier_budget()
-
-
-class TestWalFsyncPolicy:
-    def test_default_is_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WAL_FSYNC", raising=False)
-        assert wal_fsync_policy() is None
-
-    def test_env_values_pass_through(self, monkeypatch):
-        for policy in ("always", "batch", "off"):
-            monkeypatch.setenv("REPRO_WAL_FSYNC", policy)
-            assert wal_fsync_policy() == policy
-
-    def test_unknown_policy_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WAL_FSYNC", "sometimes")
-        with pytest.raises(ValueError, match="REPRO_WAL_FSYNC"):
-            wal_fsync_policy()
-
-    def test_empty_policy_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WAL_FSYNC", "")
-        with pytest.raises(ValueError, match="REPRO_WAL_FSYNC"):
-            wal_fsync_policy()
 
 
 class TestSessionSeed:

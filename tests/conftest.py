@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.storage.column import PhysicalColumn
+from repro.substrate import SimulatedSubstrate
 from repro.vm.cost import CostModel
 from repro.vm.constants import VALUES_PER_PAGE
 from repro.vm.mmap_api import MemoryMapper
@@ -29,7 +30,9 @@ def build_column(
 ) -> PhysicalColumn:
     """Materialize ``values`` in a brand-new simulated process."""
     memory = PhysicalMemory(capacity_bytes=capacity_mb * 1024 * 1024, cost=CostModel())
-    return PhysicalColumn.create(MemoryMapper(memory), name, values)
+    return PhysicalColumn.create(
+        SimulatedSubstrate(mapper=MemoryMapper(memory)), name, values
+    )
 
 
 def uniform_column(

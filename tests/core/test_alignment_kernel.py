@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import fastpath
 from repro.core import maintenance
 from repro.core.maintenance import align_partial_views
 from repro.core.view import VirtualView
@@ -36,6 +35,7 @@ from repro.storage.updates import UpdateBatch, UpdateRecord
 from repro.substrate import make_substrate
 from repro.vm.constants import VALUES_PER_PAGE
 
+from ..oracle_paths import production_paths, reference_paths
 from .alignment_oracle import oracle_align_partial_views
 
 FUZZ_SCHEDULES = int(os.environ.get("REPRO_FUZZ_SCHEDULES", "200"))
@@ -130,7 +130,7 @@ def _observe(column, views, stats, error) -> dict:
 def _run(scenario: Scenario, align, fast: bool) -> list[dict]:
     """Align every batch of the scenario; what was observable after each."""
     observed = []
-    with fastpath.fast_paths() if fast else fastpath.reference_paths():
+    with production_paths() if fast else reference_paths():
         substrate, column, views, retry = _build(scenario)
         for writes in scenario.batches:
             batch = UpdateBatch()

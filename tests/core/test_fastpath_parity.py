@@ -1,30 +1,23 @@
 """Property tests: the fast paths are observably identical to the
 reference paths.
 
-The fast-path layer (``repro.fastpath``) only changes *wall-clock*
-behaviour; every simulated observable — query results, cost-ledger lane
-totals and operation counters, and the maps-file line count — must be
-bit-identical to the per-page reference implementation.  These tests run
-the same randomized workload on two fresh stacks, one per mode, and
+The fast paths only change *wall-clock* behaviour; every simulated
+observable — query results, cost-ledger lane totals and operation
+counters, and the maps-file line count — must be bit-identical to the
+per-page reference implementation.  These tests run the same randomized
+workload on two fresh stacks, one on the production paths and one on
+the oracles :func:`tests.oracle_paths.reference_paths` patches in, and
 compare everything.
-
-View creation has no toggle: its reference is the per-request loop in
-:mod:`tests.core.creation_oracle`, patched in for the reference run.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import fastpath
 from repro.bench.harness import fresh_column, make_update_batch
-from repro.core import adaptive, maintenance
 from repro.core.adaptive import AdaptiveStorageLayer
 from repro.core.config import AdaptiveConfig, RoutingMode
 from repro.core.scan import batch_scan
@@ -32,7 +25,8 @@ from repro.vm.constants import VALUES_PER_PAGE
 from repro.vm.procmaps import maps_line_count
 from repro.workloads.distributions import linear, sine, sparse, uniform
 
-from .creation_oracle import oracle_materialize_pages
+from ..oracle_paths import production_paths, reference_paths
+
 
 DISTRIBUTIONS = {
     "uniform": uniform,
@@ -61,18 +55,6 @@ _STEP = st.one_of(
         st.integers(0, 2**16),
     ),
 )
-
-
-@contextmanager
-def reference_paths():
-    """Reference everything: the ``fastpath`` forks off, and views built
-    request by request through the creation oracle."""
-    with (
-        fastpath.reference_paths(),
-        mock.patch.object(adaptive, "materialize_pages", oracle_materialize_pages),
-        mock.patch.object(maintenance, "materialize_pages", oracle_materialize_pages),
-    ):
-        yield
 
 
 def _run_workload(dist_name: str, mode: RoutingMode, steps) -> dict:
@@ -118,7 +100,7 @@ def _run_workload(dist_name: str, mode: RoutingMode, steps) -> dict:
 def test_fast_paths_match_reference(dist_name, steps, mode):
     with reference_paths():
         reference = _run_workload(dist_name, mode, steps)
-    with fastpath.fast_paths():
+    with production_paths():
         fast = _run_workload(dist_name, mode, steps)
 
     assert fast["queries"] == reference["queries"]
@@ -150,7 +132,7 @@ def test_batch_scan_results_identical(dist_name, lo, width, dropped, data):
 
     results = []
     ledgers = []
-    for ctx in (fastpath.reference_paths, fastpath.fast_paths):
+    for ctx in (reference_paths, production_paths):
         with ctx():
             column = fresh_column(values, name="scanparity")
             results.append(batch_scan(column, np.asarray(fpages), lo, hi))
@@ -178,7 +160,7 @@ def test_background_mapping_parity():
     observed = {}
     for name, ctx in (
         ("reference", reference_paths),
-        ("fast", fastpath.fast_paths),
+        ("fast", production_paths),
     ):
         with ctx():
             column = fresh_column(values, name="bg")

@@ -4,12 +4,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import fastpath
 from repro.core.scan import BLOCK_PAGES, NO_ABOVE, NO_BELOW, batch_scan
 from repro.vm.constants import MAX_VALUE, MIN_VALUE, VALUES_PER_PAGE
 from repro.workloads.distributions import DISTRIBUTIONS, sine
 
-from ..conftest import build_column, uniform_column
+from ..conftest import build_column
+from ..oracle_paths import production_paths, reference_paths
 
 
 class TestBatchScan:
@@ -115,7 +115,7 @@ def test_blocks_and_partial_last_page_match_reference():
     values = sine(num_pages, seed=3)[: -(VALUES_PER_PAGE - 9)]
     fpages = np.random.default_rng(0).permutation(num_pages)
     results = []
-    for ctx in (fastpath.reference_paths, fastpath.fast_paths):
+    for ctx in (reference_paths, production_paths):
         with ctx():
             results.append(
                 batch_scan(build_column(values), fpages, 20_000_000, 60_000_000)
@@ -179,7 +179,7 @@ def test_batch_scan_equals_per_page_scan(
     lo, hi = query
 
     ledgers = []
-    for ctx in (fastpath.reference_paths, fastpath.fast_paths):
+    for ctx in (reference_paths, production_paths):
         col = build_column(values)
         with ctx():
             result = batch_scan(col, np.array(fpages, dtype=np.int64), lo, hi)

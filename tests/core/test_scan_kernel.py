@@ -32,7 +32,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import fastpath
 from repro.core import scan
 from repro.core.scan import NO_ABOVE, NO_BELOW, batch_scan
 from repro.seeds import derive_seed
@@ -40,6 +39,8 @@ from repro.storage import layout
 from repro.storage.column import PhysicalColumn
 from repro.substrate import make_substrate
 from repro.vm.constants import MAX_VALUE, MIN_VALUE, PAGE_SIZE, VALUES_PER_PAGE
+
+from ..oracle_paths import production_paths, reference_paths
 
 FUZZ_SCHEDULES = int(os.environ.get("REPRO_FUZZ_SCHEDULES", "200"))
 
@@ -148,7 +149,7 @@ def assert_parity(case: Case, monkeypatch) -> dict:
     """Kernel == oracle == reference branch; returns what the case met."""
     monkeypatch.setattr(scan, "BLOCK_PAGES", case.block_pages)
     results, ledgers = [], []
-    for ctx in (fastpath.fast_paths, fastpath.reference_paths):
+    for ctx in (production_paths, reference_paths):
         column, fpages, lo, hi = _build(case)
         stored = column.file.data.copy()
         with ctx():

@@ -158,7 +158,7 @@ class TestNativeMapsSource:
         """Real ``/proc/self/maps`` → entries → both snapshot classes:
         same answers and same charges (the array one expands the
         entries' columns, the dict one loops page by page)."""
-        from repro import fastpath
+        from ..oracle_paths import production_paths, reference_paths
         from repro.vm.cost import CostModel
 
         other = sub.create_file("t.aux", 4)
@@ -171,7 +171,7 @@ class TestNativeMapsSource:
         file_filter = path if filtered else None
 
         built = []
-        for ctx in (fastpath.reference_paths, fastpath.fast_paths):
+        for ctx in (reference_paths, production_paths):
             cost = CostModel()
             with ctx():
                 snap = sub.maps_snapshot(

@@ -11,7 +11,6 @@ The two load-bearing guarantees:
 import numpy as np
 import pytest
 
-from repro import fastpath
 from repro.core.adaptive import AdaptiveStorageLayer
 from repro.core.config import AdaptiveConfig
 from repro.core.facade import AdaptiveDatabase
@@ -23,6 +22,7 @@ from repro.sql.executor import Session
 from repro.vm.constants import VALUES_PER_PAGE
 
 from ..conftest import uniform_column
+from ..oracle_paths import production_paths, reference_paths
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +137,7 @@ def run_facade_workload(observe: bool):
 
 @pytest.mark.parametrize("mode", ["reference", "fast"])
 def test_observation_does_not_change_simulated_costs(mode):
-    ctx = fastpath.fast_paths if mode == "fast" else fastpath.reference_paths
+    ctx = production_paths if mode == "fast" else reference_paths
     with ctx():
         baseline = run_facade_workload(observe=False)
         observed = run_facade_workload(observe=True)
@@ -169,8 +169,8 @@ def run_observed_metrics(ctx):
 def test_bulk_paths_keep_metrics_truthful():
     """``mmap_calls_total{kind}`` and ``maps_lines`` count coalesced/bulk
     operations exactly as the per-page reference paths do."""
-    reference = run_observed_metrics(fastpath.reference_paths)
-    fast = run_observed_metrics(fastpath.fast_paths)
+    reference = run_observed_metrics(reference_paths)
+    fast = run_observed_metrics(production_paths)
     assert fast == reference
     assert fast["maps_lines"] > 0
     kinds = {labels[0][1] for labels, _ in fast["mmap_calls"]}

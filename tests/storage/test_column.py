@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.storage.column import PhysicalColumn
+from repro.substrate import SimulatedSubstrate
 from repro.vm.constants import VALUES_PER_PAGE
 from repro.vm.cost import CostModel
 from repro.vm.mmap_api import MemoryMapper
@@ -29,11 +30,11 @@ class TestCreate:
 
     def test_rejects_empty_and_2d(self):
         memory = PhysicalMemory(cost=CostModel())
-        mapper = MemoryMapper(memory)
+        substrate = SimulatedSubstrate(mapper=MemoryMapper(memory))
         with pytest.raises(ValueError):
-            PhysicalColumn.create(mapper, "c", np.array([]))
+            PhysicalColumn.create(substrate, "c", np.array([]))
         with pytest.raises(ValueError):
-            PhysicalColumn.create(mapper, "c", np.zeros((2, 2)))
+            PhysicalColumn.create(substrate, "c", np.zeros((2, 2)))
 
     def test_load_charges_writes(self):
         values = np.arange(100)

@@ -6,7 +6,6 @@ import pytest
 from repro.storage.table import Catalog, Table
 from repro.storage.column import PhysicalColumn
 from repro.vm.cost import CostModel
-from repro.vm.mmap_api import MemoryMapper
 from repro.vm.physical import PhysicalMemory
 
 
@@ -43,8 +42,8 @@ class TestTable:
 
     def test_row_count_mismatch_rejected(self, catalog):
         cols = {
-            "a": PhysicalColumn.create(catalog.mapper, "x.a", np.arange(10)),
-            "b": PhysicalColumn.create(catalog.mapper, "x.b", np.arange(20)),
+            "a": PhysicalColumn.create(catalog.substrate, "x.a", np.arange(10)),
+            "b": PhysicalColumn.create(catalog.substrate, "x.b", np.arange(20)),
         }
         with pytest.raises(ValueError):
             Table("x", cols)

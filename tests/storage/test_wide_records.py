@@ -14,6 +14,7 @@ from repro.core.config import AdaptiveConfig
 from repro.core.snapshot import SnapshotManager
 from repro.storage import layout
 from repro.storage.column import PhysicalColumn
+from repro.substrate import SimulatedSubstrate
 from repro.vm.constants import PAGE_SIZE, VALUES_PER_PAGE
 from repro.vm.cost import CostModel
 from repro.vm.mmap_api import MemoryMapper
@@ -27,7 +28,7 @@ def wide_column(num_rows=2000, record_bytes=96, seed=0, hi=100_000_000):
     rng = np.random.default_rng(seed)
     values = rng.integers(0, hi, num_rows)
     return PhysicalColumn.create(
-        MemoryMapper(memory), "wide", values, record_bytes=record_bytes
+        SimulatedSubstrate(mapper=MemoryMapper(memory)), "wide", values, record_bytes=record_bytes
     )
 
 

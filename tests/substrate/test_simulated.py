@@ -17,7 +17,6 @@ from repro.substrate import (
     SHM_PREFIX,
     SimulatedSubstrate,
     Substrate,
-    as_substrate,
     make_substrate,
 )
 from repro.vm.cost import CostModel
@@ -56,27 +55,6 @@ class TestFactory:
         )
         assert sub.cost is cost
         assert sub.memory.capacity_pages == 16 * 1024 * 1024 // 4096
-
-
-class TestAsSubstrate:
-    def test_substrate_identity(self, sub):
-        assert as_substrate(sub) is sub
-
-    def test_mapper_adopted(self, memory):
-        mapper = MemoryMapper(memory)
-        sub = as_substrate(mapper)
-        assert isinstance(sub, SimulatedSubstrate)
-        assert sub.mapper is mapper
-        assert sub.memory is memory
-
-    def test_physical_memory_wrapped(self, memory):
-        sub = as_substrate(memory)
-        assert sub.memory is memory
-        assert sub.cost is memory.cost
-
-    def test_garbage_rejected(self):
-        with pytest.raises(TypeError):
-            as_substrate(42)
 
 
 class TestProtocolDelegation:

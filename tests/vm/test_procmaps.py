@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import fastpath
+from repro.vm import procmaps
 from repro.vm.cost import CostModel
 from repro.vm.errors import ProcMapsError
 from repro.vm.mmap_api import MemoryMapper
@@ -11,8 +11,9 @@ from repro.vm.procmaps import (
     MappingSnapshot,
     parse_maps,
     render_maps,
-    snapshot_address_space,
 )
+
+from ..oracle_paths import production_paths, reference_paths
 
 
 @pytest.fixture
@@ -113,21 +114,21 @@ class TestRenderAndParse:
 class TestMappingSnapshot:
     def test_build_from_entries(self, mapper, file):
         base = mapper.mmap(4, file=file, file_page=8)
-        snapshot = snapshot_address_space(mapper.address_space)
+        snapshot = procmaps.snapshot_address_space(mapper.address_space)
         assert snapshot.physical_of(base + 2) == ("/dev/shm/db", 10)
         assert base + 2 in snapshot.virtuals_of(("/dev/shm/db", 10))
 
     def test_anonymous_entries_skipped(self, mapper, file):
         mapper.mmap(4)
         mapper.mmap(2, file=file, file_page=0)
-        snapshot = snapshot_address_space(mapper.address_space)
+        snapshot = procmaps.snapshot_address_space(mapper.address_space)
         assert len(snapshot) == 2
 
     def test_file_filter(self, mapper, memory, file):
         other = memory.create_file("other", 8)
         mapper.mmap(2, file=file, file_page=0)
         mapper.mmap(2, file=other, file_page=0)
-        snapshot = snapshot_address_space(
+        snapshot = procmaps.snapshot_address_space(
             mapper.address_space, file_filter="/dev/shm/db"
         )
         assert len(snapshot) == 2
@@ -157,7 +158,7 @@ class TestMappingSnapshot:
     def test_snapshot_charges_bimap_ops(self, mapper, file):
         mapper.mmap(4, file=file, file_page=0)
         cost = CostModel()
-        snapshot_address_space(mapper.address_space, cost=cost)
+        procmaps.snapshot_address_space(mapper.address_space, cost=cost)
         assert cost.ledger.counter("bimap_ops") >= 4
         assert cost.ledger.counter("maps_lines_parsed") == 1
 
@@ -165,16 +166,16 @@ class TestMappingSnapshot:
 class TestMapsCache:
     def _parse_costs(self, mapper, **kwargs):
         cost = CostModel()
-        snapshot_address_space(mapper.address_space, cost=cost, **kwargs)
+        procmaps.snapshot_address_space(mapper.address_space, cost=cost, **kwargs)
         return cost.ledger.snapshot()
 
     def test_cache_hit_charges_the_same_simulated_cost(self, mapper, file):
-        with fastpath.fast_paths():
+        with production_paths():
             mapper.mmap(4, file=file, file_page=0)
             mapper.mmap(3, file=file, file_page=8)
             miss = self._parse_costs(mapper)
             hit = self._parse_costs(mapper)
-        with fastpath.reference_paths():
+        with reference_paths():
             reference = self._parse_costs(mapper)
         assert hit == miss == reference
 
@@ -184,10 +185,10 @@ class TestMapsCache:
         mapper.mmap(3, file=file, file_page=10)
         aspace = mapper.address_space
         base = 0x10000
-        with fastpath.reference_paths():
-            reference = snapshot_address_space(aspace)
-        with fastpath.fast_paths():
-            fast = snapshot_address_space(aspace)
+        with reference_paths():
+            reference = procmaps.snapshot_address_space(aspace)
+        with production_paths():
+            fast = procmaps.snapshot_address_space(aspace)
         assert len(fast) == len(reference)
         for vpn in range(0x10000, 0x10000 + 16):
             assert fast.physical_of(vpn) == reference.physical_of(vpn)
@@ -206,10 +207,10 @@ class TestMapsCache:
     def test_array_snapshot_mutations_match_reference(self, mapper, file):
         mapper.mmap(6, file=file, file_page=0)
         aspace = mapper.address_space
-        with fastpath.reference_paths():
-            reference = snapshot_address_space(aspace)
-        with fastpath.fast_paths():
-            fast = snapshot_address_space(aspace)
+        with reference_paths():
+            reference = procmaps.snapshot_address_space(aspace)
+        with production_paths():
+            fast = procmaps.snapshot_address_space(aspace)
         base = 0x10000
         for snapshot in (reference, fast):
             snapshot.unmap(base + 2)

@@ -15,19 +15,20 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import fastpath
 from repro.seeds import derive_seed
+from repro.vm import procmaps
 from repro.vm.cost import CostModel
 from repro.vm.mmap_api import MemoryMapper
 from repro.vm.physical import PhysicalMemory
 from repro.vm.procmaps import (
-    MappingSnapshot,
     MapsEntry,
-    _ArrayMappingSnapshot,
+    MappingSnapshot,
     parse_maps,
     render_maps,
-    snapshot_address_space,
 )
+
+from ..oracle_paths import production_paths, reference_paths
+from .snapshot_oracle import OracleMappingSnapshot
 
 FUZZ_SCHEDULES = int(os.environ.get("REPRO_FUZZ_SCHEDULES", "200"))
 
@@ -77,7 +78,7 @@ def test_maps_roundtrip_is_page_accurate(ops):
     assert len(entries) == asp.num_vmas
 
     # 2. the page-wise snapshot equals the true translations
-    snapshot = MappingSnapshot(entries)
+    snapshot = OracleMappingSnapshot(entries)
     for vma in asp.vmas():
         for vpn in range(vma.start, vma.end):
             truth = asp.translate(vpn)
@@ -149,12 +150,12 @@ def assert_snapshots_agree(asp, file_filter, mutations=()):
     """Both branches over one address space: same answers, same ledger."""
     built = {}
     for name, ctx in (
-        ("reference", fastpath.reference_paths),
-        ("fast", fastpath.fast_paths),
+        ("reference", reference_paths),
+        ("fast", production_paths),
     ):
         cost = CostModel()
         with ctx():
-            snapshot = snapshot_address_space(
+            snapshot = procmaps.snapshot_address_space(
                 asp, cost=cost, lane="mapper", file_filter=file_filter
             )
         built[name] = (snapshot, cost)
@@ -284,12 +285,12 @@ _ENTRY = st.builds(
 def test_repeat_expansion_equals_per_entry_aranges(entries):
     """Hand-built entry lists may overlap virtually: the last entry
     covering a vpn wins, as in the dict reference."""
-    fast = _ArrayMappingSnapshot.from_entries(entries)
+    fast = MappingSnapshot.from_entries(entries)
     vpns, fpages, paths = _per_entry_arrays(entries)
     assert fast._vpns.tolist() == vpns.tolist()
     assert fast._fpages.tolist() == fpages.tolist()
     assert [fast._paths[pid] for pid in fast._pids.tolist()] == paths
-    reference = MappingSnapshot(entries)
+    reference = OracleMappingSnapshot(entries)
     assert len(fast) == len(reference)
     for vpn in range(0, 70):
         assert fast.physical_of(vpn) == reference.physical_of(vpn)
@@ -299,7 +300,7 @@ def test_overlapping_entries_keep_the_last_occurrence_per_vpn():
     def entry(start, npages, file_page):
         return MapsEntry(start, npages, "rw-s", file_page, "03:0c", 1, "/dev/shm/db")
 
-    fast = _ArrayMappingSnapshot.from_entries(
+    fast = MappingSnapshot.from_entries(
         [entry(10, 4, 0), entry(12, 4, 20), entry(11, 1, 9)]
     )
     assert fast._vpns.tolist() == [10, 11, 12, 13, 14, 15]
