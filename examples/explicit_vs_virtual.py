@@ -7,8 +7,6 @@ the indexed pages, and compares simulated query times.
 Run:  python examples/explicit_vs_virtual.py
 """
 
-import numpy as np
-
 from repro.baselines import VARIANTS
 from repro.bench.harness import fresh_column, make_update_batch
 from repro.workloads.distributions import uniform
@@ -31,7 +29,7 @@ def main() -> None:
     print(f"{'variant':<14} {'build ms':>9} {'query ms':>9} {'pages':>7} {'rows':>8}")
     for kind, variant_cls in VARIANTS.items():
         column = fresh_column(values, name="demo")
-        cost = column.mapper.cost
+        cost = column.cost
         index = variant_cls(column, *INDEX_RANGE)
 
         with cost.region() as build_region:

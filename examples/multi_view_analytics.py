@@ -9,8 +9,6 @@ the processed-pages bitvector.
 Run:  python examples/multi_view_analytics.py
 """
 
-import numpy as np
-
 from repro import AdaptiveConfig, AdaptiveDatabase, RoutingMode
 from repro.workloads.distributions import sine
 from repro.workloads.queries import fixed_selectivity

@@ -1,19 +1,28 @@
 """Real memory rewiring from Python — the paper's mechanism, live.
 
-Uses the optional ctypes backend to perform actual mmap(MAP_FIXED)
-rewiring against a tmpfs/memfd main-memory file, exactly as the paper's
-C++ system does on a vanilla Linux kernel (no root required):
+Drives :class:`~repro.substrate.native.NativeSubstrate`, the backend that
+runs the adaptive stack on the real kernel, through the moves the
+paper's C++ system makes on a vanilla Linux kernel (no root required):
 
-1. reserve a virtual region (the over-allocation),
-2. point its pages at arbitrary physical pages,
-3. repoint them at runtime,
-4. demonstrate shared physical pages between two virtual addresses.
+1. reserve a virtual region (the over-allocation) and rewire its pages
+   onto arbitrary physical pages of a memfd/tmpfs main-memory file,
+2. repoint a page at runtime,
+3. share one physical page between two virtual pages,
+4. map a run of consecutive physical pages with a single mmap call.
 
 Run:  python examples/native_rewiring_demo.py
 """
 
-from repro.native import NativeMemoryFile, RewiredRegion, is_supported
-from repro.vm.constants import PAGE_SIZE
+import ctypes
+
+from repro.native import is_supported
+from repro.substrate.native import NativeSubstrate
+from repro.vm.constants import PAGE_HEADER_BYTES, PAGE_SIZE
+
+
+def write_first_value(vpn: int, value: int) -> None:
+    """Store ``value`` in the first record slot of virtual page ``vpn``."""
+    ctypes.c_int64.from_address(vpn * PAGE_SIZE + PAGE_HEADER_BYTES).value = value
 
 
 def main() -> None:
@@ -22,36 +31,42 @@ def main() -> None:
               "(needs Linux with mmap + memfd/tmpfs); nothing to demo.")
         return
 
-    print(f"page size: {PAGE_SIZE} bytes; creating an 8-page "
-          f"main-memory file...")
-    with NativeMemoryFile(8) as file, RewiredRegion(8) as view:
+    sub = NativeSubstrate()
+    try:
+        file = sub.create_file("demo", 8)
         # label every physical page so we can see where pointers go
         for page in range(8):
-            file.write_page(page, f"PHYS-{page} ".encode() * 8)
+            file.data[page, 0] = 1000 + page
+        print(f"page size: {PAGE_SIZE} bytes; an 8-page main-memory file "
+              f"whose page p starts with the value 1000+p")
 
+        def first(vpn: int) -> int:
+            return int(sub.read_virtual(vpn)[0])
+
+        view = sub.reserve(8)
         print("\n1) rewire view pages [0..3] to physical pages [7,5,3,1]:")
         for slot, phys in enumerate([7, 5, 3, 1]):
-            view.map_range(slot, file, phys)
+            sub.map_fixed(view + slot, 1, file, phys)
         for slot in range(4):
-            print(f"   view[{slot}] reads {view.read(slot, 7).decode()!r}")
+            print(f"   view[{slot}] reads {first(view + slot)}")
 
         print("\n2) repoint view[0] at physical page 2 (one mmap call):")
-        view.map_range(0, file, 2)
-        print(f"   view[0] now reads {view.read(0, 7).decode()!r}")
+        sub.map_fixed(view, 1, file, 2)
+        print(f"   view[0] now reads {first(view)}")
 
         print("\n3) shared physical page: view[6] also maps physical 2;")
-        view.map_range(6, file, 2)
-        view.write(6, b"HELLO!!")
-        print(f"   write through view[6], read via view[0]: "
-              f"{view.read(0, 7).decode()!r}")
-        print(f"   ...and via the file handle: "
-              f"{file.read_page(2)[:7].decode()!r}")
+        sub.map_fixed(view + 6, 1, file, 2)
+        write_first_value(view + 6, 4242)
+        print(f"   write 4242 through view[6], read via view[0]: {first(view)}")
+        print(f"   ...and via the file: {int(file.data[2, 0])}")
 
         print("\n4) coalesced run: map view[4..5] onto physical [0..1] "
               "with a single mmap call:")
-        view.map_range(4, file, 0, npages=2)
-        print(f"   view[4] reads {view.read(4, 7).decode()!r}, "
-              f"view[5] reads {view.read(5, 7).decode()!r}")
+        sub.map_fixed(view + 4, 2, file, 0)
+        print(f"   view[4] reads {first(view + 4)}, "
+              f"view[5] reads {first(view + 5)}")
+    finally:
+        sub.close()
 
     print("\nThis is the exact kernel mechanism the adaptive storage "
           "layer builds on;\nthe simulated substrate (repro.vm) mirrors "

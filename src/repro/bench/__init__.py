@@ -22,15 +22,13 @@ from .harness import (
     make_update_batch,
     run_adaptive_sequence,
     run_full_scan_sequence,
-    scale_divisor,
     scaled_pages,
 )
-from .reporting import format_factor, format_phases, format_table, sparkline
+from .reporting import format_phases, format_table, sparkline
 
 __all__ = [
     "build_table1",
     "DEFAULT_DIVISOR",
-    "format_factor",
     "format_phases",
     "format_table",
     "fresh_column",
@@ -50,7 +48,6 @@ __all__ = [
     "run_routing_ablation",
     "run_table1",
     "run_tolerance_ablation",
-    "scale_divisor",
     "scaled_pages",
     "sparkline",
 ]

@@ -23,7 +23,6 @@ from ..core.adaptive import AdaptiveStorageLayer
 from ..core.stats import QueryStats, SequenceStats
 from ..storage.column import PhysicalColumn
 from ..storage.updates import UpdateBatch, UpdateRecord
-from ..seeds import base_seed, derive_seed
 from ..vm.cost import CostModel
 from ..substrate.simulated import SimulatedSubstrate
 from ..vm.physical import PhysicalMemory
@@ -58,31 +57,6 @@ def scale_factor() -> int:
 def scaled_pages(paper_pages: int = PAPER_COLUMN_PAGES) -> int:
     """Scaled-down page count for a paper-scale column size."""
     return max(int(paper_pages / DEFAULT_DIVISOR * scale_factor()), 64)
-
-
-def session_seed(shard: int | None = None) -> int:
-    """User-requested session seed (``REPRO_SEED``, default 0).
-
-    The companion knob to ``REPRO_SCALE``: read and validated in one
-    place (:func:`repro.seeds.base_seed`), consumed by the workload
-    generators and the fault-schedule fuzz suite, so any stochastic run
-    is reproducible from its environment alone.
-
-    With ``shard`` set, returns that shard's derived sub-seed
-    (:func:`repro.seeds.derive_seed`): per-shard workload streams stay
-    deterministic *and* decorrelated from one another and from the
-    whole-session seed, which ``shard=None`` keeps.
-    """
-    if shard is None:
-        return base_seed()
-    if shard < 0:
-        raise ValueError(f"shard index must be non-negative, got {shard}")
-    return derive_seed(shard)
-
-
-def scale_divisor(num_pages: int, paper_pages: int = PAPER_COLUMN_PAGES) -> float:
-    """Factor by which the experiment runs smaller than the paper."""
-    return paper_pages / num_pages
 
 
 def fresh_column(
@@ -180,24 +154,6 @@ def verify_runs_agree(*runs: SequenceRun) -> None:
             "engines disagree on result rows: "
             + ", ".join(f"{r.engine}={r.total_rows}" for r in runs)
         )
-
-
-def moving_average(series: list[float], window: int = 10) -> list[float]:
-    """Smoothed copy of a per-query series (for readable reports)."""
-    if window <= 1 or not series:
-        return list(series)
-    out = []
-    acc = 0.0
-    from collections import deque
-
-    buf: deque[float] = deque(maxlen=window)
-    for value in series:
-        if len(buf) == buf.maxlen:
-            acc -= buf[0]
-        buf.append(value)
-        acc += value
-        out.append(acc / len(buf))
-    return out
 
 
 def phase_means(queries: list[QueryStats], phases: int = 5) -> list[float]:

@@ -17,8 +17,6 @@ import numpy as np
 from ..core.config import AdaptiveConfig, RoutingMode
 from ..core.query import QueryEngine
 from ..storage.table import Catalog
-from ..vm.cost import CostModel
-from ..vm.physical import PhysicalMemory
 from ..vm.constants import VALUES_PER_PAGE
 from .harness import scaled_pages
 
@@ -94,7 +92,7 @@ def build_workload(num_queries: int, seed: int) -> list[MacroQuery]:
 
 def _make_table(num_rows: int, seed: int):
     rng = np.random.default_rng(seed)
-    catalog = Catalog(PhysicalMemory(cost=CostModel()))
+    catalog = Catalog()
     return catalog.create_table(
         "lineitem",
         {

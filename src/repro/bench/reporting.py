@@ -55,16 +55,6 @@ def format_phases(label: str, phases: Sequence[float], unit: str = "ms") -> str:
     return f"{label:<24} [{unit}/query by phase] {cells}"
 
 
-def format_factor(name: str, baseline: float, improved: float) -> str:
-    """Render a speedup factor line (baseline / improved)."""
-    if improved <= 0:
-        return f"{name}: improved time is zero"
-    return (
-        f"{name}: baseline {baseline:.3f}s vs adaptive {improved:.3f}s "
-        f"-> {baseline / improved:.2f}x"
-    )
-
-
 def sparkline(series: Sequence[float], width: int = 60) -> str:
     """Down-sample a series into a unicode sparkline (report garnish)."""
     if not series:

@@ -85,9 +85,3 @@ class AdaptiveConfig:
             raise ValueError("replacement tolerance must be non-negative")
         if self.max_views < 0:
             raise ValueError("max_views must be non-negative")
-
-    def with_mode(self, mode: RoutingMode) -> "AdaptiveConfig":
-        """Copy of this config with a different routing mode."""
-        from dataclasses import replace
-
-        return replace(self, mode=mode)

@@ -171,11 +171,6 @@ class AdaptiveDatabase:
             return
         self._last_acked_lsn = self._wal.append(record)
 
-    @property
-    def is_durable(self) -> bool:
-        """Whether writes are journaled to a write-ahead log."""
-        return self._wal is not None
-
     # -- schema ---------------------------------------------------------
 
     def create_table(self, name: str, data: Mapping[str, np.ndarray]) -> Table:

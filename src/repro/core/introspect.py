@@ -55,12 +55,6 @@ class IndexReport:
     #: Whether view generation has stopped (limit reached).
     generation_stopped: bool = False
 
-    @property
-    def total_view_pages(self) -> int:
-        """Sum of pages over all partial views (shared pages counted per
-        view)."""
-        return sum(view.pages for view in self.views)
-
 
 def _value_coverage(views: list[VirtualView], lo: int, hi: int) -> float:
     """Covered fraction of [lo, hi] by the union of view ranges."""

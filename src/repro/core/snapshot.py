@@ -196,12 +196,6 @@ class SnapshotManager:
         self._hook = self._on_pre_write
         column.add_pre_write_hook(self._hook)
 
-    @property
-    def live_snapshots(self) -> list[ColumnSnapshot]:
-        """Snapshots that have not been released yet."""
-        self._snapshots = [s for s in self._snapshots if s.alive]
-        return list(self._snapshots)
-
     def create_snapshot(self, lane: str = MAIN_LANE) -> ColumnSnapshot:
         """Take a new point-in-time snapshot (one mmap, no copying)."""
         snapshot = ColumnSnapshot(self.column, lane=lane)

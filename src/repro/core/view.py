@@ -160,23 +160,9 @@ class VirtualView:
     # -- introspection ---------------------------------------------------
 
     @property
-    def mapper(self):
-        """Simulated :class:`~repro.vm.mmap_api.MemoryMapper` accessor.
-
-        Compatibility shim; raises :class:`AttributeError` on backends
-        without a simulated mapper.
-        """
-        return self.substrate.mapper
-
-    @property
     def num_pages(self) -> int:
         """Number of physical pages the view currently indexes."""
         return self._num_mapped
-
-    @property
-    def value_range(self) -> tuple[int, int]:
-        """The covered value range ``[lo, hi]``."""
-        return self.lo, self.hi
 
     def contains_page(self, fpage: int) -> bool:
         """Whether physical page ``fpage`` is indexed by this view."""
@@ -202,10 +188,6 @@ class VirtualView:
         if slot < 0:
             raise ValueError(f"page {fpage} is not indexed by this view")
         return self.base_vpn + slot
-
-    def covers(self, lo: int, hi: int) -> bool:
-        """Whether the view's range fully covers ``[lo, hi]``."""
-        return self.lo <= lo and hi <= self.hi
 
     def covers_subset_of(self, other: "VirtualView") -> bool:
         """Whether this view's range lies inside ``other``'s range."""

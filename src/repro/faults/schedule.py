@@ -323,11 +323,6 @@ class FaultSchedule:
         self.journal.append(fault)
         return fault
 
-    @property
-    def faults_fired(self) -> int:
-        """Number of faults injected so far."""
-        return len(self.journal)
-
     def describe(self) -> str:
         """Multi-line journal dump (diagnostics)."""
         if not self.journal:

@@ -1,15 +1,8 @@
-"""Optional real-rewiring backend (ctypes mmap over tmpfs/memfd)."""
+"""The native backend's platform probe (real rewiring via ctypes mmap)."""
 
-from .rewiring import (
-    NativeMemoryFile,
-    RewiredRegion,
-    RewiringUnsupportedError,
-    is_supported,
-)
+from .rewiring import RewiringUnsupportedError, is_supported
 
 __all__ = [
     "is_supported",
-    "NativeMemoryFile",
-    "RewiredRegion",
     "RewiringUnsupportedError",
 ]

@@ -8,8 +8,8 @@ so everything here is guarded: on non-Linux systems the constants are
 ``is_supported()`` report ``False`` long before any of the values could
 be used in a syscall.
 
-This is the *single* definition site — both the low-level rewiring demo
-(:mod:`repro.native.rewiring`) and the full
+This is the *single* definition site — both the support probe
+(:mod:`repro.native.rewiring`) and
 :class:`~repro.substrate.native.NativeSubstrate` import from here
 instead of re-declaring the literals.
 """

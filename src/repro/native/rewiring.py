@@ -1,19 +1,11 @@
-"""Real memory rewiring from Python via ctypes (optional backend).
+"""Platform probe and shared helpers of the native backend.
 
 The paper's mechanism — main-memory files plus ``mmap(MAP_FIXED)``
 rewiring — is "fully supported by the vanilla Linux kernel" and needs no
-root privileges.  This module demonstrates exactly that from Python:
-
-* :class:`NativeMemoryFile` — a physical-memory handle backed by
-  ``memfd_create`` (or a tmpfs file under ``/dev/shm`` as fallback);
-* :class:`RewiredRegion` — a reserved virtual area whose pages can be
-  (re-)pointed at arbitrary file pages at runtime with single
-  ``mmap(MAP_FIXED)`` calls.
-
-It is *not* used for the performance evaluation (Python timing would be
-meaningless; the simulated substrate with its cost model is); it exists
-to prove the mechanism and is exercised by tests that skip gracefully on
-unsupported platforms.
+root privileges.  :class:`~repro.substrate.native.NativeSubstrate` runs
+the whole stack on it; this module holds what that backend needs before
+it can start: the support probe, the main-memory file opener and the
+errno helper.
 """
 
 from __future__ import annotations
@@ -23,17 +15,7 @@ import os
 import tempfile
 
 from ..vm.constants import PAGE_SIZE
-from .platform import (
-    MAP_ANONYMOUS,
-    MAP_FAILED,
-    MAP_FIXED,
-    MAP_PRIVATE,
-    MAP_SHARED,
-    PROT_NONE,
-    PROT_READ,
-    PROT_WRITE,
-    libc,
-)
+from .platform import libc
 
 
 class RewiringUnsupportedError(RuntimeError):
@@ -56,166 +38,41 @@ def is_supported() -> bool:
     except (ValueError, OSError):  # pragma: no cover - exotic libc
         return False
     try:
-        f = NativeMemoryFile(1)
-    except (RewiringUnsupportedError, OSError):
+        fd = _open_memory_file("repro-probe")
+    except RewiringUnsupportedError:
         return False
-    f.close()
+    try:
+        os.ftruncate(fd, PAGE_SIZE)
+    except OSError:
+        return False
+    finally:
+        os.close(fd)
     return True
+
+
+def _open_memory_file(name: str) -> int:
+    """Open a fresh main-memory file: the user-space handle to physical pages.
+
+    Prefers ``memfd_create`` (an anonymous memory-backed file); falls
+    back to an unlinked tmpfs file under ``/dev/shm``.
+    """
+    if hasattr(os, "memfd_create"):
+        try:
+            return os.memfd_create(name)
+        except OSError:
+            pass
+    if os.path.isdir("/dev/shm"):
+        try:
+            fd, path = tempfile.mkstemp(dir="/dev/shm", prefix="repro-")
+            os.unlink(path)
+            return fd
+        except OSError:
+            pass
+    raise RewiringUnsupportedError(
+        "neither memfd_create nor a writable /dev/shm is available"
+    )
 
 
 def _errno_error(what: str) -> OSError:
     err = ctypes.get_errno()
     return OSError(err, f"{what} failed: {os.strerror(err)}")
-
-
-class NativeMemoryFile:
-    """A main-memory file: the user-space handle to physical pages.
-
-    Prefers ``memfd_create`` (anonymous memory-backed file); falls back
-    to an unlinked tmpfs file under ``/dev/shm``.
-    """
-
-    def __init__(self, num_pages: int) -> None:
-        if num_pages <= 0:
-            raise ValueError("need at least one page")
-        self.num_pages = num_pages
-        self.fd = self._open_fd()
-        os.ftruncate(self.fd, num_pages * PAGE_SIZE)
-
-    @staticmethod
-    def _open_fd() -> int:
-        if hasattr(os, "memfd_create"):
-            try:
-                return os.memfd_create("repro-rewiring")
-            except OSError:
-                pass
-        if os.path.isdir("/dev/shm"):
-            try:
-                fd, path = tempfile.mkstemp(dir="/dev/shm", prefix="repro-rewiring-")
-                os.unlink(path)
-                return fd
-            except OSError:
-                pass
-        raise RewiringUnsupportedError(
-            "neither memfd_create nor a writable /dev/shm is available"
-        )
-
-    def write_page(self, page: int, data: bytes) -> None:
-        """Write one page's worth of bytes at page offset ``page``."""
-        self._check_page(page)
-        if len(data) > PAGE_SIZE:
-            raise ValueError("data exceeds one page")
-        os.pwrite(self.fd, data, page * PAGE_SIZE)
-
-    def read_page(self, page: int) -> bytes:
-        """Read the full content of page ``page``."""
-        self._check_page(page)
-        return os.pread(self.fd, PAGE_SIZE, page * PAGE_SIZE)
-
-    def _check_page(self, page: int) -> None:
-        if not 0 <= page < self.num_pages:
-            raise ValueError(f"page {page} out of range")
-
-    def close(self) -> None:
-        """Release the file descriptor (idempotent)."""
-        if self.fd >= 0:
-            os.close(self.fd)
-            self.fd = -1
-
-    def __enter__(self) -> "NativeMemoryFile":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class RewiredRegion:
-    """A reserved virtual area rewired at page granularity.
-
-    The reservation is an anonymous ``PROT_NONE`` mapping (the cheap
-    over-allocation of Section 2); individual page runs are then pointed
-    at file pages with ``mmap(MAP_FIXED)``.
-    """
-
-    def __init__(self, num_pages: int) -> None:
-        if libc() is None:
-            raise RewiringUnsupportedError("libc/mmap not available")
-        if num_pages <= 0:
-            raise ValueError("need at least one page")
-        self.num_pages = num_pages
-        addr = libc().mmap(
-            None,
-            num_pages * PAGE_SIZE,
-            PROT_NONE,
-            MAP_PRIVATE | MAP_ANONYMOUS,
-            -1,
-            0,
-        )
-        if addr == MAP_FAILED or addr is None:
-            raise _errno_error("anonymous reservation mmap")
-        self.addr = addr
-
-    def map_range(
-        self,
-        region_page: int,
-        file: NativeMemoryFile,
-        file_page: int,
-        npages: int = 1,
-    ) -> None:
-        """Rewire ``npages`` region pages onto consecutive file pages."""
-        self._check_range(region_page, npages)
-        if not 0 <= file_page <= file.num_pages - npages:
-            raise ValueError("file range out of bounds")
-        addr = libc().mmap(
-            self.addr + region_page * PAGE_SIZE,
-            npages * PAGE_SIZE,
-            PROT_READ | PROT_WRITE,
-            MAP_SHARED | MAP_FIXED,
-            file.fd,
-            file_page * PAGE_SIZE,
-        )
-        if addr == MAP_FAILED or addr is None:
-            raise _errno_error("MAP_FIXED rewiring mmap")
-
-    def unmap_range(self, region_page: int, npages: int = 1) -> None:
-        """Point region pages back at inaccessible anonymous memory."""
-        self._check_range(region_page, npages)
-        addr = libc().mmap(
-            self.addr + region_page * PAGE_SIZE,
-            npages * PAGE_SIZE,
-            PROT_NONE,
-            MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED,
-            -1,
-            0,
-        )
-        if addr == MAP_FAILED or addr is None:
-            raise _errno_error("anonymous re-protection mmap")
-
-    def read(self, region_page: int, length: int = PAGE_SIZE) -> bytes:
-        """Read bytes starting at a region page (must be mapped)."""
-        self._check_range(region_page, 1)
-        return ctypes.string_at(self.addr + region_page * PAGE_SIZE, length)
-
-    def write(self, region_page: int, data: bytes) -> None:
-        """Write bytes starting at a region page (must be mapped R/W)."""
-        self._check_range(region_page, 1)
-        ctypes.memmove(self.addr + region_page * PAGE_SIZE, data, len(data))
-
-    def _check_range(self, region_page: int, npages: int) -> None:
-        if npages <= 0 or not 0 <= region_page <= self.num_pages - npages:
-            raise ValueError(
-                f"region range [{region_page}, {region_page + npages}) "
-                f"out of bounds"
-            )
-
-    def close(self) -> None:
-        """Unmap the whole region (idempotent)."""
-        if self.addr:
-            libc().munmap(self.addr, self.num_pages * PAGE_SIZE)
-            self.addr = 0
-
-    def __enter__(self) -> "RewiredRegion":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

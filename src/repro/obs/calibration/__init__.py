@@ -29,7 +29,6 @@ from .report import (
     DEFAULT_JSON_PATH,
     CalibrationReport,
     build_report,
-    findings_from_payload,
     strip_wall_fields,
     write_calibration_json,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "KindStats",
     "build_report",
     "explain_range_query",
-    "findings_from_payload",
     "run_calibration_session",
     "strip_wall_fields",
     "write_calibration_json",

@@ -149,21 +149,3 @@ def write_calibration_json(payload: dict, path: str = DEFAULT_JSON_PATH) -> None
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def findings_from_payload(payload: dict) -> list[DriftFinding]:
-    """Rehydrate :class:`DriftFinding` records from a JSON payload."""
-    return [
-        DriftFinding(
-            kind=f["kind"],
-            ratio=f["ratio"],
-            slope=f["slope"],
-            confidence=f["confidence"],
-            spans=f["spans"],
-            sim_ns=f["sim_ns"],
-            wall_ns=f["wall_ns"],
-            direction=f["direction"],
-            suggestions=dict(f["suggestions"]),
-        )
-        for f in payload.get("findings", [])
-    ]

@@ -83,10 +83,6 @@ class Span:
         for child in self.children:
             yield from child.walk()
 
-    def max_depth(self) -> int:
-        """Deepest nesting level below (and including) this span."""
-        return max(span.depth for span in self.walk())
-
     def to_dict(self) -> dict[str, object]:
         """Flat JSON-friendly record (children referenced by parent_id).
 
@@ -197,11 +193,6 @@ class Tracer:
             if len(self._finished) == self._finished.maxlen:
                 self.dropped_spans += 1
             self._finished.append(span)
-
-    @property
-    def active_span(self) -> Span | None:
-        """The innermost currently open span, if any."""
-        return self._stack[-1] if self._stack else None
 
     def finished_spans(self) -> list[Span]:
         """Finished spans still in the ring buffer, in finish order."""

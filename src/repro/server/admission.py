@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..obs.observer import NULL_OBSERVER
 from ..resilience.policy import HealthState
@@ -206,10 +206,6 @@ class AdmissionController:
         return AdmissionDecision.ADMIT
 
     # -- introspection --------------------------------------------------
-
-    @property
-    def active_sessions(self) -> int:
-        return len(self._active)
 
     def journal(self) -> list[AdmissionRecord]:
         """The retained decision history, oldest first."""

@@ -92,9 +92,6 @@ class DatabaseManager:
             raise KeyError(f"no such database: {name!r}")
         return self._dbs[name]
 
-    def database_names(self) -> list[str]:
-        return list(self._dbs)
-
     def lock(self, name: str = DEFAULT_DB) -> threading.RLock:
         """The request lock serializing all statements of one database."""
         self.database(name)

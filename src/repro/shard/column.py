@@ -532,17 +532,6 @@ class ShardedColumn:
                 counters[op] = counters.get(op, 0) + count
         return lanes, counters
 
-    def partial_view_page_union(self) -> set[int]:
-        """Global page ids mapped by any shard's partial views."""
-        pages: set[int] = set()
-        for shard in self.shards:
-            start = shard.spec.page_start
-            for view in shard.layer.view_index.partial_views:
-                pages.update(
-                    int(fpage) + start for fpage in view.mapped_fpages()
-                )
-        return pages
-
     def values(self) -> np.ndarray:
         """All row values in global row order (uncharged ground truth)."""
         return np.concatenate(

@@ -45,10 +45,6 @@ class ShardSpec:
         """Physical pages this shard's slice occupies."""
         return self.page_end - self.page_start
 
-    def to_global_rowids(self, local_rowids):
-        """Translate shard-local rowids to global rowids (vectorized)."""
-        return local_rowids + self.row_start
-
     def __str__(self) -> str:
         return (
             f"shard{self.index}/{self.num_shards} "

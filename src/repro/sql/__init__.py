@@ -32,7 +32,6 @@ from .nodes import (
     UpdateStatement,
 )
 from .parser import parse
-from .render import render_predicates, render_select, render_statement
 from .tokens import Token, TokenType, tokenize
 
 __all__ = [
@@ -46,9 +45,6 @@ __all__ = [
     "parse",
     "ParseError",
     "RangePredicate",
-    "render_predicates",
-    "render_select",
-    "render_statement",
     "ResultTable",
     "SelectStatement",
     "Session",

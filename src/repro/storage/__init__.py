@@ -2,13 +2,12 @@
 
 from .column import PhysicalColumn
 from .layout import (
-    page_slot_to_row,
     pages_for_rows,
     row_to_page,
     row_to_slot,
     rows_in_page,
 )
-from .page import PageScanResult, clamp_range, page_min_max, scan_and_filter
+from .page import PageScanResult, clamp_range, scan_and_filter
 from .statistics import ColumnHistogram, SelectivityEstimate, TableStatistics
 from .table import Catalog, Table
 from .updates import UpdateBatch, UpdateRecord
@@ -20,8 +19,6 @@ __all__ = [
     "SelectivityEstimate",
     "TableStatistics",
     "PageScanResult",
-    "page_min_max",
-    "page_slot_to_row",
     "pages_for_rows",
     "PhysicalColumn",
     "row_to_page",

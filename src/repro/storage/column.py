@@ -55,15 +55,6 @@ class PhysicalColumn:
         """The substrate's shared (simulated) cost model."""
         return self.substrate.cost
 
-    @property
-    def mapper(self):
-        """The simulated :class:`~repro.vm.mmap_api.MemoryMapper`.
-
-        Compatibility accessor for simulated-only code and tests;
-        raises :class:`AttributeError` on backends without one.
-        """
-        return self.substrate.mapper
-
     @classmethod
     def create(
         cls,
@@ -114,11 +105,6 @@ class PhysicalColumn:
         """Validate a row id."""
         if not 0 <= row < self.num_rows:
             raise IndexError(f"row {row} out of range (num_rows={self.num_rows})")
-
-    def page_of_row(self, row: int) -> int:
-        """Physical page (pageID) holding ``row``."""
-        self.check_row(row)
-        return layout.row_to_page(row, self.values_per_page)
 
     # -- point access (the classical storage-layer interface) ---------------
 

@@ -43,13 +43,6 @@ def row_to_slot(row: int, per_page: int = VALUES_PER_PAGE) -> int:
     return row % per_page
 
 
-def page_slot_to_row(page_id: int, slot: int, per_page: int = VALUES_PER_PAGE) -> int:
-    """Row id stored at ``(page_id, slot)``."""
-    if page_id < 0 or not 0 <= slot < per_page:
-        raise ValueError(f"bad page/slot: ({page_id}, {slot})")
-    return page_id * per_page + slot
-
-
 def pages_for_rows(num_rows: int, per_page: int = VALUES_PER_PAGE) -> int:
     """Number of pages needed to store ``num_rows`` records."""
     if num_rows <= 0:

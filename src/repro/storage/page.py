@@ -109,15 +109,3 @@ def scan_and_filter(
         max_below=max_below,
         min_above=min_above,
     )
-
-
-def page_min_max(
-    file: MemoryFile, fpage: int, valid_count: int | None = None
-) -> tuple[int, int]:
-    """Min and max value stored on a page (used by zone maps)."""
-    if valid_count is None:
-        valid_count = file.slots_per_page
-    values = file.page_values(fpage)[:valid_count]
-    if values.size == 0:
-        raise ValueError(f"page {fpage} holds no values")
-    return int(values.min()), int(values.max())

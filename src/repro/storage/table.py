@@ -6,8 +6,7 @@ paper's introduction describes — ``get_record(record_id)`` and
 ``record_iterator()`` — plus an update path that writes through the
 physical pages and logs each change per column for later view alignment.
 
-The :class:`Catalog` owns the simulated process (one
-:class:`~repro.vm.mmap_api.MemoryMapper` / address space) and all tables
+The :class:`Catalog` owns the process's memory substrate and all tables
 within it, mirroring the single-process in-memory system of the paper.
 """
 
@@ -20,7 +19,6 @@ import numpy as np
 from ..substrate.interface import Substrate
 from ..substrate.simulated import SimulatedSubstrate
 from ..vm.cost import CostModel
-from ..vm.physical import PhysicalMemory
 from .column import PhysicalColumn
 from .tombstones import Tombstones
 from .updates import UpdateBatch
@@ -104,17 +102,6 @@ class Table:
         self._pending_updates[column_name].record(row, old, new_value)
         return old
 
-    def update_many(
-        self, column_name: str, rows: np.ndarray, new_values: np.ndarray
-    ) -> None:
-        """Apply many updates to one column (logged like :meth:`update`)."""
-        rows = np.asarray(rows)
-        new_values = np.asarray(new_values, dtype=np.int64)
-        if rows.shape != new_values.shape:
-            raise ValueError("rows and new_values must align")
-        for row, value in zip(rows.tolist(), new_values.tolist()):
-            self.update(column_name, row, value)
-
     # -- appends (write-buffer merge) --------------------------------------
 
     def grow_rows(self, added: int) -> None:
@@ -148,39 +135,17 @@ class Catalog:
     The substrate is the backend the process runs on — simulated by
     default; pass ``substrate=`` (e.g. a
     :class:`~repro.substrate.native.NativeSubstrate`) to run on another
-    backend.  Legacy callers passing ``memory=`` keep working: the
-    :class:`~repro.vm.physical.PhysicalMemory` is wrapped in a simulated
-    substrate.
+    backend.
     """
 
-    def __init__(
-        self,
-        memory: PhysicalMemory | None = None,
-        cost: CostModel | None = None,
-        substrate: Substrate | None = None,
-    ) -> None:
-        if substrate is not None:
-            if memory is not None:
-                raise ValueError("pass either substrate= or memory=, not both")
-            self.substrate = substrate
-        else:
-            self.substrate = SimulatedSubstrate(memory=memory, cost=cost)
+    def __init__(self, *, substrate: Substrate | None = None) -> None:
+        self.substrate = substrate if substrate is not None else SimulatedSubstrate()
         self._tables: dict[str, Table] = {}
 
     @property
     def cost(self) -> CostModel:
         """The shared cost model of the process."""
         return self.substrate.cost
-
-    @property
-    def memory(self) -> PhysicalMemory:
-        """The simulated physical memory (simulated backend only)."""
-        return self.substrate.memory
-
-    @property
-    def mapper(self):
-        """The simulated memory mapper (simulated backend only)."""
-        return self.substrate.mapper
 
     def create_table(self, name: str, data: Mapping[str, np.ndarray]) -> Table:
         """Create a table named ``name`` from per-column value arrays."""
@@ -201,13 +166,6 @@ class Catalog:
         if name not in self._tables:
             raise KeyError(f"no such table: {name!r}")
         return self._tables[name]
-
-    def drop_table(self, name: str) -> None:
-        """Drop a table and free its physical memory."""
-        table = self.get_table(name)
-        for column in table.columns.values():
-            self.substrate.delete_file(column.file.name)
-        del self._tables[name]
 
     def tables(self) -> list[Table]:
         """All tables in creation order."""

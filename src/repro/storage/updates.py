@@ -87,10 +87,6 @@ class UpdateBatch:
             groups.setdefault(update.page_for(per_page), []).append(update)
         return groups
 
-    def effective(self) -> "UpdateBatch":
-        """Compacted batch without no-op records (old == new)."""
-        return UpdateBatch(u for u in self.compact() if u.old != u.new)
-
     def clear(self) -> None:
         """Drop all recorded updates."""
         self._updates.clear()

@@ -46,7 +46,11 @@ from ..native.platform import (
     PROT_WRITE,
     libc,
 )
-from ..native.rewiring import RewiringUnsupportedError
+from ..native.rewiring import (
+    RewiringUnsupportedError,
+    _errno_error,
+    _open_memory_file,
+)
 from ..vm.constants import PAGE_SIZE, VALUES_PER_PAGE
 from ..vm.cost import MAIN_LANE, CostModel
 from ..vm.errors import FileError
@@ -55,11 +59,6 @@ from .interface import Substrate, WallClockLedger
 
 #: int64 slots in one raw page (header slot + data slots).
 _SLOTS_PER_RAW_PAGE = PAGE_SIZE // 8
-
-
-def _errno_error(what: str) -> OSError:
-    err = ctypes.get_errno()
-    return OSError(err, f"{what} failed: {os.strerror(err)}")
 
 
 class NativePageStore:
@@ -86,7 +85,7 @@ class NativePageStore:
         self._substrate = substrate
         self.name = name
         self.slots_per_page = slots_per_page
-        self.fd = self._open_fd(name)
+        self.fd = _open_memory_file(name)
         os.ftruncate(self.fd, num_pages * PAGE_SIZE)
         self.inode = os.fstat(self.fd).st_ino
         #: Pathname under which this file appears in /proc/self/maps
@@ -96,26 +95,6 @@ class NativePageStore:
         self._mmaps: list = []
         self._remap(num_pages)
         self.headers[:] = np.arange(num_pages, dtype=np.int64)
-
-    @staticmethod
-    def _open_fd(name: str) -> int:
-        if hasattr(os, "memfd_create"):
-            try:
-                return os.memfd_create(name)
-            except OSError:
-                pass
-        if os.path.isdir("/dev/shm"):
-            import tempfile
-
-            try:
-                fd, path = tempfile.mkstemp(dir="/dev/shm", prefix="repro-")
-                os.unlink(path)
-                return fd
-            except OSError:
-                pass
-        raise RewiringUnsupportedError(
-            "neither memfd_create nor a writable /dev/shm is available"
-        )
 
     def _remap(self, num_pages: int) -> None:
         """(Re-)establish the store's own whole-file mapping.

@@ -39,29 +39,21 @@ class SimulatedSubstrate(Substrate):
     def __init__(
         self,
         memory: PhysicalMemory | None = None,
-        mapper: MemoryMapper | None = None,
         capacity_bytes: int | None = None,
         cost: CostModel | None = None,
     ) -> None:
-        """Wrap an existing memory/mapper pair or build a fresh one.
+        """Run a fresh address space over ``memory``.
 
-        Passing ``mapper`` adopts its memory and address space (the path
-        the compatibility shims take when old code hands a
-        :class:`MemoryMapper` to a substrate-speaking layer); otherwise
-        a machine of ``capacity_bytes`` is created.
+        Without ``memory``, a machine of ``capacity_bytes`` is created.
         """
-        if mapper is not None:
-            self.memory = mapper.memory
-            self.mapper = mapper
-        else:
-            if memory is None:
-                kwargs = {"cost": cost} if cost is not None else {}
-                if capacity_bytes is not None:
-                    memory = PhysicalMemory(capacity_bytes, **kwargs)
-                else:
-                    memory = PhysicalMemory(**kwargs)
-            self.memory = memory
-            self.mapper = MemoryMapper(memory)
+        if memory is None:
+            kwargs = {"cost": cost} if cost is not None else {}
+            if capacity_bytes is not None:
+                memory = PhysicalMemory(capacity_bytes, **kwargs)
+            else:
+                memory = PhysicalMemory(**kwargs)
+        self.memory = memory
+        self.mapper = MemoryMapper(memory)
         self.cost = self.memory.cost
         self.wall = None
 

@@ -8,7 +8,6 @@ rationale.
 """
 
 from .address_space import AddressSpace
-from .bimap import BiMap
 from .constants import (
     MAX_VALUE,
     MIN_VALUE,
@@ -20,7 +19,6 @@ from .constants import (
 from .cost import MAIN_LANE, MAPPER_LANE, CostLedger, CostModel, CostParameters, Region
 from .errors import (
     BadAddressError,
-    BimapError,
     FileError,
     MapError,
     OutOfMemoryError,
@@ -41,8 +39,6 @@ from .vma import Vma
 __all__ = [
     "AddressSpace",
     "BadAddressError",
-    "BiMap",
-    "BimapError",
     "CostLedger",
     "CostModel",
     "CostParameters",

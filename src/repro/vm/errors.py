@@ -21,10 +21,6 @@ class FileError(VmError):
     """A main-memory file operation failed (bad page index, resize, ...)."""
 
 
-class BimapError(VmError):
-    """A bidirectional-map invariant would be violated."""
-
-
 class ProcMapsError(VmError):
     """A /proc/PID/maps line could not be parsed."""
 

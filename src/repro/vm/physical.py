@@ -140,11 +140,6 @@ class PhysicalMemory:
         self._files: dict[str, MemoryFile] = {}
 
     @property
-    def allocated_pages(self) -> int:
-        """Physical pages currently allocated to files."""
-        return self._allocated_pages
-
-    @property
     def free_pages(self) -> int:
         """Physical pages still available."""
         return self.capacity_pages - self._allocated_pages

@@ -108,11 +108,6 @@ class WriteAheadLog:
         return self._lsn
 
     @property
-    def is_full(self) -> bool:
-        """Whether the size cap has latched the log read-only."""
-        return self._full
-
-    @property
     def closed(self) -> bool:
         """Whether the active segment handle has been closed."""
         return self._fh.closed

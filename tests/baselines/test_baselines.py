@@ -169,12 +169,12 @@ class TestVirtualViewSpecifics:
         column = uniform_column(num_pages=8)
         index = built_index(VirtualViewIndex, column)
         assert index.view.num_pages == index.indexed_pages()
-        assert index.view.covers(0, 200_000)
+        assert index.view.lo <= 0 and 200_000 <= index.view.hi
 
     def test_scan_is_sequential_kind(self):
         column = uniform_column(num_pages=8)
         index = built_index(VirtualViewIndex, column)
-        cost = column.mapper.cost
+        cost = column.cost
         before = cost.ledger.lane_ns()
         index.query(0, 100_000)
         charged = cost.ledger.lane_ns() - before

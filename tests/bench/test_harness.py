@@ -9,13 +9,10 @@ from repro.bench.harness import (
     SequenceRun,
     fresh_column,
     make_update_batch,
-    moving_average,
     phase_means,
     run_adaptive_sequence,
     run_full_scan_sequence,
-    scale_divisor,
     scaled_pages,
-    session_seed,
     verify_runs_agree,
 )
 from repro.core.adaptive import AdaptiveStorageLayer
@@ -54,44 +51,15 @@ class TestScaling:
         monkeypatch.delenv("REPRO_SCALE", raising=False)
         assert scaled_pages(64) == 64
 
-    def test_scale_divisor(self):
-        assert scale_divisor(1000) == pytest.approx(1000.0)
-
-
-class TestSessionSeed:
-    def test_default_is_base_seed(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SEED", raising=False)
-        assert session_seed() == 0
-
-    def test_env_seed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEED", "7")
-        assert session_seed() == 7
-
-    def test_shard_seeds_are_distinct(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEED", "11")
-        seeds = {session_seed(shard=i) for i in range(8)}
-        assert len(seeds) == 8
-        assert session_seed() not in seeds
-
-    def test_shard_seed_matches_derive_seed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEED", "5")
-        from repro.seeds import derive_seed
-
-        assert session_seed(shard=3) == derive_seed(3)
-
-    def test_negative_shard_rejected(self):
-        with pytest.raises(ValueError, match="shard index"):
-            session_seed(shard=-1)
-
 
 class TestFreshColumn:
     def test_isolated_cost_models(self):
         a = fresh_column(np.arange(100))
         b = fresh_column(np.arange(100))
-        assert a.mapper.cost is not b.mapper.cost
-        before = b.mapper.cost.ledger.lane_ns()
-        a.mapper.cost.ledger.charge(100.0)
-        assert b.mapper.cost.ledger.lane_ns() == before
+        assert a.cost is not b.cost
+        before = b.cost.ledger.lane_ns()
+        a.cost.ledger.charge(100.0)
+        assert b.cost.ledger.lane_ns() == before
 
 
 class TestMakeUpdateBatch:
@@ -138,15 +106,6 @@ class TestSequenceRunners:
 
 
 class TestSeriesHelpers:
-    def test_moving_average(self):
-        assert moving_average([1, 1, 4, 4], window=2) == [1, 1, 2.5, 4]
-
-    def test_moving_average_window_one(self):
-        assert moving_average([3, 2, 1], window=1) == [3, 2, 1]
-
-    def test_moving_average_empty(self):
-        assert moving_average([]) == []
-
     def _stats(self, sim_ms_values):
         return [QueryStats(lo=0, hi=1, sim_ns=v * 1e6) for v in sim_ms_values]
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench.reporting import (
-    format_factor,
     format_phases,
     format_table,
     sparkline,
@@ -42,13 +41,6 @@ class TestOtherFormatters:
         line = format_phases("sine", [1.0, 0.5])
         assert "sine" in line
         assert "1.000 -> 0.500" in line
-
-    def test_format_factor(self):
-        line = format_factor("t", 2.0, 1.0)
-        assert "2.00x" in line
-
-    def test_format_factor_zero_guard(self):
-        assert "zero" in format_factor("t", 2.0, 0.0)
 
     def test_sparkline_shape(self):
         line = sparkline([0, 1, 2, 3], width=4)

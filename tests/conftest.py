@@ -31,7 +31,7 @@ def build_column(
     """Materialize ``values`` in a brand-new simulated process."""
     memory = PhysicalMemory(capacity_bytes=capacity_mb * 1024 * 1024, cost=CostModel())
     return PhysicalColumn.create(
-        SimulatedSubstrate(mapper=MemoryMapper(memory)), name, values
+        SimulatedSubstrate(memory=memory), name, values
     )
 
 

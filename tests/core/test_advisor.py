@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.advisor import AdvisedView, ViewAdvisor
+from repro.core.advisor import ViewAdvisor
 from repro.core.scan import batch_scan
 from repro.vm.constants import VALUES_PER_PAGE
 
@@ -92,7 +92,7 @@ class TestMaterialize:
         views = advisor.materialize(advisor.recommend(workload, max_views=2))
         by_range = {(v.lo, v.hi): v for v in views}
 
-        cost = column_static.mapper.cost
+        cost = column_static.cost
         with cost.region() as static_region:
             for lo, hi in workload:
                 view = next(
@@ -102,7 +102,7 @@ class TestMaterialize:
 
         column_full = clustered_column()
         baseline = FullScanBaseline(column_full)
-        with column_full.mapper.cost.region() as full_region:
+        with column_full.cost.region() as full_region:
             for lo, hi in workload:
                 baseline.query(lo, hi)
 

@@ -59,9 +59,9 @@ class TestMaterializePages:
     def test_mmap_counter_matches(self):
         col = uniform_column(num_pages=16)
         view = VirtualView(col, 0, 10)
-        before = col.mapper.cost.ledger.counter("mmap_calls")
+        before = col.cost.ledger.counter("mmap_calls")
         materialize_pages(view, np.array([1, 2, 3, 8]), coalesce=True)
-        assert col.mapper.cost.ledger.counter("mmap_calls") == before + 2
+        assert col.cost.ledger.counter("mmap_calls") == before + 2
 
     def test_empty_pages_noop(self):
         col = uniform_column(num_pages=16)
@@ -74,13 +74,13 @@ class TestMaterializePages:
             view = VirtualView(col, 0, 10)
             materialize_pages(view, np.array([2, 3, 9]), coalesce=coalesce)
             for fpage in (2, 3, 9):
-                assert col.mapper.translate(view.vpn_of(fpage)) == (col.file, fpage)
+                assert col.substrate.mapper.translate(view.vpn_of(fpage)) == (col.file, fpage)
 
 
 class TestBackgroundMapper:
     def test_maps_on_mapper_lane(self):
         col = uniform_column(num_pages=16)
-        cost = col.mapper.cost
+        cost = col.cost
         bg = BackgroundMapper(cost)
         try:
             view = VirtualView(col, 0, 10)
@@ -92,24 +92,24 @@ class TestBackgroundMapper:
             main_delta = cost.ledger.lane_ns(MAIN_LANE) - main_before
             assert main_delta < cost.params.mmap_syscall_ns
             # the mapping is actually in place (real thread executed it)
-            assert col.mapper.translate(view.vpn_of(2)) == (col.file, 2)
+            assert col.substrate.mapper.translate(view.vpn_of(2)) == (col.file, 2)
         finally:
             bg.stop()
 
     def test_flush_waits_for_completion(self):
         col = uniform_column(num_pages=64)
-        bg = BackgroundMapper(col.mapper.cost)
+        bg = BackgroundMapper(col.cost)
         try:
             view = VirtualView(col, 0, 10)
             materialize_pages(view, np.arange(64), coalesce=False, background=bg)
             for fpage in range(64):
-                assert col.mapper.translate(view.vpn_of(fpage)) == (col.file, fpage)
+                assert col.substrate.mapper.translate(view.vpn_of(fpage)) == (col.file, fpage)
         finally:
             bg.stop()
 
     def test_queue_ops_charged_both_sides(self):
         col = uniform_column(num_pages=16)
-        cost = col.mapper.cost
+        cost = col.cost
         bg = BackgroundMapper(cost)
         try:
             view = VirtualView(col, 0, 10)
@@ -120,13 +120,13 @@ class TestBackgroundMapper:
 
     def test_stop_is_idempotent(self):
         col = uniform_column(num_pages=4)
-        bg = BackgroundMapper(col.mapper.cost)
+        bg = BackgroundMapper(col.cost)
         bg.stop()
         bg.stop()
 
     def test_thread_failure_surfaces(self):
         col = uniform_column(num_pages=4)
-        bg = BackgroundMapper(col.mapper.cost)
+        bg = BackgroundMapper(col.cost)
         try:
             view = VirtualView(col, 0, 10)
             plan = view.plan_runs([2])
@@ -150,7 +150,7 @@ class TestCreatePartialView:
         full = VirtualView.full_view(col)
         report = create_partial_view(col, [full], 0, 1000, coalesce=True)
         assert report.pages == report.view.num_pages
-        assert report.view.covers(0, 1000)
+        assert report.view.lo <= 0 and 1000 <= report.view.hi
         assert report.elapsed_ns > 0
         assert report.mapper_ns == 0  # no background thread
         assert report.main_ns == pytest.approx(report.elapsed_ns)
@@ -158,7 +158,7 @@ class TestCreatePartialView:
     def test_overlap_accounting_with_thread(self):
         col = uniform_column(num_pages=32, hi=1_000_000)
         full = VirtualView.full_view(col)
-        bg = BackgroundMapper(col.mapper.cost)
+        bg = BackgroundMapper(col.cost)
         try:
             report = create_partial_view(col, [full], 0, 1000, background=bg)
         finally:
@@ -173,5 +173,5 @@ class TestCreatePartialView:
         col = uniform_column(num_pages=32, hi=1_000_000)
         full = VirtualView.full_view(col)
         report = create_partial_view(col, [full], 100_000, 200_000)
-        lo, hi = report.view.value_range
+        lo, hi = report.view.lo, report.view.hi
         assert lo <= 100_000 and hi >= 200_000

@@ -1,7 +1,6 @@
 """Stress and equivalence tests for the view-creation paths."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +21,7 @@ class TestCreationEquivalence:
         view = VirtualView(column, 0, 10**6)
         mapper_thread = None
         if background:
-            mapper_thread = BackgroundMapper(column.mapper.cost)
+            mapper_thread = BackgroundMapper(column.cost)
         try:
             materialize_pages(
                 view, qualifying, coalesce=coalesce, background=mapper_thread
@@ -46,7 +45,7 @@ class TestCreationEquivalence:
                 outcomes.append(view.mapped_fpages().tolist())
                 # translations are real, not just bookkeeping
                 for fpage in pages:
-                    assert column.mapper.translate(view.vpn_of(fpage)) == (
+                    assert column.substrate.mapper.translate(view.vpn_of(fpage)) == (
                         column.file,
                         fpage,
                     )
@@ -56,7 +55,7 @@ class TestCreationEquivalence:
     def test_coalescing_charges_less_for_clustered_pages(self):
         column = uniform_column(num_pages=64)
         run = np.arange(40, dtype=np.int64)
-        cost = column.mapper.cost
+        cost = column.cost
         with cost.region() as coalesced:
             self.build(column, run, coalesce=True, background=False).destroy()
         with cost.region() as single:
@@ -69,7 +68,7 @@ class TestBackgroundMapperStress:
         """One mapping thread serving many sequential view creations."""
         column = uniform_column(num_pages=64, hi=1_000_000)
         full = VirtualView.full_view(column)
-        bg = BackgroundMapper(column.mapper.cost)
+        bg = BackgroundMapper(column.cost)
         try:
             views = []
             for i in range(12):
@@ -89,7 +88,7 @@ class TestBackgroundMapperStress:
     def test_interleaved_submissions(self):
         """Two views' runs interleaved into the same queue stay separate."""
         column = uniform_column(num_pages=32)
-        bg = BackgroundMapper(column.mapper.cost)
+        bg = BackgroundMapper(column.cost)
         try:
             a = VirtualView(column, 0, 10)
             b = VirtualView(column, 20, 30)

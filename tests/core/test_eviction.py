@@ -1,7 +1,6 @@
 """Unit tests for the LRU view-eviction policy (extension)."""
 
 import numpy as np
-import pytest
 
 from repro.core.adaptive import AdaptiveStorageLayer
 from repro.core.config import AdaptiveConfig, EvictionPolicy
@@ -57,7 +56,7 @@ class TestLruEviction:
         victim = layer.view_index.partial_views[0]
         base = victim.base_vpn
         layer.answer_query(5000, 5999)
-        assert not layer.column.mapper.address_space.is_mapped(base)
+        assert not layer.column.substrate.mapper.address_space.is_mapped(base)
 
     def test_correctness_under_churn(self):
         layer = lru_layer(max_views=2)

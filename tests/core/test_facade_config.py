@@ -43,7 +43,7 @@ class TestFacadeConfiguration:
         db.create_table("b", {"x": np.arange(VALUES_PER_PAGE)})
         col_a = db.table("a").column("x")
         col_b = db.table("b").column("x")
-        assert col_a.mapper is col_b.mapper
+        assert col_a.substrate.mapper is col_b.substrate.mapper
         assert col_a.file is not col_b.file
         db.close()
 

@@ -81,13 +81,13 @@ def _run_workload(dist_name: str, mode: RoutingMode, steps) -> dict:
             batch = make_update_batch(column, count, *DOMAIN, seed=seed)
             stats = layer.apply_updates(batch)
             maintenance.append(stats)
-    ledger = column.mapper.cost.ledger
+    ledger = column.cost.ledger
     return {
         "queries": queries,
         "maintenance": maintenance,
         "lanes": ledger.lanes(),
         "counters": ledger.counters(),
-        "maps_lines": maps_line_count(column.mapper.address_space),
+        "maps_lines": maps_line_count(column.substrate.mapper.address_space),
     }
 
 
@@ -136,7 +136,7 @@ def test_batch_scan_results_identical(dist_name, lo, width, dropped, data):
         with ctx():
             column = fresh_column(values, name="scanparity")
             results.append(batch_scan(column, np.asarray(fpages), lo, hi))
-            ledgers.append(column.mapper.cost.ledger)
+            ledgers.append(column.cost.ledger)
 
     reference, fast = results
     for field in (
@@ -169,6 +169,6 @@ def test_background_mapping_parity():
                 totals = 0
                 for lo, hi in [(0, 10_000_000), (5_000_000, 60_000_000)]:
                     totals += len(layer.answer_query(lo, hi))
-            ledger = column.mapper.cost.ledger
+            ledger = column.cost.ledger
             observed[name] = (totals, ledger.lanes(), ledger.counters())
     assert observed["fast"] == observed["reference"]

@@ -6,13 +6,11 @@ import pytest
 from repro.core.config import AdaptiveConfig
 from repro.core.query import QueryEngine
 from repro.storage.table import Catalog
-from repro.vm.cost import CostModel
-from repro.vm.physical import PhysicalMemory
 
 
 @pytest.fixture
 def engines():
-    catalog = Catalog(PhysicalMemory(cost=CostModel()))
+    catalog = Catalog()
     rng = np.random.default_rng(7)
     orders = catalog.create_table(
         "orders",

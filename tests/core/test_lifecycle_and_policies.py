@@ -155,10 +155,8 @@ class TestStaleViewSafety:
     def test_query_engine_aligns_pending_updates(self):
         from repro.core.query import QueryEngine
         from repro.storage.table import Catalog
-        from repro.vm.cost import CostModel
-        from repro.vm.physical import PhysicalMemory
 
-        catalog = Catalog(PhysicalMemory(cost=CostModel()))
+        catalog = Catalog()
         table = catalog.create_table("t", {"x": clustered_values()})
         engine = QueryEngine(table, AdaptiveConfig(max_views=5))
         engine.select("x", 3000, 3999)

@@ -85,12 +85,12 @@ class TestCaseTwo:
         col.write(5 * VALUES_PER_PAGE, 3500)  # make that true
         row = 5 * VALUES_PER_PAGE + 1
         batch = apply_and_log(col, [(row, 9999)])  # old=5000, new=9999
-        before = col.mapper.cost.ledger.counter("pages_scanned")
+        before = col.cost.ledger.counter("pages_scanned")
         stats = align_partial_views(col, [view], batch)
         assert stats.pages_removed == 0
         assert view.contains_page(5)
         # no full page scan was needed for the decision
-        assert col.mapper.cost.ledger.counter("pages_scanned") == before
+        assert col.cost.ledger.counter("pages_scanned") == before
 
     def test_last_in_range_value_removed_deindexes_page(self):
         col = banded_column()
@@ -109,12 +109,12 @@ class TestCaseTwo:
         # overwrite one in-range value; 510 others remain in range
         row = 3 * VALUES_PER_PAGE
         batch = apply_and_log(col, [(row, 50)])
-        before = col.mapper.cost.ledger.counter("pages_scanned")
+        before = col.cost.ledger.counter("pages_scanned")
         stats = align_partial_views(col, [view], batch)
         assert stats.pages_removed == 0
         assert view.contains_page(3)
         # the decision required a full page scan
-        assert col.mapper.cost.ledger.counter("pages_scanned") == before + 1
+        assert col.cost.ledger.counter("pages_scanned") == before + 1
 
     def test_removal_then_read_reuses_slot(self):
         col = banded_column()
@@ -224,7 +224,7 @@ class TestRebuild:
         ranges = [(1000, 1999), (4000, 6999)]
         views, elapsed = rebuild_partial_views(col, full, ranges)
         assert elapsed > 0
-        assert [v.value_range for v in views] == ranges
+        assert [(v.lo, v.hi) for v in views] == ranges
         check_invariant(col, views)
 
     def test_rebuild_equals_incremental_alignment(self):

@@ -1,7 +1,6 @@
 """Unit tests for cost-based multi-view routing (the paper's future work)."""
 
 import numpy as np
-import pytest
 
 from repro.core.adaptive import AdaptiveStorageLayer
 from repro.core.config import AdaptiveConfig, RoutingMode

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core.config import AdaptiveConfig
-from repro.core.query import AggregateResult, QueryEngine, RecordSet
+from repro.core.query import AggregateResult, QueryEngine
 from repro.storage.table import Catalog
-from repro.vm.cost import CostModel
-from repro.vm.physical import PhysicalMemory
 
 from ..conftest import reference_rows
 
 
 @pytest.fixture
 def table():
-    catalog = Catalog(PhysicalMemory(capacity_bytes=256 * 1024**2, cost=CostModel()))
+    catalog = Catalog()
     rng = np.random.default_rng(3)
     n = 5110
     return catalog.create_table(
@@ -69,7 +67,7 @@ class TestFetch:
             engine.fetch(np.array([-1]), ["customer"])
 
     def test_charges_random_accesses(self, table, engine):
-        cost = table.column("customer").mapper.cost
+        cost = table.column("customer").cost
         before = cost.ledger.counter("pages_accessed")
         engine.fetch(np.array([0, 1, 600]), ["customer"])
         # rows 0/1 share a page, row 600 is on another: 2 page accesses

@@ -161,13 +161,13 @@ class TestCostAccounting:
         col = banded_column()
         a = view_over(col, 100, 299)
         b = view_over(col, 300, 499)
-        before = col.mapper.cost.ledger.counter("bitvector_words_scanned")
+        before = col.cost.ledger.counter("bitvector_words_scanned")
         scan_views(col, [a, b], 150, 450)
-        assert col.mapper.cost.ledger.counter("bitvector_words_scanned") > before
+        assert col.cost.ledger.counter("bitvector_words_scanned") > before
 
     def test_single_view_skips_bitvector(self):
         col = banded_column()
         full = VirtualView.full_view(col)
-        before = col.mapper.cost.ledger.counter("bitvector_words_scanned")
+        before = col.cost.ledger.counter("bitvector_words_scanned")
         scan_views(col, [full], 0, 100)
-        assert col.mapper.cost.ledger.counter("bitvector_words_scanned") == before
+        assert col.cost.ledger.counter("bitvector_words_scanned") == before

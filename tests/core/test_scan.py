@@ -84,13 +84,13 @@ class TestBatchScan:
             assert result.min_above[1] == 50
 
     def test_charges_per_page(self, small_column):
-        cost = small_column.mapper.cost
+        cost = small_column.cost
         before = cost.ledger.counter("pages_scanned")
         batch_scan(small_column, np.arange(5), 0, 10, access_kind="random")
         assert cost.ledger.counter("pages_scanned") == before + 5
 
     def test_charge_flag(self, small_column):
-        cost = small_column.mapper.cost
+        cost = small_column.cost
         before = cost.ledger.lane_ns()
         batch_scan(small_column, np.arange(5), 0, 10, charge=False)
         assert cost.ledger.lane_ns() == before
@@ -183,7 +183,7 @@ def test_batch_scan_equals_per_page_scan(
         col = build_column(values)
         with ctx():
             result = batch_scan(col, np.array(fpages, dtype=np.int64), lo, hi)
-        ledger = col.mapper.cost.ledger
+        ledger = col.cost.ledger
         ledgers.append((ledger.lanes(), ledger.counters()))
 
         rowids, hits = [], []

@@ -85,12 +85,6 @@ class TestMultipleSnapshots:
         assert snap1.copied_pages == 1
         assert snap2.copied_pages == 1
 
-    def test_live_snapshots_tracking(self, manager):
-        snap1 = manager.create_snapshot()
-        snap2 = manager.create_snapshot()
-        snap1.release()
-        assert manager.live_snapshots == [snap2]
-
 
 class TestRelease:
     def test_release_frees_mapping_and_copies(self, column, manager):
@@ -99,11 +93,11 @@ class TestRelease:
         base = snap.base_vpn
         copy_name = f"{column.file.name}.snap{snap.snapshot_id}"
         snap.release()
-        assert not column.mapper.address_space.is_mapped(base)
+        assert not column.substrate.mapper.address_space.is_mapped(base)
         from repro.vm.errors import FileError
 
         with pytest.raises(FileError):
-            column.mapper.memory.get_file(copy_name)
+            column.substrate.mapper.memory.get_file(copy_name)
 
     def test_release_idempotent(self, manager):
         snap = manager.create_snapshot()
@@ -134,13 +128,13 @@ class TestRelease:
 
 class TestCostAccounting:
     def test_snapshot_creation_is_one_mmap(self, column, manager):
-        before = column.mapper.cost.ledger.counter("mmap_calls")
+        before = column.cost.ledger.counter("mmap_calls")
         manager.create_snapshot()
-        assert column.mapper.cost.ledger.counter("mmap_calls") == before + 1
+        assert column.cost.ledger.counter("mmap_calls") == before + 1
 
     def test_preserve_charges_copy_and_remap(self, column, manager):
         manager.create_snapshot()
-        cost = column.mapper.cost
+        cost = column.cost
         copies_before = cost.ledger.counter("snapshot_pages_copied")
         column.write(0, -1)
         assert cost.ledger.counter("snapshot_pages_copied") == copies_before + 1

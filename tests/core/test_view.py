@@ -26,15 +26,15 @@ class TestFullView:
         view = VirtualView.full_view(column)
         assert view.is_full_view
         assert view.num_pages == 16
-        assert view.value_range == (MIN_VALUE, MAX_VALUE)
+        assert (view.lo, view.hi) == (MIN_VALUE, MAX_VALUE)
         assert view.mapped_fpages().tolist() == list(range(16))
         assert view.contains_page(0) and view.contains_page(15)
         assert not view.contains_page(16)
 
     def test_single_mmap_call(self, column):
-        before = column.mapper.cost.ledger.counter("mmap_calls")
+        before = column.cost.ledger.counter("mmap_calls")
         VirtualView.full_view(column)
-        assert column.mapper.cost.ledger.counter("mmap_calls") == before + 1
+        assert column.cost.ledger.counter("mmap_calls") == before + 1
 
     def test_mutations_rejected(self, column):
         view = VirtualView.full_view(column)
@@ -50,7 +50,7 @@ class TestPartialView:
     def test_starts_empty(self, column):
         view = VirtualView(column, 10, 20)
         assert view.num_pages == 0
-        assert view.value_range == (10, 20)
+        assert (view.lo, view.hi) == (10, 20)
         assert view.mapped_fpages().size == 0
 
     def test_inverted_range_rejected(self, column):
@@ -59,7 +59,7 @@ class TestPartialView:
 
     def test_reservation_spans_whole_column(self, column):
         view = VirtualView(column, 0, 1)
-        asp = column.mapper.address_space
+        asp = column.substrate.mapper.address_space
         assert asp.is_mapped(view.base_vpn)
         assert asp.is_mapped(view.base_vpn + column.num_pages - 1)
         assert asp.translate(view.base_vpn) is None  # anonymous
@@ -69,7 +69,7 @@ class TestPartialView:
         view.add_page(7)
         assert view.contains_page(7)
         assert view.num_pages == 1
-        assert column.mapper.translate(view.vpn_of(7)) == (column.file, 7)
+        assert column.substrate.mapper.translate(view.vpn_of(7)) == (column.file, 7)
 
     def test_add_duplicate_rejected(self, column):
         view = VirtualView(column, 0, 100)
@@ -113,8 +113,8 @@ class TestPartialView:
         assert view.num_pages == 3
         assert view.mapped_fpages().tolist() == [4, 5, 6]
         # one coalesced mmap: virtual pages contiguous, file pages contiguous
-        assert column.mapper.translate(view.base_vpn) == (column.file, 4)
-        assert column.mapper.translate(view.base_vpn + 2) == (column.file, 6)
+        assert column.substrate.mapper.translate(view.base_vpn) == (column.file, 4)
+        assert column.substrate.mapper.translate(view.base_vpn + 2) == (column.file, 6)
 
     def test_map_run_rejects_duplicates(self, column):
         view = VirtualView(column, 0, 100)
@@ -143,22 +143,15 @@ class TestPartialView:
 
     def test_populate_faults_charged_at_map_time(self, column):
         view = VirtualView(column, 0, 100)
-        before = column.mapper.cost.ledger.counter("soft_faults")
+        before = column.cost.ledger.counter("soft_faults")
         materialize_pages(view, np.array([1, 2, 3]))
         view.add_page(9)
-        assert column.mapper.cost.ledger.counter("soft_faults") == before + 4
+        assert column.cost.ledger.counter("soft_faults") == before + 4
         # scanning afterwards charges nothing more
         assert view.charge_first_touch() == 0
 
 
 class TestRangePredicates:
-    def test_covers(self, column):
-        view = VirtualView(column, 10, 20)
-        assert view.covers(10, 20)
-        assert view.covers(12, 15)
-        assert not view.covers(9, 15)
-        assert not view.covers(15, 21)
-
     def test_subset_superset(self, column):
         small = VirtualView(column, 12, 18)
         big = VirtualView(column, 10, 20)
@@ -172,7 +165,7 @@ class TestRangePredicates:
     def test_update_range(self, column):
         view = VirtualView(column, 10, 20)
         view.update_range(5, 30)
-        assert view.value_range == (5, 30)
+        assert (view.lo, view.hi) == (5, 30)
         with pytest.raises(ValueError):
             view.update_range(30, 5)
 
@@ -183,7 +176,7 @@ class TestDestroy:
         view.add_page(3)
         base = view.base_vpn
         view.destroy()
-        assert not column.mapper.address_space.is_mapped(base)
+        assert not column.substrate.mapper.address_space.is_mapped(base)
         assert view.num_pages == 0
 
     def test_destroy_idempotent(self, column):
@@ -194,9 +187,9 @@ class TestDestroy:
     def test_destroy_charges_munmap(self, column):
         view = VirtualView(column, 0, 100)
         materialize_pages(view, np.arange(4))
-        before = column.mapper.cost.ledger.counter("pages_unmapped")
+        before = column.cost.ledger.counter("pages_unmapped")
         view.destroy()
-        assert column.mapper.cost.ledger.counter("pages_unmapped") == before + 4
+        assert column.cost.ledger.counter("pages_unmapped") == before + 4
 
 
 class TestPlanRuns:

@@ -1,6 +1,5 @@
 """Unit tests for view selection and the candidate retention policy."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import AdaptiveConfig, RoutingMode
@@ -184,7 +183,7 @@ class TestRetention:
         candidate = make_view(column, 0, 100, list(range(32)))
         base = candidate.base_vpn
         index.consider_candidate(candidate)
-        assert not column.mapper.address_space.is_mapped(base)
+        assert not column.substrate.mapper.address_space.is_mapped(base)
 
     def test_replaced_view_is_destroyed(self, column):
         index = index_with(column)
@@ -192,7 +191,7 @@ class TestRetention:
         index.insert(existing)
         base = existing.base_vpn
         index.consider_candidate(make_view(column, 0, 100, [1, 2]))
-        assert not column.mapper.address_space.is_mapped(base)
+        assert not column.substrate.mapper.address_space.is_mapped(base)
 
 
 class TestIndexManagement:
@@ -223,9 +222,3 @@ class TestConfigValidation:
             AdaptiveConfig(replacement_tolerance=-1)
         with pytest.raises(ValueError):
             AdaptiveConfig(max_views=-1)
-
-    def test_with_mode(self):
-        config = AdaptiveConfig()
-        multi = config.with_mode(RoutingMode.MULTI)
-        assert multi.mode is RoutingMode.MULTI
-        assert config.mode is RoutingMode.SINGLE

@@ -217,7 +217,7 @@ def _run_session(
                 )
             )
 
-        fired = substrate.schedule.faults_fired if substrate.schedule else 0
+        fired = len(substrate.schedule.journal) if substrate.schedule else 0
 
         if resilience is not None and resilience.enabled:
             # Recovery oracle: with faults disarmed, a repair converges

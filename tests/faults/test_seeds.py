@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.bench.harness import session_seed
 from repro.seeds import ENV_VAR, base_seed, derive_seed, resolve_seed
 from repro.workloads.distributions import sine, uniform
 from repro.workloads.queries import fixed_selectivity
@@ -13,12 +12,10 @@ class TestBaseSeed:
     def test_default_is_zero(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
         assert base_seed() == 0
-        assert session_seed() == 0
 
     def test_env_var_is_read(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "1234")
         assert base_seed() == 1234
-        assert session_seed() == 1234
 
     @pytest.mark.parametrize("bad", ["x", "1.5", "-1", ""])
     def test_invalid_values_raise(self, monkeypatch, bad):

@@ -71,7 +71,7 @@ def _run_session(backend: str) -> dict:
         index = db.layer("t", "x").view_index
         for view in index.partial_views:
             trace["view_pages"].append(
-                (view.value_range, sorted(view.mapped_fpages().tolist()))
+                ((view.lo, view.hi), sorted(view.mapped_fpages().tolist()))
             )
         trace["view_pages"].sort()
         trace["maps_lines"] = substrate.maps_line_count(path)

@@ -5,11 +5,13 @@ Everything here issues real syscalls — memfd files, anonymous
 kernel's ``/proc/self/maps`` — and skips on platforms without them.
 """
 
+import ctypes
+
 import numpy as np
 import pytest
 
 from repro.native import is_supported
-from repro.vm.constants import VALUES_PER_PAGE
+from repro.vm.constants import PAGE_HEADER_BYTES, PAGE_SIZE, VALUES_PER_PAGE
 from repro.vm.errors import FileError
 
 pytestmark = pytest.mark.skipif(
@@ -76,6 +78,15 @@ class TestNativePageStore:
         with pytest.raises(FileError):
             sub.get_file("t.col")
 
+    def test_zero_pages_rejected(self, sub):
+        with pytest.raises(FileError):
+            sub.create_file("empty", 0)
+
+
+def write_first_value(vpn, value):
+    """Store ``value`` in the first data slot through virtual page ``vpn``."""
+    ctypes.c_int64.from_address(vpn * PAGE_SIZE + PAGE_HEADER_BYTES).value = value
+
 
 class TestNativeMapping:
     def test_reserve_reads_zeros(self, sub):
@@ -97,12 +108,35 @@ class TestNativeMapping:
         assert sub.read_virtual(base)[0] == 7000
         sub.unmap_slot(base)
         assert sub.read_virtual(base)[0] == 0
+        sub.map_fixed(base, 1, file, 1)
+        assert sub.read_virtual(base)[0] == 1000
 
     def test_write_through_store_visible_in_view(self, sub, file):
         base = sub.reserve(1)
         sub.map_fixed(base, 1, file, 4)
         file.data[4, 0] = 123456
         assert sub.read_virtual(base)[0] == 123456
+
+    def test_write_through_view_reaches_store(self, sub, file):
+        base = sub.reserve(2)
+        sub.map_fixed(base, 1, file, 3)
+        write_first_value(base, -99)
+        assert file.data[3, 0] == -99
+
+    def test_two_virtual_pages_share_physical_page(self, sub, file):
+        """Multiple virtual pages can map the same physical page — the
+        property that lets partial views overlap."""
+        base = sub.reserve(4)
+        sub.map_fixed(base, 1, file, 2)
+        sub.map_fixed(base + 3, 1, file, 2)
+        write_first_value(base, 4242)
+        assert sub.read_virtual(base + 3)[0] == 4242
+
+    def test_coalesced_run(self, sub, file):
+        base = sub.reserve(8)
+        sub.map_fixed(base + 1, 3, file, 4)
+        assert [sub.read_virtual(base + i)[0] for i in (1, 2, 3)] == [4000, 5000, 6000]
+        assert sub.maps_line_count(sub.file_map_path(file)) == 1
 
     def test_map_file_whole(self, sub, file):
         base = sub.map_file(8, file)
@@ -242,3 +276,5 @@ class TestNativeLifecycle:
         sub.close()
         assert store.fd == -1
         assert sub._regions == {}
+        sub.close()
+        store.close()

@@ -33,8 +33,8 @@ def captured():
 
 def observed_layer(num_pages=32):
     column = uniform_column(num_pages=num_pages)
-    observer = Observer(column.mapper.cost.ledger)
-    column.mapper.observer = observer
+    observer = Observer(column.cost.ledger)
+    column.substrate.mapper.observer = observer
     layer = AdaptiveStorageLayer(column, AdaptiveConfig(), observer=observer)
     return column, observer, layer
 
@@ -49,7 +49,7 @@ def test_query_span_tree_three_levels_root_matches_sim_ns():
     assert [r.name for r in roots] == ["query"]
     root = roots[0]
     # query -> scan -> scan-view (and query -> candidate -> map-pages)
-    assert root.max_depth() >= 2
+    assert max(span.depth for span in root.walk()) >= 2
     names = {span.name for span in root.walk()}
     assert {"query", "route", "scan", "scan-view"} <= names
     assert root.duration_ns == result.stats.sim_ns
@@ -184,7 +184,7 @@ def test_observation_off_by_default():
         db.create_table("t", sample_table(4))
         layer = db.layer("t", "temp")
         assert layer.observer is NULL_OBSERVER
-        assert db.catalog.mapper.observer is None
+        assert db.catalog.substrate.mapper.observer is None
     finally:
         db.close()
 

@@ -163,7 +163,7 @@ class TestDispatch:
         reply = conn.send({"op": "close"})
         assert reply["ok"] is True
         assert reply["message"] == "session closed"
-        assert server.manager.admission().active_sessions == 0
+        assert server.manager.admission().status().active == 0
 
 
 class TestShedGreeting:

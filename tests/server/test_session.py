@@ -240,7 +240,7 @@ class TestErrors:
         session = manager.open_session()
         session.close()
         session.close()
-        assert manager.admission().active_sessions == 0
+        assert manager.admission().status().active == 0
 
     def test_scalar_requires_1x1(self):
         response = Response(columns=["a", "b"], rows=[(1, 2)])

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import AdaptiveConfig
 from repro.resilience.policy import HealthState, ResilienceConfig
 from repro.shard import ShardedDatabase
 from repro.vm.constants import VALUES_PER_PAGE

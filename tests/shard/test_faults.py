@@ -3,7 +3,7 @@
 Each shard's substrate is wrapped in a
 :class:`~repro.faults.plane.FaultySubstrate` with its own seeded
 probabilistic schedule (derived through
-:func:`~repro.bench.harness.session_seed`, so the sweep replays from the
+:func:`~repro.seeds.derive_seed`, so the sweep replays from the
 environment).  With resilience armed the faulted session must keep
 matching the fault-free numpy oracle query for query; afterwards a
 repair must converge and the audit must come back clean.
@@ -14,10 +14,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench.harness import session_seed
 from repro.core.config import AdaptiveConfig
 from repro.faults import FaultSchedule, FaultySubstrate
 from repro.resilience.policy import ResilienceConfig
+from repro.seeds import derive_seed
 from repro.shard import ShardedColumn
 from repro.substrate import make_substrate
 from repro.vm.constants import VALUES_PER_PAGE
@@ -40,7 +40,7 @@ def _faulty_factory(probability: float, sweep_seed: int):
             schedule=FaultSchedule.probabilistic(
                 FAULT_OPS,
                 probability=probability,
-                seed=session_seed(shard=index) + sweep_seed,
+                seed=derive_seed(index) + sweep_seed,
             ),
         )
         substrates.append(substrate)

@@ -110,7 +110,12 @@ class TestOracleParity:
         ) as column:
             for _ in range(4):
                 column.query(lo, hi)
-            sharded_pages = column.partial_view_page_union()
+            sharded_pages = {
+                int(fpage) + shard.spec.page_start
+                for shard in column.shards
+                for view in shard.layer.view_index.partial_views
+                for fpage in view.mapped_fpages()
+            }
 
         if num_shards == 1:
             assert sharded_pages == single_pages

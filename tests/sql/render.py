@@ -1,15 +1,13 @@
 """Rendering statement ASTs back to SQL text.
 
-The inverse of :mod:`repro.sql.parser`: useful for logging, trace
-tooling and testing (the round-trip property ``parse(render(ast)) ==
-ast`` is enforced by the test suite).
+The inverse of :mod:`repro.sql.parser`, kept for the parser's
+round-trip tests: ``parse(render_statement(ast)) == ast``.
 """
 
 from __future__ import annotations
 
-from ..vm.constants import MAX_VALUE, MIN_VALUE
-from .errors import SqlError
-from .nodes import (
+from repro.sql.errors import SqlError
+from repro.sql.nodes import (
     CreateTableStatement,
     DeleteStatement,
     ExplainStatement,
@@ -21,6 +19,7 @@ from .nodes import (
     Statement,
     UpdateStatement,
 )
+from repro.vm.constants import MAX_VALUE, MIN_VALUE
 
 
 def render_predicates(predicates: dict[str, RangePredicate]) -> str:

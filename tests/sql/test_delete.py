@@ -6,7 +6,7 @@ import pytest
 from repro.core.config import AdaptiveConfig
 from repro.core.facade import AdaptiveDatabase
 from repro.sql import DeleteStatement, Session, parse
-from repro.sql.render import render_statement
+from .render import render_statement
 from repro.vm.constants import VALUES_PER_PAGE
 
 

@@ -7,7 +7,7 @@ from repro import AdaptiveDatabase
 from repro.sql.executor import Session
 from repro.sql.nodes import ExplainStatement
 from repro.sql.parser import parse
-from repro.sql.render import render_statement
+from .render import render_statement
 
 
 @pytest.fixture

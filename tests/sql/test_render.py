@@ -1,6 +1,5 @@
 """Round-trip tests: parse(render(ast)) == ast for generated statements."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +15,7 @@ from repro.sql.nodes import (
     UpdateStatement,
 )
 from repro.sql.parser import parse
-from repro.sql.render import render_statement
+from .render import render_statement
 from repro.vm.constants import MAX_VALUE, MIN_VALUE
 
 _name = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(
@@ -147,7 +146,7 @@ def test_other_statements_roundtrip():
 
 
 def test_unconstrained_predicate_dropped():
-    from repro.sql.render import render_predicates
+    from .render import render_predicates
 
     pred = RangePredicate(column="a")  # [-inf, inf]
     assert render_predicates({"a": pred}) == ""

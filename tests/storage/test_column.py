@@ -7,7 +7,6 @@ from repro.storage.column import PhysicalColumn
 from repro.substrate import SimulatedSubstrate
 from repro.vm.constants import VALUES_PER_PAGE
 from repro.vm.cost import CostModel
-from repro.vm.mmap_api import MemoryMapper
 from repro.vm.physical import PhysicalMemory
 
 from ..conftest import build_column
@@ -30,7 +29,7 @@ class TestCreate:
 
     def test_rejects_empty_and_2d(self):
         memory = PhysicalMemory(cost=CostModel())
-        substrate = SimulatedSubstrate(mapper=MemoryMapper(memory))
+        substrate = SimulatedSubstrate(memory=memory)
         with pytest.raises(ValueError):
             PhysicalColumn.create(substrate, "c", np.array([]))
         with pytest.raises(ValueError):
@@ -39,7 +38,7 @@ class TestCreate:
     def test_load_charges_writes(self):
         values = np.arange(100)
         col = build_column(values)
-        assert col.mapper.cost.ledger.counter("values_written") == 100
+        assert col.cost.ledger.counter("values_written") == 100
 
     def test_page_ids_embedded(self):
         col = build_column(np.arange(VALUES_PER_PAGE * 4))
@@ -106,8 +105,8 @@ class TestScans:
 
     def test_scan_page_charge_flag(self):
         col = build_column(np.arange(100))
-        before = col.mapper.cost.ledger.counter("pages_scanned")
+        before = col.cost.ledger.counter("pages_scanned")
         col.scan_page(0, 0, 10, charge=False)
-        assert col.mapper.cost.ledger.counter("pages_scanned") == before
+        assert col.cost.ledger.counter("pages_scanned") == before
         col.scan_page(0, 0, 10)
-        assert col.mapper.cost.ledger.counter("pages_scanned") == before + 1
+        assert col.cost.ledger.counter("pages_scanned") == before + 1

@@ -18,20 +18,11 @@ class TestLayout:
         assert layout.row_to_page(VALUES_PER_PAGE) == 1
         assert layout.row_to_slot(VALUES_PER_PAGE) == 0
 
-    def test_page_slot_to_row(self):
-        assert layout.page_slot_to_row(3, 7) == 3 * VALUES_PER_PAGE + 7
-
     def test_negative_rows_rejected(self):
         with pytest.raises(ValueError):
             layout.row_to_page(-1)
         with pytest.raises(ValueError):
             layout.row_to_slot(-1)
-
-    def test_bad_page_slot_rejected(self):
-        with pytest.raises(ValueError):
-            layout.page_slot_to_row(-1, 0)
-        with pytest.raises(ValueError):
-            layout.page_slot_to_row(0, VALUES_PER_PAGE)
 
     def test_pages_for_rows(self):
         assert layout.pages_for_rows(1) == 1
@@ -53,7 +44,7 @@ class TestLayout:
 def test_row_roundtrip(row):
     """row -> (page, slot) -> row is the identity."""
     page, slot = layout.row_to_page(row), layout.row_to_slot(row)
-    assert layout.page_slot_to_row(page, slot) == row
+    assert page * VALUES_PER_PAGE + slot == row
     assert 0 <= slot < VALUES_PER_PAGE
 
 

@@ -1,11 +1,10 @@
 """Unit and property tests for page-level scan-and-filter."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.page import clamp_range, page_min_max, scan_and_filter
+from repro.storage.page import clamp_range, scan_and_filter
 from repro.vm.constants import MAX_VALUE, MIN_VALUE, VALUES_PER_PAGE
 from repro.vm.cost import CostModel
 from repro.vm.physical import PhysicalMemory
@@ -84,17 +83,6 @@ class TestClampRange:
 
     def test_leaves_normal_ranges(self):
         assert clamp_range(5, 10) == (5, 10)
-
-
-class TestPageMinMax:
-    def test_min_max(self):
-        f = make_file(np.array([7, 3, 9]))
-        assert page_min_max(f, 0, valid_count=3) == (3, 9)
-
-    def test_empty_rejected(self):
-        f = make_file(np.array([1]))
-        with pytest.raises(ValueError):
-            page_min_max(f, 0, valid_count=0)
 
 
 @settings(max_examples=100, deadline=None)

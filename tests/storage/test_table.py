@@ -5,13 +5,11 @@ import pytest
 
 from repro.storage.table import Catalog, Table
 from repro.storage.column import PhysicalColumn
-from repro.vm.cost import CostModel
-from repro.vm.physical import PhysicalMemory
 
 
 @pytest.fixture
 def catalog():
-    return Catalog(PhysicalMemory(capacity_bytes=256 * 1024 * 1024, cost=CostModel()))
+    return Catalog()
 
 
 @pytest.fixture
@@ -62,15 +60,6 @@ class TestUpdates:
         assert len(pending) == 1
         assert pending[0].row == 5 and pending[0].old == 5 and pending[0].new == 999
 
-    def test_update_many(self, table):
-        table.update_many("b", np.array([1, 2]), np.array([111, 222]))
-        assert table.column("b").read(2) == 222
-        assert len(table.pending_updates("b")) == 2
-
-    def test_update_many_shape_mismatch(self, table):
-        with pytest.raises(ValueError):
-            table.update_many("b", np.array([1, 2]), np.array([1]))
-
     def test_logs_are_per_column(self, table):
         table.update("a", 0, 1)
         assert len(table.pending_updates("b")) == 0
@@ -99,16 +88,8 @@ class TestCatalog:
         with pytest.raises(KeyError):
             catalog.get_table("ghost")
 
-    def test_drop_table_frees_memory(self, catalog, table):
-        allocated = catalog.memory.allocated_pages
-        assert allocated > 0
-        catalog.drop_table("t")
-        assert catalog.memory.allocated_pages == 0
-        with pytest.raises(KeyError):
-            catalog.get_table("t")
-
     def test_shared_cost_model(self, catalog):
-        assert catalog.cost is catalog.memory.cost
+        assert catalog.cost is catalog.substrate.cost
 
     def test_column_files_are_namespaced(self, catalog, table):
         assert table.column("a").file.name == "t.a"

@@ -58,13 +58,6 @@ class TestUpdateBatch:
         assert sorted(groups) == [0, 1]
         assert len(groups[0]) == 2
 
-    def test_effective_drops_noops(self):
-        batch = UpdateBatch(
-            [UpdateRecord(1, 5, 9), UpdateRecord(1, 9, 5), UpdateRecord(2, 1, 2)]
-        )
-        effective = batch.effective()
-        assert [u.row for u in effective] == [2]
-
     def test_clear(self):
         batch = UpdateBatch([UpdateRecord(1, 0, 1)])
         batch.clear()

@@ -17,7 +17,6 @@ from repro.storage.column import PhysicalColumn
 from repro.substrate import SimulatedSubstrate
 from repro.vm.constants import PAGE_SIZE, VALUES_PER_PAGE
 from repro.vm.cost import CostModel
-from repro.vm.mmap_api import MemoryMapper
 from repro.vm.physical import PhysicalMemory
 
 from ..conftest import reference_rows
@@ -28,7 +27,7 @@ def wide_column(num_rows=2000, record_bytes=96, seed=0, hi=100_000_000):
     rng = np.random.default_rng(seed)
     values = rng.integers(0, hi, num_rows)
     return PhysicalColumn.create(
-        SimulatedSubstrate(mapper=MemoryMapper(memory)), "wide", values, record_bytes=record_bytes
+        SimulatedSubstrate(memory=memory), "wide", values, record_bytes=record_bytes
     )
 
 
@@ -47,7 +46,6 @@ class TestLayoutArithmetic:
     def test_row_arithmetic_with_per_page(self):
         assert layout.row_to_page(42, per_page=42) == 1
         assert layout.row_to_slot(42, per_page=42) == 0
-        assert layout.page_slot_to_row(1, 0, per_page=42) == 42
 
     def test_paper_fig3_fractions(self):
         """With 42 records/page, i.i.d. uniform [0, 100M] data indexes
@@ -73,11 +71,6 @@ class TestWideColumn:
         assert col.read(50) == 12345
         assert isinstance(old, int)
 
-    def test_page_of_row(self):
-        col = wide_column(num_rows=100, record_bytes=96)
-        assert col.page_of_row(0) == 0
-        assert col.page_of_row(42) == 1
-
     def test_scan_page_rowids(self):
         col = wide_column(num_rows=100, record_bytes=96, hi=1000)
         result = col.scan_page(1, 0, 1000)
@@ -87,9 +80,9 @@ class TestWideColumn:
     def test_scan_cost_scales_with_record_bytes(self):
         narrow = wide_column(num_rows=4200, record_bytes=8)
         wide = wide_column(num_rows=4200, record_bytes=96)
-        with narrow.mapper.cost.region() as narrow_region:
+        with narrow.cost.region() as narrow_region:
             narrow.scan_page(0, 0, 10)
-        with wide.mapper.cost.region() as wide_region:
+        with wide.cost.region() as wide_region:
             wide.scan_page(0, 0, 10)
         # both scans stream roughly one page worth of bytes
         assert wide_region.elapsed_ns() == pytest.approx(

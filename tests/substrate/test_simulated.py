@@ -156,10 +156,6 @@ class TestBitIdentity:
 
 
 class TestCatalogWiring:
-    def test_substrate_and_memory_exclusive(self, memory, sub):
-        with pytest.raises(ValueError):
-            Catalog(memory=memory, substrate=sub)
-
     def test_catalog_adopts_substrate(self, sub):
         catalog = Catalog(substrate=sub)
         assert catalog.substrate is sub
@@ -168,11 +164,6 @@ class TestCatalogWiring:
             "t", {"x": np.arange(100, dtype=np.int64)}
         )
         assert table.column("x").substrate is sub
-
-    def test_legacy_memory_kwarg(self, memory):
-        catalog = Catalog(memory=memory)
-        assert isinstance(catalog.substrate, SimulatedSubstrate)
-        assert catalog.memory is memory
 
 
 class TestNativeFactoryGate:

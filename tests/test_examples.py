@@ -9,7 +9,7 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
+from repro.native import is_supported
 
 EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
 
@@ -38,8 +38,11 @@ class TestExamples:
 
     def test_native_rewiring_demo(self):
         out = run_example("native_rewiring_demo.py")
-        # either a full demo or a graceful unsupported-platform message
-        assert "rewir" in out.lower()
+        if not is_supported():
+            assert "not supported on this platform" in out
+            return
+        assert "write 4242 through view[6], read via view[0]: 4242" in out
+        assert "...and via the file: 4242" in out
 
     def test_snapshot_analytics(self):
         out = run_example("snapshot_analytics.py")

@@ -9,7 +9,6 @@ from repro import (
     AdaptiveConfig,
     AdaptiveDatabase,
     QueryEngine,
-    RoutingMode,
     SnapshotManager,
     inspect_view_index,
 )

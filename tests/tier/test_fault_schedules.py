@@ -170,7 +170,7 @@ def _run_session(
                 + (f"\nfaults:\n{schedule.describe()}" if schedule else "")
             )
 
-        fired = schedule.faults_fired if schedule else 0
+        fired = len(schedule.journal) if schedule else 0
         armed_moves = (store.promotions, store.demotions - placed)
 
         # Recovery oracle: disarmed, one maintenance cycle restores the
@@ -339,7 +339,7 @@ class TestUntieredCostBitIdentity:
         faulty.schedule = _spill_schedule(seed)
         armed = _ledger_of(faulty, ops, seed)
         assert armed == bare
-        assert faulty.schedule.faults_fired == 0
+        assert not faulty.schedule.journal
 
     def test_untiered_ledger_carries_no_tier_counters(self):
         """Untiered sessions never count a single tier operation."""

@@ -12,7 +12,7 @@ class TestPhysicalMemory:
     def test_capacity_accounting(self, memory):
         before = memory.free_pages
         memory.create_file("a", 10)
-        assert memory.allocated_pages == 10
+        assert memory.free_pages == memory.capacity_pages - 10
         assert memory.free_pages == before - 10
 
     def test_capacity_enforced(self):
@@ -37,7 +37,7 @@ class TestPhysicalMemory:
     def test_delete_releases_pages(self, memory):
         memory.create_file("a", 8)
         memory.delete_file("a")
-        assert memory.allocated_pages == 0
+        assert memory.free_pages == memory.capacity_pages
         with pytest.raises(FileError):
             memory.get_file("a")
 
@@ -92,7 +92,7 @@ class TestMemoryFile:
         f.data[:] = 5
         f.resize(4)
         assert f.num_pages == 4
-        assert memory.allocated_pages == 4
+        assert memory.free_pages == memory.capacity_pages - 4
         assert int(f.data[1, 0]) == 5  # old data preserved
         assert int(f.data[3, 0]) == 0  # new pages zeroed
         assert f.page_id(3) == 3
@@ -101,7 +101,7 @@ class TestMemoryFile:
         f = memory.create_file("f", 4)
         f.resize(2)
         assert f.num_pages == 2
-        assert memory.allocated_pages == 2
+        assert memory.free_pages == memory.capacity_pages - 2
 
     def test_resize_to_zero_rejected(self, memory):
         f = memory.create_file("f", 2)

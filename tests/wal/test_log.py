@@ -85,7 +85,7 @@ class TestSizeCap:
                 wal.append(_record(i))
                 appended += 1
         assert appended > 0
-        assert wal.is_full
+        assert wal.status()["full"]
         assert wal.health() is HealthState.READONLY
         # Latched: even a tiny append is refused now.
         with pytest.raises(WalFullError):
@@ -115,9 +115,9 @@ class TestSizeCap:
         with pytest.raises(WalFullError):
             for i in range(100):
                 wal.append(_record(i))
-        assert wal.is_full
+        assert wal.status()["full"]
         wal.prune(wal.lsn)  # a checkpoint at the tip covers everything
-        assert not wal.is_full
+        assert not wal.status()["full"]
         assert wal.health() is HealthState.HEALTHY
         assert wal.append(_record(0)) == wal.lsn
         wal.close()

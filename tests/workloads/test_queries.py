@@ -1,6 +1,5 @@
 """Unit tests for the query sequence generators."""
 
-import numpy as np
 import pytest
 
 from repro.workloads.queries import (
