@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.config import AdaptiveConfig, RoutingMode
+from ..core.facade import AdaptiveDatabase
 from ..core.query import QueryEngine
-from ..storage.table import Catalog
 from ..vm.constants import VALUES_PER_PAGE
 from .harness import scaled_pages
 
@@ -90,10 +90,10 @@ def build_workload(num_queries: int, seed: int) -> list[MacroQuery]:
     return queries
 
 
-def _make_table(num_rows: int, seed: int):
+def _make_database(config: AdaptiveConfig, num_rows: int, seed: int):
     rng = np.random.default_rng(seed)
-    catalog = Catalog()
-    return catalog.create_table(
+    db = AdaptiveDatabase(config)
+    db.create_table(
         "lineitem",
         {
             # append-mostly: ship dates arrive (almost) in order
@@ -102,6 +102,7 @@ def _make_table(num_rows: int, seed: int):
             "qty": rng.integers(1, 50, num_rows),
         },
     )
+    return db
 
 
 _CONFIGS = {
@@ -124,11 +125,10 @@ def run_macro(
 
     reference_rows: int | None = None
     for label, config in _CONFIGS.items():
-        table = _make_table(num_rows, seed)
-        engine = QueryEngine(table, config)
-        cost = table.columns["shipdate"].cost
+        db = _make_database(config, num_rows, seed)
+        engine = QueryEngine(db, "lineitem")
         total_rows = 0
-        with cost.region() as region:
+        with db.cost.region() as region:
             for query in workload:
                 if len(query.predicates) == 1:
                     ((column, (lo, hi)),) = query.predicates.items()
@@ -138,10 +138,10 @@ def run_macro(
                         engine.select_conjunction(query.predicates).size
                     )
         views = sum(
-            engine.layer(col).view_index.num_partials
+            db.layer("lineitem", col).view_index.num_partials
             for col in ("shipdate", "price")
         )
-        engine.close()
+        db.close()
 
         if reference_rows is None:
             reference_rows = total_rows

@@ -27,6 +27,7 @@ from ..obs.observer import NULL_OBSERVER, NullObserver
 from ..resilience.policy import HealthState, ResilienceConfig
 from ..storage.column import PhysicalColumn
 from ..storage.page import clamp_range
+from ..storage.tombstones import Tombstones
 from ..storage.updates import UpdateBatch
 from ..vm.cost import MAIN_LANE
 from .config import AdaptiveConfig
@@ -52,6 +53,18 @@ class QueryResult:
 
     def __len__(self) -> int:
         return int(self.rowids.size)
+
+    def drop_deleted(self, tombstones: Tombstones) -> "QueryResult":
+        """Filter the table's tombstoned rows out, in place; returns self.
+
+        Free while nothing is deleted (the tombstone count is zero).
+        """
+        keep = tombstones.live_row_mask(self.rowids)
+        if keep is not None:
+            self.rowids = self.rowids[keep]
+            self.values = self.values[keep]
+            self.stats.result_rows = int(self.rowids.size)
+        return self
 
 
 class AdaptiveStorageLayer:

@@ -265,12 +265,7 @@ class AdaptiveDatabase:
         layer = self.layer(table_name, column_name)
         if len(table.pending_updates(column_name)):
             layer.apply_updates(table.drain_updates(column_name))
-        result = layer.answer_query(lo, hi)
-        keep = table.tombstones.live_row_mask(result.rowids)
-        if keep is not None:
-            result.rowids = result.rowids[keep]
-            result.values = result.values[keep]
-            result.stats.result_rows = int(result.rowids.size)
+        result = layer.answer_query(lo, hi).drop_deleted(table.tombstones)
         self._merge_staged(table_name, table, column_name, result, lo, hi)
         return result
 
@@ -285,12 +280,8 @@ class AdaptiveDatabase:
         catalog.  Tombstoned rows are filtered like :meth:`query`.
         """
         table = self.table(table_name)
-        result = self.layer(table_name, column_name).scan_full(lo, hi)
-        keep = table.tombstones.live_row_mask(result.rowids)
-        if keep is not None:
-            result.rowids = result.rowids[keep]
-            result.values = result.values[keep]
-            result.stats.result_rows = int(result.rowids.size)
+        layer = self.layer(table_name, column_name)
+        result = layer.scan_full(lo, hi).drop_deleted(table.tombstones)
         self._merge_staged(table_name, table, column_name, result, lo, hi)
         return result
 
@@ -417,18 +408,28 @@ class AdaptiveDatabase:
         if self._write_buffers.get(table_name):
             self.flush_inserts(table_name)
         result = self.query(table_name, column_name, lo, hi)
+        return self.delete_rows(table_name, result.rowids)
+
+    def delete_rows(self, table_name: str, rowids: np.ndarray) -> int:
+        """Tombstone the given rows; returns how many were newly deleted.
+
+        Staged rows merge first, so a rowid :meth:`insert` returned can
+        be deleted.  The rowids are journaled before they are applied.
+        """
+        if self._write_buffers.get(table_name):
+            self.flush_inserts(table_name)
+        table = self.table(table_name)
+        rowids = np.asarray(rowids, dtype=np.int64)
         if self._wal is not None and not self._replaying:
+            if rowids.size and (rowids.min() < 0 or rowids.max() >= table.num_rows):
+                raise IndexError("row id out of range in delete")  # validate first
             # Journal the *resolved* rowids, not the predicate: replay
             # must not depend on what the views look like at replay
             # time, only on the log's total order.
             self._journal(
-                {
-                    "type": "delete",
-                    "table": table_name,
-                    "rowids": [int(row) for row in result.rowids],
-                }
+                {"type": "delete", "table": table_name, "rowids": rowids.tolist()}
             )
-        return self.table(table_name).delete_rows(result.rowids)
+        return table.delete_rows(rowids)
 
     # -- updates -----------------------------------------------------------
 

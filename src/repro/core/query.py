@@ -3,9 +3,9 @@
 The paper's introduction frames the classical interface as
 ``getRecordsWithValue(keyRange)`` → record ids → ``getRecord(recordID)``.
 This module implements that pipeline against the fused design: range
-selection runs through a column's adaptive view layer, and the returned
-row ids drive projections into sibling columns and aggregate
-computation.
+selection is the database's own read path (``AdaptiveDatabase.query``,
+routed through the column's adaptive view layer), and the returned row
+ids drive projections into sibling columns and aggregate computation.
 
 Projections pay realistic costs: fetching scattered rows from a
 non-indexed column touches its pages randomly.
@@ -14,18 +14,12 @@ non-indexed column touches its pages randomly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..obs.observer import NullObserver
-from ..storage.table import Table
 from ..vm.cost import MAIN_LANE
-from .adaptive import AdaptiveStorageLayer, QueryResult
-from .config import AdaptiveConfig
-
-if TYPE_CHECKING:
-    from .facade import AdaptiveDatabase
+from .adaptive import QueryResult
+from .facade import AdaptiveDatabase
 
 
 @dataclass(frozen=True)
@@ -67,86 +61,32 @@ class RecordSet:
 
 
 class QueryEngine:
-    """Range selection, projection and aggregation over one table.
+    """Range selection, projection and aggregation over one table of a
+    database.
 
-    A standalone engine maintains one adaptive storage layer per
-    filtered column (created on demand, all sharing the table's cost
-    model).  An engine built over a database (``db=``) owns none: it
-    borrows ``db.layer(table, column)``, so a column has one layer — and
-    its pending-update log one consumer — however it is reached.
+    The engine owns no storage: a selection is ``db.query`` (or
+    ``db.scan``), so a column has one adaptive layer — and its
+    pending-update log one consumer — however it is reached.
     """
 
-    def __init__(
-        self,
-        table: Table,
-        config: AdaptiveConfig | None = None,
-        observer: "NullObserver | None" = None,
-        db: "AdaptiveDatabase | None" = None,
-    ) -> None:
-        """``db`` is the database holding ``table``; with it, ``config``
-        and ``observer`` are the database's and must not be passed."""
-        if db is not None:
-            if config is not None or observer is not None:
-                raise ValueError(
-                    "an engine over a database uses the database's config "
-                    "and observer"
-                )
-            config, observer = db.config, db.observer
-        self.table = table
-        self.config = config or AdaptiveConfig()
-        self.observer = observer
-        self._db = db
-        self._layers: dict[str, AdaptiveStorageLayer] = {}
-
-    def layer(self, column_name: str) -> AdaptiveStorageLayer:
-        """The adaptive layer of one column: the database's when the
-        engine was built over one, else the engine's own (created
-        lazily)."""
-        if self._db is not None:
-            return self._db.layer(self.table.name, column_name)
-        if column_name not in self._layers:
-            column = self.table.column(column_name)
-            self._layers[column_name] = AdaptiveStorageLayer(
-                column, self.config, observer=self.observer
-            )
-        return self._layers[column_name]
+    def __init__(self, db: AdaptiveDatabase, table_name: str) -> None:
+        self.db = db
+        self.table = db.table(table_name)
 
     # -- selection -----------------------------------------------------------
 
     def select(
         self, column_name: str, lo: int, hi: int, full_scan: bool = False
     ) -> QueryResult:
-        """getRecordsWithValue(keyRange) on one column, view-routed.
+        """getRecordsWithValue(keyRange) on one column: ``db.query``.
 
-        Pending (unflushed) updates are aligned first — partial views
-        must never serve stale page sets — and tombstoned rows are
-        filtered from the result.
-
-        ``full_scan=True`` selects the degraded planner tier: the
-        predicate is answered through the full view only, with no view
-        adaptation and no update alignment (the full view reads the
-        physical pages directly, so it is never stale).  Admission
-        control uses this tier to keep serving under memory pressure.
+        ``full_scan=True`` selects the degraded planner tier,
+        ``db.scan``: the predicate is answered through the full view
+        only, with no view adaptation.  Admission control uses this tier
+        to keep serving under memory pressure.
         """
-        layer = self.layer(column_name)
-        if full_scan:
-            result = layer.scan_full(lo, hi)
-            keep = self.table.tombstones.live_row_mask(result.rowids)
-            if keep is not None:
-                result.rowids = result.rowids[keep]
-                result.values = result.values[keep]
-                result.stats.result_rows = int(result.rowids.size)
-            return result
-        pending = self.table.pending_updates(column_name)
-        if len(pending):
-            layer.apply_updates(self.table.drain_updates(column_name))
-        result = layer.answer_query(lo, hi)
-        keep = self.table.tombstones.live_row_mask(result.rowids)
-        if keep is not None:
-            result.rowids = result.rowids[keep]
-            result.values = result.values[keep]
-            result.stats.result_rows = int(result.rowids.size)
-        return result
+        answer = self.db.scan if full_scan else self.db.query
+        return answer(self.table.name, column_name, lo, hi)
 
     def select_conjunction(
         self,
@@ -290,18 +230,3 @@ class QueryEngine:
             minimum=int(values.min()),
             maximum=int(values.max()),
         )
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut down the engine's own layers (stops background mapping
-        threads); borrowed layers stay with their database."""
-        for layer in self._layers.values():
-            layer.shutdown()
-        self._layers.clear()
-
-    def __enter__(self) -> "QueryEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

@@ -9,8 +9,8 @@ session of a database shares the same lock — statements serialize per
 database, so the single-threaded cost ledgers and metrics registry stay
 consistent no matter how many server threads carry sessions.
 
-Sessions of one database also share a table→engine registry, so SQL
-predicates from different sessions warm the *same* adaptive views —
+Every session reads and writes through the database itself — SQL too —
+so predicates from different sessions warm the *same* adaptive views:
 concurrency multiplies query throughput, not view catalogs.
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 import threading
 
 from ..core.facade import AdaptiveDatabase
-from ..core.query import QueryEngine
 from ..shard.database import ShardedDatabase
 from .admission import AdmissionController, AdmissionPolicy
 from .options import SessionOptions
@@ -35,7 +34,6 @@ class DatabaseManager:
         self._dbs: dict[str, AdaptiveDatabase | ShardedDatabase] = {}
         self._locks: dict[str, threading.RLock] = {}
         self._admission: dict[str, AdmissionController] = {}
-        self._engines: dict[str, dict[str, QueryEngine]] = {}
         self._session_seq = 0
         self._registry_lock = threading.Lock()
 
@@ -55,20 +53,18 @@ class DatabaseManager:
         arguments go to the facade constructor unchanged (``observe=``,
         ``resilience=``, ``backend=``, ...).
         """
-        with self._registry_lock:
-            if name in self._dbs:
-                raise ValueError(f"database {name!r} already exists")
-            if shards > 1:
-                db = ShardedDatabase(shards=shards, **db_kwargs)
-            else:
-                db = AdaptiveDatabase(**db_kwargs)
-            self._dbs[name] = db
-            self._locks[name] = threading.RLock()
-            self._admission[name] = AdmissionController(
-                db, policy, observer=db.observer
-            )
-            self._engines[name] = {}
-            return db
+        if name in self._dbs:
+            raise ValueError(f"database {name!r} already exists")
+        if shards > 1:
+            db = ShardedDatabase(shards=shards, **db_kwargs)
+        else:
+            db = AdaptiveDatabase(**db_kwargs)
+        try:
+            self.add_database(name, db, policy)
+        except ValueError:  # a concurrent create took the name first
+            db.close()
+            raise
+        return db
 
     def add_database(
         self,
@@ -85,7 +81,6 @@ class DatabaseManager:
             self._admission[name] = AdmissionController(
                 db, policy, observer=db.observer
             )
-            self._engines[name] = {}
 
     def database(self, name: str = DEFAULT_DB):
         if name not in self._dbs:
@@ -100,11 +95,6 @@ class DatabaseManager:
     def admission(self, name: str = DEFAULT_DB) -> AdmissionController:
         self.database(name)
         return self._admission[name]
-
-    def engines(self, name: str = DEFAULT_DB) -> dict[str, QueryEngine]:
-        """The shared table→engine registry of one database."""
-        self.database(name)
-        return self._engines[name]
 
     # -- sessions -------------------------------------------------------
 
@@ -160,17 +150,12 @@ class DatabaseManager:
                 flush()
 
     def close(self) -> None:
-        """Close shared engines, then every registered database."""
-        for engines in self._engines.values():
-            for engine in engines.values():
-                engine.close()
-            engines.clear()
+        """Close every registered database."""
         for db in self._dbs.values():
             db.close()
         self._dbs.clear()
         self._locks.clear()
         self._admission.clear()
-        self._engines.clear()
 
     def __enter__(self) -> "DatabaseManager":
         return self

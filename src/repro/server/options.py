@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 
-#: Answer predicates through the adaptive view layer (default).
-PLANNER_ADAPTIVE = "adaptive"
-#: Pin every predicate to the full-view scan — the degraded tier.
-PLANNER_FULLSCAN = "fullscan"
-PLANNERS = (PLANNER_ADAPTIVE, PLANNER_FULLSCAN)
+from ..sql.executor import PLANNER_TIERS
+
+#: Answer predicates through the adaptive view layer (default), or pin
+#: every predicate to the full-view scan — the degraded tier.
+PLANNER_ADAPTIVE, PLANNER_FULLSCAN = PLANNER_TIERS
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,9 @@ class SessionOptions:
     planner: str = PLANNER_ADAPTIVE
 
     def __post_init__(self) -> None:
-        if self.planner not in PLANNERS:
+        if self.planner not in PLANNER_TIERS:
             raise ValueError(
-                f"unknown planner {self.planner!r}; expected one of {PLANNERS}"
+                f"unknown planner {self.planner!r}; expected one of {PLANNER_TIERS}"
             )
         for flag in ("read_only", "autocommit", "observe"):
             if not isinstance(getattr(self, flag), bool):

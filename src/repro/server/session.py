@@ -190,11 +190,7 @@ class Session:
                     f"{self.db_name!r} is sharded — use the structured "
                     "query/update operations instead"
                 )
-            self._sql = SqlSession(
-                db=self.db,
-                engines=self.manager.engines(self.db_name),
-                owns_db=False,
-            )
+            self._sql = SqlSession(db=self.db)
         return self._sql
 
     def _query_tier(self) -> bool:
@@ -457,9 +453,6 @@ class Session:
             for pinned in self._pinned.values():
                 pinned.release()
             self._pinned.clear()
-            if self._sql is not None:
-                self._sql.close()
-                self._sql = None
             self._admission.release_session(self.session_id)
 
     def __enter__(self) -> "Session":

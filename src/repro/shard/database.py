@@ -170,26 +170,14 @@ class ShardedDatabase:
         per-shard results are scatter-gathered and tombstone-filtered.
         """
         table = self.table(table_name)
-        result = table.column(column_name).query(lo, hi)
-        keep = table.tombstones.live_row_mask(result.rowids)
-        if keep is not None:
-            result.rowids = result.rowids[keep]
-            result.values = result.values[keep]
-            result.stats.result_rows = int(result.rowids.size)
-        return result
+        return table.column(column_name).query(lo, hi).drop_deleted(table.tombstones)
 
     def scan(
         self, table_name: str, column_name: str, lo: int, hi: int
     ) -> QueryResult:
         """Routed full-view scan (no view adaptation); tombstone-filtered."""
         table = self.table(table_name)
-        result = table.column(column_name).scan(lo, hi)
-        keep = table.tombstones.live_row_mask(result.rowids)
-        if keep is not None:
-            result.rowids = result.rowids[keep]
-            result.values = result.values[keep]
-            result.stats.result_rows = int(result.rowids.size)
-        return result
+        return table.column(column_name).scan(lo, hi).drop_deleted(table.tombstones)
 
     def delete(
         self, table_name: str, column_name: str, lo: int, hi: int

@@ -1,13 +1,14 @@
 """Executor: interprets parsed statements against the adaptive engine.
 
-A :class:`Session` owns an :class:`~repro.core.facade.AdaptiveDatabase`
-and one :class:`~repro.core.query.QueryEngine` per table.  Statements
-run through the fused storage/indexing design: every range predicate is
-answered via the column's adaptive views, so a plain SQL workload warms
-the views exactly like the paper's query sequences do.  The engines own
-no storage layer: they borrow the database's, so SQL and
-``AdaptiveDatabase.query`` share one layer — and one consumer of the
-pending-update log — per column.
+A :class:`Session` runs every statement through one
+:class:`~repro.core.facade.AdaptiveDatabase`: reads are ``db.query``
+(through a :class:`~repro.core.query.QueryEngine`, which owns no
+storage), ``UPDATE`` is ``db.update``, ``DELETE`` is ``db.delete_rows``,
+``FLUSH`` is ``db.flush_updates`` and ``EXPLAIN`` is ``db.explain``.  So
+every range predicate warms the column's one adaptive view layer exactly
+like the paper's query sequences do, and every SQL write is journaled
+when the database is durable.  Rows staged by ``db.insert`` merge before
+a statement touches their table, so every selected rowid is projectable.
 
 Tables created via ``CREATE TABLE`` buffer ``INSERT`` rows until the
 first read or update statement materializes them (the storage layer is
@@ -24,7 +25,6 @@ from ..core.config import AdaptiveConfig
 from ..core.facade import AdaptiveDatabase
 from ..core.introspect import inspect_view_index, render_index_report
 from ..core.query import QueryEngine
-from ..obs.calibration import explain_range_query
 from ..storage.statistics import TableStatistics
 from ..vm.constants import MAX_VALUE, MIN_VALUE
 from .errors import ExecutionError
@@ -90,26 +90,16 @@ class Session:
         db: AdaptiveDatabase | None = None,
         observe: bool = False,
         planner: str = "adaptive",
-        engines: dict[str, QueryEngine] | None = None,
-        owns_db: bool = True,
     ) -> None:
-        """``observe=True`` attaches an observer to the session's
-        database: statements get trace spans and metrics (see
+        """Without ``db`` the session creates (and on :meth:`close`
+        closes) its own database from ``config``; a passed ``db`` stays
+        open.  ``observe=True`` attaches an observer to the session's
+        own database: statements get trace spans and metrics (see
         :mod:`repro.obs`).  Ignored when an existing ``db`` is passed —
         its own observation setting wins.
-
-        ``engines=`` shares an externally owned table→engine registry
-        (the serving layer passes one per database so every session
-        routes through the same adaptive view layers); shared engines
-        are not closed by :meth:`close`.  ``owns_db=False`` likewise
-        leaves the database open on close.
         """
-        self.db = db or AdaptiveDatabase(config, observe=observe)
-        self._owns_engines = engines is None
-        self._engines: dict[str, QueryEngine] = (
-            {} if engines is None else engines
-        )
-        self._owns_db = owns_db
+        self._owns_db = db is None
+        self.db = db if db is not None else AdaptiveDatabase(config, observe=observe)
         self._statistics = TableStatistics()
         self.set_planner(planner)
         #: CREATE'd but not yet materialized tables: name -> (cols, rows).
@@ -148,11 +138,7 @@ class Session:
         return result
 
     def close(self) -> None:
-        """Shut down owned engines and, when owned, the database."""
-        if self._owns_engines:
-            for engine in self._engines.values():
-                engine.close()
-            self._engines.clear()
+        """Close the database when the session created it."""
         if self._owns_db:
             self.db.close()
 
@@ -232,43 +218,40 @@ class Session:
         )
 
     def _engine(self, table_name: str) -> QueryEngine:
+        """The engine over one table, whose rows ``db.insert`` staged
+        are merged first (a no-op when none are)."""
         self._materialize_if_staged(table_name)
-        if table_name not in self._engines:
-            try:
-                table = self.db.table(table_name)
-            except KeyError as exc:
-                raise ExecutionError(str(exc)) from exc
-            self._engines[table_name] = QueryEngine(table, db=self.db)
-        return self._engines[table_name]
+        try:
+            engine = QueryEngine(self.db, table_name)
+        except KeyError as exc:
+            raise ExecutionError(str(exc)) from exc
+        self.db.flush_inserts(table_name)
+        return engine
 
     def _execute_update(self, statement: UpdateStatement) -> ResultTable:
         engine = self._engine(statement.table)
-        table = self.db.table(statement.table)
+        table = engine.table
         if statement.column not in table.columns:
             raise ExecutionError(f"no such column: {statement.column!r}")
         rowids = self._filter_rows(engine, statement.predicates)
         for row in rowids.tolist():
-            table.update(statement.column, int(row), statement.value)
+            self.db.update(table.name, statement.column, row, statement.value)
         self._statistics.invalidate(table.column(statement.column))
         return ResultTable(columns=[], message=f"{rowids.size} rows updated")
 
     def _execute_delete(self, statement: DeleteStatement) -> ResultTable:
         engine = self._engine(statement.table)
-        table = self.db.table(statement.table)
         rowids = self._filter_rows(engine, statement.predicates)
-        rowids = table.tombstones.filter_live(rowids)
-        deleted = table.delete_rows(rowids)
+        deleted = self.db.delete_rows(statement.table, rowids)
         return ResultTable(columns=[], message=f"{deleted} rows deleted")
 
     def _execute_flush(self, statement: FlushStatement) -> ResultTable:
-        engine = self._engine(statement.table)
-        table = self.db.table(statement.table)
+        table = self._engine(statement.table).table
         total_added = total_removed = 0
         for column_name in table.column_names:
-            batch = table.drain_updates(column_name)
-            if len(batch) == 0:
+            if not len(table.pending_updates(column_name)):
                 continue
-            stats = engine.layer(column_name).apply_updates(batch)
+            stats = self.db.flush_updates(table.name, column_name)
             total_added += stats.pages_added
             total_removed += stats.pages_removed
         return ResultTable(
@@ -293,11 +276,10 @@ class Session:
             return table.tombstones.filter_live(
                 np.arange(table.num_rows, dtype=np.int64)
             )
-        return table.tombstones.filter_live(
-            engine.select_conjunction(
-                {p.column: (p.lo, p.hi) for p in predicates.values()},
-                full_scan=self.planner == "fullscan",
-            )
+        # each predicate's selection is already tombstone-filtered
+        return engine.select_conjunction(
+            {p.column: (p.lo, p.hi) for p in predicates.values()},
+            full_scan=self.planner == "fullscan",
         )
 
     def _execute_select(self, statement: SelectStatement) -> ResultTable:
@@ -348,7 +330,8 @@ class Session:
         engine = self._engine(statement.table)
         if statement.column not in engine.table.columns:
             raise ExecutionError(f"no such column: {statement.column!r}")
-        report = inspect_view_index(engine.layer(statement.column).view_index)
+        layer = self.db.layer(statement.table, statement.column)
+        report = inspect_view_index(layer.view_index)
         return ResultTable(columns=[], message=render_index_report(report))
 
     def _execute_explain(self, statement: ExplainStatement) -> ResultTable:
@@ -364,12 +347,8 @@ class Session:
             lo = max(predicate.lo, MIN_VALUE)
             hi = min(predicate.hi, MAX_VALUE)
             estimate = self._statistics.estimate(column, lo, hi)
-            report = explain_range_query(
-                engine.layer(predicate.column),
-                lo,
-                hi,
-                analyze=statement.analyze,
-                target=f"{select.table}.{predicate.column}",
+            report = self.db.explain(
+                select.table, predicate.column, lo, hi, analyze=statement.analyze
             )
             lines.append("")
             lines.append(report.render())

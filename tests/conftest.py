@@ -53,6 +53,18 @@ def reference_rows(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.nonzero((values >= lo) & (values <= hi))[0]
 
 
+def layers_on(column: PhysicalColumn) -> list:
+    """Every adaptive storage layer built over ``column``, whoever owns it.
+
+    Each layer registers a pre-write hook on its column, so the hooks
+    count the layers even when no registry holds them.
+    """
+    from repro.core.adaptive import AdaptiveStorageLayer
+
+    owners = (getattr(hook, "__self__", None) for hook in column._pre_write_hooks)
+    return [owner for owner in owners if isinstance(owner, AdaptiveStorageLayer)]
+
+
 @pytest.fixture
 def small_column() -> PhysicalColumn:
     """A 32-page uniform column for quick correctness tests."""

@@ -4,33 +4,29 @@ import numpy as np
 import pytest
 
 from repro.core.config import AdaptiveConfig
+from repro.core.facade import AdaptiveDatabase
 from repro.core.query import QueryEngine
-from repro.storage.table import Catalog
 
 
 @pytest.fixture
 def engines():
-    catalog = Catalog()
     rng = np.random.default_rng(7)
-    orders = catalog.create_table(
-        "orders",
-        {
-            "customer_id": rng.integers(0, 200, 3000),
-            "amount": rng.integers(1, 10_000, 3000),
-        },
-    )
-    customers = catalog.create_table(
-        "customers",
-        {
-            "id": np.arange(200),
-            "region": rng.integers(0, 5, 200),
-        },
-    )
-    left = QueryEngine(orders, AdaptiveConfig(max_views=5))
-    right = QueryEngine(customers, AdaptiveConfig(max_views=5))
-    yield left, right
-    left.close()
-    right.close()
+    with AdaptiveDatabase(AdaptiveConfig(max_views=5)) as db:
+        db.create_table(
+            "orders",
+            {
+                "customer_id": rng.integers(0, 200, 3000),
+                "amount": rng.integers(1, 10_000, 3000),
+            },
+        )
+        db.create_table(
+            "customers",
+            {
+                "id": np.arange(200),
+                "region": rng.integers(0, 5, 200),
+            },
+        )
+        yield QueryEngine(db, "orders"), QueryEngine(db, "customers")
 
 
 def reference_join(left_vals, right_vals, left_rows=None, right_rows=None):
@@ -105,5 +101,6 @@ class TestHashJoin:
             right, "customer_id", "id",
             left_predicates={"amount": (5_000, 10_000)},
         )
-        # the amount predicate went through the adaptive layer
-        assert "amount" in left._layers
+        # the amount predicate went through the database's one layer on
+        # it; the unfiltered right side built none
+        assert list(left.db._layers) == [("orders", "amount")]

@@ -154,14 +154,13 @@ class TestStaleViewSafety:
 
     def test_query_engine_aligns_pending_updates(self):
         from repro.core.query import QueryEngine
-        from repro.storage.table import Catalog
 
-        catalog = Catalog()
-        table = catalog.create_table("t", {"x": clustered_values()})
-        engine = QueryEngine(table, AdaptiveConfig(max_views=5))
-        engine.select("x", 3000, 3999)
-        table.update("x", 0, 3333)
-        result = engine.select("x", 3000, 3999)
-        expected = reference_rows(table.column("x").values(), 3000, 3999)
-        assert np.array_equal(np.sort(result.rowids), expected)
-        engine.close()
+        with AdaptiveDatabase(AdaptiveConfig(max_views=5)) as db:
+            table = db.create_table("t", {"x": clustered_values()})
+            engine = QueryEngine(db, "t")
+            engine.select("x", 3000, 3999)
+            table.update("x", 0, 3333)
+            result = engine.select("x", 3000, 3999)
+            expected = reference_rows(table.column("x").values(), 3000, 3999)
+            assert np.array_equal(np.sort(result.rowids), expected)
+            assert len(table.pending_updates("x")) == 0

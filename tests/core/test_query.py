@@ -4,32 +4,36 @@ import numpy as np
 import pytest
 
 from repro.core.config import AdaptiveConfig
+from repro.core.facade import AdaptiveDatabase
 from repro.core.query import AggregateResult, QueryEngine
-from repro.storage.table import Catalog
 
 from ..conftest import reference_rows
 
 
 @pytest.fixture
-def table():
-    catalog = Catalog()
+def db():
     rng = np.random.default_rng(3)
     n = 5110
-    return catalog.create_table(
-        "sales",
-        {
-            "amount": rng.integers(0, 100_000, n),
-            "customer": rng.integers(0, 500, n),
-            "region": rng.integers(0, 10, n),
-        },
-    )
+    with AdaptiveDatabase(AdaptiveConfig(max_views=10)) as database:
+        database.create_table(
+            "sales",
+            {
+                "amount": rng.integers(0, 100_000, n),
+                "customer": rng.integers(0, 500, n),
+                "region": rng.integers(0, 10, n),
+            },
+        )
+        yield database
 
 
 @pytest.fixture
-def engine(table):
-    eng = QueryEngine(table, AdaptiveConfig(max_views=10))
-    yield eng
-    eng.close()
+def table(db):
+    return db.table("sales")
+
+
+@pytest.fixture
+def engine(db):
+    return QueryEngine(db, "sales")
 
 
 class TestSelect:
@@ -38,13 +42,27 @@ class TestSelect:
         expected = reference_rows(table.column("amount").values(), 10_000, 20_000)
         assert np.array_equal(np.sort(result.rowids), expected)
 
-    def test_layers_cached(self, engine):
-        assert engine.layer("amount") is engine.layer("amount")
-        assert engine.layer("amount") is not engine.layer("region")
-
-    def test_adaptive_behaviour_carries_over(self, engine):
+    def test_layers_cached(self, db, engine):
         engine.select("amount", 10_000, 20_000)
-        assert engine.layer("amount").view_index.num_partials >= 0
+        engine.select("region", 0, 5)
+        engine.select("amount", 0, 5_000)
+        assert list(db._layers) == [("sales", "amount"), ("sales", "region")]
+        assert db.layer("sales", "amount") is not db.layer("sales", "region")
+
+    def test_adaptive_behaviour_carries_over(self, db, engine):
+        engine.select("amount", 10_000, 20_000)
+        assert db.layer("sales", "amount").view_index.num_partials >= 0
+
+    def test_full_scan_tier_skips_deleted_rows_and_builds_no_view(
+        self, db, table, engine
+    ):
+        db.delete("sales", "region", 0, 0)
+        got = engine.select("amount", 10_000, 20_000, full_scan=True)
+        want = table.tombstones.filter_live(
+            reference_rows(table.column("amount").values(), 10_000, 20_000)
+        )
+        assert np.array_equal(np.sort(got.rowids), want)
+        assert db.layer("sales", "amount").view_index.num_partials == 0
 
 
 class TestFetch:
@@ -177,10 +195,3 @@ class TestAggregate:
         engine.aggregate("amount", 30_000, 40_000)
         second = engine.select("amount", 30_000, 40_000).stats.pages_scanned
         assert second <= first
-
-
-class TestLifecycle:
-    def test_context_manager(self, table):
-        with QueryEngine(table) as engine:
-            engine.select("amount", 0, 100)
-        assert engine._layers == {}

@@ -24,6 +24,8 @@ from repro.server.protocol import (
 )
 from repro.vm.constants import VALUES_PER_PAGE
 
+from ..conftest import layers_on
+
 NUM_PAGES = 4
 NUM_ROWS = NUM_PAGES * VALUES_PER_PAGE
 
@@ -241,20 +243,21 @@ class TestServerClient:
             assert response.error_details == "ReadOnlySession"
 
     def test_sessions_share_warmed_views(self, server):
-        """Two wire sessions hit the same engine registry: the second
-        session's identical predicate reuses the first's views rather
-        than building a parallel catalog."""
+        """Two wire sessions read through the database's one layer per
+        column: the second session's identical predicate reuses the
+        first's views rather than building a parallel catalog."""
         host, port = server.address
+        db = server.manager.database()
         with ServerClient(host, port) as first:
             first.execute("CREATE TABLE w (k, v)").raise_for_error()
             rows = ", ".join(f"({i}, {i})" for i in range(100))
             first.execute(f"INSERT INTO w VALUES {rows}").raise_for_error()
             first.execute("SELECT * FROM w WHERE k BETWEEN 10 AND 20")
-            engines = server.manager.engines()
-            assert "w" in engines
+            layer = db.layer("w", "k")
             with ServerClient(host, port) as second:
                 second.execute("SELECT * FROM w WHERE k BETWEEN 10 AND 20")
-            assert list(server.manager.engines()) == ["w"]
+            assert [key for key in db._layers if key[0] == "w"] == [("w", "k")]
+            assert layers_on(db.table("w").column("k")) == [layer]
 
 
 class TestLifecycle:

@@ -3,8 +3,8 @@
 A wire session (structured ``query``/``update`` and SQL ``execute``), an
 in-process ``sql.Session(db=db)`` and plain ``db.query`` all read one
 column that the wire session keeps updating, commits coming every 16
-ops.  Before engines borrowed ``db.layer(table, column)`` the SQL side
-kept a second storage layer on the column and the two layers took turns
+ops.  Before SQL read through ``db.query`` the SQL side kept a second
+storage layer on the column and the two layers took turns
 draining its one pending-update log, so each missed the other's batches
 (``tests/sql/test_shared_column.py`` has the in-process half and the
 account).  Every answer is checked against a numpy mirror, and every
@@ -20,6 +20,8 @@ from repro.core.config import AdaptiveConfig
 from repro.server import DatabaseManager, QueryServer, ServerClient, SessionOptions
 from repro.sql import Session as SqlSession
 from repro.workloads.distributions import sine
+
+from ..conftest import layers_on
 
 NUM_PAGES = 512
 READS = 240
@@ -37,15 +39,14 @@ def served():
 
 def test_every_entry_point_reaches_the_databases_layer(served):
     manager, db, _server, values = served
-    with manager.open_session() as session, SqlSession(db=db, owns_db=False) as sql:
+    with manager.open_session() as session, SqlSession(db=db) as sql:
         statement = "SELECT COUNT(*) FROM t WHERE v BETWEEN 0 AND 1000"
         assert session.execute(statement).ok
         sql.execute(statement)
         assert session.query("t", "v", 0, 1_000).ok
         layer = db.layer("t", "v")
-        assert manager.engines()["t"].layer("v") is layer
-        assert session._sql_session()._engines["t"].layer("v") is layer
-        assert sql._engines["t"].layer("v") is layer
+        assert layers_on(db.table("t").column("v")) == [layer]
+        assert session._sql_session().db is db
         assert list(db._layers) == [("t", "v")]
     # neither session's close took the layer with it
     assert db.layer("t", "v") is layer
@@ -63,7 +64,7 @@ def test_served_and_in_process_reads_agree_with_the_mirror(served):
     wrong: list[tuple[int, str]] = []
     with ServerClient(
         host, port, options=SessionOptions(autocommit=False)
-    ) as client, SqlSession(db=db, owns_db=False) as sql:
+    ) as client, SqlSession(db=db) as sql:
         ops = committed = 0
         for read in range(READS):
             lo = int(rng.integers(lo_dom, hi_dom - width))

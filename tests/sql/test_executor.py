@@ -94,12 +94,16 @@ class TestSelect:
 
     def test_repeat_query_uses_views(self, loaded):
         loaded.execute("SELECT k FROM t WHERE k BETWEEN 10 AND 30")
-        engine = loaded._engines["t"]
-        assert engine.layer("k").view_index.num_partials >= 0
+        # the predicate went through the database's one layer on k
+        assert list(loaded.db._layers) == [("t", "k")]
+        layer = loaded.db.layer("t", "k")
+        assert layer.view_index.num_partials >= 0
         # the second run returns identical rows (routed via views)
         a = loaded.execute("SELECT k FROM t WHERE k BETWEEN 10 AND 30")
         b = loaded.execute("SELECT k FROM t WHERE k BETWEEN 10 AND 30")
         assert a.rows == b.rows
+        assert list(loaded.db._layers) == [("t", "k")]
+        assert loaded.db.layer("t", "k") is layer
 
 
 class TestAggregates:

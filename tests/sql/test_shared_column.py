@@ -6,8 +6,9 @@ owning a *second* ``AdaptiveStorageLayer`` per column, beside the one
 pending-update log: whichever read first consumed the batch, and the
 other layer's partial views never learned of rows an update had moved
 onto pages they do not map.  The 600-read stream below returned 72 wrong
-``db.query`` results and 41 wrong SQL results that way.  An engine over
-a database now borrows ``db.layer(table, column)``.
+``db.query`` results and 41 wrong SQL results that way.  An engine now
+selects through ``db.query`` itself, so the database's layer is the only
+one.
 
 The served half of this regression (a server session beside these two)
 is ``tests/server/test_shared_column.py``.
@@ -16,17 +17,17 @@ is ``tests/server/test_shared_column.py``.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core.config import AdaptiveConfig
 from repro.core.facade import AdaptiveDatabase
-from repro.core.query import QueryEngine
 from repro.sql import Session
 from repro.vm.constants import VALUES_PER_PAGE
 from repro.workloads.distributions import sine
+
+from ..conftest import layers_on
 
 
 def test_the_600_read_stream_returns_no_wrong_answer():
@@ -40,7 +41,7 @@ def test_the_600_read_stream_returns_no_wrong_answer():
     wrong = {"db.query": [], "sql": []}
     with AdaptiveDatabase() as db:
         db.create_table("t", {"v": mirror.copy()})
-        sql = Session(db=db, owns_db=False)
+        sql = Session(db=db)
         reads = ops = 0
 
         def tick():
@@ -80,13 +81,13 @@ class TestOneLayerPerColumn:
     def test_sql_session_sees_the_databases_layer(self):
         with AdaptiveDatabase() as db:
             db.create_table("t", {"v": np.arange(4 * VALUES_PER_PAGE)})
-            with Session(db=db, owns_db=False) as sql:
+            with Session(db=db) as sql:
                 sql.execute("SELECT COUNT(*) FROM t WHERE v BETWEEN 10 AND 20")
-                engine = sql._engines["t"]
-                assert engine.layer("v") is db.layer("t", "v")
-                assert engine.config is db.config
-                assert engine._layers == {}
+                assert list(db._layers) == [("t", "v")]
+                layer = db.layer("t", "v")
+                assert layers_on(db.table("t").column("v")) == [layer]
             # closing the session left the database's layer running
+            assert db.layer("t", "v") is layer
             assert len(db.query("t", "v", 10, 20)) == 11
             assert list(db._layers) == [("t", "v")]
 
@@ -95,27 +96,10 @@ class TestOneLayerPerColumn:
             sql.execute("CREATE TABLE t (v)")
             sql.execute("INSERT INTO t VALUES (1), (2), (3)")
             assert sql.execute("SELECT COUNT(*) FROM t WHERE v >= 2").scalar() == 2
-            layer = sql._engines["t"].layer("v")
-            assert layer is sql.db.layer("t", "v")
+            assert list(sql.db._layers) == [("t", "v")]
+            layer = sql.db.layer("t", "v")
+            assert layers_on(sql.db.table("t").column("v")) == [layer]
             assert layer.config.max_views == 7
-
-    def test_a_standalone_engine_still_owns_its_layers(self):
-        """``QueryEngine(table, config)`` — the macro benchmark's form."""
-        with AdaptiveDatabase() as db:
-            table = db.create_table("t", {"v": np.arange(4 * VALUES_PER_PAGE)})
-            engine = QueryEngine(table, AdaptiveConfig(max_views=3))
-            layer = engine.layer("v")
-            assert layer is engine.layer("v")
-            assert layer is not db.layer("t", "v")
-            assert layer.config.max_views == 3
-            engine.close()
-            assert engine._layers == {}
-
-    def test_config_beside_a_database_is_refused(self):
-        with AdaptiveDatabase() as db:
-            table = db.create_table("t", {"v": np.arange(VALUES_PER_PAGE)})
-            with pytest.raises(ValueError, match="database's config"):
-                QueryEngine(table, AdaptiveConfig(), db=db)
 
 
 # -- every entry point interleaved, against a mirror ---------------------------
@@ -146,7 +130,7 @@ class SharedColumnMachine(RuleBasedStateMachine):
         self.db.create_table(
             "t", {"k": np.arange(NUM_ROWS), "v": self.mirror.copy()}
         )
-        self.sql = Session(db=self.db, owns_db=False)
+        self.sql = Session(db=self.db)
 
     def _rows(self, lo: int, hi: int) -> np.ndarray:
         return np.flatnonzero((self.mirror >= lo) & (self.mirror <= hi))
@@ -204,8 +188,11 @@ class SharedColumnMachine(RuleBasedStateMachine):
 
     @invariant()
     def one_layer(self):
-        if hasattr(self, "db") and "t" in self.sql._engines:
-            assert self.sql._engines["t"].layer("v") is self.db.layer("t", "v")
+        if hasattr(self, "db"):
+            table = self.db.table("t")
+            for name in table.column_names:
+                owned = self.db._layers.get(("t", name))
+                assert layers_on(table.column(name)) == ([] if owned is None else [owned])
 
     def teardown(self):
         if hasattr(self, "db"):

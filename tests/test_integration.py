@@ -76,7 +76,7 @@ class TestFullLifecycle:
                 "customer": rng.integers(0, 50, 2044),
             },
         )
-        engine = QueryEngine(table, db.config)
+        engine = QueryEngine(db, "orders")
         column = table.column("amount")
         with SnapshotManager(column) as snapshots:
             snap = snapshots.create_snapshot()
@@ -91,7 +91,6 @@ class TestFullLifecycle:
             snap_rows, _ = snap.scan(0, 50_000)
             expected_snap = reference_rows(frozen, 0, 50_000)
             assert np.array_equal(np.sort(snap_rows), expected_snap)
-        engine.close()
         db.close()
 
 

@@ -37,7 +37,6 @@ _PROTOCOL = "Substrate/PageStore protocol method that every backend implements"
 #: Unreached names that stay, each with the reason it stays.
 KEEP = {
     # Documented API.
-    "AdaptiveDatabase.explain": "EXPLAIN [ANALYZE], docs/observability.md and README",
     "AdaptiveDatabase.calibration_report": "docs/observability.md",
     "EventBus.subscribe": "docs/observability.md",
     "EventBus.recent": "docs/observability.md",

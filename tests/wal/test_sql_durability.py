@@ -1,0 +1,115 @@
+"""SQL writes on a durable database are journaled like structured ones.
+
+SQL ``UPDATE`` used to call ``Table.update`` and ``DELETE``
+``Table.delete_rows``, past the facade's journal: both returned OK while
+the WAL LSN stayed put, and a crash copy recovered the old values and
+every deleted row.  Both now go through ``db.update`` /
+``db.delete_rows``.  Each test recovers a *crash copy* — the durable
+directory copied while the database is still open, as a kill would
+leave it — so nothing a clean close flushes can hide a lost write.
+
+The served half (a wire session, and a full log) is
+``tests/server/test_sql_durability.py``.
+"""
+
+from __future__ import annotations
+
+import shutil
+
+import numpy as np
+import pytest
+
+from repro.core.config import AdaptiveConfig
+from repro.core.facade import AdaptiveDatabase
+from repro.sql import Session
+from repro.wal import recover_database
+
+NUM_ROWS = 512
+CONFIG = AdaptiveConfig(background_mapping=False)
+
+
+def _durable(path) -> AdaptiveDatabase:
+    db = AdaptiveDatabase(config=CONFIG, durable_dir=str(path))
+    db.create_table("t", {"k": np.arange(NUM_ROWS), "v": np.arange(NUM_ROWS)})
+    return db
+
+
+def _sql_writes(sql: Session) -> None:
+    assert sql.execute("UPDATE t SET v = 99999 WHERE k = 5").message == "1 rows updated"
+    assert sql.execute("DELETE FROM t WHERE k BETWEEN 10 AND 19").message == (
+        "10 rows deleted"
+    )
+
+
+def _recover_crash_copy(live, copy):
+    """Copy a live durable directory and recover the copy."""
+    shutil.copytree(live, copy)
+    return recover_database(copy)
+
+
+def _assert_writes_survived(db: AdaptiveDatabase) -> None:
+    result = db.query("t", "k", 0, NUM_ROWS)
+    order = np.argsort(result.rowids)
+    rowids = result.rowids[order]
+    want = np.setdiff1d(np.arange(NUM_ROWS), np.arange(10, 20))
+    assert np.array_equal(rowids, want)
+    v = db.table("t").column("v")
+    assert v.read(5) == 99999
+    assert db.table("t").num_live_rows == NUM_ROWS - 10
+
+
+def test_sql_update_and_delete_advance_the_lsn(tmp_path):
+    db = _durable(tmp_path / "live")
+    sql = Session(db=db)
+    before = db.wal_status()["lsn"]
+    sql.execute("UPDATE t SET v = 99999 WHERE k = 5")
+    assert db.wal_status()["lsn"] == before + 1
+    sql.execute("UPDATE t SET v = 7 WHERE k BETWEEN 30 AND 32")
+    assert db.wal_status()["lsn"] == before + 4  # one record per row
+    sql.execute("DELETE FROM t WHERE k BETWEEN 10 AND 19")
+    assert db.wal_status()["lsn"] == before + 5  # one record per statement
+    assert db.wal_status()["last_acked_lsn"] == before + 5
+    db.close()
+
+
+def test_an_out_of_range_delete_is_refused_before_the_log(tmp_path):
+    db = _durable(tmp_path / "live")
+    before = db.wal_status()["lsn"]
+    with pytest.raises(IndexError):
+        db.delete_rows("t", np.array([3, NUM_ROWS]))
+    assert db.wal_status()["lsn"] == before
+    assert db.table("t").num_live_rows == NUM_ROWS
+    db.close()
+
+
+def test_sql_writes_survive_a_crash_copy_of_the_live_log(tmp_path):
+    db = _durable(tmp_path / "live")
+    _sql_writes(Session(db=db))
+    recovered, report = _recover_crash_copy(tmp_path / "live", tmp_path / "copy")
+    try:
+        assert report.started_cold
+        assert report.replayed_ops == 3  # create + update + delete
+        _assert_writes_survived(recovered)
+        audit = recovered.audit()
+        assert audit.ok, audit.render()
+    finally:
+        recovered.close()
+    db.close()
+
+
+def test_sql_writes_survive_a_checkpoint_plus_tail(tmp_path):
+    db = _durable(tmp_path / "live")
+    sql = Session(db=db)
+    sql.execute("UPDATE t SET v = 99999 WHERE k = 5")
+    db.checkpoint()
+    sql.execute("DELETE FROM t WHERE k BETWEEN 10 AND 19")
+    sql.execute("UPDATE t SET v = -1 WHERE k = 40")
+    recovered, report = _recover_crash_copy(tmp_path / "live", tmp_path / "copy")
+    try:
+        assert not report.started_cold
+        assert report.replayed_ops == 2  # the tail: delete + update
+        _assert_writes_survived(recovered)
+        assert recovered.table("t").column("v").read(40) == -1
+    finally:
+        recovered.close()
+    db.close()
