@@ -139,15 +139,11 @@ class DatabaseManager:
         """Flush staged writes of every database (graceful shutdown).
 
         Takes each database's request lock so a flush never interleaves
-        with a statement; databases without a ``flush_all`` (sharded)
-        are skipped — they stage nothing durable.
+        with a statement.
         """
         for name, db in list(self._dbs.items()):
-            flush = getattr(db, "flush_all", None)
-            if flush is None:
-                continue
             with self._locks[name]:
-                flush()
+                db.flush_all()
 
     def close(self) -> None:
         """Close every registered database."""

@@ -1,12 +1,12 @@
 """Sharded parallel execution: partitioned scatter-gather storage.
 
-The shard layer slots between the facade and the substrate: a
-:class:`ShardedColumn` partitions one logical column across N shards —
-each owning its own substrate, page store, view catalog, background
-mapper and resilience slice — and a :class:`ShardRouter` maps range
-predicates to the shards they can touch.  :class:`ShardedDatabase` is
-the facade sibling exposing the familiar ``AdaptiveDatabase`` surface
-on top.
+:class:`ShardedDatabase` exposes the familiar ``AdaptiveDatabase``
+surface over N shards, and each shard *is* an ``AdaptiveDatabase`` on
+its own substrate holding a page-aligned row slice of every table
+(:mod:`repro.shard.partition`).  A :class:`ShardRouter` maps range
+predicates to the shards they can touch, and a :class:`ShardedColumn`
+scatters one column's queries over the routed shard databases and
+gathers the slices back into global row order.
 
 See ``docs/performance.md`` ("Sharded execution") for the measured
 scaling and ``docs/architecture.md`` for where the layer sits.

@@ -1,52 +1,70 @@
-"""The sharded facade: ``AdaptiveDatabase``'s scatter-gather sibling.
+"""The sharded facade: one ``AdaptiveDatabase`` per shard, plus the gather.
 
-:class:`ShardedDatabase` mirrors the
-:class:`~repro.core.facade.AdaptiveDatabase` surface — ``create_table``
-/ ``query`` / ``update`` / ``delete`` / ``flush_updates`` / ``audit`` /
-``health`` / ``repair`` — while partitioning every column across N
-shards, each with its own substrate (see :mod:`repro.shard.column`).
-The database owns one substrate per shard, shared by the shard slices
-of all its tables, exactly as the unsharded facade hosts all columns on
-one substrate.
+:class:`ShardedDatabase` offers the ``AdaptiveDatabase`` query, update,
+audit and resilience surface over page-aligned row slices of every
+table.  Each shard *is* an :class:`~repro.core.facade.AdaptiveDatabase`
+on its own substrate, so layers, update logs, tombstones and full-view
+scans are the unsharded facade's own; this module adds only what spans
+shards: the partition, the router, the scatter-gather
+(:mod:`repro.shard.column`), update routing and the cross-shard audit.
 
-``shards=1`` is the identity configuration: one substrate, no router
-pruning, no gather arithmetic — simulated cost ledgers stay
+``shards=1`` is the identity configuration: its ledger stays
 bit-identical to an ``AdaptiveDatabase`` session replaying the same
 workload (``tests/shard/test_parity.py`` fuzzes this).
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections import Counter
+from dataclasses import replace
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..audit.report import AuditReport
 from ..core.adaptive import QueryResult
 from ..core.config import AdaptiveConfig
+from ..core.facade import AdaptiveDatabase
 from ..core.stats import MaintenanceStats
 from ..obs.observer import Observer
 from ..resilience.policy import HealthState, ResilienceConfig, worst_health
-from ..storage.tombstones import Tombstones
-from ..substrate import Substrate, make_substrate
+from ..seeds import derive_seed
+from ..storage import layout
+from ..substrate import Substrate
 from ..vm.cost import CostModel
 from ..vm.physical import PhysicalMemory
-from .column import ShardedColumn
+from .column import Shard, ShardedColumn
+from .partition import plan_partition
+from .router import ShardRouter
+
+
+def _slice_resilience(
+    config: ResilienceConfig | None, index: int, num_shards: int
+) -> ResilienceConfig | None:
+    """Per-shard resilience config: budget sliced, jitter stream derived.
+
+    At ``num_shards == 1`` the config passes through untouched — the
+    identity contract includes the retry jitter stream.
+    """
+    if config is None or not config.enabled or num_shards == 1:
+        return config
+    budget = config.mapping_budget
+    return replace(
+        config,
+        mapping_budget=None if budget is None else max(budget // num_shards, 1),
+        seed=derive_seed(index, config.seed),
+    )
 
 
 class _ShardedTable:
-    """One table: sharded columns of equal row count plus tombstones."""
+    """One table: its sharded columns, all over one partition."""
 
-    def __init__(self, name: str, columns: dict[str, ShardedColumn]) -> None:
-        if not columns:
-            raise ValueError("a table needs at least one column")
-        row_counts = {col.num_rows for col in columns.values()}
-        if len(row_counts) != 1:
-            raise ValueError(f"columns disagree on row count: {row_counts}")
+    def __init__(
+        self, name: str, columns: dict[str, ShardedColumn], num_rows: int
+    ) -> None:
         self.name = name
         self.columns = columns
-        self.num_rows = row_counts.pop()
-        self.tombstones = Tombstones(self.num_rows)
+        self.num_rows = num_rows
 
     def column(self, name: str) -> ShardedColumn:
         if name not in self.columns:
@@ -64,43 +82,49 @@ class ShardedDatabase:
         capacity_bytes: int = PhysicalMemory.DEFAULT_CAPACITY_BYTES,
         auto_flush_threshold: int | None = None,
         observe: bool | Observer = False,
-        backend: str = "simulated",
+        backend: str | Sequence[Substrate] = "simulated",
         resilience: ResilienceConfig | None = None,
         parallel: bool | None = None,
     ) -> None:
         """Mirror of ``AdaptiveDatabase``'s constructor plus ``shards``.
 
-        ``parallel`` switches per-shard execution onto a thread pool;
-        it defaults to True exactly on the native backend (whose
-        mmap/scan work releases the GIL).  Simulated cost totals are
-        identical either way — each shard charges its own ledger and
-        the totals merge commutatively.
+        ``backend`` names the backend of every shard, or gives one
+        pre-built :class:`~repro.substrate.interface.Substrate` per
+        shard (e.g. :class:`~repro.faults.plane.FaultySubstrate` s).
+        ``config`` is shared; ``resilience`` is sliced per shard.
+
+        ``parallel`` runs per-shard work on a thread pool; it defaults
+        to True exactly when ``backend`` is ``"native"`` (whose mmap and
+        scan work releases the GIL).  Simulated totals are identical
+        either way: each shard charges its own ledger.
 
         ``observe=True`` attaches an :class:`~repro.obs.observer.Observer`
-        over a facade-level *timeline* cost model: the ``shard.gather``
-        and ``shard.scan`` spans charge the shards' simulated times onto
-        that timeline (main lane = serialized fan-out, one extra lane
-        per shard), so Chrome trace exports show the scatter-gather with
-        real durations while shard ledgers stay untouched.  Under
-        thread-pool execution substrate-level hooks (mmap counters) stay
-        detached — the metrics registry is single-threaded by design.
+        over a facade-level *timeline* cost model that the ``shard.*``
+        spans charge (see :class:`~repro.shard.column.ShardedColumn`);
+        shard ledgers stay untouched.  Under thread-pool execution the
+        substrate hooks stay detached — the metrics registry is
+        single-threaded by design.
         """
         if shards < 1:
             raise ValueError(f"need at least one shard, got {shards}")
         if auto_flush_threshold is not None and auto_flush_threshold < 1:
             raise ValueError("auto_flush_threshold must be positive")
-        self.config = config or AdaptiveConfig()
+        backends = [backend] * shards if isinstance(backend, str) else backend
+        if len(backends) != shards:
+            raise ValueError(f"got {len(backends)} substrates for {shards} shards")
+        config = config or AdaptiveConfig()
         self.num_shards = shards
         self.auto_flush_threshold = auto_flush_threshold
-        self.backend = backend
-        self.resilience_config = resilience
-        if parallel is None:
-            parallel = backend == "native"
-        self.parallel = parallel
-        #: One substrate per shard, shared by all tables' shard slices.
-        self.substrates: list[Substrate] = [
-            make_substrate(backend, capacity_bytes=capacity_bytes)
-            for _ in range(shards)
+        self.parallel = backend == "native" if parallel is None else parallel
+        #: One database per shard, holding that shard's slice of every table.
+        self.shards: list[AdaptiveDatabase] = [
+            AdaptiveDatabase(
+                config=config,
+                capacity_bytes=capacity_bytes,
+                backend=shard_backend,
+                resilience=_slice_resilience(resilience, index, shards),
+            )
+            for index, shard_backend in enumerate(backends)
         ]
         #: Facade-level cost model the scatter-gather spans charge (only
         #: written when observation is on; never a shard ledger).
@@ -114,34 +138,62 @@ class ShardedDatabase:
                     self.timeline.ledger, wall=self.substrates[0].wall
                 )
             )
-            if not parallel:
+            if not self.parallel:
                 for substrate in self.substrates:
                     substrate.set_observer(self.observer)
         self._tables: dict[str, _ShardedTable] = {}
+
+    @property
+    def substrates(self) -> list[Substrate]:
+        """One substrate per shard, shared by all tables' shard slices."""
+        return [db.substrate for db in self.shards]
 
     # -- schema ---------------------------------------------------------
 
     def create_table(
         self, name: str, data: Mapping[str, np.ndarray]
     ) -> _ShardedTable:
-        """Create a table, partitioning every column across the shards."""
+        """Create a table, partitioning its rows across the shards.
+
+        Every shard database gets one page-aligned row slice of every
+        column, and its layers are built here, inside set-up.
+        """
         if name in self._tables:
             raise ValueError(f"table {name!r} already exists")
+        if not data:
+            raise ValueError("a table needs at least one column")
+        arrays = {col: np.asarray(values, dtype=np.int64) for col, values in data.items()}
+        row_counts = {values.size for values in arrays.values()}
+        if len(row_counts) != 1:
+            raise ValueError(f"columns disagree on row count: {row_counts}")
+        num_rows = row_counts.pop()
+        specs = plan_partition(num_rows, layout.records_per_page(), self.num_shards)
+        for spec, db in zip(specs, self.shards):
+            db.create_table(
+                name,
+                {
+                    col: values[spec.row_start : spec.row_end]
+                    for col, values in arrays.items()
+                },
+            )
+            for col in arrays:
+                db.layer(name, col)
+        observer = self.observer
         columns = {
-            col_name: ShardedColumn.build(
-                f"{name}.{col_name}",
-                values,
-                self.num_shards,
-                config=self.config,
-                substrates=self.substrates,
-                resilience=self.resilience_config,
-                observer=self.observer,
-                timeline=self.timeline if self.observer is not None else None,
+            col: ShardedColumn(
+                f"{name}.{col}",
+                [Shard(spec, db, name, col) for spec, db in zip(specs, self.shards)],
+                ShardRouter.from_slices(
+                    [values[spec.row_start : spec.row_end] for spec in specs]
+                ),
+                num_rows,
+                observer=observer,
+                timeline=self.timeline if observer is not None else None,
                 parallel=self.parallel,
             )
-            for col_name, values in data.items()
+            for col, values in arrays.items()
         }
-        table = _ShardedTable(name, columns)
+        table = _ShardedTable(name, columns, num_rows)
         self._tables[name] = table
         return table
 
@@ -167,24 +219,32 @@ class ShardedDatabase:
         """Answer ``SELECT ... WHERE column BETWEEN lo AND hi``.
 
         Routed to the shards whose value bounds intersect the predicate;
-        per-shard results are scatter-gathered and tombstone-filtered.
+        each shard database answers (and filters its tombstones), and
+        the slices are scatter-gathered.
         """
-        table = self.table(table_name)
-        return table.column(column_name).query(lo, hi).drop_deleted(table.tombstones)
+        return self.column(table_name, column_name).query(lo, hi)
 
     def scan(
         self, table_name: str, column_name: str, lo: int, hi: int
     ) -> QueryResult:
-        """Routed full-view scan (no view adaptation); tombstone-filtered."""
-        table = self.table(table_name)
-        return table.column(column_name).scan(lo, hi).drop_deleted(table.tombstones)
+        """Routed full-view scan: no view adaptation, no realignment."""
+        return self.column(table_name, column_name).scan(lo, hi)
 
     def delete(
         self, table_name: str, column_name: str, lo: int, hi: int
     ) -> int:
-        """Tombstone all rows with ``column_name`` in ``[lo, hi]``."""
-        result = self.query(table_name, column_name, lo, hi)
-        return self.table(table_name).tombstones.delete_rows(result.rowids)
+        """Tombstone all rows with ``column_name`` in ``[lo, hi]``.
+
+        The matching global rowids are split by shard and each shard
+        database tombstones its own slice.
+        """
+        column = self.column(table_name, column_name)
+        rowids = column.query(lo, hi).rowids
+        deleted = 0
+        for spec, db in zip(column.specs, self.shards):
+            mine = rowids[(rowids >= spec.row_start) & (rowids < spec.row_end)]
+            deleted += db.delete_rows(table_name, mine - spec.row_start)
+        return deleted
 
     # -- updates -----------------------------------------------------------
 
@@ -192,10 +252,7 @@ class ShardedDatabase:
         self, table_name: str, column_name: str, row: int, new_value: int
     ) -> int:
         """Update one value on its owning shard (logged per shard)."""
-        table = self.table(table_name)
-        if table.tombstones.is_deleted(row):
-            raise KeyError(f"cannot update deleted row {row}")
-        column = table.column(column_name)
+        column = self.column(table_name, column_name)
         old = column.update(row, new_value)
         if (
             self.auto_flush_threshold is not None
@@ -209,7 +266,14 @@ class ShardedDatabase:
     ) -> MaintenanceStats:
         """Realign the column's views across all shards with pending
         updates."""
-        return self.table(table_name).column(column_name).flush_updates()
+        return self.column(table_name, column_name).flush_updates()
+
+    def flush_all(self) -> None:
+        """Realign every column with pending updates (router tightened)."""
+        for table in self._tables.values():
+            for column in table.columns.values():
+                if column.pending_update_count:
+                    column.flush_updates()
 
     # -- auditing ----------------------------------------------------------
 
@@ -230,31 +294,21 @@ class ShardedDatabase:
     # -- resilience --------------------------------------------------------
 
     def health(self) -> HealthState:
-        """Worst health across every shard of every column."""
-        return worst_health(
-            column.health()
-            for table in self._tables.values()
-            for column in table.columns.values()
-        )
+        """Worst health across the shard databases."""
+        return worst_health(db.health() for db in self.shards)
 
     def repair(self) -> bool:
-        """Repair every shard of every column; True when all converged."""
-        converged = True
-        for table in self._tables.values():
-            for column in table.columns.values():
-                converged = column.repair() and converged
-        return converged
+        """Flush, then repair every shard database; True when all converged."""
+        self.flush_all()
+        return all([db.repair() for db in self.shards])
 
     def resilience_status(self) -> dict:
-        """Aggregated resilience counters, keyed per column per shard."""
-        layers: dict[str, dict] = {}
-        for table_name, table in self._tables.items():
-            for column_name, column in table.columns.items():
-                status = column.resilience_status()
-                for shard_key, shard_status in status["shards"].items():
-                    layers[f"{table_name}.{column_name}[{shard_key}]"] = (
-                        shard_status
-                    )
+        """Aggregated resilience counters, keyed ``table.column[shardN]``."""
+        layers = {
+            f"{key}[shard{index}]": status
+            for index, db in enumerate(self.shards)
+            for key, status in db.resilience_status()["layers"].items()
+        }
         return {"health": self.health().value, "layers": layers}
 
     # -- cost --------------------------------------------------------------
@@ -265,39 +319,35 @@ class ShardedDatabase:
         Deterministic under any thread interleaving: each shard owns its
         ledger exclusively and the merge is a commutative sum.
         """
-        lanes: dict[str, float] = {}
-        counters: dict[str, int] = {}
-        for substrate in self.substrates:
-            sub_lanes, sub_counters = substrate.cost.ledger.snapshot()
-            for lane, ns in sub_lanes.items():
-                lanes[lane] = lanes.get(lane, 0.0) + ns
-            for op, count in sub_counters.items():
-                counters[op] = counters.get(op, 0) + count
-        return lanes, counters
+        lanes: Counter = Counter()
+        counters: Counter = Counter()
+        for db in self.shards:
+            shard_lanes, shard_counters = db.cost.ledger.snapshot()
+            lanes.update(shard_lanes)
+            counters.update(shard_counters)
+        return dict(lanes), dict(counters)
 
     def total_sim_ns(self) -> float:
-        """Accumulated simulated main-lane time, summed over the shards.
-
-        Uncharged bookkeeping read mirroring
-        :meth:`repro.core.facade.AdaptiveDatabase.total_sim_ns`, so the
-        serving layer attributes per-request cost the same way on either
-        facade.
-        """
-        total = 0.0
-        for substrate in self.substrates:
-            total += substrate.cost.ledger.lane_ns()
-        return total
+        """Accumulated simulated main-lane time, summed over the shards
+        (uncharged, like :meth:`AdaptiveDatabase.total_sim_ns`, so the
+        serving layer attributes request cost alike on either facade)."""
+        return sum(db.total_sim_ns() for db in self.shards)
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down every column's shards and release the substrates."""
+        """Stop the gather pools, then close and drop the shard databases.
+
+        Dropping them (not only closing) releases their catalogs at once,
+        so a database built right after can reuse that memory.
+        """
         for table in self._tables.values():
             for column in table.columns.values():
                 column.close()
         self._tables.clear()
-        for substrate in self.substrates:
-            substrate.close()
+        for db in self.shards:
+            db.close()
+        self.shards = []
 
     def __enter__(self) -> "ShardedDatabase":
         return self

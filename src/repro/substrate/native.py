@@ -451,27 +451,29 @@ class NativeSubstrate(Substrate):
             # deterministic ledger depend on allocator state; the true
             # cost of parsing the full file is measured by the wall
             # ledger wrapping this.
-            own_paths = {store.map_path for store in self._files.values()}
-            entries = [
-                e
-                for e in parse_maps(self.maps_text())
-                if e.pathname in own_paths and not self._is_internal(e)
-            ]
+            entries = self._own_entries()
             if cost is not None:
                 cost.maps_parse(len(entries), lane)
             return MappingSnapshot.from_entries(
                 entries, cost=cost, lane=lane, file_filter=file_filter
             )
 
+    def _own_entries(self) -> list[MapsEntry]:
+        """Maps lines of this substrate's files, matched by inode too:
+        another substrate's file of the same name (another shard's slice
+        of the same column) shows the same pathname."""
+        own = {(store.map_path, store.inode) for store in self._files.values()}
+        return [
+            e
+            for e in parse_maps(self.maps_text())
+            if (e.pathname, e.inode) in own and not self._is_internal(e)
+        ]
+
     def maps_line_count(self, pathname: str | None = None) -> int:
-        entries = parse_maps(self.maps_text())
         if pathname is None:
+            entries = parse_maps(self.maps_text())
             return sum(1 for e in entries if not self._is_internal(e))
-        return sum(
-            1
-            for e in entries
-            if e.pathname == pathname and not self._is_internal(e)
-        )
+        return sum(1 for e in self._own_entries() if e.pathname == pathname)
 
     def file_map_path(self, file: NativePageStore) -> str:
         return file.map_path

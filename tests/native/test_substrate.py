@@ -179,6 +179,20 @@ class TestNativeMapsSource:
         view-level maps accounting."""
         assert sub.maps_line_count(sub.file_map_path(file)) == 0
 
+    def test_same_named_file_of_another_substrate_excluded(self, sub, file):
+        """Shards name their slices alike, so the maps pathname is shared;
+        each substrate still sees only its own file's mappings."""
+        from repro.substrate.native import NativeSubstrate
+
+        path = sub.file_map_path(file)
+        with NativeSubstrate() as other:
+            twin = other.create_file("t.col", 8)
+            assert other.file_map_path(twin) == path
+            other.map_fixed(other.reserve(2), 2, twin, 0)
+            assert sub.maps_line_count(path) == 0
+            assert len(sub.maps_snapshot(file_filter=path)) == 0
+            assert other.maps_line_count(path) == 1
+
     def test_snapshot_over_kernel_maps(self, sub, file):
         path = sub.file_map_path(file)
         base = sub.reserve(4)

@@ -73,6 +73,14 @@ class TestStopFlushes:
         db.insert("t", {"x": 1})
         manager.close()
 
+    def test_manager_flush_all_reaches_a_sharded_database(self):
+        with DatabaseManager() as manager:
+            db = manager.create_database("sharded", shards=2, config=CONFIG)
+            db.create_table("t", {"x": np.arange(4 * 1024, dtype=np.int64)})
+            db.update("t", "x", 3, -5)
+            manager.flush_all()
+            assert db.column("t", "x").pending_update_count == 0
+
 
 def _watch_drain(srv):
     """Wrap ``srv.drain``: ``(entered, outcomes)`` — an event set when

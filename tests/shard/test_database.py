@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,29 @@ class TestResilience:
             db.update("t", "x", 0, 5)
             assert db.repair()
             assert db.column("t", "x").pending_update_count == 0
+
+
+class TestLifecycle:
+    def test_close_drops_the_shard_databases(self):
+        db = ShardedDatabase(shards=2)
+        db.create_table("t", {"x": _values()})
+        db.query("t", "x", 0, 5_000)
+        shard = weakref.ref(db.shards[0])
+        db.close()
+        assert shard() is None
+
+    def test_flush_all_realigns_and_tightens_the_router(self):
+        values = np.arange(NUM_ROWS, dtype=np.int64)
+        with ShardedDatabase(shards=2) as db:
+            db.create_table("t", {"x": values})
+            column = db.column("t", "x")
+            exact = column.router.bounds(0)
+            db.update("t", "x", 0, NUM_ROWS * 10)
+            db.update("t", "x", 0, 0)
+            assert column.router.bounds(0) == (0, NUM_ROWS * 10)
+            db.flush_all()
+            assert column.pending_update_count == 0
+            assert column.router.bounds(0) == exact
 
 
 class TestMergedCost:

@@ -18,7 +18,7 @@ from repro.core.config import AdaptiveConfig
 from repro.faults import FaultSchedule, FaultySubstrate
 from repro.resilience.policy import ResilienceConfig
 from repro.seeds import derive_seed
-from repro.shard import ShardedColumn
+from repro.shard import ShardedDatabase
 from repro.substrate import make_substrate
 from repro.vm.constants import VALUES_PER_PAGE
 from repro.workloads.distributions import DEFAULT_DOMAIN
@@ -30,12 +30,12 @@ DOMAIN = DEFAULT_DOMAIN[1]
 FAULT_OPS = ("map_fixed", "unmap")
 
 
-def _faulty_factory(probability: float, sweep_seed: int):
+def _faulty_substrates(
+    num_shards: int, probability: float, sweep_seed: int
+) -> list[FaultySubstrate]:
     """One FaultySubstrate per shard, schedules decorrelated per shard."""
-    substrates: list[FaultySubstrate] = []
-
-    def factory(index: int) -> FaultySubstrate:
-        substrate = FaultySubstrate(
+    return [
+        FaultySubstrate(
             make_substrate("simulated"),
             schedule=FaultSchedule.probabilistic(
                 FAULT_OPS,
@@ -43,10 +43,19 @@ def _faulty_factory(probability: float, sweep_seed: int):
                 seed=derive_seed(index) + sweep_seed,
             ),
         )
-        substrates.append(substrate)
-        return substrate
+        for index in range(num_shards)
+    ]
 
-    return factory, substrates
+
+def _faulted_db(substrates: list[FaultySubstrate], values) -> ShardedDatabase:
+    db = ShardedDatabase(
+        shards=len(substrates),
+        config=AdaptiveConfig(background_mapping=False),
+        backend=substrates,
+        resilience=ResilienceConfig(max_attempts=6),
+    )
+    db.create_table("t", {"x": values})
+    return db
 
 
 def _mixed_ops(seed: int, count: int = 20):
@@ -74,29 +83,21 @@ def test_faulted_sharded_results_match_oracle(num_shards, sweep_seed):
     rng = np.random.default_rng(41)
     values = rng.integers(0, DOMAIN, size=NUM_ROWS, dtype=np.int64)
     oracle = values.copy()
-    factory, substrates = _faulty_factory(
-        probability=0.05, sweep_seed=sweep_seed
+    substrates = _faulty_substrates(
+        num_shards, probability=0.05, sweep_seed=sweep_seed
     )
 
-    with ShardedColumn.build(
-        "t",
-        values,
-        num_shards,
-        config=AdaptiveConfig(background_mapping=False),
-        substrate_factory=factory,
-        resilience=ResilienceConfig(max_attempts=6),
-    ) as column:
+    with _faulted_db(substrates, values) as db:
         for step, op in enumerate(_mixed_ops(seed=sweep_seed + 50)):
             if op[0] == "update":
                 _, row, value = op
-                column.update(row, value)
+                db.update("t", "x", row, value)
                 oracle[row] = value
             elif op[0] == "flush":
-                if column.pending_update_count:
-                    column.flush_updates()
+                db.flush_all()
             else:
                 _, lo, hi = op
-                result = column.query(lo, hi)
+                result = db.query("t", "x", lo, hi)
                 want = np.nonzero((oracle >= lo) & (oracle <= hi))[0]
                 order = np.argsort(result.rowids)
                 assert np.array_equal(result.rowids[order], want), (
@@ -114,8 +115,8 @@ def test_faulted_sharded_results_match_oracle(num_shards, sweep_seed):
         # and the audit is clean.
         for substrate in substrates:
             substrate.schedule = None
-        assert column.repair()
-        report = column.audit()
+        assert db.repair()
+        report = db.audit()
         assert not report.findings, report.findings
 
 
@@ -125,23 +126,15 @@ def test_faulted_run_is_deterministic():
     def run() -> list[tuple[str, int]]:
         rng = np.random.default_rng(41)
         values = rng.integers(0, DOMAIN, size=NUM_ROWS, dtype=np.int64)
-        factory, substrates = _faulty_factory(probability=0.1, sweep_seed=9)
-        with ShardedColumn.build(
-            "t",
-            values,
-            2,
-            config=AdaptiveConfig(background_mapping=False),
-            substrate_factory=factory,
-            resilience=ResilienceConfig(max_attempts=6),
-        ) as column:
+        substrates = _faulty_substrates(2, probability=0.1, sweep_seed=9)
+        with _faulted_db(substrates, values) as db:
             for op in _mixed_ops(seed=77):
                 if op[0] == "update":
-                    column.update(op[1], op[2])
+                    db.update("t", "x", op[1], op[2])
                 elif op[0] == "flush":
-                    if column.pending_update_count:
-                        column.flush_updates()
+                    db.flush_all()
                 else:
-                    column.query(op[1], op[2])
+                    db.query("t", "x", op[1], op[2])
             return [
                 (fault.op, fault.call_index)
                 for substrate in substrates
@@ -154,8 +147,7 @@ def test_faulted_run_is_deterministic():
 
 def test_per_shard_schedules_are_decorrelated():
     """Shard 0 and shard 1 draw from different fault streams."""
-    factory, substrates = _faulty_factory(probability=0.5, sweep_seed=0)
-    factory(0), factory(1)
+    substrates = _faulty_substrates(2, probability=0.5, sweep_seed=0)
     hits = []
     for substrate in substrates:
         hits.append(

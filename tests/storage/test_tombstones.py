@@ -4,7 +4,7 @@
 so it must equal ``bitmap.sum()`` after every path that writes the
 bitmap: deletes (with duplicates and already-deleted rows), a restored
 checkpoint bitmap, growth, checkpoint load and WAL replay — on the plain
-table and on the sharded one, which share the class.
+table and on the shard tables of a sharded database, which share the class.
 """
 
 from __future__ import annotations
@@ -151,12 +151,18 @@ class TestEveryWriter:
 
     def test_sharded_table_shares_the_class(self):
         with ShardedDatabase(shards=2, config=CONFIG) as db:
-            table = db.create_table("t", {"x": np.arange(NUM_ROWS)})
-            assert isinstance(table.tombstones, Tombstones)
-            assert table.tombstones.live_row_mask(np.arange(4)) is None
+            db.create_table("t", {"x": np.arange(NUM_ROWS)})
+            stones = [shard.table("t").tombstones for shard in db.shards]
+            assert all(isinstance(s, Tombstones) for s in stones)
+            assert all(s.live_row_mask(np.arange(2)) is None for s in stones)
             assert db.delete("t", "x", 100, 109) == 10
             assert db.delete("t", "x", 105, 114) == 5
-            assert table.tombstones.count == 15 and _consistent(table.tombstones)
+            seam = db.column("t", "x").specs[1].row_start
+            assert db.delete("t", "x", seam - 2, seam + 1) == 4
+            assert [s.count for s in stones] == [17, 2]
+            assert all(_consistent(s) for s in stones)
+            assert sum(s.count for s in stones) == 19
             assert len(db.query("t", "x", 90, 120)) == 31 - 15
+            assert len(db.query("t", "x", seam - 4, seam + 1)) == 6 - 4
             with pytest.raises(KeyError):
                 db.update("t", "x", 100, 1)
