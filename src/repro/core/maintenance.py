@@ -19,13 +19,17 @@ view whose value range is affected must be realigned.  Per batch:
      page be removed.
 
 The facts the case analysis needs are computed for all (view, page)
-pairs of a block of views at once; only the pairs that then *do*
-something are walked one by one (:func:`_align_views`).  The snapshot is
-maintained from user space while pages are (un)mapped and discarded
-after the batch.
+pairs of a block of views at once (:func:`_align_views`), and the pairs
+that then *do* something are acted on at once too (:class:`_BlockWalk`):
+every case-2 page scan is one gather-and-compare, every case-1 add one
+mapping plan, and every charge is folded into the ledger in the order
+visiting the pairs one by one books it.  The snapshot is maintained from
+user space while pages are (un)mapped and discarded after the batch.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -45,6 +49,10 @@ from .view import VirtualView
 #: (view, update) comparisons one classification block may hold at once:
 #: bounds the kernel's temporaries whatever the batch and view counts.
 _BLOCK_CELLS = 1 << 18
+
+#: Pages one gathered case-2 check holds at once: bounds its copy of the
+#: pages (4 KiB each) whatever the number of pages to check.
+_CHECK_PAGES = 1024
 
 
 def _retryable(retry, op: str, fn, lane: str):
@@ -84,82 +92,365 @@ def _block_matrix(
     return matrix
 
 
-class _PairCharges:
-    """Per-pair ledger charges of one block of views, booked in walk order.
+#: What a walked (view, page) pair does, in the case analysis' terms.
+_TORN, _ADD, _SCAN = 0, 1, 2
 
-    Every (view, page) pair costs the inspection of the page's update
-    records plus three bimap ops (the "is this page indexed by this
-    view?" lookup and round trip), acted on or not.  The charges are
-    whole-nanosecond constants, so the pairs between two acting ones are
-    summed into one ledger call each — but always booked *before* the
-    acting pair's side effects, whose own charges need not be whole:
-    every lane then holds exactly what visiting pair by pair leaves.
+
+def _still_in_range(
+    column: PhysicalColumn,
+    fpages: np.ndarray,
+    valid: np.ndarray,
+    lows: np.ndarray,
+    highs: np.ndarray,
+) -> np.ndarray:
+    """Per page: whether its first ``valid[i]`` rows still hold a value
+    in ``[lows[i], highs[i]]``.
+
+    The answer :meth:`PhysicalColumn.scan_page` gives page by page, for
+    ``_CHECK_PAGES`` pages at a time with one gather and compare; the
+    padding past the last row of a partial page is masked.
+    """
+    found = np.empty(fpages.size, dtype=bool)
+    for a in range(0, fpages.size, _CHECK_PAGES):
+        z = a + _CHECK_PAGES
+        values = column.file.data[fpages[a:z]]
+        live = np.arange(values.shape[1]) < valid[a:z, None]
+        hits = (values >= lows[a:z, None]) & (values <= highs[a:z, None]) & live
+        found[a:z] = hits.any(axis=1)
+    return found
+
+
+def _valid_counts(column: PhysicalColumn, fpages: np.ndarray) -> np.ndarray:
+    """Rows held by each page (the last page of a column may be partial)."""
+    per_page = column.values_per_page
+    return np.maximum(np.minimum(column.num_rows - fpages * per_page, per_page), 0)
+
+
+class _ViewFault(Exception):
+    """A fault at walk event ``event``: its view is dropped."""
+
+    def __init__(self, event: int) -> None:
+        super().__init__(event)
+        self.event = event
+
+
+class _BlockWalk:
+    """The acting (view, page) pairs of one block of views, carried out.
+
+    The pairs come in walk order, views outer and pages inner, and each
+    is one *event*: a torn pair, a case-1 add, or a case-2 scan whose
+    answer is known before anything is carried out (the pages do not
+    change while views are aligned).  A *segment* of events is carried
+    out at once: its adds become one ``apply_runs`` plan and its charges
+    are folded into the ledger in the order the per-pair loop books
+    them (:meth:`_book`).  A segment ends at the first event that needs
+    more — a torn pair, a page to unmap, a scan a tiered store accounts
+    for, an add beyond its view's capacity — and that event's follow-up
+    runs on its own before the next segment starts.  A fault drops the
+    view; the walk resumes at the next view, through the same segments.
+
+    The events are plain lists: a flush after a one-row update acts on a
+    handful of pairs, and a numpy call per event attribute would cost
+    more than the pairs themselves.  Only what grows with the batch —
+    the gathered check, the plan, the charges — is an array.
     """
 
-    def __init__(self, cost, lane: str, checked_before: list[int]) -> None:
-        self._cost = cost
-        self._lane = lane
+    def __init__(
+        self,
+        column: PhysicalColumn,
+        block: list[VirtualView],
+        snapshot: MappingSnapshot,
+        path: str,
+        page_of: list[int],
+        checked_before: list[int],
+        events: tuple[np.ndarray, np.ndarray, np.ndarray],
+        stats: MaintenanceStats,
+        lane: str,
+        retry,
+    ) -> None:
+        self.column = column
+        self.cost = column.cost
+        self.block = block
+        self.snapshot = snapshot
+        self.path = path
+        self.stats = stats
+        self.lane = lane
+        self.retry = retry
+        self.groups = groups = len(page_of)
         #: ``checked_before[g]``: update records in page groups ``[0, g)``.
-        self._checked_before = checked_before
-        self._view = self._group = 0  # first pair not charged yet
-
-    def charge_until(self, view: int, group: int) -> None:
-        """Charge every pair before ``(view, group)`` not charged yet."""
-        before = self._checked_before
-        views = view - self._view
-        pairs = views * (len(before) - 1) + group - self._group
-        if pairs:
-            self._cost.update_check(
-                views * before[-1] + before[group] - before[self._group],
-                self._lane,
+        self.checked_before = checked_before
+        #: Per event: its view (index into ``block``), page and kind.
+        self.view, group, self.kind = (array.tolist() for array in events)
+        self.fpage = [page_of[g] for g in group]
+        #: Per event: the flat index ``view * groups + group`` of its pair.
+        self.flat = [v * groups + g for v, g in zip(self.view, group)]
+        #: Per event: update records in the pairs up to and including its.
+        self.records_to = [self._records_before(flat + 1) for flat in self.flat]
+        #: Flat index of the first pair not charged yet.
+        self.cursor = 0
+        #: Per event: the values a scan streams (0 for the others).
+        self.scanned = [0] * len(self.kind)
+        #: Events whose page leaves its view (case 2, nothing left in range).
+        self.removes: set[int] = set()
+        scans = [i for i, kind in enumerate(self.kind) if kind == _SCAN]
+        if scans:
+            # Check: every case-2 page's scan answered in one gather.
+            fpages = np.array([self.fpage[i] for i in scans], dtype=np.int64)
+            owners = [block[self.view[i]] for i in scans]
+            valid = _valid_counts(column, fpages)
+            keep = _still_in_range(
+                column,
+                fpages,
+                valid,
+                np.array([view.lo for view in owners], dtype=np.int64),
+                np.array([view.hi for view in owners], dtype=np.int64),
             )
-            self._cost.bimap_op(3 * pairs, self._lane)
-        self._view, self._group = view, group
+            values = (valid * column.value_cost_factor).tolist()
+            for i, n, kept in zip(scans, values, keep.tolist()):
+                self.scanned[i] = n
+                if not kept:
+                    self.removes.add(i)
+        self.record_access = getattr(column.file, "record_access", None)
+        # What ends a segment: torn pairs, pages to unmap, a tiered
+        # store's scans, adds beyond their view's capacity.
+        tiered = self.record_access is not None
+        self.barriers = [
+            i
+            for i, kind in enumerate(self.kind)
+            if kind == _TORN
+            or i in self.removes
+            or (kind == _SCAN and tiered)
+            or (kind == _ADD and self.fpage[i] >= block[self.view[i]].capacity)
+        ]
 
-    def skip_to(self, view: int) -> None:
-        """Leave the pairs before ``view`` uncharged (their view faulted)."""
-        self._view, self._group = view, 0
+    def run(self) -> None:
+        """Carry out every event, then charge the pairs after the last."""
+        i, n, b = 0, len(self.kind), 0
+        barriers = self.barriers
+        while i < n:
+            while b < len(barriers) and barriers[b] < i:
+                b += 1
+            barrier = barriers[b] if b < len(barriers) else None
+            try:
+                self._segment(i, n if barrier is None else barrier + 1, barrier)
+            except _ViewFault as fault:
+                # A fault mid-alignment leaves this view's page set
+                # unverifiable; drop it rather than serve stale pages.
+                # Queries fall back to the full view (or the next-best
+                # partial) and stay correct.
+                j = self.view[fault.event]
+                self.stats.faults += 1
+                _drop_view(self.column, self.block[j], self.stats)
+                self.cursor = (j + 1) * self.groups
+                i = bisect.bisect_right(self.view, j)
+                continue
+            i = n if barrier is None else barrier + 1
+        end = len(self.block) * self.groups
+        if end > self.cursor:
+            records = self._records_before(end) - self._records_before(self.cursor)
+            self.cost.update_check(records, self.lane)
+            self.cost.bimap_op(3 * (end - self.cursor), self.lane)
 
+    def _records_before(self, flat: int) -> int:
+        """Update records in the pairs before flat pair index ``flat``."""
+        before = self.checked_before
+        return (flat // self.groups) * before[-1] + before[flat % self.groups]
 
-def _act_on_pair(
-    column: PhysicalColumn,
-    view: VirtualView,
-    snapshot: MappingSnapshot,
-    path: str,
-    fpage: int,
-    torn: bool,
-    add: bool,
-    stats: MaintenanceStats,
-    lane: str,
-    retry,
-) -> None:
-    """Carry out the one (view, page) pair the classification singled out."""
-    if torn:
-        # The snapshot contradicts the catalog: a stale or torn snapshot
-        # would make the case analysis unsound for this view, so it is
-        # dropped instead of misaligned.
-        raise TornSnapshotError("maps_snapshot", fpage)
-    if add:
-        # Case 1.  add_page rolls its slot back on failure, so a
-        # wholesale re-attempt under the retry policy is safe.
-        _retryable(
-            retry, "map_fixed", lambda: view.add_page(fpage, lane=lane), lane
+    def _segment(self, start: int, end: int, barrier: int | None) -> None:
+        """Carry out events ``[start, end)``; ``barrier``, the last one
+        when set, books its inspection (and scan) here and runs its
+        follow-up after."""
+        if barrier is not None and self.kind[barrier] == _ADD:
+            end_adds = barrier  # beyond the view's capacity: added on its own
+        else:
+            end_adds = end
+        adds = [i for i in range(start, end_adds) if self.kind[i] == _ADD]
+        fault = self._plan(adds)
+        if fault is not None:
+            event, error = fault
+            self._book(start, event, inspected=event)
+            self._retry_add(event, error)
+            # healed: the rest is carried out as a segment of its own
+            self._segment(event + 1, end, barrier)
+            return
+        self._book(start, end, inspected=barrier)
+        if barrier is not None:
+            try:
+                self._follow_up(barrier)
+            except (SubstrateFault, VmError) as exc:
+                raise _ViewFault(barrier) from exc
+
+    def _plan(self, adds: list[int]) -> tuple[int, SubstrateFault] | None:
+        """Map the pages of the ``adds`` events with one plan.
+
+        Each view hands out its slots as one :meth:`VirtualView.add_page`
+        per event would, holes first, and the plan is cut wherever its
+        virtual pages stop ascending (a reused hole, a view whose area
+        lies below the previous one's).  The pages mapped are recorded
+        in their views and the snapshot.  Returns the event whose run
+        faulted and its fault, if one did: the runs before it are mapped
+        and recorded, it and the ones after it are not.
+        """
+        if not adds:
+            return None
+        fpages = [self.fpage[i] for i in adds]
+        # (view, first add, end add) per view, in walk order
+        owners = []
+        for k, i in enumerate(adds):
+            j = self.view[i]
+            if not owners or owners[-1][0] != j:
+                owners.append([j, k, k])
+            owners[-1][2] = k + 1
+        slots = []
+        vpns = []
+        for j, a, z in owners:
+            view = self.block[j]
+            view_slots = view.plan_slots(z - a)
+            slots.append(view_slots)
+            vpns.extend((view.base_vpn + view_slots).tolist())
+        cuts = [0, *(k for k in range(1, len(vpns)) if vpns[k] <= vpns[k - 1]), len(vpns)]
+        vpn_array = np.array(vpns, dtype=np.int64)
+        fpage_array = np.array(fpages, dtype=np.int64)
+        npages = np.ones(len(vpns), dtype=np.int64)
+        applied, fault = len(vpns), None
+        for a, z in zip(cuts, cuts[1:]):
+            try:
+                self.column.substrate.apply_runs(
+                    vpn_array[a:z], npages[a:z], self.column.file, fpage_array[a:z], populate=True
+                )
+            except SubstrateFault as error:
+                applied = a + error.run_index
+                fault = adds[applied], error
+                break
+        for (j, a, z), view_slots in zip(owners, slots):
+            done = min(z, applied) - a
+            if done > 0:
+                self.block[j].fill_slots(view_slots[:done], fpage_array[a : a + done])
+        # The snapshot was parsed against the column's cost model, so its
+        # insert charges are booked with the rest (:meth:`_book`).
+        snapshot, path = self.snapshot, self.path
+        for vpn, fpage in zip(vpns[:applied], fpages[:applied]):
+            snapshot.map(vpn, (path, fpage), charge=False)
+        self.stats.pages_added += applied
+        return fault
+
+    def _retry_add(self, event: int, fault: SubstrateFault) -> None:
+        """Re-attempt an add whose run faulted in a plan, as the retry
+        policy re-attempts a single :meth:`VirtualView.add_page`."""
+        view, fpage = self.block[self.view[event]], self.fpage[event]
+        try:
+            if self.retry is None:
+                raise fault
+            self.retry.resume(
+                "map_fixed",
+                fault,
+                lambda: view.add_page(fpage, lane=self.lane),
+                self.lane,
+            )
+        except (SubstrateFault, VmError) as exc:
+            raise _ViewFault(event) from exc
+        self.snapshot.map(view.vpn_of(fpage), (self.path, fpage), self.lane)
+        self.stats.pages_added += 1
+
+    def _follow_up(self, event: int) -> None:
+        """What a segment's last event does beyond its booked charges."""
+        view = self.block[self.view[event]]
+        fpage = self.fpage[event]
+        lane, retry = self.lane, self.retry
+        if self.kind[event] == _TORN:
+            # The snapshot contradicts the catalog: a stale or torn
+            # snapshot would make the case analysis unsound for this
+            # view, so it is dropped instead of misaligned.
+            raise TornSnapshotError("maps_snapshot", fpage)
+        if self.kind[event] == _ADD:
+            # A page beyond the view's capacity (the column grew under
+            # it): mapped as the per-pair loop maps it, whatever follows.
+            _retryable(retry, "map_fixed", lambda: view.add_page(fpage, lane=lane), lane)
+            self.snapshot.map(view.vpn_of(fpage), (self.path, fpage), lane)
+            self.stats.pages_added += 1
+            return
+        if self.record_access is not None:
+            self.record_access(fpage, self.cost, lane=lane, kind="random")
+        if event in self.removes:
+            # Case 2 and no value left in range: the page leaves.
+            vpn = view.vpn_of(fpage)
+            _retryable(
+                retry, "unmap_slot", lambda: view.remove_page(fpage, lane=lane), lane
+            )
+            self.snapshot.unmap(vpn, lane)
+            self.stats.pages_removed += 1
+
+    def _book(self, start: int, end: int, inspected: int | None) -> None:
+        """Fold the charges of events ``[start, end)`` into the ledger.
+
+        Each event books the inspection of the pairs since the one
+        before — its update records and three bimap ops per pair — then
+        its action: an add its mmap call, soft fault and snapshot
+        insert, a scan its random page access, header read and value
+        stream.  ``inspected`` (``end - 1`` or ``end``), when set, is
+        booked without an add.  Every element is the float the
+        CostModel method the per-pair loop calls would charge, and they
+        go to the ledger in one :meth:`~repro.vm.cost.CostLedger.fold`,
+        in exactly this order: the value streams are fractional, and
+        moving any charge past one can change a lane's last bit.
+        """
+        stop = end if inspected is None else max(end, inspected + 1)
+        if stop <= start:
+            return
+        kinds = self.kind[start:stop]
+        num_adds = kinds.count(_ADD)
+        num_scans = kinds.count(_SCAN)
+        scanned = self.scanned[start:stop]
+        flat = np.array(self.flat[start:stop], dtype=np.int64)
+        records_to = np.array(self.records_to[start:stop], dtype=np.int64)
+        first = self._records_before(self.cursor)
+        pairs = flat + 1 - np.concatenate(([self.cursor], flat[:-1] + 1))
+        records = records_to - np.concatenate(([first], records_to[:-1]))
+        params = self.cost.params
+        # Per kind: the charges of its action (a scan's stream added below).
+        action = np.array(
+            [
+                (0.0, 0.0, 0.0),
+                (
+                    1 * params.mmap_syscall_ns + 1 * params.mmap_per_page_ns,
+                    1 * params.soft_fault_ns,
+                    1 * params.bimap_op_ns,
+                ),
+                (1 * params.random_page_access_ns, 1 * params.page_header_read_ns, 0.0),
+            ]
+        )[kinds]
+        if inspected is not None and self.kind[inspected] == _ADD:
+            action[inspected - start] = 0.0  # its inspection only
+            num_adds -= 1
+        if num_scans:
+            action[:, 2] += (
+                np.array(scanned, dtype=np.int64)
+                * params.seq_value_read_ns
+                * params.read_factor("random")
+            )
+        charges = np.column_stack(
+            (records * params.update_check_ns, (3 * pairs) * params.bimap_op_ns, action)
         )
-        snapshot.map(view.vpn_of(fpage), (path, fpage), lane)
-        stats.pages_added += 1
-        return
-    # Case 2 with an in-range value possibly overwritten: only a full
-    # page scan can prove the page no longer qualifies.
-    result = column.scan_page(
-        fpage, view.lo, view.hi, access_kind="random", lane=lane
-    )
-    if result.empty:
-        vpn = view.vpn_of(fpage)
-        _retryable(
-            retry, "unmap_slot", lambda: view.remove_page(fpage, lane=lane), lane
-        )
-        snapshot.unmap(vpn, lane)
-        stats.pages_removed += 1
+        last = self.flat[stop - 1]
+        counts = [
+            ("updates_checked", self.records_to[stop - 1] - first),
+            ("bimap_ops", 3 * (last + 1 - self.cursor) + num_adds),
+        ]
+        if num_adds:
+            counts += [
+                ("mmap_calls", num_adds),
+                ("pages_mapped", num_adds),
+                ("soft_faults", num_adds),
+            ]
+        if num_scans:
+            counts += [
+                ("pages_accessed", num_scans),
+                ("page_headers_read", num_scans),
+                ("values_scanned", sum(scanned)),
+                ("pages_scanned", num_scans),
+            ]
+        self.cost.ledger.fold(charges.ravel(), self.lane, counts)
+        self.cursor = last + 1
 
 
 def _align_views(
@@ -177,16 +468,17 @@ def _align_views(
     Per block of views the three facts of the analysis — page indexed,
     any new value in range, any old value in range — and the catalog
     cross-check are computed for every (view, page) pair at once; then
-    only the pairs that do something (map a page, scan and maybe unmap
-    one, drop the view over a torn snapshot) are walked, views outer and
-    pages inner.  While the snapshot agrees with the catalog, acting on
-    one pair changes no other pair's facts: it touches one view's mapping
-    of one page, which no later pair asks about.  Where it does not (a
-    stale snapshot still holding another page at the slot an add takes),
-    the facts stand as the snapshot was handed over, so the mismatch
-    drops the view even though the add overwrote the stale record.  A
-    view that faults is dropped and charged through the faulting pair
-    only (see :class:`_PairCharges`).
+    the pairs that do something (map a page, scan and maybe unmap one,
+    drop the view over a torn snapshot) are carried out by
+    :class:`_BlockWalk`: every case-2 check in one gather, every case-1
+    add in one mapping plan, every charge in the per-pair order.  While
+    the snapshot agrees with the catalog, acting on one pair changes no
+    other pair's facts: it touches one view's mapping of one page, which
+    no later pair asks about.  Where it does not (a stale snapshot still
+    holding another page at the slot an add takes), the facts stand as
+    the snapshot was handed over, so the mismatch drops the view even
+    though the add overwrote the stale record.  A view that faults is
+    dropped and charged through the faulting pair only.
     """
     views = [view for view in views if not view.is_full_view]
     if not views or not groups:
@@ -239,33 +531,23 @@ def _align_views(
         add = any_new & ~indexed
         scan = indexed & ~any_new & any_old
         act_view, act_group = np.nonzero(torn | add | scan)
-
-        charges = _PairCharges(column.cost, lane, checked_before)
-        dropped = -1
-        for j, g, is_torn, is_add in zip(
-            act_view.tolist(),
-            act_group.tolist(),
-            torn[act_view, act_group].tolist(),
-            add[act_view, act_group].tolist(),
-        ):
-            if j == dropped:
-                continue
-            charges.charge_until(j, g + 1)
-            try:
-                _act_on_pair(
-                    column, block[j], snapshot, path, page_of[g],
-                    is_torn, is_add, stats, lane, retry,
-                )
-            except (SubstrateFault, VmError):
-                # A fault mid-alignment leaves this view's page set
-                # unverifiable; drop it rather than serve stale pages.
-                # Queries fall back to the full view (or the next-best
-                # partial) and stay correct.
-                stats.faults += 1
-                _drop_view(column, block[j], stats)
-                dropped = j
-                charges.skip_to(j + 1)
-        charges.charge_until(len(block), 0)
+        kind = np.where(
+            torn[act_view, act_group],
+            _TORN,
+            np.where(add[act_view, act_group], _ADD, _SCAN),
+        )
+        _BlockWalk(
+            column,
+            block,
+            snapshot,
+            path,
+            page_of,
+            checked_before,
+            (act_view, act_group, kind),
+            stats,
+            lane,
+            retry,
+        ).run()
 
 
 def align_partial_views(

@@ -60,6 +60,7 @@ class MapPlan(NamedTuple):
 
 
 _NO_PAGES = np.empty(0, dtype=np.int64)
+_ONE_PAGE = np.ones(1, dtype=np.int64)
 
 
 class VirtualView:
@@ -206,15 +207,39 @@ class VirtualView:
 
     # -- mapping mutations -------------------------------------------------
 
-    def _take_slot(self) -> int:
-        """Pick an unused virtual slot (hole first, then fresh space)."""
-        if self._free_slots:
-            return self._free_slots.pop()
-        if self._next_fresh >= self.capacity:
+    def plan_slots(self, n: int) -> np.ndarray:
+        """The slots ``n`` pages mapped one by one would take, in order.
+
+        Holes left by removed pages come first, the most recently freed
+        first, then fresh over-allocated space — the order
+        :meth:`add_page` hands slots out in.  Nothing is reserved:
+        :meth:`fill_slots` takes the slots once their pages are mapped.
+        """
+        holes = self._free_slots[: -n - 1 : -1] if n else []
+        fresh = n - len(holes)
+        if self._next_fresh + fresh > self.capacity:
             raise RuntimeError("view over-allocation exhausted")
-        slot = self._next_fresh
-        self._next_fresh += 1
-        return slot
+        start = self._next_fresh
+        return np.array([*holes, *range(start, start + fresh)], dtype=np.int64)
+
+    def fill_slots(self, slots: np.ndarray, fpages: np.ndarray) -> None:
+        """Record ``fpages`` as mapped and populated at ``slots``.
+
+        ``slots`` is a prefix of what :meth:`plan_slots` answered, so
+        the holes it names are the last ones freed and its fresh slots
+        come next: both are taken, in one step for the whole prefix.
+        """
+        n = int(slots.size)
+        holes = min(n, len(self._free_slots))
+        if holes:
+            del self._free_slots[-holes:]
+        self._next_fresh += n - holes
+        fpage_at, slot_by_fpage, touched = self._slots()
+        fpage_at[slots] = fpages
+        slot_by_fpage[fpages] = slots
+        touched[slots] = True
+        self._num_mapped += n
+        self._mapped_cache = None
 
     def plan_runs(
         self, fpages: np.ndarray | list[int], coalesce: bool = True
@@ -323,39 +348,27 @@ class VirtualView:
         """Map one physical page into an unused virtual slot.
 
         This is the update path (Section 2.4, case 1): holes left by
-        removed pages are reused before fresh over-allocated space.
+        removed pages are reused before fresh over-allocated space.  It
+        is a plan of one run; batch alignment plans many at once.
         """
         if self.is_full_view:
             raise RuntimeError("cannot map pages into the full view")
         self.column.file.check_page(fpage)
         if self.contains_page(fpage):
             raise ValueError(f"page {fpage} already indexed by this view")
-        from_free = bool(self._free_slots)
-        slot = self._take_slot()
+        slots = self.plan_slots(1)
+        fpages = np.array([fpage], dtype=np.int64)
         # Atomic-rewire semantics: issue the mmap before touching the
-        # bookkeeping, so a failed call leaves the catalog consistent
-        # (the reserved slot is handed back on the way out).
-        try:
-            self.substrate.map_fixed(
-                self.base_vpn + slot,
-                1,
-                self.column.file,
-                fpage,
-                populate=True,
-                lane=lane,
-            )
-        except BaseException:
-            if from_free:
-                self._free_slots.append(slot)
-            else:
-                self._next_fresh -= 1
-            raise
-        fpage_at, slot_by_fpage, touched = self._slots()
-        fpage_at[slot] = fpage
-        slot_by_fpage[fpage] = slot
-        touched[slot] = True
-        self._num_mapped += 1
-        self._mapped_cache = None
+        # bookkeeping, so a failed call leaves the catalog consistent.
+        self.substrate.map_runs(
+            self.base_vpn + slots,
+            _ONE_PAGE,
+            self.column.file,
+            fpages,
+            populate=True,
+            lane=lane,
+        )
+        self.fill_slots(slots, fpages)
 
     def remove_page(self, fpage: int, lane: str = MAIN_LANE) -> None:
         """Unmap one physical page (Section 2.4, case 2).

@@ -26,8 +26,9 @@ class SubstrateFault(RuntimeError):
     ``transient`` whether the failure is classified as recoverable by
     retrying (resource exhaustion is permanent; a lost mapping race or
     torn maps read clears on its own).  ``run_index`` is, for a fault
-    inside a ``map_runs`` plan, the run that failed: the runs before it
-    were applied, it and the ones after it were not.
+    inside a mapping plan (``apply_runs`` / ``map_runs``), the run that
+    failed: the runs before it were applied, it and the ones after it
+    were not.
     """
 
     def __init__(

@@ -243,14 +243,13 @@ class FaultySubstrate(Substrate):
             lane=lane,
         )
 
-    def map_runs(
+    def apply_runs(
         self,
         vpns: np.ndarray,
         npages: np.ndarray,
         file: PageStore,
         file_pages: np.ndarray,
         populate: bool = False,
-        lane: str = MAIN_LANE,
     ) -> None:
         # One consultation per run, as when each run was its own
         # ``map_fixed``: a fault at run k leaves runs [0, k) mapped and
@@ -260,14 +259,12 @@ class FaultySubstrate(Substrate):
             fault = self._consult("map_fixed")
             if fault is not None:
                 if k:
-                    self.inner.map_runs(
+                    self.inner.apply_runs(
                         vpns[:k], npages[:k], file, file_pages[:k],
-                        populate=populate, lane=lane,
+                        populate=populate,
                     )
                 self._raise("map_fixed", fault, run_index=k)
-        self.inner.map_runs(
-            vpns, npages, file, file_pages, populate=populate, lane=lane
-        )
+        self.inner.apply_runs(vpns, npages, file, file_pages, populate=populate)
 
     def unmap_slot(self, vpn: int, npages: int = 1, lane: str = MAIN_LANE) -> None:
         self._check("unmap_slot")

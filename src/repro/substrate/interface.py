@@ -11,7 +11,8 @@ supported by the vanilla Linux kernel":
 * **fixed rewiring** — pointing runs of virtual pages at runs of file
   pages with single ``mmap(MAP_FIXED)``-style calls
   (:meth:`Substrate.map_fixed`, :meth:`Substrate.unmap_slot`), or a
-  view's whole plan of them at once (:meth:`Substrate.map_runs`);
+  whole plan of them at once, booked (:meth:`Substrate.map_runs`) or
+  not (:meth:`Substrate.apply_runs`);
 * **tear-down** — ``munmap`` semantics (:meth:`Substrate.munmap`,
   :meth:`Substrate.release_region`) and permission changes
   (:meth:`Substrate.protect`);
@@ -41,6 +42,7 @@ from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
+from ..faults.errors import SubstrateFault
 from ..vm.cost import MAIN_LANE, CostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -219,6 +221,28 @@ class Substrate(ABC):
         ``populate`` the page tables are installed eagerly.
         """
 
+    @abstractmethod
+    def apply_runs(
+        self,
+        vpns: np.ndarray,
+        npages: np.ndarray,
+        file: PageStore,
+        file_pages: np.ndarray,
+        populate: bool = False,
+    ) -> None:
+        """Apply a mapping plan: :meth:`map_fixed` per run, nothing booked.
+
+        Run ``i`` rewires ``npages[i]`` virtual pages at ``vpns[i]`` onto
+        the file pages from ``file_pages[i]``; runs come in address order
+        and do not overlap.  A plan may span several views' areas — batch
+        alignment hands over the adds of a whole block of views at once.
+        The mappings afterwards are those of issuing the runs one by one;
+        the ledger is left alone, so the caller books each run where its
+        accounting puts it (:meth:`map_runs` books them all at once).  A
+        fault raised at run ``k`` names ``k`` in its ``run_index`` and
+        leaves runs ``[0, k)`` applied.
+        """
+
     def map_runs(
         self,
         vpns: np.ndarray,
@@ -228,18 +252,28 @@ class Substrate(ABC):
         populate: bool = False,
         lane: str = MAIN_LANE,
     ) -> None:
-        """Apply a view's whole mapping plan: :meth:`map_fixed` per run.
+        """Apply a whole mapping plan (:meth:`apply_runs`) and book it.
 
-        Run ``i`` rewires ``npages[i]`` virtual pages at ``vpns[i]`` onto
-        the file pages from ``file_pages[i]``; runs come in address order
-        and do not overlap.  State, charges and counters afterwards are
-        those of issuing the runs one by one, which is what this default
-        does; a backend may take the plan in one step instead.
+        The plan may span several views' areas.  State, charges and
+        counters afterwards are those of issuing the runs one by one:
+        ``mmap_call`` per run plus, with ``populate``, a soft fault per
+        page — whole nanoseconds, so one sum books them.  After a fault
+        at run ``k`` the runs ``[0, k)`` are applied and booked.
         """
-        for vpn, n, file_page in zip(
-            vpns.tolist(), npages.tolist(), file_pages.tolist()
-        ):
-            self.map_fixed(vpn, n, file, file_page, populate=populate, lane=lane)
+        try:
+            self.apply_runs(vpns, npages, file, file_pages, populate=populate)
+        except SubstrateFault as fault:
+            self._book_runs(npages[: fault.run_index], populate, lane)
+            raise
+        self._book_runs(npages, populate, lane)
+
+    def _book_runs(self, npages: np.ndarray, populate: bool, lane: str) -> None:
+        if not npages.size:
+            return
+        pages = int(npages.sum())
+        self.cost.mmap_call(pages, lane, calls=int(npages.size))
+        if populate:
+            self.cost.soft_fault(pages, lane)
 
     @abstractmethod
     def unmap_slot(self, vpn: int, npages: int = 1, lane: str = MAIN_LANE) -> None:

@@ -316,15 +316,15 @@ class NativeSubstrate(Substrate):
             self.observer.on_mmap("file", npages)
         return vpn
 
-    def map_fixed(
+    def _rewire(
         self,
         vpn: int,
         npages: int,
         file: NativePageStore,
         file_page: int,
-        populate: bool = False,
-        lane: str = MAIN_LANE,
+        populate: bool,
     ) -> None:
+        """One real mmap(MAP_FIXED) of file pages at ``vpn``, unbooked."""
         flags = MAP_SHARED | MAP_FIXED
         if populate:
             flags |= MAP_POPULATE
@@ -337,11 +337,36 @@ class NativeSubstrate(Substrate):
             file.fd,
             file_page * PAGE_SIZE,
         )
+        if self.observer is not None:
+            self.observer.on_mmap("fixed", npages)
+
+    def map_fixed(
+        self,
+        vpn: int,
+        npages: int,
+        file: NativePageStore,
+        file_page: int,
+        populate: bool = False,
+        lane: str = MAIN_LANE,
+    ) -> None:
+        self._rewire(vpn, npages, file, file_page, populate)
         self.cost.mmap_call(npages, lane)
         if populate:
             self.cost.soft_fault(npages, lane)
-        if self.observer is not None:
-            self.observer.on_mmap("fixed", npages)
+
+    def apply_runs(
+        self,
+        vpns: np.ndarray,
+        npages: np.ndarray,
+        file: NativePageStore,
+        file_pages: np.ndarray,
+        populate: bool = False,
+    ) -> None:
+        # The kernel has no batched MAP_FIXED: one real call per run.
+        for vpn, n, file_page in zip(
+            vpns.tolist(), npages.tolist(), file_pages.tolist()
+        ):
+            self._rewire(vpn, n, file, file_page, populate)
 
     def unmap_slot(self, vpn: int, npages: int = 1, lane: str = MAIN_LANE) -> None:
         self._mmap_syscall(

@@ -287,14 +287,17 @@ class AddressSpace:
         """MAP_FIXED a whole plan: every run replaces what its range held.
 
         ``runs`` must be sorted by address and must not overlap; what
-        lies between two runs stays mapped as it was.  The fault state
-        of every run is reset and, with ``populate``, installed again
-        (``MAP_POPULATE``) — for a plan without gaps, as the one
-        interval of its hull.
+        lies between two runs stays mapped as it was.  Each stretch of
+        touching runs is one splice and one fault-state interval, so a
+        plan that spans several views' areas costs per stretch, not per
+        VMA between its first and last page.  The fault state of every
+        run is reset and, with ``populate``, installed again
+        (``MAP_POPULATE``).
         """
         if not runs:
             return
-        gaps = False
+        stretches = []  # (first run, end run, lo, hi) per touching stretch
+        first = 0
         lo = hi = runs[0].start
         for k, run in enumerate(runs):
             if run.start != hi:
@@ -302,16 +305,17 @@ class AddressSpace:
                     raise MapError(
                         f"plan not in address order: {run} after {runs[k - 1]}"
                     )
-                gaps = True
+                stretches.append((first, k, lo, hi))
+                first, lo = k, run.start
             hi = run.start + run.npages
+        stretches.append((first, len(runs), lo, hi))
         with self.lock:
-            self._splice(lo, hi, runs)
-            spans = [(run.start, run.end) for run in runs] if gaps else [(lo, hi)]
-            for start, end in spans:
+            for first, end, lo, hi in stretches:
+                self._splice(lo, hi, runs[first:end])
                 if populate:
-                    self._mark_resident(start, end)
+                    self._mark_resident(lo, hi)
                 else:
-                    self._invalidate_faults(start, end - start)
+                    self._invalidate_faults(lo, hi - lo)
 
     def protect_mapping(self, start: int, npages: int, perms: str) -> None:
         """mprotect semantics: change permissions of a mapped range.

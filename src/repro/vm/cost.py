@@ -27,6 +27,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class CostParameters:
@@ -197,6 +199,28 @@ class CostLedger:
             raise ValueError(f"cannot charge negative time: {ns}")
         with self._lock:
             self._lanes[lane] += ns
+            counters = self._counters
+            for name, n in counts:
+                counters[name] += n
+
+    def fold(
+        self, charges: np.ndarray, lane: str, counts: Iterable[tuple[str, int]]
+    ) -> None:
+        """Book ``charges`` onto ``lane`` one after another, plus a
+        :meth:`count` per ``(name, n)`` pair, under one lock.
+
+        ``np.add.accumulate`` adds strictly left to right, so the lane
+        ends bit for bit where one :meth:`charge` per element, in order,
+        leaves it — fractional charges included.  A zero element is a
+        no-op, so callers may pad.
+        """
+        if charges.size and charges.min() < 0:
+            raise ValueError(f"cannot charge negative time: {charges.min()}")
+        with self._lock:
+            lanes = self._lanes
+            lanes[lane] = float(
+                np.add.accumulate(np.concatenate(([lanes[lane]], charges)))[-1]
+            )
             counters = self._counters
             for name, n in counts:
                 counters[name] += n

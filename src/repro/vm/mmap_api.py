@@ -158,17 +158,40 @@ class MemoryMapper:
         populate: bool = False,
         lane: str = MAIN_LANE,
     ) -> None:
-        """Apply a whole rewiring plan: :meth:`remap_fixed` once per run.
+        """Apply a whole rewiring plan and book it: :meth:`remap_fixed`
+        once per run.
+
+        :meth:`apply_runs` changes the address space; the ledger then
+        takes one sum — the charges and counters of the ``len(vpns)``
+        calls are whole nanoseconds, so every lane holds what issuing
+        them one by one leaves.
+        """
+        if vpns.size == 0:
+            return
+        self.apply_runs(vpns, npages, file, file_pages, populate)
+        pages = int(npages.sum())
+        self.cost.mmap_call(pages, lane, calls=int(vpns.size))
+        if populate:
+            self.cost.soft_fault(pages, lane)
+
+    def apply_runs(
+        self,
+        vpns: np.ndarray,
+        npages: np.ndarray,
+        file: MemoryFile,
+        file_pages: np.ndarray,
+        populate: bool = False,
+    ) -> None:
+        """Apply a whole rewiring plan without booking it.
 
         Run ``i`` rewires ``npages[i]`` virtual pages from ``vpns[i]`` onto
         the file pages from ``file_pages[i]``; runs come in address order
-        and do not overlap.  The plan's bounds are checked once, as
-        columns, and a bad run rejects the whole plan with the error it
-        would raise alone; the runs are then built unchecked.  The
-        address space takes the plan in one step and the ledger one sum
-        — the charges and counters of the ``len(vpns)`` calls are whole
-        nanoseconds, so every lane holds what issuing them one by one
-        leaves.
+        and do not overlap, and may lie in several views' areas.  The
+        plan's bounds are checked once, as columns, and a bad run rejects
+        the whole plan with the error it would raise alone; the runs are
+        then built unchecked and the address space takes them in one
+        step.  The observer hears of every run; the ledger hears nothing,
+        so a caller can book each run where its own accounting puts it.
         """
         if vpns.size == 0:
             return
@@ -190,11 +213,7 @@ class MemoryMapper:
                 vpns.tolist(), npages.tolist(), file_pages.tolist()
             )
         ]
-        pages = int(npages.sum())
         self.address_space.map_runs(runs, populate)
-        self.cost.mmap_call(pages, lane, calls=len(runs))
-        if populate:
-            self.cost.soft_fault(pages, lane)
         if self.observer is not None:
             for run in runs:
                 self.observer.on_mmap("fixed", run.npages)

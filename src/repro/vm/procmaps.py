@@ -280,12 +280,14 @@ class MappingSnapshot:
     def __len__(self) -> int:
         return self._len
 
-    def map(self, vpn: int, phys: PhysPage, lane: str = MAIN_LANE) -> None:
+    def map(
+        self, vpn: int, phys: PhysPage, lane: str = MAIN_LANE, charge: bool = True
+    ) -> None:
         """Record that virtual page ``vpn`` now maps ``phys``."""
         if self._current_phys(vpn) is None:
             self._len += 1
         self._overlay[vpn] = phys
-        if self._cost is not None:
+        if charge and self._cost is not None:
             self._cost.bimap_op(1, lane)
 
     def unmap(self, vpn: int, lane: str = MAIN_LANE, charge: bool = True) -> None:

@@ -20,6 +20,7 @@ import bisect
 from repro.core.stats import MaintenanceStats
 from repro.faults.errors import SubstrateFault, TornSnapshotError
 from repro.faults.plane import suppress_faults
+from repro.obs.observer import NULL_OBSERVER
 from repro.vm.cost import MAIN_LANE
 from repro.vm.errors import VmError
 
@@ -81,62 +82,82 @@ def _align_one_view(column, view, snapshot, path, page_groups, stats, lane, retr
 
 
 def oracle_align_partial_views(
-    column, views, batch, lane=MAIN_LANE, retry=None
+    column, views, batch, lane=MAIN_LANE, retry=None, observer=None
 ) -> MaintenanceStats:
-    """``align_partial_views`` as the per-pair loop (no observer)."""
+    """``align_partial_views`` as the per-pair loop.
+
+    ``observer`` sees what the production function shows it: the
+    ``maintenance`` span with its ``maps-parse`` and ``align-views``
+    children and attributes, ``on_maps_parse`` after a successful parse
+    and ``on_maintenance`` once per batch.  Spans never charge the
+    ledger, so the loop's charges are the same with or without one.
+    """
+    obs = observer or NULL_OBSERVER
     cost = column.cost
     stats = MaintenanceStats(batch_size=len(batch))
-    compacted = batch.compact()
-    stats.compacted_size = len(compacted)
-    groups = compacted.group_by_page(column.values_per_page)
-    cost.update_check(len(batch) + len(compacted), lane)
+    with obs.span("maintenance", batch=len(batch), views=len(views)) as span:
+        compacted = batch.compact()
+        stats.compacted_size = len(compacted)
+        groups = compacted.group_by_page(column.values_per_page)
+        cost.update_check(len(batch) + len(compacted), lane)
 
-    path = column.substrate.file_map_path(column.file)
-    try:
-        with cost.region() as parse_region:
-            snapshot = _retryable(
-                retry,
-                "maps_snapshot",
-                lambda: column.substrate.maps_snapshot(
-                    cost=cost, lane=lane, file_filter=path
-                ),
-                lane,
+        path = column.substrate.file_map_path(column.file)
+        try:
+            with cost.region() as parse_region, obs.span("maps-parse"):
+                snapshot = _retryable(
+                    retry,
+                    "maps_snapshot",
+                    lambda: column.substrate.maps_snapshot(
+                        cost=cost, lane=lane, file_filter=path
+                    ),
+                    lane,
+                )
+        except (SubstrateFault, VmError):
+            stats.faults += 1
+            with suppress_faults(column.substrate):
+                for view in views:
+                    if view.is_full_view:
+                        continue
+                    view.destroy()
+                    stats.views_dropped += 1
+                    stats.dropped_views.append(view)
+            span.set(faults=stats.faults, views_dropped=stats.views_dropped)
+            obs.on_maintenance(stats)
+            return stats
+        stats.parse_ns = parse_region.lane_ns(lane)
+        stats.maps_lines = parse_region.counter_deltas.get("maps_lines_parsed", 0)
+        obs.on_maps_parse(stats.maps_lines)
+
+        page_groups = [
+            (
+                fpage,
+                updates,
+                sorted(u.new for u in updates),
+                sorted(u.old for u in updates),
             )
-    except (SubstrateFault, VmError):
-        stats.faults += 1
-        with suppress_faults(column.substrate):
+            for fpage, updates in groups.items()
+        ]
+        with cost.region() as update_region, obs.span("align-views"):
             for view in views:
                 if view.is_full_view:
                     continue
-                view.destroy()
-                stats.views_dropped += 1
-                stats.dropped_views.append(view)
-        return stats
-    stats.parse_ns = parse_region.lane_ns(lane)
-    stats.maps_lines = parse_region.counter_deltas.get("maps_lines_parsed", 0)
-
-    page_groups = [
-        (
-            fpage,
-            updates,
-            sorted(u.new for u in updates),
-            sorted(u.old for u in updates),
+                try:
+                    _align_one_view(
+                        column, view, snapshot, path, page_groups, stats, lane, retry
+                    )
+                except (SubstrateFault, VmError):
+                    stats.faults += 1
+                    with suppress_faults(column.substrate):
+                        view.destroy()
+                    stats.views_dropped += 1
+                    stats.dropped_views.append(view)
+        stats.update_ns = update_region.lane_ns(lane)
+        span.set(
+            maps_lines=stats.maps_lines,
+            pages_added=stats.pages_added,
+            pages_removed=stats.pages_removed,
         )
-        for fpage, updates in groups.items()
-    ]
-    with cost.region() as update_region:
-        for view in views:
-            if view.is_full_view:
-                continue
-            try:
-                _align_one_view(
-                    column, view, snapshot, path, page_groups, stats, lane, retry
-                )
-            except (SubstrateFault, VmError):
-                stats.faults += 1
-                with suppress_faults(column.substrate):
-                    view.destroy()
-                stats.views_dropped += 1
-                stats.dropped_views.append(view)
-    stats.update_ns = update_region.lane_ns(lane)
+        if stats.faults:
+            span.set(faults=stats.faults, views_dropped=stats.views_dropped)
+    obs.on_maintenance(stats)
     return stats

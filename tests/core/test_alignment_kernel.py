@@ -6,8 +6,19 @@ replaced lives on in :mod:`tests.core.alignment_oracle`.  Every test
 here builds the same stack twice from one :class:`Scenario`, aligns one
 with the kernel and one with the oracle, and requires the *observable
 state* to be equal: page list per view, every ``MaintenanceStats``
-field, ledger lanes (``==``, not approx) and counters — after every
-batch, on both snapshot classes.
+field, ledger lanes (``==``, not approx) and counters, what the fault
+plane saw (its journal and call counts) and the maps line count the
+next batch's parse is charged for — after every batch, on both snapshot
+classes.
+
+Each batch starts with the main lane lifted to just below a power of two
+from 2**26 ns on (the size the benchmark's lanes reach), on both stacks
+alike, by a fractional charge placed so that the lane crosses it in the
+middle of the batch's walk (:attr:`Scenario.crossing`).  Whole-nanosecond
+charges commute with each other, but not with the fractional scan
+charges across a power of two: a kernel that books anything out of the
+per-pair loop's order leaves a lane one ulp off there, and ``==`` sees
+it.
 
 Knobs: ``REPRO_SEED`` re-seeds the bulk sweep, ``REPRO_FUZZ_SCHEDULES``
 sets its length (default 200); a failing sweep entry names its seed.
@@ -34,11 +45,13 @@ from repro.storage.column import PhysicalColumn
 from repro.storage.updates import UpdateBatch, UpdateRecord
 from repro.substrate import make_substrate
 from repro.vm.constants import VALUES_PER_PAGE
+from repro.vm.cost import MAIN_LANE, CostParameters
 
 from ..oracle_paths import production_paths, reference_paths
 from .alignment_oracle import oracle_align_partial_views
 
 FUZZ_SCHEDULES = int(os.environ.get("REPRO_FUZZ_SCHEDULES", "200"))
+UPDATE_CHECK_NS = CostParameters().update_check_ns
 
 NUM_PAGES = 8
 BAND = 1000  # page p holds values in [p * BAND, (p + 1) * BAND)
@@ -69,15 +82,23 @@ class Scenario:
     desync: tuple[int, int] | None = None
     #: Slot of the view's area the desync mapping goes to (default: last).
     desync_slot: int = -1
+    #: Rows missing from the last page, whose padding then reads as 0.
+    short_rows: int = 0
+    #: Backend under the fault plane (``tests/native`` runs "native").
+    backend: str = "simulated"
+    #: Where in each batch's walk the main lane crosses the power of two
+    #: it is lifted below, as a share of the walk's charges.
+    crossing: float = 0.5
     seed: int = 0
 
 
 def _build(scenario: Scenario):
     """One fresh stack: substrate, column, aligned views, armed faults."""
-    substrate = FaultySubstrate(make_substrate("simulated"))
+    substrate = FaultySubstrate(make_substrate(scenario.backend))
     rng = np.random.default_rng(scenario.seed)
     offsets = rng.integers(0, BAND, size=NUM_PAGES * VALUES_PER_PAGE)
     values = np.repeat(np.arange(NUM_PAGES) * BAND, VALUES_PER_PAGE) + offsets
+    values = values[: values.size - scenario.short_rows]
     column = PhysicalColumn.create(substrate, "col", values)
     views = [VirtualView.full_view(column)]
     for lo, hi in scenario.ranges:
@@ -109,6 +130,7 @@ def _build(scenario: Scenario):
 
 def _observe(column, views, stats, error) -> dict:
     ledger = column.cost.ledger
+    substrate = column.substrate
     seen = {
         f.name: getattr(stats, f.name)
         for f in fields(stats)
@@ -124,15 +146,58 @@ def _observe(column, views, stats, error) -> dict:
     ]
     seen["lanes"] = ledger.lanes()
     seen["counters"] = ledger.counters()
+    # What the fault plane was shown: the same consultations in the same
+    # order fire the same faults at the same per-op and global indices.
+    schedule = substrate.schedule
+    seen["journal"] = [
+        (fault.op, fault.call_index, fault.global_index)
+        for fault in schedule.journal
+    ]
+    seen["schedule_counters"] = dict(schedule.counters)
+    seen["total_calls"] = schedule.total_calls
+    # The next batch's parse is charged per line.  A real process's maps
+    # file also holds the interpreter's mappings, so on the native
+    # backend only the column's own lines are comparable.
+    path = substrate.file_map_path(column.file)
+    seen["maps_line_count"] = substrate.maps_line_count(
+        None if substrate.backend == "simulated" else path
+    )
     return seen
 
 
-def _run(scenario: Scenario, align, fast: bool) -> list[dict]:
-    """Align every batch of the scenario; what was observable after each."""
+def _lifts(scenario: Scenario) -> list[float]:
+    """How far below 2**(26 + k) ns to lift the main lane before batch k.
+
+    A dry run of the oracle at small lanes measures what each batch
+    charges before its walk (compaction and the maps parse) and in it;
+    the lane then crosses the power of two ``crossing`` of the way into
+    the walk, give or take what lifting changes in the region deltas.
+    """
+    lifts = []
+    for step in _run(scenario, oracle_align_partial_views, True):
+        before = UPDATE_CHECK_NS * (step["batch_size"] + step["compacted_size"])
+        before += step["parse_ns"]
+        lifts.append(before + scenario.crossing * step["update_ns"])
+    return lifts
+
+
+def _run(
+    scenario: Scenario, align, fast: bool, lifts: list[float] | None = None
+) -> list[dict]:
+    """Align every batch of the scenario; what was observable after each.
+
+    With ``lifts``, the main lane is lifted to ``lifts[k]`` below
+    ``2**(26 + k)`` ns before batch ``k``.
+    """
     observed = []
     with production_paths() if fast else reference_paths():
         substrate, column, views, retry = _build(scenario)
-        for writes in scenario.batches:
+        for k, writes in enumerate(scenario.batches):
+            if lifts is not None and k < len(lifts):
+                ledger = column.cost.ledger
+                ledger.charge(
+                    2 ** (26 + k) - lifts[k] - ledger.lane_ns(MAIN_LANE), MAIN_LANE
+                )
             batch = UpdateBatch()
             for row, new in writes:
                 row %= column.num_rows
@@ -154,6 +219,7 @@ def _run(scenario: Scenario, align, fast: bool) -> list[dict]:
         with suppress_faults(substrate):
             for view in views:
                 view.destroy()
+        substrate.close()
     return observed
 
 
@@ -161,12 +227,13 @@ def assert_parity(scenario: Scenario) -> list[dict]:
     """Kernel == oracle on both snapshot classes; returns the kernel's
     fast-path observations for tests that also pin an outcome."""
     results = {}
+    lifts = _lifts(scenario)
     for fast in (False, True):
-        expected = _run(scenario, oracle_align_partial_views, fast)
+        expected = _run(scenario, oracle_align_partial_views, fast, lifts)
         previous = maintenance._BLOCK_CELLS
         maintenance._BLOCK_CELLS = scenario.block_cells
         try:
-            actual = _run(scenario, align_partial_views, fast)
+            actual = _run(scenario, align_partial_views, fast, lifts)
         finally:
             maintenance._BLOCK_CELLS = previous
         assert len(actual) == len(expected)
@@ -215,6 +282,40 @@ class TestPlanted:
         seen = assert_parity(Scenario(ranges=[(2000, 2999)], batches=[writes]))
         assert (seen[0]["pages_added"], seen[0]["pages_removed"]) == (1, 1)
         assert seen[0]["pages"][1] == (True, [6])
+
+    def test_removal_frees_the_slot_a_later_add_takes(self):
+        """View 1 loses page 1 (slot 0) and then gains page 6, which
+        takes the freed slot, in one batch, while views 2 and 3 gain a
+        page each; the order slots are handed out in is what the page
+        list shows."""
+        writes = _fill(1, 50) + [(6 * ROW, 1_500), (2 * ROW + 5, 3_500), (7 * ROW, 5_500)]
+        seen = assert_parity(
+            Scenario(
+                ranges=[(1000, 2999), (3000, 3999), (5000, 5999)],
+                batches=[writes],
+            )
+        )
+        assert (seen[0]["pages_added"], seen[0]["pages_removed"]) == (3, 1)
+        assert seen[0]["pages"][1] == (True, [6, 2])
+        assert seen[0]["pages"][2] == (True, [3, 2])
+        assert seen[0]["pages"][3] == (True, [5, 7])
+
+    def test_padding_of_a_partial_last_page_holds_no_value(self):
+        """Page 7 is partial, its padding reads 0.  View 1 over [0, 50]
+        gains it by one write of 10, then loses it when that write is
+        undone: the rows left hold nothing in range, the padding does
+        not count."""
+        last = (NUM_PAGES - 1) * ROW
+        seen = assert_parity(
+            Scenario(
+                ranges=[(0, 50)],
+                batches=[[(last, 10)], [(last, 7_500)]],
+                short_rows=100,
+            )
+        )
+        assert 7 in seen[0]["pages"][1][1]
+        assert 7 not in seen[1]["pages"][1][1]
+        assert seen[1]["pages_removed"] == 1
 
     def test_page_shared_by_overlapping_views(self):
         writes = _fill(4, 50)
@@ -406,6 +507,8 @@ _SCENARIO = st.builds(
     desync=st.one_of(
         st.none(), st.tuples(st.integers(0, 5), st.integers(0, NUM_PAGES - 1))
     ),
+    crossing=st.floats(0, 1),
+    short_rows=st.sampled_from([0, 0, 0, 100]),
     seed=st.integers(0, 3),
 ).map(
     lambda s: s
@@ -466,6 +569,8 @@ def _seeded_scenario(seed: int) -> Scenario:
         block_cells=[1, 16, 64, maintenance._BLOCK_CELLS][int(rng.integers(0, 4))],
         desync=desync,
         seed=int(rng.integers(0, 4)),
+        crossing=float(rng.random()),
+        short_rows=[0, 0, 0, 100][int(rng.integers(0, 4))],
     )
 
 

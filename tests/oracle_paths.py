@@ -12,7 +12,11 @@ whole stack runs on the oracles inside the ``with`` body:
   simulated backend imported it) and for ``MappingSnapshot`` on the
   native one;
 * the per-request view-creation loop (:mod:`tests.core.creation_oracle`)
-  for ``materialize_pages``.
+  for ``materialize_pages``;
+* the per-pair alignment loop (:mod:`tests.core.alignment_oracle`) for
+  ``align_partial_views`` where the adaptive layer, the virtual-view
+  baseline and Figure 7 look it up; it takes the production keywords
+  (``observer=``, ``retry=``) and fires the same spans and hooks.
 
 :data:`production_paths` is its no-op twin, for tests that run one
 workload under each.
@@ -24,10 +28,13 @@ from contextlib import contextmanager, nullcontext
 from typing import Iterator
 from unittest import mock
 
+from repro.baselines import virtual_view_index
+from repro.bench import fig7
 from repro.core import adaptive, maintenance, scan
 from repro.substrate import native, simulated
 from repro.vm import procmaps
 
+from .core.alignment_oracle import oracle_align_partial_views
 from .core.creation_oracle import oracle_materialize_pages
 from .core.scan_oracle import oracle_scan_by_extent
 from .vm.snapshot_oracle import OracleMappingSnapshot, oracle_snapshot_address_space
@@ -50,5 +57,10 @@ def reference_paths() -> Iterator[None]:
         mock.patch.object(native, "MappingSnapshot", OracleMappingSnapshot),
         mock.patch.object(adaptive, "materialize_pages", oracle_materialize_pages),
         mock.patch.object(maintenance, "materialize_pages", oracle_materialize_pages),
+        mock.patch.object(adaptive, "align_partial_views", oracle_align_partial_views),
+        mock.patch.object(
+            virtual_view_index, "align_partial_views", oracle_align_partial_views
+        ),
+        mock.patch.object(fig7, "align_partial_views", oracle_align_partial_views),
     ):
         yield

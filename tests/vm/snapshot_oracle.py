@@ -76,10 +76,12 @@ class OracleMappingSnapshot:
     def __len__(self) -> int:
         return len(self._forward)
 
-    def map(self, vpn: int, phys: PhysPage, lane: str = MAIN_LANE) -> None:
+    def map(
+        self, vpn: int, phys: PhysPage, lane: str = MAIN_LANE, charge: bool = True
+    ) -> None:
         """Record that virtual page ``vpn`` now maps ``phys``."""
         self._map_uncharged(vpn, phys)
-        if self._cost is not None:
+        if charge and self._cost is not None:
             self._cost.bimap_op(1, lane)
 
     def _map_uncharged(self, vpn: int, phys: PhysPage) -> None:
