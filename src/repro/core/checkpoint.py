@@ -6,7 +6,8 @@ values plus the *adaptive state* — each column's partial view ranges —
 so a reloaded database starts with warm views instead of re-learning the
 workload from scratch.
 
-Format: one ``.npz`` archive containing the column arrays plus a JSON
+Format: one ``.npz`` archive (stored, not deflated; archives written
+deflated load the same) containing the column arrays plus a JSON
 manifest (schema, config, view ranges).  Only value ranges are stored
 for views; their page sets are rebuilt deterministically at load time by
 the normal creation path, which also re-establishes correct mappings for
@@ -86,7 +87,10 @@ def save_database(
     arrays[_MANIFEST_KEY] = np.frombuffer(
         json.dumps(manifest).encode("utf-8"), dtype=np.uint8
     )
-    np.savez_compressed(path, **arrays)
+    # Stored, not deflated: random int64 columns barely compress, and
+    # deflating them costs tens of ms a checkpoint.  np.load reads
+    # either kind.
+    np.savez(path, **arrays)
 
 
 def load_database(

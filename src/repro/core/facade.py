@@ -41,6 +41,15 @@ DEFAULT_WRITE_BUFFER_ROWS = 1024
 CHECKPOINT_FILE = "checkpoint.npz"
 
 
+def _fsync_path(path: str) -> None:
+    """fsync a file or directory by path."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class AdaptiveDatabase:
     """A column-store whose storage layer indexes itself adaptively."""
 
@@ -482,16 +491,13 @@ class AdaptiveDatabase:
         table = self.table(table_name)
         buffer = self._write_buffers.get(table_name)
         if buffer is None:
-            buffer = WriteBuffer(table.column_names)
-            self._write_buffers[table_name] = buffer
+            buffer = self._write_buffer(table)
         # Journal-before-apply: validate -> append -> stage, so a refused
         # row never reaches the log and a journaled one is never refused.
         row = buffer.validated(values)
         if self._wal is not None and not self._replaying:
-            self._last_acked_lsn = self._wal.append(
-                {"type": "insert", "table": table_name, "row": row}
-            )
-        position = buffer.stage(row)
+            self._last_acked_lsn = self._wal.append_row(table_name, row)
+        position = buffer.stage((row,))
         rowid = table.num_rows + position
         threshold = (
             self.tiering.write_buffer_rows
@@ -503,6 +509,14 @@ class AdaptiveDatabase:
         if position + 1 >= threshold and not self._replaying:
             self.flush_inserts(table_name)
         return rowid
+
+    def _write_buffer(self, table: Table) -> WriteBuffer:
+        """The table's write buffer, created on first use."""
+        buffer = self._write_buffers.get(table.name)
+        if buffer is None:
+            buffer = WriteBuffer(table.column_names)
+            self._write_buffers[table.name] = buffer
+        return buffer
 
     def flush_inserts(self, table_name: str) -> dict:
         """Merge the table's staged rows into its columns.
@@ -675,7 +689,12 @@ class AdaptiveDatabase:
         checkpoint captures the merged state, so a marker would be
         redundant), the archive lands atomically via a temp file +
         rename, then segments fully covered by the checkpoint are
-        deleted.  Pruning can clear a WAL-full READONLY latch.
+        deleted.  Under a syncing policy (``batch``/``always``) the
+        archive is fsynced before the rename and the directory after
+        it, so no segment is pruned before the archive that covers it
+        would survive a power cut; ``off`` syncs neither.  These syncs
+        are uncharged and consult no fault plane, like the archive
+        write itself.  Pruning can clear a WAL-full READONLY latch.
         """
         if self._wal is None:
             raise RuntimeError("checkpoint() needs a durable database (durable_dir=)")
@@ -692,7 +711,12 @@ class AdaptiveDatabase:
         final = os.path.join(self.durable_dir, CHECKPOINT_FILE)
         tmp = os.path.join(self.durable_dir, "checkpoint.tmp.npz")
         save_database(self, tmp, wal_lsn=checkpoint_lsn)
+        syncing = self.durability.fsync != "off"
+        if syncing:
+            _fsync_path(tmp)
         os.replace(tmp, final)
+        if syncing:
+            _fsync_path(self.durable_dir)  # the rename itself
         self._wal.prune(checkpoint_lsn)
         self._wal.record_checkpoint(checkpoint_lsn)
         return {

@@ -12,7 +12,7 @@ materialized row.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -54,14 +54,17 @@ class WriteBuffer:
                 raise ValueError(f"row value outside the int64 range: {row}")
         return row
 
-    def stage(self, row: tuple[int, ...]) -> int:
-        """Stage one :meth:`validated` row; returns its buffer position."""
-        self._rows.append(row)
-        return len(self._rows) - 1
+    def stage(self, rows: Sequence[tuple[int, ...]]) -> int:
+        """Stage positional rows of the table's width — :meth:`validated`
+        ones, or replayed frames whose width recovery checked; returns
+        the first one's buffer position."""
+        position = len(self._rows)
+        self._rows.extend(rows)
+        return position
 
     def append(self, values: Mapping[str, int]) -> int:
         """Validate and stage one row; returns its buffer position."""
-        return self.stage(self.validated(values))
+        return self.stage((self.validated(values),))
 
     def column_values(self, name: str) -> np.ndarray:
         """All staged values of one column, in append order."""

@@ -2,7 +2,8 @@
 
 :class:`WriteAheadLog` owns a directory of CRC32-framed segment files
 (see :mod:`repro.wal.records`) and offers exactly the operations the
-facade's journal-before-ack protocol needs: ``append`` a record,
+facade's journal-before-ack protocol needs: ``append`` a record (or
+``append_row`` an insert row, the same frame without the record dict),
 ``sync`` the active segment, ``record_checkpoint`` a marker, ``prune``
 segments made obsolete by a checkpoint, and report ``health``.
 
@@ -13,7 +14,8 @@ policy (:class:`~repro.wal.config.DurabilityConfig`) only decides
 *power-loss* durability, which the fault plane models as
 ``torn_write``.
 
-Three failure surfaces thread through ``append``:
+Three failure surfaces thread through both (one shared protocol,
+``_append``):
 
 * the fault plane (``wal_append`` / ``fsync`` ops, ``torn_write``
   kind) via :func:`~repro.faults.plane.check_fault` when the owning
@@ -38,6 +40,7 @@ from .crashpoint import CrashPointSchedule
 from .records import (
     WalScan,
     encode_record,
+    row_encoder,
     scan_wal,
     segment_name,
     truncate_torn,
@@ -46,6 +49,12 @@ from .records import (
 
 class WalFullError(RuntimeError):
     """The log hit ``max_bytes``; writes are refused until a checkpoint."""
+
+
+def _frame_record(lsn: int, record: dict) -> bytes:
+    """Stamp ``record`` with ``lsn`` and frame it (:meth:`WriteAheadLog.append`)."""
+    record["lsn"] = lsn
+    return encode_record(record)
 
 
 class WriteAheadLog:
@@ -69,7 +78,14 @@ class WriteAheadLog:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.config = config or DurabilityConfig()
+        #: Unsynced bytes at which an append syncs: every append under
+        #: ``always``, ``batch_bytes`` under ``batch``, never under ``off``.
+        self._sync_at = {"always": 0, "batch": self.config.batch_bytes}.get(
+            self.config.fsync
+        )
         self.substrate = substrate
+        #: Whether ``substrate`` carries a fault plane to consult.
+        self._faulty = getattr(substrate, "_check", None) is not None
         self.cost = cost
         self.observer = observer
         #: Armed by the crash-point fuzz plane; None in production.
@@ -142,9 +158,34 @@ class WriteAheadLog:
 
         Returns the assigned LSN.  The record dict is *mutated* to
         carry its LSN so callers can journal and remember it in one
-        step.  A refused append — :class:`WalFullError`, or
-        :class:`ValueError` for a row the frame cannot carry — writes
-        nothing, burns no LSN and leaves the record without one.
+        step.  A refused append — :class:`WalFullError`, a
+        ``wal_append`` fault, or :class:`ValueError` for a row the frame
+        cannot carry — writes nothing, burns no LSN and leaves the
+        record without one.
+        """
+        try:
+            return self._append(_frame_record, record)
+        except (ValueError, WalFullError, SubstrateFault):
+            record.pop("lsn", None)
+            raise
+
+    def append_row(self, table: str, row: tuple[int, ...]) -> int:
+        """Journal one ``insert`` row of ``table``: :meth:`append` of
+        ``{"type": "insert", "table": table, "row": row}``, byte for
+        byte, without building the record.
+
+        Returns the assigned LSN; refusals are :meth:`append`'s.
+        """
+        return self._append(row_encoder(table, len(row)), row)
+
+    def _append(self, encode, item) -> int:
+        """The append protocol both entries share.
+
+        ``encode(lsn, item)`` returns the frame, or raises
+        :class:`ValueError` for an item the frame cannot carry.  The
+        order is fixed: full-log latch, crash points, one ``wal_append``
+        fault consult, encode, cap check, rotation, write (observer
+        span, byte counters, ledger booking), fsync policy.
         """
         if self._full:
             raise WalFullError(
@@ -155,7 +196,7 @@ class WriteAheadLog:
         if cp is not None:
             cp.begin_append()
             cp.check("before_append")
-        if self.substrate is not None:
+        if self._faulty:
             try:
                 check_fault(self.substrate, "wal_append")
             except SubstrateFault as fault:
@@ -164,23 +205,15 @@ class WriteAheadLog:
                     # frame lands, then the tail is repaired in place so
                     # the live log stays clean (recovery-by-truncation,
                     # just without the restart).
-                    record["lsn"] = self._lsn + 1
-                    frame = encode_record(record)
-                    self._write_partial(frame)
+                    self._write_partial(encode(self._lsn + 1, item))
                     self._repair_tail()
-                    del record["lsn"]
                 raise
-        lsn = record["lsn"] = self._lsn + 1
-        try:
-            frame = encode_record(record)
-        except ValueError:  # a row the frame cannot carry: refused whole
-            del record["lsn"]
-            raise
+        lsn = self._lsn + 1
+        frame = encode(lsn, item)  # a ValueError here is refused whole
         size = len(frame)
         config = self.config
         if config.max_bytes is not None and self.total_bytes + size > config.max_bytes:
             self._full = True
-            del record["lsn"]
             raise WalFullError(
                 f"appending {size} bytes would exceed the "
                 f"{config.max_bytes}-byte cap; checkpoint to prune"
@@ -193,25 +226,23 @@ class WriteAheadLog:
         observer = self.observer
         if observer is not None:
             with observer.span("wal.append", lsn=lsn):
-                self._write_frame(frame)
+                self._write_frame(frame, size)
         else:
-            self._write_frame(frame)
+            self._write_frame(frame, size)
         if cp is not None:
             cp.check("after_append")
         self._lsn = lsn
         if observer is not None:
             observer.on_wal_append(size)
-        if config.fsync == "always" or (
-            config.fsync == "batch" and self._unsynced >= config.batch_bytes
-        ):
+        sync_at = self._sync_at
+        if sync_at is not None and self._unsynced >= sync_at:
             self._fsync()
         if cp is not None:
             cp.check("after_fsync")
         return lsn
 
-    def _write_frame(self, frame: bytes) -> None:
+    def _write_frame(self, frame: bytes, size: int) -> None:
         self._fh.write(frame)
-        size = len(frame)
         self._segment_bytes += size
         self.total_bytes += size
         self._unsynced += size
@@ -261,7 +292,7 @@ class WriteAheadLog:
         cache) — it loses the power-loss guarantee, which the health
         machine surfaces as DEGRADED once failures persist.
         """
-        if self.substrate is not None:
+        if self._faulty:
             try:
                 check_fault(self.substrate, "fsync")
             except SubstrateFault:

@@ -51,6 +51,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -103,24 +104,53 @@ def _row_layout(name: bytes, ncols: int) -> tuple[struct.Struct, str]:
     return struct.Struct(f"<BQB{len(name)}s{ncols}q"), name.decode()
 
 
+@lru_cache(maxsize=256)
+def row_encoder(table: str, ncols: int) -> Callable[[int, tuple[int, ...]], bytes]:
+    """The frame encoder of ``table``'s ``ncols``-wide rows.
+
+    ``encoder(lsn, row)`` returns the whole CRC-guarded frame as one
+    bytes object; the name bytes, their length and the body's
+    :class:`struct.Struct` are bound once per ``(table, ncols)``.  A row
+    the frame cannot carry (a value outside int64, a name over
+    :data:`MAX_TABLE_NAME_BYTES` bytes) raises :class:`ValueError` from
+    the *call*, never from this lookup, so a refusal happens where the
+    append protocol encodes.
+    """
+    try:
+        name = table.encode()
+        layout, _ = _row_layout(name, ncols)
+    except ValueError:
+
+        def refuse(lsn: int, row: tuple[int, ...]) -> bytes:
+            _row_layout(table.encode(), ncols)  # raises what it raised here
+            raise AssertionError("unreachable")  # pragma: no cover
+
+        return refuse
+    pack, head, crc32 = layout.pack, HEADER.pack, binascii.crc32
+    name_length, body_length = len(name), layout.size
+
+    def encode(lsn: int, row: tuple[int, ...]) -> bytes:
+        try:
+            body = pack(ROW_TAG, lsn, name_length, name, *row)
+        except struct.error as exc:
+            raise ValueError(f"row cannot be framed: {exc}") from None
+        return head(crc32(body), body_length) + body
+
+    return encode
+
+
 def encode_record(record: dict) -> bytes:
     """Frame one record dict into CRC-guarded bytes.
 
-    An ``insert`` carrying a positional ``"row"`` gets the binary body,
-    everything else canonical JSON.  Raises :class:`ValueError` for a
-    row that cannot be framed (a value outside int64, an oversized
-    table name).
+    An ``insert`` carrying a positional ``"row"`` gets the binary body
+    (:func:`row_encoder`), everything else canonical JSON.  Raises
+    :class:`ValueError` for a row that cannot be framed (a value outside
+    int64, an oversized table name).
     """
     row = record.get("row")
     if row is not None and record.get("type") == "insert":
-        name = record["table"].encode()
-        layout, _ = _row_layout(name, len(row))
-        try:
-            body = layout.pack(ROW_TAG, record["lsn"], len(name), name, *row)
-        except struct.error as exc:
-            raise ValueError(f"row cannot be framed: {exc}") from None
-    else:
-        body = json.dumps(record, separators=(",", ":"), sort_keys=True).encode()
+        return row_encoder(record["table"], len(row))(record["lsn"], row)
+    body = json.dumps(record, separators=(",", ":"), sort_keys=True).encode()
     return HEADER.pack(binascii.crc32(body), len(body)) + body
 
 

@@ -16,7 +16,10 @@ whole stack runs on the oracles inside the ``with`` body:
 * the per-pair alignment loop (:mod:`tests.core.alignment_oracle`) for
   ``align_partial_views`` where the adaptive layer, the virtual-view
   baseline and Figure 7 look it up; it takes the production keywords
-  (``observer=``, ``retry=``) and fires the same spans and hooks.
+  (``observer=``, ``retry=``) and fires the same spans and hooks;
+* the per-insert journal (:mod:`tests.wal.journal_oracle`: record dict
+  → ``encode_record`` → ``append`` → ``CostLedger.book``) for
+  ``WriteAheadLog.append`` and ``WriteAheadLog.append_row``.
 
 :data:`production_paths` is its no-op twin, for tests that run one
 workload under each.
@@ -33,11 +36,13 @@ from repro.bench import fig7
 from repro.core import adaptive, maintenance, scan
 from repro.substrate import native, simulated
 from repro.vm import procmaps
+from repro.wal.log import WriteAheadLog
 
 from .core.alignment_oracle import oracle_align_partial_views
 from .core.creation_oracle import oracle_materialize_pages
 from .core.scan_oracle import oracle_scan_by_extent
 from .vm.snapshot_oracle import OracleMappingSnapshot, oracle_snapshot_address_space
+from .wal.journal_oracle import oracle_append, oracle_append_row
 
 #: Run the ``with`` body on the production paths (patches nothing).
 production_paths = nullcontext
@@ -62,5 +67,7 @@ def reference_paths() -> Iterator[None]:
             virtual_view_index, "align_partial_views", oracle_align_partial_views
         ),
         mock.patch.object(fig7, "align_partial_views", oracle_align_partial_views),
+        mock.patch.object(WriteAheadLog, "append", oracle_append),
+        mock.patch.object(WriteAheadLog, "append_row", oracle_append_row),
     ):
         yield
