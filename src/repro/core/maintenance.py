@@ -22,9 +22,9 @@ The facts the case analysis needs are computed for all (view, page)
 pairs of a block of views at once (:func:`_align_views`), and the pairs
 that then *do* something are acted on at once too (:class:`_BlockWalk`):
 every case-2 page scan is one gather-and-compare, every case-1 add one
-mapping plan, and every charge is folded into the ledger in the order
-visiting the pairs one by one books it.  The snapshot is maintained from
-user space while pages are (un)mapped and discarded after the batch.
+mapping plan, and the charges go to the ledger as one total per kind.
+The snapshot is maintained from user space while pages are (un)mapped
+and discarded after the batch.
 """
 
 from __future__ import annotations
@@ -142,17 +142,17 @@ class _BlockWalk:
     answer is known before anything is carried out (the pages do not
     change while views are aligned).  A *segment* of events is carried
     out at once: its adds become one ``apply_runs`` plan and its charges
-    are folded into the ledger in the order the per-pair loop books
-    them (:meth:`_book`).  A segment ends at the first event that needs
-    more — a torn pair, a page to unmap, a scan a tiered store accounts
-    for, an add beyond its view's capacity — and that event's follow-up
-    runs on its own before the next segment starts.  A fault drops the
-    view; the walk resumes at the next view, through the same segments.
+    one total per kind (:meth:`_book`).  A segment ends at the first
+    event that needs more — a torn pair, a page to unmap, a scan a
+    tiered store accounts for, an add beyond its view's capacity — and
+    that event's follow-up runs on its own before the next segment
+    starts.  A fault drops the view; the walk resumes at the next view,
+    through the same segments.
 
     The events are plain lists: a flush after a one-row update acts on a
     handful of pairs, and a numpy call per event attribute would cost
     more than the pairs themselves.  Only what grows with the batch —
-    the gathered check, the plan, the charges — is an array.
+    the gathered check and the plan — is an array.
     """
 
     def __init__(
@@ -184,8 +184,6 @@ class _BlockWalk:
         self.fpage = [page_of[g] for g in group]
         #: Per event: the flat index ``view * groups + group`` of its pair.
         self.flat = [v * groups + g for v, g in zip(self.view, group)]
-        #: Per event: update records in the pairs up to and including its.
-        self.records_to = [self._records_before(flat + 1) for flat in self.flat]
         #: Flat index of the first pair not charged yet.
         self.cursor = 0
         #: Per event: the values a scan streams (0 for the others).
@@ -247,14 +245,22 @@ class _BlockWalk:
             i = n if barrier is None else barrier + 1
         end = len(self.block) * self.groups
         if end > self.cursor:
-            records = self._records_before(end) - self._records_before(self.cursor)
-            self.cost.update_check(records, self.lane)
-            self.cost.bimap_op(3 * (end - self.cursor), self.lane)
+            self._inspect(end)
 
     def _records_before(self, flat: int) -> int:
         """Update records in the pairs before flat pair index ``flat``."""
         before = self.checked_before
         return (flat // self.groups) * before[-1] + before[flat % self.groups]
+
+    def _inspect(self, end: int, snapshot_inserts: int = 0) -> None:
+        """Book inspecting the pairs from the cursor to flat index
+        ``end`` — their update records and three bimap ops per pair —
+        plus ``snapshot_inserts`` bimap ops, and move the cursor there."""
+        self.cost.update_check(
+            self._records_before(end) - self._records_before(self.cursor), self.lane
+        )
+        self.cost.bimap_op(3 * (end - self.cursor) + snapshot_inserts, self.lane)
+        self.cursor = end
 
     def _segment(self, start: int, end: int, barrier: int | None) -> None:
         """Carry out events ``[start, end)``; ``barrier``, the last one
@@ -381,76 +387,30 @@ class _BlockWalk:
             self.stats.pages_removed += 1
 
     def _book(self, start: int, end: int, inspected: int | None) -> None:
-        """Fold the charges of events ``[start, end)`` into the ledger.
-
-        Each event books the inspection of the pairs since the one
-        before — its update records and three bimap ops per pair — then
-        its action: an add its mmap call, soft fault and snapshot
-        insert, a scan its random page access, header read and value
-        stream.  ``inspected`` (``end - 1`` or ``end``), when set, is
-        booked without an add.  Every element is the float the
-        CostModel method the per-pair loop calls would charge, and they
-        go to the ledger in one :meth:`~repro.vm.cost.CostLedger.fold`,
-        in exactly this order: the value streams are fractional, and
-        moving any charge past one can change a lane's last bit.
-        """
+        """Book events ``[start, end)``: the inspection of every pair up
+        to the last of them and each event's action — an add its mmap
+        call, soft fault and snapshot insert, a scan its random page
+        access, header read and value stream.  ``inspected`` (``end - 1``
+        or ``end``), when set, is booked without an add.  Ledger lanes
+        are integers, so each charge kind goes in as one total."""
         stop = end if inspected is None else max(end, inspected + 1)
         if stop <= start:
             return
         kinds = self.kind[start:stop]
-        num_adds = kinds.count(_ADD)
-        num_scans = kinds.count(_SCAN)
-        scanned = self.scanned[start:stop]
-        flat = np.array(self.flat[start:stop], dtype=np.int64)
-        records_to = np.array(self.records_to[start:stop], dtype=np.int64)
-        first = self._records_before(self.cursor)
-        pairs = flat + 1 - np.concatenate(([self.cursor], flat[:-1] + 1))
-        records = records_to - np.concatenate(([first], records_to[:-1]))
-        params = self.cost.params
-        # Per kind: the charges of its action (a scan's stream added below).
-        action = np.array(
-            [
-                (0.0, 0.0, 0.0),
-                (
-                    1 * params.mmap_syscall_ns + 1 * params.mmap_per_page_ns,
-                    1 * params.soft_fault_ns,
-                    1 * params.bimap_op_ns,
-                ),
-                (1 * params.random_page_access_ns, 1 * params.page_header_read_ns, 0.0),
-            ]
-        )[kinds]
+        adds = kinds.count(_ADD)
         if inspected is not None and self.kind[inspected] == _ADD:
-            action[inspected - start] = 0.0  # its inspection only
-            num_adds -= 1
-        if num_scans:
-            action[:, 2] += (
-                np.array(scanned, dtype=np.int64)
-                * params.seq_value_read_ns
-                * params.read_factor("random")
-            )
-        charges = np.column_stack(
-            (records * params.update_check_ns, (3 * pairs) * params.bimap_op_ns, action)
-        )
-        last = self.flat[stop - 1]
-        counts = [
-            ("updates_checked", self.records_to[stop - 1] - first),
-            ("bimap_ops", 3 * (last + 1 - self.cursor) + num_adds),
-        ]
-        if num_adds:
-            counts += [
-                ("mmap_calls", num_adds),
-                ("pages_mapped", num_adds),
-                ("soft_faults", num_adds),
-            ]
-        if num_scans:
-            counts += [
-                ("pages_accessed", num_scans),
-                ("page_headers_read", num_scans),
-                ("values_scanned", sum(scanned)),
-                ("pages_scanned", num_scans),
-            ]
-        self.cost.ledger.fold(charges.ravel(), self.lane, counts)
-        self.cursor = last + 1
+            adds -= 1  # its inspection only
+        scans = kinds.count(_SCAN)
+        self._inspect(self.flat[stop - 1] + 1, adds)
+        cost, lane = self.cost, self.lane
+        if adds:
+            cost.mmap_call(adds, lane, calls=adds)
+            cost.soft_fault(adds, lane)
+        if scans:
+            cost.page_access("random", scans, lane)
+            cost.page_header(scans, lane)
+            cost.stream_values(sum(self.scanned[start:stop]), "random", lane)
+            cost.ledger.count("pages_scanned", scans)
 
 
 def _align_views(
@@ -471,7 +431,7 @@ def _align_views(
     the pairs that do something (map a page, scan and maybe unmap one,
     drop the view over a torn snapshot) are carried out by
     :class:`_BlockWalk`: every case-2 check in one gather, every case-1
-    add in one mapping plan, every charge in the per-pair order.  While
+    add in one mapping plan, every charge kind in one total.  While
     the snapshot agrees with the catalog, acting on one pair changes no
     other pair's facts: it touches one view's mapping of one page, which
     no later pair asks about.  Where it does not (a stale snapshot still

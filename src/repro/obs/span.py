@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
-from ..vm.cost import MAIN_LANE, CostLedger
+from ..vm.cost import MAIN_LANE, PS_PER_NS, CostLedger
 
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
     from ..substrate.interface import WallClockLedger
@@ -156,8 +156,8 @@ class Tracer:
             lane=self.lane,
         )
         self._next_id += 1
-        lanes_start, counters_start = self.ledger.snapshot()
-        span.start_ns = lanes_start.get(self.lane, 0.0)
+        lanes_start, counters_start = self.ledger.snapshot_ps()
+        span.start_ns = lanes_start.get(self.lane, 0) / PS_PER_NS
         wall = self.wall
         if wall is not None:
             wall_substrate_start = wall.total_ns()
@@ -170,18 +170,20 @@ class Tracer:
             if wall is not None:
                 span.wall_ns = float(time.perf_counter_ns() - wall_start)
                 span.wall_substrate_ns = wall.total_ns() - wall_substrate_start
-            lanes_end, counters_end = self.ledger.snapshot()
+            lanes_end, counters_end = self.ledger.snapshot_ps()
             span.lane_deltas = {
-                lane: delta
+                lane: delta / PS_PER_NS
                 for lane in set(lanes_start) | set(lanes_end)
-                if (delta := lanes_end.get(lane, 0.0) - lanes_start.get(lane, 0.0))
+                if (delta := lanes_end.get(lane, 0) - lanes_start.get(lane, 0))
             }
             span.counter_deltas = {
                 cnt: delta
                 for cnt in set(counters_start) | set(counters_end)
                 if (delta := counters_end.get(cnt, 0) - counters_start.get(cnt, 0))
             }
-            span.duration_ns = lanes_end.get(self.lane, 0.0) - span.start_ns
+            span.duration_ns = (
+                lanes_end.get(self.lane, 0) - lanes_start.get(self.lane, 0)
+            ) / PS_PER_NS
             span.finished = True
             self.total_spans += 1
             if parent is not None:

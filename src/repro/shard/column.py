@@ -35,7 +35,7 @@ from ..obs.observer import NULL_OBSERVER, NullObserver
 from ..storage.column import PhysicalColumn
 from ..storage.page import clamp_range
 from ..substrate import Substrate
-from ..vm.cost import MAIN_LANE, CostModel
+from ..vm.cost import MAIN_LANE, CostModel, to_ps
 from .partition import ShardSpec, check_partition, shard_of_row
 from .router import ShardRouter
 
@@ -229,8 +229,11 @@ class ShardedColumn:
                     rows=stats.result_rows,
                 ):
                     if self._timeline is not None:
-                        self._timeline.ledger.charge(stats.sim_ns, MAIN_LANE)
-                        self._timeline.ledger.charge(stats.sim_ns, f"shard{index}")
+                        # The shard region's whole-ps delta, recovered
+                        # exactly from its ns reading.
+                        ps = to_ps(stats.sim_ns)
+                        for lane in (MAIN_LANE, f"shard{index}"):
+                            self._timeline.ledger.book(ps, lane, ())
                 obs.on_shard_scan(index, stats)
             merged = self._gather(routed, results, lo, hi)
             gspan.set(

@@ -31,7 +31,7 @@ from ..resilience.policy import HealthState, ResilienceConfig, worst_health
 from ..seeds import derive_seed
 from ..storage import layout
 from ..substrate import Substrate
-from ..vm.cost import CostModel
+from ..vm.cost import PS_PER_NS, CostModel
 from ..vm.physical import PhysicalMemory
 from .column import Shard, ShardedColumn
 from .partition import plan_partition
@@ -316,16 +316,17 @@ class ShardedDatabase:
     def merged_cost(self) -> tuple[dict[str, float], dict[str, int]]:
         """Summed (lanes, counters) over the per-shard ledgers.
 
-        Deterministic under any thread interleaving: each shard owns its
-        ledger exclusively and the merge is a commutative sum.
+        Exact under any thread interleaving and any shard order: each
+        shard owns its ledger exclusively, and the lanes are summed as
+        integer picoseconds before they are read in nanoseconds.
         """
         lanes: Counter = Counter()
         counters: Counter = Counter()
         for db in self.shards:
-            shard_lanes, shard_counters = db.cost.ledger.snapshot()
+            shard_lanes, shard_counters = db.cost.ledger.snapshot_ps()
             lanes.update(shard_lanes)
             counters.update(shard_counters)
-        return dict(lanes), dict(counters)
+        return {lane: ps / PS_PER_NS for lane, ps in lanes.items()}, dict(counters)
 
     def total_sim_ns(self) -> float:
         """Accumulated simulated main-lane time, summed over the shards

@@ -257,8 +257,8 @@ class Substrate(ABC):
         The plan may span several views' areas.  State, charges and
         counters afterwards are those of issuing the runs one by one:
         ``mmap_call`` per run plus, with ``populate``, a soft fault per
-        page — whole nanoseconds, so one sum books them.  After a fault
-        at run ``k`` the runs ``[0, k)`` are applied and booked.
+        page, booked as one sum.  After a fault at run ``k`` the runs
+        ``[0, k)`` are applied and booked.
         """
         try:
             self.apply_runs(vpns, npages, file, file_pages, populate=populate)

@@ -238,12 +238,6 @@ class NativeSubstrate(Substrate):
             raise _errno_error(f"{op} mmap")
         return result
 
-    def _charge_anon_mmap(self, lane: str) -> None:
-        # Identical to the simulated anonymous-mmap charge: syscall base
-        # only, no per-page cost.
-        self.cost.ledger.charge(self.cost.params.mmap_syscall_ns, lane)
-        self.cost.ledger.count("mmap_calls")
-
     # -- physical-file allocation ---------------------------------------
 
     def create_file(
@@ -288,7 +282,7 @@ class NativeSubstrate(Substrate):
         )
         vpn = addr // PAGE_SIZE
         self._regions[vpn] = npages
-        self._charge_anon_mmap(lane)
+        self.cost.anon_mmap(lane)
         if self.observer is not None:
             self.observer.on_mmap("anon", npages)
         return vpn
@@ -378,7 +372,7 @@ class NativeSubstrate(Substrate):
             -1,
             0,
         )
-        self._charge_anon_mmap(lane)
+        self.cost.anon_mmap(lane)
         if self.observer is not None:
             self.observer.on_mmap("anon", npages)
 
@@ -419,8 +413,7 @@ class NativeSubstrate(Substrate):
             rc = libc().mprotect(vpn * PAGE_SIZE, npages * PAGE_SIZE, prot)
         if rc != 0:
             raise _errno_error("mprotect")
-        self.cost.ledger.charge(self.cost.params.mmap_syscall_ns, lane)
-        self.cost.ledger.count("mprotect_calls")
+        self.cost.mprotect_call(lane)
 
     # -- page access through virtual addresses ---------------------------
 

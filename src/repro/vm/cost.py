@@ -13,6 +13,12 @@ Calibration anchor: a full scan of the paper's 3.9 GB column (1M pages of
 ``seq_page_access_ns + page_header_read_ns + 511 * seq_value_read_ns``
 which is about 245 ns, i.e. ~245 ms per 1M-page scan.
 
+Units: the constants and every reader speak nanoseconds, but a ledger
+lane holds whole picoseconds as a Python ``int``.  :class:`CostModel`
+rounds its constants to picoseconds once, when it is built (every
+default is exact), so a lane is the same sum whatever order its charges
+come in — across a block of views, threads or shards alike.
+
 The ledger supports multiple *lanes* so that the background-mapping
 optimization (Section 2.3, optimization 2) can account mapping work on a
 separate simulated thread; a :class:`Region` reports both per-lane deltas
@@ -27,7 +33,22 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-import numpy as np
+#: Ledger lanes count whole picoseconds; the API speaks nanoseconds.
+PS_PER_NS = 1000
+
+#: Per page access kind: the :class:`CostParameters` field that touching
+#: one page of that kind costs.
+_PAGE_ACCESS = {
+    "seq": "seq_page_access_ns",
+    "prefetched": "prefetched_page_access_ns",
+    "random": "random_page_access_ns",
+    "strided": "strided_header_access_ns",
+}
+
+
+def to_ps(ns: float) -> int:
+    """``ns`` nanoseconds in whole picoseconds: the ledger's one rounding."""
+    return round(ns * PS_PER_NS)
 
 
 @dataclass(frozen=True)
@@ -134,26 +155,14 @@ class CostParameters:
 
     def read_factor(self, kind: str) -> float:
         """Value-stream bandwidth factor for a page access kind."""
-        factors = {
-            "seq": self.seq_read_factor,
-            "prefetched": self.prefetched_read_factor,
-            "random": self.random_read_factor,
-            "strided": self.strided_read_factor,
-        }
-        if kind not in factors:
+        if kind not in _PAGE_ACCESS:
             raise ValueError(f"unknown page access kind: {kind!r}")
-        return factors[kind]
+        return getattr(self, f"{kind}_read_factor")
 
     def page_scan_ns(self, values_per_page: int, kind: str = "seq") -> float:
         """Cost of scanning one resident page with the given access kind."""
-        per_page_access = {
-            "seq": self.seq_page_access_ns,
-            "prefetched": self.prefetched_page_access_ns,
-            "random": self.random_page_access_ns,
-            "strided": self.strided_header_access_ns,
-        }[kind]
         return (
-            per_page_access
+            getattr(self, _PAGE_ACCESS[kind])
             + self.page_header_read_ns
             + values_per_page * self.seq_value_read_ns * self.read_factor(kind)
         )
@@ -167,86 +176,65 @@ MAPPER_LANE = "mapper"
 
 
 class CostLedger:
-    """Accumulates charged nanoseconds per lane plus operation counters.
+    """Accumulates charged time per lane plus operation counters.
 
-    Thread-safe: the real :class:`~repro.core.creation.BackgroundMapper`
-    charges the mapper lane from an actual Python thread.
+    A lane holds whole picoseconds (a Python ``int``), so it is the same
+    sum whatever order its charges arrive in; the readers divide by
+    :data:`PS_PER_NS` and speak nanoseconds.  Thread-safe: the real
+    :class:`~repro.core.creation.BackgroundMapper` charges the mapper
+    lane from an actual Python thread.
     """
 
     def __init__(self) -> None:
-        self._lanes: dict[str, float] = defaultdict(float)
+        self._lanes: dict[str, int] = defaultdict(int)
         # Not a Counter: Counter's Python-level __delitem__ routes every
         # store through a slot wrapper, ~2x the cost of a dict store.
         self._counters: dict[str, int] = defaultdict(int)
         self._lock = threading.Lock()
 
     def charge(self, ns: float, lane: str = MAIN_LANE) -> None:
-        """Add ``ns`` simulated nanoseconds to ``lane``."""
+        """Add ``ns`` simulated nanoseconds to ``lane``, rounded once to
+        whole picoseconds: the entry for measured or jittered time."""
         if ns < 0:
             raise ValueError(f"cannot charge negative time: {ns}")
-        with self._lock:
-            self._lanes[lane] += ns
+        self.book(to_ps(ns), lane, ())
 
     def count(self, name: str, n: int = 1) -> None:
         """Increment the operation counter ``name`` by ``n``."""
         with self._lock:
             self._counters[name] += n
 
-    def book(
-        self, ns: float, lane: str, counts: Iterable[tuple[str, int]]
-    ) -> None:
-        """One :meth:`charge` and a :meth:`count` per ``(name, n)`` pair,
-        under a single lock acquisition."""
-        if ns < 0:
-            raise ValueError(f"cannot charge negative time: {ns}")
+    def book(self, ps: int, lane: str, counts: Iterable[tuple[str, int]]) -> None:
+        """Add ``ps`` picoseconds to ``lane`` and a :meth:`count` per
+        ``(name, n)`` pair, under a single lock acquisition."""
+        if ps < 0:
+            raise ValueError(f"cannot charge negative time: {ps} ps")
         with self._lock:
-            self._lanes[lane] += ns
+            self._lanes[lane] += ps
             counters = self._counters
             for name, n in counts:
                 counters[name] += n
 
-    def book_append(self, ns: float, lane: str, nbytes: int) -> None:
-        """One log append: ``ns`` on ``lane``, ``wal_appends`` + 1 and
+    def book_append(self, ps: int, lane: str, nbytes: int) -> None:
+        """One log append: ``ps`` on ``lane``, ``wal_appends`` + 1 and
         ``wal_bytes`` + ``nbytes``, as one locked update (:meth:`book`
         without its iterable, for the per-row journal)."""
-        if ns < 0:
-            raise ValueError(f"cannot charge negative time: {ns}")
+        if ps < 0:
+            raise ValueError(f"cannot charge negative time: {ps} ps")
         lock = self._lock
         lock.acquire()  # cheaper than ``with`` on this per-row path
         try:
-            self._lanes[lane] += ns
+            self._lanes[lane] += ps
             counters = self._counters
             counters["wal_appends"] += 1
             counters["wal_bytes"] += nbytes
         finally:
             lock.release()
 
-    def fold(
-        self, charges: np.ndarray, lane: str, counts: Iterable[tuple[str, int]]
-    ) -> None:
-        """Book ``charges`` onto ``lane`` one after another, plus a
-        :meth:`count` per ``(name, n)`` pair, under one lock.
-
-        ``np.add.accumulate`` adds strictly left to right, so the lane
-        ends bit for bit where one :meth:`charge` per element, in order,
-        leaves it — fractional charges included.  A zero element is a
-        no-op, so callers may pad.
-        """
-        if charges.size and charges.min() < 0:
-            raise ValueError(f"cannot charge negative time: {charges.min()}")
-        with self._lock:
-            lanes = self._lanes
-            lanes[lane] = float(
-                np.add.accumulate(np.concatenate(([lanes[lane]], charges)))[-1]
-            )
-            counters = self._counters
-            for name, n in counts:
-                counters[name] += n
-
     def lane_ns(self, lane: str = MAIN_LANE) -> float:
         """Total nanoseconds charged to ``lane`` so far."""
         with self._lock:
-            return self._lanes.get(lane, 0.0)
+            return self._lanes.get(lane, 0) / PS_PER_NS
 
     def counter(self, name: str) -> int:
         """Current value of the operation counter ``name``."""
@@ -259,16 +247,22 @@ class CostLedger:
             return dict(self._counters)
 
     def lanes(self) -> dict[str, float]:
-        """Snapshot of all lane accumulators."""
+        """Snapshot of all lane accumulators, in nanoseconds."""
         with self._lock:
-            return dict(self._lanes)
+            return {lane: ps / PS_PER_NS for lane, ps in self._lanes.items()}
 
     def snapshot(self) -> tuple[dict[str, float], dict[str, int]]:
-        """Atomic combined snapshot of lanes and counters.
+        """Atomic combined snapshot of lanes (ns) and counters."""
+        lanes, counters = self.snapshot_ps()
+        return {lane: ps / PS_PER_NS for lane, ps in lanes.items()}, counters
+
+    def snapshot_ps(self) -> tuple[dict[str, int], dict[str, int]]:
+        """Atomic combined snapshot of lanes (picoseconds) and counters.
 
         Timing regions and trace spans (:mod:`repro.obs.span`) diff two
         of these snapshots; taking both dicts under one lock keeps the
-        pair consistent even while the background mapper is charging.
+        pair consistent even while the background mapper is charging,
+        and diffing whole picoseconds keeps the deltas exact.
         """
         with self._lock:
             return dict(self._lanes), dict(self._counters)
@@ -278,29 +272,28 @@ class CostLedger:
 class Region:
     """Timing region opened by :meth:`CostModel.region`.
 
-    Captures lane snapshots at entry; after the ``with`` block exits,
+    Captures a ledger snapshot at entry; after the ``with`` block exits,
     :attr:`lane_deltas` holds per-lane charged time and
     :meth:`elapsed_ns` reports the overlapped elapsed time.
     """
 
-    _start: dict[str, float]
+    _start: dict[str, int]
     _counters_start: dict[str, int]
     lane_deltas: dict[str, float] = field(default_factory=dict)
     counter_deltas: dict[str, int] = field(default_factory=dict)
 
     def close(self, ledger: CostLedger) -> None:
-        """Finalize the region against the ledger's current state."""
-        end = ledger.lanes()
-        lanes = set(end) | set(self._start)
+        """Finalize the region against one atomic snapshot of the ledger,
+        taken as the one at entry was: the lane and counter deltas then
+        agree even while another thread charges."""
+        end, counters_end = ledger.snapshot_ps()
         self.lane_deltas = {
-            lane: end.get(lane, 0.0) - self._start.get(lane, 0.0)
-            for lane in lanes
+            lane: (end.get(lane, 0) - self._start.get(lane, 0)) / PS_PER_NS
+            for lane in set(end) | set(self._start)
         }
-        counters_end = ledger.counters()
-        names = set(counters_end) | set(self._counters_start)
         self.counter_deltas = {
             name: counters_end.get(name, 0) - self._counters_start.get(name, 0)
-            for name in names
+            for name in set(counters_end) | set(self._counters_start)
         }
 
     def elapsed_ns(self, overlap: bool = True) -> float:
@@ -322,25 +315,47 @@ class Region:
         return self.lane_deltas.get(lane, 0.0)
 
 
+def _of_kind(table: dict[str, int], kind: str) -> int:
+    """``table``'s entry for a page access kind."""
+    try:
+        return table[kind]
+    except KeyError:
+        raise ValueError(f"unknown page access kind: {kind!r}") from None
+
+
 class CostModel:
     """Charging interface handed to every substrate component.
 
     Combines the machine constants (:class:`CostParameters`) with a
     :class:`CostLedger` and offers one helper per operation kind so call
     sites stay readable (``cost.mmap_call(pages=8)`` instead of raw
-    arithmetic).
+    arithmetic).  The constants are turned into whole picoseconds once,
+    here — a sub-picosecond profile is rounded at this point only — and
+    every helper books ``n`` times such an integer.
     """
 
     def __init__(self, params: CostParameters | None = None) -> None:
-        self.params = params or CostParameters()
+        self.params = params = params or CostParameters()
         self.ledger = CostLedger()
+        #: Every ``*_ns`` constant in picoseconds, keyed without "_ns".
+        self._ps = {
+            name[:-3]: to_ps(ns) for name, ns in vars(params).items() if name.endswith("_ns")
+        }
+        #: Per page access kind: touching one page, streaming one value.
+        self._page_ps = {
+            kind: self._ps[name[:-3]] for kind, name in _PAGE_ACCESS.items()
+        }
+        self._value_ps = {
+            kind: to_ps(params.seq_value_read_ns * params.read_factor(kind))
+            for kind in _PAGE_ACCESS
+        }
 
     # -- timing regions -------------------------------------------------
 
     @contextmanager
     def region(self) -> Iterator[Region]:
         """Open a timing region covering the ``with`` body."""
-        lanes, counters = self.ledger.snapshot()
+        lanes, counters = self.ledger.snapshot_ps()
         reg = Region(_start=lanes, _counters_start=counters)
         try:
             yield reg
@@ -351,20 +366,15 @@ class CostModel:
 
     def sequential_values(self, n: int, lane: str = MAIN_LANE) -> None:
         """Charge reading ``n`` values as part of a sequential scan."""
-        self.ledger.charge(n * self.params.seq_value_read_ns, lane)
-        self.ledger.count("values_scanned", n)
+        self.ledger.book(n * self._ps["seq_value_read"], lane, (("values_scanned", n),))
 
     def stream_values(self, n: int, kind: str = "seq", lane: str = MAIN_LANE) -> None:
         """Charge reading ``n`` values with the access kind's bandwidth."""
-        self.ledger.charge(
-            n * self.params.seq_value_read_ns * self.params.read_factor(kind), lane
-        )
-        self.ledger.count("values_scanned", n)
+        self.ledger.book(n * _of_kind(self._value_ps, kind), lane, (("values_scanned", n),))
 
     def page_header(self, n: int = 1, lane: str = MAIN_LANE) -> None:
         """Charge reading ``n`` resident page headers."""
-        self.ledger.charge(n * self.params.page_header_read_ns, lane)
-        self.ledger.count("page_headers_read", n)
+        self.ledger.book(n * self._ps["page_header_read"], lane, (("page_headers_read", n),))
 
     def page_access(
         self, kind: str = "seq", n: int = 1, lane: str = MAIN_LANE
@@ -375,56 +385,55 @@ class CostModel:
         (software prefetch), ``"random"`` (unpredictable jump) or
         ``"strided"`` (regular 4 KiB stride, zone-map header walk).
         """
-        per_page = {
-            "seq": self.params.seq_page_access_ns,
-            "prefetched": self.params.prefetched_page_access_ns,
-            "random": self.params.random_page_access_ns,
-            "strided": self.params.strided_header_access_ns,
-        }
-        if kind not in per_page:
-            raise ValueError(f"unknown page access kind: {kind!r}")
-        self.ledger.charge(n * per_page[kind], lane)
-        self.ledger.count("pages_accessed", n)
+        self.ledger.book(n * _of_kind(self._page_ps, kind), lane, (("pages_accessed", n),))
 
     def full_page_scan(
         self, values_per_page: int, n: int = 1, kind: str = "seq", lane: str = MAIN_LANE
     ) -> None:
         """Charge scanning ``n`` full pages (access + header + values)."""
-        self.page_access(kind, n, lane)
-        self.page_header(n, lane)
-        self.stream_values(n * values_per_page, kind, lane)
-        self.ledger.count("pages_scanned", n)
+        values = n * values_per_page
+        self.ledger.book(
+            n * (_of_kind(self._page_ps, kind) + self._ps["page_header_read"])
+            + values * self._value_ps[kind],
+            lane,
+            (
+                ("pages_accessed", n),
+                ("page_headers_read", n),
+                ("values_scanned", values),
+                ("pages_scanned", n),
+            ),
+        )
 
     def bitvector_scan(self, bits: int, lane: str = MAIN_LANE) -> None:
         """Charge scanning a bitvector of ``bits`` bits word-wise."""
         words = (bits + 63) // 64
-        self.ledger.charge(words * self.params.bitvector_word_scan_ns, lane)
-        self.ledger.count("bitvector_words_scanned", words)
+        counts = (("bitvector_words_scanned", words),)
+        self.ledger.book(words * self._ps["bitvector_word_scan"], lane, counts)
 
     # -- mapping costs ---------------------------------------------------
 
     def mmap_call(self, pages: int, lane: str = MAIN_LANE, calls: int = 1) -> None:
         """Charge ``calls`` mmap() syscalls mapping ``pages`` pages in all."""
-        self.ledger.charge(
-            calls * self.params.mmap_syscall_ns
-            + pages * self.params.mmap_per_page_ns,
-            lane,
-        )
-        self.ledger.count("mmap_calls", calls)
-        self.ledger.count("pages_mapped", pages)
+        ps, counts = self._ps, (("mmap_calls", calls), ("pages_mapped", pages))
+        self.ledger.book(calls * ps["mmap_syscall"] + pages * ps["mmap_per_page"], lane, counts)
+
+    def anon_mmap(self, lane: str = MAIN_LANE) -> None:
+        """Charge one anonymous mmap() reservation: the syscall only, no
+        page-table work until first touch."""
+        self.ledger.book(self._ps["mmap_syscall"], lane, (("mmap_calls", 1),))
+
+    def mprotect_call(self, lane: str = MAIN_LANE) -> None:
+        """Charge one mprotect() syscall, priced as an mmap() syscall."""
+        self.ledger.book(self._ps["mmap_syscall"], lane, (("mprotect_calls", 1),))
 
     def munmap_call(self, pages: int, lane: str = MAIN_LANE) -> None:
         """Charge one munmap() syscall unmapping ``pages`` pages."""
-        self.ledger.charge(
-            self.params.munmap_syscall_ns + pages * self.params.mmap_per_page_ns, lane
-        )
-        self.ledger.count("munmap_calls")
-        self.ledger.count("pages_unmapped", pages)
+        ps, counts = self._ps, (("munmap_calls", 1), ("pages_unmapped", pages))
+        self.ledger.book(ps["munmap_syscall"] + pages * ps["mmap_per_page"], lane, counts)
 
     def soft_fault(self, n: int = 1, lane: str = MAIN_LANE) -> None:
         """Charge ``n`` first-touch soft page faults."""
-        self.ledger.charge(n * self.params.soft_fault_ns, lane)
-        self.ledger.count("soft_faults", n)
+        self.ledger.book(n * self._ps["soft_fault"], lane, (("soft_faults", n),))
 
     def backoff_wait(self, ns: float, lane: str = MAIN_LANE) -> None:
         """Charge one retry backoff sleep of ``ns`` simulated nanoseconds.
@@ -432,7 +441,8 @@ class CostModel:
         The resilience layer's retries wait in *simulated* time so a
         faulted-and-retried run stays replayable: the backoff shows up
         on the ledger like any other charged operation instead of
-        perturbing wall-clock behaviour.
+        perturbing wall-clock behaviour.  The wait is jittered, so it
+        goes in through :meth:`CostLedger.charge`, rounded to ps there.
         """
         self.ledger.charge(ns, lane)
         self.ledger.count("backoff_waits")
@@ -441,55 +451,45 @@ class CostModel:
 
     def value_write(self, n: int = 1, lane: str = MAIN_LANE) -> None:
         """Charge writing ``n`` values in place."""
-        self.ledger.charge(n * self.params.value_write_ns, lane)
-        self.ledger.count("values_written", n)
+        self.ledger.book(n * self._ps["value_write"], lane, (("values_written", n),))
 
     def maps_parse(self, lines: int, lane: str = MAIN_LANE) -> None:
         """Charge opening /proc/PID/maps and parsing ``lines`` lines."""
-        self.ledger.charge(
-            self.params.maps_file_open_ns + lines * self.params.maps_line_parse_ns,
-            lane,
-        )
-        self.ledger.count("maps_lines_parsed", lines)
+        ps, counts = self._ps, (("maps_lines_parsed", lines),)
+        self.ledger.book(ps["maps_file_open"] + lines * ps["maps_line_parse"], lane, counts)
 
     def bimap_op(self, n: int = 1, lane: str = MAIN_LANE) -> None:
         """Charge ``n`` bimap inserts/lookups."""
-        self.ledger.charge(n * self.params.bimap_op_ns, lane)
-        self.ledger.count("bimap_ops", n)
+        self.ledger.book(n * self._ps["bimap_op"], lane, (("bimap_ops", n),))
 
     def update_check(self, n: int = 1, lane: str = MAIN_LANE) -> None:
         """Charge inspecting ``n`` update records during view alignment."""
-        self.ledger.charge(n * self.params.update_check_ns, lane)
-        self.ledger.count("updates_checked", n)
+        self.ledger.book(n * self._ps["update_check"], lane, (("updates_checked", n),))
 
     def queue_op(self, n: int = 1, lane: str = MAIN_LANE) -> None:
         """Charge ``n`` concurrent-queue operations."""
-        self.ledger.charge(n * self.params.queue_op_ns, lane)
-        self.ledger.count("queue_ops", n)
+        self.ledger.book(n * self._ps["queue_op"], lane, (("queue_ops", n),))
 
     # -- tiering costs -----------------------------------------------------
 
     def cold_read(self, n: int = 1, lane: str = MAIN_LANE) -> None:
         """Charge reading ``n`` pages from the simulated far tier."""
-        self.ledger.charge(n * self.params.cold_read_ns, lane)
-        self.ledger.count("cold_page_reads", n)
+        self.ledger.book(n * self._ps["cold_read"], lane, (("cold_page_reads", n),))
 
     def cold_write(self, n: int = 1, lane: str = MAIN_LANE) -> None:
         """Charge spilling ``n`` pages to the simulated far tier."""
-        self.ledger.charge(n * self.params.cold_write_ns, lane)
-        self.ledger.count("cold_page_writes", n)
+        self.ledger.book(n * self._ps["cold_write"], lane, (("cold_page_writes", n),))
 
     def promote(self, n: int = 1, lane: str = MAIN_LANE) -> None:
         """Charge promoting ``n`` pages from the cold to the hot tier."""
-        self.ledger.charge(n * self.params.promote_ns, lane)
-        self.ledger.count("tier_promotions", n)
+        self.ledger.book(n * self._ps["promote"], lane, (("tier_promotions", n),))
 
     # -- durability costs --------------------------------------------------
 
     def wal_append(self, nbytes: int, lane: str = MAIN_LANE) -> None:
         """Charge appending one ``nbytes``-byte framed record to the WAL."""
-        self.ledger.book_append(self.params.wal_append_ns, lane, nbytes)
+        self.ledger.book_append(self._ps["wal_append"], lane, nbytes)
 
     def fsync(self, lane: str = MAIN_LANE) -> None:
         """Charge one fsync() of the active WAL segment."""
-        self.ledger.book(self.params.fsync_ns, lane, (("fsyncs", 1),))
+        self.ledger.book(self._ps["fsync"], lane, (("fsyncs", 1),))

@@ -99,10 +99,7 @@ class MemoryMapper:
             self.address_space.add_mapping(vma)
 
         if file is None:
-            # Anonymous reservation: syscall cost only, no page-table work
-            # until first touch.
-            self.cost.ledger.charge(self.cost.params.mmap_syscall_ns, lane)
-            self.cost.ledger.count("mmap_calls")
+            self.cost.anon_mmap(lane)
         else:
             self.cost.mmap_call(npages, lane)
         if populate:
@@ -162,9 +159,7 @@ class MemoryMapper:
         once per run.
 
         :meth:`apply_runs` changes the address space; the ledger then
-        takes one sum — the charges and counters of the ``len(vpns)``
-        calls are whole nanoseconds, so every lane holds what issuing
-        them one by one leaves.
+        takes the ``len(vpns)`` calls' charges and counters as one sum.
         """
         if vpns.size == 0:
             return
@@ -226,8 +221,7 @@ class MemoryMapper:
         Costs one syscall; resident pages stay resident.
         """
         self.address_space.protect_mapping(start, npages, perms)
-        self.cost.ledger.charge(self.cost.params.mmap_syscall_ns, lane)
-        self.cost.ledger.count("mprotect_calls")
+        self.cost.mprotect_call(lane)
 
     # -- accesses -----------------------------------------------------------
 

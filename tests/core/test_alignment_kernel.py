@@ -11,14 +11,10 @@ plane saw (its journal and call counts) and the maps line count the
 next batch's parse is charged for — after every batch, on both snapshot
 classes.
 
-Each batch starts with the main lane lifted to just below a power of two
-from 2**26 ns on (the size the benchmark's lanes reach), on both stacks
-alike, by a fractional charge placed so that the lane crosses it in the
-middle of the batch's walk (:attr:`Scenario.crossing`).  Whole-nanosecond
-charges commute with each other, but not with the fractional scan
-charges across a power of two: a kernel that books anything out of the
-per-pair loop's order leaves a lane one ulp off there, and ``==`` sees
-it.
+The kernel books each charge kind of a segment as one total where the
+oracle books pair by pair; ledger lanes hold whole picoseconds, so
+``==`` holds whenever both book the same charges, in any order
+(``tests/vm/test_cost.py`` pins that property of the ledger itself).
 
 Knobs: ``REPRO_SEED`` re-seeds the bulk sweep, ``REPRO_FUZZ_SCHEDULES``
 sets its length (default 200); a failing sweep entry names its seed.
@@ -45,13 +41,11 @@ from repro.storage.column import PhysicalColumn
 from repro.storage.updates import UpdateBatch, UpdateRecord
 from repro.substrate import make_substrate
 from repro.vm.constants import VALUES_PER_PAGE
-from repro.vm.cost import MAIN_LANE, CostParameters
 
 from ..oracle_paths import production_paths, reference_paths
 from .alignment_oracle import oracle_align_partial_views
 
 FUZZ_SCHEDULES = int(os.environ.get("REPRO_FUZZ_SCHEDULES", "200"))
-UPDATE_CHECK_NS = CostParameters().update_check_ns
 
 NUM_PAGES = 8
 BAND = 1000  # page p holds values in [p * BAND, (p + 1) * BAND)
@@ -86,9 +80,6 @@ class Scenario:
     short_rows: int = 0
     #: Backend under the fault plane (``tests/native`` runs "native").
     backend: str = "simulated"
-    #: Where in each batch's walk the main lane crosses the power of two
-    #: it is lifted below, as a share of the walk's charges.
-    crossing: float = 0.5
     seed: int = 0
 
 
@@ -165,39 +156,12 @@ def _observe(column, views, stats, error) -> dict:
     return seen
 
 
-def _lifts(scenario: Scenario) -> list[float]:
-    """How far below 2**(26 + k) ns to lift the main lane before batch k.
-
-    A dry run of the oracle at small lanes measures what each batch
-    charges before its walk (compaction and the maps parse) and in it;
-    the lane then crosses the power of two ``crossing`` of the way into
-    the walk, give or take what lifting changes in the region deltas.
-    """
-    lifts = []
-    for step in _run(scenario, oracle_align_partial_views, True):
-        before = UPDATE_CHECK_NS * (step["batch_size"] + step["compacted_size"])
-        before += step["parse_ns"]
-        lifts.append(before + scenario.crossing * step["update_ns"])
-    return lifts
-
-
-def _run(
-    scenario: Scenario, align, fast: bool, lifts: list[float] | None = None
-) -> list[dict]:
-    """Align every batch of the scenario; what was observable after each.
-
-    With ``lifts``, the main lane is lifted to ``lifts[k]`` below
-    ``2**(26 + k)`` ns before batch ``k``.
-    """
+def _run(scenario: Scenario, align, fast: bool) -> list[dict]:
+    """Align every batch of the scenario; what was observable after each."""
     observed = []
     with production_paths() if fast else reference_paths():
         substrate, column, views, retry = _build(scenario)
-        for k, writes in enumerate(scenario.batches):
-            if lifts is not None and k < len(lifts):
-                ledger = column.cost.ledger
-                ledger.charge(
-                    2 ** (26 + k) - lifts[k] - ledger.lane_ns(MAIN_LANE), MAIN_LANE
-                )
+        for writes in scenario.batches:
             batch = UpdateBatch()
             for row, new in writes:
                 row %= column.num_rows
@@ -227,13 +191,12 @@ def assert_parity(scenario: Scenario) -> list[dict]:
     """Kernel == oracle on both snapshot classes; returns the kernel's
     fast-path observations for tests that also pin an outcome."""
     results = {}
-    lifts = _lifts(scenario)
     for fast in (False, True):
-        expected = _run(scenario, oracle_align_partial_views, fast, lifts)
+        expected = _run(scenario, oracle_align_partial_views, fast)
         previous = maintenance._BLOCK_CELLS
         maintenance._BLOCK_CELLS = scenario.block_cells
         try:
-            actual = _run(scenario, align_partial_views, fast, lifts)
+            actual = _run(scenario, align_partial_views, fast)
         finally:
             maintenance._BLOCK_CELLS = previous
         assert len(actual) == len(expected)
@@ -507,7 +470,6 @@ _SCENARIO = st.builds(
     desync=st.one_of(
         st.none(), st.tuples(st.integers(0, 5), st.integers(0, NUM_PAGES - 1))
     ),
-    crossing=st.floats(0, 1),
     short_rows=st.sampled_from([0, 0, 0, 100]),
     seed=st.integers(0, 3),
 ).map(
@@ -569,7 +531,6 @@ def _seeded_scenario(seed: int) -> Scenario:
         block_cells=[1, 16, 64, maintenance._BLOCK_CELLS][int(rng.integers(0, 4))],
         desync=desync,
         seed=int(rng.integers(0, 4)),
-        crossing=float(rng.random()),
         short_rows=[0, 0, 0, 100][int(rng.integers(0, 4))],
     )
 

@@ -9,10 +9,9 @@ oracles :func:`tests.oracle_paths.reference_paths` patches in (the
 per-pair alignment loop among them), and requires the ledger lanes and
 counters to be equal.
 
-The main lane ends near 2**26 ns and crosses powers of two in the
-middle of flushes, where scan charges are fractional: a kernel that
-books any charge out of the per-pair loop's order leaves a lane one ulp
-off on some seeds, and ``==`` sees it.
+Ledger lanes hold whole picoseconds, so the kernel may book a flush's
+charges in any order; ``==`` fails only if it books a different
+multiset of them — one charge too many, too few, or at the wrong size.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import pytest
 from repro.core.facade import AdaptiveDatabase
 from repro.core.stats import ViewEvent
 from repro.vm.constants import VALUES_PER_PAGE
-from repro.vm.cost import MAIN_LANE
+from repro.vm.cost import MAIN_LANE, PS_PER_NS
 
 SMALL_PAGES = 4_096
 LARGE_PAGES = 32_768
@@ -44,20 +44,12 @@ def _column(num_pages: int) -> np.ndarray:
 def _measured_read(db: AdaptiveDatabase, lo: int, hi: int):
     """One ``db.query``: its result, peak traced bytes, ledger charges.
 
-    The charges are the read's own ``(ns, lane)`` stream in order, not a
-    difference of lane totals (floats, which would carry the rounding of
-    whatever the column's size had charged before).
+    The charges are the read's lane and counter deltas; the lanes hold
+    whole picoseconds, so a delta carries no rounding of whatever the
+    column's size had charged before.
     """
     ledger = db.cost.ledger
-    charges: list[tuple[float, str]] = []
-    charge = ledger.charge
-
-    def recording_charge(ns: float, lane: str = MAIN_LANE) -> None:
-        charges.append((ns, lane))
-        charge(ns, lane)
-
-    counters = ledger.counters()
-    ledger.charge = recording_charge
+    lanes, counters = ledger.snapshot_ps()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -66,11 +58,14 @@ def _measured_read(db: AdaptiveDatabase, lo: int, hi: int):
         peak = tracemalloc.get_traced_memory()[1] - floor
     finally:
         tracemalloc.stop()
-        del ledger.charge
-    counted = {
-        name: n - counters.get(name, 0) for name, n in ledger.counters().items()
+    lanes_end, counters_end = ledger.snapshot_ps()
+    charged = {
+        "lanes": {lane: ps - lanes.get(lane, 0) for lane, ps in lanes_end.items()},
+        "counters": {
+            name: n - counters.get(name, 0) for name, n in counters_end.items()
+        },
     }
-    return result, peak, {"charges": charges, "counters": counted}
+    return result, peak, charged
 
 
 @pytest.fixture(scope="module")
@@ -108,9 +103,7 @@ def test_a_view_hit_read_allocates_for_the_view_not_the_column(reads, kind):
     assert large_peak <= 1.5 * small_peak, (small_peak, large_peak)
     assert large_charged == small_charged
     assert small_charged["counters"]["pages_scanned"] == 64
-    assert small.stats.sim_ns == pytest.approx(
-        sum(ns for ns, _ in small_charged["charges"])
-    )
+    assert small.stats.sim_ns == small_charged["lanes"][MAIN_LANE] / PS_PER_NS
 
 
 def test_the_slot_arrays_alone_would_have_failed_it(reads):

@@ -1,14 +1,33 @@
-"""Unit tests for the cost model (parameters, ledger, lanes, regions)."""
+"""Unit tests for the cost model (parameters, ledger, lanes, regions).
+
+Lanes hold whole picoseconds, so the order charges are booked in is not
+part of the contract: :func:`test_any_order_and_any_thread_split_books_the_same_ledger`
+requires a stream of helper calls — fractional value streams, jittered
+backoff waits, sub-picosecond profiles — to leave ``==`` lanes and
+counters under any permutation and any split across threads.  Knobs:
+``REPRO_SEED`` seeds it and ``REPRO_FUZZ_SCHEDULES`` sets how many
+streams it draws (default 200).
+"""
+
+import os
+import threading
+from collections import Counter
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from repro.seeds import base_seed
 from repro.vm.cost import (
     MAIN_LANE,
     MAPPER_LANE,
+    PS_PER_NS,
     CostLedger,
     CostModel,
     CostParameters,
 )
+
+FUZZ_SCHEDULES = int(os.environ.get("REPRO_FUZZ_SCHEDULES", "200"))
 
 
 class TestCostParameters:
@@ -187,3 +206,188 @@ class TestChargeHelpers:
         assert counters["bimap_ops"] == 4
         assert counters["queue_ops"] == 5
         assert counters["updates_checked"] == 6
+
+
+class TestIntegerLanes:
+    """Lanes hold whole picoseconds: rounding is declared, happens once
+    per constant, and a lane does not depend on booking order."""
+
+    def test_defaults_are_exact_in_picoseconds(self):
+        cost = CostModel()
+        for book, ps in [
+            (lambda: cost.sequential_values(1), 460),
+            (lambda: cost.stream_values(1, "random"), 828),
+            (lambda: cost.stream_values(1, "prefetched"), 598),
+            (lambda: cost.bitvector_scan(64), 350),
+            (lambda: cost.full_page_scan(511, kind="random"), 85_000 + 6_000 + 511 * 828),
+        ]:
+            before = cost.ledger.snapshot_ps()[0].get(MAIN_LANE, 0)
+            book()
+            assert cost.ledger.snapshot_ps()[0][MAIN_LANE] - before == ps
+
+    def test_a_sub_picosecond_profile_is_rounded_once(self):
+        cost = CostModel(CostParameters(seq_value_read_ns=220.5651))
+        for _ in range(1000):
+            cost.sequential_values(1)
+        cost.sequential_values(1000)
+        lanes, counters = cost.ledger.snapshot_ps()
+        assert lanes == {MAIN_LANE: 2000 * 220_565}
+        assert counters == {"values_scanned": 2000}
+        assert cost.ledger.lane_ns() == 2000 * 220_565 / PS_PER_NS
+
+    def test_a_measured_charge_is_rounded_once_to_picoseconds(self):
+        ledger = CostLedger()
+        ledger.charge(1.23449)
+        ledger.charge(0.0004)
+        assert ledger.snapshot_ps()[0] == {MAIN_LANE: 1234}
+        assert ledger.lanes() == {MAIN_LANE: 1.234}
+
+
+class _InterleavedLedger(CostLedger):
+    """A ledger the background mapper charges whenever its lock is let
+    go: one ``mapper_steps`` count and 1 ns on the mapper lane, booked
+    together, between any two reads another thread makes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._lock = _MapperInterleavingLock(self)
+
+
+class _MapperInterleavingLock:
+    def __init__(self, ledger: CostLedger) -> None:
+        self._real = threading.Lock()
+        self._ledger = ledger
+        self._stepping = False
+
+    def acquire(self) -> bool:
+        return self._real.acquire()
+
+    def release(self) -> None:
+        self._real.release()
+        if not self._stepping:
+            self._stepping = True
+            try:  # nothing reads between the two: one mapper step
+                self._ledger.charge(1.0, MAPPER_LANE)
+                self._ledger.count("mapper_steps")
+            finally:
+                self._stepping = False
+
+    __enter__ = acquire
+
+    def __exit__(self, *exc) -> None:
+        self.release()
+
+
+def test_region_close_reads_lanes_and_counters_in_one_snapshot():
+    """A region's lane and counter deltas agree while the mapper thread
+    charges: each of its steps is 1 ns plus one count, so the mapper
+    lane's delta in ns equals the step count's delta."""
+    cost = CostModel()
+    cost.ledger = _InterleavedLedger()
+    with cost.region() as region:
+        cost.mmap_call(2)
+    steps = region.counter_deltas["mapper_steps"]
+    assert steps >= 1
+    assert region.lane_ns(MAPPER_LANE) == steps * 1.0
+    assert region.counter_deltas["mmap_calls"] == 1
+
+
+# -- order and thread-split independence ------------------------------------
+
+_KIND = st.sampled_from(["seq", "prefetched", "random", "strided"])
+_LANE = st.sampled_from([MAIN_LANE, MAPPER_LANE, "shard1"])
+_N = st.integers(0, 5_000)
+#: One CostModel helper call: (method, positional arguments).
+_CALL = st.one_of(
+    st.tuples(st.just("sequential_values"), st.tuples(_N)),
+    st.tuples(st.just("stream_values"), st.tuples(_N, _KIND)),
+    st.tuples(st.just("full_page_scan"), st.tuples(st.integers(1, 511), _N, _KIND)),
+    st.tuples(st.just("page_access"), st.tuples(_KIND, _N)),
+    st.tuples(st.just("page_header"), st.tuples(_N)),
+    st.tuples(st.just("bitvector_scan"), st.tuples(_N)),
+    st.tuples(st.just("mmap_call"), st.tuples(_N, _LANE, st.integers(0, 9))),
+    st.tuples(st.just("munmap_call"), st.tuples(_N)),
+    st.tuples(st.just("anon_mmap"), st.tuples()),
+    st.tuples(st.just("mprotect_call"), st.tuples()),
+    st.tuples(st.just("soft_fault"), st.tuples(_N)),
+    st.tuples(
+        st.just("backoff_wait"),
+        st.tuples(st.floats(0, 1e7, allow_nan=False, allow_infinity=False)),
+    ),
+    st.tuples(st.just("maps_parse"), st.tuples(_N)),
+    st.tuples(st.just("bimap_op"), st.tuples(_N)),
+    st.tuples(st.just("update_check"), st.tuples(_N)),
+    st.tuples(st.just("queue_op"), st.tuples(_N)),
+    st.tuples(st.just("value_write"), st.tuples(_N)),
+    st.tuples(st.just("cold_read"), st.tuples(_N)),
+    st.tuples(st.just("promote"), st.tuples(_N)),
+    st.tuples(st.just("wal_append"), st.tuples(_N)),
+    st.tuples(st.just("fsync"), st.tuples()),
+)
+_PROFILES = [
+    CostParameters(),
+    CostParameters(seq_value_read_ns=0.4713, random_read_factor=1.8377, fsync_ns=1.0e5 / 3),
+]
+
+
+def _replay(params: CostParameters, calls) -> CostModel:
+    cost = CostModel(params)
+    for method, args in calls:
+        getattr(cost, method)(*args)
+    return cost
+
+
+def _merged(costs: list[CostModel]) -> tuple[dict, dict]:
+    """Lanes (ns) and counters summed over per-thread ledgers."""
+    lanes: Counter = Counter()
+    counters: Counter = Counter()
+    for cost in costs:
+        shard_lanes, shard_counters = cost.ledger.snapshot_ps()
+        lanes.update(shard_lanes)
+        counters.update(shard_counters)
+    return {lane: ps / PS_PER_NS for lane, ps in lanes.items()}, dict(counters)
+
+
+@seed(base_seed())
+@settings(max_examples=FUZZ_SCHEDULES, deadline=None)
+@given(
+    profile=st.sampled_from(_PROFILES),
+    calls=st.lists(_CALL, min_size=1, max_size=60),
+    data=st.data(),
+)
+def test_any_order_and_any_thread_split_books_the_same_ledger(profile, calls, data):
+    want = _replay(profile, calls).ledger.snapshot()
+
+    # any permutation of the stream
+    order = data.draw(st.permutations(calls), label="order")
+    assert _replay(profile, order).ledger.snapshot() == want
+
+    # any split across threads, each with its own ledger, merged in any order
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(calls)), max_size=3), label="cuts"))
+    chunks = [calls[a:z] for a, z in zip([0, *cuts], [*cuts, len(calls)])]
+    costs: list = [None] * len(chunks)
+
+    def run(i: int) -> None:
+        costs[i] = _replay(profile, chunks[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(chunks))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    merge_order = data.draw(st.permutations(costs), label="merge order")
+    assert _merged(merge_order) == want
+
+    # the same split on one shared ledger, charged from all threads at once
+    shared = CostModel(profile)
+
+    def run_shared(chunk) -> None:
+        for method, args in chunk:
+            getattr(shared, method)(*args)
+
+    threads = [threading.Thread(target=run_shared, args=(chunk,)) for chunk in chunks]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert shared.ledger.snapshot() == want

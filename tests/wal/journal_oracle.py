@@ -64,11 +64,10 @@ def _write_frame(wal: WriteAheadLog, frame: bytes) -> None:
     wal.total_bytes += size
     wal._unsynced += size
     if wal.cost is not None:
-        wal.cost.ledger.book(
-            wal.cost.params.wal_append_ns,
-            MAIN_LANE,
-            (("wal_appends", 1), ("wal_bytes", size)),
-        )
+        ledger = wal.cost.ledger
+        ledger.charge(wal.cost.params.wal_append_ns, MAIN_LANE)
+        ledger.count("wal_appends")
+        ledger.count("wal_bytes", size)
 
 
 def oracle_append(self: WriteAheadLog, record: dict) -> int:
