@@ -40,6 +40,10 @@ from .view import VirtualView
 from .view_index import ViewIndex
 
 
+#: Candidate fates that leave the candidate in the view catalog.
+_KEPT = frozenset({ViewEvent.INSERTED, ViewEvent.REPLACED, ViewEvent.EVICTED_LRU})
+
+
 @dataclass
 class QueryResult:
     """Result of one range query plus its measurements."""
@@ -107,6 +111,10 @@ class AdaptiveStorageLayer:
         # view maps (an update may have moved an in-range value onto a
         # page outside every view's page set).
         self._dirty_fpages: set[int] = set()
+        # Views a query kept while that batch was pending: they reflect
+        # the data as of their creation, not the batch's first old
+        # values, so their realignment checks every indexed page.
+        self._born_in_batch: list[VirtualView] = []
         self.column.add_pre_write_hook(self._note_write)
         # Serializes queries and maintenance against the shared view
         # index; concurrent callers stay correct (simulated time is
@@ -180,6 +188,8 @@ class AdaptiveStorageLayer:
                         )
                         candidate_pages = candidate.num_pages
                         event = self.view_index.consider_candidate(candidate)
+                        if self._dirty_fpages and event in _KEPT:
+                            self._born_in_batch.append(candidate)
                         if res is not None:
                             res.note_success()
                     except SubstrateFault as exc:
@@ -260,6 +270,11 @@ class AdaptiveStorageLayer:
         """Pre-write hook: remember which pages the pending batch touched."""
         self._dirty_fpages.add(fpage)
 
+    def adopt_pending(self, batch: UpdateBatch) -> None:
+        """Treat a batch written before this layer existed as pending."""
+        per_page = self.column.values_per_page
+        self._dirty_fpages.update(update.page_for(per_page) for update in batch)
+
     def _scan_stale_pages(self, views, routed, obs) -> None:
         """Scan dirty pages no selected view maps, merging the rows in.
 
@@ -267,14 +282,17 @@ class AdaptiveStorageLayer:
         stale; a value moved *into* the query range lives on a page the
         routed views may not map.  Scanning those pages (values moved
         out of range are harmless — every scan re-filters) keeps query
-        results exact while the views lag the data.
+        results exact while the views lag the data, so a read never
+        realigns: the batch does, once, when it ends.
         """
-        scanned: set[int] = set()
+        if any(view.is_full_view for view in views):
+            return  # the full view maps every page
+        dirty = self._dirty_fpages
+        stale_mask = np.zeros(self.column.num_pages, dtype=bool)
+        stale_mask[np.fromiter(dirty, np.int64, len(dirty))] = True
         for view in views:
-            scanned.update(view.mapped_fpages().tolist())
-        stale = np.array(
-            sorted(self._dirty_fpages - scanned), dtype=np.int64
-        )
+            stale_mask[view.mapped_fpages()] = False
+        stale = np.flatnonzero(stale_mask)
         if stale.size == 0:
             return
         with obs.span("scan-stale", pages=int(stale.size)):
@@ -306,10 +324,12 @@ class AdaptiveStorageLayer:
                 batch,
                 observer=self.observer,
                 retry=res.retry if res is not None else None,
+                born_in_batch=self._born_in_batch,
             )
             for view in stats.dropped_views:
                 self.view_index.discard(view)
             self._dirty_fpages.clear()
+            self._born_in_batch.clear()
             maintain = getattr(self.column.file, "maintenance", None)
             if maintain is not None:
                 # Tiered storage: decay the hit counters and demote down
@@ -340,6 +360,7 @@ class AdaptiveStorageLayer:
             with suppress_faults(self.column.substrate):
                 self.view_index.rebuild_for_growth(lane)
             self._dirty_fpages.clear()
+            self._born_in_batch.clear()
 
     # -- resilience surface --------------------------------------------------
 

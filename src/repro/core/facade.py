@@ -250,13 +250,15 @@ class AdaptiveDatabase:
         """The adaptive storage layer of one column (created on demand)."""
         key = (table_name, column_name)
         if key not in self._layers:
-            column = self.table(table_name).column(column_name)
-            self._layers[key] = AdaptiveStorageLayer(
-                column,
+            table = self.table(table_name)
+            layer = AdaptiveStorageLayer(
+                table.column(column_name),
                 self.config,
                 observer=self.observer,
                 resilience=self.resilience_config,
             )
+            layer.adopt_pending(table.pending_updates(column_name))
+            self._layers[key] = layer
         return self._layers[key]
 
     # -- queries ----------------------------------------------------------
@@ -267,13 +269,12 @@ class AdaptiveDatabase:
         """Answer ``SELECT ... WHERE column BETWEEN lo AND hi``.
 
         Routed through the column's views; partial views are created and
-        refined as a side product.  Pending updates on the column are
-        aligned first so views never serve stale page sets.
+        refined as a side product.  Pending updates stay pending: the
+        read also scans the pages they dirtied that its views do not
+        map, and the views realign once, when the batch is flushed.
         """
         table = self.table(table_name)
         layer = self.layer(table_name, column_name)
-        if len(table.pending_updates(column_name)):
-            layer.apply_updates(table.drain_updates(column_name))
         result = layer.answer_query(lo, hi).drop_deleted(table.tombstones)
         self._merge_staged(table_name, table, column_name, result, lo, hi)
         return result
@@ -361,12 +362,8 @@ class AdaptiveDatabase:
         """
         from ..obs.calibration import explain_range_query
 
-        table = self.table(table_name)
-        layer = self.layer(table_name, column_name)
-        if analyze and len(table.pending_updates(column_name)):
-            layer.apply_updates(table.drain_updates(column_name))
         return explain_range_query(
-            layer,
+            self.layer(table_name, column_name),
             lo,
             hi,
             analyze=analyze,

@@ -16,7 +16,9 @@ view whose value range is affected must be realigned.  Per batch:
      stays; else if no old value was in ``[a, b]`` the updates cannot
      have affected this view and it stays; otherwise a full page scan
      decides — only if no remaining value lies in ``[a, b]`` may the
-     page be removed.
+     page be removed.  A view created while the batch was pending
+     indexed its pages by values the compaction may have dropped (an
+     intermediate write), so for it every case-2 page is scanned.
 
 The facts the case analysis needs are computed for all (view, page)
 pairs of a block of views at once (:func:`_align_views`), and the pairs
@@ -30,6 +32,7 @@ and discarded after the batch.
 from __future__ import annotations
 
 import bisect
+from typing import Iterable
 
 import numpy as np
 
@@ -422,6 +425,7 @@ def _align_views(
     stats: MaintenanceStats,
     lane: str,
     retry=None,
+    born_in_batch: Iterable[VirtualView] = (),
 ) -> None:
     """Apply the case analysis of Section 2.4 to all partial views.
 
@@ -462,6 +466,9 @@ def _align_views(
     highs = np.array([view.hi for view in views], dtype=np.int64)[:, None]
     bases = np.array([view.base_vpn for view in views], dtype=np.int64)
     limits = bases + np.array([view.capacity for view in views], dtype=np.int64)
+    born = {id(view) for view in born_in_batch}
+    # Views born mid-batch: "an old value was in range" for every page.
+    scan_all = np.array([id(view) in born for view in views])[:, None]
 
     # Snapshot side of "indexed": one bulk question, then each virtual
     # page is handed to the view whose area holds it.
@@ -484,6 +491,7 @@ def _align_views(
         rows = slice(first, first + len(block))
         any_new = _any_in_range(news, lows[rows], highs[rows], group_starts)
         any_old = _any_in_range(olds, lows[rows], highs[rows], group_starts)
+        any_old |= scan_all[rows]
         indexed = _block_matrix(*snapshot_hits, rows, num_groups)
         catalogued = _block_matrix(*catalog_hits, rows, num_groups)
 
@@ -517,6 +525,7 @@ def align_partial_views(
     lane: str = MAIN_LANE,
     observer: NullObserver | None = None,
     retry=None,
+    born_in_batch: Iterable[VirtualView] = (),
 ) -> MaintenanceStats:
     """Align all ``views`` of ``column`` against an applied update batch.
 
@@ -525,6 +534,8 @@ def align_partial_views(
     policy, transient faults (a failed maps read, a lost remap) are
     retried with backoff before the drop-the-view fallback engages;
     permanent faults and torn snapshots still drop views as before.
+    ``born_in_batch`` names the views created after the batch's first
+    write; each of their indexed update pages is checked by a scan.
     """
     obs = observer or NULL_OBSERVER
     cost = column.cost
@@ -570,7 +581,15 @@ def align_partial_views(
 
         with cost.region() as update_region, obs.span("align-views"):
             _align_views(
-                column, views, snapshot, path, groups, stats, lane, retry=retry
+                column,
+                views,
+                snapshot,
+                path,
+                groups,
+                stats,
+                lane,
+                retry=retry,
+                born_in_batch=born_in_batch,
             )
         stats.update_ns = update_region.lane_ns(lane)
         span.set(

@@ -30,7 +30,8 @@ class SessionOptions:
         Flush discipline for structured writes: ``True`` realigns the
         written column's views after every write call; ``False`` lets
         writes batch in the pending-update log until an explicit
-        ``commit``/``flush`` (or a later adaptive read aligns them).
+        ``commit``/``flush`` (reads see the writes at once but realign
+        nothing).
     ``observe``
         Whether the session's requests emit spans/metrics when the
         underlying database carries an observer.  ``False`` silences

@@ -10,6 +10,7 @@ are produced as separate tokens), parentheses, commas, semicolons,
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -75,55 +76,55 @@ class Token:
         return self.type is TokenType.SYMBOL and self.value in symbols
 
 
-_SYMBOLS = ("<=", ">=", "<>", "!=", "(", ")", ",", ";", "*", "=", "<", ">", ".")
+#: One token per match, after any whitespace and ``--`` line comments:
+#: a symbol (longest first), a number or a word with an ASCII first
+#: character, ``other`` for any other character, or no group at the
+#: end of the text.  ``\s`` and ``\w`` are exactly ``str.isspace`` and
+#: ``str.isalnum() or "_"``.
+_TOKEN = re.compile(
+    r"(?:\s+|--[^\n]*\n?)*"
+    r"(?:(?P<symbol><=|>=|<>|!=|[(),;*=<>.])"
+    r"|(?P<number>-?[0-9][0-9_]*)"
+    r"|(?P<word>[A-Za-z_]\w*)"
+    r"|(?P<other>.))?",
+    re.DOTALL,
+)
+_WORD_TAIL = re.compile(r"\w*")
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text``; the result always ends with an END token."""
     tokens: list[Token] = []
-    i = 0
     n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and text.startswith("--", i):
-            # line comment
-            end = text.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-
-        symbol = next((s for s in _SYMBOLS if text.startswith(s, i)), None)
-        if symbol is not None:
-            tokens.append(Token(TokenType.SYMBOL, symbol, i))
-            i += len(symbol)
-            continue
-
-        if ch.isdigit() or (
-            ch == "-" and i + 1 < n and text[i + 1].isdigit()
-        ):
-            start = i
-            i += 1
-            while i < n and (text[i].isdigit() or text[i] == "_"):
-                i += 1
-            literal = text[start:i].replace("_", "")
+    pos = 0
+    while True:
+        match = _TOKEN.match(text, pos)
+        kind = match.lastgroup
+        if kind is None:
+            break
+        start, pos = match.span(kind)
+        if kind == "other":
+            # A non-ASCII digit or letter starts a token too.
+            ch = text[start]
+            if ch.isdigit() or (ch == "-" and pos < n and text[pos].isdigit()):
+                kind = "number"
+            elif ch.isalpha():
+                kind, pos = "word", _WORD_TAIL.match(text, pos).end()
+            else:
+                raise TokenizeError(f"unexpected character {ch!r}", start)
+        if kind == "number":
+            while pos < n and (text[pos].isdigit() or text[pos] == "_"):
+                pos += 1  # non-ASCII digits continue a number
+            literal = text[start:pos].replace("_", "")
             tokens.append(Token(TokenType.NUMBER, literal, start))
-            continue
-
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
+        elif kind == "word":
+            word = text[start:pos]
             upper = word.upper()
             if upper in KEYWORDS:
                 tokens.append(Token(TokenType.KEYWORD, upper, start))
             else:
                 tokens.append(Token(TokenType.IDENTIFIER, word, start))
-            continue
-
-        raise TokenizeError(f"unexpected character {ch!r}", i)
-
+        else:
+            tokens.append(Token(TokenType.SYMBOL, text[start:pos], start))
     tokens.append(Token(TokenType.END, "", n))
     return tokens

@@ -41,7 +41,9 @@ def _is_indexed(snapshot, view, path, fpage) -> bool:
     return any(vpn in area for vpn in snapshot.virtuals_of((path, fpage)))
 
 
-def _align_one_view(column, view, snapshot, path, page_groups, stats, lane, retry):
+def _align_one_view(
+    column, view, snapshot, path, page_groups, stats, lane, retry, born=False
+):
     cost = column.cost
     a, b = view.lo, view.hi
     for fpage, updates, sorted_news, sorted_olds in page_groups:
@@ -66,7 +68,7 @@ def _align_one_view(column, view, snapshot, path, page_groups, stats, lane, retr
 
         if any_new_in:
             continue
-        if not _any_in_range(sorted_olds, a, b):
+        if not born and not _any_in_range(sorted_olds, a, b):
             continue
         result = column.scan_page(fpage, a, b, access_kind="random", lane=lane)
         if result.empty:
@@ -82,9 +84,12 @@ def _align_one_view(column, view, snapshot, path, page_groups, stats, lane, retr
 
 
 def oracle_align_partial_views(
-    column, views, batch, lane=MAIN_LANE, retry=None, observer=None
+    column, views, batch, lane=MAIN_LANE, retry=None, observer=None, born_in_batch=()
 ) -> MaintenanceStats:
     """``align_partial_views`` as the per-pair loop.
+
+    A view in ``born_in_batch`` (created while the batch was pending)
+    scans every indexed page no new value keeps.
 
     ``observer`` sees what the production function shows it: the
     ``maintenance`` span with its ``maps-parse`` and ``align-views``
@@ -143,7 +148,15 @@ def oracle_align_partial_views(
                     continue
                 try:
                     _align_one_view(
-                        column, view, snapshot, path, page_groups, stats, lane, retry
+                        column,
+                        view,
+                        snapshot,
+                        path,
+                        page_groups,
+                        stats,
+                        lane,
+                        retry,
+                        born=any(view is other for other in born_in_batch),
                     )
                 except (SubstrateFault, VmError):
                     stats.faults += 1

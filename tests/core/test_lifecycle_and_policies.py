@@ -134,9 +134,10 @@ class TestAutoFlush:
 
 
 class TestStaleViewSafety:
-    def test_query_aligns_pending_updates_first(self):
+    def test_query_reads_around_pending_updates(self):
         """A query right after updates — without an explicit flush —
-        must still see every row (views self-heal before routing)."""
+        must still see every row (the dirty pages its views do not map
+        are scanned too); the batch stays pending until it is flushed."""
         db = AdaptiveDatabase(AdaptiveConfig(max_views=5))
         values = clustered_values()
         db.create_table("t", {"x": values})
@@ -148,11 +149,15 @@ class TestStaleViewSafety:
         expected = reference_rows(column.values(), 3000, 3999)
         assert np.array_equal(np.sort(result.rowids), expected)
         assert 0 in result.rowids.tolist()
-        # the pending log was drained by the query
+        # the read left the batch pending; the flush realigns the views
+        assert len(db.table("t").pending_updates("x")) == 1
+        db.flush_updates("t", "x")
         assert len(db.table("t").pending_updates("x")) == 0
+        report = db.audit()
+        assert report.ok and report.semantics_checked, report.render()
         db.close()
 
-    def test_query_engine_aligns_pending_updates(self):
+    def test_query_engine_reads_around_pending_updates(self):
         from repro.core.query import QueryEngine
 
         with AdaptiveDatabase(AdaptiveConfig(max_views=5)) as db:
@@ -163,4 +168,8 @@ class TestStaleViewSafety:
             result = engine.select("x", 3000, 3999)
             expected = reference_rows(table.column("x").values(), 3000, 3999)
             assert np.array_equal(np.sort(result.rowids), expected)
+            assert len(table.pending_updates("x")) == 1
+            db.flush_updates("t", "x")
             assert len(table.pending_updates("x")) == 0
+            report = db.audit()
+            assert report.ok and report.semantics_checked, report.render()

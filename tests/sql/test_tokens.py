@@ -1,9 +1,18 @@
-"""Unit tests for the SQL tokenizer."""
+"""Unit tests for the SQL tokenizer.
+
+:func:`test_pattern_matches_the_character_loop` holds the one-pattern
+tokenizer to the character loop it replaced (:mod:`tests.sql.tokenize_oracle`)
+over random SQL-ish strings: same tokens, positions and errors.
+"""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sql.errors import TokenizeError
-from repro.sql.tokens import Token, TokenType, tokenize
+from repro.sql.tokens import KEYWORDS, Token, TokenType, tokenize
+
+from .tokenize_oracle import oracle_tokenize
 
 
 def kinds(text):
@@ -64,3 +73,35 @@ class TestTokenize:
         assert token.is_keyword("SELECT", "FROM")
         assert not token.is_keyword("FROM")
         assert not token.is_symbol("*")
+
+
+#: Lexeme-shaped fragments plus the characters where the predicates the
+#: loop used (``isspace``, ``isdigit``, ``isalpha``, ``isalnum``) and the
+#: ASCII rules part ways: Unicode spaces, non-decimal digits (``²``),
+#: non-ASCII decimal digits and letters, numerics that are neither
+#: (``½``, ``Ⅻ``), and characters no rule accepts.
+_FRAGMENTS = sorted(KEYWORDS) + [
+    "t", "x_1", "_", "__a9", "0", "42", "1_000", "-", "--", "-7", "--c\n",
+    "<=", ">=", "<>", "!=", "!", "(", ")", ",", ";", "*", "=", "<", ">", ".",
+    " ", "\t", "\n", "\x0b", "\x1c", "\u00a0", "\u2003", "\u3000",
+    "\u00b2", "\u00b9", "\u2460", "\u0663", "\uff11", "\u00bd", "\u216b",
+    "\u00df", "\u01c5", "\u00e9", "\u4e00", "\u0301", "@", "#", "\"", "'",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(_FRAGMENTS), st.characters()), max_size=24
+    ).map("".join)
+)
+def test_pattern_matches_the_character_loop(text):
+    try:
+        expected = oracle_tokenize(text)
+    except TokenizeError as exc:
+        with pytest.raises(TokenizeError) as info:
+            tokenize(text)
+        assert str(info.value) == str(exc)
+        assert info.value.position == exc.position
+    else:
+        assert tokenize(text) == expected
