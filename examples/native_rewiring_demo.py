@@ -6,6 +6,7 @@ paper's C++ system makes on a vanilla Linux kernel (no root required):
 
 1. reserve a virtual region (the over-allocation) and rewire its pages
    onto arbitrary physical pages of a memfd/tmpfs main-memory file,
+   with one mapping plan of four runs,
 2. repoint a page at runtime,
 3. share one physical page between two virtual pages,
 4. map a run of consecutive physical pages with a single mmap call.
@@ -14,6 +15,8 @@ Run:  python examples/native_rewiring_demo.py
 """
 
 import ctypes
+
+import numpy as np
 
 from repro.native import is_supported
 from repro.substrate.native import NativeSubstrate
@@ -45,8 +48,9 @@ def main() -> None:
 
         view = sub.reserve(8)
         print("\n1) rewire view pages [0..3] to physical pages [7,5,3,1]:")
-        for slot, phys in enumerate([7, 5, 3, 1]):
-            sub.map_fixed(view + slot, 1, file, phys)
+        # one plan, one run per page: run i maps view[i] onto phys[i]
+        sub.map_runs(view + np.arange(4), np.ones(4, dtype=np.int64), file,
+                     np.array([7, 5, 3, 1]))
         for slot in range(4):
             print(f"   view[{slot}] reads {first(view + slot)}")
 

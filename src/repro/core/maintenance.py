@@ -144,11 +144,11 @@ class _BlockWalk:
     is one *event*: a torn pair, a case-1 add, or a case-2 scan whose
     answer is known before anything is carried out (the pages do not
     change while views are aligned).  A *segment* of events is carried
-    out at once: its adds become one ``apply_runs`` plan and its charges
-    one total per kind (:meth:`_book`).  A segment ends at the first
-    event that needs more — a torn pair, a page to unmap, a scan a
-    tiered store accounts for, an add beyond its view's capacity — and
-    that event's follow-up runs on its own before the next segment
+    out at once: its adds become one booked ``map_runs`` plan and its
+    other charges one total per kind (:meth:`_book`).  A segment ends at
+    the first event that needs more — a torn pair, a page to unmap, a
+    scan a tiered store accounts for, an add beyond its view's capacity
+    — and that event's follow-up runs on its own before the next segment
     starts.  A fault drops the view; the walk resumes at the next view,
     through the same segments.
 
@@ -324,8 +324,13 @@ class _BlockWalk:
         applied, fault = len(vpns), None
         for a, z in zip(cuts, cuts[1:]):
             try:
-                self.column.substrate.apply_runs(
-                    vpn_array[a:z], npages[a:z], self.column.file, fpage_array[a:z], populate=True
+                self.column.substrate.map_runs(
+                    vpn_array[a:z],
+                    npages[a:z],
+                    self.column.file,
+                    fpage_array[a:z],
+                    populate=True,
+                    lane=self.lane,
                 )
             except SubstrateFault as error:
                 applied = a + error.run_index
@@ -391,11 +396,12 @@ class _BlockWalk:
 
     def _book(self, start: int, end: int, inspected: int | None) -> None:
         """Book events ``[start, end)``: the inspection of every pair up
-        to the last of them and each event's action — an add its mmap
-        call, soft fault and snapshot insert, a scan its random page
-        access, header read and value stream.  ``inspected`` (``end - 1``
-        or ``end``), when set, is booked without an add.  Ledger lanes
-        are integers, so each charge kind goes in as one total."""
+        to the last of them and each event's action — an add its
+        snapshot insert (its plan booked its mmap call and soft fault),
+        a scan its random page access, header read and value stream.
+        ``inspected`` (``end - 1`` or ``end``), when set, is booked
+        without an add.  Ledger lanes are integers, so each charge kind
+        goes in as one total."""
         stop = end if inspected is None else max(end, inspected + 1)
         if stop <= start:
             return
@@ -406,9 +412,6 @@ class _BlockWalk:
         scans = kinds.count(_SCAN)
         self._inspect(self.flat[stop - 1] + 1, adds)
         cost, lane = self.cost, self.lane
-        if adds:
-            cost.mmap_call(adds, lane, calls=adds)
-            cost.soft_fault(adds, lane)
         if scans:
             cost.page_access("random", scans, lane)
             cost.page_header(scans, lane)

@@ -73,18 +73,19 @@ class ColumnSnapshot:
         Returns True if a copy was made (False when the page is already
         preserved or the snapshot is released).  Charges the page copy
         (read + write) and the single-page rewiring of the snapshot's
-        virtual page onto the copy.
+        virtual page onto the copy.  The page counts as preserved only
+        once the rewire has succeeded: a faulted attempt records
+        nothing, and its retry reuses the copy-file page it claimed.
         """
         if not self.alive or fpage in self._copy_of:
             return False
         self.column.file.check_page(fpage)
         copy_file = self._copy_file_handle()
-        if self._copy_of:
-            copy_file.resize(copy_file.num_pages + 1)
-        copy_page = copy_file.num_pages - 1
+        copy_page = len(self._copy_of)
+        if copy_page == copy_file.num_pages:
+            copy_file.resize(copy_page + 1)
         copy_file.data[copy_page] = self.column.file.data[fpage]
         copy_file.headers[copy_page] = self.column.file.headers[fpage]
-        self._copy_of[fpage] = copy_page
 
         cost = self.substrate.cost
         per_page = self.column.values_per_page * self.column.value_cost_factor
@@ -93,6 +94,7 @@ class ColumnSnapshot:
         self.substrate.map_fixed(
             self.base_vpn + fpage, 1, copy_file, copy_page, lane=lane
         )
+        self._copy_of[fpage] = copy_page
         cost.ledger.count("snapshot_pages_copied")
         return True
 

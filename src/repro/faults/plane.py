@@ -224,25 +224,6 @@ class FaultySubstrate(Substrate):
             npages, unwrap_store(file), file_page=file_page, lane=lane
         )
 
-    def map_fixed(
-        self,
-        vpn: int,
-        npages: int,
-        file: PageStore,
-        file_page: int,
-        populate: bool = False,
-        lane: str = MAIN_LANE,
-    ) -> None:
-        self._check("map_fixed")
-        self.inner.map_fixed(
-            vpn,
-            npages,
-            unwrap_store(file),
-            file_page,
-            populate=populate,
-            lane=lane,
-        )
-
     def apply_runs(
         self,
         vpns: np.ndarray,
@@ -251,9 +232,9 @@ class FaultySubstrate(Substrate):
         file_pages: np.ndarray,
         populate: bool = False,
     ) -> None:
-        # One consultation per run, as when each run was its own
-        # ``map_fixed``: a fault at run k leaves runs [0, k) mapped and
-        # names k, so the caller can resume exactly there.
+        # One ``map_fixed`` consultation per run: a fault at run k
+        # leaves runs [0, k) mapped and names k, so the caller can
+        # resume exactly there.
         file = unwrap_store(file)
         for k in range(len(vpns)):
             fault = self._consult("map_fixed")
@@ -283,12 +264,6 @@ class FaultySubstrate(Substrate):
     ) -> None:
         self._check("release_region")
         self.inner.release_region(vpn, npages, mapped_pages, lane=lane)
-
-    def protect(
-        self, vpn: int, npages: int, perms: str, lane: str = MAIN_LANE
-    ) -> None:
-        self._check("protect")
-        self.inner.protect(vpn, npages, perms, lane=lane)
 
     # -- page access through virtual addresses ---------------------------
 

@@ -64,8 +64,6 @@ def _load_libc() -> "ctypes.CDLL | None":
     ]
     lib.munmap.restype = ctypes.c_int
     lib.munmap.argtypes = [ctypes.c_void_p, ctypes.c_size_t]
-    lib.mprotect.restype = ctypes.c_int
-    lib.mprotect.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
     return lib
 
 

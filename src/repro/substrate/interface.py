@@ -9,13 +9,13 @@ supported by the vanilla Linux kernel":
 * **virtual-area reservation** — the cheap anonymous over-allocation a
   view performs at creation (:meth:`Substrate.reserve`);
 * **fixed rewiring** — pointing runs of virtual pages at runs of file
-  pages with single ``mmap(MAP_FIXED)``-style calls
-  (:meth:`Substrate.map_fixed`, :meth:`Substrate.unmap_slot`), or a
-  whole plan of them at once, booked (:meth:`Substrate.map_runs`) or
-  not (:meth:`Substrate.apply_runs`);
+  pages with ``mmap(MAP_FIXED)``-style calls, always as a plan: each
+  backend implements one unbooked :meth:`Substrate.apply_runs`, which
+  :meth:`Substrate.map_runs` books and :meth:`Substrate.map_fixed`
+  issues as a plan of one run; :meth:`Substrate.unmap_slot` points a
+  slot back at reservation memory;
 * **tear-down** — ``munmap`` semantics (:meth:`Substrate.munmap`,
-  :meth:`Substrate.release_region`) and permission changes
-  (:meth:`Substrate.protect`);
+  :meth:`Substrate.release_region`);
 * **a maps source** — the ``/proc/PID/maps`` snapshot the maintenance
   algorithm parses once per update batch (:meth:`Substrate.maps_text`,
   :meth:`Substrate.maps_snapshot`);
@@ -103,11 +103,11 @@ class WallClockLedger:
         self._counts: Counter[str] = Counter()
         self._lock = threading.Lock()
 
-    def charge(self, op: str, ns: float) -> None:
-        """Record ``ns`` measured nanoseconds against operation ``op``."""
+    def charge(self, op: str, ns: float, calls: int = 1) -> None:
+        """Record ``ns`` measured nanoseconds of ``calls`` calls of ``op``."""
         with self._lock:
             self._ns[op] += ns
-            self._counts[op] += 1
+            self._counts[op] += calls
 
     @contextmanager
     def timed(self, op: str) -> Iterator[None]:
@@ -206,22 +206,6 @@ class Substrate(ABC):
         """
 
     @abstractmethod
-    def map_fixed(
-        self,
-        vpn: int,
-        npages: int,
-        file: PageStore,
-        file_page: int,
-        populate: bool = False,
-        lane: str = MAIN_LANE,
-    ) -> None:
-        """Rewire ``npages`` virtual pages at ``vpn`` onto file pages.
-
-        The hot ``mmap(MAP_FIXED)`` operation of memory rewiring.  With
-        ``populate`` the page tables are installed eagerly.
-        """
-
-    @abstractmethod
     def apply_runs(
         self,
         vpns: np.ndarray,
@@ -230,15 +214,15 @@ class Substrate(ABC):
         file_pages: np.ndarray,
         populate: bool = False,
     ) -> None:
-        """Apply a mapping plan: :meth:`map_fixed` per run, nothing booked.
+        """Apply a mapping plan: one ``mmap(MAP_FIXED)`` per run, unbooked.
 
         Run ``i`` rewires ``npages[i]`` virtual pages at ``vpns[i]`` onto
         the file pages from ``file_pages[i]``; runs come in address order
-        and do not overlap.  A plan may span several views' areas — batch
+        and do not overlap.  With ``populate`` the page tables are
+        installed eagerly.  A plan may span several views' areas — batch
         alignment hands over the adds of a whole block of views at once.
         The mappings afterwards are those of issuing the runs one by one;
-        the ledger is left alone, so the caller books each run where its
-        accounting puts it (:meth:`map_runs` books them all at once).  A
+        the ledger is left alone (:meth:`map_runs` books the plan).  A
         fault raised at run ``k`` names ``k`` in its ``run_index`` and
         leaves runs ``[0, k)`` applied.
         """
@@ -266,6 +250,29 @@ class Substrate(ABC):
             self._book_runs(npages[: fault.run_index], populate, lane)
             raise
         self._book_runs(npages, populate, lane)
+
+    def map_fixed(
+        self,
+        vpn: int,
+        npages: int,
+        file: PageStore,
+        file_page: int,
+        populate: bool = False,
+        lane: str = MAIN_LANE,
+    ) -> None:
+        """Rewire ``npages`` virtual pages at ``vpn`` onto file pages.
+
+        The hot ``mmap(MAP_FIXED)`` operation of memory rewiring, as a
+        :meth:`map_runs` plan of one run.
+        """
+        self.map_runs(
+            np.array([vpn], dtype=np.int64),
+            np.array([npages], dtype=np.int64),
+            file,
+            np.array([file_page], dtype=np.int64),
+            populate=populate,
+            lane=lane,
+        )
 
     def _book_runs(self, npages: np.ndarray, populate: bool, lane: str) -> None:
         if not npages.size:
@@ -302,12 +309,6 @@ class Substrate(ABC):
         still held — the quantity the munmap cost accounting is based
         on (releasing untouched reservation space is free).
         """
-
-    @abstractmethod
-    def protect(
-        self, vpn: int, npages: int, perms: str, lane: str = MAIN_LANE
-    ) -> None:
-        """Change the permissions of a mapped range (``mprotect``)."""
 
     # -- page access through virtual addresses ---------------------------
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import time
 
 import numpy as np
 
@@ -310,44 +311,6 @@ class NativeSubstrate(Substrate):
             self.observer.on_mmap("file", npages)
         return vpn
 
-    def _rewire(
-        self,
-        vpn: int,
-        npages: int,
-        file: NativePageStore,
-        file_page: int,
-        populate: bool,
-    ) -> None:
-        """One real mmap(MAP_FIXED) of file pages at ``vpn``, unbooked."""
-        flags = MAP_SHARED | MAP_FIXED
-        if populate:
-            flags |= MAP_POPULATE
-        self._mmap_syscall(
-            "map_fixed",
-            vpn * PAGE_SIZE,
-            npages,
-            PROT_READ | PROT_WRITE,
-            flags,
-            file.fd,
-            file_page * PAGE_SIZE,
-        )
-        if self.observer is not None:
-            self.observer.on_mmap("fixed", npages)
-
-    def map_fixed(
-        self,
-        vpn: int,
-        npages: int,
-        file: NativePageStore,
-        file_page: int,
-        populate: bool = False,
-        lane: str = MAIN_LANE,
-    ) -> None:
-        self._rewire(vpn, npages, file, file_page, populate)
-        self.cost.mmap_call(npages, lane)
-        if populate:
-            self.cost.soft_fault(npages, lane)
-
     def apply_runs(
         self,
         vpns: np.ndarray,
@@ -356,11 +319,30 @@ class NativeSubstrate(Substrate):
         file_pages: np.ndarray,
         populate: bool = False,
     ) -> None:
-        # The kernel has no batched MAP_FIXED: one real call per run.
-        for vpn, n, file_page in zip(
-            vpns.tolist(), npages.tolist(), file_pages.tolist()
-        ):
-            self._rewire(vpn, n, file, file_page, populate)
+        # The kernel has no batched MAP_FIXED: one real call per run, in
+        # one loop timed as a whole and counted per call.
+        if not vpns.size:
+            return
+        mmap, fd = libc().mmap, file.fd
+        prot = PROT_READ | PROT_WRITE
+        flags = MAP_SHARED | MAP_FIXED | (MAP_POPULATE if populate else 0)
+        runs = npages.tolist()
+        issued, failed = 0, False
+        started = time.perf_counter_ns()
+        for vpn, n, file_page in zip(vpns.tolist(), runs, file_pages.tolist()):
+            issued += 1
+            result = mmap(
+                vpn * PAGE_SIZE, n * PAGE_SIZE, prot, flags, fd, file_page * PAGE_SIZE
+            )
+            if result == MAP_FAILED or result is None:
+                failed = True
+                break
+        self.wall.charge("map_fixed", time.perf_counter_ns() - started, issued)
+        if self.observer is not None:
+            for n in runs[: issued - failed]:
+                self.observer.on_mmap("fixed", n)
+        if failed:
+            raise _errno_error("map_fixed mmap")
 
     def unmap_slot(self, vpn: int, npages: int = 1, lane: str = MAIN_LANE) -> None:
         self._mmap_syscall(
@@ -400,20 +382,6 @@ class NativeSubstrate(Substrate):
             raise _errno_error("release munmap")
         self._regions.pop(vpn, None)
         self.cost.munmap_call(mapped_pages, lane)
-
-    def protect(
-        self, vpn: int, npages: int, perms: str, lane: str = MAIN_LANE
-    ) -> None:
-        prot = PROT_NONE
-        if "r" in perms:
-            prot |= PROT_READ
-        if "w" in perms:
-            prot |= PROT_WRITE
-        with self.wall.timed("protect"):
-            rc = libc().mprotect(vpn * PAGE_SIZE, npages * PAGE_SIZE, prot)
-        if rc != 0:
-            raise _errno_error("mprotect")
-        self.cost.mprotect_call(lane)
 
     # -- page access through virtual addresses ---------------------------
 

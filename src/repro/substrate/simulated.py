@@ -96,19 +96,6 @@ class SimulatedSubstrate(Substrate):
     ) -> int:
         return self.mapper.mmap(npages, file=file, file_page=file_page, lane=lane)
 
-    def map_fixed(
-        self,
-        vpn: int,
-        npages: int,
-        file: MemoryFile,
-        file_page: int,
-        populate: bool = False,
-        lane: str = MAIN_LANE,
-    ) -> None:
-        self.mapper.remap_fixed(
-            vpn, npages, file, file_page, populate=populate, lane=lane
-        )
-
     def apply_runs(
         self,
         vpns: np.ndarray,
@@ -136,11 +123,6 @@ class SimulatedSubstrate(Substrate):
         # address space, charge munmap only for the file-backed pages.
         self.mapper.address_space.remove_mapping(vpn, npages)
         self.cost.munmap_call(mapped_pages, lane)
-
-    def protect(
-        self, vpn: int, npages: int, perms: str, lane: str = MAIN_LANE
-    ) -> None:
-        self.mapper.mprotect(vpn, npages, perms, lane=lane)
 
     # -- page access through virtual addresses ---------------------------
 

@@ -121,54 +121,6 @@ class MemoryMapper:
             self.observer.on_munmap(removed)
         return removed
 
-    def remap_fixed(
-        self,
-        addr: int,
-        npages: int,
-        file: MemoryFile,
-        file_page: int,
-        populate: bool = False,
-        lane: str = MAIN_LANE,
-    ) -> int:
-        """Rewire ``npages`` virtual pages at ``addr`` onto ``file`` pages.
-
-        This is the hot operation of memory rewiring: one
-        ``mmap(MAP_FIXED)`` call pointing a run of virtual pages at a run
-        of physical pages.
-        """
-        return self.mmap(
-            npages,
-            addr=addr,
-            fixed=True,
-            file=file,
-            file_page=file_page,
-            populate=populate,
-            lane=lane,
-        )
-
-    def map_runs(
-        self,
-        vpns: np.ndarray,
-        npages: np.ndarray,
-        file: MemoryFile,
-        file_pages: np.ndarray,
-        populate: bool = False,
-        lane: str = MAIN_LANE,
-    ) -> None:
-        """Apply a whole rewiring plan and book it: :meth:`remap_fixed`
-        once per run.
-
-        :meth:`apply_runs` changes the address space; the ledger then
-        takes the ``len(vpns)`` calls' charges and counters as one sum.
-        """
-        if vpns.size == 0:
-            return
-        self.apply_runs(vpns, npages, file, file_pages, populate)
-        pages = int(npages.sum())
-        self.cost.mmap_call(pages, lane, calls=int(vpns.size))
-        if populate:
-            self.cost.soft_fault(pages, lane)
-
     def apply_runs(
         self,
         vpns: np.ndarray,
@@ -177,7 +129,8 @@ class MemoryMapper:
         file_pages: np.ndarray,
         populate: bool = False,
     ) -> None:
-        """Apply a whole rewiring plan without booking it.
+        """Apply a whole rewiring plan — ``MAP_FIXED`` file mappings, one
+        per run — without booking it.
 
         Run ``i`` rewires ``npages[i]`` virtual pages from ``vpns[i]`` onto
         the file pages from ``file_pages[i]``; runs come in address order
@@ -185,8 +138,8 @@ class MemoryMapper:
         plan's bounds are checked once, as columns, and a bad run rejects
         the whole plan with the error it would raise alone; the runs are
         then built unchecked and the address space takes them in one
-        step.  The observer hears of every run; the ledger hears nothing,
-        so a caller can book each run where its own accounting puts it.
+        step.  The observer hears of every run; the ledger hears nothing
+        (:meth:`repro.substrate.interface.Substrate.map_runs` books it).
         """
         if vpns.size == 0:
             return

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.facade import AdaptiveDatabase
 from repro.core.snapshot import SnapshotManager
+from repro.faults import FaultSchedule, FaultySubstrate
+from repro.faults.errors import SubstrateFault
+from repro.substrate import SimulatedSubstrate
 from repro.vm.constants import VALUES_PER_PAGE
 
 from ..conftest import build_column
@@ -138,6 +142,32 @@ class TestCostAccounting:
         copies_before = cost.ledger.counter("snapshot_pages_copied")
         column.write(0, -1)
         assert cost.ledger.counter("snapshot_pages_copied") == copies_before + 1
+
+
+class TestFaultedPreserve:
+    """A copy-on-write whose rewire faults is not recorded, so the
+    retried write preserves the page for real."""
+
+    @pytest.mark.parametrize("nth", [1, 2], ids=["first-copy", "second-copy"])
+    def test_retried_write_rewires_the_snapshot(self, nth):
+        substrate = FaultySubstrate(SimulatedSubstrate())
+        with AdaptiveDatabase(backend=substrate) as db:
+            db.create_table("t", {"v": np.arange(VALUES_PER_PAGE * 4, dtype=np.int64)})
+            snap = db.snapshot("t", "v")
+            substrate.schedule = FaultSchedule.nth_call("map_fixed", nth)
+            rows = [5, VALUES_PER_PAGE + 5][:nth]
+            for row in rows[:-1]:
+                db.update("t", "v", row, -1)
+            with pytest.raises(SubstrateFault):
+                db.update("t", "v", rows[-1], -1)
+            db.update("t", "v", rows[-1], -1)  # the retry
+            for row in rows:
+                page, slot = divmod(row, VALUES_PER_PAGE)
+                assert snap.read(row) == row
+                assert snap.substrate.peek_virtual(snap.base_vpn + page)[slot] == row
+            # the faulted attempt left no copy-file page behind
+            copies = substrate.get_file(f"{snap.column.file.name}.snap{snap.snapshot_id}")
+            assert copies.num_pages == snap.copied_pages == nth
 
 
 @settings(max_examples=30, deadline=None)

@@ -156,12 +156,6 @@ class TestNativeMapping:
         sub.release_region(base, 4, mapped_pages=2)
         assert sub.cost.ledger.counter("pages_unmapped") - before == 2
 
-    def test_protect_denies_nothing_but_counts(self, sub, file):
-        base = sub.map_file(2, file)
-        sub.protect(base, 1, "r")
-        assert sub.cost.ledger.counter("mprotect_calls") == 1
-        sub.protect(base, 1, "rw")
-
 
 class TestNativeMapsSource:
     def test_kernel_merges_adjacent_rewires(self, sub, file):

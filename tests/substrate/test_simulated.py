@@ -101,12 +101,6 @@ class TestProtocolDelegation:
         assert sub.cost.ledger.counter("pages_unmapped") - before == 2
         assert sub.address_space.num_vmas == 0
 
-    def test_protect_counts(self, sub):
-        file = sub.create_file("col", 4)
-        base = sub.map_file(4, file)
-        sub.protect(base, 2, "r")
-        assert sub.cost.ledger.counter("mprotect_calls") == 1
-
 
 class TestBitIdentity:
     """The same op sequence through substrate and raw mapper must charge
@@ -120,7 +114,6 @@ class TestBitIdentity:
         sub.map_fixed(base + 0, 3, file, 4)
         sub.map_fixed(base + 3, 2, file, 9, populate=True)
         sub.unmap_slot(base + 1)
-        sub.protect(base + 0, 1, "r")
         sub.read_virtual(base + 4)
         sub.maps_snapshot(cost=sub.cost, file_filter=sub.file_map_path(file))
         sub.release_region(base, 8, mapped_pages=4)
@@ -133,10 +126,9 @@ class TestBitIdentity:
         file = mapper.memory.create_file("col", 16)
         mapper.mmap(16, file=file)
         base = mapper.mmap(8)
-        mapper.remap_fixed(base + 0, 3, file, 4)
-        mapper.remap_fixed(base + 3, 2, file, 9, populate=True)
+        mapper.mmap(3, addr=base + 0, fixed=True, file=file, file_page=4)
+        mapper.mmap(2, addr=base + 3, fixed=True, file=file, file_page=9, populate=True)
         mapper.mmap(1, addr=base + 1, fixed=True)
-        mapper.mprotect(base + 0, 1, "r")
         mapper.read_page_values(base + 4)
         snapshot_address_space(
             mapper.address_space,

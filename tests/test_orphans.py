@@ -51,13 +51,9 @@ KEEP = {
     "RecordingLayer": "docs/api.md traces",
     # Protocol methods.
     "Substrate.files": _PROTOCOL,
-    "Substrate.protect": _PROTOCOL,
     "SimulatedSubstrate.files": _PROTOCOL,
-    "SimulatedSubstrate.protect": _PROTOCOL,
     "NativeSubstrate.files": _PROTOCOL,
-    "NativeSubstrate.protect": _PROTOCOL,
     "FaultySubstrate.files": _PROTOCOL,
-    "FaultySubstrate.protect": _PROTOCOL,
     "PageStore.size_bytes": _PROTOCOL,
     "PageStore.set_page_id": _PROTOCOL,
     "MemoryFile.size_bytes": _PROTOCOL,
@@ -74,6 +70,10 @@ KEEP = {
     "AddressSpace.resident_pages": "what the mapping oracle's differential compares",
     "MappingSnapshot.virtuals_of": "the per-page lookup tests/core/alignment_oracle.py runs on",
     "Vma.split_at": "the split tests/vm/mapping_oracle.py is built from",
+    # The simulated VM's permission model, which no substrate exposes.
+    "MemoryMapper.mprotect": "drives tests/vm/test_mprotect.py, the mapping oracle and the residency model",
+    "AddressSpace.protect_mapping": "backs MemoryMapper.mprotect",
+    "CostModel.mprotect_call": "books MemoryMapper.mprotect",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")

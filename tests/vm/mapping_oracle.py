@@ -15,7 +15,8 @@ was kept before it became sorted intervals.
 through ``Substrate.map_fixed``: one old ``MemoryMapper.mmap(fixed=True,
 file=...)`` per run, each charging its own syscall, page-table and
 soft-fault cost the moment it is issued.  ``tests/vm/test_map_runs.py``
-runs it and ``MemoryMapper.map_runs`` over identical address spaces and
+runs it and ``SimulatedSubstrate.map_runs`` (and :func:`oracle_map_fixed`
+and ``SimulatedSubstrate.map_fixed``) over identical address spaces and
 requires equal VMAs, fault sets, rendered maps text, snapshot columns
 and ledgers.
 """

@@ -74,7 +74,7 @@ class TestMmapPopulate:
     def test_remap_populate_resets_then_prefaults(self, mapper, memory):
         file = memory.create_file("f", 8)
         base = mapper.mmap(2, file=file, file_page=0, populate=True)
-        mapper.remap_fixed(base, 2, file, 4, populate=True)
+        mapper.mmap(2, addr=base, fixed=True, file=file, file_page=4, populate=True)
         # 2 faults for the first map + 2 for the remap
         assert mapper.cost.ledger.counter("soft_faults") == 4
         mapper.access(base)

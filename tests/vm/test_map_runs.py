@@ -1,10 +1,11 @@
-"""Plan-at-once mapping against the per-call walk it replaced.
+"""The substrate's plan-at-once mapping against the per-call walk it replaced.
 
-``MemoryMapper.map_runs`` applies a view's whole mapping plan with one
-splice of the VMA list and one sum on the ledger; every other mutation
-(``mmap``, ``munmap``, ``mprotect``) is the same splice.  The walk they
-replaced lives on in :mod:`tests.vm.mapping_oracle`, the per-request
-creation loop in :mod:`tests.core.creation_oracle`.  Every test here
+``SimulatedSubstrate.map_runs`` applies a view's whole mapping plan with
+one splice of the VMA list and one sum on the ledger, and
+``SimulatedSubstrate.map_fixed`` is such a plan of one run; every other
+mutation (``mmap``, ``munmap``, ``mprotect``) is the same splice.  The
+walk they replaced lives on in :mod:`tests.vm.mapping_oracle`, the
+per-request creation loop in :mod:`tests.core.creation_oracle`.  Every test here
 builds the same state twice, once through each, and requires what can be
 observed to be equal: the VMAs, the fault set, the allocator's bump
 pointer, the rendered ``/proc``-format text byte for byte, the columns
@@ -33,7 +34,7 @@ from repro.native import is_supported
 from repro.resilience import ResilienceConfig, RetryPolicy
 from repro.seeds import derive_seed
 from repro.storage.column import PhysicalColumn
-from repro.substrate import make_substrate
+from repro.substrate import SimulatedSubstrate, make_substrate
 from repro.vm.constants import VALUES_PER_PAGE
 from repro.vm.cost import MAIN_LANE, MAPPER_LANE, CostModel
 from repro.vm.errors import MapError, VmError
@@ -66,18 +67,21 @@ class Side:
 
     def __init__(self, oracle: bool) -> None:
         self.oracle = oracle
-        self.mapper = MemoryMapper(
-            PhysicalMemory(capacity_bytes=64 * 1024 * 1024, cost=CostModel()),
-            mapping_oracle.SetResidencySpace() if oracle else None,
-        )
+        memory = PhysicalMemory(capacity_bytes=64 * 1024 * 1024, cost=CostModel())
+        if oracle:
+            self.mapper = MemoryMapper(memory, mapping_oracle.SetResidencySpace())
+        else:
+            self.substrate = SimulatedSubstrate(memory)
+            self.mapper = self.substrate.mapper
         self.files = {
             name: self.mapper.memory.create_file(name, FILE_PAGES) for name in FILES
         }
         self.base: int | None = None
 
     def apply(self, op: Op) -> None:
-        """Apply ``op``: through the mapper, or as the oracle walk with
-        the charges the old ``MemoryMapper`` methods booked."""
+        """Apply ``op``: through the substrate's plans and the mapper, or
+        as the oracle walk with the charges the old ``MemoryMapper``
+        methods booked."""
         mapper, aspace, cost = self.mapper, self.mapper.address_space, self.mapper.cost
         kind = op[0]
         if kind == "reserve":
@@ -97,17 +101,18 @@ class Side:
             columns = [
                 np.array([run[i] for run in runs], dtype=np.int64) for i in range(3)
             ]
-            issue = mapping_oracle.oracle_map_runs if self.oracle else MemoryMapper.map_runs
-            issue(
-                mapper, base + columns[0], columns[1], self.files[name], columns[2],
-                populate, lane,
-            )
+            args = (base + columns[0], columns[1], self.files[name], columns[2])
+            if self.oracle:
+                mapping_oracle.oracle_map_runs(mapper, *args, populate, lane)
+            else:
+                self.substrate.map_runs(*args, populate, lane)
         elif kind == "fixed":
             _, name, offset, npages, file_page = op
-            issue = (
-                mapping_oracle.oracle_map_fixed if self.oracle else MemoryMapper.remap_fixed
-            )
-            issue(mapper, base + offset, npages, self.files[name], file_page)
+            args = (base + offset, npages, self.files[name], file_page)
+            if self.oracle:
+                mapping_oracle.oracle_map_fixed(mapper, *args)
+            else:
+                self.substrate.map_fixed(*args)
         elif kind == "anon":
             if not self.oracle:
                 mapper.mmap(op[2], addr=base + op[1], fixed=True)

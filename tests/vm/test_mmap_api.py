@@ -66,14 +66,14 @@ class TestMmap:
 class TestRemapFixed:
     def test_rewiring(self, mapper, file):
         base = mapper.mmap(4)
-        mapper.remap_fixed(base, 2, file, 10)
+        mapper.mmap(2, addr=base, fixed=True, file=file, file_page=10)
         assert mapper.translate(base) == (file, 10)
-        mapper.remap_fixed(base, 2, file, 30)
+        mapper.mmap(2, addr=base, fixed=True, file=file, file_page=30)
         assert mapper.translate(base + 1) == (file, 31)
 
     def test_counters(self, mapper, file):
         base = mapper.mmap(4)
-        mapper.remap_fixed(base, 3, file, 0)
+        mapper.mmap(3, addr=base, fixed=True, file=file, file_page=0)
         assert mapper.cost.ledger.counter("pages_mapped") == 3
         assert mapper.cost.ledger.counter("mmap_calls") == 2  # reserve + remap
 

@@ -1,8 +1,10 @@
 """One bounds check per plan refuses what the per-run checks refused.
 
-``MemoryMapper.map_runs`` used to validate run by run — ``_check_run``
-and then ``Vma(...)``, whose ``__post_init__`` checks again — and now
-checks the plan's columns once and builds the runs unchecked.  The loop
+A mapping plan (``SimulatedSubstrate.map_runs``, which applies it
+through ``MemoryMapper.apply_runs``) used to be validated run by run —
+``_check_run`` and then ``Vma(...)``, whose ``__post_init__`` checks
+again — and now has its columns checked once and its runs built
+unchecked.  The loop
 below is the old validation verbatim, messages included.  Every bad
 plan must raise what the loop raises for its first offending run (type
 and text), before anything changes: VMAs, residency, ledger lanes and
@@ -21,9 +23,9 @@ import numpy as np
 import pytest
 
 from repro.seeds import derive_seed
+from repro.substrate import SimulatedSubstrate
 from repro.vm.cost import CostModel
 from repro.vm.errors import MapError
-from repro.vm.mmap_api import MemoryMapper
 from repro.vm.physical import PhysicalMemory
 from repro.vm.procmaps import render_maps
 from repro.vm.vma import Vma
@@ -35,7 +37,8 @@ AREA = 48
 
 
 def per_run_validation(file, runs) -> None:
-    """What ``map_runs`` did per run before touching the address space."""
+    """What a plan's runs were checked with, one by one, before the
+    address space was touched."""
     for vpn, npages, file_page in runs:
         if npages <= 0:
             raise MapError("mmap of zero pages")
@@ -48,16 +51,17 @@ def per_run_validation(file, runs) -> None:
 
 
 class Stack:
-    """A mapper with one file and one reservation some of which is mapped
-    and touched, so an unwanted change has something to disturb."""
+    """A substrate with one file and one reservation some of which is
+    mapped and touched, so an unwanted change has something to disturb."""
 
     def __init__(self) -> None:
-        self.mapper = MemoryMapper(
+        self.substrate = SimulatedSubstrate(
             PhysicalMemory(capacity_bytes=16 * 1024 * 1024, cost=CostModel())
         )
-        self.file = self.mapper.memory.create_file("db", FILE_PAGES)
-        self.base = self.mapper.mmap(AREA)
-        self.mapper.remap_fixed(self.base + 4, 6, self.file, 10, populate=True)
+        self.mapper = self.substrate.mapper
+        self.file = self.substrate.create_file("db", FILE_PAGES)
+        self.base = self.substrate.reserve(AREA)
+        self.substrate.map_fixed(self.base + 4, 6, self.file, 10, populate=True)
         self.mapper.access(self.base + 20)
 
     def state(self) -> dict:
@@ -74,7 +78,7 @@ class Stack:
         """``runs`` are ``(offset into the reservation, npages, file_page)``;
         an offset below ``-self.base`` is a negative address."""
         columns = [np.array([run[i] for run in runs], dtype=np.int64) for i in range(3)]
-        self.mapper.map_runs(
+        self.substrate.map_runs(
             self.base + columns[0], columns[1], self.file, columns[2], populate
         )
 

@@ -100,11 +100,11 @@ class TestRenderAndParse:
         mapper = MemoryMapper(memory)
         base = mapper.mmap(8)
         for i in range(8):
-            mapper.remap_fixed(base + i, 1, file, 16 + i)
+            mapper.mmap(1, addr=base + i, fixed=True, file=file, file_page=16 + i)
         scattered = MemoryMapper(memory)
         sbase = scattered.mmap(8)
         for i in range(8):
-            scattered.remap_fixed(sbase + i, 1, file, 2 * i)
+            scattered.mmap(1, addr=sbase + i, fixed=True, file=file, file_page=2 * i)
         merged_lines = len(render_maps(mapper.address_space).splitlines())
         scattered_lines = len(render_maps(scattered.address_space).splitlines())
         assert merged_lines == 1

@@ -60,7 +60,7 @@ def test_maps_roundtrip_is_page_accurate(ops):
             elif op == "map_anon":
                 mapper.mmap(npages, addr=start, fixed=True)
             elif op == "remap":
-                mapper.remap_fixed(start, npages, file, fpage)
+                mapper.mmap(npages, addr=start, fixed=True, file=file, file_page=fpage)
             elif op == "unmap":
                 mapper.munmap(start, npages)
             else:
@@ -133,7 +133,7 @@ def _address_space(ops):
             elif op == "map_anon":
                 mapper.mmap(npages, addr=start, fixed=True)
             elif op == "remap_db":
-                mapper.remap_fixed(start, npages, db, fpage)
+                mapper.mmap(npages, addr=start, fixed=True, file=db, file_page=fpage)
             else:
                 mapper.munmap(start, npages)
         except Exception:
