@@ -183,8 +183,9 @@ def materialize_pages(
         else:
             for run, fault in _issue(view, plan, lane):
                 _heal(retry, view, run, fault, lane)
-        mspan.set(runs=plan.num_runs)
-    return plan.num_runs
+        runs = plan.num_runs
+        mspan.set(runs=runs)
+    return runs
 
 
 @dataclass

@@ -17,9 +17,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..vm.constants import MAX_VALUE
 from ..vm.cost import MAIN_LANE
 from .adaptive import QueryResult
 from .facade import AdaptiveDatabase
+
+
+def exact_sum(values: np.ndarray) -> int:
+    """The sum of int64 ``values`` as an exact Python ``int``.
+
+    numpy's int64 sum wraps modulo 2**64, so it is exact whenever the
+    true sum fits int64 — certain once no value lies further from zero
+    than ``MAX_VALUE // n``, which the two extremes show.  Otherwise the
+    high and the low 32 bits of the values are summed apart; neither sum
+    can wrap below 2**31 values.
+    """
+    n = values.size
+    if n == 0:
+        return 0
+    limit = MAX_VALUE // n
+    # ``argmin``/``argmax``: a ufunc reduction's set-up outweighs a
+    # short result.
+    if -limit <= values[values.argmin()] and values[values.argmax()] <= limit:
+        return int(values.sum())
+    return (int((values >> 32).sum()) << 32) + int((values & 0xFFFFFFFF).sum())
 
 
 @dataclass(frozen=True)
@@ -226,7 +247,7 @@ class QueryEngine:
             return AggregateResult(count=0, total=0, minimum=None, maximum=None)
         return AggregateResult(
             count=int(values.size),
-            total=int(values.sum()),
+            total=exact_sum(values),
             minimum=int(values.min()),
             maximum=int(values.max()),
         )

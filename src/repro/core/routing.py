@@ -118,8 +118,11 @@ def scan_views(
 
         # Evidence comes from non-qualifying pages only (Section 2.2);
         # qualifying pages carry the sentinels, neutral under max/min.
-        max_below_seen = max(max_below_seen, int(result.max_below.max()))
-        min_above_seen = min(min_above_seen, int(result.min_above.min()))
+        # (``argmax``/``argmin``, not ``max``/``min``: a ufunc reduction
+        # costs a microsecond of set-up, more than a view hit's pages.)
+        below, above = result.max_below, result.min_above
+        max_below_seen = max(max_below_seen, int(below[below.argmax()]))
+        min_above_seen = min(min_above_seen, int(above[above.argmin()]))
 
     extended_lo = covered_lo
     if max_below_seen != NO_BELOW:

@@ -30,6 +30,9 @@ NO_BELOW = np.iinfo(np.int64).min
 #: Sentinel meaning "no value above the range on this page".
 NO_ABOVE = np.iinfo(np.int64).max
 
+#: The greatest turned value: the neutral start of a turned minimum.
+NO_TURN = np.iinfo(np.uint64).max
+
 
 @dataclass
 class BatchScanResult:
@@ -136,6 +139,70 @@ def _page_extents(rows: np.ndarray, page_min: np.ndarray, page_max: np.ndarray) 
         page_max[start:stop] = np.maximum.reduceat(block, segments)[::step]
 
 
+def _filter(
+    sub: np.ndarray,
+    headers: np.ndarray,
+    lo: int,
+    hi: int,
+    valid: np.ndarray | None,
+    per_page: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(rowids, values, page_qualifies, max_below, min_above)`` of whole
+    pages compared against ``[lo, hi]`` (``lo <= hi``).
+
+    ``sub`` holds one page a row, contiguous, so that flat hit positions
+    index values and rowids alike; ``headers`` are the rows' pageIDs and
+    ``valid`` their filled slots (None: all).
+
+    A page without a hit gets its evidence from a copy of its row.
+    Counted up from ``lo`` round the wrapping value order, its values
+    above ``hi`` come first and those below ``lo`` last: two plain
+    reductions find the evidence — unless the page lies wholly on one
+    side, where they find its own extreme instead, which is no evidence.
+    """
+    hit_mask = sub >= lo
+    hit_mask &= sub <= hi
+    if valid is not None:
+        hit_mask &= valid
+    # The flat hit positions ascend: a page's hits are those between
+    # the flat positions of its first slot and the next page's.
+    firsts = np.arange(0, (sub.shape[0] + 1) * per_page, per_page)
+    hits = hit_mask.reshape(-1).nonzero()[0]
+    ends = hits.searchsorted(firsts)
+    hits_per_page = ends[1:] - ends[:-1]
+    # rowid = pageID * per_page + slot, and the flat position of a hit
+    # is its page's first slot + slot.
+    rowids = hits + (headers * per_page - firsts[:-1]).repeat(hits_per_page)
+    values = sub.reshape(-1)[hits]
+
+    max_below = np.full(hits_per_page.size, NO_BELOW)
+    min_above = np.full(hits_per_page.size, NO_ABOVE)
+    missed = (hits_per_page == 0).nonzero()[0]
+    if missed.size:
+        rows = sub[missed]
+        turned = np.subtract(rows, lo, out=rows).view(np.uint64)
+        ok = True if valid is None else valid[missed]  # padding is no evidence
+        above = np.minimum.reduce(turned, axis=1, where=ok, initial=NO_TURN)
+        below = np.maximum.reduce(turned, axis=1, where=ok, initial=0)
+        above = above.view(np.int64) + lo
+        below = below.view(np.int64) + lo
+        above[above <= hi] = NO_ABOVE
+        below[below >= lo] = NO_BELOW
+        min_above[missed] = above
+        max_below[missed] = below
+    return rowids, values, hits_per_page > 0, max_below, min_above
+
+
+def _valid_slots(
+    valid_counts: np.ndarray | None, per_page: int
+) -> np.ndarray | None:
+    """Per-slot validity of pages with these fill counts, or None if all
+    of them are full."""
+    if valid_counts is None or valid_counts.min() == per_page:
+        return None
+    return _slot_mask(valid_counts, per_page)
+
+
 def _scan_by_extent(
     column: PhysicalColumn,
     fpages: np.ndarray,
@@ -143,21 +210,28 @@ def _scan_by_extent(
     hi: int,
     valid_counts: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Extent-first scan: ``(rowids, values, page_qualifies, max_below,
-    min_above)`` of the given (non-empty) pages, in three phases that
-    each run once per scan.
+    """``(rowids, values, page_qualifies, max_below, min_above)`` of the
+    given (non-empty) pages.
 
-    *Extents*: two reductions give every page's min and max.  *Classify*:
-    a page wholly below ``lo`` or wholly above ``hi`` is finished — it
-    cannot qualify and its evidence is the extent itself.  *Filter*:
-    only the remaining *straddling* pages are compared against
-    ``[lo, hi]``, a chunk at a time, and those of them without a hit
-    get their evidence from two more reductions.  Nothing outlives the
-    call — the extents are recomputed from the page contents by every
-    scan, so, unlike a stored zone map, there is nothing for updates to
-    invalidate.  Methods (``.nonzero()``, ``.repeat()``) stand where
-    numpy's Python-level wrappers would: on a scan of a few dozen pages
-    those cost more than the work.
+    A page list that is one run, or longer than a block, is scanned
+    extent-first, in three phases that each run once per scan.
+    *Extents*: two reductions give every page's min and max.
+    *Classify*: a page wholly below ``lo`` or wholly above ``hi`` is
+    finished — it cannot qualify and its evidence is the extent itself.
+    *Filter*: only the remaining *straddling* pages are compared against
+    ``[lo, hi]``, a chunk at a time, and those of them without a hit get
+    their evidence from two more reductions.
+
+    A scattered list that fits one block — a view hit — is gathered once
+    and filtered whole, mask first: a view's pages nearly all straddle
+    its range, so an extent pass would classify next to nothing.  Only
+    its pages without a hit are reduced, for their evidence.
+
+    Nothing outlives the call — the extents are recomputed from the page
+    contents by every scan, so, unlike a stored zone map, there is
+    nothing for updates to invalidate.  Methods (``.nonzero()``,
+    ``.repeat()``) stand where numpy's Python-level wrappers would: on a
+    scan of a few dozen pages those cost more than the work.
     """
     file = column.file
     data = file.data
@@ -166,8 +240,9 @@ def _scan_by_extent(
     first = int(fpages[0])
     if fpages[-1] - first == n - 1 and (fpages == np.arange(first, first + n)).all():
         pages = data[first : first + n]  # the full view, any run: read in place
-    elif n <= BLOCK_PAGES:
-        pages = data[fpages]  # a view hit: gathered once, for all phases
+    elif n <= BLOCK_PAGES and lo <= hi:
+        valid = _valid_slots(valid_counts, per_page)
+        return _filter(data[fpages], file.headers[fpages], lo, hi, valid, per_page)
     else:
         pages = None  # gathered a block at a time
 
@@ -205,57 +280,22 @@ def _scan_by_extent(
 
     for start in range(0, straddling.size, BLOCK_PAGES):
         chunk = straddling[start : start + BLOCK_PAGES]
-        # One row per straddling page, contiguous, so that flat hit
-        # positions index values and rowids alike.
         if pages is None:
             sub = data[fpages[chunk]]
         elif chunk[-1] - chunk[0] == chunk.size - 1:
             sub = np.ascontiguousarray(pages[chunk[0] : chunk[-1] + 1])
         else:
             sub = pages[chunk]
-        hit_mask = sub >= lo
-        hit_mask &= sub <= hi
-        valid = None
-        if valid_counts is not None and valid_counts[chunk].min() < per_page:
-            valid = _slot_mask(valid_counts[chunk], per_page)
-            hit_mask &= valid
-        # The flat hit positions ascend: a page's hits are those between
-        # its two boundaries.
-        hits = hit_mask.reshape(-1).nonzero()[0]
-        ends = hits.searchsorted(np.arange(chunk.size + 1) * per_page)
-        hits_per_page = ends[1:] - ends[:-1]
-        has_hit = hits_per_page > 0
+        valid = None if valid_counts is None else _valid_slots(valid_counts[chunk], per_page)
+        rowids, values, has_hit, below, above = _filter(
+            sub, file.headers[fpages[chunk]], lo, hi, valid, per_page
+        )
         page_qualifies[chunk] = has_hit
-        if hits.size:
-            # rowid = pageID * per_page + slot, and the flat position of
-            # a hit is its row in ``sub`` * per_page + slot.
-            rowid_shift = (
-                file.headers[fpages[chunk]] - np.arange(chunk.size)
-            ) * per_page
-            rowid_parts.append(hits + rowid_shift.repeat(hits_per_page))
-            value_parts.append(sub.reshape(-1)[hits])
-
-        missed = (~has_hit).nonzero()[0]
-        if missed.size == 0:
-            continue
-        where = chunk[missed]
-        rows = sub[missed]
-        if valid is None:
-            # A straddling page without a hit has values on both sides.
-            # Counted up from ``lo`` round the wrapping value order,
-            # those above ``hi`` come first and those below ``lo`` last:
-            # two plain reductions find the evidence.
-            turned = np.subtract(rows, lo, out=rows).view(np.uint64)
-            min_above[where] = np.minimum.reduce(turned, axis=1).view(np.int64) + lo
-            max_below[where] = np.maximum.reduce(turned, axis=1).view(np.int64) + lo
-        else:  # a chunk with a padded page: its padding is no evidence
-            ok = valid[missed]
-            min_above[where] = np.minimum.reduce(
-                rows, axis=1, where=ok & (rows > hi), initial=NO_ABOVE
-            )
-            max_below[where] = np.maximum.reduce(
-                rows, axis=1, where=ok & (rows < lo), initial=NO_BELOW
-            )
+        if rowids.size:
+            rowid_parts.append(rowids)
+            value_parts.append(values)
+        max_below[chunk] = below
+        min_above[chunk] = above
 
     return joined(rowid_parts), joined(value_parts), page_qualifies, max_below, min_above
 
@@ -295,17 +335,14 @@ def batch_scan(
 
     if charge:
         cost = column.cost
-        n = int(fpages.size)
-        if valid_counts is None:
-            total_values = n * column.values_per_page
-        else:
-            total_values = int(valid_counts.sum())
-        cost.page_access(access_kind, n, lane)
-        cost.page_header(n, lane)
-        cost.stream_values(
-            total_values * column.value_cost_factor, access_kind, lane
+        factor = column.value_cost_factor
+        cost.full_page_scan(
+            column.values_per_page * factor,
+            int(fpages.size),
+            access_kind,
+            lane,
+            values=None if valid_counts is None else int(valid_counts.sum()) * factor,
         )
-        cost.ledger.count("pages_scanned", n)
         record = getattr(file, "record_batch_access", None)
         if record is not None:
             record(fpages, cost, lane=lane, kind=access_kind)

@@ -256,19 +256,22 @@ class VirtualView:
             raise RuntimeError("cannot map pages into the full view")
         # own copy: on an empty view it becomes the view's page list
         fpages = np.array(fpages, dtype=np.int64)
-        n = int(fpages.size)
+        n = fpages.size
         if n == 0:
             return MapPlan(fpages, fpages, fpages)
         if self._next_fresh + n > self.capacity:
             raise RuntimeError("view over-allocation exhausted")
-        diffs = np.diff(fpages)
-        if diffs.size == 0 or np.all(diffs >= 1):
+        # Array methods, not numpy's Python-level wrappers, and
+        # ``argmin`` where a ufunc reduction's set-up would cost more
+        # than the few pages of a view hit.
+        diffs = fpages[1:] - fpages[:-1]
+        if n == 1 or diffs[diffs.argmin()] >= 1:
             # Strictly increasing input (the scan output) is duplicate
             # free and has its extremes at the ends.
             first, last = fpages[0], fpages[-1]
         else:
             # Anything else needs the full uniqueness check.
-            if np.all(diffs >= 0) or np.unique(fpages).size != n:
+            if diffs[diffs.argmin()] >= 0 or np.unique(fpages).size != n:
                 raise ValueError(
                     "run contains pages already indexed by this view"
                 )
@@ -286,7 +289,7 @@ class VirtualView:
             self._touched_upto = 0
         else:
             fpage_at, slot_by_fpage, touched = self._slots()
-            if np.any(slot_by_fpage[fpages] >= 0):
+            if (slot_by_fpage[fpages] >= 0).any():
                 raise ValueError(
                     "run contains pages already indexed by this view"
                 )
@@ -298,14 +301,21 @@ class VirtualView:
         self._mapped_cache = None
 
         if coalesce:
-            bounds = np.concatenate(([0], np.flatnonzero(diffs != 1) + 1, [n]))
+            # A run starts at the first page and wherever a page does
+            # not follow its predecessor.
+            starts = np.empty(n, dtype=bool)
+            starts[0] = True
+            starts[1:] = diffs != 1
+            starts = starts.nonzero()[0]
         else:
-            bounds = np.arange(n + 1)
-        starts = bounds[:-1]
+            starts = np.arange(n)
+        npages = np.empty(starts.size, dtype=np.int64)
+        npages[:-1] = starts[1:] - starts[:-1]
+        npages[-1] = n - starts[-1]
         return MapPlan(
-            vpns=self.base_vpn + slot_start + starts,
+            vpns=starts + (self.base_vpn + slot_start),
             file_pages=fpages[starts],
-            npages=np.diff(bounds),
+            npages=npages,
         )
 
     def execute_plan(self, plan: MapPlan, lane: str = MAIN_LANE) -> None:

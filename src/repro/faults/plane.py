@@ -60,6 +60,11 @@ def check_fault(substrate: Substrate, op: str) -> None:
         check(op)
 
 
+#: What :func:`suppress_faults` hands out where there is no fault plane:
+#: one shared, reusable inert context.
+_INERT = nullcontext()
+
+
 def suppress_faults(substrate: Substrate):
     """Context manager disabling fault injection on ``substrate``.
 
@@ -67,7 +72,7 @@ def suppress_faults(substrate: Substrate):
     rollback and audit code can wrap any backend unconditionally.
     """
     suspend = getattr(substrate, "suppressed", None)
-    return suspend() if suspend is not None else nullcontext()
+    return suspend() if suspend is not None else _INERT
 
 
 class FaultyPageStore:
@@ -86,6 +91,13 @@ class FaultyPageStore:
 
     def __getattr__(self, name: str):
         return getattr(self._inner, name)
+
+    # What every read asks for, given directly: ``__getattr__`` runs
+    # only after a failed lookup, which costs more than the read itself.
+    data = property(lambda self: self._inner.data)
+    headers = property(lambda self: self._inner.headers)
+    num_pages = property(lambda self: self._inner.num_pages)
+    slots_per_page = property(lambda self: self._inner.slots_per_page)
 
     def resize(self, num_pages: int) -> None:
         self._substrate._check("resize")

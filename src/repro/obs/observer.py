@@ -73,6 +73,9 @@ class _NullSpan(Span):
 
 _NULL_SPAN = _NullSpan()
 
+#: What every null span opens: one shared, reusable inert context.
+_NULL_CONTEXT = nullcontext(_NULL_SPAN)
+
 
 class NullObserver:
     """Disabled observer: every hook is a no-op.
@@ -89,7 +92,7 @@ class NullObserver:
 
     def span(self, name: str, **attrs: object) -> ContextManager[Span]:
         """An inert context manager yielding the shared null span."""
-        return nullcontext(_NULL_SPAN)
+        return _NULL_CONTEXT
 
     def on_query(self, stats: "QueryStats") -> None:
         """Hook: one routed range query finished."""

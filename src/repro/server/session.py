@@ -28,7 +28,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ..core.facade import AdaptiveDatabase
+from ..core.query import exact_sum
 from ..core.snapshot import ColumnSnapshot
 from ..sql.errors import SqlError
 from ..sql.executor import Session as SqlSession
@@ -243,7 +246,10 @@ class Session:
         The response carries the row count, exact value sum, an
         order-invariant result digest and the planner tier used; with
         ``include_values`` the full (rowids, values) lists ship too.
+        The sum and the digest are taken after the database lock is
+        released: the result arrays are the response's own.
         """
+        results: list[tuple[np.ndarray, np.ndarray]] = []
 
         def run() -> Response:
             pinned = self._pinned.get((table, column))
@@ -251,8 +257,8 @@ class Session:
                 rowids, values = pinned.scan_filtered(lo, hi)
                 data = {
                     "rows": int(rowids.size),
-                    "value_sum": int(values.sum()) if values.size else 0,
-                    "checksum": result_digest(rowids, values),
+                    "value_sum": None,
+                    "checksum": None,
                     "snapshot": True,
                     "degraded": False,
                 }
@@ -265,8 +271,8 @@ class Session:
                 rowids, values = result.rowids, result.values
                 data = {
                     "rows": int(rowids.size),
-                    "value_sum": int(values.sum()) if values.size else 0,
-                    "checksum": result_digest(rowids, values),
+                    "value_sum": None,
+                    "checksum": None,
                     "snapshot": False,
                     "degraded": degraded,
                     "pages_scanned": result.stats.pages_scanned,
@@ -275,9 +281,15 @@ class Session:
             if include_values:
                 data["rowids"] = [int(r) for r in rowids.tolist()]
                 data["values"] = [int(v) for v in values.tolist()]
+            results.append((rowids, values))
             return Response(op="query", data=data)
 
-        return self._respond("query", run)
+        response = self._respond("query", run)
+        if response.ok:
+            rowids, values = results[0]
+            response.data["value_sum"] = exact_sum(values)
+            response.data["checksum"] = result_digest(rowids, values)
+        return response
 
     def update(self, table: str, column: str, row: int, value: int) -> Response:
         """Write one value; autocommit sessions realign views at once."""

@@ -24,7 +24,7 @@ import numpy as np
 from ..core.config import AdaptiveConfig
 from ..core.facade import AdaptiveDatabase
 from ..core.introspect import inspect_view_index, render_index_report
-from ..core.query import QueryEngine
+from ..core.query import QueryEngine, exact_sum
 from ..storage.statistics import TableStatistics
 from ..vm.constants import MAX_VALUE, MIN_VALUE
 from .errors import ExecutionError
@@ -365,7 +365,7 @@ def _compute_aggregate(
     if values.size == 0:
         return None
     if aggregate.function == "SUM":
-        return int(values.sum())
+        return exact_sum(values)
     if aggregate.function == "MIN":
         return int(values.min())
     if aggregate.function == "MAX":

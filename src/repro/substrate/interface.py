@@ -275,12 +275,10 @@ class Substrate(ABC):
         )
 
     def _book_runs(self, npages: np.ndarray, populate: bool, lane: str) -> None:
-        if not npages.size:
-            return
-        pages = int(npages.sum())
-        self.cost.mmap_call(pages, lane, calls=int(npages.size))
-        if populate:
-            self.cost.soft_fault(pages, lane)
+        if npages.size:
+            self.cost.mmap_call(
+                int(npages.sum()), lane, calls=npages.size, populate=populate
+            )
 
     @abstractmethod
     def unmap_slot(self, vpn: int, npages: int = 1, lane: str = MAIN_LANE) -> None:

@@ -172,6 +172,13 @@ class TieredPageStore:
     def __getattr__(self, name: str):
         return getattr(self._inner, name)
 
+    # What every read asks for, given directly: ``__getattr__`` runs
+    # only after a failed lookup, which costs more than the read itself.
+    data = property(lambda self: self._inner.data)
+    headers = property(lambda self: self._inner.headers)
+    num_pages = property(lambda self: self._inner.num_pages)
+    slots_per_page = property(lambda self: self._inner.slots_per_page)
+
     def resize(self, num_pages: int) -> None:
         """Resize the backend store and grow the placement arrays.
 

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterable
 
 #: Ledger lanes count whole picoseconds; the API speaks nanoseconds.
 PS_PER_NS = 1000
@@ -268,32 +267,53 @@ class CostLedger:
             return dict(self._lanes), dict(self._counters)
 
 
-@dataclass
 class Region:
     """Timing region opened by :meth:`CostModel.region`.
 
-    Captures a ledger snapshot at entry; after the ``with`` block exits,
-    :attr:`lane_deltas` holds per-lane charged time and
-    :meth:`elapsed_ns` reports the overlapped elapsed time.
+    A context manager: it snapshots the ledger on entry and again on
+    exit, and :attr:`lane_deltas`, :attr:`counter_deltas`,
+    :meth:`lane_ns` and :meth:`elapsed_ns` are read off the two
+    snapshots when asked, so a region nobody reads in full diffs
+    nothing.  Inside the block it reads as empty.
     """
 
-    _start: dict[str, int]
-    _counters_start: dict[str, int]
-    lane_deltas: dict[str, float] = field(default_factory=dict)
-    counter_deltas: dict[str, int] = field(default_factory=dict)
+    def __init__(self, ledger: CostLedger) -> None:
+        self._ledger = ledger
+        self._start: tuple[dict[str, int], dict[str, int]] = ({}, {})
+        self._end: tuple[dict[str, int], dict[str, int]] | None = None
 
-    def close(self, ledger: CostLedger) -> None:
-        """Finalize the region against one atomic snapshot of the ledger,
-        taken as the one at entry was: the lane and counter deltas then
-        agree even while another thread charges."""
-        end, counters_end = ledger.snapshot_ps()
-        self.lane_deltas = {
-            lane: (end.get(lane, 0) - self._start.get(lane, 0)) / PS_PER_NS
-            for lane in set(end) | set(self._start)
+    def __enter__(self) -> "Region":
+        self._start = self._ledger.snapshot_ps()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        # One atomic snapshot, taken as the one at entry was: the lane
+        # and counter deltas then agree even while another thread
+        # charges.
+        self._end = self._ledger.snapshot_ps()
+
+    @property
+    def lane_deltas(self) -> dict[str, float]:
+        """Charged nanoseconds per lane, for every lane either snapshot
+        holds."""
+        if self._end is None:
+            return {}
+        start, end = self._start[0], self._end[0]
+        return {
+            lane: (end.get(lane, 0) - start.get(lane, 0)) / PS_PER_NS
+            for lane in set(end) | set(start)
         }
-        self.counter_deltas = {
-            name: counters_end.get(name, 0) - self._counters_start.get(name, 0)
-            for name in set(counters_end) | set(self._counters_start)
+
+    @property
+    def counter_deltas(self) -> dict[str, int]:
+        """Operation counts per counter, for every counter either
+        snapshot holds."""
+        if self._end is None:
+            return {}
+        start, end = self._start[1], self._end[1]
+        return {
+            name: end.get(name, 0) - start.get(name, 0)
+            for name in set(end) | set(start)
         }
 
     def elapsed_ns(self, overlap: bool = True) -> float:
@@ -304,15 +324,18 @@ class Region:
         the background-mapping optimization.  With ``overlap=False`` the
         lanes are serialized (sum of deltas).
         """
-        if not self.lane_deltas:
+        deltas = self.lane_deltas
+        if not deltas:
             return 0.0
         if overlap:
-            return max(self.lane_deltas.values())
-        return sum(self.lane_deltas.values())
+            return max(deltas.values())
+        return sum(deltas.values())
 
     def lane_ns(self, lane: str = MAIN_LANE) -> float:
         """Charged time of a single lane within the region."""
-        return self.lane_deltas.get(lane, 0.0)
+        if self._end is None:
+            return 0.0
+        return (self._end[0].get(lane, 0) - self._start[0].get(lane, 0)) / PS_PER_NS
 
 
 def _of_kind(table: dict[str, int], kind: str) -> int:
@@ -352,15 +375,9 @@ class CostModel:
 
     # -- timing regions -------------------------------------------------
 
-    @contextmanager
-    def region(self) -> Iterator[Region]:
-        """Open a timing region covering the ``with`` body."""
-        lanes, counters = self.ledger.snapshot_ps()
-        reg = Region(_start=lanes, _counters_start=counters)
-        try:
-            yield reg
-        finally:
-            reg.close(self.ledger)
+    def region(self) -> Region:
+        """A timing region covering the body of a ``with`` block."""
+        return Region(self.ledger)
 
     # -- scan costs ------------------------------------------------------
 
@@ -388,10 +405,18 @@ class CostModel:
         self.ledger.book(n * _of_kind(self._page_ps, kind), lane, (("pages_accessed", n),))
 
     def full_page_scan(
-        self, values_per_page: int, n: int = 1, kind: str = "seq", lane: str = MAIN_LANE
+        self,
+        values_per_page: int,
+        n: int = 1,
+        kind: str = "seq",
+        lane: str = MAIN_LANE,
+        values: int | None = None,
     ) -> None:
-        """Charge scanning ``n`` full pages (access + header + values)."""
-        values = n * values_per_page
+        """Charge scanning ``n`` pages (access + header + values) as one
+        booking.  ``values`` is the total streamed when a page is
+        partial; by default every page streams ``values_per_page``."""
+        if values is None:
+            values = n * values_per_page
         self.ledger.book(
             n * (_of_kind(self._page_ps, kind) + self._ps["page_header_read"])
             + values * self._value_ps[kind],
@@ -412,10 +437,20 @@ class CostModel:
 
     # -- mapping costs ---------------------------------------------------
 
-    def mmap_call(self, pages: int, lane: str = MAIN_LANE, calls: int = 1) -> None:
-        """Charge ``calls`` mmap() syscalls mapping ``pages`` pages in all."""
-        ps, counts = self._ps, (("mmap_calls", calls), ("pages_mapped", pages))
-        self.ledger.book(calls * ps["mmap_syscall"] + pages * ps["mmap_per_page"], lane, counts)
+    def mmap_call(
+        self, pages: int, lane: str = MAIN_LANE, calls: int = 1, populate: bool = False
+    ) -> None:
+        """Charge ``calls`` mmap() syscalls mapping ``pages`` pages in all;
+        with ``populate``, also the pages' eager soft faults, in the same
+        booking."""
+        ps = self._ps
+        total = calls * ps["mmap_syscall"] + pages * ps["mmap_per_page"]
+        if not populate:
+            counts = (("mmap_calls", calls), ("pages_mapped", pages))
+            self.ledger.book(total, lane, counts)
+            return
+        counts = (("mmap_calls", calls), ("pages_mapped", pages), ("soft_faults", pages))
+        self.ledger.book(total + pages * ps["soft_fault"], lane, counts)
 
     def anon_mmap(self, lane: str = MAIN_LANE) -> None:
         """Charge one anonymous mmap() reservation: the syscall only, no

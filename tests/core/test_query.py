@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.config import AdaptiveConfig
 from repro.core.facade import AdaptiveDatabase
-from repro.core.query import AggregateResult, QueryEngine
+from repro.core.query import AggregateResult, QueryEngine, exact_sum
 
 from ..conftest import reference_rows
 
@@ -195,3 +195,35 @@ class TestAggregate:
         engine.aggregate("amount", 30_000, 40_000)
         second = engine.select("amount", 30_000, 40_000).stats.pages_scanned
         assert second <= first
+
+
+class TestExactSum:
+    """``exact_sum`` against Python's unbounded integer sum."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [7],
+            [1, 2**62, 2**62, 2**62, 4],
+            [2**63 - 1] * 3,
+            [-(2**63)] * 3,
+            [2**63 - 1, -(2**63), 2**63 - 1, 5],
+            list(range(-1000, 1000, 7)),
+        ],
+    )
+    def test_matches_python_sum(self, values):
+        assert exact_sum(np.array(values, dtype=np.int64)) == sum(values)
+
+    def test_random_extremes(self):
+        rng = np.random.default_rng(0)
+        for size in (1, 2, 3, 100, 10_000):
+            values = rng.integers(-(2**63), 2**63 - 1, size=size, dtype=np.int64)
+            assert exact_sum(values) == sum(values.tolist())
+
+    def test_aggregate_total_is_exact(self):
+        values = np.array([1, 2**62, 2**62, 2**62, 4], dtype=np.int64)
+        with AdaptiveDatabase() as database:
+            database.create_table("t", {"v": values})
+            total = QueryEngine(database, "t").aggregate("v", 1, 2**63 - 1).total
+        assert total == 3 * 2**62 + 5

@@ -342,3 +342,114 @@ def test_view_hit_gathers_its_pages_once():
     result = batch_scan(column, fpages, 20 * BAND, 40 * BAND)
     assert 0 < result.page_qualifies.sum() < fpages.size
     assert data.tally == [fpages.size]
+
+
+# -- the gathered branch: a view hit, filtered mask first -------------------
+
+
+def _gathered_parity(values, fpages, lo, hi, strided=False) -> None:
+    """Scan a gathered page list of a column holding ``values``; the five
+    arrays must match the per-page oracle and the ledgers the reference
+    branch's."""
+    fpages = np.asarray(fpages, dtype=np.int64)
+    first = int(fpages[0])
+    runs = fpages[-1] - first == fpages.size - 1 and np.array_equal(
+        fpages, np.arange(first, first + fpages.size)
+    )
+    assert not runs and fpages.size <= scan.BLOCK_PAGES  # the gathered branch
+    results, ledgers = [], []
+    for ctx in (production_paths, reference_paths):
+        column = PhysicalColumn.create(make_substrate("simulated"), "gathered", values)
+        if strided:
+            _strided(column.file)
+        with ctx():
+            results.append(batch_scan(column, fpages, lo, hi))
+        ledgers.append((column.cost.ledger.lanes(), column.cost.ledger.counters()))
+    kernel, reference = results
+    want = _oracle(column, fpages, lo, hi)
+    for name in FIELDS:
+        assert getattr(kernel, name).tolist() == want[name], (name, lo, hi)
+        np.testing.assert_array_equal(getattr(kernel, name), getattr(reference, name))
+    assert ledgers[0] == ledgers[1]
+
+
+def _banded(num_pages: int, dropped: int = 0) -> np.ndarray:
+    """Page p holds values in [p * BAND, (p + 1) * BAND)."""
+    rows = num_pages * VALUES_PER_PAGE - dropped
+    return np.arange(rows) // VALUES_PER_PAGE * BAND + np.arange(rows) % BAND
+
+
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize(
+    "fpages, lo, hi",
+    [
+        # hit-less pages wholly below lo, wholly above hi, both at once
+        ([1, 3, 5, 7], 5 * BAND, 5 * BAND + 10),
+        ([7, 5, 3, 1], 5 * BAND + 10, 5 * BAND + 20),
+        ([0, 2, 9], 3 * BAND, 8 * BAND),
+        ([4, 6], 0, BAND - 1),
+        ([4, 6], 9 * BAND, 10 * BAND),
+    ],
+)
+def test_gathered_pages_wholly_on_one_side(strided, fpages, lo, hi):
+    """A page without a hit lying wholly below ``lo`` has no
+    ``min_above``, one wholly above ``hi`` no ``max_below``."""
+    _gathered_parity(_banded(10), fpages, lo, hi, strided)
+
+
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (9 * BAND, 9 * BAND + 5),
+        (9 * BAND + 900, 10 * BAND),
+        (2 * BAND, 2 * BAND + 3),
+        (0, 10 * BAND),
+    ],
+)
+def test_gathered_list_with_the_padded_last_page(strided, lo, hi):
+    """The last page's padding (zeros) neither hits nor counts as
+    evidence, whether the page qualifies or not."""
+    values = _banded(10, dropped=VALUES_PER_PAGE - 200)
+    _gathered_parity(values, [2, 9, 4], lo, hi, strided)
+    _gathered_parity(values, [9, 0], lo, hi, strided)
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(3 * BAND, 3 * BAND + 50), (0, 10 * BAND), (11 * BAND, 12 * BAND)]
+)
+def test_gathered_list_with_repeated_pages(lo, hi):
+    """A page listed twice is scanned twice, in list order."""
+    _gathered_parity(_banded(10), [3, 1, 3, 7, 1], lo, hi)
+
+
+def _with_domain_ends() -> np.ndarray:
+    values = _banded(8)
+    values[2 * VALUES_PER_PAGE + 3] = MIN_VALUE
+    values[2 * VALUES_PER_PAGE + 4] = MAX_VALUE
+    values[4 * VALUES_PER_PAGE : 5 * VALUES_PER_PAGE] = MIN_VALUE
+    values[6 * VALUES_PER_PAGE : 7 * VALUES_PER_PAGE] = MAX_VALUE
+    return values
+
+
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        # empty once clamped: wholly beyond one end of the domain
+        (MAX_VALUE + 1, MAX_VALUE + 5),
+        (2**64, 2**65),
+        (MIN_VALUE - 5, MIN_VALUE - 1),
+        # at the ends
+        (MIN_VALUE, MIN_VALUE),
+        (MAX_VALUE, MAX_VALUE),
+        (MIN_VALUE, MAX_VALUE),
+        (MIN_VALUE + 1, MAX_VALUE - 1),
+        # beyond the ends, clamped to them
+        (MIN_VALUE - 5, 3 * BAND),
+        (3 * BAND, MAX_VALUE + 5),
+        (MIN_VALUE - 5, MAX_VALUE + 5),
+    ],
+)
+def test_gathered_ranges_at_and_beyond_the_int64_ends(strided, lo, hi):
+    _gathered_parity(_with_domain_ends(), [6, 2, 4, 0, 7], lo, hi, strided)

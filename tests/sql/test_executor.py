@@ -137,6 +137,17 @@ class TestAggregates:
         )
         assert result.rows == [(5, 100)]
 
+    def test_sum_past_int64_is_exact(self, session):
+        """Three values of 2**62 and two small ones sum past int64:
+        numpy's int64 sum wraps to -4611686018427387899."""
+        values = [1, 2**62, 2**62, 2**62, 4]
+        session.db.create_table("big", {"v": np.array(values, dtype=np.int64)})
+        result = session.execute(
+            "SELECT SUM(v) FROM big WHERE v BETWEEN 1 AND 9223372036854775807"
+        )
+        assert result.scalar() == sum(values) == 13835058055282163717
+        assert session.execute("SELECT SUM(v) FROM big").scalar() == sum(values)
+
     def test_star_only_valid_for_count(self, loaded):
         from repro.sql import ParseError
 
