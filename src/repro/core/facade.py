@@ -85,15 +85,15 @@ class AdaptiveDatabase:
         :class:`~repro.substrate.interface.Substrate` is also accepted.
 
         ``resilience`` arms the self-healing layer (retry with simulated
-        backoff, view quarantine-and-rebuild, the mapping-budget
-        governor) on every storage layer.  Disarmed (the default), no
+        backoff, view quarantine-and-rebuild, the maps-line
+        :class:`~repro.budget.Budget`) on every storage layer.  Disarmed (the default), no
         resilience code runs and cost ledgers are bit-identical to a
         build without the subsystem.
 
         ``tiering`` arms tiered page storage: every column the database
         creates is wrapped in a
-        :class:`~repro.tier.TieredPageStore` whose hot-page budget the
-        tier governor enforces (see ``docs/tiering.md``).  Disarmed
+        :class:`~repro.tier.TieredPageStore` whose hot pages a
+        :class:`~repro.budget.Budget` caps (see ``docs/tiering.md``).  Disarmed
         (the default), storage stays untiered and cost ledgers are
         bit-identical to a build without the subsystem.
 

@@ -1,8 +1,10 @@
-"""Per-layer resilience controller: retry, quarantine, governor, health.
+"""Per-layer resilience controller: retry, quarantine, budget, health.
 
 One :class:`ResilienceController` is attached to each
 :class:`~repro.core.adaptive.AdaptiveStorageLayer` when resilience is
-armed.  It owns the three mechanisms and runs the health state machine
+armed.  It owns the three mechanisms — retry, quarantine-and-rebuild,
+and a :class:`~repro.budget.Budget` on the column file's maps lines
+(its ``governor``) — and runs the health state machine
 (``HEALTHY → DEGRADED → READONLY``) the facade exposes.  All of its
 bookkeeping is free of cost-ledger charges except for the work it
 actually performs (backoff waits, rebuild scans, eviction unmaps), so a
@@ -11,15 +13,60 @@ controller that never engages leaves simulated time untouched.
 
 from __future__ import annotations
 
+from ..budget import Budget
+from ..core.stats import ViewEvent, view_utility
 from ..core.view_index import ViewIndex
 from ..core.view import VirtualView
 from ..obs.observer import NULL_OBSERVER, NullObserver
 from ..storage.column import PhysicalColumn
 from ..vm.cost import MAIN_LANE
-from .governor import MappingGovernor, mapping_runs
 from .policy import HealthState, ResilienceConfig
-from .quarantine import REBUILT, ViewRebuilder
+from .quarantine import REBUILT, ViewRebuilder, mapping_runs
 from .retry import RetryPolicy
+
+
+def _maps_line_budget(
+    config: ResilienceConfig,
+    column: PhysicalColumn,
+    view_index: ViewIndex,
+    observer: NullObserver,
+) -> Budget:
+    """The column file's maps lines under ``config.mapping_budget``.
+
+    Usage is the substrate's ``maps_line_count`` of the file (the
+    simulated VMA walk, or the kernel's ``/proc/self/maps``; never
+    charged).  Victims are the partial views, lowest
+    :func:`~repro.core.stats.view_utility` first, ties least recently
+    used; the full view is never one, so its projected runs are the
+    floor and every query keeps its full-scan fallback.
+    """
+    substrate = column.substrate
+    path = substrate.file_map_path(column.file)
+
+    def victims() -> list[VirtualView]:
+        return sorted(
+            view_index.partial_views,
+            key=lambda v: (
+                view_utility(view_index.use_count(v), v.num_pages),
+                view_index.last_used(v),
+            ),
+        )
+
+    def evict(view: VirtualView, cost, lane: str) -> bool:
+        pages = view.num_pages
+        view_index.record_decision(view, ViewEvent.EVICTED_BUDGET)
+        view_index.drop(view, lane)
+        observer.on_governor_eviction(view.lo, view.hi, pages)
+        return True
+
+    return Budget(
+        "maps_lines",
+        config.mapping_budget,
+        usage=lambda: substrate.maps_line_count(path),
+        victims=victims,
+        release=evict,
+        floor=lambda: mapping_runs(view_index.full_view.mapped_fpages()),
+    )
 
 
 class ResilienceController:
@@ -39,8 +86,8 @@ class ResilienceController:
         self.retry = RetryPolicy(
             column.substrate, column.cost, self.config, observer=self.observer
         )
-        self.governor = MappingGovernor(
-            self.config, column, view_index, observer=self.observer
+        self.governor = _maps_line_budget(
+            self.config, column, view_index, self.observer
         )
         self.rebuilder = ViewRebuilder(
             self.config,
@@ -59,12 +106,13 @@ class ResilienceController:
     def health(self) -> HealthState:
         """The layer's current health (re-derived on every call).
 
-        READONLY latches on repeated permanent faults or an unreachable
-        budget; DEGRADED reflects recoverable trouble (quarantine
-        backlog, a recent permanent fault, budget watermark).  Queries
-        are correct in every state — the full view always exists.
+        READONLY latches on repeated permanent faults, and holds while
+        the maps-line budget is in debt; DEGRADED reflects recoverable
+        trouble (quarantine backlog, a recent permanent fault, budget
+        watermark).  Queries are correct in every state — the full view
+        always exists.
         """
-        if self._readonly or self.governor.budget_unreachable:
+        if self._readonly or self.governor.debt > 0:
             state = HealthState.READONLY
         else:
             utilization = self.governor.utilization()
@@ -120,11 +168,12 @@ class ResilienceController:
     def admit_candidate(
         self, qualifying_fpages, lo: int, hi: int, lane: str = MAIN_LANE
     ) -> bool:
-        """Governor admission for the candidate built alongside a query."""
+        """Budget admission for the candidate built alongside a query."""
         runs = mapping_runs(qualifying_fpages)
-        if runs == 0:
+        if runs == 0 or self.governor.admit(runs, lane=lane):
             return True
-        return self.governor.admit(runs, lo, hi, lane)
+        self.view_index.record_range_event(ViewEvent.DENIED_BUDGET, lo, hi)
+        return False
 
     def maintenance_cycle(
         self, lane: str = MAIN_LANE, check_semantics: bool = True
@@ -132,7 +181,7 @@ class ResilienceController:
         """Post-alignment housekeeping: enforce the budget, drain
         quarantine (unless READONLY — then only an explicit repair
         restarts rebuilds)."""
-        evicted = self.governor.enforce(lane)
+        evicted = self.governor.enforce(lane=lane)
         rebuilt = 0
         if not self._readonly:
             rebuilt = self._drain_quarantine(lane, check_semantics)
@@ -151,12 +200,12 @@ class ResilienceController:
     def repair(self, lane: str = MAIN_LANE) -> bool:
         """On-demand recovery, allowed even when READONLY.
 
-        Enforces the budget, rebuilds every quarantined range, and —
-        when the quarantine list converges to empty — clears the
-        READONLY latch and the fault streak.  Returns True when the
-        quarantine is empty afterwards.
+        Enforces the budget (which re-derives its debt), rebuilds every
+        quarantined range, and — when the quarantine list converges to
+        empty — clears the fault latch and the fault streak.  Returns
+        True when the quarantine is empty afterwards.
         """
-        self.governor.enforce(lane)
+        self.governor.enforce(lane=lane)
         self._drain_quarantine(lane, check_semantics=True)
         converged = not self.view_index.quarantine
         if converged:
@@ -183,8 +232,8 @@ class ResilienceController:
             "views_rebuilt": self.rebuilder.rebuilt,
             "rebuilds_abandoned": self.rebuilder.abandoned,
             "quarantined": len(self.view_index.quarantine),
-            "governor_evictions": self.governor.evictions,
+            "governor_evictions": self.governor.released,
             "governor_denials": self.governor.denials,
             "mapping_budget": self.governor.budget,
-            "maps_lines": self.governor.line_count(),
+            "maps_lines": self.governor.usage(),
         }

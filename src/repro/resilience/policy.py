@@ -4,7 +4,7 @@ This module is deliberately dependency-free (stdlib only) so every other
 layer — core, faults, obs, CLI — can import the config and the health
 states without risking an import cycle.  The mechanisms that *act* on
 the policy live next door (:mod:`repro.resilience.retry`,
-:mod:`repro.resilience.governor`, :mod:`repro.resilience.quarantine`).
+:mod:`repro.resilience.controller`, :mod:`repro.resilience.quarantine`).
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class ResilienceConfig:
     jitter: float = 0.25
 
     #: Maps-line budget for the column's file (None = unlimited).  The
-    #: governor keeps ``maps_line_count(column_path)`` at or under this
+    #: layer's :class:`~repro.budget.Budget` keeps ``maps_line_count(column_path)`` at or under this
     #: by admission control and utility-based eviction.
     mapping_budget: int | None = None
 

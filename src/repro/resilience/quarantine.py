@@ -14,6 +14,9 @@ of attempts.
 
 from __future__ import annotations
 
+import numpy as np
+
+from ..budget import Budget
 from ..core.creation import materialize_pages
 from ..core.routing import scan_views
 from ..core.stats import ViewEvent
@@ -23,7 +26,6 @@ from ..faults.errors import SubstrateFault
 from ..obs.observer import NULL_OBSERVER, NullObserver
 from ..storage.column import PhysicalColumn
 from ..vm.cost import MAIN_LANE
-from .governor import MappingGovernor, mapping_runs
 from .policy import ResilienceConfig
 from .retry import RetryPolicy
 
@@ -36,6 +38,18 @@ DEFERRED = "deferred"
 ABANDONED = "abandoned"
 
 
+def mapping_runs(fpages: np.ndarray) -> int:
+    """Projected maps-line footprint of mapping ``fpages`` coalesced.
+
+    Each maximal run of consecutive physical pages becomes one
+    ``mmap(MAP_FIXED)`` call and hence (at most) one maps-file line.
+    """
+    fpages = np.asarray(fpages, dtype=np.int64)
+    if fpages.size == 0:
+        return 0
+    return int(np.count_nonzero(np.diff(fpages) != 1) + 1)
+
+
 class ViewRebuilder:
     """Re-create quarantined views from physical pages, verified."""
 
@@ -45,7 +59,7 @@ class ViewRebuilder:
         column: PhysicalColumn,
         view_index: ViewIndex,
         retry: RetryPolicy | None = None,
-        governor: MappingGovernor | None = None,
+        governor: Budget | None = None,
         observer: NullObserver | None = None,
     ) -> None:
         self.config = config
@@ -88,8 +102,9 @@ class ViewRebuilder:
             self.column, [vi.full_view], entry.lo, entry.hi, lane=lane
         )
         if self.governor is not None and not self.governor.admit(
-            mapping_runs(routed.qualifying_fpages), entry.lo, entry.hi, lane
+            mapping_runs(routed.qualifying_fpages), lane=lane
         ):
+            vi.record_range_event(ViewEvent.DENIED_BUDGET, entry.lo, entry.hi)
             return DEFERRED  # no headroom now; not a failed attempt
 
         view: VirtualView | None = None

@@ -7,8 +7,9 @@ contents are spilled — to an in-memory far-tier model charged with its
 own :class:`~repro.vm.cost.CostParameters` constants on the simulated
 backend, and additionally to a real on-disk spill file on the native
 backend.  Placement is access-frequency driven (per-page hit counters,
-decayed at maintenance); a :class:`TierGovernor` enforces a hot-page
-budget the way the mapping governor enforces the maps-line budget.
+decayed at maintenance); a :class:`~repro.budget.Budget` keeps the hot
+pages under ``hot_budget`` the way another keeps maps lines under the
+resilience plane's ``mapping_budget``.
 
 A :class:`WriteBuffer` pairs with it on the ingest side: appends are
 staged in a batched buffer and merged into the columns during
@@ -19,13 +20,11 @@ See ``docs/tiering.md``.
 
 from .buffer import WriteBuffer
 from .config import TierConfig
-from .governor import TierGovernor
 from .store import ColdStore, TieredPageStore
 
 __all__ = [
     "ColdStore",
     "TierConfig",
-    "TierGovernor",
     "TieredPageStore",
     "WriteBuffer",
 ]

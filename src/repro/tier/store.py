@@ -21,26 +21,23 @@ native backend.  Spill reads and writes consult the fault plane
 (``cold_read`` / ``cold_write`` operations) with bounded retries; a
 cold read that stays failed falls back to the resident copy (queries
 never fail), a demotion that stays failed is abandoned (the page stays
-hot and the governor records the debt).
+hot and the hot-page budget records the excess as debt).
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING
+import weakref
 
 import numpy as np
 
+from ..budget import Budget
 from ..faults.errors import SubstrateFault
 from ..faults.plane import check_fault
 from ..obs.observer import NULL_OBSERVER, NullObserver
 from ..substrate.interface import PageStore, Substrate
 from ..vm.cost import MAIN_LANE, CostModel
 from .config import TierConfig
-from .governor import TierGovernor
-
-if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
-    pass
 
 
 class ColdStore:
@@ -151,7 +148,19 @@ class TieredPageStore:
         self.cold = ColdStore(
             inner.name, inner.slots_per_page, spill_dir=spill_dir
         )
-        self.governor = TierGovernor(self)
+        # The hot-page budget reaches the store through a weak proxy: a
+        # strong cycle would keep the store (and on the native backend
+        # its whole-file mapping) alive past close until a gc pass.
+        store = weakref.proxy(self)
+        self.governor = Budget(
+            "hot",
+            config.hot_budget,
+            usage=lambda: store._hot_count,
+            victims=lambda: store._coldest_first(),
+            release=lambda page, cost, lane: store.demote(
+                int(page), cost, lane=lane
+            ),
+        )
         self.promotions = 0
         self.demotions = 0
         self.hot_hits = 0
@@ -223,6 +232,19 @@ class TieredPageStore:
     def hot_count(self) -> int:
         """Pages currently in the hot tier."""
         return self._hot_count
+
+    def _coldest_first(self) -> np.ndarray:
+        """Hot pages in demotion order: the hot-page budget's victims.
+
+        Fewest (decayed) hits, then least recently accessed, then lowest
+        page number — the mirror of the maps-line budget's
+        ``(view_utility, last_used)`` key.
+        """
+        hot_idx = np.nonzero(self.hot)[0]
+        order = np.lexsort(
+            (hot_idx, self.last_access[hot_idx], self.hits[hot_idx])
+        )
+        return hot_idx[order]
 
     def hit_ratio(self) -> float:
         """Fraction of tier-accounted accesses served hot (1.0 if none)."""

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.core.config import AdaptiveConfig
 from repro.core.creation import create_partial_view
 from repro.core.facade import AdaptiveDatabase
+from repro.core.stats import ViewEvent
 from repro.faults import (
     FaultKind,
     FaultRule,
@@ -34,6 +35,8 @@ from repro.faults import (
 from repro.resilience import ResilienceConfig
 from repro.seeds import derive_seed
 from repro.substrate import make_substrate
+
+from ..resilience import governor_oracle
 
 NUM_PAGES = 8
 NUM_ROWS = NUM_PAGES * 512
@@ -141,6 +144,7 @@ def _run_session(
     backend: str = "simulated",
     resilience: ResilienceConfig | None = None,
     status_out: dict | None = None,
+    install=None,
 ) -> int:
     """Run one audited faulted session against the oracle.
 
@@ -149,7 +153,11 @@ def _run_session(
     With ``resilience`` armed, the session additionally verifies the
     recovery oracle at the end: a fault-free repair must converge to an
     empty quarantine, pass the audit, and answer every query of the
-    session identically to the fault-free serial oracle.
+    session identically to the fault-free serial oracle.  Under a
+    mapping budget a rebuild may be refused admission, so there the
+    repair must leave quarantined exactly the ranges it was refused.
+    ``install(layer)``, if given, runs once the layer exists.
+    ``status_out`` receives the status, the view history and the ledger.
     """
     rng = np.random.default_rng(data_seed)
     values = rng.integers(0, DOMAIN, size=NUM_ROWS, dtype=np.int64)
@@ -163,6 +171,8 @@ def _run_session(
     ) as db:
         db.create_table("t", {"x": values})
         layer = db.layer("t", "x")
+        if install is not None:
+            install(layer)
         substrate.schedule = schedule  # setup above stays fault-free
 
         for step, op in enumerate(ops):
@@ -224,9 +234,17 @@ def _run_session(
             # (zero quarantined views), the audit is clean, and every
             # query of the session matches the fault-free oracle again.
             substrate.schedule = None
-            assert db.repair(), "end-of-session repair did not converge"
+            denied = _denials(layer)
+            converged = db.repair()
             layer = db.layer("t", "x")
-            assert not layer.view_index.quarantine
+            if resilience.mapping_budget is None:
+                assert converged, "end-of-session repair did not converge"
+                assert not layer.view_index.quarantine
+            else:
+                refused = _denials(layer) - denied
+                assert len(layer.view_index.quarantine) == refused, (
+                    "repair left a quarantined range it was not refused"
+                )
             audit = db.audit()
             assert audit.ok, f"post-repair audit failed\n{audit.render()}"
             for op in ops:
@@ -240,7 +258,15 @@ def _run_session(
                 assert np.array_equal(result.values[order], want_vals)
             if status_out is not None:
                 status_out.update(db.resilience_status())
+                status_out["history"] = list(layer.view_index.history)
+                status_out["ledger"] = db.cost.ledger.snapshot()
         return fired
+
+
+def _denials(layer) -> int:
+    return sum(
+        e.event is ViewEvent.DENIED_BUDGET for e in layer.view_index.history
+    )
 
 
 OPS_STRATEGY = st.lists(
@@ -377,6 +403,55 @@ class TestRecoverySweep:
                 [(f.op, f.kind, f.call_index, f.rule) for f in schedule.journal]
             )
         assert journals[0] == journals[1]
+
+
+#: Maps-line budgets the budgeted sweep draws from.  Every view of the
+#: sweep's random columns is about one run, so 1 leaves no room beside
+#: the full view (each admission is refused unevicted) and the larger
+#: ones evict often.
+SWEEP_BUDGETS = (1, 2, 3, 4, 6)
+
+
+class TestBudgetedRecoverySweep:
+    """The recovery sweep under a maps-line budget, against the
+    eviction-loop oracle (``tests/resilience/governor_oracle.py``)."""
+
+    def test_budgeted_sweep_matches_the_eviction_loop(self):
+        """Per seed, the shipped budget and the oracle's loop leave the
+        same view history, ledger lanes and counters, status counters
+        and fault journal — and the sweep evicted and denied."""
+        evicted = denied = 0
+        for i in range(FUZZ_SCHEDULES):
+            seed = derive_seed(20_000 + i)
+            budget = SWEEP_BUDGETS[i % len(SWEEP_BUDGETS)]
+            sides = []
+            for install in (None, governor_oracle.install):
+                rng = np.random.default_rng(seed)
+                schedule = _transient_schedule(seed)
+                status: dict = {}
+                _run_session(
+                    _generated_ops(rng, 10),
+                    schedule,
+                    data_seed=seed,
+                    backend=FUZZ_BACKEND,
+                    resilience=ResilienceConfig(mapping_budget=budget, seed=seed),
+                    status_out=status,
+                    install=install,
+                )
+                status["faults"] = [
+                    (f.op, f.kind, f.call_index, f.rule) for f in schedule.journal
+                ]
+                sides.append(status)
+            shipped, oracle = sides
+            for key in oracle:
+                assert shipped[key] == oracle[key], (
+                    f"seed {seed} (schedule {i}, budget {budget}): {key} diverged"
+                )
+            layer_status = shipped["layers"]["t.x"]
+            evicted += layer_status["governor_evictions"]
+            denied += layer_status["governor_denials"]
+        assert evicted > 0, "no view was ever evicted for the budget"
+        assert denied > 0, "no admission was ever refused"
 
 
 def _ledger_of(substrate, ops, seed, resilience=None):

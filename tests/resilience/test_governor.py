@@ -1,16 +1,13 @@
-"""Tests for the mapping-budget governor."""
+"""Tests for the maps-line budget (a layer's ``resilience.governor``)."""
 
 import numpy as np
+import pytest
 
 from repro.core.config import AdaptiveConfig
 from repro.core.facade import AdaptiveDatabase
 from repro.core.stats import ViewEvent
-from repro.resilience import (
-    HealthState,
-    MappingGovernor,
-    ResilienceConfig,
-    mapping_runs,
-)
+from repro.native import is_supported
+from repro.resilience import HealthState, ResilienceConfig, mapping_runs
 from repro.substrate import make_substrate
 from repro.vm.constants import VALUES_PER_PAGE
 
@@ -114,47 +111,78 @@ class TestBudgetEnforcement:
 
     def test_unreachable_budget_turns_readonly(self):
         """When eviction cannot get the line count under budget (the
-        budget lies below the full view's own footprint) the governor
-        latches unreachable and the layer turns READONLY; full-scan
-        answers stay correct."""
+        budget lies below the full view's own footprint) the budget
+        carries debt and the layer turns READONLY; full-scan answers
+        stay correct."""
         db = _make_db(ResilienceConfig(mapping_budget=1, seed=0))
         with db:
             _check(db, *_page_range(1))
             governor = db.layer("t", "x").resilience.governor
+            usage = governor.usage
             # Model a full view whose footprint alone exceeds the budget.
-            governor.line_count = lambda: governor.budget + 1
+            governor.usage = lambda: governor.budget + 1
             db.update("t", "x", 10, 10)
             db.flush_updates("t", "x")
-            assert governor.budget_unreachable
+            assert governor.debt > 0
             assert db.health() is HealthState.READONLY
             # READONLY stops candidate investment, not answers.
             res = _check(db, *_page_range(3, 2))
             assert res.stats.view_event is ViewEvent.NONE
             assert db.audit().ok
+            # The next enforcement that finds the lines within budget
+            # ends READONLY-by-budget: debt is re-derived, not latched.
+            governor.usage = usage
+            db.update("t", "x", 11, 11)
+            db.flush_updates("t", "x")
+            assert governor.debt == 0
+            assert db.health() is not HealthState.READONLY
 
 
-class TestVictimSelection:
-    def test_eviction_prefers_lowest_utility_then_lru(self):
-        """The governor evicts the least-useful view first (hit count ×
-        pages, ties LRU), never the full view."""
-        db = _make_db(ResilienceConfig(seed=0))  # no budget while building
-        with db:
-            for fpage in (0, 4, 8):
-                _check(db, *_page_range(fpage))
-            # Boost two views' utility; leave the view over page 4 cold.
-            for _ in range(3):
-                _check(db, *_page_range(0))
-                _check(db, *_page_range(8))
-            layer = db.layer("t", "x")
-            assert layer.view_index.num_partials == 3
-
-            governor = MappingGovernor(
-                ResilienceConfig(mapping_budget=2),
-                layer.column,
-                layer.view_index,
+class TestRequestThatCanNeverFit:
+    @pytest.mark.parametrize("backend", ["simulated", "native"])
+    def test_is_denied_before_anything_is_evicted(self, backend):
+        """A candidate that would not fit even with every partial view
+        gone is denied with the catalog intact — at query time and at
+        every rebuild attempt of a deferred range."""
+        if backend == "native" and not is_supported():
+            pytest.skip("native rewiring unsupported on this platform")
+        # Value block b lives on page 2b + 1 for b < 8, so blocks 0..7
+        # qualify eight separated pages: eight maps-line runs.
+        pages = [2 * b + 1 for b in range(8)]
+        pages += [p for p in range(NUM_PAGES) if p not in pages]
+        values = np.empty(NUM_ROWS, dtype=np.int64)
+        for block, page in enumerate(pages):
+            values[page * VALUES_PER_PAGE : (page + 1) * VALUES_PER_PAGE] = (
+                np.arange(VALUES_PER_PAGE) + block * VALUES_PER_PAGE
             )
-            assert governor.enforce() > 0
-            survivors = {v.lo for v in layer.view_index.partial_views}
-            cold_lo = _page_range(4)[0]
-            assert cold_lo not in survivors
+        db = AdaptiveDatabase(
+            config=AdaptiveConfig(background_mapping=False),
+            backend=make_substrate(backend),
+            resilience=ResilienceConfig(mapping_budget=8, seed=0),
+        )
+        with db:
+            db.create_table("t", {"x": values})
+            layer = db.layer("t", "x")
+            for _ in range(3):  # three well-used one-page views
+                for block in (20, 24, 28):
+                    db.query("t", "x", *_page_range(block))
+            status = db.resilience_status()["layers"]["t.x"]
+            assert layer.view_index.num_partials == 3
+            assert status["maps_lines"] == 4
+
+            lo, hi = _page_range(0, 8)
+            res = db.query("t", "x", lo, hi)
+            assert res.stats.view_event is ViewEvent.DENIED_BUDGET
+            layer.view_index.quarantine_range(lo, hi, reason="test")
+            assert not db.repair()  # the rebuild is deferred, again
+
+            status = db.resilience_status()["layers"]["t.x"]
+            assert layer.view_index.num_partials == 3
+            assert status["maps_lines"] == 4
+            assert status["governor_evictions"] == 0
+            assert status["governor_denials"] == 2
+            assert not any(
+                e.event is ViewEvent.EVICTED_BUDGET
+                for e in layer.view_index.history
+            )
             assert db.audit().ok

@@ -265,7 +265,9 @@ class TestTierMechanics:
         # admissions than the budget can ever yield.
         store.hits[:] = 0.0
         cost = CostModel()
+        hot = store.hot_count()
         assert store.governor.admit(NUM_PAGES + 1, cost) is False
+        assert store.hot_count() == hot  # refused before demoting any
         assert store.governor.denials == 1
         assert store.governor.journal[-1]["action"] == "deny"
         db.close()

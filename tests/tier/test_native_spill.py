@@ -9,13 +9,17 @@ gated behind ``REPRO_TIER_NATIVE_HEAVY=1`` so the default suite stays
 fast.
 """
 
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.core.config import AdaptiveConfig
 from repro.core.facade import AdaptiveDatabase
 from repro.native import is_supported
+from repro.resilience import ResilienceConfig
 from repro.seeds import derive_seed
 from repro.tier import TierConfig
 from repro.vm.constants import VALUES_PER_PAGE
@@ -101,6 +105,31 @@ class TestNativeSpillFiles:
             assert audit.ok, audit.render()
         finally:
             db.close()
+
+    def test_closed_store_is_freed_without_gc(self):
+        """Neither budget pins the store: once the database is closed
+        and dropped, reference counting alone frees the tiered store and
+        with it the whole-file mapping.  (The simulated store is not
+        freed without a gc pass, for reasons outside the budgets, so
+        this guard runs on the native backend only.)"""
+        gc.disable()
+        try:
+            db = AdaptiveDatabase(
+                config=AdaptiveConfig(background_mapping=False),
+                backend="native",
+                tiering=TierConfig(hot_budget=4),
+                resilience=ResilienceConfig(mapping_budget=8, seed=0),
+            )
+            db.create_table("t", {"x": _values(31_002)})
+            for lo in range(0, DOMAIN, DOMAIN // 8):
+                db.query("t", "x", lo, lo + DOMAIN // 40)
+            store = weakref.ref(db.table("t").column("x").file)
+            assert store().demotions > 0  # the hot-page budget did work
+            db.close()
+            del db
+            assert store() is None
+        finally:
+            gc.enable()
 
 
 @pytest.mark.skipif(

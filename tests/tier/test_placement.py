@@ -147,9 +147,11 @@ def _set_placement(db, hot_pages, hits) -> None:
 
 def _unlimited(db) -> None:
     """Lift the budget after set-up placed pages cold: the only way to
-    have cold pages under ``hot_budget=None``."""
+    have cold pages under ``hot_budget=None``.  The budget reads its
+    capacity once, at construction, so it is lifted there too."""
     store = db.table("t").column("x").file
     store.config = dataclasses.replace(store.config, hot_budget=None)
+    store.governor.budget = None
 
 
 class TestPlanted:
