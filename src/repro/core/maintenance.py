@@ -37,7 +37,6 @@ from typing import Iterable
 import numpy as np
 
 from ..faults.errors import SubstrateFault, TornSnapshotError
-from ..faults.plane import suppress_faults
 from ..obs.observer import NULL_OBSERVER, NullObserver
 from ..storage.column import PhysicalColumn
 from ..storage.updates import UpdateBatch, UpdateRecord
@@ -65,10 +64,9 @@ def _retryable(retry, op: str, fn, lane: str):
     return retry.run(op, fn, lane)
 
 
-def _drop_view(column: PhysicalColumn, view: VirtualView, stats: MaintenanceStats):
+def _drop_view(view: VirtualView, stats: MaintenanceStats):
     """Destroy a view whose page set can no longer be verified."""
-    with suppress_faults(column.substrate):
-        view.destroy()
+    view.destroy()
     stats.views_dropped += 1
     stats.dropped_views.append(view)
 
@@ -241,7 +239,7 @@ class _BlockWalk:
                 # partial) and stay correct.
                 j = self.view[fault.event]
                 self.stats.faults += 1
-                _drop_view(self.column, self.block[j], self.stats)
+                _drop_view(self.block[j], self.stats)
                 self.cursor = (j + 1) * self.groups
                 i = bisect.bisect_right(self.view, j)
                 continue
@@ -574,7 +572,7 @@ def align_partial_views(
             stats.faults += 1
             for view in views:
                 if not view.is_full_view:
-                    _drop_view(column, view, stats)
+                    _drop_view(view, stats)
             span.set(faults=stats.faults, views_dropped=stats.views_dropped)
             obs.on_maintenance(stats)
             return stats

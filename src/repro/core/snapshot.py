@@ -168,7 +168,8 @@ class ColumnSnapshot:
         if not self.alive:
             return
         self.alive = False
-        self.substrate.munmap(self.base_vpn, self.num_pages, lane=lane)
+        n = self.num_pages
+        self.substrate.release_region(self.base_vpn, n, n, lane=lane)
         if self._copy_file is not None:
             self.substrate.delete_file(self._copy_file.name)
             self._copy_file = None

@@ -28,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ..faults.errors import SubstrateFault
-from ..faults.plane import suppress_faults
 from ..storage.column import PhysicalColumn
 from ..vm.constants import MAX_VALUE, MIN_VALUE
 from ..vm.cost import MAIN_LANE
@@ -61,6 +60,7 @@ class MapPlan(NamedTuple):
 
 _NO_PAGES = np.empty(0, dtype=np.int64)
 _ONE_PAGE = np.ones(1, dtype=np.int64)
+_NO_FILE_PAGE = np.zeros(1, dtype=np.int64)
 
 
 class VirtualView:
@@ -384,7 +384,8 @@ class VirtualView:
         """Unmap one physical page (Section 2.4, case 2).
 
         The virtual slot is remapped back to anonymous memory, keeping
-        the over-allocated reservation intact, and becomes reusable.
+        the over-allocated reservation intact, and becomes reusable.  It
+        is a plan of one run without a file.
         """
         if self.is_full_view:
             raise RuntimeError("cannot remove pages from the full view")
@@ -394,7 +395,13 @@ class VirtualView:
         slot = int(slot_by_fpage[fpage])
         # Unmap first: if the call fails, the page simply stays indexed
         # (a removal that did not happen, not a torn catalog).
-        self.substrate.unmap_slot(self.base_vpn + slot, 1, lane=lane)
+        self.substrate.map_runs(
+            np.array([self.base_vpn + slot], dtype=np.int64),
+            _ONE_PAGE,
+            None,
+            _NO_FILE_PAGE,
+            lane=lane,
+        )
         slot_by_fpage[fpage] = -1
         fpage_at[slot] = -1
         touched[slot] = False
@@ -406,14 +413,11 @@ class VirtualView:
         """Tear the view down (discarded candidate / dropped view)."""
         if not self._alive:
             return
-        removed_pages = self.num_pages
-        # Tear-down must always succeed: it is the rollback path the
-        # hardened creation/maintenance code relies on, so injected
-        # faults are suppressed for the release call.
-        with suppress_faults(self.substrate):
-            self.substrate.release_region(
-                self.base_vpn, self.capacity, removed_pages, lane=lane
-            )
+        # Tear-down is the rollback path the hardened creation and
+        # maintenance code relies on; it is never a fault point.
+        self.substrate.release_region(
+            self.base_vpn, self.capacity, self.num_pages, lane=lane
+        )
         # the bookkeeping is dropped, not cleared: nothing column-sized
         self._table = None
         self._fresh_pages = _NO_PAGES

@@ -240,32 +240,26 @@ class FaultySubstrate(Substrate):
         self,
         vpns: np.ndarray,
         npages: np.ndarray,
-        file: PageStore,
+        file: PageStore | None,
         file_pages: np.ndarray,
         populate: bool = False,
     ) -> None:
-        # One ``map_fixed`` consultation per run: a fault at run k
-        # leaves runs [0, k) mapped and names k, so the caller can
-        # resume exactly there.
+        # One consultation per run, in plan order: ``unmap_slot`` for a
+        # run back to the reservation, ``map_fixed`` otherwise.  A fault
+        # at run k leaves runs [0, k) applied and names k, so the caller
+        # can resume exactly there.
+        op = "unmap_slot" if file is None else "map_fixed"
         file = unwrap_store(file)
         for k in range(len(vpns)):
-            fault = self._consult("map_fixed")
+            fault = self._consult(op)
             if fault is not None:
                 if k:
                     self.inner.apply_runs(
                         vpns[:k], npages[:k], file, file_pages[:k],
                         populate=populate,
                     )
-                self._raise("map_fixed", fault, run_index=k)
+                self._raise(op, fault, run_index=k)
         self.inner.apply_runs(vpns, npages, file, file_pages, populate=populate)
-
-    def unmap_slot(self, vpn: int, npages: int = 1, lane: str = MAIN_LANE) -> None:
-        self._check("unmap_slot")
-        self.inner.unmap_slot(vpn, npages, lane=lane)
-
-    def munmap(self, vpn: int, npages: int, lane: str = MAIN_LANE) -> int:
-        self._check("munmap")
-        return self.inner.munmap(vpn, npages, lane=lane)
 
     def release_region(
         self,
@@ -274,7 +268,7 @@ class FaultySubstrate(Substrate):
         mapped_pages: int,
         lane: str = MAIN_LANE,
     ) -> None:
-        self._check("release_region")
+        # Not a fault point: tear-down is the rollback path.
         self.inner.release_region(vpn, npages, mapped_pages, lane=lane)
 
     # -- page access through virtual addresses ---------------------------

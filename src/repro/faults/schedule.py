@@ -74,8 +74,6 @@ DEFAULT_KINDS: dict[str, FaultKind] = {
     "map_file": FaultKind.ENOMEM,
     "map_fixed": FaultKind.MAP_FIXED_FAIL,
     "unmap_slot": FaultKind.UNMAP_FAIL,
-    "munmap": FaultKind.UNMAP_FAIL,
-    "release_region": FaultKind.UNMAP_FAIL,
     "create_file": FaultKind.CAPACITY,
     "resize": FaultKind.CAPACITY,
     "maps_snapshot": FaultKind.MAPS_ERROR,

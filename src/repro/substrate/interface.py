@@ -12,10 +12,10 @@ supported by the vanilla Linux kernel":
   pages with ``mmap(MAP_FIXED)``-style calls, always as a plan: each
   backend implements one unbooked :meth:`Substrate.apply_runs`, which
   :meth:`Substrate.map_runs` books and :meth:`Substrate.map_fixed`
-  issues as a plan of one run; :meth:`Substrate.unmap_slot` points a
-  slot back at reservation memory;
-* **tear-down** — ``munmap`` semantics (:meth:`Substrate.munmap`,
-  :meth:`Substrate.release_region`);
+  issues as a plan of one run; a plan without a file points its runs
+  back at anonymous reservation memory;
+* **tear-down** — ``munmap`` of a whole region
+  (:meth:`Substrate.release_region`);
 * **a maps source** — the ``/proc/PID/maps`` snapshot the maintenance
   algorithm parses once per update batch (:meth:`Substrate.maps_text`,
   :meth:`Substrate.maps_snapshot`);
@@ -210,7 +210,7 @@ class Substrate(ABC):
         self,
         vpns: np.ndarray,
         npages: np.ndarray,
-        file: PageStore,
+        file: PageStore | None,
         file_pages: np.ndarray,
         populate: bool = False,
     ) -> None:
@@ -221,17 +221,20 @@ class Substrate(ABC):
         and do not overlap.  With ``populate`` the page tables are
         installed eagerly.  A plan may span several views' areas — batch
         alignment hands over the adds of a whole block of views at once.
-        The mappings afterwards are those of issuing the runs one by one;
-        the ledger is left alone (:meth:`map_runs` books the plan).  A
-        fault raised at run ``k`` names ``k`` in its ``run_index`` and
-        leaves runs ``[0, k)`` applied.
+        With ``file=None`` each run points back at anonymous,
+        inaccessible reservation memory (Section 2.4, case 2: the slot
+        stays reserved and reusable); ``file_pages`` and ``populate`` are
+        then ignored.  The mappings afterwards are those of issuing the
+        runs one by one; the ledger is left alone (:meth:`map_runs`
+        books the plan).  A fault raised at run ``k`` names ``k`` in its
+        ``run_index`` and leaves runs ``[0, k)`` applied.
         """
 
     def map_runs(
         self,
         vpns: np.ndarray,
         npages: np.ndarray,
-        file: PageStore,
+        file: PageStore | None,
         file_pages: np.ndarray,
         populate: bool = False,
         lane: str = MAIN_LANE,
@@ -241,15 +244,16 @@ class Substrate(ABC):
         The plan may span several views' areas.  State, charges and
         counters afterwards are those of issuing the runs one by one:
         ``mmap_call`` per run plus, with ``populate``, a soft fault per
-        page, booked as one sum.  After a fault at run ``k`` the runs
+        page — or, for a plan without a file, ``anon_mmap`` per run —
+        booked as one sum.  After a fault at run ``k`` the runs
         ``[0, k)`` are applied and booked.
         """
         try:
             self.apply_runs(vpns, npages, file, file_pages, populate=populate)
         except SubstrateFault as fault:
-            self._book_runs(npages[: fault.run_index], populate, lane)
+            self._book_runs(npages[: fault.run_index], file, populate, lane)
             raise
-        self._book_runs(npages, populate, lane)
+        self._book_runs(npages, file, populate, lane)
 
     def map_fixed(
         self,
@@ -274,24 +278,17 @@ class Substrate(ABC):
             lane=lane,
         )
 
-    def _book_runs(self, npages: np.ndarray, populate: bool, lane: str) -> None:
-        if npages.size:
+    def _book_runs(
+        self, npages: np.ndarray, file: PageStore | None, populate: bool, lane: str
+    ) -> None:
+        if not npages.size:
+            return
+        if file is None:
+            self.cost.anon_mmap(lane, calls=npages.size)
+        else:
             self.cost.mmap_call(
                 int(npages.sum()), lane, calls=npages.size, populate=populate
             )
-
-    @abstractmethod
-    def unmap_slot(self, vpn: int, npages: int = 1, lane: str = MAIN_LANE) -> None:
-        """Point virtual pages back at inaccessible reservation memory.
-
-        Used when a page leaves a view (Section 2.4, case 2): the
-        virtual slot stays reserved and reusable, but no longer maps a
-        file page.
-        """
-
-    @abstractmethod
-    def munmap(self, vpn: int, npages: int, lane: str = MAIN_LANE) -> int:
-        """Unmap ``[vpn, vpn + npages)``; returns pages removed."""
 
     @abstractmethod
     def release_region(
@@ -301,11 +298,14 @@ class Substrate(ABC):
         mapped_pages: int,
         lane: str = MAIN_LANE,
     ) -> None:
-        """Tear down a whole reserved region (view destruction).
+        """Tear down a whole region: one ``munmap`` of ``npages`` pages.
 
-        ``mapped_pages`` is the number of file-backed pages the region
-        still held — the quantity the munmap cost accounting is based
-        on (releasing untouched reservation space is free).
+        The one tear-down, for a view's reservation and a snapshot's
+        mapping alike.  ``mapped_pages`` is the number of file-backed
+        pages the region still held — the quantity the munmap cost
+        accounting and the observer hear of (releasing untouched
+        reservation space is free).  Tear-down is the rollback path, so
+        it is never a fault point.
         """
 
     # -- page access through virtual addresses ---------------------------

@@ -315,21 +315,28 @@ class NativeSubstrate(Substrate):
         self,
         vpns: np.ndarray,
         npages: np.ndarray,
-        file: NativePageStore,
+        file: NativePageStore | None,
         file_pages: np.ndarray,
         populate: bool = False,
     ) -> None:
         # The kernel has no batched MAP_FIXED: one real call per run, in
-        # one loop timed as a whole and counted per call.
+        # one loop timed as a whole and counted per call.  Without a
+        # file, each run goes back to PROT_NONE reservation memory.
         if not vpns.size:
             return
-        mmap, fd = libc().mmap, file.fd
-        prot = PROT_READ | PROT_WRITE
-        flags = MAP_SHARED | MAP_FIXED | (MAP_POPULATE if populate else 0)
+        mmap = libc().mmap
         runs = npages.tolist()
+        if file is None:
+            op, kind, fd, prot = "unmap_slot", "anon", -1, PROT_NONE
+            flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED
+            offsets = [0] * len(runs)
+        else:
+            op, kind, fd, prot = "map_fixed", "fixed", file.fd, PROT_READ | PROT_WRITE
+            flags = MAP_SHARED | MAP_FIXED | (MAP_POPULATE if populate else 0)
+            offsets = file_pages.tolist()
         issued, failed = 0, False
         started = time.perf_counter_ns()
-        for vpn, n, file_page in zip(vpns.tolist(), runs, file_pages.tolist()):
+        for vpn, n, file_page in zip(vpns.tolist(), runs, offsets):
             issued += 1
             result = mmap(
                 vpn * PAGE_SIZE, n * PAGE_SIZE, prot, flags, fd, file_page * PAGE_SIZE
@@ -337,37 +344,12 @@ class NativeSubstrate(Substrate):
             if result == MAP_FAILED or result is None:
                 failed = True
                 break
-        self.wall.charge("map_fixed", time.perf_counter_ns() - started, issued)
+        self.wall.charge(op, time.perf_counter_ns() - started, issued)
         if self.observer is not None:
             for n in runs[: issued - failed]:
-                self.observer.on_mmap("fixed", n)
+                self.observer.on_mmap(kind, n)
         if failed:
-            raise _errno_error("map_fixed mmap")
-
-    def unmap_slot(self, vpn: int, npages: int = 1, lane: str = MAIN_LANE) -> None:
-        self._mmap_syscall(
-            "unmap_slot",
-            vpn * PAGE_SIZE,
-            npages,
-            PROT_NONE,
-            MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED,
-            -1,
-            0,
-        )
-        self.cost.anon_mmap(lane)
-        if self.observer is not None:
-            self.observer.on_mmap("anon", npages)
-
-    def munmap(self, vpn: int, npages: int, lane: str = MAIN_LANE) -> int:
-        with self.wall.timed("munmap"):
-            rc = libc().munmap(vpn * PAGE_SIZE, npages * PAGE_SIZE)
-        if rc != 0:
-            raise _errno_error("munmap")
-        self._regions.pop(vpn, None)
-        self.cost.munmap_call(npages, lane)
-        if self.observer is not None:
-            self.observer.on_munmap(npages)
-        return npages
+            raise _errno_error(f"{op} mmap")
 
     def release_region(
         self,
@@ -382,6 +364,8 @@ class NativeSubstrate(Substrate):
             raise _errno_error("release munmap")
         self._regions.pop(vpn, None)
         self.cost.munmap_call(mapped_pages, lane)
+        if self.observer is not None:
+            self.observer.on_munmap(mapped_pages)
 
     # -- page access through virtual addresses ---------------------------
 

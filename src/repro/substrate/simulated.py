@@ -100,17 +100,11 @@ class SimulatedSubstrate(Substrate):
         self,
         vpns: np.ndarray,
         npages: np.ndarray,
-        file: MemoryFile,
+        file: MemoryFile | None,
         file_pages: np.ndarray,
         populate: bool = False,
     ) -> None:
         self.mapper.apply_runs(vpns, npages, file, file_pages, populate=populate)
-
-    def unmap_slot(self, vpn: int, npages: int = 1, lane: str = MAIN_LANE) -> None:
-        self.mapper.mmap(npages, addr=vpn, fixed=True, lane=lane)
-
-    def munmap(self, vpn: int, npages: int, lane: str = MAIN_LANE) -> int:
-        return self.mapper.munmap(vpn, npages, lane=lane)
 
     def release_region(
         self,
@@ -119,10 +113,12 @@ class SimulatedSubstrate(Substrate):
         mapped_pages: int,
         lane: str = MAIN_LANE,
     ) -> None:
-        # View-destruction semantics: drop the whole reservation from the
-        # address space, charge munmap only for the file-backed pages.
+        # Drop the whole region from the address space; charge munmap
+        # only for the file-backed pages.
         self.mapper.address_space.remove_mapping(vpn, npages)
         self.cost.munmap_call(mapped_pages, lane)
+        if self.mapper.observer is not None:
+            self.mapper.observer.on_munmap(mapped_pages)
 
     # -- page access through virtual addresses ---------------------------
 

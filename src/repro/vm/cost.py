@@ -452,10 +452,10 @@ class CostModel:
         counts = (("mmap_calls", calls), ("pages_mapped", pages), ("soft_faults", pages))
         self.ledger.book(total + pages * ps["soft_fault"], lane, counts)
 
-    def anon_mmap(self, lane: str = MAIN_LANE) -> None:
-        """Charge one anonymous mmap() reservation: the syscall only, no
+    def anon_mmap(self, lane: str = MAIN_LANE, calls: int = 1) -> None:
+        """Charge ``calls`` anonymous mmap() calls: the syscalls only, no
         page-table work until first touch."""
-        self.ledger.book(self._ps["mmap_syscall"], lane, (("mmap_calls", 1),))
+        self.ledger.book(calls * self._ps["mmap_syscall"], lane, (("mmap_calls", calls),))
 
     def mprotect_call(self, lane: str = MAIN_LANE) -> None:
         """Charge one mprotect() syscall, priced as an mmap() syscall."""

@@ -125,30 +125,33 @@ class MemoryMapper:
         self,
         vpns: np.ndarray,
         npages: np.ndarray,
-        file: MemoryFile,
+        file: MemoryFile | None,
         file_pages: np.ndarray,
         populate: bool = False,
     ) -> None:
-        """Apply a whole rewiring plan — ``MAP_FIXED`` file mappings, one
-        per run — without booking it.
+        """Apply a whole rewiring plan — ``MAP_FIXED`` mappings, one per
+        run — without booking it.
 
         Run ``i`` rewires ``npages[i]`` virtual pages from ``vpns[i]`` onto
         the file pages from ``file_pages[i]``; runs come in address order
-        and do not overlap, and may lie in several views' areas.  The
-        plan's bounds are checked once, as columns, and a bad run rejects
-        the whole plan with the error it would raise alone; the runs are
-        then built unchecked and the address space takes them in one
-        step.  The observer hears of every run; the ledger hears nothing
+        and do not overlap, and may lie in several views' areas.  With
+        ``file=None`` every run is an anonymous area, the one
+        ``mmap(fixed=True)`` builds without a file, and ``file_pages``
+        and ``populate`` are ignored.  The plan's bounds are checked
+        once, as columns, and a bad run rejects the whole plan with the
+        error it would raise alone; the runs are then built unchecked
+        and the address space takes them in one step.  The observer
+        hears of every run; the ledger hears nothing
         (:meth:`repro.substrate.interface.Substrate.map_runs` books it).
         """
         if vpns.size == 0:
             return
-        bad = (
-            (npages <= 0)
-            | (file_pages < 0)
-            | (file_pages > file.num_pages - npages)
-            | (vpns < 0)
-        )
+        bad = (npages <= 0) | (vpns < 0)
+        if file is None:
+            file_pages, populate, kind = np.zeros_like(npages), False, "anon"
+        else:
+            kind = "fixed"
+            bad |= (file_pages < 0) | (file_pages > file.num_pages - npages)
         if bad.any():
             # the first offending run fails as it would on its own
             i = int(bad.argmax())
@@ -164,7 +167,7 @@ class MemoryMapper:
         self.address_space.map_runs(runs, populate)
         if self.observer is not None:
             for run in runs:
-                self.observer.on_mmap("fixed", run.npages)
+                self.observer.on_mmap(kind, run.npages)
 
     def mprotect(
         self, start: int, npages: int, perms: str, lane: str = MAIN_LANE

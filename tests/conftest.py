@@ -48,6 +48,13 @@ def uniform_column(
     return build_column(values, name=name)
 
 
+def to_reservation(substrate, vpn: int) -> None:
+    """Point page ``vpn`` back at reservation memory: a one-run plan
+    without a file."""
+    one = np.array([1], dtype=np.int64)
+    substrate.map_runs(np.array([vpn], dtype=np.int64), one, None, one)
+
+
 def reference_rows(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Ground-truth row ids for a range predicate."""
     return np.nonzero((values >= lo) & (values <= hi))[0]

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from repro.core.facade import AdaptiveDatabase
 from repro.core.snapshot import SnapshotManager
-from repro.faults import FaultSchedule, FaultySubstrate
+from repro.faults import FaultRule, FaultSchedule, FaultySubstrate
 from repro.faults.errors import SubstrateFault
-from repro.substrate import SimulatedSubstrate
+from repro.native import is_supported as native_supported
+from repro.substrate import SimulatedSubstrate, make_substrate
 from repro.vm.constants import VALUES_PER_PAGE
 
 from ..conftest import build_column
@@ -168,6 +169,46 @@ class TestFaultedPreserve:
             # the faulted attempt left no copy-file page behind
             copies = substrate.get_file(f"{snap.column.file.name}.snap{snap.snapshot_id}")
             assert copies.num_pages == snap.copied_pages == nth
+
+
+class TestReleaseUnderFaults:
+    """Tear-down is not a fault point: a snapshot released while every
+    mapping op is armed to fail still frees its mapping and copy file."""
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "simulated",
+            pytest.param(
+                "native",
+                marks=pytest.mark.skipif(
+                    not native_supported(), reason="native rewiring unsupported here"
+                ),
+            ),
+        ],
+    )
+    def test_release_frees_everything_under_armed_faults(self, backend):
+        substrate = FaultySubstrate(make_substrate(backend))
+        with AdaptiveDatabase(backend=substrate) as db:
+            db.create_table("t", {"v": np.arange(5000, dtype=np.int64)})
+            db.query("t", "v", 0, 10)  # the column's full view is mapped
+            path = substrate.file_map_path(substrate.get_file("t.v"))
+            lines = substrate.maps_line_count(path)
+            snap = db.snapshot("t", "v")
+            db.update("t", "v", 7, -1)
+            db.flush_updates("t", "v")
+            assert substrate.maps_line_count(path) > lines
+            substrate.schedule = FaultSchedule(
+                [
+                    FaultRule(
+                        ops=("munmap", "release_region", "unmap_slot", "map_fixed"),
+                        probability=1.0,
+                    )
+                ]
+            )
+            snap.release()
+            assert [f.name for f in substrate.files()] == ["t.v"]
+            assert substrate.maps_line_count(path) == lines
 
 
 @settings(max_examples=30, deadline=None)

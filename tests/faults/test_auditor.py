@@ -7,6 +7,8 @@ from repro.audit import InvariantAuditor, run_audited_session
 from repro.core.config import AdaptiveConfig
 from repro.core.facade import AdaptiveDatabase
 
+from ..conftest import to_reservation
+
 
 def _grown_db(num_pages: int = 8, queries: int = 8):
     rng = np.random.default_rng(21)
@@ -61,7 +63,7 @@ class TestPlantedCorruption:
         with _grown_db() as db:
             layer, view = _some_partial(db)
             fpage = int(view.mapped_fpages()[0])
-            db.substrate.unmap_slot(view.vpn_of(fpage))
+            to_reservation(db.substrate, view.vpn_of(fpage))
             report = db.audit()
         assert not report.ok
         assert {f.invariant for f in report.findings} >= {"snapshot-agreement"}
@@ -105,7 +107,7 @@ class TestPlantedCorruption:
     def test_report_render_mentions_findings(self):
         with _grown_db() as db:
             layer, view = _some_partial(db)
-            db.substrate.unmap_slot(view.vpn_of(int(view.mapped_fpages()[0])))
+            to_reservation(db.substrate, view.vpn_of(int(view.mapped_fpages()[0])))
             report = db.audit()
         text = report.render()
         assert "FAIL" in text

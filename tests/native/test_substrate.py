@@ -14,6 +14,8 @@ from repro.native import is_supported
 from repro.vm.constants import PAGE_HEADER_BYTES, PAGE_SIZE, VALUES_PER_PAGE
 from repro.vm.errors import FileError
 
+from ..conftest import to_reservation
+
 pytestmark = pytest.mark.skipif(
     not is_supported(), reason="native rewiring unsupported on this platform"
 )
@@ -106,7 +108,7 @@ class TestNativeMapping:
         base = sub.reserve(2)
         sub.map_fixed(base, 1, file, 7)
         assert sub.read_virtual(base)[0] == 7000
-        sub.unmap_slot(base)
+        to_reservation(sub, base)
         assert sub.read_virtual(base)[0] == 0
         sub.map_fixed(base, 1, file, 1)
         assert sub.read_virtual(base)[0] == 1000
@@ -141,7 +143,10 @@ class TestNativeMapping:
     def test_map_file_whole(self, sub, file):
         base = sub.map_file(8, file)
         assert sub.read_virtual(base + 6)[0] == 6000
-        assert sub.munmap(base, 8) == 8
+        before = sub.cost.ledger.counter("pages_unmapped")
+        sub.release_region(base, 8, mapped_pages=8)
+        assert sub.cost.ledger.counter("pages_unmapped") - before == 8
+        assert base not in sub._regions
 
     def test_populate_charges_soft_faults(self, sub, file):
         base = sub.reserve(2)
@@ -267,11 +272,12 @@ class TestNativeObserver:
         sub.set_observer(Spy())
         base = sub.reserve(2)
         sub.map_fixed(base, 1, file, 0)
-        sub.unmap_slot(base)
-        sub.munmap(base + 1, 1)
+        to_reservation(sub, base)
+        sub.map_fixed(base + 1, 1, file, 1)
+        sub.release_region(base, 2, mapped_pages=1)
         kinds = [e[1] for e in events if e[0] == "mmap"]
-        assert kinds == ["anon", "fixed", "anon"]
-        assert ("munmap", 1) in events
+        assert kinds == ["anon", "fixed", "anon", "fixed"]
+        assert events[-1] == ("munmap", 1)
 
 
 class TestNativeLifecycle:

@@ -14,6 +14,7 @@ import pytest
 from repro.core.adaptive import AdaptiveStorageLayer
 from repro.core.config import AdaptiveConfig
 from repro.core.facade import AdaptiveDatabase
+from repro.native import is_supported as native_supported
 from repro.obs.capture import EXPERIMENTS, run_observed_workload
 from repro.obs.events import TOPIC_FLUSH, TOPIC_MMAP, TOPIC_VIEW_LIFECYCLE
 from repro.obs.exporters import render_prometheus
@@ -175,6 +176,46 @@ def test_bulk_paths_keep_metrics_truthful():
     assert fast["maps_lines"] > 0
     kinds = {labels[0][1] for labels, _ in fast["mmap_calls"]}
     assert "fixed" in kinds
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "simulated",
+        pytest.param(
+            "native",
+            marks=pytest.mark.skipif(
+                not native_supported(), reason="native rewiring unsupported here"
+            ),
+        ),
+    ],
+)
+def test_syscall_metrics_match_the_ledger(backend):
+    """``munmap_calls_total`` counts every tear-down the ledger books —
+    discarded candidates' reservations and a released snapshot — and
+    ``mmap_calls_total`` summed over its kinds counts every mmap call."""
+    rng = np.random.default_rng(5)
+    db = AdaptiveDatabase(observe=True, backend=backend)
+    try:
+        db.create_table("t", {"v": rng.integers(0, 1_000_000, 20_000)})
+        nested = [(0, 600_000), (100_000, 500_000), (200_000, 400_000), (250_000, 350_000)]
+        for lo, hi in nested * 2:
+            db.query("t", "v", lo, hi)
+        for row in range(0, 20_000, 97):
+            db.update("t", "v", row, int(rng.integers(0, 1_000_000)))
+        db.flush_updates("t", "v")
+        snap = db.snapshot("t", "v")
+        db.update("t", "v", 3, -1)
+        db.flush_updates("t", "v")
+        snap.release()
+        metrics = db.observer.metrics
+        counters = db.cost.ledger.counters()
+        assert counters["munmap_calls"] > 1  # views were torn down, too
+        assert metrics.get("munmap_calls_total").value() == counters["munmap_calls"]
+        mmap_calls = sum(n for _, n in metrics.get("mmap_calls_total").samples())
+        assert mmap_calls == counters["mmap_calls"]
+    finally:
+        db.close()
 
 
 def test_observation_off_by_default():

@@ -24,6 +24,8 @@ from repro.vm.errors import FileError
 from repro.vm.mmap_api import MemoryMapper
 from repro.vm.physical import PhysicalMemory
 
+from ..conftest import to_reservation
+
 
 @pytest.fixture
 def sub() -> SimulatedSubstrate:
@@ -74,7 +76,7 @@ class TestProtocolDelegation:
         assert sub.read_virtual(base)[0] == 0  # reservation reads zeros
         sub.map_fixed(base + 1, 1, file, 5)
         assert list(sub.read_virtual(base + 1)[:3]) == [7, 8, 9]
-        sub.unmap_slot(base + 1)
+        to_reservation(sub, base + 1)
         assert sub.read_virtual(base + 1)[0] == 0
 
     def test_map_file_and_line_counts(self, sub):
@@ -113,7 +115,7 @@ class TestBitIdentity:
         base = sub.reserve(8)
         sub.map_fixed(base + 0, 3, file, 4)
         sub.map_fixed(base + 3, 2, file, 9, populate=True)
-        sub.unmap_slot(base + 1)
+        to_reservation(sub, base + 1)
         sub.read_virtual(base + 4)
         sub.maps_snapshot(cost=sub.cost, file_filter=sub.file_map_path(file))
         sub.release_region(base, 8, mapped_pages=4)

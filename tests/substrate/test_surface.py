@@ -1,9 +1,13 @@
 """The substrate protocol's abstract surface, pinned.
 
 A backend implements exactly these methods; rewiring reaches it only as
-an ``apply_runs`` plan.  ``map_runs`` (a booked plan) and ``map_fixed``
-(a booked plan of one run) are concrete in the base class, so no backend
-defines them, and the protocol has no ``protect``.
+an ``apply_runs`` plan, in both directions: a plan with a file maps
+file pages, a plan without one points its runs back at the anonymous
+reservation.  ``map_runs`` (a booked plan) and ``map_fixed`` (a booked
+plan of one run) are concrete in the base class, so no backend defines
+them; no backend has an ``unmap_slot`` or a ``munmap`` of its own
+(``release_region`` is the one tear-down), and the protocol has no
+``protect``.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ ABSTRACT = {
     "reserve",
     "map_file",
     "apply_runs",
-    "unmap_slot",
-    "munmap",
     "release_region",
     "read_virtual",
     "maps_text",
@@ -41,9 +43,10 @@ def test_abstract_methods_are_pinned():
 
 def test_no_backend_defines_a_second_mapping_path():
     for backend in BACKENDS:
-        for name in ("map_fixed", "map_runs", "protect"):
+        for name in ("map_fixed", "map_runs", "unmap_slot", "munmap", "protect"):
             assert name not in vars(backend), f"{backend.__name__}.{name}"
-    assert not hasattr(Substrate, "protect")
+    for name in ("unmap_slot", "munmap", "protect"):
+        assert not hasattr(Substrate, name), name
     assert not hasattr(NativeSubstrate, "_rewire")
 
 
