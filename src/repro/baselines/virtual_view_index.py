@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.maintenance import align_partial_views
-from ..core.creation import materialize_pages
+from ..core.creation import build_view
 from ..core.scan import batch_scan
 from ..core.view import VirtualView
 from ..storage.updates import UpdateBatch
@@ -26,8 +26,9 @@ class VirtualViewIndex(PartialIndexBase):
     kind = "virtual_view"
 
     def _build(self, qualifying_fpages: np.ndarray, lane: str) -> None:
-        self._view = VirtualView(self.column, self.lo, self.hi, lane=lane)
-        materialize_pages(self._view, qualifying_fpages, coalesce=True, lane=lane)
+        self._view, _ = build_view(
+            self.column, self.lo, self.hi, qualifying_fpages, lane=lane
+        )
 
     @property
     def view(self) -> VirtualView:

@@ -17,9 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.creation import materialize_pages
 from ..core.maintenance import align_partial_views, rebuild_partial_views
-from ..core.routing import scan_views
 from ..core.view import VirtualView
 from ..workloads.distributions import sine, uniform
 from .fig6 import WIDE_DOMAIN
@@ -94,18 +92,6 @@ def view_ranges(
     return ranges
 
 
-def _build_views(column, ranges: list[tuple[int, int]]) -> list[VirtualView]:
-    """Create aligned partial views for the given ranges (setup phase)."""
-    full = VirtualView.full_view(column)
-    views = []
-    for lo, hi in ranges:
-        routed = scan_views(column, [full], lo, hi)
-        view = VirtualView(column, lo, hi)
-        materialize_pages(view, routed.qualifying_fpages, coalesce=True)
-        views.append(view)
-    return views
-
-
 def run_fig7(
     num_pages: int | None = None,
     batch_sizes: list[int] | None = None,
@@ -126,7 +112,9 @@ def run_fig7(
         for batch_size in batch_sizes:
             # Incremental path: fresh aligned setup, one batch, realign.
             column = fresh_column(values, name=f"fig7_{case}")
-            views = _build_views(column, ranges)
+            views, _ = rebuild_partial_views(
+                column, VirtualView.full_view(column), ranges
+            )
             batch = make_update_batch(
                 column, batch_size, *WIDE_DOMAIN, seed=seed + batch_size
             )
@@ -134,7 +122,7 @@ def run_fig7(
 
             # Rebuild path: identical setup, same updates, full rebuild.
             column_rb = fresh_column(values, name=f"fig7_{case}_rb")
-            _build_views(column_rb, ranges)
+            rebuild_partial_views(column_rb, VirtualView.full_view(column_rb), ranges)
             make_update_batch(
                 column_rb, batch_size, *WIDE_DOMAIN, seed=seed + batch_size
             )

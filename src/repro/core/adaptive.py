@@ -31,7 +31,7 @@ from ..storage.tombstones import Tombstones
 from ..storage.updates import UpdateBatch
 from ..vm.cost import MAIN_LANE
 from .config import AdaptiveConfig
-from .creation import BackgroundMapper, materialize_pages
+from .creation import BackgroundMapper, build_view
 from .maintenance import align_partial_views
 from .routing import scan_views
 from .scan import batch_scan
@@ -93,7 +93,7 @@ class AdaptiveStorageLayer:
         #: no resilience branch anywhere, keeping its cost ledger
         #: bit-identical to a build without the subsystem.
         self.resilience = None
-        if resilience is not None and resilience.enabled:
+        if resilience is not None:
             from ..resilience.controller import ResilienceController
 
             self.resilience = ResilienceController(
@@ -166,39 +166,21 @@ class AdaptiveStorageLayer:
                     lo=routed.extended_lo,
                     hi=routed.extended_hi,
                 ) as cspan:
-                    candidate = None
                     try:
-                        if res is not None:
-                            candidate = res.retry.run(
-                                "reserve",
-                                lambda: VirtualView(self.column, lo, hi),
-                            )
-                        else:
-                            candidate = VirtualView(self.column, lo, hi)
-                        materialize_pages(
-                            candidate,
+                        candidate, _ = build_view(
+                            self.column,
+                            routed.extended_lo,
+                            routed.extended_hi,
                             routed.qualifying_fpages,
                             coalesce=self.config.coalesce_mmap,
                             background=self._background,
                             observer=obs,
                             retry=res.retry if res is not None else None,
                         )
-                        candidate.update_range(
-                            routed.extended_lo, routed.extended_hi
-                        )
-                        candidate_pages = candidate.num_pages
-                        event = self.view_index.consider_candidate(candidate)
-                        if self._dirty_fpages and event in _KEPT:
-                            self._born_in_batch.append(candidate)
-                        if res is not None:
-                            res.note_success()
                     except SubstrateFault as exc:
                         # The query result is already computed from the
                         # existing views; only the side-product candidate
-                        # is lost.  Roll it back and carry on.
-                        if candidate is not None:
-                            candidate.destroy()
-                        candidate_pages = 0
+                        # is lost, and the builder rolled it back.
                         event = self.view_index.record_fault(
                             routed.extended_lo, routed.extended_hi
                         )
@@ -206,6 +188,13 @@ class AdaptiveStorageLayer:
                             res.on_candidate_fault(
                                 exc, routed.extended_lo, routed.extended_hi
                             )
+                    else:
+                        candidate_pages = candidate.num_pages
+                        event = self.view_index.consider_candidate(candidate)
+                        if self._dirty_fpages and event in _KEPT:
+                            self._born_in_batch.append(candidate)
+                        if res is not None:
+                            res.note_success()
                     cspan.set(pages=candidate_pages, event=event.value)
             qspan.set(
                 pages_scanned=routed.pages_scanned,

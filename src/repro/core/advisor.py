@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from ..storage.column import PhysicalColumn
 from ..storage.statistics import ColumnHistogram
 from ..vm.cost import MAIN_LANE
-from .creation import materialize_pages
+from .creation import build_view
 from .view import VirtualView
 
 
@@ -115,9 +115,13 @@ class ViewAdvisor:
             result = batch_scan(
                 self.column, all_pages, rec.lo, rec.hi, lane=lane
             )
-            view = VirtualView(self.column, rec.lo, rec.hi, lane=lane)
-            materialize_pages(
-                view, result.qualifying_fpages, coalesce=coalesce, lane=lane
+            view, _ = build_view(
+                self.column,
+                rec.lo,
+                rec.hi,
+                result.qualifying_fpages,
+                coalesce=coalesce,
+                lane=lane,
             )
             views.append(view)
         return views

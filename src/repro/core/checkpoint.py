@@ -23,10 +23,9 @@ import numpy as np
 
 from ..faults.errors import SubstrateFault
 from .config import AdaptiveConfig, RoutingMode
-from .creation import materialize_pages
+from .creation import build_view
 from .facade import AdaptiveDatabase
 from .routing import scan_views
-from .view import VirtualView
 
 #: Manifest format version (bump on breaking changes).  Version 2 adds
 #: tombstone bitmaps, the staged-row flush before save, and the
@@ -160,13 +159,15 @@ def _rebuild_views(layer, ranges: list[list[int]]) -> None:
     index = layer.view_index
     for lo, hi in ranges:
         routed = scan_views(column, [index.full_view], lo, hi)
-        view = VirtualView(column, lo, hi)
         try:
-            materialize_pages(
-                view, routed.qualifying_fpages, coalesce=layer.config.coalesce_mmap
+            view, _ = build_view(
+                column,
+                lo,
+                hi,
+                routed.qualifying_fpages,
+                coalesce=layer.config.coalesce_mmap,
             )
         except SubstrateFault:
-            view.destroy()
             index.record_fault(lo, hi)
             continue
         index.insert(view)

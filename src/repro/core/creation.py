@@ -16,6 +16,10 @@ Both optimizations are implemented for real here (the background mapper
 is an actual thread); their *timing* effect is accounted on the cost
 model's lanes: queue pushes charge the main lane, mmap calls charge the
 mapper lane, and a creation's elapsed time is the maximum over lanes.
+
+Every partial view — a query's candidate, a rebuilt, advised, restored
+or standalone view — is reserved, mapped and, on a fault, rolled back
+by one function, :func:`build_view`.
 """
 
 from __future__ import annotations
@@ -54,6 +58,13 @@ def _issue(
             failed = fault.run_index
             yield plan.runs(failed, failed + 1), fault
             plan = plan.runs(failed + 1)
+
+
+def retryable(retry, op: str, fn, lane: str):
+    """Run ``fn`` directly, or under the retry policy when one is armed."""
+    if retry is None:
+        return fn()
+    return retry.run(op, fn, lane)
 
 
 def _heal(
@@ -188,6 +199,46 @@ def materialize_pages(
     return runs
 
 
+def build_view(
+    column: PhysicalColumn,
+    lo: int,
+    hi: int,
+    fpages: np.ndarray,
+    *,
+    coalesce: bool = True,
+    background: BackgroundMapper | None = None,
+    lane: str = MAIN_LANE,
+    observer: NullObserver | None = None,
+    retry=None,
+) -> tuple[VirtualView, int]:
+    """Build a partial view ``v[lo, hi]`` of the pages ``fpages``.
+
+    Every partial view is built here: the view's area is reserved (under
+    the ``retry`` policy, when one is armed) and the pages are mapped by
+    :func:`materialize_pages`.  The build is atomic: a fault while
+    mapping unmaps and releases the half-built view before it surfaces,
+    so no caller ever holds a partially materialized view.  Returns the
+    view and the mmap calls used.
+    """
+    view = retryable(
+        retry, "reserve", lambda: VirtualView(column, lo, hi, lane=lane), lane
+    )
+    try:
+        calls = materialize_pages(
+            view,
+            fpages,
+            coalesce=coalesce,
+            background=background,
+            lane=lane,
+            observer=observer,
+            retry=retry,
+        )
+    except Exception:
+        view.destroy(lane)
+        raise
+    return view, calls
+
+
 @dataclass
 class CreationReport:
     """Timing breakdown of one standalone view creation (Figure 6)."""
@@ -225,22 +276,15 @@ def create_partial_view(
     cost = column.cost
     with cost.region() as region:
         routed = scan_views(column, source_views, lo, hi)
-        view = VirtualView(column, lo, hi)
-        try:
-            calls = materialize_pages(
-                view,
-                routed.qualifying_fpages,
-                coalesce=coalesce,
-                background=background,
-                retry=retry,
-            )
-        except SubstrateFault:
-            # Atomic rewire: a fault mid-creation unmaps and releases the
-            # half-built view before surfacing, so the caller never sees
-            # a partially materialized catalog entry.
-            view.destroy()
-            raise
-        view.update_range(routed.extended_lo, routed.extended_hi)
+        view, calls = build_view(
+            column,
+            routed.extended_lo,
+            routed.extended_hi,
+            routed.qualifying_fpages,
+            coalesce=coalesce,
+            background=background,
+            retry=retry,
+        )
     return CreationReport(
         view=view,
         elapsed_ns=region.elapsed_ns(overlap=True),

@@ -43,7 +43,7 @@ from ..storage.updates import UpdateBatch, UpdateRecord
 from ..vm.cost import MAIN_LANE
 from ..vm.errors import VmError
 from ..vm.procmaps import MappingSnapshot
-from .creation import materialize_pages
+from .creation import build_view, retryable
 from .routing import scan_views
 from .stats import MaintenanceStats
 from .view import VirtualView
@@ -55,13 +55,6 @@ _BLOCK_CELLS = 1 << 18
 #: Pages one gathered case-2 check holds at once: bounds its copy of the
 #: pages (4 KiB each) whatever the number of pages to check.
 _CHECK_PAGES = 1024
-
-
-def _retryable(retry, op: str, fn, lane: str):
-    """Run ``fn`` directly, or under the retry policy when one is armed."""
-    if retry is None:
-        return fn()
-    return retry.run(op, fn, lane)
 
 
 def _drop_view(view: VirtualView, stats: MaintenanceStats):
@@ -377,7 +370,7 @@ class _BlockWalk:
         if self.kind[event] == _ADD:
             # A page beyond the view's capacity (the column grew under
             # it): mapped as the per-pair loop maps it, whatever follows.
-            _retryable(retry, "map_fixed", lambda: view.add_page(fpage, lane=lane), lane)
+            retryable(retry, "map_fixed", lambda: view.add_page(fpage, lane=lane), lane)
             self.snapshot.map(view.vpn_of(fpage), (self.path, fpage), lane)
             self.stats.pages_added += 1
             return
@@ -386,7 +379,7 @@ class _BlockWalk:
         if event in self.removes:
             # Case 2 and no value left in range: the page leaves.
             vpn = view.vpn_of(fpage)
-            _retryable(
+            retryable(
                 retry, "unmap_slot", lambda: view.remove_page(fpage, lane=lane), lane
             )
             self.snapshot.unmap(vpn, lane)
@@ -558,7 +551,7 @@ def align_partial_views(
         path = column.substrate.file_map_path(column.file)
         try:
             with cost.region() as parse_region, obs.span("maps-parse"):
-                snapshot = _retryable(
+                snapshot = retryable(
                     retry,
                     "maps_snapshot",
                     lambda: column.substrate.maps_snapshot(
@@ -623,9 +616,8 @@ def rebuild_partial_views(
     with cost.region() as region:
         for lo, hi in ranges:
             routed = scan_views(column, [full_view], lo, hi, lane=lane)
-            view = VirtualView(column, lo, hi, lane=lane)
-            materialize_pages(
-                view, routed.qualifying_fpages, coalesce=coalesce, lane=lane
+            view, _ = build_view(
+                column, lo, hi, routed.qualifying_fpages, coalesce=coalesce, lane=lane
             )
             rebuilt.append(view)
     return rebuilt, region.lane_ns(lane)

@@ -198,13 +198,6 @@ class VirtualView:
         """Whether this view's range contains ``other``'s range."""
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def update_range(self, lo: int, hi: int) -> None:
-        """Adjust the covered range (the Listing 1 range extension)."""
-        if lo > hi:
-            raise ValueError(f"inverted value range [{lo}, {hi}]")
-        self.lo = lo
-        self.hi = hi
-
     # -- mapping mutations -------------------------------------------------
 
     def plan_slots(self, n: int) -> np.ndarray:

@@ -66,14 +66,11 @@ def worst_health(states: Iterable[HealthState]) -> HealthState:
 class ResilienceConfig:
     """Knobs of the self-healing layer (immutable, like AdaptiveConfig).
 
-    Passing a config with ``enabled=False`` (or passing no config at
-    all) disarms every mechanism: no retries, no quarantine, no
-    governor — the stack behaves exactly like it did before the
-    resilience layer existed, bit-identical in simulated cost.
+    Passing no config at all disarms every mechanism: no retries, no
+    quarantine, no governor — the stack behaves exactly like it did
+    before the resilience layer existed, bit-identical in simulated
+    cost.
     """
-
-    #: Master switch; disarmed configs change nothing anywhere.
-    enabled: bool = True
 
     #: Retry attempts after the initial failure of a transient fault.
     max_attempts: int = 3

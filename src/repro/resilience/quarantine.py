@@ -17,10 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..budget import Budget
-from ..core.creation import materialize_pages
+from ..core.creation import build_view
 from ..core.routing import scan_views
 from ..core.stats import ViewEvent
-from ..core.view import VirtualView
 from ..core.view_index import QuarantineEntry, ViewIndex
 from ..faults.errors import SubstrateFault
 from ..obs.observer import NULL_OBSERVER, NullObserver
@@ -73,13 +72,6 @@ class ViewRebuilder:
         #: Quarantine entries given up on (attempts exhausted / no room).
         self.abandoned = 0
 
-    def _create(self, lo: int, hi: int, lane: str) -> VirtualView:
-        if self.retry is None:
-            return VirtualView(self.column, lo, hi, lane=lane)
-        return self.retry.run(
-            "reserve", lambda: VirtualView(self.column, lo, hi, lane=lane), lane
-        )
-
     def rebuild_entry(
         self,
         entry: QuarantineEntry,
@@ -107,20 +99,17 @@ class ViewRebuilder:
             vi.record_range_event(ViewEvent.DENIED_BUDGET, entry.lo, entry.hi)
             return DEFERRED  # no headroom now; not a failed attempt
 
-        view: VirtualView | None = None
         try:
-            view = self._create(entry.lo, entry.hi, lane)
-            materialize_pages(
-                view,
+            view, _ = build_view(
+                self.column,
+                routed.extended_lo,
+                routed.extended_hi,
                 routed.qualifying_fpages,
                 coalesce=vi.config.coalesce_mmap,
                 lane=lane,
                 retry=self.retry,
             )
-            view.update_range(routed.extended_lo, routed.extended_hi)
         except SubstrateFault:
-            if view is not None:
-                view.destroy(lane)
             return self._failed_attempt(entry)
 
         # Scoped verification before re-admission: the audit needs every

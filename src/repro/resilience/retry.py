@@ -102,7 +102,7 @@ class RetryPolicy:
         point: the mapper thread took the first attempt and parked the
         fault; ``flush`` hands it here to heal before surfacing.
         """
-        if not self.config.enabled or not getattr(fault, "transient", False):
+        if not getattr(fault, "transient", False):
             raise fault
         last = fault
         for attempt in range(1, self.config.max_attempts + 1):

@@ -46,7 +46,7 @@ def _slice_resilience(
     At ``num_shards == 1`` the config passes through untouched — the
     identity contract includes the retry jitter stream.
     """
-    if config is None or not config.enabled or num_shards == 1:
+    if config is None or num_shards == 1:
         return config
     budget = config.mapping_budget
     return replace(

@@ -162,13 +162,6 @@ class TestRangePredicates:
         twin = VirtualView(column, 12, 18)
         assert small.covers_subset_of(twin) and small.covers_superset_of(twin)
 
-    def test_update_range(self, column):
-        view = VirtualView(column, 10, 20)
-        view.update_range(5, 30)
-        assert (view.lo, view.hi) == (5, 30)
-        with pytest.raises(ValueError):
-            view.update_range(30, 5)
-
 
 class TestDestroy:
     def test_destroy_unmaps_reservation(self, column):

