@@ -6,11 +6,12 @@ side-product of query processing*:
 
 1. route the query to the most fitting existing view(s);
 2. scan them (shared pages once), producing the query result;
-3. alongside, build a candidate view of the qualifying pages, extend its
-   covered range to ``[l'+1, u'-1]`` using the values observed on
+3. alongside, collect a candidate view of the qualifying pages, extend
+   its covered range to ``[l'+1, u'-1]`` using the values observed on
    non-qualifying pages;
 4. retain, discard or let the candidate replace an existing view
-   (Listing 1, lines 21–32);
+   (Listing 1, lines 21–32) — decided before the candidate is mapped,
+   so only a kept candidate is built;
 5. once the view limit is reached, stop generating candidates and answer
    from the static view set.
 """
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..faults.errors import SubstrateFault
+from ..faults.plane import FaultySubstrate
 from ..obs.observer import NULL_OBSERVER, NullObserver
 from ..resilience.policy import HealthState, ResilienceConfig
 from ..storage.column import PhysicalColumn
@@ -31,17 +33,13 @@ from ..storage.tombstones import Tombstones
 from ..storage.updates import UpdateBatch
 from ..vm.cost import MAIN_LANE
 from .config import AdaptiveConfig
-from .creation import BackgroundMapper, build_view
+from .creation import BackgroundMapper, Candidate
 from .maintenance import align_partial_views
 from .routing import scan_views
 from .scan import batch_scan
 from .stats import MaintenanceStats, QueryStats, ViewEvent
 from .view import VirtualView
-from .view_index import ViewIndex
-
-
-#: Candidate fates that leave the candidate in the view catalog.
-_KEPT = frozenset({ViewEvent.INSERTED, ViewEvent.REPLACED, ViewEvent.EVICTED_LRU})
+from .view_index import KEPT, ViewIndex
 
 
 @dataclass
@@ -166,17 +164,30 @@ class AdaptiveStorageLayer:
                     lo=routed.extended_lo,
                     hi=routed.extended_hi,
                 ) as cspan:
+                    candidate = Candidate(
+                        self.column,
+                        routed.extended_lo,
+                        routed.extended_hi,
+                        routed.qualifying_fpages,
+                        coalesce=self.config.coalesce_mmap,
+                        background=self._background,
+                        observer=obs,
+                    )
                     try:
-                        candidate, _ = build_view(
-                            self.column,
-                            routed.extended_lo,
-                            routed.extended_hi,
-                            routed.qualifying_fpages,
-                            coalesce=self.config.coalesce_mmap,
-                            background=self._background,
-                            observer=obs,
-                            retry=res.retry if res is not None else None,
-                        )
+                        if res is None and not isinstance(
+                            self.column.substrate, FaultySubstrate
+                        ):
+                            # Decide first: only a kept candidate is built.
+                            event = self.view_index.consider_candidate(candidate)
+                        else:
+                            # A fault plane or a retry/budget consults each
+                            # mapping call, so the candidate is built first
+                            # and every call lands where it always did.
+                            event = self.view_index.consider_candidate(
+                                candidate.build(
+                                    retry=res.retry if res is not None else None
+                                )
+                            )
                     except SubstrateFault as exc:
                         # The query result is already computed from the
                         # existing views; only the side-product candidate
@@ -190,9 +201,8 @@ class AdaptiveStorageLayer:
                             )
                     else:
                         candidate_pages = candidate.num_pages
-                        event = self.view_index.consider_candidate(candidate)
-                        if self._dirty_fpages and event in _KEPT:
-                            self._born_in_batch.append(candidate)
+                        if self._dirty_fpages and event in KEPT:
+                            self._born_in_batch.append(candidate.view)
                         if res is not None:
                             res.note_success()
                     cspan.set(pages=candidate_pages, event=event.value)

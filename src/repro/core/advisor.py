@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from ..storage.column import PhysicalColumn
 from ..storage.statistics import ColumnHistogram
 from ..vm.cost import MAIN_LANE
-from .creation import build_view
+from .creation import all_or_none, build_view
 from .view import VirtualView
 
 
@@ -103,25 +103,26 @@ class ViewAdvisor:
 
         Each view is created by one full-column scan plus the usual
         (optionally coalesced) rewiring calls, so the build cost is
-        charged honestly.
+        charged honestly.  A fault destroys the views built before it,
+        too, before it surfaces.
         """
         from .scan import batch_scan
 
         import numpy as np
 
-        views = []
-        for rec in recommendations:
-            all_pages = np.arange(self.column.num_pages, dtype=np.int64)
-            result = batch_scan(
-                self.column, all_pages, rec.lo, rec.hi, lane=lane
-            )
-            view, _ = build_view(
-                self.column,
-                rec.lo,
-                rec.hi,
-                result.qualifying_fpages,
-                coalesce=coalesce,
-                lane=lane,
-            )
-            views.append(view)
+        with all_or_none(lane) as views:
+            for rec in recommendations:
+                all_pages = np.arange(self.column.num_pages, dtype=np.int64)
+                result = batch_scan(
+                    self.column, all_pages, rec.lo, rec.hi, lane=lane
+                )
+                view, _ = build_view(
+                    self.column,
+                    rec.lo,
+                    rec.hi,
+                    result.qualifying_fpages,
+                    coalesce=coalesce,
+                    lane=lane,
+                )
+                views.append(view)
         return views

@@ -19,14 +19,18 @@ mapper lane, and a creation's elapsed time is the maximum over lanes.
 
 Every partial view — a query's candidate, a rebuilt, advised, restored
 or standalone view — is reserved, mapped and, on a fault, rolled back
-by one function, :func:`build_view`.
+by one function, :func:`build_view`.  A query's candidate is built only
+once Listing 1 has decided to keep it; a discarded one is booked by
+:func:`book_discarded`, which charges what building and destroying it
+would without mapping a page.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -36,7 +40,7 @@ from ..obs.observer import NULL_OBSERVER, NullObserver
 from ..storage.column import PhysicalColumn
 from ..vm.cost import MAIN_LANE, MAPPER_LANE, CostModel
 from .routing import scan_views
-from .view import MapPlan, VirtualView
+from .view import MapPlan, VirtualView, split_runs
 
 
 def _issue(
@@ -237,6 +241,125 @@ def build_view(
         view.destroy(lane)
         raise
     return view, calls
+
+
+def book_discarded(
+    column: PhysicalColumn,
+    fpages: np.ndarray,
+    *,
+    coalesce: bool = True,
+    background: BackgroundMapper | None = None,
+    lane: str = MAIN_LANE,
+    observer: NullObserver | None = None,
+) -> None:
+    """Charge a discarded candidate what building and destroying it
+    would, mapping nothing.
+
+    The view's reservation and its release are issued for real, so
+    address allocation and the maps lines move exactly as they would.
+    The plan's runs, counted by the rule :meth:`VirtualView.plan_runs`
+    maps by, are only booked (:meth:`Substrate.book_plan
+    <repro.substrate.interface.Substrate.book_plan>`).  With a
+    ``background`` mapper they land on the mapper lane after one queue
+    operation per run on each lane, as :class:`BackgroundMapper` books
+    them; without one, on ``lane``.  The ``map-pages`` span is opened as
+    :func:`materialize_pages` opens it.
+    """
+    obs = observer or NULL_OBSERVER
+    substrate = column.substrate
+    fpages = np.asarray(fpages, dtype=np.int64)
+    capacity = column.num_pages
+    base_vpn = substrate.reserve(capacity, lane=lane)
+    try:
+        if fpages.size:
+            with obs.span(
+                "map-pages",
+                pages=int(fpages.size),
+                coalesce=coalesce,
+                background=background is not None,
+            ) as mspan:
+                _, npages = split_runs(fpages, capacity, capacity, coalesce)
+                runs = int(npages.size)
+                map_lane = lane
+                if background is not None:
+                    column.cost.queue_op(runs, MAIN_LANE)
+                    column.cost.queue_op(runs, MAPPER_LANE)
+                    map_lane = MAPPER_LANE
+                substrate.book_plan(npages, column.file, populate=True, lane=map_lane)
+                mspan.set(runs=runs)
+    except Exception:
+        substrate.release_region(base_vpn, capacity, 0, lane=lane)
+        raise
+    substrate.release_region(base_vpn, capacity, int(fpages.size), lane=lane)
+
+
+@dataclass(eq=False)
+class Candidate:
+    """A query's candidate view ``v[lo, hi]`` over ``fpages``, not yet built.
+
+    Listing 1 decides a candidate's fate from its range and page count
+    alone, so :meth:`~repro.core.view_index.ViewIndex.consider_candidate`
+    builds it (:meth:`build`) only when it keeps it, and books a
+    discarded one (:meth:`discard`) without mapping a page.
+    """
+
+    column: PhysicalColumn
+    lo: int
+    hi: int
+    fpages: np.ndarray
+    coalesce: bool = True
+    background: BackgroundMapper | None = None
+    observer: NullObserver | None = None
+    #: The built view, once :meth:`build` ran.
+    view: VirtualView | None = field(default=None, init=False)
+
+    @property
+    def num_pages(self) -> int:
+        """Pages the view would index."""
+        return int(self.fpages.size)
+
+    def build(self, lane: str = MAIN_LANE, retry=None) -> VirtualView:
+        """Build the view by :func:`build_view`; also kept in :attr:`view`."""
+        self.view, _ = build_view(
+            self.column,
+            self.lo,
+            self.hi,
+            self.fpages,
+            coalesce=self.coalesce,
+            background=self.background,
+            lane=lane,
+            observer=self.observer,
+            retry=retry,
+        )
+        return self.view
+
+    def discard(self, lane: str = MAIN_LANE) -> None:
+        """Book the discarded view by :func:`book_discarded`."""
+        book_discarded(
+            self.column,
+            self.fpages,
+            coalesce=self.coalesce,
+            background=self.background,
+            lane=lane,
+            observer=self.observer,
+        )
+
+
+@contextmanager
+def all_or_none(lane: str = MAIN_LANE) -> Iterator[list[VirtualView]]:
+    """Collect the views a ``with`` body builds; destroy them all if it
+    raises, before the error surfaces.
+
+    :func:`build_view` rolls back the one view that faults; this rolls
+    back the ones a multi-view build finished before it.
+    """
+    built: list[VirtualView] = []
+    try:
+        yield built
+    except BaseException:
+        for view in built:
+            view.destroy(lane)
+        raise
 
 
 @dataclass

@@ -43,7 +43,7 @@ from ..storage.updates import UpdateBatch, UpdateRecord
 from ..vm.cost import MAIN_LANE
 from ..vm.errors import VmError
 from ..vm.procmaps import MappingSnapshot
-from .creation import build_view, retryable
+from .creation import all_or_none, build_view, retryable
 from .routing import scan_views
 from .stats import MaintenanceStats
 from .view import VirtualView
@@ -609,11 +609,11 @@ def rebuild_partial_views(
 
     Each view is recreated by a fresh scan-and-filter of the full view
     followed by mapping all qualifying pages.  Returns the new views and
-    the simulated rebuild time.
+    the simulated rebuild time.  A fault destroys the views built before
+    it, too, before it surfaces.
     """
     cost = column.cost
-    rebuilt: list[VirtualView] = []
-    with cost.region() as region:
+    with cost.region() as region, all_or_none(lane) as rebuilt:
         for lo, hi in ranges:
             routed = scan_views(column, [full_view], lo, hi, lane=lane)
             view, _ = build_view(

@@ -125,7 +125,8 @@ class QueryStats:
     result_rows: int = 0
     #: Fate of the candidate view created alongside the query.
     view_event: ViewEvent = ViewEvent.NONE
-    #: Pages indexed by the candidate view (0 if no candidate was built).
+    #: Pages the candidate view indexes, kept or not (0 if none was
+    #: generated, or it faulted).
     candidate_pages: int = 0
     #: Number of partial views existing after the query.
     partial_views_after: int = 0

@@ -16,8 +16,8 @@ The bookkeeping is sized by the pages a view maps, not by its
 reservation.  A view built by one plan on fresh slots *is* that plan's
 page list, in slot order; the column-sized tables (slot → page,
 page → slot, touched bits) are built on the first lookup that needs
-them, so a view kept for maintenance pays for them once and a candidate
-that is planned, mapped and discarded never does.
+them, so a view kept for maintenance pays for them once and a view that
+is built and dropped unread never does.
 """
 
 from __future__ import annotations
@@ -56,6 +56,53 @@ class MapPlan(NamedTuple):
     def runs(self, start: int, stop: int | None = None) -> "MapPlan":
         """The sub-plan of runs ``[start, stop)``."""
         return MapPlan(*(column[start:stop] for column in self))
+
+
+def split_runs(
+    fpages: np.ndarray, room: int, capacity: int, coalesce: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate an ordered, non-empty page set and split it into runs.
+
+    The rule :meth:`VirtualView.plan_runs` maps by: the set must fit the
+    ``room`` fresh slots left, hold no page twice and lie inside the
+    column's ``capacity`` pages.  Runs follow the list order — one per
+    maximal stretch of consecutive physical pages with ``coalesce``, one
+    per page without.  Returns each run's index into ``fpages`` and its
+    page count.
+    """
+    n = fpages.size
+    if n > room:
+        raise RuntimeError("view over-allocation exhausted")
+    # Array methods, not numpy's Python-level wrappers, and ``argmin``
+    # where a ufunc reduction's set-up would cost more than the few
+    # pages of a view hit.
+    diffs = fpages[1:] - fpages[:-1]
+    if n == 1 or diffs[diffs.argmin()] >= 1:
+        # Strictly increasing input (the scan output) is duplicate free
+        # and has its extremes at the ends.
+        first, last = fpages[0], fpages[-1]
+    else:
+        # Anything else needs the full uniqueness check.
+        if diffs[diffs.argmin()] >= 0 or np.unique(fpages).size != n:
+            raise ValueError("run contains pages already indexed by this view")
+        first, last = fpages.min(), fpages.max()
+    if first < 0 or last >= capacity:
+        raise IndexError(
+            f"pages [{first}, {last}] outside the column's {capacity} pages"
+        )
+    if coalesce:
+        # A run starts at the first page and wherever a page does not
+        # follow its predecessor.
+        starts = np.empty(n, dtype=bool)
+        starts[0] = True
+        starts[1:] = diffs != 1
+        starts = starts.nonzero()[0]
+    else:
+        starts = np.arange(n)
+    npages = np.empty(starts.size, dtype=np.int64)
+    npages[:-1] = starts[1:] - starts[:-1]
+    npages[-1] = n - starts[-1]
+    return starts, npages
 
 
 _NO_PAGES = np.empty(0, dtype=np.int64)
@@ -190,14 +237,6 @@ class VirtualView:
             raise ValueError(f"page {fpage} is not indexed by this view")
         return self.base_vpn + slot
 
-    def covers_subset_of(self, other: "VirtualView") -> bool:
-        """Whether this view's range lies inside ``other``'s range."""
-        return other.lo <= self.lo and self.hi <= other.hi
-
-    def covers_superset_of(self, other: "VirtualView") -> bool:
-        """Whether this view's range contains ``other``'s range."""
-        return self.lo <= other.lo and other.hi <= self.hi
-
     # -- mapping mutations -------------------------------------------------
 
     def plan_slots(self, n: int) -> np.ndarray:
@@ -252,28 +291,9 @@ class VirtualView:
         n = fpages.size
         if n == 0:
             return MapPlan(fpages, fpages, fpages)
-        if self._next_fresh + n > self.capacity:
-            raise RuntimeError("view over-allocation exhausted")
-        # Array methods, not numpy's Python-level wrappers, and
-        # ``argmin`` where a ufunc reduction's set-up would cost more
-        # than the few pages of a view hit.
-        diffs = fpages[1:] - fpages[:-1]
-        if n == 1 or diffs[diffs.argmin()] >= 1:
-            # Strictly increasing input (the scan output) is duplicate
-            # free and has its extremes at the ends.
-            first, last = fpages[0], fpages[-1]
-        else:
-            # Anything else needs the full uniqueness check.
-            if diffs[diffs.argmin()] >= 0 or np.unique(fpages).size != n:
-                raise ValueError(
-                    "run contains pages already indexed by this view"
-                )
-            first, last = fpages.min(), fpages.max()
-        if first < 0 or last >= self.capacity:
-            raise IndexError(
-                f"pages [{first}, {last}] outside the column's "
-                f"{self.capacity} pages"
-            )
+        starts, npages = split_runs(
+            fpages, self.capacity - self._next_fresh, self.capacity, coalesce
+        )
         slot_start = self._next_fresh
         if slot_start == 0 and self._table is None:
             # An empty view indexes nothing yet: the plan's pages are
@@ -292,19 +312,6 @@ class VirtualView:
         self._next_fresh += n
         self._num_mapped += n
         self._mapped_cache = None
-
-        if coalesce:
-            # A run starts at the first page and wherever a page does
-            # not follow its predecessor.
-            starts = np.empty(n, dtype=bool)
-            starts[0] = True
-            starts[1:] = diffs != 1
-            starts = starts.nonzero()[0]
-        else:
-            starts = np.arange(n)
-        npages = np.empty(starts.size, dtype=np.int64)
-        npages[:-1] = starts[1:] - starts[:-1]
-        npages[-1] = n - starts[-1]
         return MapPlan(
             vpns=starts + (self.base_vpn + slot_start),
             file_pages=fpages[starts],

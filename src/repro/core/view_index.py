@@ -18,8 +18,12 @@ from ..obs.observer import NULL_OBSERVER, NullObserver
 from ..storage.column import PhysicalColumn
 from ..vm.cost import MAIN_LANE
 from .config import AdaptiveConfig, EvictionPolicy, RoutingMode
+from .creation import Candidate
 from .stats import ViewEvent, ViewLifecycleEvent
 from .view import VirtualView
+
+#: Candidate fates that leave the candidate in the view catalog.
+KEPT = frozenset({ViewEvent.INSERTED, ViewEvent.REPLACED, ViewEvent.EVICTED_LRU})
 
 
 @dataclass
@@ -247,78 +251,96 @@ class ViewIndex:
 
     # -- candidate retention (Listing 1, lines 21-32) ------------------------
 
-    def consider_candidate(
-        self, candidate: VirtualView, lane: str = MAIN_LANE
-    ) -> ViewEvent:
-        """Decide the fate of a freshly built candidate view.
+    def decide(
+        self, npages: int, lo: int, hi: int
+    ) -> tuple[ViewEvent, VirtualView | None]:
+        """Listing 1's verdict on a candidate ``v[lo, hi]`` of ``npages``
+        pages, and the partial view it names (the one replaced, the
+        subset's cover, the LRU victim) or None.
 
-        Implements Listing 1's retention policy verbatim.  The candidate
-        is destroyed here when discarded; replaced views are destroyed as
-        well.  Every decision is recorded in :attr:`history`.
+        Pure: it reads the partials and the LRU clocks but changes
+        nothing; :meth:`consider_candidate` acts on the verdict.
         """
         if self.generation_stopped:
-            event = self._journal(candidate, ViewEvent.LIMIT_REACHED)
-            candidate.destroy(lane)
-            return event
-
+            return ViewEvent.LIMIT_REACHED, None
         # Must improve over the full view at all.
-        if candidate.num_pages >= self.full_view.num_pages:
-            event = self._journal(candidate, ViewEvent.DISCARDED_FULL)
-            candidate.destroy(lane)
-            return event
-
+        if npages >= self.full_view.num_pages:
+            return ViewEvent.DISCARDED_FULL, None
         d = self.config.discard_tolerance
         r = self.config.replacement_tolerance
         for partial in self._partials:
             if (
-                candidate.covers_subset_of(partial)
-                and candidate.num_pages >= partial.num_pages - d
+                partial.lo <= lo
+                and hi <= partial.hi
+                and npages >= partial.num_pages - d
             ):
                 # Smaller range, similar work: less useful than what we have.
-                event = self._journal(
-                    candidate, ViewEvent.DISCARDED_SUBSET, other=partial
-                )
-                candidate.destroy(lane)
-                return event
+                return ViewEvent.DISCARDED_SUBSET, partial
             if (
-                candidate.covers_superset_of(partial)
-                and candidate.num_pages <= partial.num_pages + r
+                lo <= partial.lo
+                and partial.hi <= hi
+                and npages <= partial.num_pages + r
             ):
                 # Wider range, similar work: strictly more useful.
-                event = self._journal(
-                    candidate, ViewEvent.REPLACED, other=partial
-                )
-                self.replace(partial, candidate, lane)
-                return event
-
+                return ViewEvent.REPLACED, partial
         if self.num_partials >= self.config.max_views:
             if self.config.eviction is EvictionPolicy.LRU and self._partials:
                 victim = min(
                     self._partials,
                     key=lambda v: self._last_used.get(id(v), 0),
                 )
-                event = self._journal(
-                    candidate, ViewEvent.EVICTED_LRU, other=victim
-                )
-                self.drop(victim, lane)
-                self.insert(candidate)
-                return event
-            self.generation_stopped = True
-            event = self._journal(candidate, ViewEvent.LIMIT_REACHED)
-            candidate.destroy(lane)
+                return ViewEvent.EVICTED_LRU, victim
+            return ViewEvent.LIMIT_REACHED, None
+        return ViewEvent.INSERTED, None
+
+    def consider_candidate(
+        self, candidate: VirtualView | Candidate, lane: str = MAIN_LANE
+    ) -> ViewEvent:
+        """Decide the fate of a candidate view and act on the verdict.
+
+        Implements Listing 1's retention policy verbatim: :meth:`decide`
+        first, then the side effects — replace, LRU-evict, insert, set
+        the STOP latch.  An unbuilt :class:`~repro.core.creation.Candidate`
+        is built only when kept; a discarded one is booked, never mapped
+        (:func:`~repro.core.creation.book_discarded`).  A candidate
+        already built is destroyed when discarded.  Replaced and evicted
+        views are destroyed as well.  Every decision is recorded in
+        :attr:`history`.
+        """
+        event, other = self.decide(candidate.num_pages, candidate.lo, candidate.hi)
+        built = isinstance(candidate, VirtualView)
+        if event not in KEPT:
+            if built:
+                self._journal(candidate, event, other=other)
+                candidate.destroy(lane)
+            else:
+                candidate.discard(lane)
+                self._journal(candidate, event, other=other)
+            if event is ViewEvent.LIMIT_REACHED:
+                self.generation_stopped = True
             return event
 
-        self.insert(candidate)
-        if (
-            self.num_partials >= self.config.max_views
-            and self.config.eviction is EvictionPolicy.STOP
-        ):
-            self.generation_stopped = True
-        return self._journal(candidate, ViewEvent.INSERTED)
+        view = candidate if built else candidate.build(lane)
+        if event is ViewEvent.REPLACED:
+            self._journal(view, event, other=other)
+            self.replace(other, view, lane)
+        elif event is ViewEvent.EVICTED_LRU:
+            self._journal(view, event, other=other)
+            self.drop(other, lane)
+            self.insert(view)
+        else:
+            self.insert(view)
+            if (
+                self.num_partials >= self.config.max_views
+                and self.config.eviction is EvictionPolicy.STOP
+            ):
+                self.generation_stopped = True
+            self._journal(view, event)
+        return event
 
     def _journal(
         self,
-        candidate: VirtualView,
+        candidate: VirtualView | Candidate,
         event: ViewEvent,
         other: VirtualView | None = None,
     ) -> ViewEvent:

@@ -132,7 +132,7 @@ class FaultySubstrate(Substrate):
         self.backend = inner.backend
         self.cost = inner.cost
         self.wall = inner.wall
-        self._observer = None
+        self.observer = None
         self._suppress = 0
         self._stores: dict[str, FaultyPageStore] = {}
         #: Last fresh maps snapshot per file filter, for STALE_MAPS.
@@ -184,8 +184,8 @@ class FaultySubstrate(Substrate):
             raise SubstrateFault(op, FaultKind.CAPACITY.value)
 
     def _on_fault(self, op: str, kind: str) -> None:
-        if self._observer is not None:
-            self._observer.on_fault(op, kind)
+        if self.observer is not None:
+            self.observer.on_fault(op, kind)
 
     @property
     def journal(self):
@@ -323,7 +323,7 @@ class FaultySubstrate(Substrate):
     # -- observation / lifecycle ------------------------------------------
 
     def set_observer(self, observer) -> None:
-        self._observer = observer
+        self.observer = observer
         self.inner.set_observer(observer)
 
     def close(self) -> None:

@@ -162,6 +162,10 @@ class Substrate(ABC):
     #: entirely simulated.
     wall: WallClockLedger | None = None
 
+    #: The observer told of every mmap/munmap call (:meth:`set_observer`),
+    #: or ``None``.
+    observer = None
+
     # -- physical-file allocation ---------------------------------------
 
     @abstractmethod
@@ -277,6 +281,27 @@ class Substrate(ABC):
             populate=populate,
             lane=lane,
         )
+
+    def book_plan(
+        self,
+        npages: np.ndarray,
+        file: PageStore | None,
+        populate: bool = False,
+        lane: str = MAIN_LANE,
+    ) -> None:
+        """Book a plan of runs of ``npages`` pages as :meth:`map_runs`
+        would, without issuing it.
+
+        The ledger takes the plan's charges and the observer hears of
+        every run, but no mapping changes.  This is for a plan whose
+        mappings would be torn down unread: a candidate view Listing 1
+        discards (:func:`repro.core.creation.book_discarded`).
+        """
+        self._book_runs(npages, file, populate, lane)
+        if self.observer is not None:
+            kind = "anon" if file is None else "fixed"
+            for n in npages.tolist():
+                self.observer.on_mmap(kind, n)
 
     def _book_runs(
         self, npages: np.ndarray, file: PageStore | None, populate: bool, lane: str

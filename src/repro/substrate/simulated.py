@@ -58,6 +58,11 @@ class SimulatedSubstrate(Substrate):
         self.wall = None
 
     @property
+    def observer(self):
+        """The mapper's observer (:meth:`set_observer`), or ``None``."""
+        return self.mapper.observer
+
+    @property
     def address_space(self):
         """The simulated address space (simulated-only introspection)."""
         return self.mapper.address_space

@@ -1,0 +1,434 @@
+"""Decide-first changes nothing the ledger, the catalog or a reader sees.
+
+``ViewIndex.consider_candidate`` asks Listing 1 for its verdict before a
+query's candidate is mapped: a kept candidate is built, a discarded one
+is booked by ``repro.core.creation.book_discarded`` — its reservation
+and release issued, its runs only charged.  The reference is the
+build-first life cycle it replaced (:mod:`tests.core.build_first_oracle`).
+Over query streams that draw a pending update batch (so candidate pages
+come unsorted), empty results, discard and replacement tolerances,
+small view limits under STOP and LRU, coalescing and the background
+mapper on and off, both must leave ``==`` answers, catalog, lifecycle
+journal, ledger lanes and counters, maps lines and observer syscall
+counts, on each backend.  On the native backend the real ``reserve`` and
+``release_region`` calls are the same too, and decide-first issues no
+more ``map_fixed`` calls.
+
+A hypothesis property shrinks a divergence to a short stream; a seeded
+sweep covers the same space in bulk; planted streams pin a discarded
+candidate whose pages, in the order the scan lists them, make more runs
+than sorted.  Knobs: ``REPRO_SEED`` re-seeds the
+sweep, ``REPRO_FUZZ_SCHEDULES`` sets its length (default 200); a failing
+entry names its seed.  Pins below: ``decide`` changes nothing,
+``answer_query`` hands every generated candidate to ``consider_candidate``
+exactly once and builds only the kept ones, and a booked discard charges
+exactly what a built-and-destroyed view does.
+"""
+
+from __future__ import annotations
+
+import os
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import creation
+from repro.core.config import AdaptiveConfig, EvictionPolicy, RoutingMode
+from repro.core.creation import BackgroundMapper, book_discarded, build_view
+from repro.core.facade import AdaptiveDatabase
+from repro.core.stats import ViewEvent
+from repro.core.view import split_runs
+from repro.core.view_index import KEPT, ViewIndex
+from repro.native import is_supported
+from repro.seeds import derive_seed
+from repro.substrate.native import NativeSubstrate
+from repro.vm.constants import VALUES_PER_PAGE
+from repro.vm.procmaps import parse_maps
+
+from ..conftest import uniform_column
+from .build_first_oracle import build_first
+
+FUZZ_SCHEDULES = int(os.environ.get("REPRO_FUZZ_SCHEDULES", "200"))
+
+NUM_PAGES = 16
+NUM_ROWS = NUM_PAGES * VALUES_PER_PAGE
+#: Page ``p`` holds values in ``[p * BAND, p * BAND + FILLED)``; the rest
+#: of each band holds no value, so a range inside it answers empty.
+BAND = 1000
+FILLED = 500
+DOMAIN = NUM_PAGES * BAND
+
+BACKENDS = [
+    "simulated",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            not is_supported(), reason="native rewiring unsupported here"
+        ),
+    ),
+]
+
+
+def clustered_values() -> np.ndarray:
+    """Banded pages plus a few strays, so candidates map several runs."""
+    rng = np.random.default_rng(0)
+    pages = np.repeat(np.arange(NUM_PAGES, dtype=np.int64), VALUES_PER_PAGE)
+    values = pages * BAND + rng.integers(0, FILLED, NUM_ROWS)
+    strays = rng.integers(0, NUM_ROWS, NUM_PAGES // 2)
+    values[strays] = rng.integers(0, NUM_PAGES, strays.size) * BAND + FILLED // 2
+    return values
+
+
+VALUES = clustered_values()
+
+# -- the streams ------------------------------------------------------------
+
+# A step is ("query", lo, hi), ("empty", band) — a range no value lies
+# in — ("update", row, band), which leaves the batch pending, or
+# ("flush",), which realigns the views.
+_QUERY = st.tuples(
+    st.just("query"),
+    st.integers(0, DOMAIN),
+    st.one_of(st.integers(0, 3 * BAND), st.integers(0, DOMAIN)),
+).map(lambda s: ("query", s[1], s[1] + s[2]))
+_EMPTY = st.tuples(st.just("empty"), st.integers(0, NUM_PAGES))
+_UPDATE = st.tuples(
+    st.just("update"), st.integers(0, NUM_ROWS - 1), st.integers(0, NUM_PAGES - 1)
+)
+STEPS = st.lists(
+    st.one_of(_QUERY, _QUERY, _EMPTY, _UPDATE, st.just(("flush",))),
+    min_size=1,
+    max_size=24,
+)
+CONFIGS = st.builds(
+    AdaptiveConfig,
+    discard_tolerance=st.integers(0, 2),
+    replacement_tolerance=st.integers(0, 2),
+    max_views=st.sampled_from([0, 1, 2, 3, 100]),
+    mode=st.sampled_from(list(RoutingMode)),
+    coalesce_mmap=st.booleans(),
+    background_mapping=st.booleans(),
+    eviction=st.sampled_from(list(EvictionPolicy)),
+)
+
+
+def random_stream(seed: int) -> tuple[AdaptiveConfig, list[tuple]]:
+    """The sweep's counterpart of :data:`CONFIGS` and :data:`STEPS`."""
+    rng = np.random.default_rng(seed)
+    config = AdaptiveConfig(
+        discard_tolerance=int(rng.integers(0, 3)),
+        replacement_tolerance=int(rng.integers(0, 3)),
+        max_views=int(rng.choice([0, 1, 2, 3, 100])),
+        mode=list(RoutingMode)[rng.integers(0, len(RoutingMode))],
+        coalesce_mmap=bool(rng.integers(0, 2)),
+        background_mapping=bool(rng.integers(0, 2)),
+        eviction=list(EvictionPolicy)[rng.integers(0, len(EvictionPolicy))],
+    )
+    steps: list[tuple] = []
+    for _ in range(int(rng.integers(1, 25))):
+        kind = rng.integers(0, 5)
+        if kind <= 1:
+            lo = int(rng.integers(0, DOMAIN + 1))
+            width = rng.integers(0, (3 * BAND, DOMAIN)[kind] + 1)
+            steps.append(("query", lo, lo + int(width)))
+        elif kind == 2:
+            steps.append(("empty", int(rng.integers(0, NUM_PAGES + 1))))
+        elif kind == 3:
+            steps.append(
+                (
+                    "update",
+                    int(rng.integers(0, NUM_ROWS)),
+                    int(rng.integers(0, NUM_PAGES)),
+                )
+            )
+        else:
+            steps.append(("flush",))
+    return config, steps
+
+
+#: A read during a pending batch whose candidate lists its pages out of
+#: order: page 2 holds a band-4 value but is scanned after the view's
+#: pages, so the discarded candidate maps ``[..., 3, 4, 5, ..., 2]`` in
+#: one run more than its sorted pages would.  After the flush the view
+#: maps page 2 in its last slot, so the next read's candidate is
+#: unsorted too.
+PLANTED = [
+    (
+        config,
+        [
+            ("query", 3000, 5999),
+            ("update", 2 * VALUES_PER_PAGE, 4),
+            ("query", 3000, 5999),
+            ("flush",),
+            ("query", 3000, 5999),
+        ],
+    )
+    for config in (AdaptiveConfig(), AdaptiveConfig(background_mapping=True))
+]
+
+
+def own_vmas(substrate) -> int:
+    """The backend's own VMAs: every simulated one; on native, the
+    /proc/self/maps lines inside a region the backend holds."""
+    if not isinstance(substrate, NativeSubstrate):
+        return substrate.maps_line_count()
+    held = list(substrate._regions.items())
+    return sum(
+        1
+        for e in parse_maps(substrate.maps_text())
+        if any(start < e.end_vpn and e.start_vpn < start + n for start, n in held)
+    )
+
+
+def run_stream(backend: str, config: AdaptiveConfig, steps) -> tuple[dict, dict]:
+    """Every observable of one stream, and the native syscall counts."""
+    db = AdaptiveDatabase(config, observe=True, backend=backend)
+    try:
+        db.create_table("t", {"v": VALUES})
+        answers = []
+        for step in steps:
+            if step[0] in ("query", "empty"):
+                if step[0] == "query":
+                    lo, hi = step[1], step[2]
+                else:
+                    lo = step[1] * BAND + FILLED + 100
+                    hi = lo + 300
+                result = db.query("t", "v", lo, hi)
+                answers.append(
+                    (result.rowids.tolist(), result.values.tolist(), result.stats)
+                )
+            elif step[0] == "update":
+                row, band = step[1], step[2]
+                db.update("t", "v", row, band * BAND + row % FILLED)
+            else:
+                db.flush_updates("t", "v")
+        index = db.layer("t", "v").view_index
+        substrate = db.substrate
+        file = db.table("t").column("v").file
+        metrics = db.observer.metrics
+        seen = {
+            "answers": answers,
+            "catalog": [
+                (v.lo, v.hi, v.mapped_fpages().tolist())
+                for v in index.partial_views
+            ],
+            "stopped": index.generation_stopped,
+            "history": list(index.history),
+            "ledger": db.cost.ledger.snapshot(),
+            "vmas": own_vmas(substrate),
+            "file_lines": substrate.maps_line_count(substrate.file_map_path(file)),
+            "mmap_calls": sorted(metrics.get("mmap_calls_total").samples()),
+            "munmap_calls": metrics.get("munmap_calls_total").value(),
+        }
+        wall = substrate.wall
+        calls = (
+            {op: wall.count(op) for op in ("reserve", "release_region", "map_fixed")}
+            if wall is not None
+            else {}
+        )
+        return seen, calls
+    finally:
+        db.close()
+
+
+def assert_same(backend: str, config: AdaptiveConfig, steps, where: str = "") -> None:
+    decided, calls = run_stream(backend, config, steps)
+    with build_first():
+        built, reference = run_stream(backend, config, steps)
+    for key in decided:
+        assert decided[key] == built[key], f"{where} {key} differs"
+    if calls:
+        assert calls["reserve"] == reference["reserve"], where
+        assert calls["release_region"] == reference["release_region"], where
+        assert calls["map_fixed"] <= reference["map_fixed"], where
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=25, deadline=None)
+@given(config=CONFIGS, steps=STEPS)
+def test_decide_first_matches_build_first(backend, config, steps):
+    assert_same(backend, config, steps)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_seeded_streams_match_build_first(backend):
+    """REPRO_FUZZ_SCHEDULES streams derived from REPRO_SEED."""
+    for i in range(FUZZ_SCHEDULES):
+        seed = derive_seed(i)
+        config, steps = random_stream(seed)
+        assert_same(backend, config, steps, f"sweep entry {i} (seed {seed}):")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_planted_streams_match_build_first(backend):
+    for config, steps in PLANTED:
+        assert_same(backend, config, steps, f"planted {config}:")
+
+
+def _runs(pages: np.ndarray) -> int:
+    return split_runs(pages, pages.size, NUM_PAGES)[1].size
+
+
+def test_streams_reach_what_they_draw():
+    """The sweep's streams discard, keep, evict and stop, and the planted
+    ones discard a candidate whose runs in list order are not those of
+    its sorted pages, or the equality above proves little."""
+    events = set()
+    reordered = 0
+    original = ViewIndex.consider_candidate
+
+    def spy(index, candidate, lane="main"):
+        nonlocal reordered
+        event = original(index, candidate, lane)
+        events.add(event)
+        pages = np.asarray(candidate.fpages, dtype=np.int64)
+        if event not in KEPT and pages.size:
+            reordered += _runs(pages) != _runs(np.sort(pages))
+        return event
+
+    with mock.patch.object(ViewIndex, "consider_candidate", spy):
+        for config, steps in PLANTED:
+            run_stream("simulated", config, steps)
+        assert reordered > 0
+        for seed in range(60):  # fixed: the coverage must not hang on REPRO_SEED
+            run_stream("simulated", *random_stream(seed))
+    assert {
+        ViewEvent.INSERTED,
+        ViewEvent.REPLACED,
+        ViewEvent.EVICTED_LRU,
+        ViewEvent.DISCARDED_SUBSET,
+        ViewEvent.DISCARDED_FULL,
+        ViewEvent.LIMIT_REACHED,
+    } <= events
+
+
+# -- pins ---------------------------------------------------------------------
+
+
+def _index_state(index: ViewIndex) -> tuple:
+    return (
+        list(index.history),
+        index.partial_views,
+        index.generation_stopped,
+        index._use_clock,
+        dict(index._last_used),
+        dict(index._use_counts),
+    )
+
+
+_SUBSET_AND_SUPERSET = {ViewEvent.DISCARDED_SUBSET, ViewEvent.REPLACED}
+
+
+@pytest.mark.parametrize(
+    "eviction, max_views, reached",
+    [
+        # below the limit: every verdict but the limit's
+        (EvictionPolicy.STOP, 4, _SUBSET_AND_SUPERSET | {ViewEvent.INSERTED}),
+        # at the limit, where consider_candidate would evict ...
+        (EvictionPolicy.LRU, 3, _SUBSET_AND_SUPERSET | {ViewEvent.EVICTED_LRU}),
+        # ... latched by the third insert ...
+        (EvictionPolicy.STOP, 3, {ViewEvent.LIMIT_REACHED}),
+        # ... or would set the latch
+        (EvictionPolicy.STOP, 0, {ViewEvent.LIMIT_REACHED}),
+    ],
+)
+def test_decide_changes_nothing(eviction, max_views, reached):
+    config = AdaptiveConfig(
+        max_views=max_views, eviction=eviction, discard_tolerance=1
+    )
+    db = AdaptiveDatabase(config)
+    try:
+        db.create_table("t", {"v": VALUES})
+        for lo in (1000, 3000, 6000):
+            db.query("t", "v", lo, lo + 1500)
+        index = db.layer("t", "v").view_index
+        before = _index_state(index)
+        verdicts = set()
+        for npages in (0, 1, 2, 3, 8):
+            for lo, hi in [(0, 20_000), (1000, 1200), (900, 2600), (9000, 9100)]:
+                verdicts.add(index.decide(npages, lo, hi)[0])
+        assert _index_state(index) == before
+        assert verdicts == reached
+    finally:
+        db.close()
+
+
+def test_every_candidate_is_considered_once_and_only_kept_ones_are_built():
+    # LRU never stops generating; each range asked twice is a subset the
+    # second time.
+    config = AdaptiveConfig(max_views=3, eviction=EvictionPolicy.LRU)
+    ranges = [(1000, 3000), (800, 3400), (7000, 7300), (0, 20_000), (5000, 5900)]
+    steps = [("query", lo, hi) for lo, hi in ranges for _ in range(2)]
+    considered = mock.Mock(wraps=ViewIndex.consider_candidate)
+    built = mock.Mock(wraps=build_view)
+
+    def consider(index, candidate, lane="main"):
+        return considered(index, candidate, lane)
+
+    with mock.patch.object(ViewIndex, "consider_candidate", consider), \
+            mock.patch.object(creation, "build_view", built):
+        seen, _ = run_stream("simulated", config, steps)
+    generated = [
+        stats.view_event
+        for _, _, stats in seen["answers"]
+        if stats.view_event is not ViewEvent.NONE
+    ]
+    assert considered.call_count == len(generated) == len(steps)
+    assert built.call_count == sum(event in KEPT for event in generated)
+    assert 0 < built.call_count < len(generated)
+
+
+# -- a booked discard charges what a built and destroyed view does --------------
+
+
+def _booking(fpages, coalesce, background, book: bool):
+    column = uniform_column(num_pages=24)
+    mapper = BackgroundMapper(column.cost) if background else None
+    try:
+        before = column.substrate.maps_line_count()
+        error = None
+        try:
+            if book:
+                book_discarded(
+                    column, fpages, coalesce=coalesce, background=mapper
+                )
+            else:
+                view, _ = build_view(
+                    column, 0, 100, fpages, coalesce=coalesce, background=mapper
+                )
+                view.destroy()
+        except (ValueError, IndexError) as exc:
+            error = type(exc)
+        after = column.substrate.maps_line_count()
+        return (
+            column.cost.ledger.snapshot(),
+            before == after,
+            error,
+            column.substrate.address_space.allocate_region(1),
+        )
+    finally:
+        if mapper is not None:
+            mapper.stop()
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+@pytest.mark.parametrize("background", [False, True])
+@pytest.mark.parametrize(
+    "fpages",
+    [
+        [],
+        [3],
+        [1, 2, 3, 7, 8, 20],
+        [9, 10, 2, 3, 4, 15, 11],  # unsorted, as while a batch is pending
+        [5, 6, 5],  # a page twice
+        [0, 24],  # outside the column
+    ],
+)
+def test_book_discarded_charges_what_build_and_destroy_do(fpages, coalesce, background):
+    fpages = np.array(fpages, dtype=np.int64)
+    assert _booking(fpages, coalesce, background, book=True) == _booking(
+        fpages, coalesce, background, book=False
+    )

@@ -151,18 +151,6 @@ class TestPartialView:
         assert view.charge_first_touch() == 0
 
 
-class TestRangePredicates:
-    def test_subset_superset(self, column):
-        small = VirtualView(column, 12, 18)
-        big = VirtualView(column, 10, 20)
-        assert small.covers_subset_of(big)
-        assert big.covers_superset_of(small)
-        assert not big.covers_subset_of(small)
-        # equal ranges are both subset and superset
-        twin = VirtualView(column, 12, 18)
-        assert small.covers_subset_of(twin) and small.covers_superset_of(twin)
-
-
 class TestDestroy:
     def test_destroy_unmaps_reservation(self, column):
         view = VirtualView(column, 0, 100)

@@ -7,7 +7,8 @@ the standalone creation, Figure 7's rebuild, the offline advisor, the
 virtual-view baseline, checkpoint restore and the quarantine rebuild —
 goes through it, so a ``map_fixed`` fault in any of them leaves the
 address space, the column file's maps lines and the files as they were
-before the call, on either backend.  The second half pins the one
+before the call, on either backend.  The entries that build several
+views destroy the ones they finished, too, when a later one faults.  The second half pins the one
 builder: ``src/`` constructs a partial ``VirtualView`` in one function
 and calls ``materialize_pages`` from one place.
 """
@@ -148,6 +149,47 @@ def test_a_faulted_build_leaves_nothing_mapped(entry, backend):
         except SubstrateFault:
             pass
         assert substrate.schedule.journal, "the build mapped nothing"
+        substrate.schedule = None
+        assert _footprint(substrate) == before
+
+
+# Two views whose pages are one run each: the second view's first
+# map_fixed call is the second of the build.
+SORTED_RANGES = [(100, 5000), (9000, 20000)]
+
+
+def _sorted_layer(db: AdaptiveDatabase):
+    db.create_table("t", {"v": np.arange(NUM_PAGES * VALUES_PER_PAGE)})
+    return db.layer("t", "v")
+
+
+def _rebuild_two(db):
+    layer = _sorted_layer(db)
+    full = layer.view_index.full_view
+    return lambda: rebuild_partial_views(layer.column, full, SORTED_RANGES)
+
+
+def _advise_two(db):
+    advisor = ViewAdvisor(_sorted_layer(db).column)
+    recommendations = [AdvisedView(lo, hi, 1, 0.0, 0.0) for lo, hi in SORTED_RANGES]
+    return lambda: advisor.materialize(recommendations)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "entry",
+    [_rebuild_two, _advise_two],
+    ids=["rebuild_partial_views", "advisor_materialize"],
+)
+def test_a_fault_in_a_later_view_unbuilds_the_earlier_ones(entry, backend):
+    substrate = FaultySubstrate(make_substrate(backend))
+    with AdaptiveDatabase(backend=substrate) as db:
+        build = entry(db)
+        before = _footprint(substrate)
+        substrate.schedule = FaultSchedule([FaultRule(ops="map_fixed", nth=2)])
+        with pytest.raises(SubstrateFault):
+            build()
+        assert [f.call_index for f in substrate.schedule.journal] == [2]
         substrate.schedule = None
         assert _footprint(substrate) == before
 

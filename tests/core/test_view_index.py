@@ -222,3 +222,19 @@ class TestConfigValidation:
             AdaptiveConfig(replacement_tolerance=-1)
         with pytest.raises(ValueError):
             AdaptiveConfig(max_views=-1)
+
+
+class TestDecide:
+    def test_range_predicates(self, column):
+        index = index_with(column)
+        index.insert(make_view(column, 10, 20, [1, 2]))
+        # inside the view's range: a subset
+        assert index.decide(2, 12, 18)[0] is ViewEvent.DISCARDED_SUBSET
+        # around it: a superset
+        assert index.decide(2, 5, 25)[0] is ViewEvent.REPLACED
+        # overlapping only: neither
+        assert index.decide(1, 15, 25)[0] is ViewEvent.INSERTED
+        # an equal range is both: the subset rule is asked first, the
+        # superset rule when the subset rule's page test refuses
+        assert index.decide(2, 10, 20)[0] is ViewEvent.DISCARDED_SUBSET
+        assert index.decide(1, 10, 20)[0] is ViewEvent.REPLACED
