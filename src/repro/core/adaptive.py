@@ -11,7 +11,8 @@ side-product of query processing*:
    non-qualifying pages;
 4. retain, discard or let the candidate replace an existing view
    (Listing 1, lines 21–32) — decided before the candidate is mapped,
-   so only a kept candidate is built;
+   so only a kept candidate is built, with or without a fault plane or
+   a resilience controller attached;
 5. once the view limit is reached, stop generating candidates and answer
    from the static view set.
 """
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..faults.errors import SubstrateFault
-from ..faults.plane import FaultySubstrate
 from ..obs.observer import NULL_OBSERVER, NullObserver
 from ..resilience.policy import HealthState, ResilienceConfig
 from ..storage.column import PhysicalColumn
@@ -144,6 +144,8 @@ class AdaptiveStorageLayer:
             event = ViewEvent.NONE
             candidate_pages = 0
             res = self.resilience
+            # The candidate's range, extended to [l'+1, u'-1].
+            elo, ehi = routed.extended_lo, routed.extended_hi
             generate = not self.view_index.generation_stopped
             if generate and res is not None:
                 if not res.allow_candidate():
@@ -151,54 +153,30 @@ class AdaptiveStorageLayer:
                     # (the full view guarantees correctness) but stops
                     # investing in new candidates until repaired.
                     generate = False
-                elif not res.admit_candidate(
-                    routed.qualifying_fpages,
-                    routed.extended_lo,
-                    routed.extended_hi,
-                ):
+                elif not res.admit_candidate(routed.qualifying_fpages, elo, ehi):
                     generate = False
                     event = ViewEvent.DENIED_BUDGET
             if generate:
-                with obs.span(
-                    "candidate",
-                    lo=routed.extended_lo,
-                    hi=routed.extended_hi,
-                ) as cspan:
+                with obs.span("candidate", lo=elo, hi=ehi) as cspan:
                     candidate = Candidate(
                         self.column,
-                        routed.extended_lo,
-                        routed.extended_hi,
+                        elo,
+                        ehi,
                         routed.qualifying_fpages,
                         coalesce=self.config.coalesce_mmap,
                         background=self._background,
                         observer=obs,
+                        retry=res.retry if res is not None else None,
                     )
                     try:
-                        if res is None and not isinstance(
-                            self.column.substrate, FaultySubstrate
-                        ):
-                            # Decide first: only a kept candidate is built.
-                            event = self.view_index.consider_candidate(candidate)
-                        else:
-                            # A fault plane or a retry/budget consults each
-                            # mapping call, so the candidate is built first
-                            # and every call lands where it always did.
-                            event = self.view_index.consider_candidate(
-                                candidate.build(
-                                    retry=res.retry if res is not None else None
-                                )
-                            )
+                        event = self.view_index.consider_candidate(candidate)
                     except SubstrateFault as exc:
                         # The query result is already computed from the
                         # existing views; only the side-product candidate
                         # is lost, and the builder rolled it back.
-                        event = self.view_index.record_fault(
-                            routed.extended_lo, routed.extended_hi
-                        )
+                        event = self.view_index.record_fault(elo, ehi)
                         if res is not None:
-                            res.on_candidate_fault(
-                                exc, routed.extended_lo, routed.extended_hi
-                            )
+                            res.on_candidate_fault(exc, elo, ehi)
                     else:
                         candidate_pages = candidate.num_pages
                         if self._dirty_fpages and event in KEPT:
@@ -349,15 +327,12 @@ class AdaptiveStorageLayer:
     def rebind_storage(self, lane: str = MAIN_LANE) -> None:
         """Rebuild every view after the column grew (write-buffer merge).
 
-        Runs under fault suppression: the merge already landed in the
-        physical pages, so the view catalog must come back consistent
-        unconditionally — exactly like rollback tear-down.
+        The merge calls it under fault suppression: the merge already
+        landed in the physical pages, so the view catalog must come back
+        consistent unconditionally — exactly like rollback tear-down.
         """
-        from ..faults.plane import suppress_faults
-
         with self._lock:
-            with suppress_faults(self.column.substrate):
-                self.view_index.rebuild_for_growth(lane)
+            self.view_index.rebuild_for_growth(lane)
             self._dirty_fpages.clear()
             self._born_in_batch.clear()
 

@@ -22,7 +22,7 @@ or standalone view — is reserved, mapped and, on a fault, rolled back
 by one function, :func:`build_view`.  A query's candidate is built only
 once Listing 1 has decided to keep it; a discarded one is booked by
 :func:`book_discarded`, which charges what building and destroying it
-would without mapping a page.
+would without mapping a page: its reservation is its only fault point.
 """
 
 from __future__ import annotations
@@ -251,11 +251,13 @@ def book_discarded(
     background: BackgroundMapper | None = None,
     lane: str = MAIN_LANE,
     observer: NullObserver | None = None,
+    retry=None,
 ) -> None:
     """Charge a discarded candidate what building and destroying it
     would, mapping nothing.
 
-    The view's reservation and its release are issued for real, so
+    The view's reservation (under the ``retry`` policy, as in
+    :func:`build_view`) and its release are issued for real, so
     address allocation and the maps lines move exactly as they would.
     The plan's runs, counted by the rule :meth:`VirtualView.plan_runs`
     maps by, are only booked (:meth:`Substrate.book_plan
@@ -269,7 +271,9 @@ def book_discarded(
     substrate = column.substrate
     fpages = np.asarray(fpages, dtype=np.int64)
     capacity = column.num_pages
-    base_vpn = substrate.reserve(capacity, lane=lane)
+    base_vpn = retryable(
+        retry, "reserve", lambda: substrate.reserve(capacity, lane=lane), lane
+    )
     try:
         if fpages.size:
             with obs.span(
@@ -310,6 +314,9 @@ class Candidate:
     coalesce: bool = True
     background: BackgroundMapper | None = None
     observer: NullObserver | None = None
+    #: The layer's :class:`~repro.resilience.retry.RetryPolicy` (or None),
+    #: under which both :meth:`build` and :meth:`discard` reserve.
+    retry: object | None = None
     #: The built view, once :meth:`build` ran.
     view: VirtualView | None = field(default=None, init=False)
 
@@ -318,7 +325,7 @@ class Candidate:
         """Pages the view would index."""
         return int(self.fpages.size)
 
-    def build(self, lane: str = MAIN_LANE, retry=None) -> VirtualView:
+    def build(self, lane: str = MAIN_LANE) -> VirtualView:
         """Build the view by :func:`build_view`; also kept in :attr:`view`."""
         self.view, _ = build_view(
             self.column,
@@ -329,7 +336,7 @@ class Candidate:
             background=self.background,
             lane=lane,
             observer=self.observer,
-            retry=retry,
+            retry=self.retry,
         )
         return self.view
 
@@ -342,6 +349,7 @@ class Candidate:
             background=self.background,
             lane=lane,
             observer=self.observer,
+            retry=self.retry,
         )
 
 

@@ -15,6 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ..faults.plane import suppress_faults
 from ..obs.observer import Observer
 from ..resilience.policy import HealthState, ResilienceConfig, worst_health
 from ..storage import layout
@@ -553,9 +554,10 @@ class AdaptiveDatabase:
                 maintain(self.cost)
         table.grow_rows(rows)
         buffer.clear()
-        for (t_name, column_name), layer in self._layers.items():
-            if t_name == table_name:
-                layer.rebind_storage()
+        with suppress_faults(self.substrate):
+            for (t_name, column_name), layer in self._layers.items():
+                if t_name == table_name:
+                    layer.rebind_storage()
         return {"merged_rows": rows, "new_rows": new_rows}
 
     def _append_to_column(

@@ -4,7 +4,8 @@ Implements ``views.getOptimalViews`` from Listing 1 for both routing
 modes (Section 2.1) and the candidate retention decision of Listing 1,
 lines 21–32 (discard-as-subset with tolerance ``d``, replace-as-superset
 with tolerance ``r``, insert while below the view limit, stop generation
-once the limit is reached).
+once the limit is reached).  The decision comes before a candidate is
+mapped, on every stack: only a kept candidate is built.
 """
 
 from __future__ import annotations
@@ -294,33 +295,27 @@ class ViewIndex:
         return ViewEvent.INSERTED, None
 
     def consider_candidate(
-        self, candidate: VirtualView | Candidate, lane: str = MAIN_LANE
+        self, candidate: Candidate, lane: str = MAIN_LANE
     ) -> ViewEvent:
         """Decide the fate of a candidate view and act on the verdict.
 
         Implements Listing 1's retention policy verbatim: :meth:`decide`
         first, then the side effects — replace, LRU-evict, insert, set
-        the STOP latch.  An unbuilt :class:`~repro.core.creation.Candidate`
-        is built only when kept; a discarded one is booked, never mapped
-        (:func:`~repro.core.creation.book_discarded`).  A candidate
-        already built is destroyed when discarded.  Replaced and evicted
-        views are destroyed as well.  Every decision is recorded in
+        the STOP latch.  The candidate is built only when kept; a
+        discarded one is booked, never mapped
+        (:func:`~repro.core.creation.book_discarded`).  Replaced and
+        evicted views are destroyed.  Every decision is recorded in
         :attr:`history`.
         """
         event, other = self.decide(candidate.num_pages, candidate.lo, candidate.hi)
-        built = isinstance(candidate, VirtualView)
         if event not in KEPT:
-            if built:
-                self._journal(candidate, event, other=other)
-                candidate.destroy(lane)
-            else:
-                candidate.discard(lane)
-                self._journal(candidate, event, other=other)
+            candidate.discard(lane)
+            self._journal(candidate, event, other=other)
             if event is ViewEvent.LIMIT_REACHED:
                 self.generation_stopped = True
             return event
 
-        view = candidate if built else candidate.build(lane)
+        view = candidate.build(lane)
         if event is ViewEvent.REPLACED:
             self._journal(view, event, other=other)
             self.replace(other, view, lane)

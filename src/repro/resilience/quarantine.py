@@ -9,7 +9,7 @@ scan-and-filter of the full view, exactly like a standalone creation),
 and the rebuilt view is **verified by a scoped invariant audit before
 re-admission** — a view that cannot prove its own consistency is torn
 down and stays quarantined for the next cycle, up to a bounded number
-of attempts.
+of attempts.  A rebuild decides first, as a query's candidate does.
 """
 
 from __future__ import annotations
@@ -86,13 +86,19 @@ class ViewRebuilder:
         if vi.generation_stopped or vi.num_partials >= vi.config.max_views:
             # The index is full: the range is served by the existing
             # views (or the full view) and can never be re-admitted.
-            vi.release_quarantine(entry)
-            self.abandoned += 1
-            return ABANDONED
+            return self._abandon(entry)
 
         routed = scan_views(
             self.column, [vi.full_view], entry.lo, entry.hi, lane=lane
         )
+        lo, hi = routed.extended_lo, routed.extended_hi
+        pages = int(routed.qualifying_fpages.size)
+        event, _ = vi.decide(pages, lo, hi)
+        if event in (ViewEvent.DISCARDED_SUBSET, ViewEvent.DISCARDED_FULL):
+            # Listing 1 would not keep this view: a range the current
+            # views already serve is not rebuilt beside them.
+            vi.record_range_event(event, lo, hi, pages=pages)
+            return self._abandon(entry)
         if self.governor is not None and not self.governor.admit(
             mapping_runs(routed.qualifying_fpages), lane=lane
         ):
@@ -102,8 +108,8 @@ class ViewRebuilder:
         try:
             view, _ = build_view(
                 self.column,
-                routed.extended_lo,
-                routed.extended_hi,
+                lo,
+                hi,
                 routed.qualifying_fpages,
                 coalesce=vi.config.coalesce_mmap,
                 lane=lane,
@@ -140,7 +146,10 @@ class ViewRebuilder:
     def _failed_attempt(self, entry: QuarantineEntry) -> str:
         entry.attempts += 1
         if entry.attempts >= self.config.rebuild_max_attempts:
-            self.view_index.release_quarantine(entry)
-            self.abandoned += 1
-            return ABANDONED
+            return self._abandon(entry)
         return DEFERRED
+
+    def _abandon(self, entry: QuarantineEntry) -> str:
+        self.view_index.release_quarantine(entry)
+        self.abandoned += 1
+        return ABANDONED

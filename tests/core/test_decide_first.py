@@ -10,9 +10,11 @@ come unsorted), empty results, discard and replacement tolerances,
 small view limits under STOP and LRU, coalescing and the background
 mapper on and off, both must leave ``==`` answers, catalog, lifecycle
 journal, ledger lanes and counters, maps lines and observer syscall
-counts, on each backend.  On the native backend the real ``reserve`` and
-``release_region`` calls are the same too, and decide-first issues no
-more ``map_fixed`` calls.
+counts, on each backend and on each stack that once built first: under
+a fault plane whose schedule never fires, and with a resilience
+controller attached, with and without a maps-line budget.  On the
+native backend the real ``reserve`` and ``release_region`` calls are
+the same too, and decide-first issues no more ``map_fixed`` calls.
 
 A hypothesis property shrinks a divergence to a short stream; a seeded
 sweep covers the same space in bulk; planted streams pin a discarded
@@ -21,13 +23,17 @@ than sorted.  Knobs: ``REPRO_SEED`` re-seeds the
 sweep, ``REPRO_FUZZ_SCHEDULES`` sets its length (default 200); a failing
 entry names its seed.  Pins below: ``decide`` changes nothing,
 ``answer_query`` hands every generated candidate to ``consider_candidate``
-exactly once and builds only the kept ones, and a booked discard charges
-exactly what a built-and-destroyed view does.
+exactly once and builds only the kept ones, a booked discard charges
+exactly what a built-and-destroyed view does, and under a fault plane a
+discard's reservation is its only fault point.  An AST pin keeps the
+core free of any fault-plane branch.
 """
 
 from __future__ import annotations
 
+import ast
 import os
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -42,8 +48,11 @@ from repro.core.facade import AdaptiveDatabase
 from repro.core.stats import ViewEvent
 from repro.core.view import split_runs
 from repro.core.view_index import KEPT, ViewIndex
+from repro.faults import FaultKind, FaultRule, FaultSchedule, FaultySubstrate
 from repro.native import is_supported
+from repro.resilience import ResilienceConfig
 from repro.seeds import derive_seed
+from repro.substrate import make_substrate
 from repro.substrate.native import NativeSubstrate
 from repro.vm.constants import VALUES_PER_PAGE
 from repro.vm.procmaps import parse_maps
@@ -170,22 +179,55 @@ PLANTED = [
 ]
 
 
-def own_vmas(substrate) -> int:
-    """The backend's own VMAs: every simulated one; on native, the
-    /proc/self/maps lines inside a region the backend holds."""
-    if not isinstance(substrate, NativeSubstrate):
-        return substrate.maps_line_count()
-    held = list(substrate._regions.items())
-    return sum(
-        1
-        for e in parse_maps(substrate.maps_text())
-        if any(start < e.end_vpn and e.start_vpn < start + n for start, n in held)
+#: The stacks that once built every candidate first: under a fault plane
+#: whose schedule never fires, and with a resilience controller attached,
+#: with and without a maps-line budget tight enough to deny and evict.
+ARMED_STACKS = ["faulty", "resilient", "budgeted"]
+BUDGET = 4
+
+
+def never_fires() -> FaultSchedule:
+    """A schedule consulted on every mapping call that never fires."""
+    ops = ("reserve", "map_fixed", "unmap_slot", "maps_snapshot")
+    return FaultSchedule([FaultRule(ops=ops, probability=0.0)], seed=0)
+
+
+def open_db(backend: str, config: AdaptiveConfig, stack: str) -> AdaptiveDatabase:
+    resilience = {
+        "resilient": ResilienceConfig(),
+        "budgeted": ResilienceConfig(mapping_budget=BUDGET),
+    }.get(stack)
+    if stack == "faulty":
+        backend = FaultySubstrate(make_substrate(backend), never_fires())
+    return AdaptiveDatabase(
+        config, observe=True, backend=backend, resilience=resilience
     )
 
 
-def run_stream(backend: str, config: AdaptiveConfig, steps) -> tuple[dict, dict]:
+def own_vmas(substrate) -> int:
+    """The backend's own VMAs: every simulated one; on native, the
+    /proc/self/maps lines inside each region the backend holds, region
+    by region.  The kernel merges like VMAs of two regions it happened
+    to place side by side into one line; counted per region, such a line
+    counts as the two it would be apart, so the count does not hang on
+    where the kernel put the regions."""
+    substrate = getattr(substrate, "inner", substrate)
+    if not isinstance(substrate, NativeSubstrate):
+        return substrate.maps_line_count()
+    entries = parse_maps(substrate.maps_text())
+    return sum(
+        1
+        for start, n in substrate._regions.items()
+        for e in entries
+        if start < e.end_vpn and e.start_vpn < start + n
+    )
+
+
+def run_stream(
+    backend: str, config: AdaptiveConfig, steps, stack: str = "bare"
+) -> tuple[dict, dict]:
     """Every observable of one stream, and the native syscall counts."""
-    db = AdaptiveDatabase(config, observe=True, backend=backend)
+    db = open_db(backend, config, stack)
     try:
         db.create_table("t", {"v": VALUES})
         answers = []
@@ -222,6 +264,8 @@ def run_stream(backend: str, config: AdaptiveConfig, steps) -> tuple[dict, dict]
             "file_lines": substrate.maps_line_count(substrate.file_map_path(file)),
             "mmap_calls": sorted(metrics.get("mmap_calls_total").samples()),
             "munmap_calls": metrics.get("munmap_calls_total").value(),
+            "faults": list(getattr(substrate, "journal", [])),
+            "resilience": db.resilience_status(),
         }
         wall = substrate.wall
         calls = (
@@ -234,10 +278,12 @@ def run_stream(backend: str, config: AdaptiveConfig, steps) -> tuple[dict, dict]
         db.close()
 
 
-def assert_same(backend: str, config: AdaptiveConfig, steps, where: str = "") -> None:
-    decided, calls = run_stream(backend, config, steps)
+def assert_same(
+    backend: str, config: AdaptiveConfig, steps, where: str = "", stack: str = "bare"
+) -> None:
+    decided, calls = run_stream(backend, config, steps, stack)
     with build_first():
-        built, reference = run_stream(backend, config, steps)
+        built, reference = run_stream(backend, config, steps, stack)
     for key in decided:
         assert decided[key] == built[key], f"{where} {key} differs"
     if calls:
@@ -253,13 +299,35 @@ def test_decide_first_matches_build_first(backend, config, steps):
     assert_same(backend, config, steps)
 
 
+@pytest.mark.parametrize("stack", ARMED_STACKS)
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_seeded_streams_match_build_first(backend):
+@settings(max_examples=25, deadline=None)
+@given(config=CONFIGS, steps=STEPS)
+def test_decide_first_matches_build_first_on_armed_stacks(
+    backend, stack, config, steps
+):
+    assert_same(backend, config, steps, stack=stack)
+
+
+def _sweep(backend: str, stack: str) -> None:
     """REPRO_FUZZ_SCHEDULES streams derived from REPRO_SEED."""
     for i in range(FUZZ_SCHEDULES):
         seed = derive_seed(i)
         config, steps = random_stream(seed)
-        assert_same(backend, config, steps, f"sweep entry {i} (seed {seed}):")
+        assert_same(
+            backend, config, steps, f"sweep entry {i} (seed {seed}):", stack
+        )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_seeded_streams_match_build_first(backend):
+    _sweep(backend, "bare")
+
+
+@pytest.mark.parametrize("stack", ARMED_STACKS)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_seeded_streams_match_build_first_on_armed_stacks(backend, stack):
+    _sweep(backend, stack)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -302,6 +370,20 @@ def test_streams_reach_what_they_draw():
         ViewEvent.DISCARDED_SUBSET,
         ViewEvent.DISCARDED_FULL,
         ViewEvent.LIMIT_REACHED,
+    } <= events
+
+
+def test_the_budgeted_stack_denies_evicts_and_discards():
+    """The budget bites on the budgeted stack, beside discards, or its
+    sweep proves no more than the resilient one's."""
+    events = set()
+    for seed in range(60):  # fixed, as above
+        seen, _ = run_stream("simulated", *random_stream(seed), stack="budgeted")
+        events.update(record.event for record in seen["history"])
+    assert {
+        ViewEvent.DENIED_BUDGET,
+        ViewEvent.EVICTED_BUDGET,
+        ViewEvent.DISCARDED_SUBSET,
     } <= events
 
 
@@ -432,3 +514,97 @@ def test_book_discarded_charges_what_build_and_destroy_do(fpages, coalesce, back
     assert _booking(fpages, coalesce, background, book=True) == _booking(
         fpages, coalesce, background, book=False
     )
+
+
+# -- under a fault plane, a discard's reservation is its only fault point ------
+
+KEPT_RANGE = (3000, 5999)
+
+
+def _discard_under(backend: str, rule: FaultRule | None, resilience=None) -> dict:
+    """Keep a view, arm ``rule``, ask its range again: what the layer
+    journaled, the fault journal, the quarantine, the ledger counters
+    and the resilience status, on a fault plane (``rule`` set) or on a
+    bare stack (``rule`` None)."""
+    inner = make_substrate(backend)
+    substrate = FaultySubstrate(inner) if rule is not None else inner
+    db = AdaptiveDatabase(backend=substrate, resilience=resilience)
+    try:
+        db.create_table("t", {"v": VALUES})
+        db.query("t", "v", *KEPT_RANGE)
+        if rule is not None:
+            substrate.schedule = FaultSchedule([rule], seed=0)
+        db.query("t", "v", *KEPT_RANGE)
+        index = db.layer("t", "v").view_index
+        return {
+            "events": [record.event for record in index.history],
+            "faults": [fault.op for fault in getattr(substrate, "journal", [])],
+            "quarantine": list(index.quarantine),
+            "counters": db.cost.ledger.snapshot()[1],
+            "status": db.resilience_status(),
+        }
+    finally:
+        db.close()
+
+
+@pytest.mark.parametrize(
+    "resilience", [None, ResilienceConfig()], ids=["plane", "resilient"]
+)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_discard_issues_no_map_fixed_under_a_fault_plane(backend, resilience):
+    """A map_fixed rule that fires on every call never fires for a
+    discarded candidate: its runs are booked, not issued."""
+    always = FaultRule(ops="map_fixed", probability=1.0, transient=False)
+    seen = _discard_under(backend, always, resilience)
+    assert seen["events"] == [ViewEvent.INSERTED, ViewEvent.DISCARDED_SUBSET]
+    assert seen["faults"] == []
+    assert seen["quarantine"] == []
+    assert seen["counters"] == _discard_under(backend, None)["counters"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_transient_reserve_fault_on_a_discard_is_retried(backend):
+    once = FaultRule(
+        ops="reserve", nth=1, kind=FaultKind.ENOMEM, transient=True
+    )
+    seen = _discard_under(backend, once, ResilienceConfig())
+    assert seen["faults"] == ["reserve"]
+    assert seen["events"] == _discard_under(backend, None)["events"]
+    assert seen["events"][-1] is ViewEvent.DISCARDED_SUBSET
+    assert seen["quarantine"] == []
+    assert seen["status"]["layers"]["t.v"]["retries_recovered"] == 1
+
+
+# -- the core names no fault plane -------------------------------------------
+
+CORE = Path(__file__).resolve().parents[2] / "src" / "repro" / "core"
+
+
+def _names(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+
+
+def test_the_core_names_no_fault_plane():
+    """Docstrings may mention the plane; code may not branch on it."""
+    naming = [
+        path.name
+        for path in sorted(CORE.glob("*.py"))
+        if "FaultySubstrate" in set(_names(ast.parse(path.read_text())))
+    ]
+    assert naming == []
+
+
+def test_consider_candidate_asks_no_isinstance():
+    tree = ast.parse((CORE / "view_index.py").read_text())
+    (consider,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "consider_candidate"
+    ]
+    assert "isinstance" not in set(_names(consider))

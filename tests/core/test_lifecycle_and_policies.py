@@ -45,6 +45,7 @@ class TestLifecycleJournal:
         assert event.other_pages == 1
 
     def test_replacement_references_replaced_view(self):
+        from repro.core.creation import Candidate
         from repro.core.view import VirtualView
         from repro.core.view_index import ViewIndex
 
@@ -53,8 +54,7 @@ class TestLifecycleJournal:
         existing = VirtualView(column, 3000, 3999)
         existing.add_page(3)
         index.insert(existing)
-        candidate = VirtualView(column, 2500, 4500)
-        candidate.add_page(3)
+        candidate = Candidate(column, 2500, 4500, np.array([3]))
         assert index.consider_candidate(candidate) is ViewEvent.REPLACED
         replaced = index.history[-1]
         assert replaced.event is ViewEvent.REPLACED
@@ -62,13 +62,12 @@ class TestLifecycleJournal:
         assert replaced.other_pages == 1
 
     def test_limit_reached_journaled(self):
-        from repro.core.view import VirtualView
+        from repro.core.creation import Candidate
         from repro.core.view_index import ViewIndex
 
         column = build_column(clustered_values())
         index = ViewIndex(column, AdaptiveConfig(max_views=0))
-        candidate = VirtualView(column, 0, 10)
-        candidate.add_page(0)
+        candidate = Candidate(column, 0, 10, np.array([0]))
         assert index.consider_candidate(candidate) is ViewEvent.LIMIT_REACHED
         event = index.history[-1]
         assert event.event is ViewEvent.LIMIT_REACHED

@@ -1,8 +1,10 @@
 """Unit tests for view selection and the candidate retention policy."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import AdaptiveConfig, RoutingMode
+from repro.core.creation import Candidate
 from repro.core.stats import ViewEvent
 from repro.core.view import VirtualView
 from repro.core.view_index import ViewIndex
@@ -20,6 +22,10 @@ def make_view(column, lo, hi, pages):
     for page in pages:
         view.add_page(page)
     return view
+
+
+def make_candidate(column, lo, hi, pages):
+    return Candidate(column, lo, hi, np.array(pages))
 
 
 def index_with(column, config=None):
@@ -100,28 +106,28 @@ class TestMultiSelection:
 class TestRetention:
     def test_candidate_no_better_than_full_view_discarded(self, column):
         index = index_with(column)
-        candidate = make_view(column, 0, 100, list(range(32)))
+        candidate = make_candidate(column, 0, 100, list(range(32)))
         assert index.consider_candidate(candidate) is ViewEvent.DISCARDED_FULL
         assert index.num_partials == 0
 
     def test_insert_when_novel(self, column):
         index = index_with(column)
-        candidate = make_view(column, 0, 100, [1, 2])
+        candidate = make_candidate(column, 0, 100, [1, 2])
         assert index.consider_candidate(candidate) is ViewEvent.INSERTED
-        assert index.partial_views == [candidate]
+        assert index.partial_views == [candidate.view]
 
     def test_subset_of_similar_size_discarded(self, column):
         index = index_with(column)
         existing = make_view(column, 0, 100, [1, 2, 3])
         index.insert(existing)
-        candidate = make_view(column, 10, 90, [1, 2, 3])
+        candidate = make_candidate(column, 10, 90, [1, 2, 3])
         assert index.consider_candidate(candidate) is ViewEvent.DISCARDED_SUBSET
         assert index.partial_views == [existing]
 
     def test_subset_with_big_savings_inserted(self, column):
         index = index_with(column)
         index.insert(make_view(column, 0, 100, [1, 2, 3, 4, 5]))
-        candidate = make_view(column, 10, 90, [1])
+        candidate = make_candidate(column, 10, 90, [1])
         assert index.consider_candidate(candidate) is ViewEvent.INSERTED
 
     def test_discard_tolerance_widens_discards(self, column):
@@ -129,22 +135,22 @@ class TestRetention:
         index = index_with(column, config)
         index.insert(make_view(column, 0, 100, [1, 2, 3]))
         # candidate saves 2 pages, but d=2 discards it anyway
-        candidate = make_view(column, 10, 90, [1])
+        candidate = make_candidate(column, 10, 90, [1])
         assert index.consider_candidate(candidate) is ViewEvent.DISCARDED_SUBSET
 
     def test_superset_of_similar_size_replaces(self, column):
         index = index_with(column)
         existing = make_view(column, 10, 90, [1, 2])
         index.insert(existing)
-        candidate = make_view(column, 0, 100, [1, 2])
+        candidate = make_candidate(column, 0, 100, [1, 2])
         assert index.consider_candidate(candidate) is ViewEvent.REPLACED
-        assert index.partial_views == [candidate]
+        assert index.partial_views == [candidate.view]
 
     def test_superset_too_big_not_replacing(self, column):
         index = index_with(column)
         existing = make_view(column, 10, 90, [1])
         index.insert(existing)
-        candidate = make_view(column, 0, 100, [1, 2, 3])
+        candidate = make_candidate(column, 0, 100, [1, 2, 3])
         assert index.consider_candidate(candidate) is ViewEvent.INSERTED
         assert existing in index.partial_views
 
@@ -153,19 +159,19 @@ class TestRetention:
         index = index_with(column, config)
         existing = make_view(column, 10, 90, [1])
         index.insert(existing)
-        candidate = make_view(column, 0, 100, [1, 2, 3])
+        candidate = make_candidate(column, 0, 100, [1, 2, 3])
         assert index.consider_candidate(candidate) is ViewEvent.REPLACED
 
     def test_limit_stops_generation(self, column):
         config = AdaptiveConfig(max_views=1)
         index = index_with(column, config)
         assert (
-            index.consider_candidate(make_view(column, 0, 10, [1]))
+            index.consider_candidate(make_candidate(column, 0, 10, [1]))
             is ViewEvent.INSERTED
         )
         assert index.generation_stopped
         assert (
-            index.consider_candidate(make_view(column, 20, 30, [2]))
+            index.consider_candidate(make_candidate(column, 20, 30, [2]))
             is ViewEvent.LIMIT_REACHED
         )
         assert index.num_partials == 1
@@ -174,23 +180,26 @@ class TestRetention:
         config = AdaptiveConfig(max_views=0)
         index = index_with(column, config)
         assert (
-            index.consider_candidate(make_view(column, 0, 10, [1]))
+            index.consider_candidate(make_candidate(column, 0, 10, [1]))
             is ViewEvent.LIMIT_REACHED
         )
 
-    def test_discarded_candidate_is_destroyed(self, column):
+    def test_discarded_candidate_leaves_vmas_and_maps_lines_as_found(self, column):
         index = index_with(column)
-        candidate = make_view(column, 0, 100, list(range(32)))
-        base = candidate.base_vpn
-        index.consider_candidate(candidate)
-        assert not column.substrate.mapper.address_space.is_mapped(base)
+        substrate = column.substrate
+        path = substrate.file_map_path(column.file)
+        before = (substrate.maps_line_count(), substrate.maps_line_count(path))
+        candidate = make_candidate(column, 0, 100, list(range(32)))
+        assert index.consider_candidate(candidate) is ViewEvent.DISCARDED_FULL
+        assert candidate.view is None
+        assert (substrate.maps_line_count(), substrate.maps_line_count(path)) == before
 
     def test_replaced_view_is_destroyed(self, column):
         index = index_with(column)
         existing = make_view(column, 10, 90, [1, 2])
         index.insert(existing)
         base = existing.base_vpn
-        index.consider_candidate(make_view(column, 0, 100, [1, 2]))
+        index.consider_candidate(make_candidate(column, 0, 100, [1, 2]))
         assert not column.substrate.mapper.address_space.is_mapped(base)
 
 

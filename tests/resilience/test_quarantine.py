@@ -1,11 +1,13 @@
 """Tests for quarantine-and-rebuild of permanently faulted views."""
 
 import numpy as np
+import pytest
 
 from repro.core.config import AdaptiveConfig
 from repro.core.facade import AdaptiveDatabase
 from repro.core.stats import ViewEvent
-from repro.faults import FaultRule, FaultSchedule, FaultySubstrate
+from repro.faults import FaultKind, FaultRule, FaultSchedule, FaultySubstrate
+from repro.native import is_supported
 from repro.resilience import ResilienceConfig
 from repro.substrate import make_substrate
 from repro.vm.constants import VALUES_PER_PAGE
@@ -117,3 +119,38 @@ class TestQuarantineAndRebuild:
             entry = layer.view_index.quarantine[0]
             layer.view_index.quarantine_range(entry.lo, entry.hi, "again")
             assert len(layer.view_index.quarantine) == 1
+
+
+BACKENDS = [
+    "simulated",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            not is_supported(), reason="native rewiring unsupported here"
+        ),
+    ),
+]
+
+
+class TestRebuildDecidesFirst:
+    @pytest.mark.parametrize("op", ["reserve", "map_fixed"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_repair_never_rebuilds_a_view_listing_1_discards(self, backend, op):
+        """A repeated range's candidate is a subset Listing 1 discards;
+        a fault on it must not bring it back as a duplicate view."""
+        substrate = FaultySubstrate(make_substrate(backend))
+        db = AdaptiveDatabase(backend=substrate, resilience=ResilienceConfig())
+        with db:
+            values = np.arange(64 * VALUES_PER_PAGE, dtype=np.int64)
+            db.create_table("t", {"x": values})
+            db.query("t", "x", 0, 10_000)
+            substrate.schedule = FaultSchedule(
+                [FaultRule(ops=op, nth=1, kind=FaultKind.ENOMEM, transient=False)],
+                seed=0,
+            )
+            db.query("t", "x", 0, 10_000)
+            assert db.repair()
+            index = db.layer("t", "x").view_index
+            assert index.num_partials == 1
+            assert index.history[-1].event is ViewEvent.DISCARDED_SUBSET
+            assert db.audit().ok
