@@ -71,7 +71,7 @@ def test_micro_maps_render_and_parse(benchmark):
         view.add_page(fpage)
 
     snapshot = benchmark(
-        snapshot_address_space, column.substrate.mapper.address_space
+        snapshot_address_space, column.substrate.address_space
     )
     assert len(snapshot) > 0
 
@@ -82,5 +82,5 @@ def test_micro_maps_render_only(benchmark):
     for fpage in range(0, PAGES, 5):
         view.add_page(fpage)
 
-    text = benchmark(render_maps, column.substrate.mapper.address_space)
+    text = benchmark(render_maps, column.substrate.address_space)
     assert text

@@ -65,7 +65,6 @@ from .substrate import (
 from .vm import (
     CostModel,
     CostParameters,
-    MemoryMapper,
     PhysicalMemory,
     PAGE_SIZE,
     VALUES_PER_PAGE,
@@ -88,7 +87,6 @@ __all__ = [
     "CostModel",
     "CostParameters",
     "MaintenanceStats",
-    "MemoryMapper",
     "MetricsRegistry",
     "Observer",
     "PAGE_SIZE",

@@ -6,7 +6,7 @@ mapping state the adaptive stack keeps (PAPER.md §2.4–2.5):
 1. **the view catalog** — each view's own slot bookkeeping;
 2. **the address space** — the backend's VMAs and page tables, read
    through uncharged translation (:meth:`Substrate.peek_virtual` and,
-   on the simulated backend, ``mapper.translate``);
+   on the simulated backend, ``address_space.translate``);
 3. **the bimap snapshot** — a fresh parse of the backend's maps source
    (on the native backend, the kernel's real ``/proc/self/maps``);
 4. **the physical column** — page contents and embedded pageIDs, plus
@@ -359,7 +359,7 @@ class InvariantAuditor:
             if self.max_content_pages is not None
             else int(mapped.size)
         )
-        simulated_mapper = getattr(substrate, "mapper", None)
+        page_tables = getattr(substrate, "address_space", None)
         for fpage in mapped.tolist():
             vpn = view.vpn_of(fpage)
 
@@ -380,9 +380,9 @@ class InvariantAuditor:
 
             # Page-table agreement (simulated backend): the uncharged
             # translation path agrees with the maps source.
-            if simulated_mapper is not None:
+            if page_tables is not None:
                 report.checks += 1
-                backing = simulated_mapper.translate(vpn)
+                backing = page_tables.translate(vpn)
                 if (
                     backing is None
                     or substrate.file_map_path(backing[0]) != path

@@ -273,9 +273,6 @@ class FaultySubstrate(Substrate):
 
     # -- page access through virtual addresses ---------------------------
 
-    def read_virtual(self, vpn: int, lane: str = MAIN_LANE):
-        return self.inner.read_virtual(vpn, lane=lane)
-
     def peek_virtual(self, vpn: int):
         return self.inner.peek_virtual(vpn)
 
@@ -330,7 +327,7 @@ class FaultySubstrate(Substrate):
         self.inner.close()
 
     def __getattr__(self, name: str):
-        # Backend-specific introspection (``mapper``, ``memory``,
-        # ``address_space``) passes through, so simulated-only tests and
-        # the auditor's page-table cross-check work unchanged.
+        # Backend-specific introspection (``memory``, ``address_space``)
+        # passes through, so simulated-only tests and the auditor's
+        # page-table cross-check work unchanged.
         return getattr(self.inner, name)

@@ -16,6 +16,8 @@ supported by the vanilla Linux kernel":
   back at anonymous reservation memory;
 * **tear-down** — ``munmap`` of a whole region
   (:meth:`Substrate.release_region`);
+* **a read through the translation** — the uncharged diagnostic read of
+  a virtual page (:meth:`Substrate.peek_virtual`);
 * **a maps source** — the ``/proc/PID/maps`` snapshot the maintenance
   algorithm parses once per update batch (:meth:`Substrate.maps_text`,
   :meth:`Substrate.maps_snapshot`);
@@ -336,27 +338,17 @@ class Substrate(ABC):
     # -- page access through virtual addresses ---------------------------
 
     @abstractmethod
-    def read_virtual(self, vpn: int, lane: str = MAIN_LANE) -> np.ndarray:
-        """The data values behind virtual page ``vpn``.
+    def peek_virtual(self, vpn: int) -> np.ndarray:
+        """The data values behind virtual page ``vpn`` — never cost-charged.
 
         Reads through the translation machinery (simulated page tables
         or the real MMU), not the physical file — the read that proves
         a view's virtual page really is rewired where the bookkeeping
-        says it is.
-        """
-
-    def peek_virtual(self, vpn: int) -> np.ndarray:
-        """Diagnostic read of virtual page ``vpn`` — never cost-charged.
-
-        Same translation semantics as :meth:`read_virtual` (unmapped or
-        anonymous pages read as zeros), but without charging the
-        simulated cost model or mutating fault state: the read the
+        says it is.  Unmapped and anonymous pages read as zeros.  It
+        charges nothing to the simulated cost model: the read the
         invariant auditor uses to cross-check mappings against physical
         contents without perturbing the measured session.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement peek_virtual"
-        )
 
     # -- the maps source --------------------------------------------------
 
@@ -396,6 +388,7 @@ class Substrate(ABC):
 
     def set_observer(self, observer) -> None:
         """Attach an observer notified of mmap/munmap syscalls."""
+        self.observer = observer
 
     def close(self) -> None:
         """Release backend resources (idempotent)."""

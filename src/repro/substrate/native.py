@@ -369,7 +369,10 @@ class NativeSubstrate(Substrate):
 
     # -- page access through virtual addresses ---------------------------
 
-    def read_virtual(self, vpn: int, lane: str = MAIN_LANE) -> np.ndarray:
+    def peek_virtual(self, vpn: int) -> np.ndarray:
+        # The MMU does the translation, so nothing is charged to the
+        # simulated cost model; the wall-clock charge is harmless for
+        # diagnostics.
         entry = self._entry_for(vpn)
         if entry is None or entry.anonymous:
             # Reservation slots read as fresh anonymous memory would —
@@ -377,15 +380,9 @@ class NativeSubstrate(Substrate):
             return np.zeros(VALUES_PER_PAGE, dtype=np.int64)
         store = self._store_for_path(entry.pathname)
         slots = store.slots_per_page if store is not None else VALUES_PER_PAGE
-        with self.wall.timed("read_virtual"):
+        with self.wall.timed("peek_virtual"):
             raw = ctypes.string_at(vpn * PAGE_SIZE, PAGE_SIZE)
         return np.frombuffer(raw, dtype=np.int64)[1 : 1 + slots].copy()
-
-    def peek_virtual(self, vpn: int) -> np.ndarray:
-        # The native read path charges no simulated cost to begin with
-        # (the MMU does the translation); the wall-clock charge is
-        # harmless for diagnostics.
-        return self.read_virtual(vpn)
 
     def _entry_for(self, vpn: int) -> MapsEntry | None:
         for entry in parse_maps(self.maps_text()):
@@ -449,9 +446,6 @@ class NativeSubstrate(Substrate):
         return file.map_path
 
     # -- observation / lifecycle ------------------------------------------
-
-    def set_observer(self, observer) -> None:
-        self.observer = observer
 
     def close(self) -> None:
         for vpn, npages in list(self._regions.items()):

@@ -1,34 +1,49 @@
 """The simulated backend: the default substrate behind the headline numbers.
 
-:class:`SimulatedSubstrate` adapts the deterministic VM subsystem
-(:class:`~repro.vm.physical.PhysicalMemory`,
-:class:`~repro.vm.mmap_api.MemoryMapper`,
-:mod:`repro.vm.procmaps`) to the :class:`~repro.substrate.interface.Substrate`
-protocol.  Every operation delegates *verbatim* to the same VM calls the
-layers used to issue directly, so the :class:`~repro.vm.cost.CostLedger`
-stream is bit-identical to the pre-substrate code — the existing figure
-and parity tests are the guardrail for that invariant.
+:class:`SimulatedSubstrate` is the simulated kernel.  It drives one
+:class:`~repro.vm.address_space.AddressSpace` over the main-memory files
+of a :class:`~repro.vm.physical.PhysicalMemory` directly: each mapping
+operation checks its arguments as ``mmap(2)`` would, splices the VMA
+list and charges the shared :class:`~repro.vm.cost.CostModel` —
+anonymous reservations the syscall base only, file-backed mappings a
+small per-page cost as well — and :mod:`repro.vm.procmaps` renders and
+parses the result as the maps source.  The charges are the ones the
+layers booked before the substrate existed, so the
+:class:`~repro.vm.cost.CostLedger` stream is bit-identical to that code
+— the figure and parity tests are the guardrail for that invariant.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..vm.address_space import AddressSpace
 from ..vm.constants import VALUES_PER_PAGE
 from ..vm.cost import MAIN_LANE, CostModel
-from ..vm.errors import BadAddressError
-from ..vm.mmap_api import MemoryMapper
+from ..vm.errors import BadAddressError, MapError
 from ..vm.physical import MemoryFile, PhysicalMemory
 from ..vm.procmaps import (
     MappingSnapshot,
     render_maps,
     snapshot_address_space,
 )
+from ..vm.vma import Vma
 from .interface import Substrate
 
 #: Mount point under which simulated main-memory files appear in
 #: rendered maps lines, mirroring tmpfs on a real system.
 SHM_PREFIX = "/dev/shm/"
+
+
+def _check_run(npages: int, file: MemoryFile | None, file_page: int) -> None:
+    """Reject an empty mapping and one that reaches outside its file."""
+    if npages <= 0:
+        raise MapError("mmap of zero pages")
+    if file is not None and not 0 <= file_page <= file.num_pages - npages:
+        raise MapError(
+            f"file range [{file_page}, {file_page + npages}) outside "
+            f"{file.name!r} ({file.num_pages} pages)"
+        )
 
 
 class SimulatedSubstrate(Substrate):
@@ -53,19 +68,11 @@ class SimulatedSubstrate(Substrate):
             else:
                 memory = PhysicalMemory(**kwargs)
         self.memory = memory
-        self.mapper = MemoryMapper(memory)
         self.cost = self.memory.cost
         self.wall = None
-
-    @property
-    def observer(self):
-        """The mapper's observer (:meth:`set_observer`), or ``None``."""
-        return self.mapper.observer
-
-    @property
-    def address_space(self):
-        """The simulated address space (simulated-only introspection)."""
-        return self.mapper.address_space
+        #: The simulated process's address space (simulated-only
+        #: introspection).
+        self.address_space = AddressSpace()
 
     # -- physical-file allocation ---------------------------------------
 
@@ -90,7 +97,7 @@ class SimulatedSubstrate(Substrate):
     # -- virtual mapping --------------------------------------------------
 
     def reserve(self, npages: int, lane: str = MAIN_LANE) -> int:
-        return self.mapper.mmap(npages, lane=lane)
+        return self._mmap(npages, None, 0, lane)
 
     def map_file(
         self,
@@ -99,7 +106,23 @@ class SimulatedSubstrate(Substrate):
         file_page: int = 0,
         lane: str = MAIN_LANE,
     ) -> int:
-        return self.mapper.mmap(npages, file=file, file_page=file_page, lane=lane)
+        return self._mmap(npages, file, file_page, lane)
+
+    def _mmap(
+        self, npages: int, file: MemoryFile | None, file_page: int, lane: str
+    ) -> int:
+        """``mmap`` of ``npages`` pages at a fresh address, anonymous
+        without ``file``; returns the start virtual page number."""
+        _check_run(npages, file, file_page)
+        vpn = self.address_space.allocate_region(npages)
+        self.address_space.add_mapping(Vma(vpn, npages, file, file_page))
+        if file is None:
+            self.cost.anon_mmap(lane)
+        else:
+            self.cost.mmap_call(npages, lane)
+        if self.observer is not None:
+            self.observer.on_mmap("anon" if file is None else "file", npages)
+        return vpn
 
     def apply_runs(
         self,
@@ -109,7 +132,35 @@ class SimulatedSubstrate(Substrate):
         file_pages: np.ndarray,
         populate: bool = False,
     ) -> None:
-        self.mapper.apply_runs(vpns, npages, file, file_pages, populate=populate)
+        # The plan's bounds are checked once, as columns; a bad run
+        # rejects the whole plan with the error it would raise alone.
+        # The runs are then built unchecked and the address space takes
+        # them in one step.  ``populate`` only changes what the plan is
+        # booked at: the simulated page tables keep no residency.
+        if vpns.size == 0:
+            return
+        bad = (npages <= 0) | (vpns < 0)
+        if file is None:
+            file_pages, kind = np.zeros_like(npages), "anon"
+        else:
+            kind = "fixed"
+            bad |= (file_pages < 0) | (file_pages > file.num_pages - npages)
+        if bad.any():
+            # the first offending run fails as it would on its own
+            i = int(bad.argmax())
+            _check_run(int(npages[i]), file, int(file_pages[i]))
+            Vma(int(vpns[i]), int(npages[i]), file, int(file_pages[i]))
+        placed = Vma._placed
+        runs = [
+            placed(vpn, n, file, file_page)
+            for vpn, n, file_page in zip(
+                vpns.tolist(), npages.tolist(), file_pages.tolist()
+            )
+        ]
+        self.address_space.map_runs(runs)
+        if self.observer is not None:
+            for run in runs:
+                self.observer.on_mmap(kind, run.npages)
 
     def release_region(
         self,
@@ -120,21 +171,16 @@ class SimulatedSubstrate(Substrate):
     ) -> None:
         # Drop the whole region from the address space; charge munmap
         # only for the file-backed pages.
-        self.mapper.address_space.remove_mapping(vpn, npages)
+        self.address_space.remove_mapping(vpn, npages)
         self.cost.munmap_call(mapped_pages, lane)
-        if self.mapper.observer is not None:
-            self.mapper.observer.on_munmap(mapped_pages)
+        if self.observer is not None:
+            self.observer.on_munmap(mapped_pages)
 
     # -- page access through virtual addresses ---------------------------
 
-    def read_virtual(self, vpn: int, lane: str = MAIN_LANE):
-        return self.mapper.read_page_values(vpn, lane)
-
     def peek_virtual(self, vpn: int):
-        # Uncharged diagnostic read: translate without fault accounting,
-        # then copy the physical page bytes directly.
         try:
-            backing = self.mapper.translate(vpn)
+            backing = self.address_space.translate(vpn)
         except BadAddressError:
             backing = None
         if backing is None:
@@ -145,7 +191,7 @@ class SimulatedSubstrate(Substrate):
     # -- the maps source --------------------------------------------------
 
     def maps_text(self) -> str:
-        return render_maps(self.mapper.address_space, shm_prefix=SHM_PREFIX)
+        return render_maps(self.address_space, shm_prefix=SHM_PREFIX)
 
     def maps_snapshot(
         self,
@@ -154,7 +200,7 @@ class SimulatedSubstrate(Substrate):
         file_filter: str | None = None,
     ) -> MappingSnapshot:
         return snapshot_address_space(
-            self.mapper.address_space,
+            self.address_space,
             cost=cost,
             lane=lane,
             file_filter=file_filter,
@@ -163,9 +209,9 @@ class SimulatedSubstrate(Substrate):
 
     def maps_line_count(self, pathname: str | None = None) -> int:
         if pathname is None:
-            return self.mapper.address_space.num_vmas
+            return self.address_space.num_vmas
         count = 0
-        for vma in self.mapper.address_space.vmas():
+        for vma in self.address_space.vmas():
             if vma.file is not None and f"{SHM_PREFIX}{vma.file.name}" == pathname:
                 count += 1
         return count
@@ -174,9 +220,6 @@ class SimulatedSubstrate(Substrate):
         return f"{SHM_PREFIX}{file.name}"
 
     # -- observation / lifecycle ------------------------------------------
-
-    def set_observer(self, observer) -> None:
-        self.mapper.observer = observer
 
     def close(self) -> None:
         pass

@@ -25,7 +25,6 @@ from .errors import (
     ProcMapsError,
     VmError,
 )
-from .mmap_api import MemoryMapper
 from .physical import MemoryFile, PhysicalMemory
 from .procmaps import (
     MappingSnapshot,
@@ -50,7 +49,6 @@ __all__ = [
     "MapError",
     "MAX_VALUE",
     "MemoryFile",
-    "MemoryMapper",
     "MIN_VALUE",
     "OutOfMemoryError",
     "PAGE_HEADER_BYTES",

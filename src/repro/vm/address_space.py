@@ -1,18 +1,11 @@
-"""A process address space: VMA bookkeeping plus fault tracking.
+"""A process address space: VMA bookkeeping.
 
 This is pure mechanism — it answers "what maps where" and performs the
 kernel-side mutations.  Every mutation is one :meth:`AddressSpace._splice`
 of the sorted VMA list: clip what was there, place what is new, merge
-compatible neighbours, assign one slice.  Cost
-accounting and syscall-style argument checking live one level up in
-:mod:`repro.vm.mmap_api`.
-
-Residency — which pages have been touched since they were last
-(re-)mapped — is kept as sorted, disjoint, non-adjacent intervals
-``[start, end)`` in two parallel lists, the idiom of ``_starts``: a
-populated plan without gaps is one interval, discarding it one bisect
-and one slice deletion, a fault a bisect.  The bookkeeping of a mapping
-is proportional to the intervals it touches, never to its pages.
+compatible neighbours, assign one slice.  Cost accounting and
+syscall-style argument checking live one level up, in
+:class:`~repro.substrate.simulated.SimulatedSubstrate`.
 """
 
 from __future__ import annotations
@@ -38,9 +31,6 @@ class AddressSpace:
         self._vmas: list[Vma] = []  # sorted by start, non-overlapping
         self._starts: list[int] = []  # parallel list for bisect
         self._next_vpn = _MMAP_BASE_VPN
-        # resident intervals [start, end): sorted, disjoint, non-adjacent
-        self._res_starts: list[int] = []
-        self._res_ends: list[int] = []
         #: Serializes mutations; the background mapping thread
         #: (Section 2.3, optimization 2) maps pages concurrently with the
         #: scanning thread, just as the kernel serializes mmap internally.
@@ -64,19 +54,6 @@ class AddressSpace:
             i -= 1
         return i, bisect.bisect_left(self._starts, hi, i)
 
-    def _first_unmapped(self, start: int, end: int) -> int | None:
-        """The first page of ``[start, end)`` no VMA holds, if any.
-
-        Walks the (sorted) VMAs of the range, so the check is
-        O(VMAs in range), not O(pages).
-        """
-        i, j = self._overlapping(start, end)
-        for vma in self._vmas[i:j]:
-            if vma.start > start:
-                break
-            start = vma.end
-        return start if start < end else None
-
     def find_vma(self, vpn: int) -> Vma | None:
         """The VMA containing virtual page ``vpn``, if any."""
         idx = bisect.bisect_right(self._starts, vpn) - 1
@@ -94,97 +71,6 @@ class AddressSpace:
         if vma is None:
             raise BadAddressError(f"virtual page {vpn:#x} is not mapped")
         return vma.translate(vpn)
-
-    def is_mapped(self, vpn: int) -> bool:
-        """Whether ``vpn`` lies in any VMA."""
-        return self.find_vma(vpn) is not None
-
-    # -- fault tracking ----------------------------------------------------
-
-    def fault_in(self, vpn: int) -> bool:
-        """Record an access to ``vpn``; True if it is the first touch.
-
-        The first access after a (re-)mapping triggers a soft page fault;
-        the caller charges its cost.
-        """
-        with self.lock:
-            i = bisect.bisect_right(self._res_starts, vpn) - 1
-            if i >= 0 and vpn < self._res_ends[i]:
-                return False
-            if not self.is_mapped(vpn):
-                raise BadAddressError(f"fault on unmapped page {vpn:#x}")
-            self._mark_resident(vpn, vpn + 1)
-            return True
-
-    def fault_in_range(self, start: int, npages: int) -> int:
-        """Record accesses to ``[start, start + npages)`` in one step.
-
-        The bulk counterpart of :meth:`fault_in` — used when a mapping
-        is populated eagerly (``MAP_POPULATE``).  The whole range must be
-        mapped.  Returns the number of first touches.
-        """
-        if npages <= 0:
-            raise MapError("cannot fault in an empty range")
-        with self.lock:
-            hole = self._first_unmapped(start, start + npages)
-            if hole is not None:
-                raise BadAddressError(f"fault on unmapped page {hole:#x}")
-            return self._mark_resident(start, start + npages)
-
-    def resident_intervals(self) -> list[tuple[int, int]]:
-        """The resident ranges ``[start, end)`` in address order."""
-        with self.lock:
-            return list(zip(self._res_starts, self._res_ends))
-
-    def resident_pages(self) -> set[int]:
-        """Every resident page (touched since it was last mapped)."""
-        return {
-            vpn
-            for start, end in self.resident_intervals()
-            for vpn in range(start, end)
-        }
-
-    def _mark_resident(self, lo: int, hi: int) -> int:
-        """Make ``[lo, hi)`` resident; returns the pages that were not.
-
-        The intervals the range overlaps or touches fuse with it into
-        one.
-        """
-        starts, ends = self._res_starts, self._res_ends
-        i = bisect.bisect_left(ends, lo)
-        j = bisect.bisect_right(starts, hi, i)
-        fresh = hi - lo
-        if i < j:
-            for k in range(i, j):
-                fresh -= min(ends[k], hi) - max(starts[k], lo)
-            lo = min(lo, starts[i])
-            hi = max(hi, ends[j - 1])
-        starts[i:j] = [lo]
-        ends[i:j] = [hi]
-        return fresh
-
-    def _invalidate_faults(self, start: int, npages: int) -> None:
-        """Forget fault state for a remapped/unmapped range.
-
-        One bisect finds the intervals the range cuts; what lies between
-        the first and the last goes in one slice deletion, however many
-        pages the range or the intervals span.
-        """
-        end = start + npages
-        starts, ends = self._res_starts, self._res_ends
-        i = bisect.bisect_right(ends, start)
-        j = bisect.bisect_left(starts, end, i)
-        if i == j:
-            return
-        kept_starts, kept_ends = [], []
-        if starts[i] < start:
-            kept_starts.append(starts[i])
-            kept_ends.append(start)
-        if ends[j - 1] > end:
-            kept_starts.append(end)
-            kept_ends.append(ends[j - 1])
-        starts[i:j] = kept_starts
-        ends[i:j] = kept_ends
 
     # -- region allocation ---------------------------------------------------
 
@@ -206,8 +92,7 @@ class AddressSpace:
         at ``lo`` and ends at ``hi``.  Old mappings survive outside the
         range and in the gaps between consecutive new areas, clipped to
         fit; adjacent compatible areas merge, as the kernel merges them.
-        Fault state is the caller's business.  Returns the old VMAs the
-        range touched.
+        Returns the old VMAs the range touched.
         """
         vmas = self._vmas
         i, j = self._overlapping(lo, hi)
@@ -269,7 +154,6 @@ class AddressSpace:
         end = start + npages
         with self.lock:
             old = self._splice(start, end, ())
-            self._invalidate_faults(start, npages)
             if not old:
                 return 0
             # whole areas, less what the first and the last keep outside
@@ -279,20 +163,14 @@ class AddressSpace:
                 - max(old[-1].end - end, 0)
             )
 
-    def replace_mapping(self, vma: Vma) -> None:
-        """MAP_FIXED semantics: atomically unmap the range, then map ``vma``."""
-        self.map_runs([vma])
-
-    def map_runs(self, runs: Sequence[Vma], populate: bool = False) -> None:
+    def map_runs(self, runs: Sequence[Vma]) -> None:
         """MAP_FIXED a whole plan: every run replaces what its range held.
 
         ``runs`` must be sorted by address and must not overlap; what
         lies between two runs stays mapped as it was.  Each stretch of
-        touching runs is one splice and one fault-state interval, so a
-        plan that spans several views' areas costs per stretch, not per
-        VMA between its first and last page.  The fault state of every
-        run is reset and, with ``populate``, installed again
-        (``MAP_POPULATE``).
+        touching runs is one splice, so a plan that spans several views'
+        areas costs per stretch, not per VMA between its first and last
+        page.
         """
         if not runs:
             return
@@ -312,31 +190,3 @@ class AddressSpace:
         with self.lock:
             for first, end, lo, hi in stretches:
                 self._splice(lo, hi, runs[first:end])
-                if populate:
-                    self._mark_resident(lo, hi)
-                else:
-                    self._invalidate_faults(lo, hi - lo)
-
-    def protect_mapping(self, start: int, npages: int, perms: str) -> None:
-        """mprotect semantics: change permissions of a mapped range.
-
-        The whole range must be mapped; affected VMAs are split at the
-        boundaries and re-inserted with the new permissions (adjacent
-        compatible areas merge back together, as the kernel does).
-        Resident pages stay resident.
-        """
-        if npages <= 0:
-            raise MapError("cannot protect an empty range")
-        if not set(perms) <= set("rwx"):
-            raise MapError(f"bad permission string: {perms!r}")
-        end = start + npages
-        with self.lock:
-            hole = self._first_unmapped(start, end)
-            if hole is not None:
-                raise BadAddressError(f"mprotect on unmapped page {hole:#x}")
-            i, j = self._overlapping(start, end)
-            self._splice(
-                start,
-                end,
-                [vma.clipped(start, end, perms) for vma in self._vmas[i:j]],
-            )

@@ -457,10 +457,6 @@ class CostModel:
         page-table work until first touch."""
         self.ledger.book(calls * self._ps["mmap_syscall"], lane, (("mmap_calls", calls),))
 
-    def mprotect_call(self, lane: str = MAIN_LANE) -> None:
-        """Charge one mprotect() syscall, priced as an mmap() syscall."""
-        self.ledger.book(self._ps["mmap_syscall"], lane, (("mprotect_calls", 1),))
-
     def munmap_call(self, pages: int, lane: str = MAIN_LANE) -> None:
         """Charge one munmap() syscall unmapping ``pages`` pages."""
         ps, counts = self._ps, (("munmap_calls", 1), ("pages_unmapped", pages))

@@ -23,7 +23,3 @@ class FileError(VmError):
 
 class ProcMapsError(VmError):
     """A /proc/PID/maps line could not be parsed."""
-
-
-class ProtectionError(VmError):
-    """An access violated a mapping's permissions (a segfault)."""

@@ -74,24 +74,23 @@ class MapsEntry:
 
 
 def render_maps(address_space: AddressSpace, shm_prefix: str = "/dev/shm/") -> str:
-    """Render the address space in ``/proc/PID/maps`` text format."""
+    """Render the address space in ``/proc/PID/maps`` text format.
+
+    Every simulated area is a shared read-write mapping: ``rw-s``.
+    """
     lines = []
     for vma in address_space.vmas():
         start = vma.start * PAGE_SIZE
         end = vma.end * PAGE_SIZE
-        perm_bits = "".join(c if c in vma.perms else "-" for c in "rwx")
-        perms = perm_bits + ("s" if vma.shared else "p")
         if vma.file is not None:
             offset = vma.file_page * PAGE_SIZE
             dev, inode = _FILE_DEV, vma.file.inode
             path = f"{shm_prefix}{vma.file.name}"
             lines.append(
-                f"{start:08x}-{end:08x} {perms} {offset:08x} {dev} {inode} {path}"
+                f"{start:08x}-{end:08x} rw-s {offset:08x} {dev} {inode} {path}"
             )
         else:
-            lines.append(
-                f"{start:08x}-{end:08x} {perms} {0:08x} {_ANON_DEV} 0"
-            )
+            lines.append(f"{start:08x}-{end:08x} rw-s {0:08x} {_ANON_DEV} 0")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -29,8 +29,6 @@ class Vma:
     npages: int
     file: MemoryFile | None = None
     file_page: int = 0
-    shared: bool = True
-    perms: str = "rw"
 
     def __post_init__(self) -> None:
         if self.npages <= 0:
@@ -45,8 +43,6 @@ class Vma:
         npages: int,
         file: MemoryFile | None,
         file_page: int,
-        shared: bool = True,
-        perms: str = "rw",
     ) -> "Vma":
         """An ordinary, immutable VMA from fields already known to be
         valid — a clip or merge of valid areas, a run of a plan checked
@@ -58,8 +54,6 @@ class Vma:
         fields["npages"] = npages
         fields["file"] = file
         fields["file_page"] = file_page
-        fields["shared"] = shared
-        fields["perms"] = perms
         return vma
 
     @property
@@ -92,12 +86,10 @@ class Vma:
         """Whether ``successor`` extends this area seamlessly.
 
         Mirrors the kernel's merge criteria: virtually adjacent, same
-        backing object, same flags, and (for file mappings) contiguous
-        file offsets.
+        backing object and (for file mappings) contiguous file offsets.
+        Every area is mapped shared and read-write, so flags never differ.
         """
         if self.start + self.npages != successor.start:
-            return False
-        if self.shared != successor.shared or self.perms != successor.perms:
             return False
         if self.file is not successor.file:
             return False
@@ -114,25 +106,15 @@ class Vma:
             self.npages + successor.npages,
             self.file,
             self.file_page,
-            self.shared,
-            self.perms,
         )
 
-    def clipped(self, start: int, end: int, perms: str | None = None) -> "Vma":
+    def clipped(self, start: int, end: int) -> "Vma":
         """The part of the area inside ``[start, end)``, which must overlap
-        it; with ``perms``, under those permissions instead of its own."""
+        it."""
         start = max(start, self.start)
         return Vma._placed(
             start,
             min(end, self.end) - start,
             self.file,
             self.file_page + (start - self.start) if self.file else 0,
-            self.shared,
-            self.perms if perms is None else perms,
         )
-
-    def split_at(self, vpn: int) -> tuple["Vma", "Vma"]:
-        """Split into two VMAs at virtual page ``vpn`` (strictly inside)."""
-        if not self.start < vpn < self.end:
-            raise ValueError(f"split point {vpn} not strictly inside {self}")
-        return self.clipped(self.start, vpn), self.clipped(vpn, self.end)

@@ -9,7 +9,6 @@ from repro.storage.column import PhysicalColumn
 from repro.substrate import SimulatedSubstrate
 from repro.vm.cost import CostModel
 from repro.vm.constants import VALUES_PER_PAGE
-from repro.vm.mmap_api import MemoryMapper
 from repro.vm.physical import PhysicalMemory
 
 
@@ -20,9 +19,9 @@ def memory() -> PhysicalMemory:
 
 
 @pytest.fixture
-def mapper(memory: PhysicalMemory) -> MemoryMapper:
+def substrate(memory: PhysicalMemory) -> SimulatedSubstrate:
     """A fresh address space on the small machine."""
-    return MemoryMapper(memory)
+    return SimulatedSubstrate(memory)
 
 
 def build_column(
@@ -48,11 +47,11 @@ def uniform_column(
     return build_column(values, name=name)
 
 
-def to_reservation(substrate, vpn: int) -> None:
-    """Point page ``vpn`` back at reservation memory: a one-run plan
-    without a file."""
-    one = np.array([1], dtype=np.int64)
-    substrate.map_runs(np.array([vpn], dtype=np.int64), one, None, one)
+def to_reservation(substrate, vpn: int, npages: int = 1) -> None:
+    """Point ``npages`` pages from ``vpn`` back at reservation memory: a
+    one-run plan without a file."""
+    run = np.array([npages], dtype=np.int64)
+    substrate.map_runs(np.array([vpn], dtype=np.int64), run, None, run)
 
 
 def reference_rows(values: np.ndarray, lo: int, hi: int) -> np.ndarray:

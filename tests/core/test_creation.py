@@ -74,7 +74,8 @@ class TestMaterializePages:
             view = VirtualView(col, 0, 10)
             materialize_pages(view, np.array([2, 3, 9]), coalesce=coalesce)
             for fpage in (2, 3, 9):
-                assert col.substrate.mapper.translate(view.vpn_of(fpage)) == (col.file, fpage)
+                backing = col.substrate.address_space.translate(view.vpn_of(fpage))
+                assert backing == (col.file, fpage)
 
 
 class TestBackgroundMapper:
@@ -92,7 +93,7 @@ class TestBackgroundMapper:
             main_delta = cost.ledger.lane_ns(MAIN_LANE) - main_before
             assert main_delta < cost.params.mmap_syscall_ns
             # the mapping is actually in place (real thread executed it)
-            assert col.substrate.mapper.translate(view.vpn_of(2)) == (col.file, 2)
+            assert col.substrate.address_space.translate(view.vpn_of(2)) == (col.file, 2)
         finally:
             bg.stop()
 
@@ -103,7 +104,8 @@ class TestBackgroundMapper:
             view = VirtualView(col, 0, 10)
             materialize_pages(view, np.arange(64), coalesce=False, background=bg)
             for fpage in range(64):
-                assert col.substrate.mapper.translate(view.vpn_of(fpage)) == (col.file, fpage)
+                backing = col.substrate.address_space.translate(view.vpn_of(fpage))
+                assert backing == (col.file, fpage)
         finally:
             bg.stop()
 

@@ -45,7 +45,7 @@ class TestCreationEquivalence:
                 outcomes.append(view.mapped_fpages().tolist())
                 # translations are real, not just bookkeeping
                 for fpage in pages:
-                    assert column.substrate.mapper.translate(view.vpn_of(fpage)) == (
+                    assert column.substrate.address_space.translate(view.vpn_of(fpage)) == (
                         column.file,
                         fpage,
                     )

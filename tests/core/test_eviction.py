@@ -56,7 +56,7 @@ class TestLruEviction:
         victim = layer.view_index.partial_views[0]
         base = victim.base_vpn
         layer.answer_query(5000, 5999)
-        assert not layer.column.substrate.mapper.address_space.is_mapped(base)
+        assert layer.column.substrate.address_space.find_vma(base) is None
 
     def test_correctness_under_churn(self):
         layer = lru_layer(max_views=2)

@@ -87,7 +87,7 @@ def _run_workload(dist_name: str, mode: RoutingMode, steps) -> dict:
         "maintenance": maintenance,
         "lanes": ledger.lanes(),
         "counters": ledger.counters(),
-        "maps_lines": maps_line_count(column.substrate.mapper.address_space),
+        "maps_lines": maps_line_count(column.substrate.address_space),
     }
 
 

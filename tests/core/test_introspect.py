@@ -82,11 +82,11 @@ class TestInspect:
         for band in range(4):
             layer.answer_query(band * 1000, band * 1000 + 2500)
         batch = make_update_batch(column, 8, 0, 15_000, seed=3)
-        lines_at_parse_time = maps_line_count(column.substrate.mapper.address_space)
+        lines_at_parse_time = maps_line_count(column.substrate.address_space)
         stats = layer.apply_updates(batch)
         assert stats.maps_lines == lines_at_parse_time
         report = inspect_view_index(layer.view_index)
-        assert report.maps_lines == maps_line_count(column.substrate.mapper.address_space)
+        assert report.maps_lines == maps_line_count(column.substrate.address_space)
         layer.shutdown()
 
     def test_empty_index(self):

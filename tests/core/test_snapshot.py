@@ -98,11 +98,11 @@ class TestRelease:
         base = snap.base_vpn
         copy_name = f"{column.file.name}.snap{snap.snapshot_id}"
         snap.release()
-        assert not column.substrate.mapper.address_space.is_mapped(base)
+        assert column.substrate.address_space.find_vma(base) is None
         from repro.vm.errors import FileError
 
         with pytest.raises(FileError):
-            column.substrate.mapper.memory.get_file(copy_name)
+            column.substrate.memory.get_file(copy_name)
 
     def test_release_idempotent(self, manager):
         snap = manager.create_snapshot()

@@ -59,9 +59,9 @@ class TestPartialView:
 
     def test_reservation_spans_whole_column(self, column):
         view = VirtualView(column, 0, 1)
-        asp = column.substrate.mapper.address_space
-        assert asp.is_mapped(view.base_vpn)
-        assert asp.is_mapped(view.base_vpn + column.num_pages - 1)
+        asp = column.substrate.address_space
+        assert asp.find_vma(view.base_vpn) is not None
+        assert asp.find_vma(view.base_vpn + column.num_pages - 1) is not None
         assert asp.translate(view.base_vpn) is None  # anonymous
 
     def test_add_page_maps_and_translates(self, column):
@@ -69,7 +69,7 @@ class TestPartialView:
         view.add_page(7)
         assert view.contains_page(7)
         assert view.num_pages == 1
-        assert column.substrate.mapper.translate(view.vpn_of(7)) == (column.file, 7)
+        assert column.substrate.address_space.translate(view.vpn_of(7)) == (column.file, 7)
 
     def test_add_duplicate_rejected(self, column):
         view = VirtualView(column, 0, 100)
@@ -113,8 +113,8 @@ class TestPartialView:
         assert view.num_pages == 3
         assert view.mapped_fpages().tolist() == [4, 5, 6]
         # one coalesced mmap: virtual pages contiguous, file pages contiguous
-        assert column.substrate.mapper.translate(view.base_vpn) == (column.file, 4)
-        assert column.substrate.mapper.translate(view.base_vpn + 2) == (column.file, 6)
+        assert column.substrate.address_space.translate(view.base_vpn) == (column.file, 4)
+        assert column.substrate.address_space.translate(view.base_vpn + 2) == (column.file, 6)
 
     def test_map_run_rejects_duplicates(self, column):
         view = VirtualView(column, 0, 100)
@@ -157,7 +157,7 @@ class TestDestroy:
         view.add_page(3)
         base = view.base_vpn
         view.destroy()
-        assert not column.substrate.mapper.address_space.is_mapped(base)
+        assert column.substrate.address_space.find_vma(base) is None
         assert view.num_pages == 0
 
     def test_destroy_idempotent(self, column):

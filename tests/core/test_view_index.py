@@ -200,7 +200,7 @@ class TestRetention:
         index.insert(existing)
         base = existing.base_vpn
         index.consider_candidate(make_candidate(column, 0, 100, [1, 2]))
-        assert not column.substrate.mapper.address_space.is_mapped(base)
+        assert column.substrate.address_space.find_vma(base) is None
 
 
 class TestIndexManagement:

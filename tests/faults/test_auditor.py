@@ -2,18 +2,23 @@
 catches each class of deliberately planted corruption."""
 
 import numpy as np
+import pytest
 
 from repro.audit import InvariantAuditor, run_audited_session
 from repro.core.config import AdaptiveConfig
 from repro.core.facade import AdaptiveDatabase
+from repro.faults import FaultySubstrate
+from repro.substrate import make_substrate
 
 from ..conftest import to_reservation
 
 
-def _grown_db(num_pages: int = 8, queries: int = 8):
+def _grown_db(num_pages: int = 8, queries: int = 8, backend="simulated"):
     rng = np.random.default_rng(21)
     values = rng.integers(0, 1_000_000, size=num_pages * 512, dtype=np.int64)
-    db = AdaptiveDatabase(config=AdaptiveConfig(background_mapping=False))
+    db = AdaptiveDatabase(
+        config=AdaptiveConfig(background_mapping=False), backend=backend
+    )
     db.create_table("t", {"x": values})
     for _ in range(queries):
         lo = int(rng.integers(0, 900_000))
@@ -103,6 +108,34 @@ class TestPlantedCorruption:
             )
         assert not report.ok
         assert any(f.invariant == "page-id" for f in report.findings)
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["bare", "fault-plane"])
+    def test_detects_wrong_page_table_translation(self, faulty, monkeypatch):
+        """The simulated page tables (``substrate.address_space``) are
+        cross-checked against the maps source, also behind a fault plane:
+        a translation that strays from the maps is found."""
+        backend = make_substrate("simulated")
+        if faulty:
+            backend = FaultySubstrate(backend)
+        with _grown_db(backend=backend) as db:
+            layer, view = _some_partial(db)
+            fpage = int(view.mapped_fpages()[0])
+            vpn = view.vpn_of(fpage)
+            aspace = db.substrate.address_space
+            translate = aspace.translate
+
+            def misrouted(page: int):
+                backing = translate(page)
+                if page != vpn:
+                    return backing
+                return backing[0], backing[1] + 1
+
+            monkeypatch.setattr(aspace, "translate", misrouted)
+            report = db.audit()
+        assert not report.ok
+        planted = [f for f in report.findings if f.invariant == "page-table-agreement"]
+        assert [f.fpage for f in planted] == [fpage]
+        assert "snapshot-agreement" not in {f.invariant for f in report.findings}
 
     def test_report_render_mentions_findings(self):
         with _grown_db() as db:

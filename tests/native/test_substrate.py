@@ -93,31 +93,31 @@ def write_first_value(vpn, value):
 class TestNativeMapping:
     def test_reserve_reads_zeros(self, sub):
         base = sub.reserve(4)
-        assert sub.read_virtual(base)[0] == 0
-        assert sub.read_virtual(base + 3).shape == (VALUES_PER_PAGE,)
+        assert sub.peek_virtual(base)[0] == 0
+        assert sub.peek_virtual(base + 3).shape == (VALUES_PER_PAGE,)
 
     def test_map_fixed_rewires_into_reservation(self, sub, file):
         base = sub.reserve(4)
         sub.map_fixed(base + 1, 1, file, 5)
-        assert sub.read_virtual(base + 1)[0] == 5000
+        assert sub.peek_virtual(base + 1)[0] == 5000
         # The core trick: repoint the same virtual page.
         sub.map_fixed(base + 1, 1, file, 2)
-        assert sub.read_virtual(base + 1)[0] == 2000
+        assert sub.peek_virtual(base + 1)[0] == 2000
 
     def test_unmap_slot_restores_hole(self, sub, file):
         base = sub.reserve(2)
         sub.map_fixed(base, 1, file, 7)
-        assert sub.read_virtual(base)[0] == 7000
+        assert sub.peek_virtual(base)[0] == 7000
         to_reservation(sub, base)
-        assert sub.read_virtual(base)[0] == 0
+        assert sub.peek_virtual(base)[0] == 0
         sub.map_fixed(base, 1, file, 1)
-        assert sub.read_virtual(base)[0] == 1000
+        assert sub.peek_virtual(base)[0] == 1000
 
     def test_write_through_store_visible_in_view(self, sub, file):
         base = sub.reserve(1)
         sub.map_fixed(base, 1, file, 4)
         file.data[4, 0] = 123456
-        assert sub.read_virtual(base)[0] == 123456
+        assert sub.peek_virtual(base)[0] == 123456
 
     def test_write_through_view_reaches_store(self, sub, file):
         base = sub.reserve(2)
@@ -132,17 +132,17 @@ class TestNativeMapping:
         sub.map_fixed(base, 1, file, 2)
         sub.map_fixed(base + 3, 1, file, 2)
         write_first_value(base, 4242)
-        assert sub.read_virtual(base + 3)[0] == 4242
+        assert sub.peek_virtual(base + 3)[0] == 4242
 
     def test_coalesced_run(self, sub, file):
         base = sub.reserve(8)
         sub.map_fixed(base + 1, 3, file, 4)
-        assert [sub.read_virtual(base + i)[0] for i in (1, 2, 3)] == [4000, 5000, 6000]
+        assert [sub.peek_virtual(base + i)[0] for i in (1, 2, 3)] == [4000, 5000, 6000]
         assert sub.maps_line_count(sub.file_map_path(file)) == 1
 
     def test_map_file_whole(self, sub, file):
         base = sub.map_file(8, file)
-        assert sub.read_virtual(base + 6)[0] == 6000
+        assert sub.peek_virtual(base + 6)[0] == 6000
         before = sub.cost.ledger.counter("pages_unmapped")
         sub.release_region(base, 8, mapped_pages=8)
         assert sub.cost.ledger.counter("pages_unmapped") - before == 8

@@ -35,7 +35,7 @@ def captured():
 def observed_layer(num_pages=32):
     column = uniform_column(num_pages=num_pages)
     observer = Observer(column.cost.ledger)
-    column.substrate.mapper.observer = observer
+    column.substrate.set_observer(observer)
     layer = AdaptiveStorageLayer(column, AdaptiveConfig(), observer=observer)
     return column, observer, layer
 
@@ -225,7 +225,7 @@ def test_observation_off_by_default():
         db.create_table("t", sample_table(4))
         layer = db.layer("t", "temp")
         assert layer.observer is NULL_OBSERVER
-        assert db.catalog.substrate.mapper.observer is None
+        assert db.catalog.substrate.observer is None
     finally:
         db.close()
 

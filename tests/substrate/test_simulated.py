@@ -1,11 +1,12 @@
 """Unit tests for the simulated substrate and the backend factory.
 
-The critical invariant: :class:`SimulatedSubstrate` delegates *verbatim*
-to the VM calls the layers used to issue directly, so the cost-ledger
-stream is bit-identical to pre-substrate code.  The bit-identity guard
-below replays the same operation sequence through the substrate and
-through a raw :class:`~repro.vm.mmap_api.MemoryMapper` and compares the
-complete ledger snapshots.
+The critical invariant: :class:`SimulatedSubstrate` books exactly the
+charges the layers used to book when they edited the address space
+directly, so the cost-ledger stream is bit-identical to pre-substrate
+code.  The bit-identity guard below replays the same operation sequence
+through the substrate and as raw :class:`~repro.vm.address_space.AddressSpace`
+edits plus the per-syscall charges, and compares the complete ledger
+snapshots and the rendered maps text.
 """
 
 import numpy as np
@@ -19,10 +20,12 @@ from repro.substrate import (
     Substrate,
     make_substrate,
 )
+from repro.vm.address_space import AddressSpace
 from repro.vm.cost import CostModel
 from repro.vm.errors import FileError
-from repro.vm.mmap_api import MemoryMapper
 from repro.vm.physical import PhysicalMemory
+from repro.vm.procmaps import render_maps, snapshot_address_space
+from repro.vm.vma import Vma
 
 from ..conftest import to_reservation
 
@@ -73,11 +76,11 @@ class TestProtocolDelegation:
         file = sub.create_file("col", 8)
         file.data[5, :3] = [7, 8, 9]
         base = sub.reserve(4)
-        assert sub.read_virtual(base)[0] == 0  # reservation reads zeros
+        assert sub.peek_virtual(base)[0] == 0  # reservation reads zeros
         sub.map_fixed(base + 1, 1, file, 5)
-        assert list(sub.read_virtual(base + 1)[:3]) == [7, 8, 9]
+        assert list(sub.peek_virtual(base + 1)[:3]) == [7, 8, 9]
         to_reservation(sub, base + 1)
-        assert sub.read_virtual(base + 1)[0] == 0
+        assert sub.peek_virtual(base + 1)[0] == 0
 
     def test_map_file_and_line_counts(self, sub):
         file = sub.create_file("col", 8)
@@ -105,48 +108,55 @@ class TestProtocolDelegation:
 
 
 class TestBitIdentity:
-    """The same op sequence through substrate and raw mapper must charge
-    the ledger identically — the refactor may not move a nanosecond."""
+    """The same op sequence through the substrate and as raw address-space
+    edits must charge the ledger identically — the refactor may not move
+    a nanosecond."""
 
     @staticmethod
-    def _run_via_substrate(sub: SimulatedSubstrate):
+    def _run_via_substrate(sub: SimulatedSubstrate) -> str:
         file = sub.create_file("col", 16)
         sub.map_file(16, file)
         base = sub.reserve(8)
         sub.map_fixed(base + 0, 3, file, 4)
         sub.map_fixed(base + 3, 2, file, 9, populate=True)
         to_reservation(sub, base + 1)
-        sub.read_virtual(base + 4)
+        sub.peek_virtual(base + 4)
         sub.maps_snapshot(cost=sub.cost, file_filter=sub.file_map_path(file))
         sub.release_region(base, 8, mapped_pages=4)
+        return sub.maps_text()
 
     @staticmethod
-    def _run_via_mapper(mapper: MemoryMapper):
-        from repro.vm.procmaps import snapshot_address_space
-
-        cost = mapper.memory.cost
-        file = mapper.memory.create_file("col", 16)
-        mapper.mmap(16, file=file)
-        base = mapper.mmap(8)
-        mapper.mmap(3, addr=base + 0, fixed=True, file=file, file_page=4)
-        mapper.mmap(2, addr=base + 3, fixed=True, file=file, file_page=9, populate=True)
-        mapper.mmap(1, addr=base + 1, fixed=True)
-        mapper.read_page_values(base + 4)
+    def _run_via_address_space(memory: PhysicalMemory) -> str:
+        cost, aspace = memory.cost, AddressSpace()
+        file = memory.create_file("col", 16)
+        aspace.add_mapping(Vma(aspace.allocate_region(16), 16, file, 0))
+        cost.mmap_call(16)
+        base = aspace.allocate_region(8)
+        aspace.add_mapping(Vma(base, 8))
+        cost.anon_mmap()
+        aspace.map_runs([Vma(base + 0, 3, file, 4)])
+        cost.mmap_call(3)
+        aspace.map_runs([Vma(base + 3, 2, file, 9)])
+        cost.mmap_call(2)
+        cost.soft_fault(2)
+        aspace.map_runs([Vma(base + 1, 1)])
+        cost.anon_mmap()
+        aspace.translate(base + 4)
         snapshot_address_space(
-            mapper.address_space,
+            aspace,
             cost=cost,
             shm_prefix=SHM_PREFIX,
             file_filter=f"{SHM_PREFIX}col",
         )
-        mapper.address_space.remove_mapping(base, 8)
+        aspace.remove_mapping(base, 8)
         cost.munmap_call(4)
+        return render_maps(aspace, shm_prefix=SHM_PREFIX)
 
     def test_ledgers_identical(self):
         sub = SimulatedSubstrate(memory=PhysicalMemory(cost=CostModel()))
-        mapper = MemoryMapper(PhysicalMemory(cost=CostModel()))
-        self._run_via_substrate(sub)
-        self._run_via_mapper(mapper)
-        assert sub.cost.ledger.snapshot() == mapper.memory.cost.ledger.snapshot()
+        memory = PhysicalMemory(cost=CostModel())
+        assert self._run_via_substrate(sub) == self._run_via_address_space(memory)
+        assert sub.cost.ledger.snapshot() == memory.cost.ledger.snapshot()
 
 
 class TestCatalogWiring:

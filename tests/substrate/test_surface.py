@@ -7,7 +7,9 @@ reservation.  ``map_runs`` (a booked plan) and ``map_fixed`` (a booked
 plan of one run) are concrete in the base class, so no backend defines
 them; no backend has an ``unmap_slot`` or a ``munmap`` of its own
 (``release_region`` is the one tear-down), and the protocol has no
-``protect``.
+``protect``, ``mprotect`` or ``access``.  The one read through the
+translation is the uncharged ``peek_virtual``: no backend has a
+``read_virtual`` beside it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from repro.faults import FaultySubstrate
 from repro.substrate import SimulatedSubstrate
 from repro.substrate.interface import Substrate
 from repro.substrate.native import NativeSubstrate
-from repro.vm.mmap_api import MemoryMapper
 
 ABSTRACT = {
     "create_file",
@@ -27,7 +28,7 @@ ABSTRACT = {
     "map_file",
     "apply_runs",
     "release_region",
-    "read_virtual",
+    "peek_virtual",
     "maps_text",
     "maps_snapshot",
     "maps_line_count",
@@ -41,12 +42,19 @@ def test_abstract_methods_are_pinned():
     assert set(Substrate.__abstractmethods__) == ABSTRACT
 
 
+#: What neither the base class nor any backend defines: the one read is
+#: ``peek_virtual``, and no permission model or charged access exists.
+NEVER = ("unmap_slot", "munmap", "protect", "read_virtual", "mprotect", "access")
+
+
 def test_no_backend_defines_a_second_mapping_path():
     for backend in BACKENDS:
-        for name in ("map_fixed", "map_runs", "unmap_slot", "munmap", "protect"):
+        for name in ("map_fixed", "map_runs", *NEVER):
             assert name not in vars(backend), f"{backend.__name__}.{name}"
-    for name in ("unmap_slot", "munmap", "protect"):
+    for name in NEVER:
         assert not hasattr(Substrate, name), name
+        for backend in BACKENDS:
+            assert not hasattr(backend, name), f"{backend.__name__}.{name}"
     assert not hasattr(NativeSubstrate, "_rewire")
 
 
@@ -57,6 +65,9 @@ def test_map_fixed_resolves_to_the_base_class_plan():
 
 
 def test_the_mapper_keeps_one_plan_form():
-    assert hasattr(MemoryMapper, "apply_runs")
-    for name in ("map_runs", "remap_fixed"):
-        assert not hasattr(MemoryMapper, name)
+    # The simulated kernel applies a plan in apply_runs alone: map_runs
+    # and map_fixed are the base class's bookings of it, and it has no
+    # mmap entry point of its own.
+    assert "apply_runs" in vars(SimulatedSubstrate)
+    for name in ("remap_fixed", "mmap"):
+        assert not hasattr(SimulatedSubstrate, name), name

@@ -63,17 +63,10 @@ KEEP = {
     "TieredPageStore.set_page_id": _PROTOCOL,
     "FaultyPageStore.set_page_id": _PROTOCOL,
     "PhysicalMemory.files": "backs SimulatedSubstrate.files",
-    # Schedule constructors the fault tests use, and the reads the oracles are built on.
+    # Schedule constructors the fault tests use, and the read an oracle is built on.
     "FaultSchedule.nth_call": "builds the schedules the fault tests inject",
     "FaultSchedule.probabilistic": "builds the schedules the fault sweeps inject",
-    "AddressSpace.resident_intervals": "what the residency model test compares against",
-    "AddressSpace.resident_pages": "what the mapping oracle's differential compares",
     "MappingSnapshot.virtuals_of": "the per-page lookup tests/core/alignment_oracle.py runs on",
-    "Vma.split_at": "the split tests/vm/mapping_oracle.py is built from",
-    # The simulated VM's permission model, which no substrate exposes.
-    "MemoryMapper.mprotect": "drives tests/vm/test_mprotect.py, the mapping oracle and the residency model",
-    "AddressSpace.protect_mapping": "backs MemoryMapper.mprotect",
-    "CostModel.mprotect_call": "books MemoryMapper.mprotect",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")

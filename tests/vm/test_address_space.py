@@ -10,8 +10,6 @@ from repro.vm.errors import BadAddressError, MapError
 from repro.vm.physical import PhysicalMemory
 from repro.vm.vma import Vma
 
-from . import mapping_oracle
-
 
 @pytest.fixture
 def asp():
@@ -28,8 +26,8 @@ class TestMapping:
     def test_add_and_translate(self, asp, file):
         asp.add_mapping(Vma(start=100, npages=4, file=file, file_page=8))
         assert asp.translate(102) == (file, 10)
-        assert asp.is_mapped(103)
-        assert not asp.is_mapped(104)
+        assert asp.find_vma(103) is not None
+        assert asp.find_vma(104) is None
 
     def test_translate_unmapped_raises(self, asp):
         with pytest.raises(BadAddressError):
@@ -64,7 +62,7 @@ class TestUnmapping:
     def test_remove_whole_vma(self, asp):
         asp.add_mapping(Vma(start=10, npages=4))
         assert asp.remove_mapping(10, 4) == 4
-        assert not asp.is_mapped(10)
+        assert asp.find_vma(10) is None
         assert asp.num_vmas == 0
 
     def test_remove_splits_head_and_tail(self, asp, file):
@@ -73,7 +71,7 @@ class TestUnmapping:
         assert asp.num_vmas == 2
         assert asp.translate(12) == (file, 2)
         assert asp.translate(17) == (file, 7)
-        assert not asp.is_mapped(15)
+        assert asp.find_vma(15) is None
 
     def test_remove_across_holes(self, asp):
         asp.add_mapping(Vma(start=0, npages=2))
@@ -91,80 +89,10 @@ class TestUnmapping:
 class TestReplace:
     def test_replace_overwrites_atomically(self, asp, file):
         asp.add_mapping(Vma(start=0, npages=8))
-        asp.replace_mapping(Vma(start=2, npages=2, file=file, file_page=30))
+        asp.map_runs([Vma(start=2, npages=2, file=file, file_page=30)])
         assert asp.translate(2) == (file, 30)
         assert asp.translate(1) is None  # anonymous remainder
         assert asp.translate(4) is None
-
-    def test_replace_resets_fault_state(self, asp, file):
-        asp.add_mapping(Vma(start=0, npages=4, file=file, file_page=0))
-        assert asp.fault_in(1) is True
-        assert asp.fault_in(1) is False
-        asp.replace_mapping(Vma(start=0, npages=4, file=file, file_page=4))
-        assert asp.fault_in(1) is True  # remap invalidates the fault
-
-
-class TestFaults:
-    def test_first_touch_only_once(self, asp):
-        asp.add_mapping(Vma(start=0, npages=2))
-        assert asp.fault_in(0) is True
-        assert asp.fault_in(0) is False
-
-    def test_fault_on_unmapped_raises(self, asp):
-        with pytest.raises(BadAddressError):
-            asp.fault_in(99)
-
-    def test_unmap_clears_fault_state(self, asp):
-        asp.add_mapping(Vma(start=0, npages=2))
-        asp.fault_in(0)
-        asp.remove_mapping(0, 2)
-        asp.add_mapping(Vma(start=0, npages=2))
-        assert asp.fault_in(0) is True
-
-
-def _fault_in_range(fast: bool):
-    """The bulk method, or the per-page loop it must agree with."""
-    return AddressSpace.fault_in_range if fast else mapping_oracle.fault_in_range
-
-
-class TestBulkFaults:
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_counts_first_touches_only(self, asp, fast):
-        asp.add_mapping(Vma(start=0, npages=8))
-        asp.fault_in(2)
-        asp.fault_in(5)
-        assert _fault_in_range(fast)(asp, 0, 8) == 6
-        assert _fault_in_range(fast)(asp, 0, 8) == 0
-
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_range_spanning_merged_vmas(self, asp, file, fast):
-        asp.add_mapping(Vma(start=0, npages=4))
-        asp.add_mapping(Vma(start=4, npages=4, file=file, file_page=0))
-        assert _fault_in_range(fast)(asp, 2, 5) == 5
-
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_unmapped_hole_raises(self, asp, fast):
-        asp.add_mapping(Vma(start=0, npages=2))
-        asp.add_mapping(Vma(start=4, npages=2))
-        with pytest.raises(BadAddressError):
-            _fault_in_range(fast)(asp, 0, 6)
-
-    def test_empty_range_rejected(self, asp):
-        with pytest.raises(MapError):
-            asp.fault_in_range(0, 0)
-
-    def test_invalidation_with_sparse_fault_set(self, asp):
-        # A huge remap over a barely-touched area walks the (smaller)
-        # fault set, not the range — and must still forget the faults.
-        asp.add_mapping(Vma(start=0, npages=10_000))
-        asp.fault_in(17)
-        asp.fault_in(9_000)
-        asp.fault_in(3)
-        asp.remove_mapping(10, 9_980)  # drops 17 and 9000, keeps 3
-        asp.add_mapping(Vma(start=10, npages=9_980))
-        assert asp.fault_in(17) is True
-        assert asp.fault_in(9_000) is True
-        assert asp.fault_in(3) is False
 
 
 class TestAllocator:
@@ -221,7 +149,7 @@ def test_address_space_matches_page_model(ops):
             assert removed == expected
         else:
             vma = Vma(start=start, npages=npages, file=file, file_page=0)
-            asp.replace_mapping(vma)
+            asp.map_runs([vma])
             for v in range(start, start + npages):
                 model[v] = v - start
 
@@ -229,7 +157,7 @@ def test_address_space_matches_page_model(ops):
         if vpn in model:
             assert asp.translate(vpn) == (file, model[vpn])
         else:
-            assert not asp.is_mapped(vpn)
+            assert asp.find_vma(vpn) is None
 
     # VMAs are sorted, non-overlapping, and non-adjacent-compatible
     vmas = list(asp.vmas())

@@ -2,6 +2,7 @@
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.vm.constants import (
@@ -57,35 +58,35 @@ class TestLedgerConcurrency:
 
 
 class TestMmapPopulate:
-    def test_populate_faults_upfront(self, mapper, memory):
+    def test_populate_faults_upfront(self, substrate, memory):
         file = memory.create_file("f", 8)
-        base = mapper.mmap(4, file=file, file_page=0, populate=True)
-        assert mapper.cost.ledger.counter("soft_faults") == 4
-        # subsequent accesses are free
-        mapper.access(base)
-        mapper.access(base + 3)
-        assert mapper.cost.ledger.counter("soft_faults") == 4
+        base = substrate.reserve(4)
+        substrate.map_fixed(base, 4, file, 0, populate=True)
+        assert substrate.cost.ledger.counter("soft_faults") == 4
 
-    def test_populate_anonymous_reservation(self, mapper):
-        base = mapper.mmap(3, populate=True)
-        assert mapper.cost.ledger.counter("soft_faults") == 3
-        assert mapper.translate(base) is None
+    def test_a_plan_without_a_file_books_no_faults(self, substrate):
+        """A plan without a file points back at the reservation, which
+        has nothing to populate."""
+        base = substrate.reserve(3)
+        npages = np.array([3])
+        substrate.map_runs(np.array([base]), npages, None, npages, populate=True)
+        assert substrate.cost.ledger.counter("soft_faults") == 0
+        assert substrate.address_space.translate(base) is None
 
-    def test_remap_populate_resets_then_prefaults(self, mapper, memory):
+    def test_remap_populate_resets_then_prefaults(self, substrate, memory):
         file = memory.create_file("f", 8)
-        base = mapper.mmap(2, file=file, file_page=0, populate=True)
-        mapper.mmap(2, addr=base, fixed=True, file=file, file_page=4, populate=True)
+        base = substrate.reserve(2)
+        substrate.map_fixed(base, 2, file, 0, populate=True)
+        substrate.map_fixed(base, 2, file, 4, populate=True)
         # 2 faults for the first map + 2 for the remap
-        assert mapper.cost.ledger.counter("soft_faults") == 4
-        mapper.access(base)
-        assert mapper.cost.ledger.counter("soft_faults") == 4
+        assert substrate.cost.ledger.counter("soft_faults") == 4
 
 
 class TestProcmapsPrefix:
-    def test_custom_shm_prefix(self, mapper, memory):
+    def test_custom_shm_prefix(self, substrate, memory):
         from repro.vm.procmaps import render_maps
 
         file = memory.create_file("db", 4)
-        mapper.mmap(2, file=file, file_page=0)
-        text = render_maps(mapper.address_space, shm_prefix="/mnt/ram/")
+        substrate.map_file(2, file)
+        text = render_maps(substrate.address_space, shm_prefix="/mnt/ram/")
         assert "/mnt/ram/db" in text

@@ -308,7 +308,6 @@ _CALL = st.one_of(
     st.tuples(st.just("mmap_call"), st.tuples(_N, _LANE, st.integers(0, 9))),
     st.tuples(st.just("munmap_call"), st.tuples(_N)),
     st.tuples(st.just("anon_mmap"), st.tuples()),
-    st.tuples(st.just("mprotect_call"), st.tuples()),
     st.tuples(st.just("soft_fault"), st.tuples(_N)),
     st.tuples(
         st.just("backoff_wait"),

@@ -3,15 +3,15 @@
 ``SimulatedSubstrate.map_runs`` applies a view's whole mapping plan with
 one splice of the VMA list and one sum on the ledger, and
 ``SimulatedSubstrate.map_fixed`` is such a plan of one run; every other
-mutation (``mmap``, ``munmap``, ``mprotect``) is the same splice.  The
+mutation (``reserve``, ``release_region``) is the same splice.  The
 walk they replaced lives on in :mod:`tests.vm.mapping_oracle`, the
 per-request creation loop in :mod:`tests.core.creation_oracle`.  Every test here
 builds the same state twice, once through each, and requires what can be
-observed to be equal: the VMAs, the fault set, the allocator's bump
-pointer, the rendered ``/proc``-format text byte for byte, the columns
-the maps snapshot is built from, ledger lanes (``==``, not approx) and
-counters — and, with the fault plane armed, the journal, the mapped
-prefix, the views' ``_touched`` flags and the retry counters.
+observed to be equal: the VMAs, the allocator's bump pointer, the
+rendered ``/proc``-format text byte for byte, the columns the maps
+snapshot is built from, ledger lanes (``==``, not approx) and counters —
+and, with the fault plane armed, the journal, the mapped prefix, the
+views' ``_touched`` flags and the retry counters.
 
 Knobs: ``REPRO_SEED`` re-seeds the bulk sweep, ``REPRO_FUZZ_SCHEDULES``
 sets its length (default 200); a failing sweep entry names its seed.
@@ -35,14 +35,15 @@ from repro.resilience import ResilienceConfig, RetryPolicy
 from repro.seeds import derive_seed
 from repro.storage.column import PhysicalColumn
 from repro.substrate import SimulatedSubstrate, make_substrate
+from repro.vm.address_space import AddressSpace
 from repro.vm.constants import VALUES_PER_PAGE
 from repro.vm.cost import MAIN_LANE, MAPPER_LANE, CostModel
 from repro.vm.errors import MapError, VmError
-from repro.vm.mmap_api import MemoryMapper
 from repro.vm.physical import PhysicalMemory
 from repro.vm.procmaps import render_maps, snapshot_address_space
 from repro.vm.vma import Vma
 
+from ..conftest import to_reservation
 from ..core.creation_oracle import oracle_materialize_pages
 from . import mapping_oracle
 
@@ -57,9 +58,17 @@ FILES = ("db", "aux")
 #: — a MAP_FIXED plan, offsets relative to the first reservation;
 #: ``("fixed", file, offset, npages, file_page)`` — one MAP_FIXED call;
 #: ``("anon", offset, npages)`` — MAP_FIXED back to anonymous memory;
-#: ``("unmap", offset, npages)``, ``("protect", offset, npages, perms)``,
-#: ``("touch", offset)`` — one page access.
+#: ``("unmap", offset, npages)``.
 Op = tuple
+
+
+def _mapped_pages(aspace: AddressSpace, lo: int, hi: int) -> int:
+    """Pages of ``[lo, hi)`` some VMA holds."""
+    return sum(
+        min(vma.end, hi) - max(vma.start, lo)
+        for vma in aspace.vmas()
+        if vma.start < hi and lo < vma.end
+    )
 
 
 class Side:
@@ -68,25 +77,23 @@ class Side:
     def __init__(self, oracle: bool) -> None:
         self.oracle = oracle
         memory = PhysicalMemory(capacity_bytes=64 * 1024 * 1024, cost=CostModel())
+        self.cost = memory.cost
         if oracle:
-            self.mapper = MemoryMapper(memory, mapping_oracle.SetResidencySpace())
+            self.aspace = AddressSpace()
         else:
             self.substrate = SimulatedSubstrate(memory)
-            self.mapper = self.substrate.mapper
-        self.files = {
-            name: self.mapper.memory.create_file(name, FILE_PAGES) for name in FILES
-        }
+            self.aspace = self.substrate.address_space
+        self.files = {name: memory.create_file(name, FILE_PAGES) for name in FILES}
         self.base: int | None = None
 
     def apply(self, op: Op) -> None:
-        """Apply ``op``: through the substrate's plans and the mapper, or
-        as the oracle walk with the charges the old ``MemoryMapper``
-        methods booked."""
-        mapper, aspace, cost = self.mapper, self.mapper.address_space, self.mapper.cost
+        """Apply ``op``: through the substrate, or as the oracle walk with
+        the charges the old per-call ``mmap``/``munmap`` booked."""
+        aspace, cost = self.aspace, self.cost
         kind = op[0]
         if kind == "reserve":
             if not self.oracle:
-                start = mapper.mmap(op[1])
+                start = self.substrate.reserve(op[1])
             else:
                 start = aspace.allocate_region(op[1])
                 mapping_oracle.add_mapping(aspace, Vma(start, op[1]))
@@ -103,53 +110,44 @@ class Side:
             ]
             args = (base + columns[0], columns[1], self.files[name], columns[2])
             if self.oracle:
-                mapping_oracle.oracle_map_runs(mapper, *args, populate, lane)
+                mapping_oracle.oracle_map_runs(aspace, cost, *args, populate, lane)
             else:
                 self.substrate.map_runs(*args, populate, lane)
         elif kind == "fixed":
             _, name, offset, npages, file_page = op
             args = (base + offset, npages, self.files[name], file_page)
             if self.oracle:
-                mapping_oracle.oracle_map_fixed(mapper, *args)
+                mapping_oracle.oracle_map_fixed(aspace, cost, *args)
             else:
                 self.substrate.map_fixed(*args)
         elif kind == "anon":
             if not self.oracle:
-                mapper.mmap(op[2], addr=base + op[1], fixed=True)
+                to_reservation(self.substrate, base + op[1], op[2])
             else:
                 mapping_oracle.replace_mapping(aspace, Vma(base + op[1], op[2]))
                 cost.ledger.charge(cost.params.mmap_syscall_ns, MAIN_LANE)
                 cost.ledger.count("mmap_calls")
         elif kind == "unmap":
+            start = base + op[1]
             if not self.oracle:
-                mapper.munmap(base + op[1], op[2])
+                mapped = _mapped_pages(aspace, start, start + op[2])
+                self.substrate.release_region(start, op[2], mapped)
             else:
-                removed = mapping_oracle.remove_mapping(aspace, base + op[1], op[2])
+                removed = mapping_oracle.remove_mapping(aspace, start, op[2])
                 cost.munmap_call(removed, MAIN_LANE)
-        elif kind == "protect":
-            if not self.oracle:
-                mapper.mprotect(base + op[1], op[2], op[3])
-            else:
-                mapping_oracle.protect_mapping(aspace, base + op[1], op[2], op[3])
-                cost.ledger.charge(cost.params.mmap_syscall_ns, MAIN_LANE)
-                cost.ledger.count("mprotect_calls")
-        elif kind == "touch":
-            if aspace.is_mapped(base + op[1]):
-                mapper.access(base + op[1])
         else:  # pragma: no cover - a typo in a test
             raise AssertionError(f"unknown op {op!r}")
 
     def observe(self) -> dict:
-        aspace = self.mapper.address_space
+        aspace = self.aspace
         snapshot = snapshot_address_space(aspace)
-        ledger = self.mapper.cost.ledger
+        ledger = self.cost.ledger
         return {
             "vmas": [
-                (v.start, v.npages, v.file and v.file.name, v.file_page, v.shared, v.perms)
+                (v.start, v.npages, v.file and v.file.name, v.file_page)
                 for v in aspace.vmas()
             ],
             "starts": list(aspace._starts),
-            "faulted": aspace.resident_pages(),
             "next_vpn": aspace._next_vpn,
             "maps_text": render_maps(aspace),
             "snapshot": (
@@ -212,12 +210,10 @@ class TestPlantedPlans:
             [
                 ("reserve", 16),
                 ("fixed", "aux", 4, 2, 0),
-                ("touch", 4),
                 plan("db", (1, 2, 10), (7, 2, 20), (12, 1, 30)),
             ]
         )
         assert (seen["vmas"][3][2], seen["vmas"][3][1]) == ("aux", 2)
-        assert len(seen["faulted"]) == 1 + 5
 
     def test_file_contiguous_runs_merge(self):
         # what an uncoalesced creation issues: one call per page, one VMA
@@ -234,7 +230,7 @@ class TestPlantedPlans:
                 ("fixed", "db", 2, 2, 0),
                 ("fixed", "aux", 6, 2, 0),
                 ("unmap", 9, 1),
-                ("protect", 11, 2, "r"),
+                ("fixed", "aux", 11, 2, 10),
                 plan("db", (1, 12, 30)),
             ]
         )
@@ -255,18 +251,7 @@ class TestPlantedPlans:
                 plan("db", (3, 2, 13), (5, 3, 15)),
             ]
         )
-        assert seen["vmas"] == [(seen["vmas"][0][0], 12, "db", 10, True, "rw")]
-
-    def test_populate_off_resets_fault_state(self):
-        seen = assert_parity(
-            [
-                ("reserve", 8),
-                plan("db", (0, 4, 0)),
-                plan("db", (1, 2, 20), (5, 1, 30), populate=False),
-            ]
-        )
-        base = seen["vmas"][0][0]
-        assert seen["faulted"] == {base, base + 3}
+        assert seen["vmas"] == [(seen["vmas"][0][0], 12, "db", 10)]
 
     def test_two_file_plans_interleave(self):
         seen = assert_parity(
@@ -305,7 +290,7 @@ def _release_ops(npages: int, runs: int) -> list[Op]:
 
 def test_release_region_over_a_30_run_view():
     seen = assert_parity(_release_ops(96, 30))
-    assert seen["vmas"] == [] and seen["faulted"] == set()
+    assert seen["vmas"] == []
     assert seen["counters"]["pages_unmapped"] == 96
 
 
@@ -329,16 +314,12 @@ def _random_ops(rng: np.random.Generator) -> list[Op]:
                 at += n + int(rng.integers(0, 3)) * int(rng.integers(0, 3))
             lane = MAPPER_LANE if rng.random() < 0.3 else MAIN_LANE
             ops.append(("plan", name, runs, bool(rng.random() < 0.7), lane))
-        elif roll < 0.62:
+        elif roll < 0.65:
             ops.append(("fixed", name, offset, npages, int(rng.integers(0, FILE_PAGES - 8))))
-        elif roll < 0.7:
+        elif roll < 0.8:
             ops.append(("anon", offset, npages))
-        elif roll < 0.82:
-            ops.append(("unmap", offset, npages))
-        elif roll < 0.9:
-            ops.append(("protect", offset, npages, ["r", "rw", ""][int(rng.integers(0, 3))]))
         else:
-            ops.append(("touch", offset))
+            ops.append(("unmap", offset, npages))
     return ops
 
 
@@ -411,7 +392,6 @@ def _faulted_creation(create, rules, retry: bool, background: bool, coalesce: bo
             if v.file is not None and v.start >= view.base_vpn
         ],
         "maps_text": render_maps(aspace),
-        "faulted": aspace.resident_pages(),
         "touched": view._touched.tolist(),
         "pages": view._fpage_at.tolist(),
         "retries": policy and (policy.retries, policy.recovered, policy.exhausted),

@@ -1,14 +1,14 @@
 """One bounds check per plan refuses what the per-run checks refused.
 
 A mapping plan (``SimulatedSubstrate.map_runs``, which applies it
-through ``MemoryMapper.apply_runs``) used to be validated run by run —
-``_check_run`` and then ``Vma(...)``, whose ``__post_init__`` checks
-again — and now has its columns checked once and its runs built
-unchecked.  The loop
-below is the old validation verbatim, messages included.  Every bad
-plan must raise what the loop raises for its first offending run (type
-and text), before anything changes: VMAs, residency, ledger lanes and
-counters.  ``Vma`` itself stays as strict, and as immutable, as it was.
+through ``SimulatedSubstrate.apply_runs``) used to be validated run by
+run — ``_check_run`` and then ``Vma(...)``, whose ``__post_init__``
+checks again — and now has its columns checked once and its runs built
+unchecked.  The loop below is the old validation verbatim, messages
+included.  Every bad plan must raise what the loop raises for its first
+offending run (type and text), before anything changes: VMAs, the bump
+pointer, ledger lanes and counters.  ``Vma`` itself stays as strict,
+and as immutable, as it was.
 
 ``REPRO_SEED`` / ``REPRO_FUZZ_SCHEDULES`` (default 200) drive the seeded
 sweep; a failing entry names its seed.
@@ -52,23 +52,20 @@ def per_run_validation(file, runs) -> None:
 
 class Stack:
     """A substrate with one file and one reservation some of which is
-    mapped and touched, so an unwanted change has something to disturb."""
+    mapped, so an unwanted change has something to disturb."""
 
     def __init__(self) -> None:
         self.substrate = SimulatedSubstrate(
             PhysicalMemory(capacity_bytes=16 * 1024 * 1024, cost=CostModel())
         )
-        self.mapper = self.substrate.mapper
         self.file = self.substrate.create_file("db", FILE_PAGES)
         self.base = self.substrate.reserve(AREA)
         self.substrate.map_fixed(self.base + 4, 6, self.file, 10, populate=True)
-        self.mapper.access(self.base + 20)
 
     def state(self) -> dict:
-        aspace, ledger = self.mapper.address_space, self.mapper.cost.ledger
+        aspace, ledger = self.substrate.address_space, self.substrate.cost.ledger
         return {
             "maps": render_maps(aspace),
-            "resident": aspace.resident_intervals(),
             "next_vpn": aspace._next_vpn,
             "lanes": ledger.lanes(),
             "counters": ledger.counters(),
@@ -150,7 +147,8 @@ class TestPlantedBadPlans:
     def test_run_ending_on_the_last_file_page_is_fine(self):
         stack = Stack()
         stack.map_runs(_planted(3, (6, 4, FILE_PAGES - 4)))
-        assert stack.mapper.translate(stack.base + 9) == (stack.file, FILE_PAGES - 1)
+        backing = stack.substrate.address_space.translate(stack.base + 9)
+        assert backing == (stack.file, FILE_PAGES - 1)
 
     @POSITIONS
     def test_negative_vpn(self, position):
@@ -246,16 +244,17 @@ class TestVmaStaysStrict:
     def test_a_placed_vma_is_an_ordinary_immutable_vma(self):
         stack = Stack()
         stack.map_runs(GOOD)
-        placed = stack.mapper.address_space.find_vma(stack.base + 3)
+        placed = stack.substrate.address_space.find_vma(stack.base + 3)
         assert placed == Vma(stack.base + 2, 3, stack.file, 8)
         assert hash(placed) == hash(Vma(stack.base + 2, 3, stack.file, 8))
-        for name in ("start", "npages", "file", "file_page", "shared", "perms"):
+        for name in ("start", "npages", "file", "file_page"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(placed, name, getattr(placed, name))
         with pytest.raises(dataclasses.FrozenInstanceError):
             del placed.start
-        assert dataclasses.replace(placed, perms="r").perms == "r"
+        assert dataclasses.replace(placed, file_page=9).file_page == 9
         # what is derived from a placed area is as closed as the area
-        for derived in placed.split_at(stack.base + 3):
+        cut = stack.base + 3
+        for derived in (placed.clipped(placed.start, cut), placed.clipped(cut, placed.end)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 derived.npages = 1

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.substrate import SimulatedSubstrate
 from repro.vm import procmaps
 from repro.vm.cost import CostModel
 from repro.vm.errors import ProcMapsError
-from repro.vm.mmap_api import MemoryMapper
 from repro.vm.procmaps import (
     MappingSnapshot,
     parse_maps,
@@ -22,10 +22,10 @@ def file(memory):
 
 
 class TestRenderAndParse:
-    def test_roundtrip(self, mapper, file):
-        base = mapper.mmap(4, file=file, file_page=8)
-        mapper.mmap(2)  # anonymous
-        text = render_maps(mapper.address_space)
+    def test_roundtrip(self, substrate, file):
+        base = substrate.map_file(4, file, 8)
+        substrate.reserve(2)  # anonymous
+        text = render_maps(substrate.address_space)
         entries = parse_maps(text)
         assert len(entries) == 2
         backed = next(e for e in entries if not e.anonymous)
@@ -35,9 +35,9 @@ class TestRenderAndParse:
         assert backed.pathname == "/dev/shm/db"
         assert backed.inode == file.inode
 
-    def test_kernel_format_fields(self, mapper, file):
-        mapper.mmap(1, file=file, file_page=3)
-        line = render_maps(mapper.address_space).splitlines()[0]
+    def test_kernel_format_fields(self, substrate, file):
+        substrate.map_file(1, file, 3)
+        line = render_maps(substrate.address_space).splitlines()[0]
         addr, perms, offset, dev, inode, path = line.split()
         assert "-" in addr
         assert perms == "rw-s"
@@ -76,10 +76,10 @@ class TestRenderAndParse:
         with pytest.raises(ProcMapsError):
             parse_maps("00002000-00001000 rw-s 00000000 03:0c 1 /dev/shm/x\n")
 
-    def test_parse_charges_per_line(self, mapper, file):
-        mapper.mmap(1, file=file)
-        mapper.mmap(1, file=file, file_page=10)
-        text = render_maps(mapper.address_space)
+    def test_parse_charges_per_line(self, substrate, file):
+        substrate.map_file(1, file)
+        substrate.map_file(1, file, 10)
+        text = render_maps(substrate.address_space)
         cost = CostModel()
         parse_maps(text, cost=cost)
         params = cost.params
@@ -97,39 +97,39 @@ class TestRenderAndParse:
     def test_vma_merging_shrinks_the_file(self, memory, file):
         """Consecutive rewired pages merge into one line — the effect
         behind Figure 7's cheaper parse on clustered data."""
-        mapper = MemoryMapper(memory)
-        base = mapper.mmap(8)
+        substrate = SimulatedSubstrate(memory)
+        base = substrate.reserve(8)
         for i in range(8):
-            mapper.mmap(1, addr=base + i, fixed=True, file=file, file_page=16 + i)
-        scattered = MemoryMapper(memory)
-        sbase = scattered.mmap(8)
+            substrate.map_fixed(base + i, 1, file, 16 + i)
+        scattered = SimulatedSubstrate(memory)
+        sbase = scattered.reserve(8)
         for i in range(8):
-            scattered.mmap(1, addr=sbase + i, fixed=True, file=file, file_page=2 * i)
-        merged_lines = len(render_maps(mapper.address_space).splitlines())
+            scattered.map_fixed(sbase + i, 1, file, 2 * i)
+        merged_lines = len(render_maps(substrate.address_space).splitlines())
         scattered_lines = len(render_maps(scattered.address_space).splitlines())
         assert merged_lines == 1
         assert scattered_lines == 8
 
 
 class TestMappingSnapshot:
-    def test_build_from_entries(self, mapper, file):
-        base = mapper.mmap(4, file=file, file_page=8)
-        snapshot = procmaps.snapshot_address_space(mapper.address_space)
+    def test_build_from_entries(self, substrate, file):
+        base = substrate.map_file(4, file, 8)
+        snapshot = procmaps.snapshot_address_space(substrate.address_space)
         assert snapshot.physical_of(base + 2) == ("/dev/shm/db", 10)
         assert base + 2 in snapshot.virtuals_of(("/dev/shm/db", 10))
 
-    def test_anonymous_entries_skipped(self, mapper, file):
-        mapper.mmap(4)
-        mapper.mmap(2, file=file, file_page=0)
-        snapshot = procmaps.snapshot_address_space(mapper.address_space)
+    def test_anonymous_entries_skipped(self, substrate, file):
+        substrate.reserve(4)
+        substrate.map_file(2, file, 0)
+        snapshot = procmaps.snapshot_address_space(substrate.address_space)
         assert len(snapshot) == 2
 
-    def test_file_filter(self, mapper, memory, file):
+    def test_file_filter(self, substrate, memory, file):
         other = memory.create_file("other", 8)
-        mapper.mmap(2, file=file, file_page=0)
-        mapper.mmap(2, file=other, file_page=0)
+        substrate.map_file(2, file, 0)
+        substrate.map_file(2, other, 0)
         snapshot = procmaps.snapshot_address_space(
-            mapper.address_space, file_filter="/dev/shm/db"
+            substrate.address_space, file_filter="/dev/shm/db"
         )
         assert len(snapshot) == 2
         assert all(path == "/dev/shm/db" for path, _ in [snapshot.physical_of(v) for v in list(range(0x10000, 0x10100)) if snapshot.physical_of(v)])
@@ -155,35 +155,35 @@ class TestMappingSnapshot:
         assert len(snapshot) == 0
         snapshot.unmap(100)  # idempotent
 
-    def test_snapshot_charges_bimap_ops(self, mapper, file):
-        mapper.mmap(4, file=file, file_page=0)
+    def test_snapshot_charges_bimap_ops(self, substrate, file):
+        substrate.map_file(4, file, 0)
         cost = CostModel()
-        procmaps.snapshot_address_space(mapper.address_space, cost=cost)
+        procmaps.snapshot_address_space(substrate.address_space, cost=cost)
         assert cost.ledger.counter("bimap_ops") >= 4
         assert cost.ledger.counter("maps_lines_parsed") == 1
 
 
 class TestMapsCache:
-    def _parse_costs(self, mapper, **kwargs):
+    def _parse_costs(self, substrate, **kwargs):
         cost = CostModel()
-        procmaps.snapshot_address_space(mapper.address_space, cost=cost, **kwargs)
+        procmaps.snapshot_address_space(substrate.address_space, cost=cost, **kwargs)
         return cost.ledger.snapshot()
 
-    def test_cache_hit_charges_the_same_simulated_cost(self, mapper, file):
+    def test_cache_hit_charges_the_same_simulated_cost(self, substrate, file):
         with production_paths():
-            mapper.mmap(4, file=file, file_page=0)
-            mapper.mmap(3, file=file, file_page=8)
-            miss = self._parse_costs(mapper)
-            hit = self._parse_costs(mapper)
+            substrate.map_file(4, file, 0)
+            substrate.map_file(3, file, 8)
+            miss = self._parse_costs(substrate)
+            hit = self._parse_costs(substrate)
         with reference_paths():
-            reference = self._parse_costs(mapper)
+            reference = self._parse_costs(substrate)
         assert hit == miss == reference
 
-    def test_snapshots_agree_across_backends(self, mapper, file):
-        mapper.mmap(4, file=file, file_page=0)
-        mapper.mmap(2)  # anonymous
-        mapper.mmap(3, file=file, file_page=10)
-        aspace = mapper.address_space
+    def test_snapshots_agree_across_backends(self, substrate, file):
+        substrate.map_file(4, file, 0)
+        substrate.reserve(2)  # anonymous
+        substrate.map_file(3, file, 10)
+        aspace = substrate.address_space
         base = 0x10000
         with reference_paths():
             reference = procmaps.snapshot_address_space(aspace)
@@ -204,9 +204,9 @@ class TestMapsCache:
             reference, "/dev/shm/other", asked
         )
 
-    def test_array_snapshot_mutations_match_reference(self, mapper, file):
-        mapper.mmap(6, file=file, file_page=0)
-        aspace = mapper.address_space
+    def test_array_snapshot_mutations_match_reference(self, substrate, file):
+        substrate.map_file(6, file, 0)
+        aspace = substrate.address_space
         with reference_paths():
             reference = procmaps.snapshot_address_space(aspace)
         with production_paths():

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.seeds import derive_seed
+from repro.substrate import SimulatedSubstrate
 from repro.vm import procmaps
 from repro.vm.cost import CostModel
-from repro.vm.mmap_api import MemoryMapper
 from repro.vm.physical import PhysicalMemory
 from repro.vm.procmaps import (
     MapsEntry,
@@ -27,6 +27,7 @@ from repro.vm.procmaps import (
     render_maps,
 )
 
+from ..conftest import to_reservation
 from ..oracle_paths import production_paths, reference_paths
 from .snapshot_oracle import OracleMappingSnapshot
 
@@ -34,7 +35,7 @@ FUZZ_SCHEDULES = int(os.environ.get("REPRO_FUZZ_SCHEDULES", "200"))
 
 _OPS = st.lists(
     st.tuples(
-        st.sampled_from(["map_file", "map_anon", "remap", "unmap", "protect"]),
+        st.sampled_from(["map_file", "map_anon", "remap", "unmap"]),
         st.integers(0, 48),
         st.integers(1, 8),
         st.integers(0, 56),
@@ -47,28 +48,22 @@ _OPS = st.lists(
 @given(ops=_OPS)
 def test_maps_roundtrip_is_page_accurate(ops):
     memory = PhysicalMemory(capacity_bytes=64 * 1024 * 1024)
-    mapper = MemoryMapper(memory)
+    substrate = SimulatedSubstrate(memory)
     file = memory.create_file("db", 64)
 
     for op, start, npages, fpage in ops:
         fpage = min(fpage, file.num_pages - npages)
         try:
-            if op == "map_file":
-                mapper.mmap(
-                    npages, addr=start, fixed=True, file=file, file_page=fpage
-                )
+            if op in ("map_file", "remap"):
+                substrate.map_fixed(start, npages, file, fpage)
             elif op == "map_anon":
-                mapper.mmap(npages, addr=start, fixed=True)
-            elif op == "remap":
-                mapper.mmap(npages, addr=start, fixed=True, file=file, file_page=fpage)
-            elif op == "unmap":
-                mapper.munmap(start, npages)
+                to_reservation(substrate, start, npages)
             else:
-                mapper.mprotect(start, npages, "r")
+                substrate.release_region(start, npages, npages)
         except Exception:
             continue  # invalid op against current state: fine
 
-    asp = mapper.address_space
+    asp = substrate.address_space
 
     # 1. the rendered file parses back to the same page count per kind
     entries = parse_maps(render_maps(asp))
@@ -116,29 +111,24 @@ _SPACE_OPS = st.lists(
 
 def _address_space(ops):
     memory = PhysicalMemory(capacity_bytes=64 * 1024 * 1024)
-    mapper = MemoryMapper(memory)
+    substrate = SimulatedSubstrate(memory)
     db = memory.create_file("db", 32)
     aux = memory.create_file("aux", 32)
     for op, start, npages, fpage in ops:
         try:
             if op in ("map_db", "map_aux"):
                 # consecutive calls with consecutive pages merge into one VMA
-                mapper.mmap(
-                    npages,
-                    addr=start,
-                    fixed=True,
-                    file=db if op == "map_db" else aux,
-                    file_page=fpage,
-                )
+                file = db if op == "map_db" else aux
+                substrate.map_fixed(start, npages, file, fpage)
             elif op == "map_anon":
-                mapper.mmap(npages, addr=start, fixed=True)
+                to_reservation(substrate, start, npages)
             elif op == "remap_db":
-                mapper.mmap(npages, addr=start, fixed=True, file=db, file_page=fpage)
+                substrate.map_fixed(start, npages, db, fpage)
             else:
-                mapper.munmap(start, npages)
+                substrate.release_region(start, npages, npages)
         except Exception:
             continue  # invalid against the current state: fine
-    return mapper.address_space
+    return substrate.address_space
 
 
 def _pairs(snapshot, path, fpages):

@@ -8,6 +8,8 @@ from repro.vm.cost import CostModel
 from repro.vm.physical import PhysicalMemory
 from repro.vm.vma import Vma
 
+from .mapping_oracle import split_at
+
 
 @pytest.fixture
 def file():
@@ -67,11 +69,6 @@ class TestVmaMerge:
         b = Vma(start=3, npages=1, file=file, file_page=12)
         assert not a.can_merge_with(b)
 
-    def test_no_merge_across_flags(self, file):
-        a = Vma(start=0, npages=2, file=file, file_page=0, shared=True)
-        b = Vma(start=2, npages=2, file=file, file_page=2, shared=False)
-        assert not a.can_merge_with(b)
-
     def test_no_merge_across_files(self, file):
         other = file._memory.create_file("g", 8)
         a = Vma(start=0, npages=2, file=file, file_page=0)
@@ -92,14 +89,17 @@ class TestVmaMerge:
 
 
 class TestVmaSplit:
+    """A split is two clips, as the address space's splice makes them."""
+
     def test_split_file_backed(self, file):
         vma = Vma(start=10, npages=6, file=file, file_page=20)
-        head, tail = vma.split_at(12)
+        head, tail = vma.clipped(10, 12), vma.clipped(12, 16)
         assert (head.start, head.npages, head.file_page) == (10, 2, 20)
         assert (tail.start, tail.npages, tail.file_page) == (12, 4, 22)
 
     def test_split_anonymous(self):
-        head, tail = Vma(start=0, npages=4).split_at(1)
+        vma = Vma(start=0, npages=4)
+        head, tail = vma.clipped(0, 1), vma.clipped(1, 4)
         assert head.npages == 1 and tail.npages == 3
         assert tail.file_page == 0
 
@@ -107,7 +107,7 @@ class TestVmaSplit:
         vma = Vma(start=10, npages=4)
         for bad in (10, 14, 9, 15):
             with pytest.raises(ValueError):
-                vma.split_at(bad)
+                split_at(vma, bad)
 
 
 @settings(max_examples=150, deadline=None)
@@ -121,7 +121,8 @@ def test_split_then_merge_roundtrip(start, npages, file_page, cut):
     """Splitting any VMA and merging the halves reproduces the original."""
     vma = Vma(start=start, npages=npages, file=None, file_page=0)
     point = cut.draw(st.integers(start + 1, start + npages - 1))
-    head, tail = vma.split_at(point)
+    head, tail = vma.clipped(start, point), vma.clipped(point, start + npages)
+    assert (head, tail) == split_at(vma, point)
     assert head.can_merge_with(tail)
     merged = head.merged_with(tail)
     assert merged == vma
@@ -131,7 +132,7 @@ def test_split_then_merge_roundtrip(start, npages, file_page, cut):
     file = memory.create_file("f", min(file_page + npages, 512) or 1)
     if file_page + npages <= file.num_pages:
         fvma = Vma(start=start, npages=npages, file=file, file_page=file_page)
-        fhead, ftail = fvma.split_at(point)
+        fhead, ftail = fvma.clipped(start, point), fvma.clipped(point, start + npages)
         for vpn in range(start, start + npages):
             part = fhead if fhead.contains(vpn) else ftail
             assert part.translate(vpn) == fvma.translate(vpn)
