@@ -38,6 +38,7 @@ import numpy as np
 
 from ..faults.errors import SubstrateFault, TornSnapshotError
 from ..obs.observer import NULL_OBSERVER, NullObserver
+from ..storage import layout
 from ..storage.column import PhysicalColumn
 from ..storage.updates import UpdateBatch, UpdateRecord
 from ..vm.cost import MAIN_LANE
@@ -114,12 +115,6 @@ def _still_in_range(
     return found
 
 
-def _valid_counts(column: PhysicalColumn, fpages: np.ndarray) -> np.ndarray:
-    """Rows held by each page (the last page of a column may be partial)."""
-    per_page = column.values_per_page
-    return np.maximum(np.minimum(column.num_rows - fpages * per_page, per_page), 0)
-
-
 class _ViewFault(Exception):
     """A fault at walk event ``event``: its view is dropped."""
 
@@ -189,7 +184,9 @@ class _BlockWalk:
             # Check: every case-2 page's scan answered in one gather.
             fpages = np.array([self.fpage[i] for i in scans], dtype=np.int64)
             owners = [block[self.view[i]] for i in scans]
-            valid = _valid_counts(column, fpages)
+            valid = layout.rows_in_pages(
+                fpages, column.num_rows, column.values_per_page
+            )
             keep = _still_in_range(
                 column,
                 fpages,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from ..storage import layout
 from ..storage.column import PhysicalColumn
 from ..storage.page import clamp_range
 from ..vm.cost import MAIN_LANE
@@ -87,20 +88,6 @@ def joined(parts: list[np.ndarray]) -> np.ndarray:
     if not parts:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(parts)
-
-
-def _valid_counts(column: PhysicalColumn, fpages: np.ndarray) -> np.ndarray | None:
-    """Filled slots per given page, or None if all of them are full."""
-    per_page = column.values_per_page
-    if column.num_rows >= column.num_pages * per_page:
-        return None
-    last_page = column.num_pages - 1
-    if not np.any(fpages == last_page):
-        return None
-    return np.minimum(
-        per_page,
-        np.maximum(column.num_rows - fpages * per_page, 0),
-    )
 
 
 def _slot_mask(counts: np.ndarray, per_page: int) -> np.ndarray:
@@ -328,7 +315,13 @@ def batch_scan(
         )
 
     file = column.file
-    valid_counts = _valid_counts(column, fpages)
+    per_page = column.values_per_page
+    valid_counts = None  # every given page is full
+    if column.num_rows < column.num_pages * per_page and np.any(
+        fpages == column.num_pages - 1
+    ):
+        # only the last page of a column can be partial
+        valid_counts = layout.rows_in_pages(fpages, column.num_rows, per_page)
     rowids, values, page_qualifies, max_below, min_above = _scan_by_extent(
         column, fpages, lo, hi, valid_counts
     )
@@ -337,7 +330,7 @@ def batch_scan(
         cost = column.cost
         factor = column.value_cost_factor
         cost.full_page_scan(
-            column.values_per_page * factor,
+            per_page * factor,
             int(fpages.size),
             access_kind,
             lane,

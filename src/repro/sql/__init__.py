@@ -1,9 +1,10 @@
 """A small SQL front-end over the adaptive storage layer.
 
 Supports the subset a range-predicate workload needs — CREATE TABLE /
-INSERT (load-once), SELECT with BETWEEN/comparison predicates and
-aggregates, UPDATE, FLUSH UPDATES (batch view realignment), SHOW VIEWS
-(introspection) and EXPLAIN (routing decisions).  See
+INSERT (appends through the database's write buffer), SELECT with
+BETWEEN/comparison predicates and aggregates, UPDATE, DELETE, FLUSH
+UPDATES (batch view realignment), SHOW VIEWS (introspection) and
+EXPLAIN (routing decisions).  See
 :mod:`repro.sql.parser` for the grammar.
 
 Example::

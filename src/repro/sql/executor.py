@@ -1,18 +1,19 @@
 """Executor: interprets parsed statements against the adaptive engine.
 
-A :class:`Session` runs every statement through one
-:class:`~repro.core.facade.AdaptiveDatabase`: reads are ``db.query``
-(through a :class:`~repro.core.query.QueryEngine`, which owns no
-storage), ``UPDATE`` is ``db.update``, ``DELETE`` is ``db.delete_rows``,
-``FLUSH`` is ``db.flush_updates`` and ``EXPLAIN`` is ``db.explain``.  So
-every range predicate warms the column's one adaptive view layer exactly
-like the paper's query sequences do, and every SQL write is journaled
-when the database is durable.  Rows staged by ``db.insert`` merge before
-a statement touches their table, so every selected rowid is projectable.
-
-Tables created via ``CREATE TABLE`` buffer ``INSERT`` rows until the
-first read or update statement materializes them (the storage layer is
-load-once, like the paper's in-memory column store).
+A :class:`Session` is a client of one
+:class:`~repro.core.facade.AdaptiveDatabase` and keeps no table state of
+its own: reads are ``db.query`` (through a
+:class:`~repro.core.query.QueryEngine`, which owns no storage),
+``CREATE TABLE`` is ``db.create_table`` of empty columns, ``INSERT`` is
+one ``db.insert`` per row, ``UPDATE`` is ``db.update``, ``DELETE`` is
+``db.delete_rows``, ``FLUSH`` is ``db.flush_updates`` and ``EXPLAIN`` is
+``db.explain`` plus a histogram of the live column.  So every range
+predicate warms the column's one adaptive view layer exactly like the
+paper's query sequences do, every SQL write is journaled when the
+database is durable, and every session on a database sees the same
+tables.  Rows staged by ``db.insert`` (SQL ``INSERT`` included) merge
+before a statement touches their table, so every selected rowid is
+projectable.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from ..core.config import AdaptiveConfig
 from ..core.facade import AdaptiveDatabase
 from ..core.introspect import inspect_view_index, render_index_report
 from ..core.query import QueryEngine, exact_sum
-from ..storage.statistics import TableStatistics
+from ..storage.statistics import ColumnHistogram
+from ..tier.buffer import WriteBuffer
 from ..vm.constants import MAX_VALUE, MIN_VALUE
 from .errors import ExecutionError
 from .nodes import (
@@ -100,10 +102,7 @@ class Session:
         """
         self._owns_db = db is None
         self.db = db if db is not None else AdaptiveDatabase(config, observe=observe)
-        self._statistics = TableStatistics()
         self.set_planner(planner)
-        #: CREATE'd but not yet materialized tables: name -> (cols, rows).
-        self._staged: dict[str, tuple[list[str], list[tuple[int, ...]]]] = {}
 
     # -- public API -------------------------------------------------------
 
@@ -172,55 +171,42 @@ class Session:
     # -- DDL / DML ------------------------------------------------------------
 
     def _execute_create(self, statement: CreateTableStatement) -> ResultTable:
-        if statement.table in self._staged:
-            raise ExecutionError(f"table {statement.table!r} already staged")
+        empty = np.empty(0, dtype=np.int64)
         try:
-            self.db.table(statement.table)
-        except KeyError:
-            pass
-        else:
-            raise ExecutionError(f"table {statement.table!r} already exists")
-        self._staged[statement.table] = (list(statement.columns), [])
-        return ResultTable(
-            columns=[], message=f"table {statement.table} created (staged)"
-        )
+            self.db.create_table(
+                statement.table, {name: empty for name in statement.columns}
+            )
+        except ValueError as exc:  # the name is taken
+            raise ExecutionError(str(exc)) from exc
+        return ResultTable(columns=[], message=f"table {statement.table} created")
 
     def _execute_insert(self, statement: InsertStatement) -> ResultTable:
-        if statement.table not in self._staged:
-            raise ExecutionError(
-                f"table {statement.table!r} is not staged for inserts "
-                "(tables are load-once; INSERT before the first query)"
-            )
-        columns, rows = self._staged[statement.table]
+        try:
+            names = self.db.table(statement.table).column_names
+        except KeyError as exc:
+            raise ExecutionError(str(exc)) from exc
+        # Every row is checked before the first is staged, so a refused
+        # statement journals and stages nothing.
+        check = WriteBuffer(names)
+        rows = []
         for row in statement.rows:
-            if len(row) != len(columns):
+            if len(row) != len(names):
                 raise ExecutionError(
-                    f"row arity {len(row)} does not match {len(columns)} columns"
+                    f"row arity {len(row)} does not match {len(names)} columns"
                 )
-        rows.extend(statement.rows)
-        return ResultTable(
-            columns=[], message=f"{len(statement.rows)} rows staged"
-        )
-
-    def _materialize_if_staged(self, table_name: str) -> None:
-        staged = self._staged.pop(table_name, None)
-        if staged is None:
-            return
-        columns, rows = staged
-        if not rows:
-            raise ExecutionError(
-                f"table {table_name!r} has no rows; INSERT before querying"
-            )
-        data = np.array(rows, dtype=np.int64)
-        self.db.create_table(
-            table_name,
-            {name: data[:, i].copy() for i, name in enumerate(columns)},
-        )
+            values = dict(zip(names, row))
+            try:
+                check.validated(values)
+            except ValueError as exc:  # outside the int64 range
+                raise ExecutionError(str(exc)) from exc
+            rows.append(values)
+        for row in rows:
+            self.db.insert(statement.table, row)
+        return ResultTable(columns=[], message=f"{len(rows)} rows inserted")
 
     def _engine(self, table_name: str) -> QueryEngine:
         """The engine over one table, whose rows ``db.insert`` staged
         are merged first (a no-op when none are)."""
-        self._materialize_if_staged(table_name)
         try:
             engine = QueryEngine(self.db, table_name)
         except KeyError as exc:
@@ -236,7 +222,6 @@ class Session:
         rowids = self._filter_rows(engine, statement.predicates)
         for row in rowids.tolist():
             self.db.update(table.name, statement.column, row, statement.value)
-        self._statistics.invalidate(table.column(statement.column))
         return ResultTable(columns=[], message=f"{rowids.size} rows updated")
 
     def _execute_delete(self, statement: DeleteStatement) -> ResultTable:
@@ -346,7 +331,7 @@ class Session:
             column = engine.table.column(predicate.column)
             lo = max(predicate.lo, MIN_VALUE)
             hi = min(predicate.hi, MAX_VALUE)
-            estimate = self._statistics.estimate(column, lo, hi)
+            estimate = ColumnHistogram(column).estimate(lo, hi)
             report = self.db.explain(
                 select.table, predicate.column, lo, hi, analyze=statement.analyze
             )

@@ -8,7 +8,7 @@ from .layout import (
     rows_in_page,
 )
 from .page import PageScanResult, clamp_range, scan_and_filter
-from .statistics import ColumnHistogram, SelectivityEstimate, TableStatistics
+from .statistics import ColumnHistogram, SelectivityEstimate
 from .table import Catalog, Table
 from .updates import UpdateBatch, UpdateRecord
 
@@ -17,7 +17,6 @@ __all__ = [
     "clamp_range",
     "ColumnHistogram",
     "SelectivityEstimate",
-    "TableStatistics",
     "PageScanResult",
     "pages_for_rows",
     "PhysicalColumn",

@@ -67,13 +67,14 @@ class PhysicalColumn:
 
         Allocates the backing main-memory file, lays the values out in
         pages with embedded pageIDs, and charges the initial write.
-        ``record_bytes`` > 8 models wide records (key + payload).
+        ``record_bytes`` > 8 models wide records (key + payload).  An
+        empty column still owns one page, which appends fill first.
         """
         values = np.asarray(values, dtype=np.int64)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("column values must be a non-empty 1-D array")
+        if values.ndim != 1:
+            raise ValueError("column values must be a 1-D array")
         per_page = layout.records_per_page(record_bytes)
-        num_pages = layout.pages_for_rows(values.size, per_page)
+        num_pages = layout.pages_for_rows(max(values.size, 1), per_page)
         file = substrate.create_file(name, num_pages, slots_per_page=per_page)
         flat = np.zeros(num_pages * per_page, dtype=np.int64)
         flat[: values.size] = values

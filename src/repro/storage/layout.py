@@ -15,6 +15,8 @@ wider records (see :meth:`repro.storage.column.PhysicalColumn.create`'s
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..vm.constants import PAGE_HEADER_BYTES, PAGE_SIZE, VALUE_WIDTH, VALUES_PER_PAGE
 
 
@@ -59,3 +61,10 @@ def rows_in_page(
     if first_row >= num_rows:
         return 0
     return min(per_page, num_rows - first_row)
+
+
+def rows_in_pages(
+    page_ids: np.ndarray, num_rows: int, per_page: int = VALUES_PER_PAGE
+) -> np.ndarray:
+    """:func:`rows_in_page` of every page in ``page_ids`` at once."""
+    return np.minimum(np.maximum(num_rows - page_ids * per_page, 0), per_page)

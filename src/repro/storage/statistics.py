@@ -5,7 +5,9 @@ histogram per column supports estimating how many rows and pages a range
 predicate will touch *before* running it.  The SQL layer's EXPLAIN uses
 this to print expected cardinalities next to the routing decision, and
 the estimates provide a second, independent check of the page-counting
-math used throughout the benchmarks.
+math used throughout the benchmarks.  A histogram is a snapshot of the
+column's values when it is built; EXPLAIN builds one per statement, so
+its estimate tracks merged inserts and moved values.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ class ColumnHistogram:
             raise ValueError("need at least one bucket")
         self.column = column
         values = column.values()
-        self.min_value = int(values.min())
-        self.max_value = int(values.max())
         self.num_rows = int(values.size)
+        # an empty column spans the one value 0 and every bucket counts 0
+        self.min_value = int(values.min()) if self.num_rows else 0
+        self.max_value = int(values.max()) if self.num_rows else 0
         span = max(self.max_value - self.min_value, 1)
         self.buckets = min(buckets, span)
         edges = np.linspace(
@@ -90,28 +93,3 @@ class ColumnHistogram:
         else:
             pages = num_pages * (1.0 - (1.0 - fraction) ** per_page)
         return SelectivityEstimate(rows=rows, fraction=fraction, pages=pages)
-
-
-class TableStatistics:
-    """Lazily built histograms for a table's columns."""
-
-    def __init__(self, buckets: int = 64) -> None:
-        self.buckets = buckets
-        self._histograms: dict[int, ColumnHistogram] = {}
-
-    def histogram(self, column: PhysicalColumn) -> ColumnHistogram:
-        """The (cached) histogram of one column."""
-        key = id(column)
-        if key not in self._histograms:
-            self._histograms[key] = ColumnHistogram(column, self.buckets)
-        return self._histograms[key]
-
-    def estimate(
-        self, column: PhysicalColumn, lo: int, hi: int
-    ) -> SelectivityEstimate:
-        """Estimate a range predicate on ``column``."""
-        return self.histogram(column).estimate(lo, hi)
-
-    def invalidate(self, column: PhysicalColumn) -> None:
-        """Drop a stale histogram (after updates)."""
-        self._histograms.pop(id(column), None)

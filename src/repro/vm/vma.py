@@ -61,18 +61,9 @@ class Vma:
         """One past the last virtual page of the area."""
         return self.start + self.npages
 
-    @property
-    def anonymous(self) -> bool:
-        """Whether the area is anonymous (not file-backed)."""
-        return self.file is None
-
     def contains(self, vpn: int) -> bool:
         """Whether virtual page ``vpn`` lies inside the area."""
         return self.start <= vpn < self.end
-
-    def overlaps(self, start: int, npages: int) -> bool:
-        """Whether the area overlaps ``[start, start + npages)``."""
-        return self.start < start + npages and start < self.end
 
     def translate(self, vpn: int) -> tuple[MemoryFile, int] | None:
         """Physical page behind ``vpn``, or None for anonymous areas."""

@@ -33,10 +33,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import scan
+from repro.core.config import AdaptiveConfig
+from repro.core.facade import AdaptiveDatabase
+from repro.core.maintenance import align_partial_views
 from repro.core.scan import NO_ABOVE, NO_BELOW, batch_scan
+from repro.core.view import VirtualView
+from repro.native import is_supported
 from repro.seeds import derive_seed
 from repro.storage import layout
 from repro.storage.column import PhysicalColumn
+from repro.storage.updates import UpdateBatch, UpdateRecord
 from repro.substrate import make_substrate
 from repro.vm.constants import MAX_VALUE, MIN_VALUE, PAGE_SIZE, VALUES_PER_PAGE
 
@@ -50,6 +56,13 @@ PAGE_LISTS = ("all", "run", "shuffled_run", "sorted", "unordered")
 QUERIES = ("narrow", "wide", "outliers", "from_min", "to_max", "everything")
 BLOCK_SIZES = (1, 3, 4, scan.BLOCK_PAGES)
 POLLUTION = (0.0, 0.3, 1.0)
+BACKENDS = [
+    "simulated",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(not is_supported(), reason="native rewiring unsupported"),
+    ),
+]
 
 
 @dataclass
@@ -453,3 +466,46 @@ def _with_domain_ends() -> np.ndarray:
 )
 def test_gathered_ranges_at_and_beyond_the_int64_ends(strided, lo, hi):
     _gathered_parity(_with_domain_ends(), [6, 2, 4, 0, 7], lo, hi, strided)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_filled_slots_of_an_empty_column_and_its_first_merged_page(backend):
+    """The scan and the alignment kernel read as many slots of a page as
+    ``PhysicalColumn.valid_count`` says it holds: none on a zero-row
+    column, the merged rows once the first merge filled page 0.  The
+    zero padding behind them lies inside ``[0, 50]`` and is never a row."""
+    config = AdaptiveConfig(background_mapping=False)
+    with AdaptiveDatabase(config, backend=backend) as db:
+        column = db.create_table("t", {"k": np.empty(0, dtype=np.int64)}).column("k")
+        ledger = column.cost.ledger
+        page = np.array([0])
+
+        def streamed(run):
+            before = ledger.counter("values_scanned")
+            out = run()
+            return out, ledger.counter("values_scanned") - before
+
+        result, work = streamed(lambda: batch_scan(column, page, 0, 50))
+        assert result.rowids.size == 0
+        assert work == column.valid_count(0) == 0
+
+        for value in (10, 20, 30):
+            db.insert("t", {"k": value})
+        db.flush_inserts("t")
+        assert column.num_pages == 1
+        result, work = streamed(lambda: batch_scan(column, page, 0, 50))
+        assert result.rowids.tolist() == [0, 1, 2]
+        assert work == column.valid_count(0) == 3
+
+        # Every row leaves [0, 50]: only padding is left in range, so
+        # the case-2 scan of page 0 must take the page out of the view.
+        view = VirtualView(column, 0, 50)
+        view.add_page(0)
+        batch = UpdateBatch()
+        for row in range(3):
+            batch.append(UpdateRecord(row=row, old=column.write(row, 99), new=99))
+        stats, work = streamed(lambda: align_partial_views(column, [view], batch))
+        assert stats.pages_removed == 1
+        assert not view.contains_page(0)
+        assert work == column.valid_count(0)
+        view.destroy()

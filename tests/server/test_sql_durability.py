@@ -4,7 +4,11 @@ A wire session's SQL ``UPDATE``/``DELETE`` used to be acknowledged
 without reaching the WAL, so a crash after the ack lost them.  They now
 run through the facade's journal: the LSN advances, a crash copy of the
 live directory recovers them, and a write the full log refuses comes
-back as an error response with nothing applied.  The in-process half is
+back as an error response with nothing applied.  ``CREATE TABLE`` and
+``INSERT`` used to stay inside the wire session that ran them: another
+session saw no such table, could create it again, and the first
+session's acked rows were lost.  They now write through the database,
+so every session sees one table.  The in-process half is
 ``tests/wal/test_sql_durability.py``.
 """
 
@@ -71,4 +75,30 @@ def test_sql_update_against_a_full_log_is_an_error_and_applies_nothing(tmp_path)
         assert db.wal_status()["full"]
         assert db.table("t").column("v").read(5) == 5
         assert client.execute("SELECT v FROM t WHERE k = 5").rows == [(5,)]
+    manager.close()
+
+
+def test_sql_created_tables_are_shared_across_served_sessions(tmp_path):
+    manager, db, server = _serve(tmp_path / "live")
+    with server, ServerClient(*server.address) as a, ServerClient(
+        *server.address
+    ) as b:
+        a.execute("CREATE TABLE s (x, y)").raise_for_error()
+        a.execute("INSERT INTO s VALUES (1, 10), (2, 20)").raise_for_error()
+        assert b.execute("SELECT * FROM s ORDER BY rowid").rows == [(1, 10), (2, 20)]
+        response = b.execute("CREATE TABLE s (x)")
+        assert not response.ok
+        assert "already exists" in response.error
+        b.execute("INSERT INTO s VALUES (3, 30)").raise_for_error()
+        assert a.execute("SELECT * FROM s ORDER BY rowid").rows == [
+            (1, 10), (2, 20), (3, 30)
+        ]
+        shutil.copytree(tmp_path / "live", tmp_path / "copy")
+    recovered, _report = recover_database(tmp_path / "copy")
+    try:
+        recovered.flush_inserts("s")
+        assert recovered.table("s").column("x").values().tolist() == [1, 2, 3]
+        assert recovered.table("s").column("y").values().tolist() == [10, 20, 30]
+    finally:
+        recovered.close()
     manager.close()

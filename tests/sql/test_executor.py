@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 
 from repro.core.config import AdaptiveConfig
+from repro.core.facade import AdaptiveDatabase
+from repro.native import is_supported
 from repro.sql import ExecutionError, ResultTable, Session
 from repro.sql.parser import parse
+
+BACKENDS = [
+    "simulated",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(not is_supported(), reason="native rewiring unsupported"),
+    ),
+]
 
 
 @pytest.fixture
@@ -23,9 +33,12 @@ def loaded(session):
 
 
 class TestCreateInsert:
-    def test_create_stages(self, session):
+    def test_create_makes_an_empty_table(self, session):
         result = session.execute("CREATE TABLE t (a, b)")
-        assert "staged" in result.message
+        assert result.message == "table t created"
+        table = session.db.table("t")
+        assert table.column_names == ["a", "b"]
+        assert table.num_rows == 0
 
     def test_duplicate_create_rejected(self, session):
         session.execute("CREATE TABLE t (a)")
@@ -41,15 +54,54 @@ class TestCreateInsert:
         with pytest.raises(ExecutionError):
             session.execute("INSERT INTO t VALUES (1)")
 
-    def test_query_on_empty_staged_table_rejected(self, session):
+    def test_insert_out_of_int64_range_rejected(self, session):
         session.execute("CREATE TABLE t (a)")
-        with pytest.raises(ExecutionError):
-            session.execute("SELECT * FROM t")
+        with pytest.raises(ExecutionError, match="int64"):
+            session.execute(f"INSERT INTO t VALUES (1), ({2**63})")
+        assert session.execute("SELECT COUNT(*) FROM t").scalar() == 0
 
-    def test_insert_after_materialization_rejected(self, loaded):
-        loaded.execute("SELECT * FROM t WHERE k = 1")
-        with pytest.raises(ExecutionError):
-            loaded.execute("INSERT INTO t VALUES (1, 2)")
+    def test_query_on_empty_table_returns_no_rows(self, session):
+        session.execute("CREATE TABLE t (a)")
+        assert session.execute("SELECT * FROM t").rows == []
+        assert session.execute("SELECT a FROM t WHERE a BETWEEN 0 AND 9").rows == []
+        assert session.execute("SELECT COUNT(*), SUM(a) FROM t").rows == [(0, None)]
+
+    def test_insert_after_read_appends(self, loaded):
+        loaded.execute("SELECT k FROM t WHERE k BETWEEN 10 AND 30")
+        assert loaded.execute("INSERT INTO t VALUES (1, 2), (3, 4)").message == (
+            "2 rows inserted"
+        )
+        result = loaded.execute("SELECT * FROM t WHERE k <= 3 ORDER BY rowid")
+        assert result.rows == [(0, 0), (1, 10), (2, 20), (3, 30), (1, 2), (3, 4)]
+        table = loaded.db.table("t")
+        assert table.num_rows == 102
+        # rowids continue after the last row
+        assert [table.get_record(r) for r in (99, 100, 101)] == [
+            (99, 990), (1, 2), (3, 4)
+        ]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_create_plus_insert_lays_out_what_create_table_does(backend):
+    """More rows than one write-buffer merge takes, over three pages:
+    the SQL-built table holds the same pages, padding and pageID
+    headers as ``create_table`` of the same rows."""
+    data = np.arange(1_100, dtype=np.int64) * 7 - 3_000
+    with AdaptiveDatabase(backend=backend) as db:
+        sql = Session(db=db)
+        sql.execute("CREATE TABLE s (a, b)")
+        rows = ", ".join(f"({v}, {-v})" for v in data.tolist())
+        sql.execute(f"INSERT INTO s VALUES {rows}")
+        assert sql.execute("SELECT COUNT(*) FROM s").scalar() == data.size
+        db.create_table("d", {"a": data, "b": -data})
+        for name in ("a", "b"):
+            built = db.table("s").column(name)
+            loaded = db.table("d").column(name)
+            assert built.num_rows == loaded.num_rows
+            assert built.num_pages == loaded.num_pages == 3
+            assert np.array_equal(built.file.data, loaded.file.data)
+            assert [built.file.page_id(p) for p in range(3)] == [0, 1, 2]
+            assert [loaded.file.page_id(p) for p in range(3)] == [0, 1, 2]
 
 
 class TestSelect:

@@ -48,8 +48,8 @@ def test_render_roundtrips_both_modes():
 
 
 def test_explain_predicts_without_executing(session):
-    # first EXPLAIN materializes the staged table; the snapshot isolates
-    # the plan-only statement itself
+    # first EXPLAIN merges the inserted rows; the snapshot isolates the
+    # plan-only statement itself
     session.execute("EXPLAIN SELECT x FROM t WHERE x BETWEEN 100 AND 5000")
     before = session.db.cost.ledger.lanes()
     result = session.execute(
@@ -60,6 +60,31 @@ def test_explain_predicts_without_executing(session):
     assert "planner:" not in result.message
     # statement-span bookkeeping aside, no scan work was charged
     assert session.db.cost.ledger.lanes() == before
+
+
+def _estimate(session, lo: int, hi: int) -> str:
+    message = session.execute(
+        f"EXPLAIN SELECT x FROM t WHERE x BETWEEN {lo} AND {hi}"
+    ).message
+    return message.rsplit("estimated: ", 1)[1]
+
+
+def test_explain_estimate_reads_the_live_column():
+    """Rows ``db.insert`` merged and values ``db.update`` moved show in
+    the next EXPLAIN: its histogram is built from the column as it is."""
+    db = AdaptiveDatabase()
+    db.create_table("t", {"x": np.arange(2_000)})
+    sql = Session(db=db)
+    assert _estimate(sql, 0, 10_000).startswith("~2,000 rows (100.00%)")
+    for value in range(2_000, 3_000):
+        db.insert("t", {"x": value})
+    db.flush_inserts("t")
+    assert _estimate(sql, 0, 10_000).startswith("~3,000 rows (100.00%)")
+    assert _estimate(sql, 5_000, 6_000).startswith("~0 rows")
+    for row in range(100):
+        db.update("t", "x", row, 5_500)
+    assert _estimate(sql, 5_000, 6_000).startswith("~100 rows")
+    db.close()
 
 
 def test_explain_analyze_runs_and_reports(session):

@@ -68,7 +68,7 @@ def fuzz_session():
             )
         )
         sess.execute(f"INSERT INTO f VALUES {rows}")
-        sess.execute("SELECT COUNT(a) FROM f")  # materialize the table
+        sess.execute("SELECT COUNT(a) FROM f")  # merge the inserted rows
         a = sess.db.table("f").column("a").values()
         b = sess.db.table("f").column("b").values()
         yield sess, a, b

@@ -19,7 +19,8 @@ class TestRepl:
             "INSERT INTO t VALUES (1, 10), (2, 20);\n"
             "SELECT b FROM t WHERE a = 2;\n"
         )
-        assert "staged" in out
+        assert "table t created" in out
+        assert "2 rows inserted" in out
         assert "| 20 |" in out
         assert "(1 rows)" in out
 

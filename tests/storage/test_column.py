@@ -27,13 +27,20 @@ class TestCreate:
         assert col.valid_count(1) == 10
         assert col.valid_count(0) == VALUES_PER_PAGE
 
-    def test_rejects_empty_and_2d(self):
+    def test_rejects_2d(self):
         memory = PhysicalMemory(cost=CostModel())
         substrate = SimulatedSubstrate(memory=memory)
         with pytest.raises(ValueError):
-            PhysicalColumn.create(substrate, "c", np.array([]))
-        with pytest.raises(ValueError):
             PhysicalColumn.create(substrate, "c", np.zeros((2, 2)))
+
+    def test_empty_column_owns_one_page(self):
+        col = build_column(np.array([], dtype=np.int64))
+        assert col.num_rows == 0
+        assert col.num_pages == 1
+        assert col.valid_count(0) == 0
+        assert col.values().size == 0
+        assert col.pages_with_values_in(0, 0).size == 0  # padding is not a row
+        assert col.cost.ledger.counter("values_written") == 0
 
     def test_load_charges_writes(self):
         values = np.arange(100)

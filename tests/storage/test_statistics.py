@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.storage.statistics import (
-    ColumnHistogram,
-    SelectivityEstimate,
-    TableStatistics,
-)
+from repro.storage.statistics import ColumnHistogram, SelectivityEstimate
 from repro.vm.constants import VALUES_PER_PAGE
 
 from ..conftest import build_column, uniform_column
@@ -58,6 +54,11 @@ class TestColumnHistogram:
         estimate = ColumnHistogram(column).estimate(0, 100)
         assert estimate.pages == column.num_pages
 
+    def test_empty_column_estimates_zero_rows(self):
+        column = build_column(np.array([], dtype=np.int64))
+        estimate = ColumnHistogram(column).estimate(-10, 10)
+        assert (estimate.rows, estimate.fraction, estimate.pages) == (0.0, 0.0, 0.0)
+
     def test_bucket_validation(self):
         column = uniform_column(num_pages=2)
         with pytest.raises(ValueError):
@@ -69,23 +70,3 @@ class TestColumnHistogram:
         assert "1,234 rows" in text
         assert "5.00%" in text
         assert "17 pages" in text
-
-
-class TestTableStatistics:
-    def test_histograms_cached(self):
-        column = uniform_column(num_pages=4)
-        stats = TableStatistics()
-        assert stats.histogram(column) is stats.histogram(column)
-
-    def test_invalidate_rebuilds(self):
-        column = uniform_column(num_pages=4)
-        stats = TableStatistics()
-        first = stats.histogram(column)
-        stats.invalidate(column)
-        assert stats.histogram(column) is not first
-
-    def test_estimate_shortcut(self):
-        column = uniform_column(num_pages=4, hi=1000)
-        stats = TableStatistics()
-        estimate = stats.estimate(column, 0, 500)
-        assert 0.4 < estimate.fraction < 0.6

@@ -6,7 +6,8 @@ the list deleting and re-inserting split pieces one by one, ``mmap``
 bisected, merged with either neighbour and inserted, and ``MAP_FIXED``
 was the first followed by the second.  The functions below are those
 methods verbatim, as free functions over an :class:`AddressSpace`'s own
-lists, with :func:`split_at` the split they were built from.
+lists, with :func:`split_at` the split and :func:`overlaps` the
+overlap test they were built from.
 
 :func:`oracle_map_runs` is the loop ``materialize_pages`` used to drive
 through ``Substrate.map_fixed``: one old ``mmap(MAP_FIXED)`` of a file
@@ -34,11 +35,16 @@ def split_at(vma: Vma, vpn: int) -> tuple[Vma, Vma]:
     return vma.clipped(vma.start, vpn), vma.clipped(vpn, vma.end)
 
 
+def overlaps(vma: Vma, start: int, npages: int) -> bool:
+    """Whether ``vma`` overlaps ``[start, start + npages)``."""
+    return vma.start < start + npages and start < vma.end
+
+
 def _add_mapping_locked(aspace: AddressSpace, vma: Vma) -> None:
     idx = bisect.bisect_left(aspace._starts, vma.start)
-    if idx < len(aspace._vmas) and aspace._vmas[idx].overlaps(vma.start, vma.npages):
+    if idx < len(aspace._vmas) and overlaps(aspace._vmas[idx], vma.start, vma.npages):
         raise MapError(f"{vma} overlaps {aspace._vmas[idx]}")
-    if idx > 0 and aspace._vmas[idx - 1].overlaps(vma.start, vma.npages):
+    if idx > 0 and overlaps(aspace._vmas[idx - 1], vma.start, vma.npages):
         raise MapError(f"{vma} overlaps {aspace._vmas[idx - 1]}")
 
     # Merge with predecessor and/or successor where possible.
@@ -69,7 +75,7 @@ def _remove_mapping_locked(aspace: AddressSpace, start: int, npages: int) -> int
         vma = aspace._vmas[idx]
         if vma.start >= end:
             break
-        if not vma.overlaps(start, npages):
+        if not overlaps(vma, start, npages):
             idx += 1
             continue
         del aspace._vmas[idx]

@@ -8,7 +8,7 @@ from repro.vm.cost import CostModel
 from repro.vm.physical import PhysicalMemory
 from repro.vm.vma import Vma
 
-from .mapping_oracle import split_at
+from .mapping_oracle import overlaps, split_at
 
 
 @pytest.fixture
@@ -21,13 +21,13 @@ class TestVmaBasics:
     def test_geometry(self, file):
         vma = Vma(start=10, npages=4, file=file, file_page=2)
         assert vma.end == 14
-        assert not vma.anonymous
+        assert vma.file is not None
         assert vma.contains(13)
         assert not vma.contains(14)
 
     def test_anonymous(self):
         vma = Vma(start=0, npages=2)
-        assert vma.anonymous
+        assert vma.file is None
         assert vma.translate(1) is None
 
     def test_validation(self, file):
@@ -44,10 +44,10 @@ class TestVmaBasics:
 
     def test_overlaps(self):
         vma = Vma(start=10, npages=4)
-        assert vma.overlaps(13, 1)
-        assert vma.overlaps(8, 3)
-        assert not vma.overlaps(14, 2)
-        assert not vma.overlaps(6, 4)
+        assert overlaps(vma, 13, 1)
+        assert overlaps(vma, 8, 3)
+        assert not overlaps(vma, 14, 2)
+        assert not overlaps(vma, 6, 4)
 
 
 class TestVmaMerge:

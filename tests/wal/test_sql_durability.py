@@ -4,7 +4,10 @@ SQL ``UPDATE`` used to call ``Table.update`` and ``DELETE``
 ``Table.delete_rows``, past the facade's journal: both returned OK while
 the WAL LSN stayed put, and a crash copy recovered the old values and
 every deleted row.  Both now go through ``db.update`` /
-``db.delete_rows``.  Each test recovers a *crash copy* — the durable
+``db.delete_rows``.  ``CREATE TABLE`` and ``INSERT`` used to be held in
+the SQL session until its first read, so acked rows never reached the
+log; they are now ``db.create_table`` of empty columns and one
+``db.insert`` per row.  Each test recovers a *crash copy* — the durable
 directory copied while the database is still open, as a kill would
 leave it — so nothing a clean close flushes can hide a lost write.
 
@@ -21,11 +24,19 @@ import pytest
 
 from repro.core.config import AdaptiveConfig
 from repro.core.facade import AdaptiveDatabase
-from repro.sql import Session
+from repro.native import is_supported
+from repro.sql import ExecutionError, Session
 from repro.wal import recover_database
 
 NUM_ROWS = 512
 CONFIG = AdaptiveConfig(background_mapping=False)
+BACKENDS = [
+    "simulated",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(not is_supported(), reason="native rewiring unsupported"),
+    ),
+]
 
 
 def _durable(path) -> AdaptiveDatabase:
@@ -110,6 +121,68 @@ def test_sql_writes_survive_a_checkpoint_plus_tail(tmp_path):
         assert report.replayed_ops == 2  # the tail: delete + update
         _assert_writes_survived(recovered)
         assert recovered.table("t").column("v").read(40) == -1
+    finally:
+        recovered.close()
+    db.close()
+
+
+def test_sql_create_and_insert_survive_a_crash_copy_without_a_read(tmp_path):
+    db = AdaptiveDatabase(config=CONFIG, durable_dir=str(tmp_path / "live"))
+    sql = Session(db=db)
+    sql.execute("CREATE TABLE s (a, b)")
+    before = db.wal_status()["lsn"]
+    assert sql.execute("INSERT INTO s VALUES (1, 2), (3, 4), (5, 6)").message == (
+        "3 rows inserted"
+    )
+    assert db.wal_status()["lsn"] == before + 3  # one frame per row
+    recovered, report = _recover_crash_copy(tmp_path / "live", tmp_path / "copy")
+    try:
+        assert report.replayed_ops == 4  # create + three rows
+        rows = Session(db=recovered).execute("SELECT * FROM s ORDER BY rowid").rows
+        assert rows == [(1, 2), (3, 4), (5, 6)]
+        audit = recovered.audit()
+        assert audit.ok, audit.render()
+    finally:
+        recovered.close()
+    db.close()
+
+
+def test_a_refused_insert_statement_journals_and_stages_nothing(tmp_path):
+    db = _durable(tmp_path / "live")
+    sql = Session(db=db)
+    sql.execute("INSERT INTO t VALUES (1000, 1000)")  # staged, not merged
+    before = db.wal_status()["lsn"]
+    with pytest.raises(ExecutionError, match="int64"):
+        sql.execute(f"INSERT INTO t VALUES (1001, 1001), (1002, {2**63})")
+    assert db.wal_status()["lsn"] == before
+    assert db.table("t").num_rows == NUM_ROWS
+    assert db.flush_inserts("t")["merged_rows"] == 1  # the earlier row alone
+    assert db.table("t").get_record(NUM_ROWS) == (1000, 1000)
+    db.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_an_empty_sql_table_answers_audits_and_recovers(tmp_path, backend):
+    db = AdaptiveDatabase(
+        config=CONFIG, durable_dir=str(tmp_path / "live"), backend=backend
+    )
+    sql = Session(db=db)
+    sql.execute("CREATE TABLE e (a)")
+    assert sql.execute("SELECT * FROM e").rows == []
+    assert sql.execute("SELECT COUNT(*) FROM e WHERE a BETWEEN 0 AND 9").scalar() == 0
+    explain = sql.execute("EXPLAIN SELECT a FROM e WHERE a BETWEEN 0 AND 9").message
+    assert "estimated: ~0 rows (0.00%), ~0 pages" in explain
+    assert "view index over 1 physical pages" in sql.execute("SHOW VIEWS e.a").message
+    audit = db.audit()
+    assert audit.ok, audit.render()
+    db.checkpoint()
+    recovered, report = _recover_crash_copy(tmp_path / "live", tmp_path / "copy")
+    try:
+        assert not report.started_cold
+        assert recovered.table("e").num_rows == 0
+        assert len(recovered.query("e", "a", 0, 9)) == 0
+        audit = recovered.audit()
+        assert audit.ok, audit.render()
     finally:
         recovered.close()
     db.close()
