@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -188,18 +188,30 @@ class AdaptiveDatabase:
 
         With tiering armed, every new column's backing store is wrapped
         in a :class:`~repro.tier.TieredPageStore` and demoted down to
-        the hot budget before any view exists.
+        the hot budget before any view exists.  Every value must be an
+        integer int64 holds exactly
+        (:func:`~repro.storage.layout.int64_values`); otherwise
+        :class:`ValueError` names the column.  A refused create (that
+        rule, a taken name, no columns, a column that is not 1-D, row
+        counts that disagree) builds no column and journals nothing.
         """
+        # Validate everything the apply path would reject before any
+        # column is built or the op journaled: a refused create leaves
+        # no file behind and never reaches the log.
+        data = {
+            column: layout.int64_values(values, f"{name}.{column}")
+            for column, values in data.items()
+        }
+        if any(t.name == name for t in self.catalog.tables()):
+            raise ValueError(f"table {name!r} already exists")
+        if not data:
+            raise ValueError("a table needs at least one column")
+        if any(values.ndim != 1 for values in data.values()):
+            raise ValueError("column values must be a 1-D array")
+        row_counts = {values.size for values in data.values()}
+        if len(row_counts) != 1:
+            raise ValueError(f"columns disagree on row count: {row_counts}")
         if self._wal is not None and not self._replaying:
-            # Journal-before-apply: pre-validate everything the apply
-            # path would reject, so a refused op never reaches the log.
-            if any(t.name == name for t in self.catalog.tables()):
-                raise ValueError(f"table {name!r} already exists")
-            if not data:
-                raise ValueError("a table needs at least one column")
-            row_counts = {np.asarray(values).size for values in data.values()}
-            if len(row_counts) != 1:
-                raise ValueError(f"columns disagree on row count: {row_counts}")
             self._journal(
                 {
                     "type": "create",
@@ -208,7 +220,7 @@ class AdaptiveDatabase:
                     # insert rows are positional in it.
                     "order": list(data),
                     "columns": {
-                        column: encode_array(np.asarray(values))
+                        column: encode_array(values)
                         for column, values in data.items()
                     },
                 }
@@ -490,13 +502,48 @@ class AdaptiveDatabase:
         buffer = self._write_buffers.get(table_name)
         if buffer is None:
             buffer = self._write_buffer(table)
+        return self._stage(table, buffer, (buffer.validated(values),))
+
+    def insert_rows(
+        self,
+        table_name: str,
+        rows: Sequence[Mapping[str, int] | Sequence[int]],
+    ) -> int:
+        """Stage several rows all-or-nothing; returns the first one's
+        future rowid.
+
+        Each row names the table's columns or lists their values in
+        definition order (:meth:`~repro.tier.WriteBuffer.validated`).
+        Every row is validated, and with durability armed all their
+        frames are checked against the log's size cap, before the first
+        is journaled: a refused statement journals and stages nothing.
+        The buffer's threshold merge waits for the last row, so no merge
+        record lands between them.
+        """
+        table = self.table(table_name)
+        buffer = self._write_buffer(table)
+        checked = [buffer.validated(values) for values in rows]
+        if len(checked) > 1 and self._wal is not None and not self._replaying:
+            # one row's own append checks the cap, in the protocol's order
+            self._wal.check_rows_fit(table_name, len(table.column_names), len(checked))
+        return self._stage(table, buffer, checked)
+
+    def _stage(
+        self, table: Table, buffer: WriteBuffer, rows: Sequence[tuple[int, ...]]
+    ) -> int:
+        """Journal and stage validated rows, then merge once the buffer
+        reaches its threshold; returns the first row's future rowid."""
         # Journal-before-apply: validate -> append -> stage, so a refused
         # row never reaches the log and a journaled one is never refused.
-        row = buffer.validated(values)
-        if self._wal is not None and not self._replaying:
-            self._last_acked_lsn = self._wal.append_row(table_name, row)
-        position = buffer.stage((row,))
-        rowid = table.num_rows + position
+        wal = None if self._replaying else self._wal
+        if wal is None:
+            position = buffer.stage(rows)
+        else:
+            position = len(buffer)
+            for row in rows:  # a wal_append fault refuses its row alone
+                self._last_acked_lsn = wal.append_row(table.name, row)
+                buffer.stage((row,))
+        first = table.num_rows + position
         threshold = (
             self.tiering.write_buffer_rows
             if self.tiering is not None
@@ -504,9 +551,9 @@ class AdaptiveDatabase:
         )
         # During replay, merges happen exactly where the log's merge
         # records sit, never from the threshold.
-        if position + 1 >= threshold and not self._replaying:
-            self.flush_inserts(table_name)
-        return rowid
+        if position + len(rows) >= threshold and not self._replaying:
+            self.flush_inserts(table.name)
+        return first
 
     def _write_buffer(self, table: Table) -> WriteBuffer:
         """The table's write buffer, created on first use."""
@@ -577,15 +624,13 @@ class AdaptiveDatabase:
         new_pages = layout.pages_for_rows(new_rows, per_page)
         if new_pages > file.num_pages:
             file.resize(new_pages)
-        rows = np.arange(old_rows, new_rows)
-        # fancy assignment: native `data` is a non-contiguous slice
-        file.data[rows // per_page, rows % per_page] = values
+        layout.write_rows(file.data, old_rows, values)
         self.cost.value_write(values.size)
         column.num_rows = new_rows
         record = getattr(file, "record_write", None)
         if record is not None:
-            for page in np.unique(rows // per_page).tolist():
-                record(int(page), self.cost)
+            for page in range(old_rows // per_page, new_pages):
+                record(page, self.cost)
 
     # -- auditing -----------------------------------------------------------
 

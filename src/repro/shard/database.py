@@ -162,7 +162,10 @@ class ShardedDatabase:
             raise ValueError(f"table {name!r} already exists")
         if not data:
             raise ValueError("a table needs at least one column")
-        arrays = {col: np.asarray(values, dtype=np.int64) for col, values in data.items()}
+        arrays = {
+            col: layout.int64_values(values, f"{name}.{col}")
+            for col, values in data.items()
+        }
         row_counts = {values.size for values in arrays.values()}
         if len(row_counts) != 1:
             raise ValueError(f"columns disagree on row count: {row_counts}")

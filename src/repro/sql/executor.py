@@ -5,7 +5,7 @@ A :class:`Session` is a client of one
 its own: reads are ``db.query`` (through a
 :class:`~repro.core.query.QueryEngine`, which owns no storage),
 ``CREATE TABLE`` is ``db.create_table`` of empty columns, ``INSERT`` is
-one ``db.insert`` per row, ``UPDATE`` is ``db.update``, ``DELETE`` is
+one all-or-nothing ``db.insert_rows``, ``UPDATE`` is ``db.update``, ``DELETE`` is
 ``db.delete_rows``, ``FLUSH`` is ``db.flush_updates`` and ``EXPLAIN`` is
 ``db.explain`` plus a histogram of the live column.  So every range
 predicate warms the column's one adaptive view layer exactly like the
@@ -27,7 +27,6 @@ from ..core.facade import AdaptiveDatabase
 from ..core.introspect import inspect_view_index, render_index_report
 from ..core.query import QueryEngine, exact_sum
 from ..storage.statistics import ColumnHistogram
-from ..tier.buffer import WriteBuffer
 from ..vm.constants import MAX_VALUE, MIN_VALUE
 from .errors import ExecutionError
 from .nodes import (
@@ -181,28 +180,13 @@ class Session:
         return ResultTable(columns=[], message=f"table {statement.table} created")
 
     def _execute_insert(self, statement: InsertStatement) -> ResultTable:
+        # One all-or-nothing facade call: a statement refused by
+        # validation or the log's size cap journals and stages nothing.
         try:
-            names = self.db.table(statement.table).column_names
-        except KeyError as exc:
+            self.db.insert_rows(statement.table, statement.rows)
+        except (KeyError, ValueError) as exc:
             raise ExecutionError(str(exc)) from exc
-        # Every row is checked before the first is staged, so a refused
-        # statement journals and stages nothing.
-        check = WriteBuffer(names)
-        rows = []
-        for row in statement.rows:
-            if len(row) != len(names):
-                raise ExecutionError(
-                    f"row arity {len(row)} does not match {len(names)} columns"
-                )
-            values = dict(zip(names, row))
-            try:
-                check.validated(values)
-            except ValueError as exc:  # outside the int64 range
-                raise ExecutionError(str(exc)) from exc
-            rows.append(values)
-        for row in rows:
-            self.db.insert(statement.table, row)
-        return ResultTable(columns=[], message=f"{len(rows)} rows inserted")
+        return ResultTable(columns=[], message=f"{len(statement.rows)} rows inserted")
 
     def _engine(self, table_name: str) -> QueryEngine:
         """The engine over one table, whose rows ``db.insert`` staged

@@ -65,20 +65,22 @@ class PhysicalColumn:
     ) -> "PhysicalColumn":
         """Materialize ``values`` as a new column named ``name``.
 
-        Allocates the backing main-memory file, lays the values out in
-        pages with embedded pageIDs, and charges the initial write.
-        ``record_bytes`` > 8 models wide records (key + payload).  An
-        empty column still owns one page, which appends fill first.
+        Allocates the backing main-memory file, writes the values into
+        its pages in one pass (:func:`~repro.storage.layout.write_rows`;
+        the fresh file's pageIDs are set and its padding reads zero),
+        and charges the initial write.  Values must be integers int64
+        holds exactly (:func:`~repro.storage.layout.int64_values`), else
+        :class:`ValueError` names the column.  ``record_bytes`` > 8
+        models wide records (key + payload).  An empty column still owns
+        one page, which appends fill first.
         """
-        values = np.asarray(values, dtype=np.int64)
+        values = layout.int64_values(values, name)
         if values.ndim != 1:
             raise ValueError("column values must be a 1-D array")
         per_page = layout.records_per_page(record_bytes)
         num_pages = layout.pages_for_rows(max(values.size, 1), per_page)
         file = substrate.create_file(name, num_pages, slots_per_page=per_page)
-        flat = np.zeros(num_pages * per_page, dtype=np.int64)
-        flat[: values.size] = values
-        file.data[:] = flat.reshape(num_pages, per_page)
+        layout.write_rows(file.data, 0, values)
         substrate.cost.value_write(values.size * record_bytes // VALUE_WIDTH)
         return cls(name, substrate, file, values.size, record_bytes=record_bytes)
 

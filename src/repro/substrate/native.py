@@ -93,6 +93,8 @@ class NativePageStore:
         #: lines (memfd files carry a " (deleted)" suffix).
         self.map_path = os.readlink(f"/proc/self/fd/{self.fd}")
         self._num_pages = 0
+        #: Whole-file mappings, newest last, as ``(mmap, (start_vpn,
+        #: npages))``: the current one and any still exported.
         self._mmaps: list = []
         self._remap(num_pages)
         self.headers[:] = np.arange(num_pages, dtype=np.int64)
@@ -100,11 +102,14 @@ class NativePageStore:
     def _remap(self, num_pages: int) -> None:
         """(Re-)establish the store's own whole-file mapping.
 
-        On resize a *new* mapping is created and the old one kept alive
-        (its numpy buffers may still be exported); shared file mappings
-        stay coherent, so stale views read current bytes.  The mapping
-        is registered with the substrate so it can be excluded from
-        view-level maps snapshots.
+        On resize a *new* mapping is created; each superseded one is
+        closed unless a numpy array still exports its buffer (``data``
+        held across the resize, a :meth:`page_values` view), in which
+        case it stays — shared file mappings stay coherent, so stale
+        views read current bytes — until a later resize finds it free.
+        Every mapping is registered with the substrate so it can be
+        excluded from view-level maps snapshots, and unregistered when
+        closed: a later kernel mapping may reuse its addresses.
         """
         import mmap as _mmap
 
@@ -117,12 +122,24 @@ class NativePageStore:
         raw = np.frombuffer(mm, dtype=np.int64).reshape(
             num_pages, _SLOTS_PER_RAW_PAGE
         )
-        addr = ctypes.addressof(ctypes.c_char.from_buffer(mm))
-        self._substrate._register_internal(addr // PAGE_SIZE, num_pages)
-        self._mmaps.append(mm)
+        region = (
+            ctypes.addressof(ctypes.c_char.from_buffer(mm)) // PAGE_SIZE,
+            num_pages,
+        )
+        self._substrate._register_internal(*region)
         self.headers = raw[:, 0]
         self.data = raw[:, 1 : 1 + self.slots_per_page]
         self._num_pages = num_pages
+        kept = []
+        for old, old_region in self._mmaps:
+            try:
+                old.close()
+            except BufferError:  # still exported
+                kept.append((old, old_region))
+            else:
+                self._substrate._unregister_internal(*old_region)
+        kept.append((mm, region))
+        self._mmaps = kept
 
     @property
     def num_pages(self) -> int:
@@ -214,6 +231,9 @@ class NativeSubstrate(Substrate):
 
     def _register_internal(self, start_vpn: int, npages: int) -> None:
         self._internal.append((start_vpn, npages))
+
+    def _unregister_internal(self, start_vpn: int, npages: int) -> None:
+        self._internal.remove((start_vpn, npages))
 
     def _is_internal(self, entry: MapsEntry) -> bool:
         for start, npages in self._internal:

@@ -12,10 +12,12 @@ materialized row.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from ..storage.layout import int64_value
 from ..vm.constants import MAX_VALUE, MIN_VALUE
 
 
@@ -29,21 +31,35 @@ class WriteBuffer:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def validated(self, values: Mapping[str, int]) -> tuple[int, ...]:
-        """The row ``values`` names, as int64s in definition order.
+    def validated(
+        self, values: Mapping[str, int] | Sequence[int]
+    ) -> tuple[int, ...]:
+        """The row ``values`` names (or lists in definition order), as
+        int64s in definition order.
 
         The one validation a row gets on its way in: raises
         :class:`ValueError` unless ``values`` provides exactly the
-        table's columns, each within int64 (a wider value could be
-        neither journaled nor merged into a column).
+        table's columns, each an integer int64 holds exactly
+        (:func:`~repro.storage.layout.int64_value`: a wider value could
+        be neither journaled nor merged into a column, and a float is
+        refused, not truncated).
         """
         names = self.column_names
+        if not isinstance(values, (dict, Mapping)):
+            if len(values) != len(names):
+                raise ValueError(
+                    f"row has {len(values)} values for the {len(names)} "
+                    f"columns {names}"
+                )
+            values = dict(zip(names, values))
         row = None
         if len(values) == len(names):
             try:
-                row = tuple([int(values[name]) for name in names])
+                row = tuple([index(values[name]) for name in names])
             except KeyError:
                 pass  # as many columns, but not these
+            except TypeError:  # not an integer: refused below
+                row = ()
         if row is None:
             raise ValueError(
                 f"row must provide exactly the columns {names}, "
@@ -51,8 +67,12 @@ class WriteBuffer:
             )
         for value in row:
             if not MIN_VALUE <= value <= MAX_VALUE:
-                raise ValueError(f"row value outside the int64 range: {row}")
-        return row
+                break
+        else:
+            if row:
+                return row
+        # refused: the per-value rule raises, naming the first culprit
+        return tuple([int64_value(values[name], name) for name in names])
 
     def stage(self, rows: Sequence[tuple[int, ...]]) -> int:
         """Stage positional rows of the table's width — :meth:`validated`

@@ -41,6 +41,7 @@ from .records import (
     WalScan,
     encode_record,
     row_encoder,
+    row_frame_bytes,
     scan_wal,
     segment_name,
     truncate_torn,
@@ -177,6 +178,28 @@ class WriteAheadLog:
         Returns the assigned LSN; refusals are :meth:`append`'s.
         """
         return self._append(row_encoder(table, len(row)), row)
+
+    def check_rows_fit(self, table: str, ncols: int, count: int) -> None:
+        """Refuse ``count`` rows of ``table`` up front unless all their
+        frames fit under ``max_bytes`` together, so a multi-row write
+        refused by the cap journals none of them.
+
+        Raises (and latches) :class:`WalFullError` as the cap check of
+        :meth:`append` does; writes nothing and burns no LSN.
+        """
+        if self._full:
+            raise WalFullError(
+                f"wal at {self.total_bytes} bytes exceeds the "
+                f"{self.config.max_bytes}-byte cap; checkpoint to prune"
+            )
+        max_bytes = self.config.max_bytes
+        size = count * row_frame_bytes(table, ncols)
+        if max_bytes is not None and self.total_bytes + size > max_bytes:
+            self._full = True
+            raise WalFullError(
+                f"appending {count} rows ({size} bytes) would exceed the "
+                f"{max_bytes}-byte cap; checkpoint to prune"
+            )
 
     def _append(self, encode, item) -> int:
         """The append protocol both entries share.

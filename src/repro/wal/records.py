@@ -139,6 +139,12 @@ def row_encoder(table: str, ncols: int) -> Callable[[int, tuple[int, ...]], byte
     return encode
 
 
+def row_frame_bytes(table: str, ncols: int) -> int:
+    """Size of every frame :func:`row_encoder` writes for ``table``'s
+    ``ncols``-wide rows; :class:`ValueError` where it refuses the name."""
+    return HEADER.size + _row_layout(table.encode(), ncols)[0].size
+
+
 def encode_record(record: dict) -> bytes:
     """Frame one record dict into CRC-guarded bytes.
 

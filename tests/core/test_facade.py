@@ -1,10 +1,13 @@
 """Unit tests for the AdaptiveDatabase facade."""
 
+import shutil
+
 import numpy as np
 import pytest
 
 from repro.core.config import AdaptiveConfig
 from repro.core.facade import AdaptiveDatabase
+from repro.wal import recover_database
 
 from ..conftest import reference_rows
 
@@ -83,3 +86,33 @@ class TestLifecycle:
         before = db.cost.ledger.lane_ns()
         db.query("readings", "temp", 0, 10)
         assert db.cost.ledger.lane_ns() > before
+
+
+REFUSED_CREATES = {
+    "a 2-D column": {"a": np.arange(3), "b": np.zeros((2, 2), dtype=np.int64)},
+    "row counts that disagree": {"a": np.arange(3), "b": np.arange(4)},
+}
+
+
+class TestRefusedCreate:
+    """A create the facade refuses builds no column: the name stays free."""
+
+    @pytest.mark.parametrize("data", REFUSED_CREATES.values(), ids=REFUSED_CREATES.keys())
+    def test_leaves_no_file_behind(self, data):
+        database = AdaptiveDatabase()
+        with pytest.raises(ValueError):
+            database.create_table("t", data)
+        assert database.substrate.files() == []
+        database.create_table("t", {"a": np.arange(3)})
+        database.close()
+
+    def test_durable_refusal_journals_nothing(self, tmp_path):
+        database = AdaptiveDatabase(durable_dir=str(tmp_path / "live"))
+        with pytest.raises(ValueError, match="1-D"):
+            database.create_table("t", {"a": np.zeros((2, 2), dtype=np.int64)})
+        assert database.wal_status()["lsn"] == 0
+        shutil.copytree(tmp_path / "live", tmp_path / "copy")
+        recovered, _ = recover_database(tmp_path / "copy")
+        assert recovered.table_names() == []
+        recovered.close()
+        database.close()

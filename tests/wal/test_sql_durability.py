@@ -23,10 +23,11 @@ import numpy as np
 import pytest
 
 from repro.core.config import AdaptiveConfig
-from repro.core.facade import AdaptiveDatabase
+from repro.core.facade import DEFAULT_WRITE_BUFFER_ROWS, AdaptiveDatabase
 from repro.native import is_supported
 from repro.sql import ExecutionError, Session
-from repro.wal import recover_database
+from repro.wal import DurabilityConfig, WalFullError, recover_database, scan_wal
+from repro.wal.records import row_frame_bytes
 
 NUM_ROWS = 512
 CONFIG = AdaptiveConfig(background_mapping=False)
@@ -185,4 +186,78 @@ def test_an_empty_sql_table_answers_audits_and_recovers(tmp_path, backend):
         assert audit.ok, audit.render()
     finally:
         recovered.close()
+    db.close()
+
+
+def _capped(path, rows_room: int, spare: int = 0):
+    """A durable 4-row table ``t (v)`` whose log has room for exactly
+    ``rows_room`` row frames (plus ``spare`` bytes) after the create."""
+    probe = AdaptiveDatabase(config=CONFIG, durable_dir=str(path) + "-probe")
+    probe.create_table("t", {"v": np.arange(4)})
+    create_bytes = probe.wal_status()["total_bytes"]
+    probe.close()
+    cap = create_bytes + rows_room * row_frame_bytes("t", 1) + spare
+    db = AdaptiveDatabase(
+        config=CONFIG,
+        durable_dir=str(path),
+        durability=DurabilityConfig(max_bytes=cap),
+    )
+    db.create_table("t", {"v": np.arange(4)})
+    return db
+
+
+def test_an_insert_statement_the_log_cap_refuses_part_way_stages_nothing(tmp_path):
+    db = _capped(tmp_path / "live", rows_room=2, spare=4)
+    sql = Session(db=db)
+    before = db.wal_status()
+    with pytest.raises(WalFullError):
+        sql.execute("INSERT INTO t VALUES (10), (11), (12), (13)")
+    assert sql.execute("SELECT COUNT(*) FROM t").scalar() == 4
+    after = db.wal_status()
+    assert (after["total_bytes"], after["lsn"]) == (before["total_bytes"], before["lsn"])
+    recovered, report = _recover_crash_copy(tmp_path / "live", tmp_path / "copy")
+    try:
+        assert report.replayed_ops == 1  # the create alone
+        assert recovered.table("t").num_rows == 4
+        assert Session(db=recovered).execute("SELECT COUNT(*) FROM t").scalar() == 4
+    finally:
+        recovered.close()
+    db.close()
+
+
+def test_an_insert_crossing_the_merge_threshold_merges_after_its_last_row(tmp_path):
+    """1030 rows fit the cap, a merge record after row 1024 would not:
+    the statement journals every row, and its one merge follows them."""
+    count = DEFAULT_WRITE_BUFFER_ROWS + 6
+    db = _capped(tmp_path / "live", rows_room=count)
+    sql = Session(db=db)
+    values = ", ".join(f"({100 + i})" for i in range(count))
+    assert sql.execute(f"INSERT INTO t VALUES {values}").message == (
+        f"{count} rows inserted"
+    )
+    assert db.table("t").num_rows == 4 + count  # merged at the threshold
+    assert sql.execute("SELECT COUNT(*) FROM t").scalar() == 4 + count
+    kinds = [r["type"] for r in scan_wal(tmp_path / "live").records]
+    assert kinds == ["create"] + ["insert"] * count  # the merge did not fit
+    recovered, _ = _recover_crash_copy(tmp_path / "live", tmp_path / "copy")
+    try:
+        result = Session(db=recovered).execute("SELECT * FROM t ORDER BY rowid").rows
+        assert [v for (v,) in result] == [0, 1, 2, 3] + [100 + i for i in range(count)]
+    finally:
+        recovered.close()
+    db.close()
+
+
+def test_an_uncapped_insert_crossing_the_threshold_logs_its_merge_last(tmp_path):
+    count = DEFAULT_WRITE_BUFFER_ROWS + 6
+    db = AdaptiveDatabase(config=CONFIG, durable_dir=str(tmp_path / "live"))
+    db.create_table("t", {"v": np.arange(4)})
+    assert db.insert_rows("t", [(100 + i,) for i in range(count)]) == 4  # first rowid
+    assert db.table("t").num_rows == 4 + count
+    kinds = [r["type"] for r in scan_wal(tmp_path / "live").records]
+    assert kinds == ["create"] + ["insert"] * count + ["merge"]
+    rows = [{"v": i} for i in range(DEFAULT_WRITE_BUFFER_ROWS)]
+    rowids = [db.insert("t", row) for row in rows]  # the last one merges
+    assert rowids == list(range(4 + count, 4 + count + DEFAULT_WRITE_BUFFER_ROWS))
+    assert db.table("t").num_rows == 4 + count + DEFAULT_WRITE_BUFFER_ROWS
     db.close()
