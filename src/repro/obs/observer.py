@@ -47,6 +47,8 @@ from .metrics import (
 from .span import DEFAULT_CAPACITY, Span, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
+    import numpy as np
+
     from ..core.stats import MaintenanceStats, QueryStats, ViewLifecycleEvent
     from ..substrate.interface import WallClockLedger
     from .calibration.model import DriftFinding
@@ -162,11 +164,11 @@ class NullObserver:
     ) -> None:
         """Hook: one server request finished (any operation)."""
 
-    def on_tier_promotion(self, fpage: int) -> None:
-        """Hook: one page was promoted from the cold to the hot tier."""
+    def on_tier_promotions(self, fpages: np.ndarray) -> None:
+        """Hook: one move promoted ``fpages`` from the cold to the hot tier."""
 
-    def on_tier_demotion(self, fpage: int) -> None:
-        """Hook: one page was demoted (spilled) to the cold tier."""
+    def on_tier_demotions(self, fpages: np.ndarray) -> None:
+        """Hook: one move demoted (spilled) ``fpages`` to the cold tier."""
 
     def on_tier_maintenance(
         self, hot: int, cold: int, hit_ratio: float
@@ -520,13 +522,15 @@ class Observer(NullObserver):
 
     # -- tier hooks ------------------------------------------------------
 
-    def on_tier_promotion(self, fpage: int) -> None:
-        self._tier_promotions.inc()
-        self.events.publish(TOPIC_TIER, action="promote", fpage=fpage)
+    def on_tier_promotions(self, fpages: np.ndarray) -> None:
+        self._tier_promotions.inc(fpages.size)
+        for fpage in fpages.tolist():
+            self.events.publish(TOPIC_TIER, action="promote", fpage=fpage)
 
-    def on_tier_demotion(self, fpage: int) -> None:
-        self._tier_demotions.inc()
-        self.events.publish(TOPIC_TIER, action="demote", fpage=fpage)
+    def on_tier_demotions(self, fpages: np.ndarray) -> None:
+        self._tier_demotions.inc(fpages.size)
+        for fpage in fpages.tolist():
+            self.events.publish(TOPIC_TIER, action="demote", fpage=fpage)
 
     def on_tier_maintenance(
         self, hot: int, cold: int, hit_ratio: float

@@ -32,6 +32,7 @@ from ..core.adaptive import AdaptiveStorageLayer, QueryResult
 from ..core.facade import AdaptiveDatabase
 from ..core.stats import MaintenanceStats, QueryStats, ViewEvent
 from ..obs.observer import NULL_OBSERVER, NullObserver
+from ..storage import layout
 from ..storage.column import PhysicalColumn
 from ..storage.page import clamp_range
 from ..substrate import Substrate
@@ -82,10 +83,18 @@ def _checked_range(lo: int, hi: int) -> tuple[int, int]:
 
 
 def _live_range(shard: Shard) -> tuple[int, int]:
-    """Exact (min, max) of the slice's stored values (uncharged)."""
+    """Exact (min, max) of the slice's stored values (uncharged), read
+    in place."""
     column = shard.column
-    live = column.file.data.reshape(-1)[: column.num_rows]
-    return int(live.min()), int(live.max())
+    parts = [
+        part
+        for part in layout.split_rows(column.file.data, column.num_rows)
+        if part.size
+    ]
+    return (
+        int(min(part.min() for part in parts)),
+        int(max(part.max() for part in parts)),
+    )
 
 
 class ShardedColumn:

@@ -158,7 +158,11 @@ class PhysicalColumn:
         Returns a fresh array; does not charge the cost model — use page
         scans for anything that represents measured work.
         """
-        return self.file.data.reshape(-1)[: self.num_rows].copy()
+        whole, tail = layout.split_rows(self.file.data, self.num_rows)
+        values = np.empty(self.num_rows, dtype=np.int64)
+        values[: whole.size].reshape(whole.shape)[...] = whole
+        values[whole.size :] = tail
+        return values
 
     # -- page access ---------------------------------------------------------
 

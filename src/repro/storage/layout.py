@@ -12,9 +12,10 @@ page); all functions also take an explicit ``per_page`` for columns with
 wider records (see :meth:`repro.storage.column.PhysicalColumn.create`'s
 ``record_bytes``).
 
-:func:`write_rows` is the one code that lays rows into pages, and
-:func:`int64_values` / :func:`int64_value` the one rule for what may be
-laid there: integers that int64 holds exactly.
+:func:`write_rows` is the one code that lays rows into pages,
+:func:`split_rows` reads them back in place, and :func:`int64_values` /
+:func:`int64_value` are the one rule for what may be laid there:
+integers that int64 holds exactly.
 """
 
 from __future__ import annotations
@@ -147,3 +148,16 @@ def write_rows(data: np.ndarray, first_row: int, values: np.ndarray) -> None:
     data[page : page + whole] = values[head:end].reshape(whole, per_page)
     if tail:
         data[page + whole, :tail] = values[end:]
+
+
+def split_rows(data: np.ndarray, num_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``0 .. num_rows - 1`` of a ``(pages, slots)`` page array as
+    two views, copying nothing: the whole pages as one block and the
+    partial last page's rows (empty when there are none).
+
+    On the native backend's strided view a reshape of the whole array
+    would copy it; these views let a reduction read the rows in place
+    and a copy make exactly one pass.
+    """
+    whole, tail = divmod(num_rows, data.shape[1])
+    return data[:whole], data[whole, :tail] if tail else data[:0, 0]

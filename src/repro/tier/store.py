@@ -14,14 +14,20 @@ latency for cold pages, maintain the per-page hit counters, make one
 placement decision per batch (:meth:`TieredPageStore._place`) and run
 the maintenance tick once per column's worth of accesses.
 
-The cold tier is a :class:`ColdStore`: a shadow copy of every demoted
-page, charged as far-tier I/O (``cold_read_ns`` / ``cold_write_ns``) on
-the simulator and written through to a real on-disk spill file on the
-native backend.  Spill reads and writes consult the fault plane
-(``cold_read`` / ``cold_write`` operations) with bounded retries; a
-cold read that stays failed falls back to the resident copy (queries
-never fail), a demotion that stays failed is abandoned (the page stays
-hot and the hot-page budget records the excess as debt).
+The cold tier is a :class:`ColdStore`: one page-indexed far copy of
+every demoted page, charged as far-tier I/O (``cold_read_ns`` /
+``cold_write_ns``) on the simulator and written through to a real
+on-disk spill file on the native backend.  Pages move in bulk: one
+placement decision's demotions are one move
+(:meth:`TieredPageStore._demote`) and its promotions another
+(:meth:`TieredPageStore._promote`), each booked once, and a demote
+copies each run of consecutive pages once; a per-page ``demote`` /
+``_install_hot`` is a move of one.  Spill reads and writes
+consult the fault plane (``cold_read`` / ``cold_write`` operations) per
+page, with bounded retries; a cold read that stays failed falls back to
+the resident copy (queries never fail), a demotion that stays failed is
+abandoned (the page stays hot and the hot-page budget records the
+excess as debt).
 """
 
 from __future__ import annotations
@@ -40,74 +46,128 @@ from ..vm.cost import MAIN_LANE, CostModel
 from .config import TierConfig
 
 
-class ColdStore:
-    """The far tier: shadow copies of every demoted page.
+#: Pages per chunk of the simulated far store (64 KiB of values).  A
+#: chunk is small enough that the allocator serves it from, and takes it
+#: back into, its heap.  One array the size of the column was a fresh
+#: mapping at every set-up, and faulting its pages in cost more than
+#: the copies.
+_CHUNK_PAGES = 16
 
-    Always keeps an in-memory copy per cold page (the simulated far
-    tier and the audit plane's ground truth); with ``spill_dir`` set
-    (native backend) every write additionally lands in a real on-disk
-    spill file, and reads come back from that file — so the native cold
-    tier genuinely round-trips through the filesystem.
+
+class ColdStore:
+    """The far tier: one page-indexed copy of every demoted page.
+
+    Page ``p``'s copy lives at row ``p % 16`` of chunk ``p // 16`` on
+    the simulated backend, a chunk being allocated when a page of it is
+    first written; with ``spill_dir`` set (native backend) it lives at
+    byte ``p * page_bytes`` of a real on-disk spill file, and reads come
+    back from that file — so the native cold tier genuinely round-trips
+    through the filesystem.  A write copies each run of consecutive
+    pages once: one slice assignment per chunk the run covers, or one
+    vectored ``pwritev`` on an unbuffered descriptor (nothing to flush).
+    The far store keeps its own record of which pages hold a copy, which
+    the ``tier-placement`` audit checks against the store's hot bits.
     """
 
     def __init__(
-        self, name: str, slots_per_page: int, spill_dir: str | None = None
+        self,
+        name: str,
+        slots_per_page: int,
+        num_pages: int,
+        spill_dir: str | None = None,
     ) -> None:
         self.slots_per_page = slots_per_page
         self._page_bytes = slots_per_page * 8
-        self._pages: dict[int, np.ndarray] = {}
+        #: Which pages hold a far copy.
+        self._held = np.zeros(num_pages, dtype=bool)
+        self._chunks: list[np.ndarray | None] | None = None
         self.path: str | None = None
-        self._fh = None
-        if spill_dir is not None:
+        self._fd = -1
+        if spill_dir is None:
+            self._chunks = [None] * -(-num_pages // _CHUNK_PAGES)
+        else:
             self.path = os.path.join(
                 spill_dir, f"{name.replace(os.sep, '_')}.cold"
             )
-            self._fh = open(self.path, "w+b")
+            self._fd = os.open(
+                self.path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o600
+            )
+            self._iov_max = os.sysconf("SC_IOV_MAX")
 
     def __len__(self) -> int:
-        return len(self._pages)
+        return int(np.count_nonzero(self._held))
 
     def __contains__(self, fpage: int) -> bool:
-        return fpage in self._pages
+        return 0 <= fpage < self._held.size and bool(self._held[fpage])
 
     def pages(self) -> list[int]:
         """Cold page numbers, ascending."""
-        return sorted(self._pages)
+        return np.flatnonzero(self._held).tolist()
 
-    def write_page(self, fpage: int, values: np.ndarray) -> None:
-        """Store (or refresh) the cold copy of ``fpage``."""
-        copy = np.array(values, dtype=np.int64, copy=True)
-        if copy.size != self.slots_per_page:
-            raise ValueError(
-                f"page {fpage}: expected {self.slots_per_page} values, "
-                f"got {copy.size}"
-            )
-        self._pages[fpage] = copy
-        if self._fh is not None:
-            self._fh.seek(fpage * self._page_bytes)
-            self._fh.write(copy.tobytes())
-            self._fh.flush()
+    def write(self, fpages: np.ndarray, data: np.ndarray) -> None:
+        """Store (or refresh) the copies of ``fpages`` from ``data``, a
+        ``(pages, slots)`` page array: one copy per run of pages."""
+        fpages = np.sort(fpages)
+        breaks = np.flatnonzero(np.diff(fpages) != 1) + 1
+        firsts = fpages[np.concatenate(([0], breaks))].tolist()
+        ends = (fpages[np.concatenate((breaks - 1, [-1]))] + 1).tolist()
+        copy = self._pwrite if self._chunks is None else self._copy
+        for first, end in zip(firsts, ends):
+            copy(data, first, end)
+        self._held[fpages] = True
+
+    def _copy(self, data: np.ndarray, first: int, end: int) -> None:
+        """Copy pages ``first .. end - 1`` into their chunks."""
+        while first < end:
+            index, row = divmod(first, _CHUNK_PAGES)
+            stop = min(end, first - row + _CHUNK_PAGES)
+            chunk = self._chunks[index]
+            if chunk is None:
+                chunk = self._chunks[index] = np.empty(
+                    (_CHUNK_PAGES, self.slots_per_page), dtype=np.int64
+                )
+            chunk[row : row + stop - first] = data[first:stop]
+            first = stop
+
+    def _pwrite(self, data: np.ndarray, first: int, end: int) -> None:
+        """Write pages ``first .. end - 1`` at their spill-file offsets."""
+        for lo in range(first, end, self._iov_max):
+            rows = list(data[lo : min(end, lo + self._iov_max)])
+            size = len(rows) * self._page_bytes
+            if os.pwritev(self._fd, rows, lo * self._page_bytes) != size:
+                raise OSError(f"short write to spill file {self.path}")
 
     def read_page(self, fpage: int) -> np.ndarray:
         """The cold copy of ``fpage`` (from the spill file when real)."""
-        if fpage not in self._pages:
+        if fpage not in self:
             raise KeyError(f"page {fpage} is not in the cold tier")
-        if self._fh is not None:
-            self._fh.seek(fpage * self._page_bytes)
-            raw = self._fh.read(self._page_bytes)
-            return np.frombuffer(raw, dtype=np.int64).copy()
-        return self._pages[fpage].copy()
+        if self._chunks is not None:
+            index, row = divmod(fpage, _CHUNK_PAGES)
+            return self._chunks[index][row].copy()
+        raw = os.pread(self._fd, self._page_bytes, fpage * self._page_bytes)
+        return np.frombuffer(raw, dtype=np.int64).copy()
 
-    def drop_page(self, fpage: int) -> None:
-        """Forget the cold copy (the page was promoted)."""
-        self._pages.pop(fpage, None)
+    def drop(self, fpages: np.ndarray) -> None:
+        """Forget the copies of ``fpages`` (they were promoted)."""
+        self._held[fpages] = False
+
+    def resize(self, num_pages: int) -> None:
+        """Follow the store to ``num_pages`` pages: a shrink forgets the
+        cut pages' copies, a growth makes room for the new pages."""
+        held = self._held[:num_pages]
+        self._held = np.zeros(num_pages, dtype=bool)
+        self._held[: held.size] = held
+        if self._chunks is not None:
+            count = -(-num_pages // _CHUNK_PAGES)
+            self._chunks = self._chunks[:count] + [None] * (count - len(self._chunks))
 
     def close(self) -> None:
-        """Release the spill file, if any."""
-        self._pages.clear()
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        """Release the far copies (the spill file included, if any)."""
+        self._held = self._held[:0]
+        self._chunks = None if self._chunks is None else []
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1
             if self.path is not None and os.path.exists(self.path):
                 os.unlink(self.path)
 
@@ -140,13 +200,13 @@ class TieredPageStore:
         #: Logical access clock per page (LRU tie-break).
         self.last_access = np.zeros(n, dtype=np.int64)
         self._clock = 0
-        #: ``hot.sum()``, kept by :meth:`demote` / :meth:`_install_hot` /
+        #: ``hot.sum()``, kept by :meth:`_demote` / :meth:`_promote` /
         #: :meth:`resize` (the ``tier-placement`` audit cross-checks it).
         self._hot_count = n
         #: Charged page accesses since the last :meth:`maintenance`.
         self._since_maintenance = 0
         self.cold = ColdStore(
-            inner.name, inner.slots_per_page, spill_dir=spill_dir
+            inner.name, inner.slots_per_page, n, spill_dir=spill_dir
         )
         # The hot-page budget reaches the store through a weak proxy: a
         # strong cycle would keep the store (and on the native backend
@@ -189,14 +249,17 @@ class TieredPageStore:
     slots_per_page = property(lambda self: self._inner.slots_per_page)
 
     def resize(self, num_pages: int) -> None:
-        """Resize the backend store and grow the placement arrays.
+        """Resize the backend store, the cold tier and the placement
+        arrays.
 
         New pages enter the hot tier (they are about to be written);
         the caller runs :meth:`maintenance` afterwards so the governor
-        can demote down to budget again.
+        can demote down to budget again.  A shrink forgets the cut
+        pages' cold copies in one :meth:`ColdStore.resize`.
         """
         old = self._inner.num_pages
         self._inner.resize(num_pages)
+        self.cold.resize(num_pages)
         if num_pages > old:
             grow = num_pages - old
             self.hot = np.concatenate([self.hot, np.ones(grow, dtype=bool)])
@@ -206,8 +269,6 @@ class TieredPageStore:
             )
             self._hot_count += grow
         elif num_pages < old:
-            for fpage in range(num_pages, old):
-                self.cold.drop_page(fpage)
             self.hot = self.hot[:num_pages].copy()
             self.hits = self.hits[:num_pages].copy()
             self.last_access = self.last_access[:num_pages].copy()
@@ -350,10 +411,9 @@ class TieredPageStore:
             self.hot_hits += 1
             return
         self.cold_hits += 1
-        if self._spill_write(fpage, cost, lane):
+        if self._spill(np.array([fpage], dtype=np.int64), cost, lane)[0]:
             return
         # Write-through refresh failed: promote rather than go stale.
-        self.spill_failures += 1
         self.governor.admit(1, cost, lane)
         self._install_hot(fpage, cost, lane)
         self.governor._sync_debt()
@@ -377,10 +437,44 @@ class TieredPageStore:
             return True
         return False  # pragma: no cover - loop always returns
 
-    def _spill_write(
-        self, fpage: int, cost: CostModel | None, lane: str
-    ) -> bool:
-        """Write ``fpage``'s current contents to the cold tier."""
+    def _spill(
+        self,
+        fpages: np.ndarray,
+        cost: CostModel | None,
+        lane: str,
+        want: int | None = None,
+    ) -> np.ndarray:
+        """Write the current contents of ``fpages`` to the cold tier.
+
+        With a fault plane armed each page's ``cold_write`` is consulted
+        in order, with retries; a page whose spill stays failed is a
+        spill failure and is not written.  With ``want`` set, pages are
+        tried in order only until ``want`` of them passed.  The pages
+        written are booked in one charge and copied in one
+        :meth:`ColdStore.write`.  Returns the mask of pages written.
+        """
+        written = np.zeros(fpages.size, dtype=bool)
+        if getattr(self._substrate, "_check", None) is None:
+            written[:want] = True
+        else:
+            passed = 0
+            for i in range(fpages.size):
+                if passed == want:
+                    break
+                if self._cold_write_passes():
+                    written[i] = True
+                    passed += 1
+                else:
+                    self.spill_failures += 1
+        pages = fpages[written]
+        if pages.size:
+            if cost is not None:
+                cost.cold_write(pages.size, lane)
+            self.cold.write(pages, self._inner.data)
+        return written
+
+    def _cold_write_passes(self) -> bool:
+        """Consult the fault plane for one page's spill write."""
         for attempt in range(self.config.spill_retries + 1):
             try:
                 check_fault(self._substrate, "cold_write")
@@ -388,11 +482,6 @@ class TieredPageStore:
                 if fault.transient and attempt < self.config.spill_retries:
                     continue
                 return False
-            if cost is not None:
-                cost.cold_write(1, lane)
-            self.cold.write_page(
-                fpage, np.asarray(self._inner.page_values(fpage))
-            )
             return True
         return False  # pragma: no cover - loop always returns
 
@@ -401,23 +490,37 @@ class TieredPageStore:
     def demote(
         self, fpage: int, cost: CostModel | None, lane: str = MAIN_LANE
     ) -> bool:
-        """Spill ``fpage`` and move it to the cold tier.
+        """Move ``fpage`` to the cold tier: a :meth:`_demote` of one.
 
-        Spill-first ordering: the hot bit only flips after the cold
-        copy materialized, so a failed spill leaves the page hot and
-        the placement consistent.  Returns False on spill failure.
+        The hot-page budget's release callback.  Returns False when the
+        page's spill failed (it stays hot).
         """
         if not self.hot[fpage]:
             return True
-        with self.observer.span("tier.demote", fpage=int(fpage)):
-            if not self._spill_write(fpage, cost, lane):
-                self.spill_failures += 1
-                return False
-            self.hot[fpage] = False
-            self._hot_count -= 1
-            self.demotions += 1
-            self.observer.on_tier_demotion(int(fpage))
-        return True
+        return bool(self._demote(np.array([fpage], dtype=np.int64), cost, lane)[0])
+
+    def _demote(
+        self,
+        fpages: np.ndarray,
+        cost: CostModel | None,
+        lane: str,
+        want: int | None = None,
+    ) -> np.ndarray:
+        """Move the hot ``fpages`` to the cold tier in one move.
+
+        Spill-first ordering: a page's hot bit only flips after its cold
+        copy materialized, so a page whose spill failed stays hot and
+        the placement consistent.  ``want`` as in :meth:`_spill`.
+        Returns the mask of pages moved.
+        """
+        with self.observer.span("tier.demote", pages=int(fpages.size)):
+            moved = self._spill(fpages, cost, lane, want)
+            pages = fpages[moved]
+            self.hot[pages] = False
+            self._hot_count -= pages.size
+            self.demotions += pages.size
+            self.observer.on_tier_demotions(pages)
+        return moved
 
     def _place(
         self, cold_pages: np.ndarray, cost: CostModel | None, lane: str
@@ -430,8 +533,10 @@ class TieredPageStore:
         before any page of this batch turned hot) and a pair swaps only
         while the candidate has *strictly* more hits — equal counters
         mean one scan touched both, which is no evidence.  Both sides
-        are sorted, so the winning pairs are a prefix.  A victim whose
-        spill stays failed stays hot and its candidate is denied.
+        are sorted, so the winning pairs are a prefix.  The winning
+        victims leave in one move, then the free-room candidates and
+        the candidates whose victim left enter in one move.  A victim
+        whose spill stays failed stays hot and its candidate is denied.
         """
         hits = self.hits[cold_pages]
         earned = hits >= self.config.promote_after
@@ -446,33 +551,45 @@ class TieredPageStore:
             if budget is None
             else max(budget - self._hot_count, 0)
         )
+        entering = candidates[:room]
         paired = candidates[room:]
-        victims = paired[:0]
+        denied = 0
         if paired.size:
             victims = self.governor.victims()[: paired.size]
             wins = hits[room : room + victims.size] > self.hits[victims]
             victims = victims[: int(np.argmin(np.append(wins, False)))]
-        for fpage in candidates[:room].tolist():
-            self._install_hot(fpage, cost, lane)
-        for fpage, victim in zip(paired.tolist(), victims.tolist()):
-            if self.demote(victim, cost, lane=lane):
-                self._install_hot(fpage, cost, lane)
-            else:
-                self.governor.deny(1)
+            if victims.size:
+                moved = self._demote(victims, cost, lane)
+                entering = np.concatenate(
+                    [entering, paired[: victims.size][moved]]
+                )
+                denied = victims.size - int(np.count_nonzero(moved))
+        self._promote(entering, cost, lane)
+        for _ in range(denied):
+            self.governor.deny(1)
         self.governor._sync_debt()
 
     def _install_hot(
         self, fpage: int, cost: CostModel | None, lane: str
     ) -> None:
-        """Move ``fpage`` into the hot tier (admission already decided)."""
-        with self.observer.span("tier.promote", fpage=int(fpage)):
+        """Move ``fpage`` into the hot tier: a :meth:`_promote` of one."""
+        self._promote(np.array([fpage], dtype=np.int64), cost, lane)
+
+    def _promote(
+        self, fpages: np.ndarray, cost: CostModel | None, lane: str
+    ) -> None:
+        """Move the cold ``fpages`` into the hot tier in one move
+        (admission already decided)."""
+        if not fpages.size:
+            return
+        with self.observer.span("tier.promote", pages=int(fpages.size)):
             if cost is not None:
-                cost.promote(1, lane)
-            self.cold.drop_page(fpage)
-            self.hot[fpage] = True
-            self._hot_count += 1
-            self.promotions += 1
-            self.observer.on_tier_promotion(int(fpage))
+                cost.promote(fpages.size, lane)
+            self.cold.drop(fpages)
+            self.hot[fpages] = True
+            self._hot_count += fpages.size
+            self.promotions += fpages.size
+            self.observer.on_tier_promotions(fpages)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -483,16 +600,18 @@ class TieredPageStore:
 
         With no access history yet, tail pages demote first: scans
         start at page 0, so keeping the prefix resident is the neutral
-        deterministic default.  These demotions are set-up, not churn:
-        the thrash window starts after them.
+        deterministic default; a page whose spill fails stays hot and
+        the next lower page goes instead.  The demotions are one move,
+        and they are set-up, not churn: the thrash window starts after
+        them.
         """
         budget = self.governor.budget
         if budget is None:
             return
-        for fpage in range(self._inner.num_pages - 1, -1, -1):
-            if self._hot_count <= budget:
-                break
-            self.demote(fpage, cost, lane=lane)
+        excess = self._hot_count - budget
+        if excess > 0:
+            descending = np.flatnonzero(self.hot)[::-1]
+            self._demote(descending, cost, lane, want=excess)
         self.governor._sync_debt()
         self._churn_mark = self.promotions + self.demotions
 

@@ -18,10 +18,12 @@ import pytest
 
 from repro.core.config import AdaptiveConfig
 from repro.core.facade import AdaptiveDatabase
+from repro.faults import FaultRule, FaultSchedule, FaultySubstrate
 from repro.native import is_supported
 from repro.resilience import ResilienceConfig
 from repro.seeds import derive_seed
-from repro.tier import TierConfig
+from repro.substrate import make_substrate
+from repro.tier import ColdStore, TierConfig
 from repro.vm.constants import VALUES_PER_PAGE
 
 pytestmark = pytest.mark.skipif(
@@ -105,6 +107,81 @@ class TestNativeSpillFiles:
             assert audit.ok, audit.render()
         finally:
             db.close()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_spill_file_holds_every_cold_page_after_a_faulted_stream(
+        self, seed, monkeypatch
+    ):
+        """A seeded stream of hotspot reads and cold-page updates under
+        spill faults: after every step each cold page's bytes in the
+        spill file — read straight from the file, at the page's own
+        offset — equal the store's page.  The stream's moves write the
+        whole tail (initial placement), runs of several pages (the
+        victims of one placement decision) and single pages (a cold
+        page's write-through refresh)."""
+        num_pages, budget = 32, 8
+        runs: list[tuple[int, int]] = []  # (first page, pages) per copy
+        write = ColdStore.write
+
+        def spy(cold, fpages, data):
+            pages = np.sort(fpages)
+            breaks = np.r_[0, np.flatnonzero(np.diff(pages) != 1) + 1]
+            lengths = np.diff(np.r_[breaks, pages.size])
+            runs.extend(zip(pages[breaks].tolist(), lengths.tolist()))
+            write(cold, fpages, data)
+
+        monkeypatch.setattr(ColdStore, "write", spy)
+        live = np.arange(num_pages * VALUES_PER_PAGE, dtype=np.int64) * 3
+        substrate = FaultySubstrate(make_substrate("native"))
+        rng = np.random.default_rng(derive_seed(31_100 + seed))
+        with AdaptiveDatabase(
+            config=AdaptiveConfig(background_mapping=False),
+            backend=substrate,
+            tiering=TierConfig(hot_budget=budget),
+        ) as db:
+            db.create_table("t", {"x": live})
+            store = db.table("t").column("x").file
+            assert runs == [(budget, num_pages - budget)]  # the whole tail
+            page_bytes = store.slots_per_page * 8
+            substrate.schedule = FaultSchedule(
+                [
+                    FaultRule(ops="cold_write", probability=0.2),
+                    FaultRule(ops="cold_read", probability=0.2),
+                    FaultRule(ops="cold_write", probability=0.05, transient=False),
+                ],
+                seed=seed,
+            )
+            # Unbuffered: a buffered reader may serve a seek from stale
+            # buffer contents.
+            spill_path = store.tier_status()["spill_path"]
+            with open(spill_path, "rb", buffering=0) as spill:
+                for step in range(40):
+                    first = int(rng.integers(0, num_pages - 4))
+                    width = int(rng.integers(1, 5))
+                    lo = int(live[first * VALUES_PER_PAGE])
+                    hi = int(live[(first + width) * VALUES_PER_PAGE - 1])
+                    for _ in range(3):
+                        _assert_query_matches(db.query("t", "x", lo, hi), live, lo, hi)
+                    cold = np.flatnonzero(~store.hot)
+                    if cold.size and step % 2:
+                        row = int(rng.choice(cold)) * VALUES_PER_PAGE + 7
+                        db.update("t", "x", row, int(live[row]) + 1)
+                        live[row] += 1
+                        db.flush_updates("t", "x")
+                    for fpage in store.cold.pages():
+                        spill.seek(fpage * page_bytes)
+                        on_disk = np.frombuffer(spill.read(page_bytes), dtype=np.int64)
+                        np.testing.assert_array_equal(
+                            on_disk,
+                            np.asarray(store.page_values(fpage)),
+                            err_msg=f"step {step}: page {fpage}",
+                        )
+                    assert store.cold.pages() == np.flatnonzero(~store.hot).tolist()
+            lengths = {length for _, length in runs[1:]}
+            assert 1 in lengths and max(lengths) > 1
+            assert substrate.journal, "the schedule never fired"
+            audit = db.audit()
+            assert audit.ok, audit.render()
 
     def test_closed_store_is_freed_without_gc(self):
         """Neither budget pins the store: once the database is closed
