@@ -97,7 +97,7 @@ class InvariantAuditor:
                 label=f"{table_name}.{column_name}",
                 report=report,
             )
-        wal = getattr(db, "_wal", None)
+        wal = db._wal
         if wal is not None and not wal.closed:
             self._audit_wal_consistency(db, wal, report)
         return report
@@ -215,19 +215,20 @@ class InvariantAuditor:
             )
         report.maps_regions += substrate.maps_line_count(path)
 
-        if getattr(column.file, "tier_of", None) is not None:
-            self._audit_tier_placement(column.file, label, report)
+        if column.tier is not None:
+            self._audit_tier_placement(column, label, report)
 
-    def _audit_tier_placement(self, store, label: str, report: AuditReport) -> None:
-        """Tier-placement invariant over a :class:`TieredPageStore`.
+    def _audit_tier_placement(self, column, label: str, report: AuditReport) -> None:
+        """Tier-placement invariant over ``column.tier``.
 
-        Every page lives in exactly one tier, the store's running hot
-        count equals the pages marked hot and never exceeds budget plus
-        recorded debt (debt only exists after spill failures), and each
-        cold page's far-tier copy matches the authoritative page
-        contents bit for bit.
+        Every page of the column's store lives in exactly one tier, the
+        running hot count equals the pages marked hot and never exceeds
+        budget plus recorded debt (debt only exists after spill
+        failures), and each cold page's far-tier copy matches the
+        authoritative page contents bit for bit.
         """
-        num_pages = int(store.num_pages)
+        store = column.tier
+        num_pages = int(column.file.num_pages)
 
         report.checks += 1
         if store.hot.size != num_pages or store.hits.size != num_pages:
@@ -300,7 +301,7 @@ class InvariantAuditor:
             content_budget -= 1
             report.checks += 1
             cold_copy = store.cold.read_page(fpage)
-            direct = np.asarray(store.page_values(fpage))
+            direct = np.asarray(column.file.page_values(fpage))
             if not np.array_equal(cold_copy, direct):
                 report.add_finding(
                     "tier-placement",

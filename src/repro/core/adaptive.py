@@ -307,12 +307,11 @@ class AdaptiveStorageLayer:
                 self.view_index.discard(view)
             self._dirty_fpages.clear()
             self._born_in_batch.clear()
-            maintain = getattr(self.column.file, "maintenance", None)
-            if maintain is not None:
+            if self.column.tier is not None:
                 # Tiered storage: decay the hit counters and demote down
                 # to the hot budget alongside the view realignment
-                # (demote-on-realign).  Plain stores have no such hook.
-                maintain(self.column.cost)
+                # (demote-on-realign).
+                self.column.tier.maintenance(self.column.cost)
             if res is not None:
                 # Views lost to permanent faults queue for rebuild, then
                 # the recovery pass runs: budget enforcement followed by
@@ -342,8 +341,8 @@ class AdaptiveStorageLayer:
         """The layer's health (HEALTHY when resilience is disarmed)."""
         with self._lock:
             if self.resilience is None:
-                tier_state = getattr(self.column.file, "tier_state", None)
-                if tier_state is not None and tier_state() != "healthy":
+                tier = self.column.tier
+                if tier is not None and tier.tier_state() != "healthy":
                     return HealthState.DEGRADED
                 return HealthState.HEALTHY
             return self.resilience.health()

@@ -232,16 +232,17 @@ class AdaptiveDatabase:
         return table
 
     def _tier_column(self, column: PhysicalColumn) -> None:
-        """Wrap one column's store in the tiered proxy (placement set)."""
-        store = TieredPageStore(
+        """Give one column its tier (placement set): the one place
+        ``column.tier`` is set."""
+        tier = TieredPageStore(
             column.file,
             self.substrate,
             self.tiering,
             observer=self.observer,
             spill_dir=self._spill_directory(),
         )
-        store.initial_placement(self.cost)
-        column.file = store
+        tier.initial_placement(self.cost)
+        column.tier = tier
 
     def _spill_directory(self) -> str | None:
         """Directory for real spill files (native backend only)."""
@@ -595,10 +596,9 @@ class AdaptiveDatabase:
             self._append_to_column(
                 column, buffer.column_values(column_name), old_rows, new_rows
             )
-            maintain = getattr(column.file, "maintenance", None)
-            if maintain is not None:
+            if column.tier is not None:
                 # resize marks appended pages hot; demote back to budget
-                maintain(self.cost)
+                column.tier.maintenance(self.cost)
         table.grow_rows(rows)
         buffer.clear()
         with suppress_faults(self.substrate):
@@ -622,15 +622,17 @@ class AdaptiveDatabase:
             for hook in column._pre_write_hooks:
                 hook(old_rows, page)
         new_pages = layout.pages_for_rows(new_rows, per_page)
+        tier = column.tier
         if new_pages > file.num_pages:
             file.resize(new_pages)
+            if tier is not None:
+                tier.resize(new_pages)
         layout.write_rows(file.data, old_rows, values)
         self.cost.value_write(values.size)
         column.num_rows = new_rows
-        record = getattr(file, "record_write", None)
-        if record is not None:
+        if tier is not None:
             for page in range(old_rows // per_page, new_pages):
-                record(page, self.cost)
+                tier.record_write(page, self.cost)
 
     # -- auditing -----------------------------------------------------------
 
@@ -694,9 +696,8 @@ class AdaptiveDatabase:
         status: dict[str, dict] = {}
         for table in self.catalog.tables():
             for column in table.columns.values():
-                ts = getattr(column.file, "tier_status", None)
-                if ts is not None:
-                    status[column.name] = ts()
+                if column.tier is not None:
+                    status[column.name] = column.tier.tier_status()
         return status
 
     def wal_status(self) -> dict:
@@ -824,8 +825,8 @@ class AdaptiveDatabase:
         self._layers.clear()
         for table in self.catalog.tables():
             for column in table.columns.values():
-                if hasattr(column.file, "tier_of"):
-                    column.file.close()
+                if column.tier is not None:
+                    column.tier.close()
         if self._spill_dir is not None:
             shutil.rmtree(self._spill_dir, ignore_errors=True)
             self._spill_dir = None

@@ -199,16 +199,15 @@ class _BlockWalk:
                 self.scanned[i] = n
                 if not kept:
                     self.removes.add(i)
-        self.record_access = getattr(column.file, "record_access", None)
+        self.tier = column.tier
         # What ends a segment: torn pairs, pages to unmap, a tiered
-        # store's scans, adds beyond their view's capacity.
-        tiered = self.record_access is not None
+        # column's scans, adds beyond their view's capacity.
         self.barriers = [
             i
             for i, kind in enumerate(self.kind)
             if kind == _TORN
             or i in self.removes
-            or (kind == _SCAN and tiered)
+            or (kind == _SCAN and self.tier is not None)
             or (kind == _ADD and self.fpage[i] >= block[self.view[i]].capacity)
         ]
 
@@ -371,8 +370,8 @@ class _BlockWalk:
             self.snapshot.map(view.vpn_of(fpage), (self.path, fpage), lane)
             self.stats.pages_added += 1
             return
-        if self.record_access is not None:
-            self.record_access(fpage, self.cost, lane=lane, kind="random")
+        if self.tier is not None:
+            self.tier.record_access(fpage, self.cost, lane=lane, kind="random")
         if event in self.removes:
             # Case 2 and no value left in range: the page leaves.
             vpn = view.vpn_of(fpage)

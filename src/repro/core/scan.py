@@ -314,7 +314,6 @@ def batch_scan(
             min_above=empty.copy(),
         )
 
-    file = column.file
     per_page = column.values_per_page
     valid_counts = None  # every given page is full
     if column.num_rows < column.num_pages * per_page and np.any(
@@ -336,9 +335,8 @@ def batch_scan(
             lane,
             values=None if valid_counts is None else int(valid_counts.sum()) * factor,
         )
-        record = getattr(file, "record_batch_access", None)
-        if record is not None:
-            record(fpages, cost, lane=lane, kind=access_kind)
+        if column.tier is not None:
+            column.tier.record_batch_access(fpages, cost, lane=lane, kind=access_kind)
 
     return BatchScanResult(
         fpages=fpages,

@@ -17,7 +17,9 @@ which is what the hardened core paths roll back against.
 Page-store capacity exhaustion cannot be injected through the substrate
 surface alone (``resize`` is called on the store object), so files are
 handed out wrapped in :class:`FaultyPageStore` proxies that route their
-mutations back through the plane.
+mutations back through the plane: the one page-store wrapper.  The
+tier's spill I/O and the WAL consult per operation only where
+:func:`faults_armed` says a consult can fire.
 """
 
 from __future__ import annotations
@@ -34,30 +36,31 @@ from .schedule import FaultKind, FaultSchedule
 
 
 def unwrap_store(file: PageStore) -> PageStore:
-    """The real backend store behind a (possibly wrapped) page store.
+    """The real backend store behind a (possibly wrapped) page store."""
+    return file._inner if isinstance(file, FaultyPageStore) else file
 
-    Wrappers can stack (a tiered store over a faulty proxy over the
-    backend store), so unwrapping walks the whole ``_inner`` chain.
-    """
-    while True:
-        inner = getattr(file, "_inner", None)
-        if inner is None:
-            return file
-        file = inner
+
+def faults_armed(substrate: Substrate) -> bool:
+    """Whether a consult on ``substrate`` can fire: a
+    :class:`FaultySubstrate` with a schedule set, not suppressed."""
+    return (
+        isinstance(substrate, FaultySubstrate)
+        and substrate.schedule is not None
+        and not substrate._suppress
+    )
 
 
 def check_fault(substrate: Substrate, op: str) -> None:
     """Consult ``substrate``'s fault plane for ``op``; no-op otherwise.
 
     The public entry point for components that sit *outside* the
-    substrate surface but still model fallible I/O (the tiered page
-    store's spill reads/writes): on a :class:`FaultySubstrate` this
-    advances the schedule and raises the injected fault exactly like a
-    forwarded substrate call; on a bare backend it does nothing.
+    substrate surface but still model fallible I/O (the tier's spill
+    reads/writes, the WAL): on a :class:`FaultySubstrate` this advances
+    the schedule and raises the injected fault exactly like a forwarded
+    substrate call; on a bare backend it does nothing.
     """
-    check = getattr(substrate, "_check", None)
-    if check is not None:
-        check(op)
+    if isinstance(substrate, FaultySubstrate):
+        substrate._check(op)
 
 
 #: What :func:`suppress_faults` hands out where there is no fault plane:
@@ -71,8 +74,9 @@ def suppress_faults(substrate: Substrate):
     Returns an inert context for substrates without a fault plane, so
     rollback and audit code can wrap any backend unconditionally.
     """
-    suspend = getattr(substrate, "suppressed", None)
-    return suspend() if suspend is not None else _INERT
+    if isinstance(substrate, FaultySubstrate):
+        return substrate.suppressed()
+    return _INERT
 
 
 class FaultyPageStore:
@@ -155,7 +159,7 @@ class FaultySubstrate(Substrate):
             self._suppress -= 1
 
     def _consult(self, op: str):
-        if self._suppress or self.schedule is None:
+        if not faults_armed(self):
             return None
         return self.schedule.check(op)
 

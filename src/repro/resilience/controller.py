@@ -116,7 +116,7 @@ class ResilienceController:
             state = HealthState.READONLY
         else:
             utilization = self.governor.utilization()
-            tier_state = getattr(self.column.file, "tier_state", None)
+            tier = self.column.tier
             degraded = (
                 bool(self.view_index.quarantine)
                 or self._consecutive_permanent > 0
@@ -126,7 +126,7 @@ class ResilienceController:
                 )
                 # Tiered storage feeds the state machine: a thrashing
                 # (or over-budget) tier degrades the layer.
-                or (tier_state is not None and tier_state() != "healthy")
+                or (tier is not None and tier.tier_state() != "healthy")
             )
             state = HealthState.DEGRADED if degraded else HealthState.HEALTHY
         if state is not self._last_health:
@@ -218,9 +218,8 @@ class ResilienceController:
 
     def status(self) -> dict:
         """Counters and state for the CLI / facade status surface."""
-        tier_status = getattr(self.column.file, "tier_status", None)
-        if tier_status is not None:
-            return {**self._base_status(), "tier": tier_status()}
+        if self.column.tier is not None:
+            return {**self._base_status(), "tier": self.column.tier.tier_status()}
         return self._base_status()
 
     def _base_status(self) -> dict:

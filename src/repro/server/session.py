@@ -116,7 +116,7 @@ class Session:
     # -- plumbing -------------------------------------------------------
 
     def _observer(self):
-        obs = getattr(self.db, "observer", None)
+        obs = self.db.observer
         if obs is None or not self.options.observe:
             return None
         return obs

@@ -43,6 +43,8 @@ class PhysicalColumn:
         self.name = name
         self.substrate = substrate
         self.file = file
+        #: The column's :class:`~repro.tier.TieredPageStore`, or None.
+        self.tier = None
         self.num_rows = num_rows
         #: Width of one stored record; the indexed key is its first 8 B.
         self.record_bytes = record_bytes
@@ -118,9 +120,8 @@ class PhysicalColumn:
         page = layout.row_to_page(row, per_page)
         slot = layout.row_to_slot(row, per_page)
         self.cost.page_access("random", 1, lane)
-        record = getattr(self.file, "record_access", None)
-        if record is not None:
-            record(page, self.cost, lane=lane, kind="random")
+        if self.tier is not None:
+            self.tier.record_access(page, self.cost, lane=lane, kind="random")
         return int(self.file.data[page, slot])
 
     def write(self, row: int, value: int, lane: str = MAIN_LANE) -> int:
@@ -138,9 +139,8 @@ class PhysicalColumn:
         old = int(self.file.data[page, slot])
         self.file.data[page, slot] = value
         self.cost.value_write(1, lane)
-        record = getattr(self.file, "record_write", None)
-        if record is not None:
-            record(page, self.cost, lane=lane)
+        if self.tier is not None:
+            self.tier.record_write(page, self.cost, lane=lane)
         return old
 
     def add_pre_write_hook(self, hook) -> None:
@@ -175,8 +175,9 @@ class PhysicalColumn:
         lane: str = MAIN_LANE,
         charge: bool = True,
     ) -> PageScanResult:
-        """Scan-and-filter one physical page of this column."""
-        return scan_and_filter(
+        """Scan-and-filter one physical page of this column (a charged
+        scan reports the page to the column's tier)."""
+        result = scan_and_filter(
             self.file,
             fpage,
             lo,
@@ -188,6 +189,9 @@ class PhysicalColumn:
             access_kind=access_kind,
             lane=lane,
         )
+        if charge and self.tier is not None:
+            self.tier.record_access(fpage, self.cost, lane=lane, kind=access_kind)
+        return result
 
     def pages_with_values_in(self, lo: int, hi: int) -> np.ndarray:
         """Physical pages holding at least one value in ``[lo, hi]``.

@@ -96,12 +96,6 @@ def scan_and_filter(
         cost.full_page_scan(
             valid_count * cost_factor, 1, kind=access_kind, lane=lane
         )
-        # Tiered stores account the access here (cold pages pay the
-        # far-tier latency); plain stores have no such hook and charge
-        # nothing extra, keeping untiered cost bit-identical.
-        record = getattr(file, "record_access", None)
-        if record is not None:
-            record(fpage, cost, lane=lane, kind=access_kind)
 
     return PageScanResult(
         rowids=rowids.astype(np.int64),

@@ -1,9 +1,9 @@
-"""Tiered page storage: a hot/cold split under the page-store surface.
+"""Tiered page storage: a hot/cold split beside a column's page store.
 
 The paper assumes every physical page is resident; this package relaxes
-that.  A :class:`TieredPageStore` wraps any backend page store and
-splits its pages into a resident *hot* tier and a *cold* tier whose
-contents are spilled — to an in-memory far-tier model charged with its
+that.  A :class:`TieredPageStore` is a tiered column's sidecar
+(``PhysicalColumn.tier``): it splits the pages of the column's store
+into a resident *hot* tier and a *cold* tier whose contents are spilled — to an in-memory far-tier model charged with its
 own :class:`~repro.vm.cost.CostParameters` constants on the simulated
 backend, and additionally to a real on-disk spill file on the native
 backend.  Placement is access-frequency driven (per-page hit counters,

@@ -1,18 +1,15 @@
-"""The tiered page store: a hot/cold proxy over any backend store.
+"""The tier: hot/cold placement of one column's pages, beside its store.
 
-:class:`TieredPageStore` wraps a backend page store (simulated or
-native, possibly already wrapped by the fault plane) and satisfies the
-same :class:`~repro.substrate.interface.PageStore` protocol, so views,
-snapshots, the auditor and both substrates use it unchanged.  The
-*passive* surface (``data``, ``headers``, ``page_values``, ...) is pure
-delegation — the wrapped store stays the authoritative copy of every
-page, which keeps audits, ``peek_virtual`` and copy-on-write snapshots
-free and exact.  Tier accounting happens only at the explicit charge
-sites: the scan/read/write paths call :meth:`record_batch_access` /
-:meth:`record_access` / :meth:`record_write`, which charge far-tier
-latency for cold pages, maintain the per-page hit counters, make one
-placement decision per batch (:meth:`TieredPageStore._place`) and run
-the maintenance tick once per column's worth of accesses.
+A :class:`TieredPageStore` is a tiered column's sidecar
+(``PhysicalColumn.tier``), not a page store: the column's ``file``
+stays the authoritative copy of every page, read and written with no
+tier in between.  The charge sites ask the column for its tier and call
+:meth:`~TieredPageStore.record_batch_access` /
+:meth:`~TieredPageStore.record_access` /
+:meth:`~TieredPageStore.record_write`, which charge far-tier latency
+for cold pages, maintain the per-page hit counters, make one placement
+decision per batch (:meth:`TieredPageStore._place`) and run the
+maintenance tick once per column's worth of accesses.
 
 The cold tier is a :class:`ColdStore`: one page-indexed far copy of
 every demoted page, charged as far-tier I/O (``cold_read_ns`` /
@@ -22,12 +19,13 @@ placement decision's demotions are one move
 (:meth:`TieredPageStore._demote`) and its promotions another
 (:meth:`TieredPageStore._promote`), each booked once, and a demote
 copies each run of consecutive pages once; a per-page ``demote`` /
-``_install_hot`` is a move of one.  Spill reads and writes
-consult the fault plane (``cold_read`` / ``cold_write`` operations) per
-page, with bounded retries; a cold read that stays failed falls back to
-the resident copy (queries never fail), a demotion that stays failed is
-abandoned (the page stays hot and the hot-page budget records the
-excess as debt).
+``_install_hot`` is a move of one.  Under an armed fault plane
+(:func:`~repro.faults.plane.faults_armed`) spill reads and writes
+consult it (``cold_read`` / ``cold_write`` operations) per page, with
+bounded retries, else a batch's cold reads and spills are one charge
+each; a cold read that stays failed falls back to the resident copy
+(queries never fail), a demotion that stays failed is abandoned (the
+page stays hot and the hot-page budget records the excess as debt).
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ import numpy as np
 
 from ..budget import Budget
 from ..faults.errors import SubstrateFault
-from ..faults.plane import check_fault
+from ..faults.plane import check_fault, faults_armed
 from ..obs.observer import NULL_OBSERVER, NullObserver
 from ..substrate.interface import PageStore, Substrate
 from ..vm.cost import MAIN_LANE, CostModel
@@ -173,26 +171,22 @@ class ColdStore:
 
 
 class TieredPageStore:
-    """A page store whose pages live in a hot or a cold tier.
-
-    Conforms to the :class:`~repro.substrate.interface.PageStore`
-    protocol by delegation; see the module docstring for the split
-    between the passive surface and the tier-accounted charge sites.
-    """
+    """The hot/cold placement of one column's page store ``file``."""
 
     def __init__(
         self,
-        inner: PageStore,
+        file: PageStore,
         substrate: Substrate,
         config: TierConfig,
         observer: NullObserver | None = None,
         spill_dir: str | None = None,
     ) -> None:
-        self._inner = inner
+        #: The column's page store, whose pages this tier places.
+        self.file = file
         self._substrate = substrate
         self.config = config
         self.observer = observer or NULL_OBSERVER
-        n = inner.num_pages
+        n = file.num_pages
         #: Tier membership: True = hot (resident), False = cold.
         self.hot = np.ones(n, dtype=bool)
         #: Decayed per-page hit counters (placement utility).
@@ -206,7 +200,7 @@ class TieredPageStore:
         #: Charged page accesses since the last :meth:`maintenance`.
         self._since_maintenance = 0
         self.cold = ColdStore(
-            inner.name, inner.slots_per_page, n, spill_dir=spill_dir
+            file.name, file.slots_per_page, n, spill_dir=spill_dir
         )
         # The hot-page budget reaches the store through a weak proxy: a
         # strong cycle would keep the store (and on the native backend
@@ -236,29 +230,20 @@ class TieredPageStore:
         self._churn_mark = 0
         self._hot_hits_mark = 0
 
-    # -- the page-store surface (pure delegation) -------------------------
-
-    def __getattr__(self, name: str):
-        return getattr(self._inner, name)
-
-    # What every read asks for, given directly: ``__getattr__`` runs
-    # only after a failed lookup, which costs more than the read itself.
-    data = property(lambda self: self._inner.data)
-    headers = property(lambda self: self._inner.headers)
-    num_pages = property(lambda self: self._inner.num_pages)
-    slots_per_page = property(lambda self: self._inner.slots_per_page)
+    @property
+    def num_pages(self) -> int:
+        """Pages the placement covers: the store's, kept by :meth:`resize`."""
+        return self.hot.size
 
     def resize(self, num_pages: int) -> None:
-        """Resize the backend store, the cold tier and the placement
-        arrays.
+        """Follow the store, already resized, to ``num_pages`` pages.
 
         New pages enter the hot tier (they are about to be written);
         the caller runs :meth:`maintenance` afterwards so the governor
         can demote down to budget again.  A shrink forgets the cut
         pages' cold copies in one :meth:`ColdStore.resize`.
         """
-        old = self._inner.num_pages
-        self._inner.resize(num_pages)
+        old = self.hot.size
         self.cold.resize(num_pages)
         if num_pages > old:
             grow = num_pages - old
@@ -274,21 +259,7 @@ class TieredPageStore:
             self.last_access = self.last_access[:num_pages].copy()
             self._hot_count = int(self.hot.sum())
 
-    def set_page_id(self, page: int, page_id: int) -> None:
-        self._inner.set_page_id(page, page_id)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TieredPageStore({self._inner!r})"
-
     # -- tier introspection -----------------------------------------------
-
-    def tier_of(self, fpage: int) -> str:
-        """Which tier ``fpage`` lives in (``"hot"`` or ``"cold"``).
-
-        Also the duck-typing marker the audit and resilience planes use
-        to detect a tiered store.
-        """
-        return "hot" if self.hot[fpage] else "cold"
 
     def hot_count(self) -> int:
         """Pages currently in the hot tier."""
@@ -325,7 +296,7 @@ class TieredPageStore:
         hot = self.hot_count()
         return {
             "hot_pages": hot,
-            "cold_pages": int(self._inner.num_pages) - hot,
+            "cold_pages": self.hot.size - hot,
             "hot_budget": self.governor.budget,
             "promotions": self.promotions,
             "demotions": self.demotions,
@@ -381,12 +352,11 @@ class TieredPageStore:
         self.hot_hits += fpages.size - cold_pages.size
         if cold_pages.size:
             self.cold_hits += cold_pages.size
-            if getattr(self._substrate, "_check", None) is None:
-                if cost is not None:
-                    cost.cold_read(cold_pages.size, lane)
-            else:
+            if faults_armed(self._substrate):
                 for fpage in cold_pages.tolist():
                     self._spill_read(fpage, cost, lane)
+            elif cost is not None:
+                cost.cold_read(cold_pages.size, lane)
             self._place(cold_pages, cost, lane)
         self._since_maintenance += fpages.size
         if self._since_maintenance >= self.hot.size:
@@ -454,7 +424,7 @@ class TieredPageStore:
         :meth:`ColdStore.write`.  Returns the mask of pages written.
         """
         written = np.zeros(fpages.size, dtype=bool)
-        if getattr(self._substrate, "_check", None) is None:
+        if not faults_armed(self._substrate):
             written[:want] = True
         else:
             passed = 0
@@ -470,7 +440,7 @@ class TieredPageStore:
         if pages.size:
             if cost is not None:
                 cost.cold_write(pages.size, lane)
-            self.cold.write(pages, self._inner.data)
+            self.cold.write(pages, self.file.data)
         return written
 
     def _cold_write_passes(self) -> bool:
@@ -639,7 +609,7 @@ class TieredPageStore:
         )
         hot = self._hot_count
         self.observer.on_tier_maintenance(
-            hot, int(self._inner.num_pages) - hot, self.hit_ratio()
+            hot, self.hot.size - hot, self.hit_ratio()
         )
         return {"demoted": demoted, "churn": churn, "thrashing": self.thrashing}
 

@@ -19,7 +19,7 @@ Three failure surfaces thread through both (one shared protocol,
 
 * the fault plane (``wal_append`` / ``fsync`` ops, ``torn_write``
   kind) via :func:`~repro.faults.plane.check_fault` when the owning
-  substrate carries one;
+  substrate's plane is armed (:func:`~repro.faults.plane.faults_armed`);
 * the crash-point schedule (:mod:`repro.wal.crashpoint`) when a test
   arms one, which raises :class:`SimulatedCrash` mid-protocol;
 * the size cap: an append that would exceed ``max_bytes`` raises
@@ -33,7 +33,7 @@ import os
 from pathlib import Path
 
 from ..faults.errors import SubstrateFault
-from ..faults.plane import check_fault
+from ..faults.plane import check_fault, faults_armed
 from ..faults.schedule import FaultKind
 from .config import DurabilityConfig
 from .crashpoint import CrashPointSchedule
@@ -85,8 +85,6 @@ class WriteAheadLog:
             self.config.fsync
         )
         self.substrate = substrate
-        #: Whether ``substrate`` carries a fault plane to consult.
-        self._faulty = getattr(substrate, "_check", None) is not None
         self.cost = cost
         self.observer = observer
         #: Armed by the crash-point fuzz plane; None in production.
@@ -219,7 +217,7 @@ class WriteAheadLog:
         if cp is not None:
             cp.begin_append()
             cp.check("before_append")
-        if self._faulty:
+        if faults_armed(self.substrate):
             try:
                 check_fault(self.substrate, "wal_append")
             except SubstrateFault as fault:
@@ -315,7 +313,7 @@ class WriteAheadLog:
         cache) — it loses the power-loss guarantee, which the health
         machine surfaces as DEGRADED once failures persist.
         """
-        if self._faulty:
+        if faults_armed(self.substrate):
             try:
                 check_fault(self.substrate, "fsync")
             except SubstrateFault:

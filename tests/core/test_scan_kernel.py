@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 import tracemalloc
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -284,12 +285,14 @@ def test_evidence_at_the_ends_of_the_domain(strided, lo, hi):
 
 
 def test_tier_hook_fires_once_per_scan(monkeypatch):
-    """However many blocks and chunks a scan takes, the store hears of
-    it once, with the whole page list."""
+    """However many blocks and chunks a scan takes, the column's tier
+    hears of it once, with the whole page list."""
     monkeypatch.setattr(scan, "BLOCK_PAGES", 2)
     column, fpages, lo, hi = _build(Case(seed=1, polluted=1.0, page_list="unordered"))
     calls = []
-    column.file.record_batch_access = lambda pages, cost, lane, kind: calls.append(pages)
+    column.tier = SimpleNamespace(
+        record_batch_access=lambda pages, cost, lane, kind: calls.append(pages)
+    )
     batch_scan(column, fpages, lo, hi)
     assert len(calls) == 1
     np.testing.assert_array_equal(calls[0], fpages)

@@ -162,7 +162,7 @@ class TestTieredSnapshotIsolation:
         """A pinned reader stays bit-identical to pin time while a
         writer's updates and flushes demote and promote pages under it."""
         db = tiered_manager.database()
-        store = db.table("t").column("x").file
+        store = db.table("t").column("x").tier
         assert store.hot_count() <= 2
 
         reader = tiered_manager.open_session()

@@ -88,7 +88,7 @@ class HotPages:
             tiering=TierConfig(hot_budget=capacity),
         )
         self.db.create_table("t", {"x": values})
-        self.store = self.db.table("t").column("x").file
+        self.store = self.db.table("t").column("x").tier
         self.store.hits[:4] = [3.0, 1.0, 2.0, 1.0]
         self.store.last_access[:4] = [4, 2, 3, 1]
         self.governor = self.store.governor

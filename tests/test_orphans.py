@@ -60,7 +60,6 @@ KEEP = {
     "MemoryFile.set_page_id": _PROTOCOL,
     "NativePageStore.size_bytes": _PROTOCOL,
     "NativePageStore.set_page_id": _PROTOCOL,
-    "TieredPageStore.set_page_id": _PROTOCOL,
     "FaultyPageStore.set_page_id": _PROTOCOL,
     "PhysicalMemory.files": "backs SimulatedSubstrate.files",
     # Schedule constructors the fault tests use, and the read an oracle is built on.

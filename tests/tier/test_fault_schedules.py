@@ -134,7 +134,7 @@ def _run_session(
         tiering=TierConfig(hot_budget=hot_budget, spill_retries=2),
     ) as db:
         db.create_table("t", {"x": values})
-        store = db.table("t").column("x").file
+        store = db.table("t").column("x").tier
         placed = store.demotions  # initial placement, before any fault
         substrate.schedule = schedule  # setup above stays fault-free
 

@@ -84,7 +84,7 @@ def _place(backend: str, schedule: FaultSchedule | None, budget, use_oracle, mon
 
 
 def _observe(db, schedule) -> dict:
-    store = db.table("t").column("x").file
+    store = db.table("t").column("x").tier
     governor = store.governor
     return {
         "hot": store.hot.tolist(),

@@ -100,7 +100,7 @@ def _run_tiered_session(
         tiering=TierConfig(hot_budget=hot_budget, write_buffer_rows=64),
     ) as db:
         db.create_table("t", {"x": values})
-        store = db.table("t").column("x").file
+        store = db.table("t").column("x").tier
         assert isinstance(store, TieredPageStore)
 
         for step, op in enumerate(ops):
@@ -218,7 +218,7 @@ class TestTierMechanics:
 
     def test_initial_placement_keeps_prefix_hot(self):
         db, _ = self._make_db(hot_budget=3)
-        store = db.table("t").column("x").file
+        store = db.table("t").column("x").tier
         assert store.hot_count() == 3
         assert store.hot[:3].all() and not store.hot[3:].any()
         db.close()
@@ -226,7 +226,7 @@ class TestTierMechanics:
     def test_batch_scan_records_its_pages_once(self):
         db, _ = self._make_db(hot_budget=3)
         column = db.table("t").column("x")
-        store = column.file
+        store = column.tier
         seen = []
         record = store.record_batch_access
 
@@ -244,7 +244,7 @@ class TestTierMechanics:
 
     def test_repeated_access_promotes(self):
         db, values = self._make_db(hot_budget=3)
-        store = db.table("t").column("x").file
+        store = db.table("t").column("x").tier
         # A range one value wide on a cold page: the first read scans
         # the column and builds the view, the next ones touch only the
         # view's pages, which so out-count every page a scan alone hit.
@@ -260,7 +260,7 @@ class TestTierMechanics:
 
     def test_denial_journal_records_refusals(self):
         db, _ = self._make_db(hot_budget=2)
-        store = db.table("t").column("x").file
+        store = db.table("t").column("x").tier
         # Pin every hot page as infinitely useful, then ask for more
         # admissions than the budget can ever yield.
         store.hits[:] = 0.0
@@ -274,7 +274,7 @@ class TestTierMechanics:
 
     def test_maintenance_decays_and_enforces(self):
         db, _ = self._make_db(hot_budget=2)
-        store = db.table("t").column("x").file
+        store = db.table("t").column("x").tier
         db.query("t", "x", 0, DOMAIN)
         store._install_hot(5, db.cost, "main")  # one page over budget
         hits_before = store.hits.copy()
@@ -290,7 +290,7 @@ class TestTierMechanics:
         accounted page accesses (decay and enforcement used to be
         reachable from update alignment and merges only)."""
         db, _ = self._make_db(hot_budget=2)
-        store = db.table("t").column("x").file
+        store = db.table("t").column("x").tier
         ticks = []
         maintenance = store.maintenance
 
@@ -311,7 +311,7 @@ class TestTierMechanics:
         db, _ = self._make_db(hot_budget=2)
         db.layer("t", "x")  # health is reported per instantiated layer
         column = db.table("t").column("x")
-        store = column.file
+        store = column.tier
         store.config = TierConfig(hot_budget=2, thrash_threshold=2)
 
         def touch(pages, times):
@@ -341,7 +341,7 @@ class TestTierMechanics:
         """``hot_count()`` is a maintained integer; the tier-placement
         audit holds it to ``hot.sum()``."""
         db, _ = self._make_db(hot_budget=3)
-        store = db.table("t").column("x").file
+        store = db.table("t").column("x").tier
         db.query("t", "x", 0, DOMAIN)
         assert db.audit().ok
         store._hot_count -= 1
@@ -355,8 +355,7 @@ class TestTierMechanics:
         db.create_table(
             "t", {"x": rng.integers(0, DOMAIN, size=NUM_ROWS, dtype=np.int64)}
         )
-        file = db.table("t").column("x").file
-        assert not hasattr(file, "tier_of")
+        assert db.table("t").column("x").tier is None
         assert db.tier_status() == {}
         db.close()
 
@@ -424,7 +423,7 @@ class TestWriteBuffer:
             tiering=TierConfig(hot_budget=3, write_buffer_rows=10_000)
         ) as db:
             db.create_table("t", {"x": values})
-            store = db.table("t").column("x").file
+            store = db.table("t").column("x").tier
             for i in range(SLOTS + 1):  # force at least one new page
                 db.insert("t", {"x": i})
             info = db.flush_inserts("t")

@@ -59,7 +59,7 @@ class TestNativeSpillFiles:
         )
         try:
             db.create_table("t", {"x": values})
-            store = db.table("t").column("x").file
+            store = db.table("t").column("x").tier
             status = store.tier_status()
             spill_path = status["spill_path"]
             assert spill_path is not None
@@ -73,7 +73,7 @@ class TestNativeSpillFiles:
             for fpage in store.cold.pages():
                 np.testing.assert_array_equal(
                     store.cold.read_page(fpage),
-                    np.asarray(store.page_values(fpage)),
+                    np.asarray(store.file.page_values(fpage)),
                 )
 
             result = db.query("t", "x", 0, DOMAIN)
@@ -93,12 +93,12 @@ class TestNativeSpillFiles:
         )
         try:
             db.create_table("t", {"x": values})
-            store = db.table("t").column("x").file
+            store = db.table("t").column("x").tier
             cold_page = store.cold.pages()[-1]
             row = cold_page * VALUES_PER_PAGE + 5
             db.update("t", "x", row, 999_999)
             db.flush_updates("t", "x")
-            if store.tier_of(cold_page) == "cold":
+            if not store.hot[cold_page]:
                 assert store.cold.read_page(cold_page)[5] == 999_999
             else:
                 # The write pulled the page hot; the cold copy is gone.
@@ -140,9 +140,9 @@ class TestNativeSpillFiles:
             tiering=TierConfig(hot_budget=budget),
         ) as db:
             db.create_table("t", {"x": live})
-            store = db.table("t").column("x").file
+            store = db.table("t").column("x").tier
             assert runs == [(budget, num_pages - budget)]  # the whole tail
-            page_bytes = store.slots_per_page * 8
+            page_bytes = store.file.slots_per_page * 8
             substrate.schedule = FaultSchedule(
                 [
                     FaultRule(ops="cold_write", probability=0.2),
@@ -173,7 +173,7 @@ class TestNativeSpillFiles:
                         on_disk = np.frombuffer(spill.read(page_bytes), dtype=np.int64)
                         np.testing.assert_array_equal(
                             on_disk,
-                            np.asarray(store.page_values(fpage)),
+                            np.asarray(store.file.page_values(fpage)),
                             err_msg=f"step {step}: page {fpage}",
                         )
                     assert store.cold.pages() == np.flatnonzero(~store.hot).tolist()
@@ -200,7 +200,7 @@ class TestNativeSpillFiles:
             db.create_table("t", {"x": _values(31_002)})
             for lo in range(0, DOMAIN, DOMAIN // 8):
                 db.query("t", "x", lo, lo + DOMAIN // 40)
-            store = weakref.ref(db.table("t").column("x").file)
+            store = weakref.ref(db.table("t").column("x").tier)
             assert store().demotions > 0  # the hot-page budget did work
             db.close()
             del db
@@ -229,7 +229,7 @@ class TestNativeHeavyAcceptance:
         )
         try:
             db.create_table("t", {"x": values.copy()})
-            store = db.table("t").column("x").file
+            store = db.table("t").column("x").tier
             assert store.tier_status()["spill_path"] is not None
             assert store.hot_count() <= budget
 

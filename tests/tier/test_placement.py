@@ -46,7 +46,7 @@ FUZZ_SCHEDULES = int(os.environ.get("REPRO_FUZZ_SCHEDULES", "200"))
 
 
 def _observe(db, schedule) -> dict:
-    store = db.table("t").column("x").file
+    store = db.table("t").column("x").tier
     governor = store.governor
     assert store.hot_count() == int(store.hot.sum())
     return {
@@ -91,7 +91,7 @@ class Pair:
             if schedule is not None:
                 substrate.schedule = schedule  # set-up stays fault-free
             if use_oracle:
-                placement_oracle.install(db.table("t").column("x").file)
+                placement_oracle.install(db.table("t").column("x").tier)
             self.sides.append((db, schedule))
 
     def __enter__(self) -> "Pair":
@@ -104,7 +104,7 @@ class Pair:
     @property
     def store(self):
         """The shipped side's store (planted cases assert on it)."""
-        return self.sides[0][0].table("t").column("x").file
+        return self.sides[0][0].table("t").column("x").tier
 
     def each(self, action) -> None:
         """Apply ``action(db)`` to both sides without comparing."""
@@ -133,7 +133,7 @@ class Pair:
 
 def _set_placement(db, hot_pages, hits) -> None:
     """Plant a placement through the store's own primitives."""
-    store = db.table("t").column("x").file
+    store = db.table("t").column("x").tier
     for page in range(NUM_PAGES):
         if page in hot_pages and not store.hot[page]:
             store._install_hot(page, None, "main")
@@ -149,7 +149,7 @@ def _unlimited(db) -> None:
     """Lift the budget after set-up placed pages cold: the only way to
     have cold pages under ``hot_budget=None``.  The budget reads its
     capacity once, at construction, so it is lifted there too."""
-    store = db.table("t").column("x").file
+    store = db.table("t").column("x").tier
     store.config = dataclasses.replace(store.config, hot_budget=None)
     store.governor.budget = None
 
@@ -235,7 +235,7 @@ class TestPlanted:
                 by_batch.step(
                     lambda db, page=page: (
                         db.cost.page_access("random", 1),
-                        db.table("t").column("x").file.record_batch_access(
+                        db.table("t").column("x").tier.record_batch_access(
                             np.array([page]), db.cost, kind="random"
                         ),
                     ),
@@ -323,7 +323,7 @@ def _apply(db, op: tuple) -> None:
     elif op[0] == "flush":
         db.flush_updates("t", "x")
     elif op[0] == "maintain":
-        column.file.maintenance(db.cost)
+        column.tier.maintenance(db.cost)
 
 
 def _run_trace(seed: int, faults: bool) -> dict:
@@ -385,7 +385,7 @@ class TestStreamProperties:
         """A scan touches every page equally — no evidence.  60 scans
         also cover the point where the decayed counters (2 - 2^-k)
         round to exactly ``promote_after``."""
-        store = stream_db.table("t").column("v").file
+        store = stream_db.table("t").column("v").tier
         column = stream_db.table("t").column("v")
         everything = np.arange(STREAM_PAGES)
         for _ in range(60):
@@ -403,7 +403,7 @@ class TestStreamProperties:
         at most one page per 20 accessed and serves at least 0.9 of
         what *any* policy could — a scan of a column 4x the budget is
         75 % cold whatever is resident."""
-        store = stream_db.table("t").column("v").file
+        store = stream_db.table("t").column("v").tier
         sizes = []
         record = store.record_batch_access
 

@@ -282,7 +282,7 @@ class TestTieredRecovery:
 
         recovered, _ = recover_database(tmp_path, tiering=tiering)
         try:
-            store = recovered.table("t").column("x").file
+            store = recovered.table("t").column("x").tier
             assert store.governor.debt == 0
             assert store.hot_count() <= 1
             got = _column_values(recovered)
