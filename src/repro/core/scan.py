@@ -134,7 +134,7 @@ def _filter(
     valid: np.ndarray | None,
     per_page: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(rowids, values, page_qualifies, max_below, min_above)`` of whole
+    """``(rowids, values, hits_per_page, max_below, min_above)`` of whole
     pages compared against ``[lo, hi]`` (``lo <= hi``).
 
     ``sub`` holds one page a row, contiguous, so that flat hit positions
@@ -177,7 +177,7 @@ def _filter(
         below[below >= lo] = NO_BELOW
         min_above[missed] = above
         max_below[missed] = below
-    return rowids, values, hits_per_page > 0, max_below, min_above
+    return rowids, values, hits_per_page, max_below, min_above
 
 
 def _valid_slots(
@@ -188,6 +188,70 @@ def _valid_slots(
     if valid_counts is None or valid_counts.min() == per_page:
         return None
     return _slot_mask(valid_counts, per_page)
+
+
+def _emit(
+    column: PhysicalColumn,
+    fpages: np.ndarray,
+    counts: np.ndarray,
+    inside: np.ndarray,
+    filtered: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(rowids, values)`` of a scan, written once into one allocation.
+
+    ``counts`` are the hits of every scanned page; the pages at the
+    positions ``inside`` lie wholly inside the range and are copied
+    without a mask, a run of consecutive pages at a time.  ``filtered``
+    holds the straddling chunks' ``(positions, hits_per_page, rowids,
+    values)``, copied to their pages' places a stretch at a time.
+    """
+    starts = counts.cumsum()
+    total = int(starts[-1])
+    starts -= counts
+    rowids = np.empty(total, dtype=np.int64)
+    values = np.empty(total, dtype=np.int64)
+    for chunk, hits_per_page, chunk_rowids, chunk_values in filtered:
+        if not chunk_rowids.size:
+            continue
+        # A chunk's hits are in page order, as the result's are: the hits
+        # of its pages between two inside pages are one stretch of both.
+        ends = hits_per_page.cumsum()
+        begins = ends - hits_per_page
+        shift = starts[chunk] - begins
+        cuts = ((shift[1:] != shift[:-1]).nonzero()[0] + 1).tolist()
+        firsts, lasts = [0, *cuts], [cut - 1 for cut in cuts] + [chunk.size - 1]
+        for begin, end, at in zip(
+            begins[firsts].tolist(), ends[lasts].tolist(), starts[chunk[firsts]].tolist()
+        ):
+            rowids[at : at + end - begin] = chunk_rowids[begin:end]
+            values[at : at + end - begin] = chunk_values[begin:end]
+
+    data, headers = column.file.data, column.file.headers
+    per_page = column.values_per_page
+    slots = np.arange(per_page)
+    full = inside[counts[inside] == per_page]
+    if full.size:
+        # A run: positions in a row whose pages follow one another in the
+        # file, so that its rows are one slab of the store.
+        pages = fpages[full]
+        cuts = ((full[1:] - full[:-1] != 1) | (pages[1:] - pages[:-1] != 1)).nonzero()[0]
+        cuts = (cuts + 1).tolist()
+        for first, end in zip([0, *cuts], [*cuts, full.size]):
+            page, k = int(pages[first]), end - first
+            at = int(starts[full[first]])
+            out = slice(at, at + k * per_page)
+            values[out].reshape(k, per_page)[...] = data[page : page + k]
+            np.add(
+                (headers[page : page + k] * per_page)[:, None],
+                slots,
+                out=rowids[out].reshape(k, per_page),
+            )
+    for i in inside[counts[inside] < per_page].tolist():
+        # The padded last page: its filled slots only.
+        page, filled, at = int(fpages[i]), int(counts[i]), int(starts[i])
+        values[at : at + filled] = data[page, :filled]
+        rowids[at : at + filled] = slots[:filled] + int(headers[page]) * per_page
+    return rowids, values
 
 
 def _scan_by_extent(
@@ -205,9 +269,20 @@ def _scan_by_extent(
     *Extents*: two reductions give every page's min and max.
     *Classify*: a page wholly below ``lo`` or wholly above ``hi`` is
     finished — it cannot qualify and its evidence is the extent itself.
+    A page wholly *inside* ``[lo, hi]`` is finished too — every filled
+    slot is a hit, so it is emitted without a mask — when such pages are
+    at least half of those that reach the range; fewer are filtered with
+    the straddlers, which costs less than assembling around them.
     *Filter*: only the remaining *straddling* pages are compared against
     ``[lo, hi]``, a chunk at a time, and those of them without a hit get
     their evidence from two more reductions.
+
+    Without pages emitted whole, the filtered hits are the result: a
+    lone chunk's arrays are handed up as they are.  With them, the
+    result is allocated once, sized from the per-page hit counts: an
+    inside run's values are one copy of its rows, its rowids ``header *
+    per_page + slot`` written in one pass, and the straddlers' hits are
+    copied to their pages' places.
 
     A scattered list that fits one block — a view hit — is gathered once
     and filtered whole, mask first: a view's pages nearly all straddle
@@ -229,7 +304,10 @@ def _scan_by_extent(
         pages = data[first : first + n]  # the full view, any run: read in place
     elif n <= BLOCK_PAGES and lo <= hi:
         valid = _valid_slots(valid_counts, per_page)
-        return _filter(data[fpages], file.headers[fpages], lo, hi, valid, per_page)
+        rowids, values, hits_per_page, below, above = _filter(
+            data[fpages], file.headers[fpages], lo, hi, valid, per_page
+        )
+        return rowids, values, hits_per_page > 0, below, above
     else:
         pages = None  # gathered a block at a time
 
@@ -254,16 +332,29 @@ def _scan_by_extent(
         )
 
     # The extent of a page wholly outside [lo, hi] is its evidence: the
-    # two vectors become the evidence where they stand.
+    # two vectors become the evidence where they stand.  A page wholly
+    # inside reaches both ends, so its evidence is the sentinels.
     reaches_lo = page_max >= lo
     reaches_hi = page_min <= hi
-    straddling = (reaches_lo & reaches_hi).nonzero()[0]
+    straddles = reaches_lo & reaches_hi
+    is_inside = page_min >= lo
+    is_inside &= page_max <= hi
+    inside = is_inside.nonzero()[0]
+    straddling = straddles.nonzero()[0]
+    if inside.size and 2 * inside.size >= straddling.size:
+        # Pages wholly inside are copied, not filtered, when they are at
+        # least half the pages that reach the range; with fewer, the
+        # assembly costs more than the comparisons it saves.
+        straddling = (straddles & ~is_inside).nonzero()[0]
+    else:
+        inside = inside[:0]
     max_below, min_above = page_max, page_min
     max_below[reaches_lo] = NO_BELOW
     min_above[reaches_hi] = NO_ABOVE
-    page_qualifies = np.zeros(n, dtype=bool)
-    rowid_parts: list[np.ndarray] = []
-    value_parts: list[np.ndarray] = []
+    counts = np.zeros(n, dtype=np.int64)
+    if inside.size:
+        counts[inside] = per_page if valid_counts is None else valid_counts[inside]
+    filtered: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
     for start in range(0, straddling.size, BLOCK_PAGES):
         chunk = straddling[start : start + BLOCK_PAGES]
@@ -274,17 +365,20 @@ def _scan_by_extent(
         else:
             sub = pages[chunk]
         valid = None if valid_counts is None else _valid_slots(valid_counts[chunk], per_page)
-        rowids, values, has_hit, below, above = _filter(
+        rowids, values, hits_per_page, below, above = _filter(
             sub, file.headers[fpages[chunk]], lo, hi, valid, per_page
         )
-        page_qualifies[chunk] = has_hit
-        if rowids.size:
-            rowid_parts.append(rowids)
-            value_parts.append(values)
+        counts[chunk] = hits_per_page
+        filtered.append((chunk, hits_per_page, rowids, values))
         max_below[chunk] = below
         min_above[chunk] = above
 
-    return joined(rowid_parts), joined(value_parts), page_qualifies, max_below, min_above
+    if inside.size:
+        rowids, values = _emit(column, fpages, counts, inside, filtered)
+    else:
+        rowids = joined([part[2] for part in filtered if part[2].size])
+        values = joined([part[3] for part in filtered if part[3].size])
+    return rowids, values, counts > 0, max_below, min_above
 
 
 def batch_scan(

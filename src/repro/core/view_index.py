@@ -74,14 +74,19 @@ class ViewIndex:
         #: by maintenance) and await rebuild by the resilience layer.
         self.quarantine: list[QuarantineEntry] = []
         #: Interval index over the partial views: views sorted by
-        #: ``(lo, -hi, insertion position)``, with a parallel ``lo``
-        #: array for bisect.  Rebuilt lazily after inserts/replaces/
-        #: drops (view ranges are immutable once a view is indexed), so
-        #: routing binary-searches instead of scanning the full list.
+        #: ``(lo, -hi, insertion position)``, with the keys and a
+        #: parallel ``lo`` list for bisect.  An insert, replace or drop
+        #: moves one entry by bisection (view ranges are immutable once
+        #: a view is indexed), so routing binary-searches instead of
+        #: scanning the full list and never re-sorts it.  The insertion
+        #: position is a counter: a replacement inherits the replaced
+        #: view's, and removals keep the others' order, so it orders the
+        #: views as their places in :attr:`partial_views` do.
+        self._sorted_keys: list[tuple[int, int, int]] = []
         self._sorted_views: list[VirtualView] = []
-        self._sorted_pos: list[int] = []
         self._sorted_los: list[int] = []
-        self._sorted_dirty = True
+        self._position: dict[int, int] = {}
+        self._next_position = 0
 
     @property
     def partial_views(self) -> list[VirtualView]:
@@ -133,18 +138,22 @@ class ViewIndex:
         """The LRU clock tick of the view's most recent use (0 = never)."""
         return self._last_used.get(id(view), 0)
 
-    def _ensure_sorted(self) -> None:
-        """Rebuild the interval index if views were added/removed."""
-        if not self._sorted_dirty:
-            return
-        order = sorted(
-            range(len(self._partials)),
-            key=lambda i: (self._partials[i].lo, -self._partials[i].hi, i),
-        )
-        self._sorted_views = [self._partials[i] for i in order]
-        self._sorted_pos = order
-        self._sorted_los = [v.lo for v in self._sorted_views]
-        self._sorted_dirty = False
+    def _index(self, view: VirtualView, position: int) -> None:
+        """Enter a partial view into the interval index."""
+        key = (view.lo, -view.hi, position)
+        i = bisect.bisect_left(self._sorted_keys, key)
+        self._sorted_keys.insert(i, key)
+        self._sorted_views.insert(i, view)
+        self._sorted_los.insert(i, view.lo)
+        self._position[id(view)] = position
+
+    def _unindex(self, view: VirtualView) -> int:
+        """Take a partial view out of the interval index; returns its
+        insertion position."""
+        position = self._position.pop(id(view))
+        i = bisect.bisect_left(self._sorted_keys, (view.lo, -view.hi, position))
+        del self._sorted_keys[i], self._sorted_views[i], self._sorted_los[i]
+        return position
 
     def _select_single(self, lo: int, hi: int) -> VirtualView:
         """Single-view mode: the smallest view fully covering the range.
@@ -155,14 +164,13 @@ class ViewIndex:
         strict improvement wins in a linear scan), and a partial view
         must beat the full view *strictly* to be chosen.
         """
-        self._ensure_sorted()
         end = bisect.bisect_right(self._sorted_los, lo)
         best = self.full_view
         best_key = (self.full_view.num_pages, -1)
         for i in range(end):
             view = self._sorted_views[i]
             if view.hi >= hi:
-                key = (view.num_pages, self._sorted_pos[i])
+                key = (view.num_pages, self._sorted_keys[i][2])
                 if key < best_key:
                     best = view
                     best_key = key
@@ -180,7 +188,6 @@ class ViewIndex:
         None when the partials cannot cover the range (the caller falls
         back to single-view mode).
         """
-        self._ensure_sorted()
         end = bisect.bisect_right(self._sorted_los, hi)
         # The index is already sorted by (lo, -hi, insertion order) —
         # exactly the stable order the cover walk below expects.
@@ -208,12 +215,11 @@ class ViewIndex:
         pages wins.  Returns None when the partials cannot cover the
         range at all.
         """
-        self._ensure_sorted()
         end = bisect.bisect_right(self._sorted_los, hi)
         # Greedy min() ties resolve to the earliest-inserted candidate,
         # so restore insertion order after the bisect-bounded overlap cut.
         indexed = [
-            (self._sorted_pos[i], self._sorted_views[i])
+            (self._sorted_keys[i][2], self._sorted_views[i])
             for i in range(end)
             if self._sorted_views[i].hi >= lo
         ]
@@ -417,14 +423,15 @@ class ViewIndex:
             self._partials.remove(view)
             self._last_used.pop(id(view), None)
             self._use_counts.pop(id(view), None)
-            self._sorted_dirty = True
+            self._unindex(view)
 
     def insert(self, view: VirtualView) -> None:
         """Add a partial view to the index."""
         if view.is_full_view:
             raise ValueError("the full view is implicit, do not insert it")
         self._partials.append(view)
-        self._sorted_dirty = True
+        self._index(view, self._next_position)
+        self._next_position += 1
 
     def replace(
         self, old: VirtualView, new: VirtualView, lane: str = MAIN_LANE
@@ -434,7 +441,7 @@ class ViewIndex:
         self._partials[idx] = new
         self._last_used.pop(id(old), None)
         self._use_counts.pop(id(old), None)
-        self._sorted_dirty = True
+        self._index(new, self._unindex(old))
         old.destroy(lane)
 
     def drop(self, view: VirtualView, lane: str = MAIN_LANE) -> None:
@@ -442,7 +449,7 @@ class ViewIndex:
         self._partials.remove(view)
         self._last_used.pop(id(view), None)
         self._use_counts.pop(id(view), None)
-        self._sorted_dirty = True
+        self._unindex(view)
         view.destroy(lane)
 
     def rebuild_for_growth(self, lane: str = MAIN_LANE) -> None:

@@ -222,4 +222,12 @@ class SimulatedSubstrate(Substrate):
     # -- observation / lifecycle ------------------------------------------
 
     def close(self) -> None:
-        pass
+        """Delete this process's main-memory files from the machine.
+
+        Each file refers to its machine and the machine to each file:
+        while the machine lists them, a closed database's page stores
+        live on until a cyclic GC pass.  Deleted here, they are freed
+        with their last holder, as the native backend's are.
+        """
+        for file in self.memory.files():
+            self.memory.delete_file(file.name)

@@ -138,8 +138,21 @@ def _build(case: Case):
         "from_min": (MIN_VALUE, [MIN_VALUE, MIN_VALUE + 1, at][int(rng.integers(0, 3))]),
         "to_max": ([MAX_VALUE, MAX_VALUE - 1, at][int(rng.integers(0, 3))], MAX_VALUE),
         "everything": (MIN_VALUE, MAX_VALUE),
+        # From one page's band to another's: the pages between lie
+        # wholly inside unless an outlier makes them straddle; each end
+        # page lies inside, straddles, or is the end of the domain.
+        "pages": _pages_range(rng, n),
     }[case.query]
     return column, fpages.astype(np.int64), lo, hi
+
+
+def _pages_range(rng, num_pages: int) -> tuple[int, int]:
+    """A range over the bands of pages ``first`` to ``last``."""
+    first = int(rng.integers(0, num_pages))
+    last = int(rng.integers(first, num_pages))
+    lo = [first * BAND, first * BAND - 3, first * BAND + 17, MIN_VALUE]
+    hi = [(last + 1) * BAND - 1, (last + 1) * BAND + 3, (last + 1) * BAND - 18, MAX_VALUE]
+    return lo[int(rng.integers(0, 4))], hi[int(rng.integers(0, 4))]
 
 
 def _oracle(column: PhysicalColumn, fpages, lo: int, hi: int) -> dict:
@@ -333,6 +346,121 @@ def test_temporaries_do_not_grow_with_the_page_list():
             tracemalloc.stop()
         assert result.rowids.size < num_pages // 4
         assert block_bytes < peak <= allowed, (peak, allowed)
+
+
+# -- pages wholly inside the range: emitted without a mask ------------------
+
+INSIDE_QUERIES = ("pages", "pages", "narrow", "everything", "from_min", "to_max")
+
+
+def _page_shape(column: PhysicalColumn, fpages, lo: int, hi: int) -> str:
+    """Per listed page: ``i`` if all its filled slots lie inside
+    ``[lo, hi]``, ``s`` if it straddles an end of it, ``o`` if it lies
+    wholly outside."""
+    shape = ""
+    for page in fpages.tolist():
+        values = column.file.data[page][: column.valid_count(page)]
+        if lo <= values.min() and values.max() <= hi:
+            shape += "i"
+        else:
+            shape += "s" if values.max() >= lo and values.min() <= hi else "o"
+    return shape
+
+
+def assert_inside_parity(case: Case, monkeypatch) -> dict:
+    """:func:`assert_parity`, and what the case met of pages wholly
+    inside the range on the extent path (a run, or a list longer than a
+    block; a shorter scattered list is gathered and masked whole).  The
+    kernel emits them without a mask when they are at least half the
+    pages that reach the range."""
+    assert_parity(case, monkeypatch)
+    column, fpages, lo, hi = _build(case)
+    run = np.array_equal(fpages, np.arange(fpages[0], fpages[0] + fpages.size))
+    if not run and fpages.size <= case.block_pages:
+        return {}
+    shape = _page_shape(column, fpages, lo, hi)
+    inside = [page == "i" for page in shape]
+    whole = "i" in shape and shape.count("i") >= shape.count("s")
+    last = fpages == column.num_pages - 1
+    padded = column.num_rows < column.num_pages * column.values_per_page
+    return {
+        "no_inside": "i" not in shape,
+        "some_inside": "i" in shape and shape.strip("i") != "",
+        "all_inside": shape.strip("i") == "",
+        "interleaved": "isi" in shape or "sis" in shape,
+        "inside_runs_of_several": "ii" in shape,
+        "padded_inside": bool(padded and np.asarray(inside)[last].any()),
+        "strided_inside": case.strided and "i" in shape,
+        "inside_at_a_domain_end": (lo == MIN_VALUE or hi == MAX_VALUE) and "i" in shape,
+        "repeated_inside": "i" in shape and np.unique(fpages).size < fpages.size,
+        "emitted_whole": whole,
+        "emitted_between_straddlers": whole and ("isi" in shape or "sis" in shape),
+    }
+
+
+_INSIDE_CASE = st.builds(
+    Case,
+    seed=st.integers(0, 2**32 - 1),
+    strided=st.booleans(),
+    record_bytes=st.sampled_from([8, 16]),
+    num_pages=st.integers(1, 14),
+    block_pages=st.sampled_from(BLOCK_SIZES),
+    page_list=st.sampled_from(PAGE_LISTS),
+    dropped=st.one_of(st.just(0), st.integers(1, VALUES_PER_PAGE - 1)),
+    polluted=st.sampled_from(POLLUTION),
+    query=st.sampled_from(INSIDE_QUERIES),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_INSIDE_CASE)
+def test_pages_wholly_inside_match_the_oracle_in_order(case):
+    """Ranges that leave no page, some pages or every page wholly
+    inside, inside runs between straddling pages: the five arrays equal
+    the per-page oracle and the whole-page reference in order."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_inside_parity(case, monkeypatch)
+
+
+def test_seeded_inside_sweep(monkeypatch):
+    """A seeded sweep of inside ranges that must, as a whole, meet every
+    shape of inside and straddling pages the kernel tells apart."""
+    met: dict[str, int] = {}
+    for i in range(FUZZ_SCHEDULES):
+        seed = derive_seed(i)
+        case = _seeded_case(seed)
+        case.query = INSIDE_QUERIES[seed % len(INSIDE_QUERIES)]
+        try:
+            seen = assert_inside_parity(case, monkeypatch)
+        except AssertionError as exc:
+            raise AssertionError(f"sweep entry {i} (seed {seed}): {exc}") from exc
+        for key, value in seen.items():
+            met[key] = met.get(key, 0) + value
+    if FUZZ_SCHEDULES >= 100:
+        assert len(met) == 11 and all(met.values()), met
+
+
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("dropped", [0, 200])
+def test_inside_runs_between_straddlers(strided, dropped, monkeypatch):
+    """Twelve pages, in one run and as a list of blocks of four: runs of
+    inside pages between pages an outlier makes straddle, the padded
+    last page inside too."""
+    monkeypatch.setattr(scan, "BLOCK_PAGES", 4)
+    per_page = VALUES_PER_PAGE
+    values = _banded(12, dropped=dropped)
+    for page in (2, 3, 7):
+        values[page * per_page + 5] = 10**12  # straddles, keeps its hits
+    values[5 * per_page + 1] = -(10**12)
+    column = PhysicalColumn.create(make_substrate("simulated"), "runs", values)
+    if strided:
+        _strided(column.file)
+    for fpages in (np.arange(12), np.arange(1, 12), np.r_[np.arange(6, 12), np.arange(0, 6)]):
+        for lo, hi in ((0, 12 * BAND), (BAND, 11 * BAND), (MIN_VALUE, 12 * BAND - 1)):
+            result = batch_scan(column, fpages, lo, hi)
+            want = _oracle(column, fpages, lo, hi)
+            for name in FIELDS:
+                assert getattr(result, name).tolist() == want[name], (name, lo, hi)
 
 
 class _CountedPages(np.ndarray):

@@ -247,3 +247,70 @@ class TestDecide:
         # superset rule when the subset rule's page test refuses
         assert index.decide(2, 10, 20)[0] is ViewEvent.DISCARDED_SUBSET
         assert index.decide(1, 10, 20)[0] is ViewEvent.REPLACED
+
+
+class TestIncrementalIntervalIndex:
+    """The interval index is kept sorted by bisection, never re-sorted:
+    after any sequence of inserts, drops, replaces and discards it must
+    hold what one fresh sort of the partials by ``(lo, -hi, insertion
+    order)`` gives, and every routing mode must pick the same views."""
+
+    MODES = (RoutingMode.SINGLE, RoutingMode.MULTI, RoutingMode.MULTI_COST)
+
+    @staticmethod
+    def _freshly_sorted(index: ViewIndex) -> ViewIndex:
+        """A twin of ``index`` whose interval index is one fresh sort."""
+        twin = ViewIndex.__new__(ViewIndex)
+        twin.__dict__.update(index.__dict__)
+        twin._last_used, twin._use_counts = {}, {}
+        partials = index.partial_views
+        keys = sorted((v.lo, -v.hi, i) for i, v in enumerate(partials))
+        twin._sorted_keys = keys
+        twin._sorted_views = [partials[i] for _, _, i in keys]
+        twin._sorted_los = [lo for lo, _, _ in keys]
+        return twin
+
+    def _check(self, index: ViewIndex, rng) -> None:
+        twin = self._freshly_sorted(index)
+        assert index._sorted_views == twin._sorted_views
+        assert index._sorted_los == twin._sorted_los
+        by_position = sorted(
+            range(len(index._sorted_keys)), key=lambda i: index._sorted_keys[i][2]
+        )
+        assert [index._sorted_views[i] for i in by_position] == index.partial_views
+        for _ in range(6):
+            lo = int(rng.integers(0, 100))
+            hi = lo + int(rng.integers(0, 40))
+            for mode in self.MODES:
+                config = AdaptiveConfig(max_views=100, mode=mode)
+                index.config = twin.config = config
+                assert index.get_optimal_views(lo, hi) == twin.get_optimal_views(lo, hi)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_sequences_select_as_a_fresh_sort(self, column, seed):
+        rng = np.random.default_rng(seed)
+        index = index_with(column, AdaptiveConfig(max_views=100))
+
+        def new_view():
+            # A small domain, so that equal los, equal his and equal page
+            # counts (the tie-breaks) are common.
+            lo = int(rng.integers(0, 100))
+            hi = lo + int(rng.integers(0, 50))
+            pages = rng.choice(column.num_pages, size=int(rng.integers(1, 5)), replace=False)
+            return make_view(column, lo, hi, sorted(pages.tolist()))
+
+        for _ in range(40):
+            partials = index.partial_views
+            op = rng.choice(["insert", "insert", "drop", "replace", "discard"])
+            if op == "insert" or not partials:
+                index.insert(new_view())
+            else:
+                victim = partials[int(rng.integers(0, len(partials)))]
+                if op == "drop":
+                    index.drop(victim)
+                elif op == "replace":
+                    index.replace(victim, new_view())
+                else:
+                    victim.destroy()
+                    index.discard(victim)
+            self._check(index, rng)
