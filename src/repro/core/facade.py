@@ -808,8 +808,10 @@ class AdaptiveDatabase:
     def close(self) -> None:
         """Shut down all layers (stops background mapping threads),
         release pinned snapshots, and release backend resources (real
-        mappings and file descriptors on the native backend; a no-op on
-        the simulated one).  Durable databases flush staged writes and
+        mappings and file descriptors on the native backend; on the
+        simulated one, the substrate's main-memory files are deleted
+        from the machine, so the page stores are freed without a cyclic
+        GC pass).  Durable databases flush staged writes and
         sync-close the WAL first, so a clean shutdown leaves nothing to
         replay."""
         if self._wal is not None and not self._wal.closed:

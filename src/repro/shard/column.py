@@ -7,12 +7,12 @@ tombstones and full-view scan are the unsharded facade's own.
 
 A range query is routed (:mod:`repro.shard.router`) to the shards whose
 value bounds intersect it, answered by each shard database, and
-gathered: shard-local rowids are offset into the global row space as
-they are copied, in ascending shard order, into one allocation, so the
-result does not depend on interleaving.  With ``parallel=True`` the
-per-shard calls run on a thread pool (the native backend's mmap/scan
-work releases the GIL); simulated cost stays deterministic because each
-shard charges only its own ledger.
+gathered: shard-local rowids are offset into the global row space and
+concatenated in ascending shard order, so the result does not depend on
+interleaving.  With ``parallel=True`` the per-shard calls run on a
+thread pool (the native backend's mmap/scan work releases the GIL);
+simulated cost stays deterministic because each shard charges only its
+own ledger.
 
 Identity contract: at ``shards=1`` no router pruning, no bounds
 bookkeeping and no gather arithmetic touches the single shard's path,
@@ -169,34 +169,26 @@ class ShardedColumn:
     def _gather(
         self, routed: list[int], results: list[QueryResult], lo: int, hi: int
     ) -> QueryResult:
-        """Merge per-shard results into one global result.
+        """Merge per-shard results into one global result (numpy concat).
 
-        The gathered arrays are allocated once; each shard's rows are
-        copied in, shifted by its ``row_start`` on the way.  A shard's
-        result arrays are its own (every read returns fresh ones), so
-        a lone routed shard is shifted in place.
+        A shard's result arrays are its own (every read returns fresh
+        ones), so its rowids are shifted by its ``row_start`` in place.
         """
         empty = np.empty(0, dtype=np.int64)
         if not results:
             stats = QueryStats(lo=lo, hi=hi)
             return QueryResult(rowids=empty, values=empty.copy(), stats=stats)
-        row_starts = [self.shards[index].spec.row_start for index in routed]
+        for index, result in zip(routed, results):
+            spec = self.shards[index].spec
+            if spec.row_start:
+                result.rowids += spec.row_start
         if len(results) == 1:
             # Pass the single shard's result through untouched: at
             # shards=1 this keeps stats (including the view event)
             # bit-identical to the unsharded facade.
-            if row_starts[0]:
-                results[0].rowids += row_starts[0]
             return results[0]
-        total = sum(r.rowids.size for r in results)
-        rowids = np.empty(total, dtype=np.int64)
-        values = np.empty(total, dtype=np.int64)
-        at = 0
-        for row_start, result in zip(row_starts, results):
-            end = at + result.rowids.size
-            np.add(result.rowids, row_start, out=rowids[at:end])
-            values[at:end] = result.values
-            at = end
+        rowids = np.concatenate([r.rowids for r in results])
+        values = np.concatenate([r.values for r in results])
         stats = QueryStats(
             lo=lo,
             hi=hi,

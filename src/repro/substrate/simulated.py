@@ -73,23 +73,29 @@ class SimulatedSubstrate(Substrate):
         #: The simulated process's address space (simulated-only
         #: introspection).
         self.address_space = AddressSpace()
+        #: Names of the files this substrate created and has not deleted;
+        #: ``memory`` may be shared with other substrates.
+        self._own: set[str] = set()
 
     # -- physical-file allocation ---------------------------------------
 
     def create_file(
         self, name: str, num_pages: int, slots_per_page: int | None = None
     ) -> MemoryFile:
-        return self.memory.create_file(
+        file = self.memory.create_file(
             name,
             num_pages,
             slots_per_page if slots_per_page is not None else VALUES_PER_PAGE,
         )
+        self._own.add(name)
+        return file
 
     def get_file(self, name: str) -> MemoryFile:
         return self.memory.get_file(name)
 
     def delete_file(self, name: str) -> None:
         self.memory.delete_file(name)
+        self._own.discard(name)
 
     def files(self) -> list[MemoryFile]:
         return self.memory.files()
@@ -222,12 +228,14 @@ class SimulatedSubstrate(Substrate):
     # -- observation / lifecycle ------------------------------------------
 
     def close(self) -> None:
-        """Delete this process's main-memory files from the machine.
+        """Delete the main-memory files this substrate created.
 
         Each file refers to its machine and the machine to each file:
         while the machine lists them, a closed database's page stores
         live on until a cyclic GC pass.  Deleted here, they are freed
-        with their last holder, as the native backend's are.
+        with their last holder, as the native backend's are.  Files that
+        other substrates created on a shared machine stay.
         """
-        for file in self.memory.files():
-            self.memory.delete_file(file.name)
+        for name in sorted(self._own):
+            self.memory.delete_file(name)
+        self._own.clear()

@@ -60,8 +60,8 @@ MUTANTS = (
     Mutant(
         name="gather-adds-row-start-twice",
         path="src/repro/shard/column.py",
-        old="np.add(result.rowids, row_start, out=rowids[at:end])",
-        new="np.add(result.rowids, 2 * row_start, out=rowids[at:end])",
+        old="result.rowids += spec.row_start",
+        new="result.rowids += 2 * spec.row_start",
         tests=(
             "tests/core/test_read_memory.py::test_a_sharded_full_domain_read_gathers_once",
             "tests/shard/test_database.py",
@@ -70,9 +70,19 @@ MUTANTS = (
     Mutant(
         name="simulated-close-keeps-its-files",
         path="src/repro/substrate/simulated.py",
-        old="            self.memory.delete_file(file.name)",
+        old="            self.memory.delete_file(name)\n        self._own.clear()",
         new="            pass",
         tests=("tests/core/test_read_memory.py::test_close_frees_the_page_store_without_gc",),
+    ),
+    Mutant(
+        name="simulated-close-deletes-shared-machine-files",
+        path="src/repro/substrate/simulated.py",
+        old="for name in sorted(self._own):",
+        new="for name in sorted(file.name for file in self.memory.files()):",
+        tests=(
+            "tests/substrate/test_simulated.py::TestProtocolDelegation::"
+            "test_close_deletes_only_its_own_files",
+        ),
     ),
     Mutant(
         name="replacement-takes-a-new-insertion-position",

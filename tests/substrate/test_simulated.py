@@ -72,6 +72,18 @@ class TestProtocolDelegation:
         with pytest.raises(FileError):
             sub.get_file("col")
 
+    def test_close_deletes_only_its_own_files(self, sub):
+        other = SimulatedSubstrate(memory=sub.memory)
+        sub.create_file("mine", 4)
+        sub.create_file("gone", 4)
+        sub.delete_file("gone")
+        theirs = other.create_file("theirs", 4)
+        sub.close()
+        assert sub.memory.files() == [theirs]
+        assert sub.memory.free_pages == sub.memory.capacity_pages - 4
+        other.close()
+        assert sub.memory.files() == []
+
     def test_reserve_then_rewire_then_read(self, sub):
         file = sub.create_file("col", 8)
         file.data[5, :3] = [7, 8, 9]

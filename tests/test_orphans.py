@@ -50,6 +50,10 @@ KEEP = {
     "WorkloadTrace.save": "docs/api.md traces",
     "RecordingLayer": "docs/api.md traces",
     # Protocol methods.
+    "Substrate.files": _PROTOCOL,
+    "SimulatedSubstrate.files": _PROTOCOL,
+    "NativeSubstrate.files": _PROTOCOL,
+    "FaultySubstrate.files": _PROTOCOL,
     "PageStore.size_bytes": _PROTOCOL,
     "PageStore.set_page_id": _PROTOCOL,
     "MemoryFile.size_bytes": _PROTOCOL,
@@ -57,6 +61,7 @@ KEEP = {
     "NativePageStore.size_bytes": _PROTOCOL,
     "NativePageStore.set_page_id": _PROTOCOL,
     "FaultyPageStore.set_page_id": _PROTOCOL,
+    "PhysicalMemory.files": "backs SimulatedSubstrate.files",
     # Schedule constructors the fault tests use, and the read an oracle is built on.
     "FaultSchedule.nth_call": "builds the schedules the fault tests inject",
     "FaultSchedule.probabilistic": "builds the schedules the fault sweeps inject",
