@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--observe",
         action="store_true",
-        help="attach an observer (session metrics, admit/shed events)",
+        help="attach an observer (session metrics, admit/shed counters)",
     )
     serve.add_argument(
         "--durable",

@@ -74,8 +74,8 @@ class AdaptiveDatabase:
 
         ``observe=True`` attaches an :class:`~repro.obs.observer.Observer`
         (exposed as :attr:`observer`): every layer then records trace
-        spans, metrics and lifecycle events.  Pass a pre-built
-        :class:`Observer` to share one across databases.  Off by default:
+        spans and metrics.  Pass a pre-built :class:`Observer` to share
+        one across databases.  Off by default:
         no observation work happens, and simulated timings are identical
         either way because observation never charges the cost ledger.
 

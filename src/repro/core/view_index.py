@@ -345,7 +345,7 @@ class ViewIndex:
         event: ViewEvent,
         other: VirtualView | None = None,
     ) -> ViewEvent:
-        """Append a lifecycle record, publish it, and return the event."""
+        """Append a lifecycle record, count it, and return the event."""
         record = ViewLifecycleEvent(
             sequence=len(self.history) + 1,
             event=event,

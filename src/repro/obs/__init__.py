@@ -1,4 +1,4 @@
-"""Observability: trace spans, metrics and event hooks (extension).
+"""Observability: trace spans and metrics (extension).
 
 The paper's evaluation lives off numbers measured *inside* the storage
 layer — pages scanned per query (Figure 4), views used (Figure 5), pages
@@ -12,11 +12,14 @@ ad-hoc measurements into a first-class observability layer:
   fixed-bucket histograms;
 * :mod:`repro.obs.exporters` — Prometheus-text, JSON and JSONL renderers
   plus the ASCII trace-tree view;
-* :mod:`repro.obs.events` — a lightweight subscription bus for lifecycle
-  events (view inserted/replaced/evicted, batch flushed, mmap issued);
 * :mod:`repro.obs.observer` — the :class:`Observer` composite threaded
   through the VM and adaptive layers, plus the zero-overhead
   :data:`NULL_OBSERVER` used when observation is off (the default).
+
+A view's lifecycle (inserted/replaced/evicted/...) is recorded once, in
+:attr:`repro.core.view_index.ViewIndex.history`, and counted by
+``view_lifecycle_events_total{event=...}``.  Metric writes take a lock,
+so counters stay exact when sharded execution runs on a thread pool.
 
 Enable it per database::
 
@@ -26,7 +29,6 @@ Enable it per database::
     print(render_prometheus(db.observer.metrics))
 """
 
-from .events import Event, EventBus
 from .exporters import (
     render_metrics_json,
     render_prometheus,
@@ -41,8 +43,6 @@ from .span import Span, Tracer
 
 __all__ = [
     "Counter",
-    "Event",
-    "EventBus",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

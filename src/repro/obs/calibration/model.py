@@ -267,7 +267,7 @@ class CalibrationModel:
         return found
 
     def publish(self, observer, threshold: float = DEFAULT_THRESHOLD) -> list[DriftFinding]:
-        """Surface the model through an observer's metrics and events.
+        """Surface the model through an observer's metrics.
 
         Sets the ``cost_drift_ratio{span=...}`` gauge for every kind
         with data (drifting or not — the resilience health machine

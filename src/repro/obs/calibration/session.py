@@ -27,7 +27,7 @@ class CalibrationRun:
 
     #: The assembled calibration report.
     report: CalibrationReport
-    #: The underlying observed workload (spans, metrics, events).
+    #: The underlying observed workload (spans and metrics).
     observed: ObservedRun
     #: The populated pairing model.
     model: CalibrationModel

@@ -38,7 +38,7 @@ class ObservedRun:
     experiment: str
     #: The observed column (still alive; spans reference its views).
     column: PhysicalColumn
-    #: The observer holding spans, metrics and events.
+    #: The observer holding spans and metrics.
     observer: Observer
     #: Query-sequence measurements.
     run: SequenceRun

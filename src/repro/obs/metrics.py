@@ -4,11 +4,14 @@ A :class:`MetricsRegistry` holds named metric families; each family
 carries samples per label set (``mmap_calls_total{kind="fixed"}``).
 The model follows the Prometheus exposition format, which
 :mod:`repro.obs.exporters` renders; values are plain Python numbers —
-observation never touches the cost ledger.
+observation never touches the cost ledger.  Every write to a family
+holds the family's lock, so hooks called from a sharded database's
+worker threads add up exactly.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 #: Canonical form of one label set: sorted (name, value) pairs.
@@ -52,10 +55,13 @@ class Metric:
             raise ValueError(f"invalid metric name: {name!r}")
         self.name = name
         self.help = help
+        self._values: dict[LabelKey, object] = {}
+        self._lock = threading.Lock()
 
     def samples(self) -> list[tuple[LabelKey, object]]:
         """All (label set, value) samples of the family."""
-        raise NotImplementedError
+        with self._lock:
+            return sorted(self._values.items())
 
 
 class Counter(Metric):
@@ -63,23 +69,17 @@ class Counter(Metric):
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self._values: dict[LabelKey, float] = {}
-
     def inc(self, amount: float = 1, **labels: object) -> None:
         """Add ``amount`` (must be non-negative) to one label set."""
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease ({amount})")
         key = label_key(labels)
-        self._values[key] = self._values.get(key, 0) + amount
+        with self._lock:
+            self._values[key] = self._values.get(key, 0) + amount
 
     def value(self, **labels: object) -> float:
         """Current count of one label set (0 if never incremented)."""
         return self._values.get(label_key(labels), 0)
-
-    def samples(self) -> list[tuple[LabelKey, object]]:
-        return sorted(self._values.items())
 
 
 class Gauge(Metric):
@@ -87,25 +87,21 @@ class Gauge(Metric):
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self._values: dict[LabelKey, float] = {}
-
     def set(self, value: float, **labels: object) -> None:
         """Set one label set to ``value``."""
-        self._values[label_key(labels)] = value
+        key = label_key(labels)
+        with self._lock:
+            self._values[key] = value
 
     def add(self, amount: float, **labels: object) -> None:
         """Adjust one label set by ``amount`` (either sign)."""
         key = label_key(labels)
-        self._values[key] = self._values.get(key, 0) + amount
+        with self._lock:
+            self._values[key] = self._values.get(key, 0) + amount
 
     def value(self, **labels: object) -> float:
         """Current value of one label set (0 if never set)."""
         return self._values.get(label_key(labels), 0)
-
-    def samples(self) -> list[tuple[LabelKey, object]]:
-        return sorted(self._values.items())
 
 
 @dataclass
@@ -136,24 +132,24 @@ class Histogram(Metric):
         if not bounds or sorted(bounds) != list(bounds) or len(set(bounds)) != len(bounds):
             raise ValueError(f"histogram buckets must be sorted and unique: {buckets}")
         self.buckets = bounds
-        self._values: dict[LabelKey, HistogramValue] = {}
 
     def observe(self, value: float, **labels: object) -> None:
         """Record one observation."""
         key = label_key(labels)
-        sample = self._values.get(key)
-        if sample is None:
-            sample = self._values[key] = HistogramValue(
-                bucket_counts=[0] * (len(self.buckets) + 1)
-            )
         idx = len(self.buckets)
         for i, bound in enumerate(self.buckets):
             if value <= bound:
                 idx = i
                 break
-        sample.bucket_counts[idx] += 1
-        sample.total += value
-        sample.count += 1
+        with self._lock:
+            sample = self._values.get(key)
+            if sample is None:
+                sample = self._values[key] = HistogramValue(
+                    bucket_counts=[0] * (len(self.buckets) + 1)
+                )
+            sample.bucket_counts[idx] += 1
+            sample.total += value
+            sample.count += 1
 
     def sample(self, **labels: object) -> HistogramValue | None:
         """The accumulated histogram of one label set, if any."""
@@ -169,9 +165,6 @@ class Histogram(Metric):
             acc += count
             out.append(acc)
         return out
-
-    def samples(self) -> list[tuple[LabelKey, object]]:
-        return sorted(self._values.items())
 
 
 class MetricsRegistry:

@@ -1,10 +1,13 @@
 """The observer threaded through the VM and adaptive layers.
 
-:class:`Observer` bundles the three observability primitives — a
-:class:`~repro.obs.span.Tracer`, a
-:class:`~repro.obs.metrics.MetricsRegistry` and an
-:class:`~repro.obs.events.EventBus` — behind the narrow hook interface
-the instrumented layers call (``span``, ``on_query``, ``on_mmap``, ...).
+:class:`Observer` bundles the two observability primitives — a
+:class:`~repro.obs.span.Tracer` and a
+:class:`~repro.obs.metrics.MetricsRegistry` — behind the narrow hook
+interface the instrumented layers call (``span``, ``on_query``,
+``on_mmap``, ...).  Each hook turns the fact it is told into counters,
+gauges and histograms; the view lifecycle's own record is the index's
+journal (:attr:`repro.core.view_index.ViewIndex.history`), which
+``view_lifecycle_events_total`` counts.
 
 :data:`NULL_OBSERVER` is the disabled twin: every hook is a no-op and
 ``span`` yields a shared inert span, so instrumentation left in place
@@ -19,25 +22,6 @@ from contextlib import nullcontext
 from typing import TYPE_CHECKING, ContextManager
 
 from ..vm.cost import MAIN_LANE, CostLedger
-from .events import (
-    TOPIC_DRIFT,
-    TOPIC_FAULT,
-    TOPIC_FLUSH,
-    TOPIC_GOVERNOR,
-    TOPIC_HEALTH,
-    TOPIC_MAPS_PARSE,
-    TOPIC_MMAP,
-    TOPIC_QUERY,
-    TOPIC_REBUILD,
-    TOPIC_RECOVERY,
-    TOPIC_RETRY,
-    TOPIC_SERVER_ADMIT,
-    TOPIC_SERVER_SHED,
-    TOPIC_SHARD,
-    TOPIC_TIER,
-    TOPIC_VIEW_LIFECYCLE,
-    EventBus,
-)
 from .metrics import (
     PAGE_COUNT_BUCKETS,
     SIM_NS_BUCKETS,
@@ -90,7 +74,6 @@ class NullObserver:
     enabled = False
     tracer: Tracer | None = None
     metrics: MetricsRegistry | None = None
-    events: EventBus | None = None
 
     def span(self, name: str, **attrs: object) -> ContextManager[Span]:
         """An inert context manager yielding the shared null span."""
@@ -120,13 +103,13 @@ class NullObserver:
     def on_statement(self, kind: str) -> None:
         """Hook: one SQL statement executed."""
 
-    def on_retry(self, op: str, kind: str, attempt: int) -> None:
+    def on_retry(self, op: str, kind: str) -> None:
         """Hook: one retry attempt against a transient fault."""
 
-    def on_rebuild(self, lo: int, hi: int, pages: int) -> None:
+    def on_rebuild(self) -> None:
         """Hook: a quarantined view was rebuilt and re-admitted."""
 
-    def on_governor_eviction(self, lo: int, hi: int, pages: int) -> None:
+    def on_governor_eviction(self) -> None:
         """Hook: the mapping governor evicted a view for budget."""
 
     def on_health(self, state: str) -> None:
@@ -143,10 +126,8 @@ class NullObserver:
     ) -> None:
         """Hook: one shard realigned its views after a batch."""
 
-    def on_shard_gather(
-        self, shards: int, of: int, rows: int, sim_ns: float
-    ) -> None:
-        """Hook: a scatter-gather merged ``shards`` of ``of`` shards."""
+    def on_shard_gather(self, shards: int) -> None:
+        """Hook: a scatter-gather merged the results of ``shards`` shards."""
 
     def on_session_open(
         self, session_id: int, decision: str, active: int
@@ -181,13 +162,7 @@ class NullObserver:
     def on_wal_fsync(self) -> None:
         """Hook: the active WAL segment was fsynced."""
 
-    def on_recovery(
-        self,
-        replayed: int,
-        truncated_bytes: int,
-        checkpoint_lsn: int,
-        wal_lsn: int,
-    ) -> None:
+    def on_recovery(self) -> None:
         """Hook: a crash-consistent recovery finished replaying."""
 
 
@@ -196,7 +171,7 @@ NULL_OBSERVER = NullObserver()
 
 
 class Observer(NullObserver):
-    """Live observer: spans, metrics and events, wired to one ledger.
+    """Live observer: spans and metrics, wired to one ledger.
 
     The standard metric families are registered eagerly so exporters
     always present a stable schema, even before traffic arrives.
@@ -217,7 +192,6 @@ class Observer(NullObserver):
         self.ledger = ledger
         self.tracer = Tracer(ledger, capacity=max_spans, lane=lane, wall=wall)
         self.metrics = MetricsRegistry()
-        self.events = EventBus()
 
         m = self.metrics
         self._queries = m.counter("queries_total", "Routed range queries answered")
@@ -362,87 +336,50 @@ class Observer(NullObserver):
         self._views_used.observe(stats.views_used)
         self._result_rows.inc(stats.result_rows)
         self._partial_views.set(stats.partial_views_after)
-        self.events.publish(
-            TOPIC_QUERY,
-            lo=stats.lo,
-            hi=stats.hi,
-            sim_ns=stats.sim_ns,
-            pages_scanned=stats.pages_scanned,
-            views_used=stats.views_used,
-            view_event=stats.view_event.value,
-        )
 
     def on_maintenance(self, stats: "MaintenanceStats") -> None:
         self._flushes.inc()
         self._flush_ns.observe(stats.total_ns)
         self._pages_added.inc(stats.pages_added)
         self._pages_removed.inc(stats.pages_removed)
-        self.events.publish(
-            TOPIC_FLUSH,
-            batch_size=stats.batch_size,
-            compacted_size=stats.compacted_size,
-            parse_ns=stats.parse_ns,
-            update_ns=stats.update_ns,
-            pages_added=stats.pages_added,
-            pages_removed=stats.pages_removed,
-            maps_lines=stats.maps_lines,
-        )
 
     def on_view_event(self, record: "ViewLifecycleEvent") -> None:
         self._view_events.inc(event=record.event.value)
-        self.events.publish(
-            TOPIC_VIEW_LIFECYCLE,
-            event=record.event.value,
-            lo=record.lo,
-            hi=record.hi,
-            candidate_pages=record.candidate_pages,
-            sequence=record.sequence,
-        )
 
     # -- VM hooks -------------------------------------------------------
 
     def on_mmap(self, kind: str, pages: int) -> None:
         self._mmap_calls.inc(kind=kind)
         self._mmap_pages.inc(pages, kind=kind)
-        self.events.publish(TOPIC_MMAP, op="mmap", kind=kind, pages=pages)
 
     def on_munmap(self, pages: int) -> None:
         self._munmap_calls.inc()
-        self.events.publish(TOPIC_MMAP, op="munmap", kind="unmap", pages=pages)
 
     def on_maps_parse(self, lines: int) -> None:
         self._maps_lines.set(lines)
         self._maps_lines_parsed.inc(lines)
-        self.events.publish(TOPIC_MAPS_PARSE, lines=lines)
 
     def on_fault(self, op: str, kind: str) -> None:
         self._faults.inc(op=op, kind=kind)
-        self.events.publish(TOPIC_FAULT, op=op, kind=kind)
 
     # -- resilience hooks -----------------------------------------------
 
-    def on_retry(self, op: str, kind: str, attempt: int) -> None:
+    def on_retry(self, op: str, kind: str) -> None:
         self._retries.inc(op=op, kind=kind)
-        self.events.publish(TOPIC_RETRY, op=op, kind=kind, attempt=attempt)
 
-    def on_rebuild(self, lo: int, hi: int, pages: int) -> None:
+    def on_rebuild(self) -> None:
         self._rebuilds.inc()
-        self.events.publish(TOPIC_REBUILD, lo=lo, hi=hi, pages=pages)
 
-    def on_governor_eviction(self, lo: int, hi: int, pages: int) -> None:
+    def on_governor_eviction(self) -> None:
         self._governor_evictions.inc()
-        self.events.publish(
-            TOPIC_GOVERNOR, action="evict", lo=lo, hi=hi, pages=pages
-        )
 
     def on_health(self, state: str) -> None:
         self._health.set(_HEALTH_SEVERITY.get(state, -1.0))
-        self.events.publish(TOPIC_HEALTH, state=state)
 
     # -- calibration hooks ----------------------------------------------
 
     def on_drift(self, finding: "DriftFinding") -> None:
-        """Record one drift finding: gauge, counter and event.
+        """Record one drift finding: gauge and counter.
 
         The ``cost_drift_ratio{span=...}`` gauge is what the resilience
         health machine (or any scrape consumer) watches: 1.0 means the
@@ -450,14 +387,6 @@ class Observer(NullObserver):
         """
         self._drift_ratio.set(finding.ratio, span=finding.kind)
         self._drift_findings.inc(span=finding.kind)
-        self.events.publish(
-            TOPIC_DRIFT,
-            kind=finding.kind,
-            ratio=finding.ratio,
-            confidence=finding.confidence,
-            spans=finding.spans,
-            suggestions=dict(finding.suggestions),
-        )
 
     def record_span_wall(self, kind: str, wall_ns: float) -> None:
         """Feed one span's measured wall time into the wall histogram."""
@@ -484,14 +413,9 @@ class Observer(NullObserver):
         self._pages_added.inc(stats.pages_added, shard=label)
         self._pages_removed.inc(stats.pages_removed, shard=label)
 
-    def on_shard_gather(
-        self, shards: int, of: int, rows: int, sim_ns: float
-    ) -> None:
+    def on_shard_gather(self, shards: int) -> None:
         self._shard_gathers.inc()
         self._shard_fanout.observe(shards)
-        self.events.publish(
-            TOPIC_SHARD, shards=shards, of=of, rows=rows, sim_ns=sim_ns
-        )
 
     # -- serving hooks --------------------------------------------------
 
@@ -500,19 +424,12 @@ class Observer(NullObserver):
     ) -> None:
         self._sessions_active.set(active)
         self._sessions_opened.inc(decision=decision)
-        self.events.publish(
-            TOPIC_SERVER_ADMIT,
-            session_id=session_id,
-            decision=decision,
-            active=active,
-        )
 
     def on_session_close(self, session_id: int, active: int) -> None:
         self._sessions_active.set(active)
 
     def on_session_shed(self, reason: str) -> None:
         self._sessions_rejected.inc(reason=reason)
-        self.events.publish(TOPIC_SERVER_SHED, reason=reason)
 
     def on_server_request(
         self, op: str, session_id: int, sim_ns: float
@@ -524,13 +441,9 @@ class Observer(NullObserver):
 
     def on_tier_promotions(self, fpages: np.ndarray) -> None:
         self._tier_promotions.inc(fpages.size)
-        for fpage in fpages.tolist():
-            self.events.publish(TOPIC_TIER, action="promote", fpage=fpage)
 
     def on_tier_demotions(self, fpages: np.ndarray) -> None:
         self._tier_demotions.inc(fpages.size)
-        for fpage in fpages.tolist():
-            self.events.publish(TOPIC_TIER, action="demote", fpage=fpage)
 
     def on_tier_maintenance(
         self, hot: int, cold: int, hit_ratio: float
@@ -538,13 +451,6 @@ class Observer(NullObserver):
         self._tier_pages.set(hot, tier="hot")
         self._tier_pages.set(cold, tier="cold")
         self._tier_hit_ratio.set(hit_ratio)
-        self.events.publish(
-            TOPIC_TIER,
-            action="maintenance",
-            hot=hot,
-            cold=cold,
-            hit_ratio=hit_ratio,
-        )
 
     # -- durability hooks -------------------------------------------------
 
@@ -555,21 +461,8 @@ class Observer(NullObserver):
     def on_wal_fsync(self) -> None:
         self._wal_fsyncs.inc()
 
-    def on_recovery(
-        self,
-        replayed: int,
-        truncated_bytes: int,
-        checkpoint_lsn: int,
-        wal_lsn: int,
-    ) -> None:
+    def on_recovery(self) -> None:
         self._recoveries.inc()
-        self.events.publish(
-            TOPIC_RECOVERY,
-            replayed=replayed,
-            truncated_bytes=truncated_bytes,
-            checkpoint_lsn=checkpoint_lsn,
-            wal_lsn=wal_lsn,
-        )
 
     # -- SQL hooks ------------------------------------------------------
 

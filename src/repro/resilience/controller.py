@@ -53,10 +53,9 @@ def _maps_line_budget(
         )
 
     def evict(view: VirtualView, cost, lane: str) -> bool:
-        pages = view.num_pages
         view_index.record_decision(view, ViewEvent.EVICTED_BUDGET)
         view_index.drop(view, lane)
-        observer.on_governor_eviction(view.lo, view.hi, pages)
+        observer.on_governor_eviction()
         return True
 
     return Budget(

@@ -140,7 +140,7 @@ class ViewRebuilder:
         )
         vi.release_quarantine(entry)
         self.rebuilt += 1
-        self.observer.on_rebuild(view.lo, view.hi, view.num_pages)
+        self.observer.on_rebuild()
         return REBUILT
 
     def _failed_attempt(self, entry: QuarantineEntry) -> str:

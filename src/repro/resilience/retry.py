@@ -108,7 +108,7 @@ class RetryPolicy:
         for attempt in range(1, self.config.max_attempts + 1):
             self.cost.backoff_wait(self.backoff_ns(attempt), lane)
             self.retries += 1
-            self.observer.on_retry(op, last.kind, attempt)
+            self.observer.on_retry(op, last.kind)
             try:
                 with suppress_faults(self.substrate):
                     result = fn()

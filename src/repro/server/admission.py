@@ -12,8 +12,8 @@ mapping-budget governor and fault history) to gate the serving layer:
   themselves downgraded per query).
 
 Every decision is journaled (bounded ring) so an operator can replay
-why a connection was refused; denials also surface as events/metrics
-through the observer.
+why a connection was refused; the observer counts admissions and
+denials (``sessions_opened_total``, ``sessions_rejected_total``).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ A :class:`DatabaseManager` owns named databases
 one :class:`~repro.server.admission.AdmissionController` per database,
 and hands out :class:`~repro.server.session.Session` objects.  Every
 session of a database shares the same lock — statements serialize per
-database, so the single-threaded cost ledgers and metrics registry stay
+database, so the single-threaded cost ledgers and span stacks stay
 consistent no matter how many server threads carry sessions.
 
 Every session reads and writes through the database itself — SQL too —

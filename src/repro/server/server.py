@@ -6,7 +6,7 @@ one :class:`~repro.server.session.Session` opened through the shared
 :class:`~repro.server.manager.DatabaseManager`.  Concurrency control is
 the manager's per-database request lock — handler threads do the socket
 work in parallel while statements of one database serialize, keeping
-the single-threaded cost ledgers and metrics registry exact.
+the single-threaded cost ledgers and span stacks exact.
 
 Admission control runs at ``open`` time: a shed connection receives one
 ``{"ok": false, "data": {"shed": true, "reason": ...}}`` response and

@@ -254,12 +254,7 @@ class ShardedColumn:
                 pages=merged.stats.pages_scanned,
                 overlap_ns=merged.stats.sim_ns,
             )
-        obs.on_shard_gather(
-            shards=len(routed),
-            of=self.num_shards,
-            rows=merged.stats.result_rows,
-            sim_ns=merged.stats.sim_ns,
-        )
+        obs.on_shard_gather(len(routed))
         return merged
 
     # -- queries ----------------------------------------------------------

@@ -101,9 +101,7 @@ class ShardedDatabase:
         ``observe=True`` attaches an :class:`~repro.obs.observer.Observer`
         over a facade-level *timeline* cost model that the ``shard.*``
         spans charge (see :class:`~repro.shard.column.ShardedColumn`);
-        shard ledgers stay untouched.  Under thread-pool execution the
-        substrate hooks stay detached — the metrics registry is
-        single-threaded by design.
+        shard ledgers stay untouched.
         """
         if shards < 1:
             raise ValueError(f"need at least one shard, got {shards}")
@@ -138,9 +136,8 @@ class ShardedDatabase:
                     self.timeline.ledger, wall=self.substrates[0].wall
                 )
             )
-            if not self.parallel:
-                for substrate in self.substrates:
-                    substrate.set_observer(self.observer)
+            for substrate in self.substrates:
+                substrate.set_observer(self.observer)
         self._tables: dict[str, _ShardedTable] = {}
 
     @property

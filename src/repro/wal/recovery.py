@@ -208,11 +208,6 @@ def recover_database(
         started_cold=started_cold,
     )
     if db.observer is not None:
-        db.observer.on_recovery(
-            replayed=report.replayed_ops,
-            truncated_bytes=report.truncated_bytes,
-            checkpoint_lsn=report.checkpoint_lsn,
-            wal_lsn=report.wal_lsn,
-        )
+        db.observer.on_recovery()
     db.last_recovery = report
     return db, report

@@ -138,4 +138,65 @@ MUTANTS = (
         new="        return values[: whole.size]",
         tests=("tests/storage/test_row_reader.py",),
     ),
+    # -- one telemetry record, exact under parallel shards ----------------
+    Mutant(
+        name="journal-entry-not-counted",
+        path="src/repro/core/view_index.py",
+        old=(
+            "            other_pages=other.num_pages if other is not None else None,\n"
+            "        )\n"
+            "        self.history.append(record)\n"
+            "        self.observer.on_view_event(record)\n"
+        ),
+        new=(
+            "            other_pages=other.num_pages if other is not None else None,\n"
+            "        )\n"
+            "        self.history.append(record)\n"
+        ),
+        tests=("tests/obs/test_observer.py::test_view_lifecycle_events_mirror_the_journal",),
+    ),
+    Mutant(
+        name="parallel-shards-detach-substrate-hooks",
+        path="src/repro/shard/database.py",
+        old=(
+            "            for substrate in self.substrates:\n"
+            "                substrate.set_observer(self.observer)"
+        ),
+        new=(
+            "            for substrate in self.substrates:\n"
+            "                if not self.parallel:\n"
+            "                    substrate.set_observer(self.observer)"
+        ),
+        tests=("tests/shard/test_obs.py::test_thread_pool_keeps_syscall_metrics_exact",),
+    ),
+    Mutant(
+        name="counter-inc-unlocked",
+        path="src/repro/obs/metrics.py",
+        old=(
+            "        key = label_key(labels)\n"
+            "        with self._lock:\n"
+            "            self._values[key] = self._values.get(key, 0) + amount\n"
+            "\n"
+            "    def value(self, **labels: object) -> float:\n"
+            '        """Current count of one label set (0 if never incremented)."""'
+        ),
+        new=(
+            "        key = label_key(labels)\n"
+            "        self._values[key] = self._values.get(key, 0) + amount\n"
+            "\n"
+            "    def value(self, **labels: object) -> float:\n"
+            '        """Current count of one label set (0 if never incremented)."""'
+        ),
+        tests=("tests/obs/test_metrics.py::test_concurrent_writes_lose_no_update[counter]",),
+    ),
+    Mutant(
+        name="digest-stretches-do-not-overlap",
+        path="src/repro/server/response.py",
+        old="rowids[start : start + ORDER_STRETCH + 1]",
+        new="rowids[start : start + ORDER_STRETCH]",
+        tests=(
+            "tests/server/test_session.py::TestResultDigest::"
+            "test_descent_across_a_stretch_boundary_is_sorted",
+        ),
+    ),
 )

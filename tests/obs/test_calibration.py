@@ -106,12 +106,11 @@ def test_publish_sets_gauge_and_raises_drift_events():
         model.record("scan", sim, sim * 2.0)
         model.record("route", sim, sim * 1.0)
     observer = Observer(CostLedger())
-    drift_events = []
-    observer.events.subscribe("obs.cost_drift", drift_events.append)
     findings = model.publish(observer, threshold=0.5)
     assert [f.kind for f in findings] == ["scan"]
-    assert len(drift_events) == 1
-    assert drift_events[0].payload["kind"] == "scan"
+    assert findings[0].ratio == pytest.approx(2.0)
+    counted = observer.metrics.get("cost_drift_findings_total")
+    assert counted.samples() == [((("span", "scan"),), 1)]
     # the gauge carries every kind with data, not only drifting ones
     gauge = observer.metrics.get("cost_drift_ratio")
     samples = {

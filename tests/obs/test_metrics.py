@@ -1,5 +1,8 @@
 """Metrics registry: counters, gauges, histogram bucketing."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.obs.metrics import (
@@ -117,3 +120,46 @@ def test_wall_bucket_histogram_observes_into_lanes():
     sample = registry.snapshot()["span_wall_ns"]["samples"][0]["value"]
     assert sample["buckets"]["2000.0"] == 1
     assert sample["buckets"]["+Inf"] == 1
+
+
+#: Per metric kind: a fresh metric, one write to it, and its total; each
+#: write is a read-modify-write of the metric's samples.
+CONCURRENT_WRITES = {
+    "counter": (
+        lambda: Counter("c_total"),
+        lambda m: m.inc(kind="fixed"),
+        lambda m: m.value(kind="fixed"),
+    ),
+    "gauge": (lambda: MetricsRegistry().gauge("g"), lambda m: m.add(1), lambda m: m.value()),
+    "histogram": (
+        lambda: Histogram("h", buckets=(1.0, 10.0)),
+        lambda m: m.observe(5.0),
+        lambda m: m.sample().count,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONCURRENT_WRITES))
+def test_concurrent_writes_lose_no_update(kind):
+    """Eight threads write one metric with a tiny switch interval, as a
+    sharded database's worker threads do: no write is lost."""
+    make, write, read = CONCURRENT_WRITES[kind]
+    metric = make()
+    threads_n, per_thread = 8, 10_000
+
+    def hammer():
+        for _ in range(per_thread):
+            write(metric)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert read(metric) == threads_n * per_thread

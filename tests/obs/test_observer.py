@@ -8,6 +8,8 @@ The two load-bearing guarantees:
   timings and ledger counters are identical either way.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,13 +18,12 @@ from repro.core.config import AdaptiveConfig
 from repro.core.facade import AdaptiveDatabase
 from repro.native import is_supported as native_supported
 from repro.obs.capture import EXPERIMENTS, run_observed_workload
-from repro.obs.events import TOPIC_FLUSH, TOPIC_MMAP, TOPIC_VIEW_LIFECYCLE
 from repro.obs.exporters import render_prometheus
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.sql.executor import Session
 from repro.vm.constants import VALUES_PER_PAGE
 
-from ..conftest import uniform_column
+from ..conftest import build_column, uniform_column
 from ..oracle_paths import production_paths, reference_paths
 
 
@@ -32,8 +33,8 @@ def captured():
     return run_observed_workload("sine", num_pages=128, num_queries=12)
 
 
-def observed_layer(num_pages=32):
-    column = uniform_column(num_pages=num_pages)
+def observed_layer(column=None):
+    column = column or uniform_column()
     observer = Observer(column.cost.ledger)
     column.substrate.set_observer(observer)
     layer = AdaptiveStorageLayer(column, AdaptiveConfig(), observer=observer)
@@ -65,30 +66,38 @@ def test_every_query_root_matches_its_stats(captured):
         assert root.duration_ns == stats.sim_ns
 
 
-def test_view_lifecycle_events_mirror_the_journal(captured):
-    layer_events = captured.observer.events.recent(TOPIC_VIEW_LIFECYCLE)
-    assert layer_events, "no lifecycle events captured"
-    kinds = {str(e["event"]) for e in layer_events}
-    assert "inserted" in kinds
-    counter = captured.observer.metrics.get("view_lifecycle_events_total")
-    total = sum(value for _, value in counter.samples())
-    assert total == len(layer_events)
-    by_kind = {str(e["event"]) for e in layer_events}
-    for kind in by_kind:
-        assert counter.value(event=kind) >= 1
+def test_view_lifecycle_events_mirror_the_journal():
+    """``view_lifecycle_events_total`` counts ``ViewIndex.history``, the
+    one lifecycle record: the same total and the same count per kind."""
+    values = np.sort(np.random.default_rng(0).integers(0, 1_000_000, 64 * VALUES_PER_PAGE))
+    column, observer, layer = observed_layer(build_column(values))
+    try:
+        nested = [(0, 600_000), (100_000, 500_000), (200_000, 400_000), (250_000, 350_000)]
+        for lo, hi in nested * 2 + [(700_000, 900_000), (0, 1_000_000)]:
+            layer.answer_query(lo, hi)
+        history = layer.view_index.history
+    finally:
+        layer.shutdown()
+    kinds = Counter(record.event.value for record in history)
+    assert kinds["inserted"] >= 1 and len(kinds) >= 3
+    counter = observer.metrics.get("view_lifecycle_events_total")
+    assert sum(value for _, value in counter.samples()) == len(history)
+    assert {dict(key)["event"]: value for key, value in counter.samples()} == kinds
 
 
 def test_flush_and_mmap_events_fire(captured):
-    flushes = captured.observer.events.recent(TOPIC_FLUSH)
-    assert len(flushes) == 1
-    assert flushes[0]["maps_lines"] == captured.maintenance.maps_lines
-    assert captured.observer.metrics.get("flush_total").value() == 1
+    """One flush and its mmap calls, counted as the stats and ledger say."""
+    metrics, maintenance = captured.observer.metrics, captured.maintenance
+    assert metrics.get("flush_total").value() == 1
+    assert metrics.get("maps_lines").value() == maintenance.maps_lines > 0
+    assert metrics.get("maps_lines_parsed_total").value() == maintenance.maps_lines
+    assert metrics.get("flush_pages_added_total").value() == maintenance.pages_added
+    assert metrics.get("flush_pages_removed_total").value() == maintenance.pages_removed
 
-    mmap_events = captured.observer.events.recent(TOPIC_MMAP)
-    assert any(e["op"] == "mmap" for e in mmap_events)
-    calls = captured.observer.metrics.get("mmap_calls_total")
+    calls = metrics.get("mmap_calls_total")
     assert calls.value(kind="fixed") > 0
-    assert captured.observer.metrics.get("maps_lines").value() > 0
+    ledger = captured.column.cost.ledger.counters()
+    assert sum(n for _, n in calls.samples()) == ledger["mmap_calls"]
 
 
 def test_prometheus_export_has_at_least_eight_families(captured):

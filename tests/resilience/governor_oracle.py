@@ -39,11 +39,10 @@ def _evict_one(controller, lane: str) -> bool:
         partials,
         key=lambda v: (view_utility(vi.use_count(v), v.num_pages), vi.last_used(v)),
     )
-    pages = victim.num_pages
     vi.record_decision(victim, ViewEvent.EVICTED_BUDGET)
     vi.drop(victim, lane)
     controller.governor.released += 1
-    controller.observer.on_governor_eviction(victim.lo, victim.hi, pages)
+    controller.observer.on_governor_eviction()
     return True
 
 

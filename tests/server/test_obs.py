@@ -1,4 +1,4 @@
-"""Serving observability: truthful metrics, events, spans — all free.
+"""Serving observability: truthful metrics and spans — all free.
 
 Style of ``tests/shard/test_obs.py``: run the identical served workload
 with observation off and on, demand the simulated cost is bit-identical,
@@ -8,7 +8,6 @@ then check the observed run told the truth.
 import numpy as np
 
 from repro.core.config import AdaptiveConfig
-from repro.obs.events import TOPIC_SERVER_ADMIT, TOPIC_SERVER_SHED
 from repro.server import (
     AdmissionPolicy,
     DatabaseManager,
@@ -106,15 +105,16 @@ class TestServingMetrics:
 
 class TestServingEvents:
     def test_admit_and_shed_events_published(self):
+        """Admissions and sheds reach the session counters and gauge."""
         manager, db = _serve_workload(observe=True)
         try:
-            admits = db.observer.events.recent(TOPIC_SERVER_ADMIT)
-            assert len(admits) == 2
-            assert [e["decision"] for e in admits] == ["admit", "admit"]
-            assert [e["active"] for e in admits] == [1, 2]
-            sheds = db.observer.events.recent(TOPIC_SERVER_SHED)
-            assert len(sheds) == 1
-            assert sheds[0]["reason"] == "capacity"
+            m = db.observer.metrics
+            opened = m.get("sessions_opened_total")
+            assert opened.samples() == [((("decision", "admit"),), 2)]
+            rejected = m.get("sessions_rejected_total")
+            assert rejected.samples() == [((("reason", "capacity"),), 1)]
+            # Both admitted sessions closed again.
+            assert m.get("sessions_active").value() == 0
         finally:
             manager.close()
 

@@ -1,6 +1,7 @@
 """Session layer: options, disciplines, the response envelope."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from repro.server import (
     render_response,
     result_digest,
 )
+from repro.server.response import ORDER_STRETCH
 from repro.sql.parser import parse
 from repro.vm.constants import VALUES_PER_PAGE
 
@@ -304,4 +306,30 @@ class TestResultDigest:
             raise AssertionError("argsort called on ascending rowids")
 
         monkeypatch.setattr(np, "argsort", no_sort)
+        assert result_digest(rowids, values) == want
+
+    def test_ascending_check_allocates_a_bounded_temporary(self):
+        """The order check of a 1 M-row ascending result allocates less
+        than one bit per row (one bool per row would be a byte)."""
+        n = 1_000_000
+        rowids = np.arange(n, dtype=np.int64)
+        values = rowids * 7
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            digest = result_digest(rowids, values)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert digest == self._sorted_copy_digest(rowids, values)
+        assert peak < n // 8
+
+    def test_descent_across_a_stretch_boundary_is_sorted(self):
+        """A result whose only descent is the pair shared by two
+        stretches digests like its sorted twin."""
+        rowids = np.arange(2 * ORDER_STRETCH + 5, dtype=np.int64)
+        boundary = [ORDER_STRETCH - 1, ORDER_STRETCH]
+        rowids[boundary] = rowids[boundary[::-1]]
+        values = np.random.default_rng(1).integers(0, 2**40, size=rowids.size)
+        want = self._sorted_copy_digest(rowids, values)
         assert result_digest(rowids, values) == want

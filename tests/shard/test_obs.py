@@ -6,7 +6,9 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
+from repro.native import is_supported as native_supported
 from repro.obs import trace_to_chrome
 from repro.shard import ShardedDatabase
 from repro.vm.constants import VALUES_PER_PAGE
@@ -107,3 +109,57 @@ class TestObservationIsFree:
                 return db.merged_cost()
 
         assert merged(False) == merged(True)
+
+
+def _syscall_metrics(backend: str, parallel: bool) -> dict:
+    """Substrate syscall metrics of one seeded query/update stream on an
+    observed 4-shard database, next to the shard ledgers' own counts."""
+    rng = np.random.default_rng(11)
+    num_rows = 64 * VALUES_PER_PAGE
+    values = np.sort(rng.integers(0, 100_000, size=num_rows))
+    with ShardedDatabase(
+        shards=4, observe=True, backend=backend, parallel=parallel
+    ) as db:
+        db.create_table("t", {"x": values})
+        for _ in range(3):
+            for _ in range(8):
+                lo = int(rng.integers(0, 90_000))
+                db.query("t", "x", lo, lo + int(rng.integers(1_000, 60_000)))
+            for row in rng.integers(0, num_rows, size=20).tolist():
+                db.update("t", "x", row, int(rng.integers(0, 100_000)))
+            db.flush_updates("t", "x")
+        m = db.observer.metrics
+        metrics = {
+            name: m.get(name).samples()
+            for name in ("mmap_calls_total", "mmap_pages_total", "munmap_calls_total")
+        }
+        _, counters = db.merged_cost()
+        return {"metrics": metrics, "ledger": counters}
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "simulated",
+        pytest.param(
+            "native",
+            marks=pytest.mark.skipif(
+                not native_supported(), reason="native rewiring unsupported here"
+            ),
+        ),
+    ],
+)
+def test_thread_pool_keeps_syscall_metrics_exact(backend):
+    """Shards on a thread pool report the serial run's syscall counts:
+    the substrate hooks stay attached and every metric write is locked."""
+    serial = _syscall_metrics(backend, parallel=False)
+    pooled = _syscall_metrics(backend, parallel=True)
+    assert pooled == serial
+    metrics = pooled["metrics"]
+    assert {dict(key)["kind"] for key, _ in metrics["mmap_calls_total"]} == {
+        "anon", "file", "fixed",
+    }
+    assert all(n > 0 for family in metrics.values() for _, n in family)
+    ledger = pooled["ledger"]
+    assert sum(n for _, n in metrics["mmap_calls_total"]) == ledger["mmap_calls"]
+    assert metrics["munmap_calls_total"][0][1] == ledger["munmap_calls"]

@@ -38,8 +38,6 @@ _PROTOCOL = "Substrate/PageStore protocol method that every backend implements"
 KEEP = {
     # Documented API.
     "AdaptiveDatabase.calibration_report": "docs/observability.md",
-    "EventBus.subscribe": "docs/observability.md",
-    "EventBus.recent": "docs/observability.md",
     "strip_wall_fields": "the calibration payload's determinism contract, docs/observability.md",
     "QueryEngine.hash_join": "docs/api.md",
     "QueryEngine.select_records": "the one producer of RecordSet, which repro exports",

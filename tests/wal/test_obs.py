@@ -1,10 +1,9 @@
-"""Durability observability: WAL counters, fsync spans, recovery events."""
+"""Durability observability: WAL counters, fsync spans, recovery counts."""
 
 import numpy as np
 
 from repro.core.config import AdaptiveConfig
 from repro.core.facade import AdaptiveDatabase
-from repro.obs.events import TOPIC_RECOVERY
 from repro.wal import DurabilityConfig, recover_database
 
 CONFIG = AdaptiveConfig(background_mapping=False)
@@ -71,6 +70,7 @@ class TestWalSpans:
 
 class TestRecoveryObservability:
     def test_recovery_counts_and_publishes(self, tmp_path):
+        """The recovery is counted once and its report tells the LSNs."""
         db = AdaptiveDatabase(config=CONFIG, durable_dir=str(tmp_path))
         db.create_table("t", {"x": _values()})
         db.insert("t", {"x": 1})
@@ -80,24 +80,9 @@ class TestRecoveryObservability:
         try:
             observer = recovered.observer
             assert observer.metrics.get("recoveries_total").value() == 1
-            events = observer.events.recent(TOPIC_RECOVERY)
-            assert len(events) == 1
-            payload = events[0].payload
-            assert payload["replayed"] == report.replayed_ops
-            assert payload["checkpoint_lsn"] == 0
-            assert payload["wal_lsn"] == recovered._wal.lsn
-        finally:
-            recovered.close()
-        db.close()
-
-    def test_wildcard_subscriber_sees_recovery_event(self, tmp_path):
-        db = AdaptiveDatabase(config=CONFIG, durable_dir=str(tmp_path))
-        db.create_table("t", {"x": _values()})
-        db._wal._fh.flush()
-        recovered, _ = recover_database(tmp_path, observe=True)
-        try:
-            topics = [e.topic for e in recovered.observer.events.recent()]
-            assert TOPIC_RECOVERY in topics
+            assert report.replayed_ops == 2  # the create and the insert
+            assert report.checkpoint_lsn == 0
+            assert report.wal_lsn == recovered._wal.lsn
         finally:
             recovered.close()
         db.close()
