@@ -22,7 +22,8 @@ or standalone view — is reserved, mapped and, on a fault, rolled back
 by one function, :func:`build_view`.  A query's candidate is built only
 once Listing 1 has decided to keep it; a discarded one is booked by
 :func:`book_discarded`, which charges what building and destroying it
-would without mapping a page: its reservation is its only fault point.
+would without issuing any of it: its booked reservation is its only
+fault point.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ from ..storage.column import PhysicalColumn
 from ..vm.cost import MAIN_LANE, MAPPER_LANE, CostModel
 from .routing import scan_views
 from .view import MapPlan, VirtualView, split_runs
+
+#: The plan of a candidate without pages.
+_NO_RUNS = np.empty(0, dtype=np.int64)
 
 
 def _issue(
@@ -254,47 +258,57 @@ def book_discarded(
     retry=None,
 ) -> None:
     """Charge a discarded candidate what building and destroying it
-    would, mapping nothing.
+    would, issuing nothing.
 
-    The view's reservation (under the ``retry`` policy, as in
-    :func:`build_view`) and its release are issued for real, so
-    address allocation and the maps lines move exactly as they would.
-    The plan's runs, counted by the rule :meth:`VirtualView.plan_runs`
-    maps by, are only booked (:meth:`Substrate.book_plan
-    <repro.substrate.interface.Substrate.book_plan>`).  With a
-    ``background`` mapper they land on the mapper lane after one queue
-    operation per run on each lane, as :class:`BackgroundMapper` books
-    them; without one, on ``lane``.  The ``map-pages`` span is opened as
-    :func:`materialize_pages` opens it.
+    The view's reservation, its plan's runs and its release are booked
+    by one :meth:`Substrate.book_discard
+    <repro.substrate.interface.Substrate.book_discard>` under the
+    ``retry`` policy, as :func:`build_view` reserves: no area is
+    reserved or released, and no page is mapped, on any backend.  The
+    runs are counted by the rule :meth:`VirtualView.plan_runs` maps by.
+    With a ``background`` mapper they land on the mapper lane, plus one
+    queue operation per run on each lane, as :class:`BackgroundMapper`
+    books them; without one, on ``lane``.  A candidate with pages is
+    booked inside a ``map-pages`` span carrying the attributes
+    :func:`materialize_pages` gives it.
     """
     obs = observer or NULL_OBSERVER
     substrate = column.substrate
     fpages = np.asarray(fpages, dtype=np.int64)
     capacity = column.num_pages
-    base_vpn = retryable(
-        retry, "reserve", lambda: substrate.reserve(capacity, lane=lane), lane
-    )
-    try:
-        if fpages.size:
-            with obs.span(
-                "map-pages",
-                pages=int(fpages.size),
-                coalesce=coalesce,
-                background=background is not None,
-            ) as mspan:
-                _, npages = split_runs(fpages, capacity, capacity, coalesce)
-                runs = int(npages.size)
-                map_lane = lane
-                if background is not None:
-                    column.cost.queue_op(runs, MAIN_LANE)
-                    column.cost.queue_op(runs, MAPPER_LANE)
-                    map_lane = MAPPER_LANE
-                substrate.book_plan(npages, column.file, populate=True, lane=map_lane)
-                mspan.set(runs=runs)
-    except Exception:
-        substrate.release_region(base_vpn, capacity, 0, lane=lane)
-        raise
-    substrate.release_region(base_vpn, capacity, int(fpages.size), lane=lane)
+
+    def book(npages: np.ndarray = _NO_RUNS, map_lane: str = lane) -> None:
+        retryable(
+            retry,
+            "reserve",
+            lambda: substrate.book_discard(capacity, npages, lane, map_lane),
+            lane,
+        )
+
+    if not fpages.size:
+        book()
+        return
+    with obs.span(
+        "map-pages",
+        pages=int(fpages.size),
+        coalesce=coalesce,
+        background=background is not None,
+    ) as mspan:
+        try:
+            _, npages = split_runs(fpages, capacity, capacity, coalesce)
+        except Exception:
+            # A page set no view can map: a build reserves and releases
+            # the area before the plan fails, so the booking does too.
+            book()
+            raise
+        runs = int(npages.size)
+        if background is None:
+            book(npages)
+        else:
+            book(npages, MAPPER_LANE)
+            column.cost.queue_op(runs, MAIN_LANE)
+            column.cost.queue_op(runs, MAPPER_LANE)
+        mspan.set(runs=runs)
 
 
 @dataclass(eq=False)
@@ -315,7 +329,7 @@ class Candidate:
     background: BackgroundMapper | None = None
     observer: NullObserver | None = None
     #: The layer's :class:`~repro.resilience.retry.RetryPolicy` (or None),
-    #: under which both :meth:`build` and :meth:`discard` reserve.
+    #: under which :meth:`build` reserves and :meth:`discard` books.
     retry: object | None = None
     #: The built view, once :meth:`build` ran.
     view: VirtualView | None = field(default=None, init=False)

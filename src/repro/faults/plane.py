@@ -265,6 +265,18 @@ class FaultySubstrate(Substrate):
                 self._raise(op, fault, run_index=k)
         self.inner.apply_runs(vpns, npages, file, file_pages, populate=populate)
 
+    def book_discard(
+        self,
+        capacity: int,
+        npages: np.ndarray,
+        lane: str = MAIN_LANE,
+        map_lane: str = MAIN_LANE,
+    ) -> None:
+        # The booked reservation is the one fault point, consulted before
+        # anything is charged; its booked runs and release are not.
+        self._check("reserve")
+        self.inner.book_discard(capacity, npages, lane, map_lane)
+
     def release_region(
         self,
         vpn: int,

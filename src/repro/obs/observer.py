@@ -129,20 +129,16 @@ class NullObserver:
     def on_shard_gather(self, shards: int) -> None:
         """Hook: a scatter-gather merged the results of ``shards`` shards."""
 
-    def on_session_open(
-        self, session_id: int, decision: str, active: int
-    ) -> None:
+    def on_session_open(self, decision: str, active: int) -> None:
         """Hook: admission control admitted one serving session."""
 
-    def on_session_close(self, session_id: int, active: int) -> None:
+    def on_session_close(self, active: int) -> None:
         """Hook: one serving session closed (slot released)."""
 
     def on_session_shed(self, reason: str) -> None:
         """Hook: admission control refused one serving session."""
 
-    def on_server_request(
-        self, op: str, session_id: int, sim_ns: float
-    ) -> None:
+    def on_server_request(self, op: str, sim_ns: float) -> None:
         """Hook: one server request finished (any operation)."""
 
     def on_tier_promotions(self, fpages: np.ndarray) -> None:
@@ -419,21 +415,17 @@ class Observer(NullObserver):
 
     # -- serving hooks --------------------------------------------------
 
-    def on_session_open(
-        self, session_id: int, decision: str, active: int
-    ) -> None:
+    def on_session_open(self, decision: str, active: int) -> None:
         self._sessions_active.set(active)
         self._sessions_opened.inc(decision=decision)
 
-    def on_session_close(self, session_id: int, active: int) -> None:
+    def on_session_close(self, active: int) -> None:
         self._sessions_active.set(active)
 
     def on_session_shed(self, reason: str) -> None:
         self._sessions_rejected.inc(reason=reason)
 
-    def on_server_request(
-        self, op: str, session_id: int, sim_ns: float
-    ) -> None:
+    def on_server_request(self, op: str, sim_ns: float) -> None:
         self._server_requests.inc(op=op)
         self._server_request_ns.observe(sim_ns, op=op)
 

@@ -174,16 +174,14 @@ class AdmissionController:
         self.admitted_total += 1
         if decision is AdmissionDecision.DEGRADE:
             self.downgraded_total += 1
-        self.observer.on_session_open(
-            session_id, decision.value, len(self._active)
-        )
+        self.observer.on_session_open(decision.value, len(self._active))
         return decision, reason
 
     def release_session(self, session_id: int) -> None:
         """Forget a closed session."""
         if session_id in self._active:
             self._active.discard(session_id)
-            self.observer.on_session_close(session_id, len(self._active))
+            self.observer.on_session_close(len(self._active))
 
     def decide_query(
         self, session_degraded: bool, session_id: int

@@ -182,7 +182,7 @@ class Session:
             response.sequence = sequence
             response.sim_ns = self.db.total_sim_ns() - before
             if obs is not None:
-                obs.on_server_request(op, self.session_id, response.sim_ns)
+                obs.on_server_request(op, response.sim_ns)
             return response
 
     def _sql_session(self) -> SqlSession:

@@ -7,7 +7,9 @@ supported by the vanilla Linux kernel":
 * **physical-file allocation** — main-memory files whose pages hold the
   column data (:meth:`Substrate.create_file` and friends);
 * **virtual-area reservation** — the cheap anonymous over-allocation a
-  view performs at creation (:meth:`Substrate.reserve`);
+  view performs at creation (:meth:`Substrate.reserve`); a view that
+  would be torn down unread is only booked, reservation, runs and
+  release alike (:meth:`Substrate.book_discard`);
 * **fixed rewiring** — pointing runs of virtual pages at runs of file
   pages with ``mmap(MAP_FIXED)``-style calls, always as a plan: each
   backend implements one unbooked :meth:`Substrate.apply_runs`, which
@@ -284,26 +286,41 @@ class Substrate(ABC):
             lane=lane,
         )
 
-    def book_plan(
+    def book_discard(
         self,
+        capacity: int,
         npages: np.ndarray,
-        file: PageStore | None,
-        populate: bool = False,
         lane: str = MAIN_LANE,
+        map_lane: str = MAIN_LANE,
     ) -> None:
-        """Book a plan of runs of ``npages`` pages as :meth:`map_runs`
-        would, without issuing it.
+        """Book a view's life without issuing any of it: a reservation of
+        ``capacity`` pages, a populating plan of file runs of ``npages``
+        pages and the release of the whole area.
 
-        The ledger takes the plan's charges and the observer hears of
-        every run, but no mapping changes.  This is for a plan whose
-        mappings would be torn down unread: a candidate view Listing 1
-        discards (:func:`repro.core.creation.book_discarded`).
+        This is for a view whose mappings would be torn down unread: a
+        candidate Listing 1 discards
+        (:func:`repro.core.creation.book_discarded`).  The ledger takes
+        what :meth:`reserve`, :meth:`map_runs` (on ``map_lane``) and
+        :meth:`release_region` would charge, as three updates in that
+        order, and the observer hears of the same calls, but no mapping
+        is made.  A backend that picks addresses itself moves its
+        allocator past the area, so later areas land where they would
+        have.
         """
-        self._book_runs(npages, file, populate, lane)
-        if self.observer is not None:
-            kind = "anon" if file is None else "fixed"
-            for n in npages.tolist():
-                self.observer.on_mmap(kind, n)
+        cost, observer = self.cost, self.observer
+        runs = npages.tolist()
+        mapped = sum(runs)
+        cost.anon_mmap(lane)
+        if observer is not None:
+            observer.on_mmap("anon", capacity)
+        if runs:
+            cost.mmap_call(mapped, map_lane, calls=len(runs), populate=True)
+            if observer is not None:
+                for n in runs:
+                    observer.on_mmap("fixed", n)
+        cost.munmap_call(mapped, lane)
+        if observer is not None:
+            observer.on_munmap(mapped)
 
     def _book_runs(
         self, npages: np.ndarray, file: PageStore | None, populate: bool, lane: str

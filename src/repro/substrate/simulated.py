@@ -168,6 +168,18 @@ class SimulatedSubstrate(Substrate):
             for run in runs:
                 self.observer.on_mmap(kind, run.npages)
 
+    def book_discard(
+        self,
+        capacity: int,
+        npages: np.ndarray,
+        lane: str = MAIN_LANE,
+        map_lane: str = MAIN_LANE,
+    ) -> None:
+        # The area a reservation would have taken, and nothing else:
+        # no VMA is placed, so the maps text stays as it was.
+        self.address_space.allocate_region(capacity)
+        super().book_discard(capacity, npages, lane, map_lane)
+
     def release_region(
         self,
         vpn: int,

@@ -199,4 +199,40 @@ MUTANTS = (
             "test_descent_across_a_stretch_boundary_is_sorted",
         ),
     ),
+    # -- a discarded candidate is booked, not reserved ------------------
+    Mutant(
+        name="booked-discard-keeps-the-allocator-still",
+        path="src/repro/substrate/simulated.py",
+        old="        self.address_space.allocate_region(capacity)\n",
+        new="",
+        tests=(
+            "tests/core/test_booked_discard.py::test_a_simulated_discard_only_moves_the_allocator",
+            "tests/core/test_decide_first.py::"
+            "test_book_discarded_charges_what_build_and_destroy_do",
+        ),
+    ),
+    Mutant(
+        name="booked-discard-skips-the-reserve-consult",
+        path="src/repro/faults/plane.py",
+        old=(
+            "        self._check(\"reserve\")\n"
+            "        self.inner.book_discard(capacity"
+        ),
+        new="        self.inner.book_discard(capacity",
+        tests=(
+            "tests/core/test_booked_discard.py::test_an_armed_discard_consults_reserve_once",
+            "tests/core/test_booked_discard.py::"
+            "test_a_fault_at_the_booked_reservation_charges_nothing",
+        ),
+    ),
+    Mutant(
+        name="booked-release-charges-the-whole-area",
+        path="src/repro/substrate/interface.py",
+        old="        cost.munmap_call(mapped, lane)",
+        new="        cost.munmap_call(capacity, lane)",
+        tests=(
+            "tests/core/test_booked_discard.py::test_a_discard_books_what_build_and_destroy_do",
+            "tests/core/test_read_work.py::test_a_small_view_hit_books_four_times",
+        ),
+    ),
 )
