@@ -4,9 +4,10 @@
 mapping state the adaptive stack keeps (PAPER.md §2.4–2.5):
 
 1. **the view catalog** — each view's own slot bookkeeping;
-2. **the address space** — the backend's VMAs and page tables, read
-   through uncharged translation (:meth:`Substrate.peek_virtual` and,
-   on the simulated backend, ``address_space.translate``);
+2. **the address space** — the substrate's page table
+   (``address_space``, kept by both backends) and the pages behind it,
+   read through uncharged translation (``address_space.translate`` and
+   :meth:`Substrate.peek_virtual`);
 3. **the bimap snapshot** — a fresh parse of the backend's maps source
    (on the native backend, the kernel's real ``/proc/self/maps``);
 4. **the physical column** — page contents and embedded pageIDs, plus
@@ -23,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..faults.plane import suppress_faults
+from ..vm.errors import BadAddressError
 from .report import AuditReport
 
 
@@ -31,9 +33,7 @@ class InvariantAuditor:
 
     def __init__(self, max_content_pages: int | None = None) -> None:
         """``max_content_pages`` caps the per-view page-content reads
-        (None audits every mapped page — fine at test scale; large
-        native columns may want a bound, since each native peek parses
-        the maps file)."""
+        (None audits every mapped page)."""
         self.max_content_pages = max_content_pages
 
     # -- entry points -----------------------------------------------------
@@ -360,7 +360,7 @@ class InvariantAuditor:
             if self.max_content_pages is not None
             else int(mapped.size)
         )
-        page_tables = getattr(substrate, "address_space", None)
+        page_tables = substrate.address_space
         for fpage in mapped.tolist():
             vpn = view.vpn_of(fpage)
 
@@ -379,25 +379,28 @@ class InvariantAuditor:
                 )
                 continue
 
-            # Page-table agreement (simulated backend): the uncharged
-            # translation path agrees with the maps source.
-            if page_tables is not None:
-                report.checks += 1
+            # Page-table agreement: the substrate's page table agrees
+            # with the maps source (on native, the kernel's), so the
+            # read through it below touches a page the kernel maps.
+            report.checks += 1
+            try:
                 backing = page_tables.translate(vpn)
-                if (
-                    backing is None
-                    or substrate.file_map_path(backing[0]) != path
-                    or backing[1] != fpage
-                ):
-                    report.add_finding(
-                        "page-table-agreement",
-                        f"page tables translate vpn {vpn} to {backing}, "
-                        f"maps say ({path!r}, {fpage})",
-                        label=label,
-                        view_range=vrange,
-                        fpage=fpage,
-                    )
-                    continue
+            except BadAddressError:
+                backing = None
+            if (
+                backing is None
+                or substrate.file_map_path(backing[0]) != path
+                or backing[1] != fpage
+            ):
+                report.add_finding(
+                    "page-table-agreement",
+                    f"page tables translate vpn {vpn} to {backing}, "
+                    f"maps say ({path!r}, {fpage})",
+                    label=label,
+                    view_range=vrange,
+                    fpage=fpage,
+                )
+                continue
 
             if content_budget <= 0:
                 continue

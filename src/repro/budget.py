@@ -8,8 +8,8 @@ tier keeps each column's resident pages under ``TierConfig.hot_budget``
 by demoting them.  A :class:`Budget` is that mechanism once; its owner
 supplies the parts that differ:
 
-* a **usage** reader — the column file's ``maps_line_count``, or the
-  store's hot-page count;
+* a **usage** reader — the column file's lines in the substrate's page
+  table (``maps_line_count``), or the store's hot-page count;
 * a **floor** — the part of usage no victim holds (the full view's
   projected runs; no hot page is exempt, so 0), which makes a request
   that can never fit a denial with nothing released;

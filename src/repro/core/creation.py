@@ -269,8 +269,9 @@ def book_discarded(
     With a ``background`` mapper they land on the mapper lane, plus one
     queue operation per run on each lane, as :class:`BackgroundMapper`
     books them; without one, on ``lane``.  A candidate with pages is
-    booked inside a ``map-pages`` span carrying the attributes
-    :func:`materialize_pages` gives it.
+    booked inside a ``book-pages`` span carrying the attributes
+    :func:`materialize_pages` gives its ``map-pages`` span: booked work
+    has no syscall, so calibration pairs it with no cost constant.
     """
     obs = observer or NULL_OBSERVER
     substrate = column.substrate
@@ -289,7 +290,7 @@ def book_discarded(
         book()
         return
     with obs.span(
-        "map-pages",
+        "book-pages",
         pages=int(fpages.size),
         coalesce=coalesce,
         background=background is not None,

@@ -224,6 +224,11 @@ class FaultySubstrate(Substrate):
 
     # -- virtual mapping --------------------------------------------------
 
+    # Every mapping call below goes to the inner backend whole, page
+    # table and syscalls alike, so the plane has no backend step of its
+    # own.
+    _place_area = _issue_runs = _unmap_area = _read_page = None
+
     def reserve(self, npages: int, lane: str = MAIN_LANE) -> int:
         self._check("reserve")
         return self.inner.reserve(npages, lane=lane)
@@ -343,7 +348,8 @@ class FaultySubstrate(Substrate):
         self.inner.close()
 
     def __getattr__(self, name: str):
-        # Backend-specific introspection (``memory``, ``address_space``)
-        # passes through, so simulated-only tests and the auditor's
-        # page-table cross-check work unchanged.
+        # The inner backend's page table (``address_space``) and its
+        # backend-specific introspection (``memory``) pass through, so the
+        # auditor's page-table cross-check reads the book the calls
+        # above update.
         return getattr(self.inner, name)

@@ -33,9 +33,9 @@ def _maps_line_budget(
 ) -> Budget:
     """The column file's maps lines under ``config.mapping_budget``.
 
-    Usage is the substrate's ``maps_line_count`` of the file (the
-    simulated VMA walk, or the kernel's ``/proc/self/maps``; never
-    charged).  Victims are the partial views, lowest
+    Usage is the substrate's ``maps_line_count`` of the file: its lines
+    in the page table both backends keep, read without parsing the maps
+    source and never charged.  Victims are the partial views, lowest
     :func:`~repro.core.stats.view_utility` first, ties least recently
     used; the full view is never one, so its projected runs are the
     floor and every query keeps its full-scan fallback.

@@ -11,15 +11,25 @@ supported by the vanilla Linux kernel":
   would be torn down unread is only booked, reservation, runs and
   release alike (:meth:`Substrate.book_discard`);
 * **fixed rewiring** — pointing runs of virtual pages at runs of file
-  pages with ``mmap(MAP_FIXED)``-style calls, always as a plan: each
-  backend implements one unbooked :meth:`Substrate.apply_runs`, which
-  :meth:`Substrate.map_runs` books and :meth:`Substrate.map_fixed`
-  issues as a plan of one run; a plan without a file points its runs
-  back at anonymous reservation memory;
+  pages with ``mmap(MAP_FIXED)``-style calls, always as a plan: one
+  unbooked :meth:`Substrate.apply_runs`, which :meth:`Substrate.map_runs`
+  books and :meth:`Substrate.map_fixed` issues as a plan of one run; a
+  plan without a file points its runs back at anonymous reservation
+  memory;
 * **tear-down** — ``munmap`` of a whole region
   (:meth:`Substrate.release_region`);
 * **a read through the translation** — the uncharged diagnostic read of
   a virtual page (:meth:`Substrate.peek_virtual`);
+* **a page table** — :attr:`Substrate.address_space`, the book of every
+  area the substrate mapped, run by run, merged as the kernel merges
+  them: the paper's bimap (Section 2.4) kept live from the plans.
+  The base class writes every mapping operation once for both backends
+  — check the plan, update the book, charge the ledger, tell the
+  observer — and a backend supplies only the step that differs: where
+  an area lands (:meth:`Substrate._place_area`), the real syscalls
+  (:meth:`Substrate._issue_runs`, :meth:`Substrate._unmap_area`) and
+  the read of a page the book says is mapped
+  (:meth:`Substrate._read_page`);
 * **a maps source** — the ``/proc/PID/maps`` snapshot the maintenance
   algorithm parses once per update batch (:meth:`Substrate.maps_text`,
   :meth:`Substrate.maps_snapshot`);
@@ -47,7 +57,11 @@ from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
 import numpy as np
 
 from ..faults.errors import SubstrateFault
+from ..vm.address_space import AddressSpace
+from ..vm.constants import VALUES_PER_PAGE
 from ..vm.cost import MAIN_LANE, CostModel
+from ..vm.errors import BadAddressError, MapError
+from ..vm.vma import Vma
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..vm.procmaps import MappingSnapshot
@@ -146,6 +160,41 @@ class WallClockLedger:
             }
 
 
+def _check_run(npages: int, file: PageStore | None, file_page: int) -> None:
+    """Reject an empty mapping and one that reaches outside its file."""
+    if npages <= 0:
+        raise MapError("mmap of zero pages")
+    if file is not None and not 0 <= file_page <= file.num_pages - npages:
+        raise MapError(
+            f"file range [{file_page}, {file_page + npages}) outside "
+            f"{file.name!r} ({file.num_pages} pages)"
+        )
+
+
+def _check_plan(
+    vpns: np.ndarray,
+    npages: np.ndarray,
+    file: PageStore | None,
+    file_pages: np.ndarray,
+) -> None:
+    """Check a plan's bounds and order once, as columns.
+
+    A bad run rejects the whole plan with the error it would raise
+    alone, as :func:`_check_run` and :class:`~repro.vm.vma.Vma` would
+    raise it; so does a run that starts before the previous one ends.
+    """
+    bad = (npages <= 0) | (vpns < 0)
+    if file is not None:
+        bad |= (file_pages < 0) | (file_pages > file.num_pages - npages)
+    if np.count_nonzero(bad):  # cheaper than bad.any() on a short plan
+        # the first offending run fails as it would on its own
+        i = int(bad.argmax())
+        _check_run(int(npages[i]), file, int(file_pages[i]))
+        Vma(int(vpns[i]), int(npages[i]), file, int(file_pages[i]))
+    if vpns.size > 1 and np.count_nonzero(vpns[1:] < vpns[:-1] + npages[:-1]):
+        raise MapError("plan not in address order")
+
+
 class Substrate(ABC):
     """One memory-management backend under the adaptive stack.
 
@@ -170,6 +219,12 @@ class Substrate(ABC):
     #: or ``None``.
     observer = None
 
+    def __init__(self) -> None:
+        #: The page table: every area this substrate mapped, as the VMAs
+        #: the maps source shows.  Each mapping operation below updates
+        #: it; ``maps_line_count`` and ``peek_virtual`` read it.
+        self.address_space = AddressSpace()
+
     # -- physical-file allocation ---------------------------------------
 
     @abstractmethod
@@ -192,15 +247,14 @@ class Substrate(ABC):
 
     # -- virtual mapping --------------------------------------------------
 
-    @abstractmethod
     def reserve(self, npages: int, lane: str = MAIN_LANE) -> int:
         """Reserve ``npages`` of virtual address space (over-allocation).
 
         The cheap anonymous mmap of Section 2 — "a mere reservation ...
         almost for free".  Returns the start virtual page number.
         """
+        return self._map_area(npages, None, 0, lane)
 
-    @abstractmethod
     def map_file(
         self,
         npages: int,
@@ -212,8 +266,29 @@ class Substrate(ABC):
 
         The full-view mapping; returns the start virtual page number.
         """
+        return self._map_area(npages, file, file_page, lane)
+
+    def _map_area(
+        self, npages: int, file: PageStore | None, file_page: int, lane: str
+    ) -> int:
+        _check_run(npages, file, file_page)
+        vpn = self._place_area(npages, file, file_page)
+        self.address_space.add_mapping(Vma._placed(vpn, npages, file, file_page))
+        if file is None:
+            self.cost.anon_mmap(lane)
+        else:
+            self.cost.mmap_call(npages, lane)
+        if self.observer is not None:
+            self.observer.on_mmap("anon" if file is None else "file", npages)
+        return vpn
 
     @abstractmethod
+    def _place_area(self, npages: int, file: PageStore | None, file_page: int) -> int:
+        """Map a fresh area of ``npages`` pages, anonymous and
+        inaccessible without ``file``, at an address the backend picks;
+        return its start virtual page number.  The area is checked
+        before and booked after."""
+
     def apply_runs(
         self,
         vpns: np.ndarray,
@@ -234,8 +309,48 @@ class Substrate(ABC):
         stays reserved and reusable); ``file_pages`` and ``populate`` are
         then ignored.  The mappings afterwards are those of issuing the
         runs one by one; the ledger is left alone (:meth:`map_runs`
-        books the plan).  A fault raised at run ``k`` names ``k`` in its
-        ``run_index`` and leaves runs ``[0, k)`` applied.
+        books the plan).  A bad plan is refused whole, before anything
+        is issued.  A fault raised at run ``k`` names ``k`` in its
+        ``run_index`` and leaves runs ``[0, k)`` applied; a backend
+        error at run ``k`` leaves them applied and booked in the page
+        table.
+        """
+        if not vpns.size:
+            return
+        if file is None:
+            file_pages, kind = np.zeros_like(npages), "anon"
+        else:
+            kind = "fixed"
+        _check_plan(vpns, npages, file, file_pages)
+        vpns, npages, file_pages = vpns.tolist(), npages.tolist(), file_pages.tolist()
+        applied, error = self._issue_runs(vpns, npages, file, file_pages, populate)
+        placed = Vma._placed
+        runs = [
+            placed(vpn, n, file, file_page)
+            for vpn, n, file_page in zip(vpns, npages, file_pages)
+        ]
+        del runs[applied:]
+        self.address_space.map_runs(runs)
+        if self.observer is not None:
+            for run in runs:
+                self.observer.on_mmap(kind, run.npages)
+        if error is not None:
+            raise error
+
+    @abstractmethod
+    def _issue_runs(
+        self,
+        vpns: list[int],
+        npages: list[int],
+        file: PageStore | None,
+        file_pages: list[int],
+        populate: bool,
+    ) -> tuple[int, Exception | None]:
+        """Issue a checked plan, as lists (file pages zero without ``file``).
+
+        Returns how many runs took effect and, when run ``k`` failed,
+        ``(k, the error)``; the base class books the runs that took
+        effect, then raises the error.
         """
 
     def map_runs(
@@ -334,7 +449,6 @@ class Substrate(ABC):
                 int(npages.sum()), lane, calls=npages.size, populate=populate
             )
 
-    @abstractmethod
     def release_region(
         self,
         vpn: int,
@@ -351,21 +465,42 @@ class Substrate(ABC):
         reservation space is free).  Tear-down is the rollback path, so
         it is never a fault point.
         """
+        self._unmap_area(vpn, npages)
+        self.address_space.remove_mapping(vpn, npages)
+        self.cost.munmap_call(mapped_pages, lane)
+        if self.observer is not None:
+            self.observer.on_munmap(mapped_pages)
+
+    @abstractmethod
+    def _unmap_area(self, vpn: int, npages: int) -> None:
+        """Unmap ``npages`` pages at ``vpn``; the page table follows."""
 
     # -- page access through virtual addresses ---------------------------
 
-    @abstractmethod
     def peek_virtual(self, vpn: int) -> np.ndarray:
         """The data values behind virtual page ``vpn`` — never cost-charged.
 
-        Reads through the translation machinery (simulated page tables
-        or the real MMU), not the physical file — the read that proves
-        a view's virtual page really is rewired where the bookkeeping
-        says it is.  Unmapped and anonymous pages read as zeros.  It
-        charges nothing to the simulated cost model: the read the
-        invariant auditor uses to cross-check mappings against physical
-        contents without perturbing the measured session.
+        Translates through the page table, then reads the page where it
+        says a file page is mapped (the simulated file page, or the real
+        memory at the address) — the read that proves a view's virtual
+        page really is rewired where the bookkeeping says it is.
+        Unmapped and anonymous pages read as zeros.  It charges nothing
+        to the simulated cost model: the read the invariant auditor uses
+        to cross-check mappings against physical contents without
+        perturbing the measured session.
         """
+        try:
+            backing = self.address_space.translate(vpn)
+        except BadAddressError:
+            backing = None
+        if backing is None:
+            return np.zeros(VALUES_PER_PAGE, dtype=np.int64)
+        return self._read_page(vpn, *backing)
+
+    @abstractmethod
+    def _read_page(self, vpn: int, file: PageStore, file_page: int) -> np.ndarray:
+        """A copy of the data values at ``vpn``, where the page table
+        maps ``file``'s page ``file_page``."""
 
     # -- the maps source --------------------------------------------------
 
@@ -388,14 +523,25 @@ class Substrate(ABC):
         must read them all).
         """
 
-    @abstractmethod
     def maps_line_count(self, pathname: str | None = None) -> int:
-        """Lines the maps source currently holds.
+        """Lines of the maps source inside the areas this substrate
+        mapped: one per VMA of its page table, read without a parse.
 
-        With ``pathname``, only lines mapping that file are counted —
-        the backend-comparable quantity (a real process carries many
-        unrelated mappings).
+        With ``pathname``, only lines mapping that file are counted.
+        The page table merges like VMAs as the kernel does, across two
+        areas placed side by side too; the kernel may also merge an
+        area's edge with a like mapping the page table does not hold,
+        so on the native backend this is an upper bound of the kernel's
+        lines inside the areas.
         """
+        if pathname is None:
+            return self.address_space.num_vmas
+        path_of = self.file_map_path
+        return sum(
+            1
+            for vma in self.address_space.vmas()
+            if vma.file is not None and path_of(vma.file) == pathname
+        )
 
     @abstractmethod
     def file_map_path(self, file: PageStore) -> str:

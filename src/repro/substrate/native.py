@@ -11,7 +11,11 @@ Linux kernel":
 * rewiring is real ``mmap(MAP_FIXED)`` — views genuinely materialize as
   kernel VMAs;
 * the maps source is the kernel's own ``/proc/self/maps``, which the
-  existing :func:`~repro.vm.procmaps.parse_maps` understands.
+  existing :func:`~repro.vm.procmaps.parse_maps` understands.  It is
+  read only where the paper reads it, once per update batch
+  (:meth:`NativeSubstrate.maps_snapshot`): line counts and the
+  translation behind :meth:`~NativeSubstrate.peek_virtual` come from the
+  base class's page table, which each syscall's plan updates.
 
 Two clocks run side by side: the shared simulated
 :class:`~repro.vm.cost.CostModel` is charged exactly as the simulated
@@ -55,7 +59,7 @@ from ..native.rewiring import (
 from ..vm.constants import PAGE_SIZE, VALUES_PER_PAGE
 from ..vm.cost import MAIN_LANE, CostModel
 from ..vm.errors import FileError
-from ..vm.procmaps import MapsEntry, MappingSnapshot, parse_maps
+from ..vm.procmaps import MappingSnapshot, parse_maps
 from .interface import Substrate, WallClockLedger
 
 #: int64 slots in one raw page (header slot + data slots).
@@ -74,7 +78,6 @@ class NativePageStore:
 
     def __init__(
         self,
-        substrate: "NativeSubstrate",
         name: str,
         num_pages: int,
         slots_per_page: int = VALUES_PER_PAGE,
@@ -83,7 +86,6 @@ class NativePageStore:
             raise FileError(f"file {name!r} needs at least one page")
         if not 0 < slots_per_page <= VALUES_PER_PAGE:
             raise FileError(f"slots_per_page must lie in [1, {VALUES_PER_PAGE}]")
-        self._substrate = substrate
         self.name = name
         self.slots_per_page = slots_per_page
         self.fd = _open_memory_file(name)
@@ -93,8 +95,8 @@ class NativePageStore:
         #: lines (memfd files carry a " (deleted)" suffix).
         self.map_path = os.readlink(f"/proc/self/fd/{self.fd}")
         self._num_pages = 0
-        #: Whole-file mappings, newest last, as ``(mmap, (start_vpn,
-        #: npages))``: the current one and any still exported.
+        #: Whole-file mappings, newest last: the current one and any
+        #: still exported.
         self._mmaps: list = []
         self._remap(num_pages)
         self.headers[:] = np.arange(num_pages, dtype=np.int64)
@@ -107,9 +109,8 @@ class NativePageStore:
         held across the resize, a :meth:`page_values` view), in which
         case it stays — shared file mappings stay coherent, so stale
         views read current bytes — until a later resize finds it free.
-        Every mapping is registered with the substrate so it can be
-        excluded from view-level maps snapshots, and unregistered when
-        closed: a later kernel mapping may reuse its addresses.
+        These mappings lie outside the substrate's page table, so its
+        maps snapshots never see them.
         """
         import mmap as _mmap
 
@@ -122,23 +123,16 @@ class NativePageStore:
         raw = np.frombuffer(mm, dtype=np.int64).reshape(
             num_pages, _SLOTS_PER_RAW_PAGE
         )
-        region = (
-            ctypes.addressof(ctypes.c_char.from_buffer(mm)) // PAGE_SIZE,
-            num_pages,
-        )
-        self._substrate._register_internal(*region)
         self.headers = raw[:, 0]
         self.data = raw[:, 1 : 1 + self.slots_per_page]
         self._num_pages = num_pages
         kept = []
-        for old, old_region in self._mmaps:
+        for old in self._mmaps:
             try:
                 old.close()
             except BufferError:  # still exported
-                kept.append((old, old_region))
-            else:
-                self._substrate._unregister_internal(*old_region)
-        kept.append((mm, region))
+                kept.append(old)
+        kept.append(mm)
         self._mmaps = kept
 
     @property
@@ -215,49 +209,13 @@ class NativeSubstrate(Substrate):
             raise RewiringUnsupportedError(
                 "native rewiring is not supported on this platform"
             )
+        super().__init__()
         #: Advisory only — the kernel enforces the real limit.
         self.capacity_bytes = capacity_bytes
         self.cost = cost or CostModel()
         self.wall = WallClockLedger()
         self.observer = None
         self._files: dict[str, NativePageStore] = {}
-        #: Live reservations/file maps we own: start vpn -> npages.
-        self._regions: dict[int, int] = {}
-        #: Store-internal whole-file mappings, excluded from snapshots:
-        #: (start_vpn, npages) tuples.
-        self._internal: list[tuple[int, int]] = []
-
-    # -- internal helpers -------------------------------------------------
-
-    def _register_internal(self, start_vpn: int, npages: int) -> None:
-        self._internal.append((start_vpn, npages))
-
-    def _unregister_internal(self, start_vpn: int, npages: int) -> None:
-        self._internal.remove((start_vpn, npages))
-
-    def _is_internal(self, entry: MapsEntry) -> bool:
-        for start, npages in self._internal:
-            if entry.start_vpn < start + npages and start < entry.end_vpn:
-                return True
-        return False
-
-    def _mmap_syscall(
-        self,
-        op: str,
-        addr: int | None,
-        npages: int,
-        prot: int,
-        flags: int,
-        fd: int,
-        offset: int,
-    ) -> int:
-        with self.wall.timed(op):
-            result = libc().mmap(
-                addr, npages * PAGE_SIZE, prot, flags, fd, offset
-            )
-        if result == MAP_FAILED or result is None:
-            raise _errno_error(f"{op} mmap")
-        return result
 
     # -- physical-file allocation ---------------------------------------
 
@@ -268,7 +226,6 @@ class NativeSubstrate(Substrate):
             raise FileError(f"file {name!r} already exists")
         with self.wall.timed("create_file"):
             store = NativePageStore(
-                self,
                 name,
                 num_pages,
                 slots_per_page if slots_per_page is not None else VALUES_PER_PAGE,
@@ -289,132 +246,70 @@ class NativeSubstrate(Substrate):
     def files(self) -> list[NativePageStore]:
         return list(self._files.values())
 
-    # -- virtual mapping --------------------------------------------------
+    # -- virtual mapping: the syscalls ----------------------------------
 
-    def reserve(self, npages: int, lane: str = MAIN_LANE) -> int:
-        addr = self._mmap_syscall(
-            "reserve",
-            None,
-            npages,
-            PROT_NONE,
-            MAP_PRIVATE | MAP_ANONYMOUS,
-            -1,
-            0,
-        )
-        vpn = addr // PAGE_SIZE
-        self._regions[vpn] = npages
-        self.cost.anon_mmap(lane)
-        if self.observer is not None:
-            self.observer.on_mmap("anon", npages)
-        return vpn
-
-    def map_file(
-        self,
-        npages: int,
-        file: NativePageStore,
-        file_page: int = 0,
-        lane: str = MAIN_LANE,
+    def _place_area(
+        self, npages: int, file: NativePageStore | None, file_page: int
     ) -> int:
-        addr = self._mmap_syscall(
-            "map_file",
-            None,
-            npages,
-            PROT_READ | PROT_WRITE,
-            MAP_SHARED,
-            file.fd,
-            file_page * PAGE_SIZE,
-        )
-        vpn = addr // PAGE_SIZE
-        self._regions[vpn] = npages
-        self.cost.mmap_call(npages, lane)
-        if self.observer is not None:
-            self.observer.on_mmap("file", npages)
-        return vpn
+        if file is None:
+            op, prot, flags, fd = "reserve", PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS, -1
+        else:
+            op, prot, flags, fd = "map_file", PROT_READ | PROT_WRITE, MAP_SHARED, file.fd
+        with self.wall.timed(op):
+            addr = libc().mmap(
+                None, npages * PAGE_SIZE, prot, flags, fd, file_page * PAGE_SIZE
+            )
+        if addr == MAP_FAILED or addr is None:
+            raise _errno_error(f"{op} mmap")
+        return addr // PAGE_SIZE
 
-    def apply_runs(
+    def _issue_runs(
         self,
-        vpns: np.ndarray,
-        npages: np.ndarray,
+        vpns: list[int],
+        npages: list[int],
         file: NativePageStore | None,
-        file_pages: np.ndarray,
-        populate: bool = False,
-    ) -> None:
+        file_pages: list[int],
+        populate: bool,
+    ) -> tuple[int, OSError | None]:
         # The kernel has no batched MAP_FIXED: one real call per run, in
         # one loop timed as a whole and counted per call.  Without a
         # file, each run goes back to PROT_NONE reservation memory.
-        if not vpns.size:
-            return
         mmap = libc().mmap
-        runs = npages.tolist()
         if file is None:
-            op, kind, fd, prot = "unmap_slot", "anon", -1, PROT_NONE
+            op, fd, prot = "unmap_slot", -1, PROT_NONE
             flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED
-            offsets = [0] * len(runs)
         else:
-            op, kind, fd, prot = "map_fixed", "fixed", file.fd, PROT_READ | PROT_WRITE
+            op, fd, prot = "map_fixed", file.fd, PROT_READ | PROT_WRITE
             flags = MAP_SHARED | MAP_FIXED | (MAP_POPULATE if populate else 0)
-            offsets = file_pages.tolist()
-        issued, failed = 0, False
+        applied, failed = 0, False
         started = time.perf_counter_ns()
-        for vpn, n, file_page in zip(vpns.tolist(), runs, offsets):
-            issued += 1
+        for vpn, n, file_page in zip(vpns, npages, file_pages):
             result = mmap(
                 vpn * PAGE_SIZE, n * PAGE_SIZE, prot, flags, fd, file_page * PAGE_SIZE
             )
             if result == MAP_FAILED or result is None:
                 failed = True
                 break
-        self.wall.charge(op, time.perf_counter_ns() - started, issued)
-        if self.observer is not None:
-            for n in runs[: issued - failed]:
-                self.observer.on_mmap(kind, n)
-        if failed:
-            raise _errno_error(f"{op} mmap")
+            applied += 1
+        self.wall.charge(op, time.perf_counter_ns() - started, applied + failed)
+        return applied, _errno_error(f"{op} mmap") if failed else None
 
-    def release_region(
-        self,
-        vpn: int,
-        npages: int,
-        mapped_pages: int,
-        lane: str = MAIN_LANE,
-    ) -> None:
+    def _unmap_area(self, vpn: int, npages: int) -> None:
         with self.wall.timed("release_region"):
             rc = libc().munmap(vpn * PAGE_SIZE, npages * PAGE_SIZE)
         if rc != 0:
             raise _errno_error("release munmap")
-        self._regions.pop(vpn, None)
-        self.cost.munmap_call(mapped_pages, lane)
-        if self.observer is not None:
-            self.observer.on_munmap(mapped_pages)
 
-    # -- page access through virtual addresses ---------------------------
-
-    def peek_virtual(self, vpn: int) -> np.ndarray:
+    def _read_page(
+        self, vpn: int, file: NativePageStore, file_page: int
+    ) -> np.ndarray:
         # The MMU does the translation, so nothing is charged to the
         # simulated cost model; the wall-clock charge is harmless for
-        # diagnostics.
-        entry = self._entry_for(vpn)
-        if entry is None or entry.anonymous:
-            # Reservation slots read as fresh anonymous memory would —
-            # without touching the PROT_NONE pages.
-            return np.zeros(VALUES_PER_PAGE, dtype=np.int64)
-        store = self._store_for_path(entry.pathname)
-        slots = store.slots_per_page if store is not None else VALUES_PER_PAGE
+        # diagnostics.  Only a page the book maps to a file is touched,
+        # never a PROT_NONE reservation slot.
         with self.wall.timed("peek_virtual"):
             raw = ctypes.string_at(vpn * PAGE_SIZE, PAGE_SIZE)
-        return np.frombuffer(raw, dtype=np.int64)[1 : 1 + slots].copy()
-
-    def _entry_for(self, vpn: int) -> MapsEntry | None:
-        for entry in parse_maps(self.maps_text()):
-            if entry.start_vpn <= vpn < entry.end_vpn:
-                return entry
-        return None
-
-    def _store_for_path(self, pathname: str) -> NativePageStore | None:
-        for store in self._files.values():
-            if store.map_path == pathname:
-                return store
-        return None
+        return np.frombuffer(raw, dtype=np.int64)[1 : 1 + file.slots_per_page].copy()
 
     # -- the maps source --------------------------------------------------
 
@@ -431,36 +326,27 @@ class NativeSubstrate(Substrate):
     ) -> MappingSnapshot:
         with self.wall.timed("maps_snapshot"):
             # Parse the real maps file, but keep (and charge the
-            # simulated ledger for) only the substrate's own file
-            # mappings — the lines the simulated backend would render.
-            # The interpreter contributes a fluctuating number of
-            # unrelated mappings, and counting those would make the
-            # deterministic ledger depend on allocator state; the true
+            # simulated ledger for) only the file lines inside the page
+            # table's areas — the lines the simulated backend would
+            # render.  The interpreter contributes a fluctuating number
+            # of unrelated mappings, and so do the stores' own
+            # whole-file mappings; counting those would make the
+            # deterministic ledger depend on allocator state.  The true
             # cost of parsing the full file is measured by the wall
             # ledger wrapping this.
-            entries = self._own_entries()
+            book = self.address_space
+            entries = [
+                e
+                for e in parse_maps(self.maps_text())
+                if not e.anonymous
+                and book.find_vma(e.start_vpn) is not None
+                and book.find_vma(e.end_vpn - 1) is not None
+            ]
             if cost is not None:
                 cost.maps_parse(len(entries), lane)
             return MappingSnapshot.from_entries(
                 entries, cost=cost, lane=lane, file_filter=file_filter
             )
-
-    def _own_entries(self) -> list[MapsEntry]:
-        """Maps lines of this substrate's files, matched by inode too:
-        another substrate's file of the same name (another shard's slice
-        of the same column) shows the same pathname."""
-        own = {(store.map_path, store.inode) for store in self._files.values()}
-        return [
-            e
-            for e in parse_maps(self.maps_text())
-            if (e.pathname, e.inode) in own and not self._is_internal(e)
-        ]
-
-    def maps_line_count(self, pathname: str | None = None) -> int:
-        if pathname is None:
-            entries = parse_maps(self.maps_text())
-            return sum(1 for e in entries if not self._is_internal(e))
-        return sum(1 for e in self._own_entries() if e.pathname == pathname)
 
     def file_map_path(self, file: NativePageStore) -> str:
         return file.map_path
@@ -468,9 +354,15 @@ class NativeSubstrate(Substrate):
     # -- observation / lifecycle ------------------------------------------
 
     def close(self) -> None:
-        for vpn, npages in list(self._regions.items()):
-            libc().munmap(vpn * PAGE_SIZE, npages * PAGE_SIZE)
-        self._regions.clear()
+        spans: list[list[int]] = []  # [start, end) of touching areas
+        for vma in self.address_space.vmas():
+            if spans and spans[-1][1] == vma.start:
+                spans[-1][1] = vma.end
+            else:
+                spans.append([vma.start, vma.end])
+        for start, end in spans:
+            libc().munmap(start * PAGE_SIZE, (end - start) * PAGE_SIZE)
+            self.address_space.remove_mapping(start, end - start)
         for store in list(self._files.values()):
             store.close()
         self._files.clear()

@@ -5,7 +5,8 @@ kernel-side mutations.  Every mutation is one :meth:`AddressSpace._splice`
 of the sorted VMA list: clip what was there, place what is new, merge
 compatible neighbours, assign one slice.  Cost accounting and
 syscall-style argument checking live one level up, in
-:class:`~repro.substrate.simulated.SimulatedSubstrate`.
+:class:`~repro.substrate.interface.Substrate`, which keeps one address
+space as the page table of either backend.
 """
 
 from __future__ import annotations

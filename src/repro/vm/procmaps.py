@@ -94,17 +94,6 @@ def render_maps(address_space: AddressSpace, shm_prefix: str = "/dev/shm/") -> s
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def maps_line_count(address_space: AddressSpace) -> int:
-    """Lines a maps render of this address space produces — one per VMA.
-
-    Single source of truth for every observability surface that reports
-    the maps-file size (:class:`~repro.core.stats.MaintenanceStats`
-    counts the lines actually parsed; introspection and metrics predict
-    the same number through this helper, so the two cannot drift).
-    """
-    return address_space.num_vmas
-
-
 def parse_maps(
     text: str, cost: CostModel | None = None, lane: str = MAIN_LANE
 ) -> list[MapsEntry]:

@@ -95,11 +95,11 @@ def test_a_native_discard_issues_no_syscall(pages, stack):
     column = open_column("native", stack)
     try:
         substrate = column.substrate
-        regions = dict(substrate._regions)
+        vmas = list(substrate.address_space.vmas())
         before = wall_calls(substrate)
         book_discarded(column, np.array(pages))
         assert wall_calls(substrate) == before
-        assert substrate._regions == regions
+        assert list(substrate.address_space.vmas()) == vmas
     finally:
         column.substrate.close()
 
@@ -162,8 +162,8 @@ def test_a_fault_at_the_booked_reservation_charges_nothing(backend):
     try:
         substrate = column.substrate
         snapshot = column.cost.ledger.snapshot_ps()
-        allocator = getattr(substrate, "address_space", None)
-        next_vpn = allocator._next_vpn if allocator is not None else None
+        allocator = substrate.address_space
+        next_vpn, vmas = allocator._next_vpn, list(allocator.vmas())
         substrate.schedule = FaultSchedule.nth_call("reserve", 1)
         with pytest.raises(SubstrateFault) as raised:
             book_discarded(column, np.array(PAGE_SETS[1]))
@@ -171,7 +171,7 @@ def test_a_fault_at_the_booked_reservation_charges_nothing(backend):
         assert column.cost.ledger.snapshot_ps() == snapshot
         assert substrate.observer.calls == []
         assert substrate.observer.faults == ["reserve"]
-        if allocator is not None:
-            assert allocator._next_vpn == next_vpn
+        assert allocator._next_vpn == next_vpn
+        assert list(allocator.vmas()) == vmas
     finally:
         column.substrate.close()

@@ -208,23 +208,25 @@ def open_db(backend: str, config: AdaptiveConfig, stack: str) -> AdaptiveDatabas
     )
 
 
-def own_vmas(substrate) -> int:
+def own_vmas(substrate, views) -> int | tuple[int, int]:
     """The backend's own VMAs: every simulated one; on native, the
-    /proc/self/maps lines inside each region the backend holds, region
-    by region.  The kernel merges like VMAs of two regions it happened
-    to place side by side into one line; counted per region, such a line
-    counts as the two it would be apart, so the count does not hang on
-    where the kernel put the regions."""
+    /proc/self/maps lines inside each view's area, area by area, and the
+    pages the page table holds.  The kernel merges like VMAs of two
+    areas it happened to place side by side into one line; counted per
+    area, such a line counts as the two it would be apart, so the count
+    does not hang on where the kernel put the areas.  An area no view
+    holds shows in the pages."""
     substrate = getattr(substrate, "inner", substrate)
     if not isinstance(substrate, NativeSubstrate):
         return substrate.maps_line_count()
     entries = parse_maps(substrate.maps_text())
-    return sum(
+    lines = sum(
         1
-        for start, n in substrate._regions.items()
+        for view in views
         for e in entries
-        if start < e.end_vpn and e.start_vpn < start + n
+        if view.base_vpn < e.end_vpn and e.start_vpn < view.base_vpn + view.capacity
     )
+    return lines, sum(vma.npages for vma in substrate.address_space.vmas())
 
 
 def run_stream(
@@ -264,7 +266,7 @@ def run_stream(
             "stopped": index.generation_stopped,
             "history": list(index.history),
             "ledger": db.cost.ledger.snapshot(),
-            "vmas": own_vmas(substrate),
+            "vmas": own_vmas(substrate, index.all_views()),
             "file_lines": substrate.maps_line_count(substrate.file_map_path(file)),
             "mmap_calls": sorted(metrics.get("mmap_calls_total").samples()),
             "munmap_calls": metrics.get("munmap_calls_total").value(),

@@ -22,7 +22,6 @@ from repro.core.adaptive import AdaptiveStorageLayer
 from repro.core.config import AdaptiveConfig, RoutingMode
 from repro.core.scan import batch_scan
 from repro.vm.constants import VALUES_PER_PAGE
-from repro.vm.procmaps import maps_line_count
 from repro.workloads.distributions import linear, sine, sparse, uniform
 
 from ..oracle_paths import production_paths, reference_paths
@@ -87,7 +86,7 @@ def _run_workload(dist_name: str, mode: RoutingMode, steps) -> dict:
         "maintenance": maintenance,
         "lanes": ledger.lanes(),
         "counters": ledger.counters(),
-        "maps_lines": maps_line_count(column.substrate.address_space),
+        "maps_lines": column.substrate.maps_line_count(),
     }
 
 

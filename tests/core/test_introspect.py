@@ -75,18 +75,17 @@ class TestInspect:
         """Regression: the report and MaintenanceStats must count the
         same maps file (one line per VMA, via maps_line_count)."""
         from repro.bench.harness import make_update_batch
-        from repro.vm.procmaps import maps_line_count
 
         column = banded_column()
         layer = AdaptiveStorageLayer(column, AdaptiveConfig(max_views=5))
         for band in range(4):
             layer.answer_query(band * 1000, band * 1000 + 2500)
         batch = make_update_batch(column, 8, 0, 15_000, seed=3)
-        lines_at_parse_time = maps_line_count(column.substrate.address_space)
+        lines_at_parse_time = column.substrate.maps_line_count()
         stats = layer.apply_updates(batch)
         assert stats.maps_lines == lines_at_parse_time
         report = inspect_view_index(layer.view_index)
-        assert report.maps_lines == maps_line_count(column.substrate.address_space)
+        assert report.maps_lines == column.substrate.maps_line_count()
         layer.shutdown()
 
     def test_empty_index(self):

@@ -114,17 +114,18 @@ ENTRIES = {
 }
 
 
-def _vmas(substrate: FaultySubstrate) -> int:
-    """The backend's own VMAs: every simulated one; on native, the
-    /proc/self/maps lines inside a region the backend holds."""
+def _vmas(substrate: FaultySubstrate) -> int | tuple[int, int]:
+    """The backend's own VMAs: every simulated one; on native, its page
+    table's and the /proc/self/maps lines inside the page table's
+    areas."""
     inner = substrate.inner
     if not isinstance(inner, NativeSubstrate):
         return inner.maps_line_count()
-    held = list(inner._regions.items())
-    return sum(
+    book = inner.address_space
+    return book.num_vmas, sum(
         1
         for e in parse_maps(inner.maps_text())
-        if any(start < e.end_vpn and e.start_vpn < start + n for start, n in held)
+        if any(vma.start < e.end_vpn and e.start_vpn < vma.end for vma in book.vmas())
     )
 
 

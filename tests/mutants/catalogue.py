@@ -235,4 +235,64 @@ MUTANTS = (
             "tests/core/test_read_work.py::test_a_small_view_hit_books_four_times",
         ),
     ),
+    # -- one page table on both backends -------------------------------
+    Mutant(
+        name="book-keeps-a-released-area",
+        path="src/repro/substrate/interface.py",
+        old="        self.address_space.remove_mapping(vpn, npages)\n",
+        new="",
+        tests=(
+            "tests/native/test_page_table.py::test_the_book_agrees_with_the_kernel_after_every_step",
+            "tests/vm/test_mmap_api.py",
+        ),
+    ),
+    Mutant(
+        name="book-records-every-run-of-a-failed-plan",
+        path="src/repro/substrate/interface.py",
+        old="        del runs[applied:]\n",
+        new="",
+        tests=(
+            "tests/substrate/test_book.py::test_a_plan_failing_at_run_k_books_the_runs_before_it",
+        ),
+    ),
+    Mutant(
+        name="native-snapshot-keeps-lines-outside-the-book",
+        path="src/repro/substrate/native.py",
+        old=(
+            "                if not e.anonymous\n"
+            "                and book.find_vma(e.start_vpn) is not None\n"
+            "                and book.find_vma(e.end_vpn - 1) is not None\n"
+        ),
+        new="                if not e.anonymous\n",
+        tests=(
+            "tests/native/test_page_table.py::test_the_book_agrees_with_the_kernel_after_every_step",
+            "tests/native/test_store_growth.py",
+        ),
+    ),
+    Mutant(
+        name="plan-check-skipped",
+        path="src/repro/substrate/interface.py",
+        old="        _check_plan(vpns, npages, file, file_pages)\n",
+        new="",
+        tests=(
+            "tests/substrate/test_book.py::test_a_run_outside_its_file_is_refused",
+            "tests/vm/test_plan_validation.py",
+        ),
+    ),
+    Mutant(
+        name="area-check-skipped",
+        path="src/repro/substrate/interface.py",
+        old="        _check_run(npages, file, file_page)\n        vpn = self._place_area(",
+        new="        vpn = self._place_area(",
+        tests=("tests/substrate/test_book.py::test_a_run_outside_its_file_is_refused",),
+    ),
+    Mutant(
+        name="booked-discard-in-a-map-pages-span",
+        path="src/repro/core/creation.py",
+        old='        "book-pages",\n',
+        new='        "map-pages",\n',
+        tests=(
+            "tests/obs/test_calibration.py::test_every_native_map_pages_span_issues_syscalls",
+        ),
+    ),
 )

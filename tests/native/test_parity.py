@@ -14,6 +14,7 @@ import pytest
 
 from repro import AdaptiveConfig, AdaptiveDatabase
 from repro.native import is_supported
+from repro.vm.procmaps import parse_maps
 
 pytestmark = pytest.mark.skipif(
     not is_supported(), reason="native rewiring unsupported on this platform"
@@ -75,6 +76,12 @@ def _run_session(backend: str) -> dict:
             )
         trace["view_pages"].sort()
         trace["maps_lines"] = substrate.maps_line_count(path)
+        # what the maps source itself shows, less the store's own
+        # whole-file mappings (native only)
+        own = len(getattr(column.file, "_mmaps", ()))
+        trace["source_lines"] = sum(
+            1 for e in parse_maps(substrate.maps_text()) if e.pathname == path
+        ) - own
         report = db.audit()
         assert report.ok, report.render()
         trace["audit"] = report.summary()
@@ -108,23 +115,23 @@ class TestParity:
         assert sim["view_pages"]  # the workload must actually build views
 
     def test_maps_line_counts_identical(self, sessions):
-        """Kernel VMA merging agrees with the simulator's merging."""
+        """Kernel VMA merging agrees with the simulator's merging: the
+        page tables count as many lines on both backends, and so do the
+        maps sources, the kernel's own file on native."""
         sim, native = sessions
         assert sim["maps_lines"] == native["maps_lines"]
+        assert sim["source_lines"] == native["source_lines"] == sim["maps_lines"]
         assert sim["maps_lines"] > 0
 
     def test_audit_reports_identical(self, sessions):
         """The invariant auditor sees the same structure on both
-        backends: view page sets, mapped-region counts, no findings.
-
-        The audits are not literally the same checks — the simulated
-        backend adds a page-table cross-check the native one answers
-        through the kernel — so only the backend-neutral summary keys
-        that must agree are compared.
+        backends: view page sets, mapped-region counts, no findings —
+        and runs the same checks, the page-table cross-check included,
+        as both backends keep one page table.
         """
         sim, native = sessions
         assert sim["audit"]["findings"] == []
         assert native["audit"]["findings"] == []
-        for key in ("views", "maps_regions", "mapped_pages"):
+        for key in ("views", "maps_regions", "mapped_pages", "checks"):
             assert sim["audit"][key] == native["audit"][key], key
         assert sim["audit"]["views"]  # non-trivial structure compared

@@ -146,7 +146,7 @@ class TestNativeMapping:
         before = sub.cost.ledger.counter("pages_unmapped")
         sub.release_region(base, 8, mapped_pages=8)
         assert sub.cost.ledger.counter("pages_unmapped") - before == 8
-        assert base not in sub._regions
+        assert sub.address_space.find_vma(base) is None
 
     def test_populate_charges_soft_faults(self, sub, file):
         base = sub.reserve(2)
@@ -289,6 +289,6 @@ class TestNativeLifecycle:
         sub.reserve(2)
         sub.close()
         assert store.fd == -1
-        assert sub._regions == {}
+        assert sub.address_space.num_vmas == 0
         sub.close()
         store.close()

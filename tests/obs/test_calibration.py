@@ -192,3 +192,36 @@ def test_calibration_json_is_deterministic_modulo_wall_fields(tmp_path):
             )
         )
     assert payloads[0] == payloads[1]
+
+
+@native_only
+def test_every_native_map_pages_span_issues_syscalls():
+    # A discarded candidate is booked, not mapped: its span is a
+    # ``book-pages`` one, which calibration pairs with no constant, so
+    # every ``map-pages`` span it pairs with the mmap constants carries
+    # real syscall time.
+    import numpy as np
+
+    from repro.core.facade import AdaptiveDatabase
+    from repro.vm.constants import VALUES_PER_PAGE
+
+    values = np.arange(64 * VALUES_PER_PAGE, dtype=np.int64)
+    db = AdaptiveDatabase(backend="native", observe=True)
+    try:
+        db.create_table("t", {"v": values})
+        # each read builds a view; a read of nearly the same range is
+        # answered by it, and its candidate is discarded
+        for lo in range(0, values.size - 6000, 4000):
+            db.query("t", "v", lo, lo + 5000)
+            db.query("t", "v", lo + 100, lo + 4900)
+        spans = db.observer.tracer.finished_spans()
+    finally:
+        db.close()
+    mapped = [s for s in spans if s.name == "map-pages"]
+    booked = [s for s in spans if s.name == "book-pages"]
+    assert mapped
+    assert all(s.wall_substrate_ns > 0 for s in mapped)
+    assert booked
+    assert all(s.wall_substrate_ns == 0 for s in booked)
+    assert all(s.duration_ns > 0 for s in booked)  # booked, not free
+    assert "book-pages" not in KIND_CONSTANTS

@@ -1,0 +1,123 @@
+"""One page table, one plan check, on both backends.
+
+``Substrate`` checks every mapping operation before the backend issues
+anything, then books it in its page table (``address_space``).  So a run
+that reaches outside its file is refused alike on both backends, before
+any syscall (on native, a read of such a page would raise SIGBUS), and a
+plan the backend fails at run ``k`` leaves runs ``[0, k)`` in the page
+table, as in the kernel, and no more.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.native import is_supported
+from repro.substrate import SimulatedSubstrate, make_substrate
+from repro.vm.errors import MapError
+from repro.vm.procmaps import parse_maps
+
+needs_native = pytest.mark.skipif(
+    not is_supported(), reason="native rewiring unsupported here"
+)
+
+BACKENDS = [
+    pytest.param("simulated", id="simulated"),
+    pytest.param("native", id="native", marks=needs_native),
+]
+
+
+def _state(sub, path: str) -> tuple:
+    """What a refused call must leave as it was: the file's lines in the
+    page table and in the maps source, the ledger, the syscall counts."""
+    maps_lines = sum(1 for e in parse_maps(sub.maps_text()) if e.pathname == path)
+    wall = sub.wall.snapshot() if sub.wall is not None else {}
+    wall.pop("maps_read", None)
+    return (
+        sub.maps_line_count(path),
+        maps_lines,
+        sub.cost.ledger.counters(),
+        {op: calls["calls"] for op, calls in wall.items()},
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda sub, f, v: sub.map_fixed(v, 2, f, 10), id="map_fixed-past-the-end"),
+        pytest.param(lambda sub, f, v: sub.map_fixed(v, 2, f, 3), id="map_fixed-across-the-end"),
+        pytest.param(lambda sub, f, v: sub.map_fixed(v, 1, f, -1), id="map_fixed-before-the-start"),
+        pytest.param(lambda sub, f, v: sub.map_file(2, f, 3), id="map_file-across-the-end"),
+        pytest.param(lambda sub, f, v: sub.map_file(5, f), id="map_file-longer-than-the-file"),
+    ],
+)
+def test_a_run_outside_its_file_is_refused(backend, call):
+    sub = make_substrate(backend)
+    try:
+        file = sub.create_file("f", 4)
+        base = sub.reserve(8)
+        path = sub.file_map_path(file)
+        before = _state(sub, path)
+        with pytest.raises(MapError, match="outside"):
+            call(sub, file, base)
+        assert _state(sub, path) == before
+        assert not sub.peek_virtual(base).any()
+    finally:
+        sub.close()
+
+
+class _Planted(OSError):
+    """The error a backend reports for the run it could not issue."""
+
+
+def _failing_at(backend: str, k: int):
+    """A ``backend`` substrate whose next plan stops at run ``k``: runs
+    ``[0, k)`` are issued for real, then the backend reports an error."""
+    if backend == "simulated":
+        base_cls = SimulatedSubstrate
+    else:
+        from repro.substrate.native import NativeSubstrate as base_cls
+
+    class FailingAt(base_cls):
+        def _issue_runs(self, vpns, npages, file, file_pages, populate):
+            applied, _ = super()._issue_runs(
+                vpns[:k], npages[:k], file, file_pages[:k], populate
+            )
+            return applied, _Planted("planted failure")
+
+    return FailingAt()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_a_plan_failing_at_run_k_books_the_runs_before_it(backend, k):
+    sub = _failing_at(backend, k)
+    try:
+        file = sub.create_file("f", 16)
+        base = sub.reserve(12)
+        calls = []
+
+        class Spy:
+            def on_mmap(self, kind, pages):
+                calls.append((kind, pages))
+
+        sub.set_observer(Spy())
+        vpns = base + np.array([0, 4, 8], dtype=np.int64)
+        npages = np.array([2, 2, 2], dtype=np.int64)
+        with pytest.raises(_Planted):
+            sub.apply_runs(vpns, npages, file, np.array([1, 5, 9], dtype=np.int64))
+        book = sub.address_space
+        for i, (vpn, fpage) in enumerate(zip(vpns.tolist(), (1, 5, 9))):
+            want = (file, fpage) if i < k else None
+            assert book.translate(vpn) == want, i
+        assert calls == [("fixed", 2)] * k
+        path = sub.file_map_path(file)
+        assert sub.maps_line_count(path) == k
+        kernel = {e.start_vpn for e in parse_maps(sub.maps_text()) if e.pathname == path}
+        if backend == "native":
+            assert kernel >= set(vpns[:k].tolist())
+            assert not kernel & set(vpns[k:].tolist())
+    finally:
+        sub.close()

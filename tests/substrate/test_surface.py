@@ -1,7 +1,8 @@
 """The substrate protocol's abstract surface, pinned.
 
 A backend implements exactly these methods; rewiring reaches it only as
-an ``apply_runs`` plan, in both directions: a plan with a file maps
+an ``apply_runs`` plan (its syscalls through ``_issue_runs``), in both
+directions: a plan with a file maps
 file pages, a plan without one points its runs back at the anonymous
 reservation.  ``map_runs`` (a booked plan) and ``map_fixed`` (a booked
 plan of one run) are concrete in the base class, so no backend defines
@@ -19,19 +20,21 @@ from repro.substrate import SimulatedSubstrate
 from repro.substrate.interface import Substrate
 from repro.substrate.native import NativeSubstrate
 
+#: ``reserve``, ``map_file``, ``apply_runs``, ``release_region``,
+#: ``peek_virtual`` and ``maps_line_count`` are written once, in the base
+#: class, over the page table both backends keep; a backend supplies only
+#: the step that differs (the four private hooks).
 ABSTRACT = {
     "create_file",
     "get_file",
     "delete_file",
     "files",
-    "reserve",
-    "map_file",
-    "apply_runs",
-    "release_region",
-    "peek_virtual",
+    "_place_area",
+    "_issue_runs",
+    "_unmap_area",
+    "_read_page",
     "maps_text",
     "maps_snapshot",
-    "maps_line_count",
     "file_map_path",
 }
 
@@ -58,6 +61,18 @@ def test_no_backend_defines_a_second_mapping_path():
     assert not hasattr(NativeSubstrate, "_rewire")
 
 
+def test_the_page_table_operations_are_written_once():
+    # Check, book, charge and observer live in the base class alone; a
+    # backend keeps only its hooks.
+    once = (
+        "reserve", "map_file", "apply_runs", "release_region",
+        "peek_virtual", "maps_line_count",
+    )
+    for backend in (SimulatedSubstrate, NativeSubstrate):
+        for name in once:
+            assert name not in vars(backend), f"{backend.__name__}.{name}"
+
+
 def test_map_fixed_resolves_to_the_base_class_plan():
     # benchmarks/stack/trace.py looks the method up on both backends by name
     for backend in (SimulatedSubstrate, NativeSubstrate):
@@ -65,9 +80,9 @@ def test_map_fixed_resolves_to_the_base_class_plan():
 
 
 def test_the_mapper_keeps_one_plan_form():
-    # The simulated kernel applies a plan in apply_runs alone: map_runs
-    # and map_fixed are the base class's bookings of it, and it has no
+    # A plan is applied in the base class's apply_runs alone: map_runs
+    # and map_fixed are its bookings, and the simulated kernel has no
     # mmap entry point of its own.
-    assert "apply_runs" in vars(SimulatedSubstrate)
+    assert SimulatedSubstrate.apply_runs is Substrate.apply_runs
     for name in ("remap_fixed", "mmap"):
         assert not hasattr(SimulatedSubstrate, name), name
