@@ -12,7 +12,7 @@ from repro.core.creation import materialize_pages
 from repro.core.scan import batch_scan
 from repro.core.view import VirtualView
 from repro.bench.harness import fresh_column
-from repro.vm.procmaps import render_maps, snapshot_address_space
+from repro.vm.procmaps import render_maps
 from repro.workloads.distributions import sine, uniform
 
 PAGES = 2_048
@@ -70,9 +70,7 @@ def test_micro_maps_render_and_parse(benchmark):
     for fpage in range(0, PAGES, 3):
         view.add_page(fpage)
 
-    snapshot = benchmark(
-        snapshot_address_space, column.substrate.address_space
-    )
+    snapshot = benchmark(column.substrate.maps_snapshot)
     assert len(snapshot) > 0
 
 

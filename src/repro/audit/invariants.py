@@ -9,7 +9,8 @@ mapping state the adaptive stack keeps (PAPER.md §2.4–2.5):
    read through uncharged translation (``address_space.translate`` and
    :meth:`Substrate.peek_virtual`);
 3. **the bimap snapshot** — a fresh parse of the backend's maps source
-   (on the native backend, the kernel's real ``/proc/self/maps``);
+   (on the native backend, the kernel's real ``/proc/self/maps``, whose
+   lines inside the areas must number no more than the page table's);
 4. **the physical column** — page contents and embedded pageIDs, plus
    the semantic ground truth ``pages_with_values_in``.
 
@@ -204,8 +205,12 @@ class InvariantAuditor:
         report.mapped_pages += total_mapped
 
         # Region accounting: the snapshot holds exactly the pages the
-        # catalog says are mapped — no leaked or lost mappings.
+        # catalog says are mapped — no leaked or lost mappings — from no
+        # more maps lines than the page table holds (kernel <= book).
+        # A flush is charged for the page table's lines; the kernel may
+        # merge two of them into one line, never split one.
         report.checks += 1
+        book_lines = substrate.maps_line_count(path)
         if len(snapshot) != total_mapped:
             report.add_finding(
                 "region-accounting",
@@ -213,7 +218,14 @@ class InvariantAuditor:
                 f"the view catalog accounts for {total_mapped}",
                 label=label,
             )
-        report.maps_regions += substrate.maps_line_count(path)
+        if snapshot.lines > book_lines:
+            report.add_finding(
+                "region-accounting",
+                f"maps source shows {snapshot.lines} lines of {path!r} "
+                f"inside the areas, the page table holds {book_lines}",
+                label=label,
+            )
+        report.maps_regions += book_lines
 
         if column.tier is not None:
             self._audit_tier_placement(column, label, report)

@@ -224,10 +224,10 @@ class FaultySubstrate(Substrate):
 
     # -- virtual mapping --------------------------------------------------
 
-    # Every mapping call below goes to the inner backend whole, page
-    # table and syscalls alike, so the plane has no backend step of its
-    # own.
-    _place_area = _issue_runs = _unmap_area = _read_page = None
+    # Every mapping call below, and the maps snapshot, goes to the
+    # inner backend whole, page table and syscalls alike, so the plane
+    # has no backend step of its own.
+    _place_area = _issue_runs = _unmap_area = _read_page = _maps_rows = None
 
     def reserve(self, npages: int, lane: str = MAIN_LANE) -> int:
         self._check("reserve")

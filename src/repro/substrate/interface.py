@@ -27,12 +27,14 @@ supported by the vanilla Linux kernel":
   — check the plan, update the book, charge the ledger, tell the
   observer — and a backend supplies only the step that differs: where
   an area lands (:meth:`Substrate._place_area`), the real syscalls
-  (:meth:`Substrate._issue_runs`, :meth:`Substrate._unmap_area`) and
+  (:meth:`Substrate._issue_runs`, :meth:`Substrate._unmap_area`),
   the read of a page the book says is mapped
-  (:meth:`Substrate._read_page`);
+  (:meth:`Substrate._read_page`) and the rows of the maps snapshot
+  (:meth:`Substrate._maps_rows`);
 * **a maps source** — the ``/proc/PID/maps`` snapshot the maintenance
   algorithm parses once per update batch (:meth:`Substrate.maps_text`,
-  :meth:`Substrate.maps_snapshot`);
+  :meth:`Substrate.maps_snapshot`), charged for the page table's lines
+  on both backends;
 * **accounting hooks** — a shared simulated
   :class:`~repro.vm.cost.CostModel` plus an optional
   :class:`WallClockLedger` for backends that measure real time.
@@ -52,7 +54,7 @@ import time
 from abc import ABC, abstractmethod
 from collections import Counter, defaultdict
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
+from typing import Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -61,10 +63,8 @@ from ..vm.address_space import AddressSpace
 from ..vm.constants import VALUES_PER_PAGE
 from ..vm.cost import MAIN_LANE, CostModel
 from ..vm.errors import BadAddressError, MapError
+from ..vm.procmaps import MappingSnapshot, Row
 from ..vm.vma import Vma
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..vm.procmaps import MappingSnapshot
 
 
 @runtime_checkable
@@ -176,12 +176,16 @@ def _check_plan(
     npages: np.ndarray,
     file: PageStore | None,
     file_pages: np.ndarray,
+    book: AddressSpace,
 ) -> None:
-    """Check a plan's bounds and order once, as columns.
+    """Check a plan's bounds, order and place once, as columns.
 
     A bad run rejects the whole plan with the error it would raise
     alone, as :func:`_check_run` and :class:`~repro.vm.vma.Vma` would
-    raise it; so does a run that starts before the previous one ends.
+    raise it; so does a run that starts before the previous one ends,
+    and a run whose first page lies outside every area ``book`` holds —
+    on the native backend a real ``MAP_FIXED`` over memory the
+    substrate does not own.
     """
     bad = (npages <= 0) | (vpns < 0)
     if file is not None:
@@ -193,6 +197,11 @@ def _check_plan(
         Vma(int(vpns[i]), int(npages[i]), file, int(file_pages[i]))
     if vpns.size > 1 and np.count_nonzero(vpns[1:] < vpns[:-1] + npages[:-1]):
         raise MapError("plan not in address order")
+    find = book.find_vma
+    with book.lock:
+        for vpn in vpns.tolist():
+            if find(vpn) is None:
+                raise MapError(f"run at page {vpn:#x} lies outside every area")
 
 
 class Substrate(ABC):
@@ -321,7 +330,7 @@ class Substrate(ABC):
             file_pages, kind = np.zeros_like(npages), "anon"
         else:
             kind = "fixed"
-        _check_plan(vpns, npages, file, file_pages)
+        _check_plan(vpns, npages, file, file_pages, self.address_space)
         vpns, npages, file_pages = vpns.tolist(), npages.tolist(), file_pages.tolist()
         applied, error = self._issue_runs(vpns, npages, file, file_pages, populate)
         placed = Vma._placed
@@ -418,10 +427,10 @@ class Substrate(ABC):
         what :meth:`reserve`, :meth:`map_runs` (on ``map_lane``) and
         :meth:`release_region` would charge, as three updates in that
         order, and the observer hears of the same calls, but no mapping
-        is made.  A backend that picks addresses itself moves its
-        allocator past the area, so later areas land where they would
-        have.
+        is made: only the page table's allocator moves past the area, so
+        later areas land where they would have.
         """
+        self.address_space.allocate_region(capacity)
         cost, observer = self.cost, self.observer
         runs = npages.tolist()
         mapped = sum(runs)
@@ -508,20 +517,52 @@ class Substrate(ABC):
     def maps_text(self) -> str:
         """The current ``/proc/PID/maps`` content of this backend."""
 
-    @abstractmethod
     def maps_snapshot(
         self,
         cost: CostModel | None = None,
         lane: str = MAIN_LANE,
         file_filter: str | None = None,
-    ) -> "MappingSnapshot":
+    ) -> MappingSnapshot:
         """Parse the maps source into a page-wise bimap snapshot.
 
-        The once-per-update-batch operation of Section 2.5.  With
-        ``file_filter`` only mappings of that pathname are materialized
-        (parse cost is still charged for every line, as the real parse
-        must read them all).
+        The once-per-update-batch operation of Section 2.5, one body for
+        both backends: the rows come from :meth:`_maps_rows`, and the
+        parse is charged for the page table's lines, one per VMA, as
+        :meth:`maps_line_count` counts them.  With ``file_filter`` only
+        mappings of that pathname are materialized; the parse is still
+        charged for every line of the page table.
         """
+        paths, rows = self._maps_rows(file_filter)
+        if cost is not None:
+            cost.maps_parse(self.address_space.num_vmas, lane)
+        return MappingSnapshot(paths, rows, cost=cost, lane=lane)
+
+    def _maps_rows(self, file_filter: str | None) -> tuple[list[str], list[Row]]:
+        """The maps source's file-backed lines inside this substrate's
+        areas, as snapshot rows, and the pathnames their path ids index;
+        with ``file_filter`` only that pathname's lines.
+
+        Read off the page table's VMAs: the lines :meth:`maps_text`
+        would render.
+        """
+        path_of = self.file_map_path
+        paths: list[str] = []
+        path_id_of: dict[str, int] = {}  # file name -> path id, -1: filtered out
+        rows = []
+        for vma in self.address_space.vmas():
+            if vma.file is None:
+                continue
+            name = vma.file.name
+            pid = path_id_of.get(name)
+            if pid is None:
+                path = path_of(vma.file)
+                pid = len(paths) if file_filter in (None, path) else -1
+                path_id_of[name] = pid
+                if pid >= 0:
+                    paths.append(path)
+            if pid >= 0:
+                rows.append((vma.start, vma.npages, vma.file_page, pid))
+        return paths, rows
 
     def maps_line_count(self, pathname: str | None = None) -> int:
         """Lines of the maps source inside the areas this substrate

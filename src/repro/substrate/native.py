@@ -10,12 +10,15 @@ Linux kernel":
 * view reservations are real anonymous ``PROT_NONE`` mmaps;
 * rewiring is real ``mmap(MAP_FIXED)`` — views genuinely materialize as
   kernel VMAs;
-* the maps source is the kernel's own ``/proc/self/maps``, which the
-  existing :func:`~repro.vm.procmaps.parse_maps` understands.  It is
-  read only where the paper reads it, once per update batch
-  (:meth:`NativeSubstrate.maps_snapshot`): line counts and the
-  translation behind :meth:`~NativeSubstrate.peek_virtual` come from the
-  base class's page table, which each syscall's plan updates.
+* the maps source is the kernel's own ``/proc/self/maps``.  It is read
+  only where the paper reads it, once per update batch: the base
+  class's :meth:`~repro.substrate.interface.Substrate.maps_snapshot`
+  takes its rows from :meth:`NativeSubstrate._maps_rows`, which keeps
+  the stores' lines inside the page table's areas
+  (:func:`~repro.vm.procmaps.maps_rows`).  Line counts, the parse
+  charge and the translation behind
+  :meth:`~NativeSubstrate.peek_virtual` come from the base class's page
+  table, which each syscall's plan updates.
 
 Two clocks run side by side: the shared simulated
 :class:`~repro.vm.cost.CostModel` is charged exactly as the simulated
@@ -57,13 +60,34 @@ from ..native.rewiring import (
     _open_memory_file,
 )
 from ..vm.constants import PAGE_SIZE, VALUES_PER_PAGE
-from ..vm.cost import MAIN_LANE, CostModel
+from ..vm.cost import CostModel
 from ..vm.errors import FileError
-from ..vm.procmaps import MappingSnapshot, parse_maps
+from ..vm.procmaps import Row, maps_rows
 from .interface import Substrate, WallClockLedger
 
 #: int64 slots in one raw page (header slot + data slots).
 _SLOTS_PER_RAW_PAGE = PAGE_SIZE // 8
+
+#: Address space a substrate's areas are laid out in (1 TiB): found free
+#: when the substrate is made, and never reserved.
+_REGION_BYTES = 1 << 40
+
+
+def _free_region_vpn() -> int | None:
+    """The first page of an address range free at this moment, or ``None``.
+
+    The range is found by a probe mapping, unmapped at once.  The kernel
+    hands out the process's later mappings top-down, from the top of
+    such a range, so its start stays free for the substrate's areas,
+    which grow bottom-up from there.
+    """
+    addr = libc().mmap(
+        None, _REGION_BYTES, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0
+    )
+    if addr == MAP_FAILED or addr is None:
+        return None
+    libc().munmap(addr, _REGION_BYTES)
+    return addr // PAGE_SIZE
 
 
 class NativePageStore:
@@ -210,6 +234,13 @@ class NativeSubstrate(Substrate):
                 "native rewiring is not supported on this platform"
             )
         super().__init__()
+        # Areas are laid out as the simulator lays them out: each placed
+        # at the page table's bump pointer, from the start of a free
+        # region.  So the kernel merges the areas' VMAs as the page
+        # table merges them, and both backends count the same lines.
+        base = _free_region_vpn()
+        if base is not None:
+            self.address_space._next_vpn = base
         #: Advisory only — the kernel enforces the real limit.
         self.capacity_bytes = capacity_bytes
         self.cost = cost or CostModel()
@@ -255,9 +286,12 @@ class NativeSubstrate(Substrate):
             op, prot, flags, fd = "reserve", PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS, -1
         else:
             op, prot, flags, fd = "map_file", PROT_READ | PROT_WRITE, MAP_SHARED, file.fd
+        # A hint, not MAP_FIXED: where the range is taken, the kernel
+        # picks another and the page table books that one.
+        hint = self.address_space.allocate_region(npages) * PAGE_SIZE
         with self.wall.timed(op):
             addr = libc().mmap(
-                None, npages * PAGE_SIZE, prot, flags, fd, file_page * PAGE_SIZE
+                hint, npages * PAGE_SIZE, prot, flags, fd, file_page * PAGE_SIZE
             )
         if addr == MAP_FAILED or addr is None:
             raise _errno_error(f"{op} mmap")
@@ -318,35 +352,17 @@ class NativeSubstrate(Substrate):
             with open("/proc/self/maps") as fh:
                 return fh.read()
 
-    def maps_snapshot(
-        self,
-        cost: CostModel | None = None,
-        lane: str = MAIN_LANE,
-        file_filter: str | None = None,
-    ) -> MappingSnapshot:
+    def _maps_rows(self, file_filter: str | None) -> tuple[list[str], list[Row]]:
+        # The kernel's own file, read once per batch as the paper reads
+        # it.  Only the stores' lines inside the page table's areas are
+        # the substrate's: the interpreter's mappings are dropped by
+        # inode, unparsed, and the stores' own whole-file mappings by
+        # their range.  The simulated ledger is charged for the page
+        # table's lines by the base class; the wall ledger measures the
+        # read and the parse.
         with self.wall.timed("maps_snapshot"):
-            # Parse the real maps file, but keep (and charge the
-            # simulated ledger for) only the file lines inside the page
-            # table's areas — the lines the simulated backend would
-            # render.  The interpreter contributes a fluctuating number
-            # of unrelated mappings, and so do the stores' own
-            # whole-file mappings; counting those would make the
-            # deterministic ledger depend on allocator state.  The true
-            # cost of parsing the full file is measured by the wall
-            # ledger wrapping this.
-            book = self.address_space
-            entries = [
-                e
-                for e in parse_maps(self.maps_text())
-                if not e.anonymous
-                and book.find_vma(e.start_vpn) is not None
-                and book.find_vma(e.end_vpn - 1) is not None
-            ]
-            if cost is not None:
-                cost.maps_parse(len(entries), lane)
-            return MappingSnapshot.from_entries(
-                entries, cost=cost, lane=lane, file_filter=file_filter
-            )
+            paths = {str(store.inode): store.map_path for store in self._files.values()}
+            return maps_rows(self.maps_text(), paths, self.address_space, file_filter)
 
     def file_map_path(self, file: NativePageStore) -> str:
         return file.map_path

@@ -9,8 +9,8 @@ of its virtual memory: the base checks each mapping operation as
 base only, file-backed mappings a small per-page cost as well.  What is
 left here is what only a simulator needs: a bump allocator picks each
 area's address, a page is read from its file, and
-:mod:`repro.vm.procmaps` renders and snapshots the page table as the
-maps source.  The charges are the ones the
+:mod:`repro.vm.procmaps` renders the page table as the maps source,
+whose snapshot the base class reads straight off the VMAs.  The charges are the ones the
 layers booked before the substrate existed, so the
 :class:`~repro.vm.cost.CostLedger` stream is bit-identical to that code
 — the figure and parity tests are the guardrail for that invariant.
@@ -21,13 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..vm.constants import VALUES_PER_PAGE
-from ..vm.cost import MAIN_LANE, CostModel
+from ..vm.cost import CostModel
 from ..vm.physical import MemoryFile, PhysicalMemory
-from ..vm.procmaps import (
-    MappingSnapshot,
-    render_maps,
-    snapshot_address_space,
-)
+from ..vm.procmaps import render_maps
 from .interface import Substrate
 
 #: Mount point under which simulated main-memory files appear in
@@ -107,18 +103,6 @@ class SimulatedSubstrate(Substrate):
         # what the plan is booked at, as no residency is kept.
         return len(vpns), None
 
-    def book_discard(
-        self,
-        capacity: int,
-        npages: np.ndarray,
-        lane: str = MAIN_LANE,
-        map_lane: str = MAIN_LANE,
-    ) -> None:
-        # The area a reservation would have taken, and nothing else:
-        # no VMA is placed, so the maps text stays as it was.
-        self.address_space.allocate_region(capacity)
-        super().book_discard(capacity, npages, lane, map_lane)
-
     def _unmap_area(self, vpn: int, npages: int) -> None:
         pass  # the page table is the mapping
 
@@ -129,20 +113,6 @@ class SimulatedSubstrate(Substrate):
 
     def maps_text(self) -> str:
         return render_maps(self.address_space, shm_prefix=SHM_PREFIX)
-
-    def maps_snapshot(
-        self,
-        cost: CostModel | None = None,
-        lane: str = MAIN_LANE,
-        file_filter: str | None = None,
-    ) -> MappingSnapshot:
-        return snapshot_address_space(
-            self.address_space,
-            cost=cost,
-            lane=lane,
-            file_filter=file_filter,
-            shm_prefix=SHM_PREFIX,
-        )
 
     def file_map_path(self, file: MemoryFile) -> str:
         return f"{SHM_PREFIX}{file.name}"

@@ -26,13 +26,7 @@ from .errors import (
     VmError,
 )
 from .physical import MemoryFile, PhysicalMemory
-from .procmaps import (
-    MappingSnapshot,
-    MapsEntry,
-    parse_maps,
-    render_maps,
-    snapshot_address_space,
-)
+from .procmaps import MappingSnapshot, maps_rows, render_maps
 from .vma import Vma
 
 __all__ = [
@@ -45,7 +39,7 @@ __all__ = [
     "MAIN_LANE",
     "MAPPER_LANE",
     "MappingSnapshot",
-    "MapsEntry",
+    "maps_rows",
     "MapError",
     "MAX_VALUE",
     "MemoryFile",
@@ -57,8 +51,6 @@ __all__ = [
     "ProcMapsError",
     "Region",
     "render_maps",
-    "parse_maps",
-    "snapshot_address_space",
     "VALUE_WIDTH",
     "VALUES_PER_PAGE",
     "Vma",

@@ -3,13 +3,12 @@
 The update algorithm needs the current virtual→physical mapping of every
 view.  The paper obtains it by parsing the kernel's ``/proc/PID/maps``
 virtual file once per update batch and materializing it page-wise in a
-bimap.  This module reproduces both directions against the simulated
-address space:
+bimap.  This module reproduces both directions:
 
 * :func:`render_maps` prints an :class:`~repro.vm.address_space.AddressSpace`
   in the exact kernel text format (one line per VMA);
-* :func:`parse_maps` parses that format (kernel or simulated) back into
-  :class:`MapsEntry` records;
+* :func:`maps_rows` reads kernel maps text into the rows of a snapshot,
+  keeping only the lines of given files inside a page table's areas;
 * :class:`MappingSnapshot` is the page-wise materialization used while a
   batch of updates is applied, maintained from user space exactly as the
   paper describes.
@@ -22,10 +21,8 @@ VMAs, and the maps file shrinks.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,37 +37,8 @@ _FILE_DEV = "03:0c"
 #: Device string rendered for anonymous mappings.
 _ANON_DEV = "00:00"
 
-_LINE_RE = re.compile(
-    r"^(?P<start>[0-9a-f]+)-(?P<end>[0-9a-f]+)\s+"
-    r"(?P<perms>[rwxps-]{4})\s+"
-    r"(?P<offset>[0-9a-f]+)\s+"
-    r"(?P<dev>[0-9a-f]+:[0-9a-f]+)\s+"
-    r"(?P<inode>\d+)"
-    r"(?:\s+(?P<path>\S.*))?$"
-)
-
-
-@dataclass(frozen=True)
-class MapsEntry:
-    """One parsed line of a maps file, in page units."""
-
-    start_vpn: int
-    npages: int
-    perms: str
-    file_page: int
-    dev: str
-    inode: int
-    pathname: str
-
-    @property
-    def anonymous(self) -> bool:
-        """Whether the line describes an anonymous mapping."""
-        return not self.pathname
-
-    @property
-    def end_vpn(self) -> int:
-        """One past the last virtual page."""
-        return self.start_vpn + self.npages
+#: One snapshot row: ``(start_vpn, npages, file_page, path id)``.
+Row = tuple[int, int, int, int]
 
 
 def render_maps(address_space: AddressSpace, shm_prefix: str = "/dev/shm/") -> str:
@@ -94,41 +62,54 @@ def render_maps(address_space: AddressSpace, shm_prefix: str = "/dev/shm/") -> s
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_maps(
-    text: str, cost: CostModel | None = None, lane: str = MAIN_LANE
-) -> list[MapsEntry]:
-    """Parse maps-file text into :class:`MapsEntry` records.
+def maps_rows(
+    text: str,
+    paths: dict[str, str],
+    book: AddressSpace,
+    file_filter: str | None = None,
+) -> tuple[list[str], list[Row]]:
+    """The snapshot rows of the maps lines that map one of ``paths``'
+    files inside ``book``'s areas, and the pathnames their path ids index.
 
-    Accepts both the simulated renderer's output and real ``/proc`` maps
-    content.  Charges one line-parse cost per line if ``cost`` is given.
+    ``paths`` maps an inode, as maps lines print it, to the pathname its
+    pages are snapshotted under; with ``file_filter`` only that
+    pathname's lines are kept.  Each line is split once.  A line is
+    dropped by its inode, then by its range against ``book``, so only
+    the lines kept are hex-decoded.  Input that is not in maps format
+    raises :class:`ProcMapsError`: a line without a numeric inode field,
+    or a kept line whose range or offset does not decode, is not page
+    aligned or is empty.
     """
-    entries = []
-    lines = [line for line in text.splitlines() if line.strip()]
-    for line in lines:
-        match = _LINE_RE.match(line.strip())
-        if match is None:
+    find = book.find_vma
+    path_ids: dict[str, int] = {}
+    rows: list[Row] = []
+    for line in text.splitlines():
+        fields = line.split(None, 5)
+        if not fields:
+            continue
+        if len(fields) < 5 or not fields[4].isdigit():
             raise ProcMapsError(f"unparsable maps line: {line!r}")
-        start = int(match["start"], 16)
-        end = int(match["end"], 16)
-        offset = int(match["offset"], 16)
+        path = paths.get(fields[4])
+        if path is None or file_filter not in (None, path):
+            continue
+        start, dash, end = fields[0].partition("-")
+        try:
+            if not dash or len(fields[1]) != 4 or ":" not in fields[3]:
+                raise ValueError
+            start, end, offset = int(start, 16), int(end, 16), int(fields[2], 16)
+        except ValueError:
+            raise ProcMapsError(f"unparsable maps line: {line!r}") from None
         if start % PAGE_SIZE or end % PAGE_SIZE or offset % PAGE_SIZE:
             raise ProcMapsError(f"addresses not page aligned: {line!r}")
         if end <= start:
             raise ProcMapsError(f"empty or inverted range: {line!r}")
-        entries.append(
-            MapsEntry(
-                start_vpn=start // PAGE_SIZE,
-                npages=(end - start) // PAGE_SIZE,
-                perms=match["perms"],
-                file_page=offset // PAGE_SIZE,
-                dev=match["dev"],
-                inode=int(match["inode"]),
-                pathname=match["path"] or "",
-            )
-        )
-    if cost is not None:
-        cost.maps_parse(len(lines), lane)
-    return entries
+        start //= PAGE_SIZE
+        end //= PAGE_SIZE
+        if find(start) is None or find(end - 1) is None:
+            continue
+        pid = path_ids.setdefault(path, len(path_ids))
+        rows.append((start, end - start, offset // PAGE_SIZE, pid))
+    return list(path_ids), rows
 
 
 #: A physical page identity inside a snapshot: (file pathname, file page).
@@ -144,7 +125,7 @@ def _expand_runs(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class MappingSnapshot:
-    """Page-wise virtual↔physical mapping built from maps entries.
+    """Page-wise virtual↔physical mapping built from maps rows.
 
     Forward direction (virtual page → physical page) is one-to-one;
     the reverse direction is one-to-many because overlapping views share
@@ -153,7 +134,7 @@ class MappingSnapshot:
     and discarded afterwards, exactly as Section 2.5 describes.
 
     The bulk of a snapshot's life is construction — one entry per mapped
-    page — so it takes the maps entries as *columns* and expands them to
+    page — so it takes the maps lines as *columns* and expands them to
     pages with whole-array operations, and answers lookups by binary
     search over the (virtually sorted) page arrays.  The handful of
     mutations a maintenance batch performs live in a small overlay dict
@@ -166,13 +147,15 @@ class MappingSnapshot:
     def __init__(
         self,
         paths: Sequence[str] = (),
-        rows: Sequence[tuple[int, int, int, int]] = (),
+        rows: Sequence[Row] = (),
         cost: CostModel | None = None,
         lane: str = MAIN_LANE,
     ) -> None:
         """Build from one ``(start_vpn, npages, file_page, path id)`` row
-        per file-backed maps entry; ``paths[path id]`` is its pathname."""
+        per file-backed maps line; ``paths[path id]`` is its pathname."""
         self._cost = cost
+        #: Maps lines the snapshot was built from.
+        self.lines = len(rows)
         self._paths = paths
         self._path_ids = {path: pid for pid, path in enumerate(paths)}
         flat = np.fromiter(chain.from_iterable(rows), np.int64, 4 * len(rows))
@@ -202,29 +185,6 @@ class MappingSnapshot:
         self._rev_base: int = 1
         if cost is not None and entry.size:
             cost.bimap_op(int(entry.size), lane)
-
-    @classmethod
-    def from_entries(
-        cls,
-        entries: Iterable[MapsEntry],
-        cost: CostModel | None = None,
-        lane: str = MAIN_LANE,
-        file_filter: str | None = None,
-    ) -> "MappingSnapshot":
-        """Build from parsed maps entries (anonymous and filtered-out
-        lines skipped)."""
-        path_ids: dict[str, int] = {}
-        rows = [
-            (
-                entry.start_vpn,
-                entry.npages,
-                entry.file_page,
-                path_ids.setdefault(entry.pathname, len(path_ids)),
-            )
-            for entry in entries
-            if not entry.anonymous and file_filter in (None, entry.pathname)
-        ]
-        return cls(list(path_ids), rows, cost=cost, lane=lane)
 
     # -- internal lookups (uncharged) -----------------------------------
 
@@ -345,40 +305,3 @@ class MappingSnapshot:
             which = np.concatenate(extra_which)
             vpns = np.concatenate(extra_vpns)
         return which, vpns
-
-
-def snapshot_address_space(
-    address_space: AddressSpace,
-    cost: CostModel | None = None,
-    lane: str = MAIN_LANE,
-    file_filter: str | None = None,
-    shm_prefix: str = "/dev/shm/",
-) -> MappingSnapshot:
-    """Materialize one address space page-wise in one step.
-
-    This is the "parse the file only once before applying a batch of
-    updates" operation from Section 2.5.  It reads the columns of the
-    maps file straight off the VMA list instead of rendering text and
-    parsing it back, but charges what the simulated process pays for
-    re-reading ``/proc/PID/maps``: the open, one parse per line (= VMA)
-    and one bimap insert per file-backed page.
-    """
-    paths: list[str] = []
-    path_id_of: dict[str, int] = {}  # file name -> path id, -1: filtered out
-    rows = []
-    for vma in address_space.vmas():
-        if vma.file is None:
-            continue
-        name = vma.file.name
-        pid = path_id_of.get(name)
-        if pid is None:
-            path = f"{shm_prefix}{name}"
-            pid = len(paths) if file_filter in (None, path) else -1
-            path_id_of[name] = pid
-            if pid >= 0:
-                paths.append(path)
-        if pid >= 0:
-            rows.append((vma.start, vma.npages, vma.file_page, pid))
-    if cost is not None:
-        cost.maps_parse(address_space.num_vmas, lane)
-    return MappingSnapshot(paths, rows, cost=cost, lane=lane)

@@ -56,9 +56,9 @@ from repro.seeds import derive_seed
 from repro.substrate import make_substrate
 from repro.substrate.native import NativeSubstrate
 from repro.vm.constants import VALUES_PER_PAGE
-from repro.vm.procmaps import parse_maps
 
 from ..conftest import uniform_column
+from ..vm.snapshot_oracle import parse_maps
 from .build_first_oracle import build_first
 
 FUZZ_SCHEDULES = int(os.environ.get("REPRO_FUZZ_SCHEDULES", "200"))

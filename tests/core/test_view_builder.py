@@ -35,7 +35,8 @@ from repro.resilience.quarantine import ViewRebuilder
 from repro.substrate import make_substrate
 from repro.substrate.native import NativeSubstrate
 from repro.vm.constants import VALUES_PER_PAGE
-from repro.vm.procmaps import parse_maps
+
+from ..vm.snapshot_oracle import parse_maps
 
 NUM_PAGES = 512
 LO, HI = 100, 5000

@@ -202,7 +202,7 @@ MUTANTS = (
     # -- a discarded candidate is booked, not reserved ------------------
     Mutant(
         name="booked-discard-keeps-the-allocator-still",
-        path="src/repro/substrate/simulated.py",
+        path="src/repro/substrate/interface.py",
         old="        self.address_space.allocate_region(capacity)\n",
         new="",
         tests=(
@@ -257,26 +257,69 @@ MUTANTS = (
     ),
     Mutant(
         name="native-snapshot-keeps-lines-outside-the-book",
-        path="src/repro/substrate/native.py",
+        path="src/repro/vm/procmaps.py",
         old=(
-            "                if not e.anonymous\n"
-            "                and book.find_vma(e.start_vpn) is not None\n"
-            "                and book.find_vma(e.end_vpn - 1) is not None\n"
+            "        if find(start) is None or find(end - 1) is None:\n"
+            "            continue\n"
         ),
-        new="                if not e.anonymous\n",
+        new="",
         tests=(
             "tests/native/test_page_table.py::test_the_book_agrees_with_the_kernel_after_every_step",
             "tests/native/test_store_growth.py",
+            "tests/vm/test_procmaps_kernel.py::TestMapsRowsOnTheCapture",
         ),
     ),
     Mutant(
         name="plan-check-skipped",
         path="src/repro/substrate/interface.py",
-        old="        _check_plan(vpns, npages, file, file_pages)\n",
+        old="        _check_plan(vpns, npages, file, file_pages, self.address_space)\n",
         new="",
         tests=(
             "tests/substrate/test_book.py::test_a_run_outside_its_file_is_refused",
             "tests/vm/test_plan_validation.py",
+        ),
+    ),
+    # -- one maps snapshot on both backends ------------------------------
+    Mutant(
+        name="native-snapshot-charges-kept-lines",
+        path="src/repro/substrate/interface.py",
+        old="cost.maps_parse(self.address_space.num_vmas, lane)",
+        new="cost.maps_parse(len(rows) if self.wall else self.address_space.num_vmas, lane)",
+        tests=(
+            "tests/native/test_parity.py::test_the_mixed_stream_charges_the_same_ledger_on_both_backends",
+            "tests/native/test_parity.py::test_fig7_charges_the_same_ledgers_on_both_backends",
+        ),
+    ),
+    Mutant(
+        name="native-rows-drop-file-offset",
+        path="src/repro/vm/procmaps.py",
+        old="rows.append((start, end - start, offset // PAGE_SIZE, pid))",
+        new="rows.append((start, end - start, 0, pid))",
+        tests=("tests/vm/test_procmaps_kernel.py::TestMapsRowsOnTheCapture",),
+    ),
+    Mutant(
+        name="native-areas-placed-by-the-kernel",
+        path="src/repro/substrate/native.py",
+        old="                hint, npages * PAGE_SIZE, prot, flags, fd, file_page * PAGE_SIZE",
+        new="                None, npages * PAGE_SIZE, prot, flags, fd, file_page * PAGE_SIZE",
+        tests=(
+            "tests/native/test_parity.py::test_the_mixed_stream_charges_the_same_ledger_on_both_backends",
+        ),
+    ),
+    Mutant(
+        name="plan-outside-book-accepted",
+        path="src/repro/substrate/interface.py",
+        old="            if find(vpn) is None:\n",
+        new="            if False:\n",
+        tests=("tests/substrate/test_book.py::test_a_run_outside_every_area_is_refused",),
+    ),
+    Mutant(
+        name="auditor-skips-kernel-bound",
+        path="src/repro/audit/invariants.py",
+        old="        if snapshot.lines > book_lines:\n",
+        new="        if False:\n",
+        tests=(
+            "tests/native/test_page_table.py::test_the_auditor_bounds_the_kernel_lines_by_the_book",
         ),
     ),
     Mutant(

@@ -17,7 +17,9 @@ own maps file is checked against the book:
   file pages.
 
 Two pins go with it: a query stream under a maps-line budget reads the
-maps file zero times, and a flush reads it once.
+maps file zero times, and a flush reads it once.  And the auditor holds
+the kernel to the book (a flush is charged for the book's lines): a
+kernel line split in two inside an area is a finding.
 
 ``REPRO_SEED`` re-seeds the streams, ``REPRO_FUZZ_SCHEDULES`` (default
 200) sets how many run (one per 20 schedules); a failing stream names
@@ -39,7 +41,8 @@ from repro.native import is_supported
 from repro.resilience import ResilienceConfig
 from repro.seeds import derive_seed
 from repro.vm.constants import PAGE_SIZE, VALUES_PER_PAGE
-from repro.vm.procmaps import parse_maps
+
+from ..vm.snapshot_oracle import parse_maps
 
 pytestmark = pytest.mark.skipif(
     not is_supported(), reason="native rewiring unsupported on this platform"
@@ -222,3 +225,43 @@ def test_a_flush_reads_the_maps_file_once():
         assert db.audit().ok
     finally:
         db.close()
+
+
+def _split_one_line(text: str, path: str, book) -> str:
+    """``text`` with one line of ``path`` inside ``book``'s areas split in
+    two at its second page: the same pages, one line more."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        fields = line.split(None, 5)
+        if fields[5:] != [path]:
+            continue
+        start, end = (int(x, 16) for x in fields[0].split("-"))
+        if end - start < 2 * PAGE_SIZE or book.find_vma(start // PAGE_SIZE) is None:
+            continue
+        middle, offset = start + PAGE_SIZE, int(fields[2], 16) + PAGE_SIZE
+        rest = " ".join([fields[1], "%08x" % offset, *fields[3:]])
+        lines[i : i + 1] = [
+            " ".join([f"{start:x}-{middle:x}", *fields[1:]]),
+            f"{middle:x}-{end:x} {rest}",
+        ]
+        return "\n".join(lines) + "\n"
+    raise AssertionError(f"no line of {path!r} to split")
+
+
+def test_the_auditor_bounds_the_kernel_lines_by_the_book(monkeypatch):
+    """A flush is charged for the book's lines, so the auditor holds the
+    kernel to them: a kernel line the book does not hold is a finding,
+    although the snapshot maps the same pages."""
+    with AdaptiveDatabase(backend="native") as db:
+        db.create_table("t", {"v": VALUES})
+        db.query("t", "v", 100, 900)
+        assert db.audit().ok
+        sub = db.substrate
+        path = sub.file_map_path(db.table("t").column("v").file)
+        read = sub.maps_text
+        monkeypatch.setattr(
+            sub, "maps_text", lambda: _split_one_line(read(), path, sub.address_space)
+        )
+        report = db.audit()
+    assert [f.invariant for f in report.findings] == ["region-accounting"]
+    assert "lines" in report.findings[0].detail

@@ -1,20 +1,39 @@
-"""Sim-vs-native behavioural parity: one workload, both kernels.
+"""Sim-vs-native parity: one workload, both kernels.
 
 The same column and the same seeded query/update sequence run once on
 the simulated substrate and once on the real Linux kernel.  The two
 backends must agree on everything observable above the substrate line:
 query results, the page sets each partial view maps, and the number of
 maps lines the column's views occupy (kernel VMA merging must match the
-simulator's VMA merging).  Simulated time is *not* compared to wall
-time — the ledgers measure different clocks by design.
+simulator's VMA merging).
+
+The differential goes further: the simulated ledger a session charges —
+every lane and every counter — is ``==`` across the backends, on the
+mixed query/update/flush stream (seeded by ``REPRO_SEED``) and on
+Figure 7.  Both backends charge a flush's maps parse for the page
+table's lines, so the native ledger no longer depends on what else the
+process maps.  Wall time is not compared: it is a different clock.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro import AdaptiveConfig, AdaptiveDatabase
+from repro.bench import fig7
 from repro.native import is_supported
-from repro.vm.procmaps import parse_maps
+from repro.seeds import base_seed
+from repro.storage.column import PhysicalColumn
+from repro.substrate import SimulatedSubstrate
+from repro.substrate.native import NativeSubstrate
+from repro.vm.constants import VALUES_PER_PAGE
+from repro.vm.cost import CostModel
+from repro.vm.physical import PhysicalMemory
+from repro.workloads.distributions import DEFAULT_DOMAIN, sine
+from repro.workloads.queries import shifting_hotspot
+
+from ..vm.snapshot_oracle import parse_maps
 
 pytestmark = pytest.mark.skipif(
     not is_supported(), reason="native rewiring unsupported on this platform"
@@ -135,3 +154,80 @@ class TestParity:
         for key in ("views", "maps_regions", "mapped_pages", "checks"):
             assert sim["audit"][key] == native["audit"][key], key
         assert sim["audit"]["views"]  # non-trivial structure compared
+
+
+# -- the differential: every ledger lane and counter, both backends ---------
+
+MIXED_PAGES = 256
+MIXED_READS = 60
+READS_PER_BATCH = 10
+UPDATES_PER_BATCH = 100
+
+
+def _mixed_stream(backend: str, seed: int) -> tuple[dict, dict]:
+    """The ``mixed_updates`` session shape: 1 % range reads in a shifting
+    hotspot, and after every tenth read 100 updates and one flush.  The
+    ledger's lanes and counters at its end."""
+    values = sine(MIXED_PAGES, seed=seed)
+    reads = shifting_hotspot(
+        MIXED_READS, selectivity=0.01, num_phases=3, hotspot_fraction=0.2, seed=seed
+    )
+    rng = np.random.default_rng([seed, UPDATES_PER_BATCH])
+    shape = (MIXED_READS // READS_PER_BATCH, UPDATES_PER_BATCH)
+    rows = rng.integers(0, MIXED_PAGES * VALUES_PER_PAGE, size=shape)
+    news = rng.integers(*DEFAULT_DOMAIN, size=shape, endpoint=True)
+    with AdaptiveDatabase(backend=backend) as db:
+        db.create_table("t", {"v": values})
+        for i, query in enumerate(reads):
+            db.query("t", "v", query.lo, query.hi)
+            if (i + 1) % READS_PER_BATCH == 0:
+                batch = i // READS_PER_BATCH
+                for row, new in zip(rows[batch].tolist(), news[batch].tolist()):
+                    db.update("t", "v", row, new)
+                db.flush_updates("t", "v")
+        ledger = db.cost.ledger
+        return ledger.lanes(), ledger.counters()
+
+
+def test_the_mixed_stream_charges_the_same_ledger_on_both_backends():
+    seed = base_seed()
+    lanes, counters = _mixed_stream("native", seed)
+    want_lanes, want_counters = _mixed_stream("simulated", seed)
+    assert counters == want_counters, f"REPRO_SEED={seed}"
+    assert lanes == want_lanes, f"REPRO_SEED={seed}"
+    assert counters["maps_lines_parsed"] > 0 and counters["pages_mapped"] > 0
+
+
+def _fig7(backend: str) -> tuple[fig7.Fig7Result, list]:
+    """Figure 7 at 512 pages, every column on ``backend``; the result and
+    each column's ledger."""
+    columns = []
+
+    def fresh_column(values, name="col", record_bytes=8):
+        cost = CostModel()
+        if backend == "native":
+            substrate = NativeSubstrate(cost=cost)
+        else:
+            substrate = SimulatedSubstrate(memory=PhysicalMemory(cost=cost))
+        column = PhysicalColumn.create(substrate, name, values, record_bytes=record_bytes)
+        columns.append(column)
+        return column
+
+    try:
+        with mock.patch.object(fig7, "fresh_column", fresh_column):
+            result = fig7.run_fig7(num_pages=512, batch_sizes=[10, 100])
+        ledgers = [
+            (c.cost.ledger.lanes(), c.cost.ledger.counters()) for c in columns
+        ]
+    finally:
+        for column in columns:
+            column.substrate.close()
+    return result, ledgers
+
+
+def test_fig7_charges_the_same_ledgers_on_both_backends():
+    native, native_ledgers = _fig7("native")
+    simulated, simulated_ledgers = _fig7("simulated")
+    assert native_ledgers == simulated_ledgers
+    assert native.points == simulated.points
+    assert all(p.maps_lines > 0 for p in native.points)

@@ -8,9 +8,10 @@ whole stack runs on the oracles inside the ``with`` body:
 * the whole-page scan (:mod:`tests.core.scan_oracle`) for
   ``repro.core.scan._scan_by_extent``;
 * the rendered-and-parsed dict snapshot (:mod:`tests.vm.snapshot_oracle`)
-  for ``snapshot_address_space`` (in ``repro.vm.procmaps`` and where the
-  simulated backend imported it) and for ``MappingSnapshot`` on the
-  native one;
+  for the rows of ``Substrate.maps_snapshot`` (``Substrate._maps_rows``
+  and the native backend's override: the maps text parsed by
+  ``parse_maps``) and for ``MappingSnapshot``, where the substrate base
+  class looks it up;
 * the per-request view-creation loop (:mod:`tests.core.creation_oracle`)
   for ``materialize_pages``, where the one view builder looks it up;
 * the per-pair alignment loop (:mod:`tests.core.alignment_oracle`) for
@@ -34,14 +35,14 @@ from unittest import mock
 from repro.baselines import virtual_view_index
 from repro.bench import fig7
 from repro.core import adaptive, creation, scan
-from repro.substrate import native, simulated
-from repro.vm import procmaps
+from repro.substrate import interface
+from repro.substrate.native import NativeSubstrate
 from repro.wal.log import WriteAheadLog
 
 from .core.alignment_oracle import oracle_align_partial_views
 from .core.creation_oracle import oracle_materialize_pages
 from .core.scan_oracle import oracle_scan_by_extent
-from .vm.snapshot_oracle import OracleMappingSnapshot, oracle_snapshot_address_space
+from .vm.snapshot_oracle import OracleMappingSnapshot, oracle_maps_rows
 from .wal.journal_oracle import oracle_append, oracle_append_row
 
 #: Run the ``with`` body on the production paths (patches nothing).
@@ -53,13 +54,9 @@ def reference_paths() -> Iterator[None]:
     """Run the ``with`` body on the oracles of every replaced kernel."""
     with (
         mock.patch.object(scan, "_scan_by_extent", oracle_scan_by_extent),
-        mock.patch.object(
-            procmaps, "snapshot_address_space", oracle_snapshot_address_space
-        ),
-        mock.patch.object(
-            simulated, "snapshot_address_space", oracle_snapshot_address_space
-        ),
-        mock.patch.object(native, "MappingSnapshot", OracleMappingSnapshot),
+        mock.patch.object(interface.Substrate, "_maps_rows", oracle_maps_rows),
+        mock.patch.object(NativeSubstrate, "_maps_rows", oracle_maps_rows),
+        mock.patch.object(interface, "MappingSnapshot", OracleMappingSnapshot),
         mock.patch.object(creation, "materialize_pages", oracle_materialize_pages),
         mock.patch.object(adaptive, "align_partial_views", oracle_align_partial_views),
         mock.patch.object(

@@ -3,7 +3,9 @@
 ``Substrate`` checks every mapping operation before the backend issues
 anything, then books it in its page table (``address_space``).  So a run
 that reaches outside its file is refused alike on both backends, before
-any syscall (on native, a read of such a page would raise SIGBUS), and a
+any syscall (on native, a read of such a page would raise SIGBUS); so is
+a run that starts outside every area the page table holds (on native, a
+real ``MAP_FIXED`` over whatever the process has mapped there); and a
 plan the backend fails at run ``k`` leaves runs ``[0, k)`` in the page
 table, as in the kernel, and no more.
 """
@@ -16,7 +18,9 @@ import pytest
 from repro.native import is_supported
 from repro.substrate import SimulatedSubstrate, make_substrate
 from repro.vm.errors import MapError
-from repro.vm.procmaps import parse_maps
+
+from ..conftest import to_reservation
+from ..vm.snapshot_oracle import parse_maps
 
 needs_native = pytest.mark.skipif(
     not is_supported(), reason="native rewiring unsupported here"
@@ -64,6 +68,47 @@ def test_a_run_outside_its_file_is_refused(backend, call):
             call(sub, file, base)
         assert _state(sub, path) == before
         assert not sub.peek_virtual(base).any()
+    finally:
+        sub.close()
+
+
+def _released(sub, f, v):
+    sub.release_region(v, 4, 0)
+    sub.map_fixed(v, 2, f, 0)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda sub, f, v: sub.map_fixed(v + 100, 2, f, 0), id="past-the-area"),
+        pytest.param(
+            lambda sub, f, v: sub.map_runs(
+                v + np.array([0, 100]), np.array([1, 1]), f, np.array([0, 1])
+            ),
+            id="second-run-past-the-area",
+        ),
+        pytest.param(lambda sub, f, v: to_reservation(sub, v + 100, 2), id="anonymous"),
+        pytest.param(_released, id="released-area"),
+    ],
+)
+def test_a_run_outside_every_area_is_refused(backend, call, monkeypatch):
+    """``reserve(4)`` then ``map_fixed(base + 100, 2, f, 0)``: refused
+    whole, before the backend is asked to issue anything."""
+    sub = make_substrate(backend)
+    try:
+        file = sub.create_file("f", 4)
+        base = sub.reserve(4)
+        path = sub.file_map_path(file)
+
+        def issued(*args):
+            pytest.fail("a plan outside every area reached the backend")
+
+        monkeypatch.setattr(sub, "_issue_runs", issued)
+        with pytest.raises(MapError, match="outside every area"):
+            call(sub, file, base)
+        assert sub.maps_line_count(path) == 0
+        assert sub.cost.ledger.counter("pages_mapped") == 0
     finally:
         sub.close()
 

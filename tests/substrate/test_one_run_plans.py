@@ -44,7 +44,8 @@ from repro.native import is_supported
 from repro.seeds import derive_seed
 from repro.substrate import make_substrate
 from repro.vm.cost import MAIN_LANE, MAPPER_LANE
-from repro.vm.procmaps import parse_maps
+
+from ..vm.snapshot_oracle import parse_maps
 
 FUZZ_SCHEDULES = int(os.environ.get("REPRO_FUZZ_SCHEDULES", "200"))
 

@@ -24,10 +24,11 @@ from repro.vm.address_space import AddressSpace
 from repro.vm.cost import CostModel
 from repro.vm.errors import FileError
 from repro.vm.physical import PhysicalMemory
-from repro.vm.procmaps import render_maps, snapshot_address_space
+from repro.vm.procmaps import render_maps
 from repro.vm.vma import Vma
 
 from ..conftest import to_reservation
+from ..vm.snapshot_oracle import OracleMappingSnapshot, entries_rows, parse_maps
 
 
 @pytest.fixture
@@ -154,11 +155,10 @@ class TestBitIdentity:
         aspace.map_runs([Vma(base + 1, 1)])
         cost.anon_mmap()
         aspace.translate(base + 4)
-        snapshot_address_space(
-            aspace,
-            cost=cost,
-            shm_prefix=SHM_PREFIX,
-            file_filter=f"{SHM_PREFIX}col",
+        # the snapshot: one parse per maps line, one bimap op per page
+        entries = parse_maps(render_maps(aspace, shm_prefix=SHM_PREFIX), cost=cost)
+        OracleMappingSnapshot(
+            *entries_rows(entries, file_filter=f"{SHM_PREFIX}col"), cost=cost
         )
         aspace.remove_mapping(base, 8)
         cost.munmap_call(4)

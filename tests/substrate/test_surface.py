@@ -21,9 +21,10 @@ from repro.substrate.interface import Substrate
 from repro.substrate.native import NativeSubstrate
 
 #: ``reserve``, ``map_file``, ``apply_runs``, ``release_region``,
-#: ``peek_virtual`` and ``maps_line_count`` are written once, in the base
-#: class, over the page table both backends keep; a backend supplies only
-#: the step that differs (the four private hooks).
+#: ``peek_virtual``, ``maps_line_count`` and ``maps_snapshot`` are
+#: written once, in the base class, over the page table both backends
+#: keep; a backend supplies only the step that differs (the private
+#: hooks; ``_maps_rows`` has a default, read off the page table).
 ABSTRACT = {
     "create_file",
     "get_file",
@@ -34,7 +35,6 @@ ABSTRACT = {
     "_unmap_area",
     "_read_page",
     "maps_text",
-    "maps_snapshot",
     "file_map_path",
 }
 
@@ -66,11 +66,13 @@ def test_the_page_table_operations_are_written_once():
     # backend keeps only its hooks.
     once = (
         "reserve", "map_file", "apply_runs", "release_region",
-        "peek_virtual", "maps_line_count",
+        "peek_virtual", "maps_line_count", "maps_snapshot", "book_discard",
     )
     for backend in (SimulatedSubstrate, NativeSubstrate):
         for name in once:
             assert name not in vars(backend), f"{backend.__name__}.{name}"
+    # the simulated backend's snapshot rows are the base class's own
+    assert "_maps_rows" not in vars(SimulatedSubstrate)
 
 
 def test_map_fixed_resolves_to_the_base_class_plan():

@@ -9,6 +9,10 @@ methods verbatim, as free functions over an :class:`AddressSpace`'s own
 lists, with :func:`split_at` the split and :func:`overlaps` the
 overlap test they were built from.
 
+:func:`check_inside` is the one check the old walk did not make: a plan
+whose run starts outside every area is refused whole, before anything
+changes, as ``Substrate.apply_runs`` refuses it.
+
 :func:`oracle_map_runs` is the loop ``materialize_pages`` used to drive
 through ``Substrate.map_fixed``: one old ``mmap(MAP_FIXED)`` of a file
 per run, each charging its own syscall, page-table and soft-fault cost
@@ -107,6 +111,13 @@ def replace_mapping(aspace: AddressSpace, vma: Vma) -> None:
     with aspace.lock:
         _remove_mapping_locked(aspace, vma.start, vma.npages)
         _add_mapping_locked(aspace, vma)
+
+
+def check_inside(aspace: AddressSpace, vpns) -> None:
+    """Refuse a plan with a run whose first page no VMA holds."""
+    for vpn in vpns:
+        if aspace.find_vma(int(vpn)) is None:
+            raise MapError(f"run at page {int(vpn):#x} lies outside every area")
 
 
 def oracle_map_fixed(

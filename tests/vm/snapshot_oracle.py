@@ -1,15 +1,20 @@
-"""The dict-backed maps snapshot, kept as the parity oracle.
+"""The kernel-format parser and the dict-backed maps snapshot, kept as
+the parity oracles.
 
-This is how ``repro.vm.procmaps`` materialized ``/proc/PID/maps`` page
-by page before the snapshot was built from columns: the address space
-rendered as text, parsed back into entries, and every mapped page
-inserted into a forward dict and a reverse dict of sets, one at a time.
-:func:`oracle_snapshot_address_space` has
-``snapshot_address_space``'s signature and
-:meth:`OracleMappingSnapshot.from_entries` has
-``MappingSnapshot.from_entries``'s, so
-``tests.oracle_paths.reference_paths`` can patch them in for both
-backends; ``tests/vm/test_procmaps*.py``,
+:func:`parse_maps` is the regex parser of ``/proc/PID/maps`` text into
+:class:`MapsEntry` records that ``repro.vm.procmaps`` used before a
+snapshot was read straight into rows (``repro.vm.procmaps.maps_rows``);
+it is the oracle for the kernel format, simulated and real alike.
+
+:class:`OracleMappingSnapshot` is how ``repro.vm.procmaps``
+materialized ``/proc/PID/maps`` page by page before the snapshot was
+built from columns: every mapped page inserted into a forward dict and
+a reverse dict of sets, one at a time.  It takes
+``MappingSnapshot``'s arguments, and :func:`oracle_maps_rows` has
+``Substrate._maps_rows``'s signature: it renders or reads the backend's
+maps text and parses it with :func:`parse_maps`.  So
+``tests.oracle_paths.reference_paths`` can patch both in for every
+backend; ``tests/vm/test_procmaps*.py``,
 ``tests/core/test_alignment_kernel.py`` and
 ``tests/native/test_substrate.py`` then require equal answers and
 ledgers.
@@ -17,17 +22,116 @@ ledgers.
 
 from __future__ import annotations
 
-from typing import Iterable
+import re
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.vm.address_space import AddressSpace
+from repro.vm.constants import PAGE_SIZE
 from repro.vm.cost import MAIN_LANE, CostModel
-from repro.vm.procmaps import MapsEntry, PhysPage, parse_maps, render_maps
+from repro.vm.errors import ProcMapsError
+from repro.vm.procmaps import PhysPage
+
+_LINE_RE = re.compile(
+    r"^(?P<start>[0-9a-f]+)-(?P<end>[0-9a-f]+)\s+"
+    r"(?P<perms>[rwxps-]{4})\s+"
+    r"(?P<offset>[0-9a-f]+)\s+"
+    r"(?P<dev>[0-9a-f]+:[0-9a-f]+)\s+"
+    r"(?P<inode>\d+)"
+    r"(?:\s+(?P<path>\S.*))?$"
+)
+
+
+@dataclass(frozen=True)
+class MapsEntry:
+    """One parsed line of a maps file, in page units."""
+
+    start_vpn: int
+    npages: int
+    perms: str
+    file_page: int
+    dev: str
+    inode: int
+    pathname: str
+
+    @property
+    def anonymous(self) -> bool:
+        """Whether the line describes an anonymous mapping."""
+        return not self.pathname
+
+    @property
+    def end_vpn(self) -> int:
+        """One past the last virtual page."""
+        return self.start_vpn + self.npages
+
+
+def parse_maps(
+    text: str, cost: CostModel | None = None, lane: str = MAIN_LANE
+) -> list[MapsEntry]:
+    """Parse maps-file text into :class:`MapsEntry` records.
+
+    Accepts both the simulated renderer's output and real ``/proc`` maps
+    content.  Charges one line-parse cost per line if ``cost`` is given.
+    """
+    entries = []
+    lines = [line for line in text.splitlines() if line.strip()]
+    for line in lines:
+        match = _LINE_RE.match(line.strip())
+        if match is None:
+            raise ProcMapsError(f"unparsable maps line: {line!r}")
+        start = int(match["start"], 16)
+        end = int(match["end"], 16)
+        offset = int(match["offset"], 16)
+        if start % PAGE_SIZE or end % PAGE_SIZE or offset % PAGE_SIZE:
+            raise ProcMapsError(f"addresses not page aligned: {line!r}")
+        if end <= start:
+            raise ProcMapsError(f"empty or inverted range: {line!r}")
+        entries.append(
+            MapsEntry(
+                start_vpn=start // PAGE_SIZE,
+                npages=(end - start) // PAGE_SIZE,
+                perms=match["perms"],
+                file_page=offset // PAGE_SIZE,
+                dev=match["dev"],
+                inode=int(match["inode"]),
+                pathname=match["path"] or "",
+            )
+        )
+    if cost is not None:
+        cost.maps_parse(len(lines), lane)
+    return entries
+
+
+def entries_rows(
+    entries: list[MapsEntry], file_filter: str | None = None
+) -> tuple[list[str], list[tuple[int, int, int, int]]]:
+    """Snapshot rows of the file-backed ``entries`` (of ``file_filter``
+    only, if given), and the pathnames their path ids index."""
+    path_ids: dict[str, int] = {}
+    rows = [
+        (e.start_vpn, e.npages, e.file_page, path_ids.setdefault(e.pathname, len(path_ids)))
+        for e in entries
+        if not e.anonymous and file_filter in (None, e.pathname)
+    ]
+    return list(path_ids), rows
+
+
+def oracle_maps_rows(substrate, file_filter: str | None = None):
+    """``Substrate._maps_rows`` through the maps text: parse every line,
+    keep the file-backed ones inside the page table's areas."""
+    book = substrate.address_space
+    entries = [
+        e
+        for e in parse_maps(substrate.maps_text())
+        if book.find_vma(e.start_vpn) is not None
+        and book.find_vma(e.end_vpn - 1) is not None
+    ]
+    return entries_rows(entries, file_filter)
 
 
 class OracleMappingSnapshot:
-    """Page-wise virtual↔physical mapping built from parsed maps entries.
+    """Page-wise virtual↔physical mapping built from maps rows.
 
     Forward direction (virtual page → physical page) is one-to-one;
     the reverse direction is one-to-many because overlapping views share
@@ -38,40 +142,25 @@ class OracleMappingSnapshot:
 
     def __init__(
         self,
-        entries: list[MapsEntry] | None = None,
+        paths: Sequence[str] = (),
+        rows: Sequence[tuple[int, int, int, int]] = (),
         cost: CostModel | None = None,
         lane: str = MAIN_LANE,
-        file_filter: str | None = None,
     ) -> None:
         self._forward: dict[int, PhysPage] = {}
         self._reverse: dict[PhysPage, set[int]] = {}
         self._cost = cost
+        self.lines = len(rows)
         total = 0
-        for entry in entries or []:
-            if entry.anonymous:
-                continue
-            if file_filter is not None and entry.pathname != file_filter:
-                continue
-            path = entry.pathname
-            for i in range(entry.npages):
-                self._map_uncharged(entry.start_vpn + i, (path, entry.file_page + i))
-            total += entry.npages
+        for start_vpn, npages, file_page, pid in rows:
+            path = paths[pid]
+            for i in range(npages):
+                self._map_uncharged(start_vpn + i, (path, file_page + i))
+            total += npages
         # All construction-time inserts are charged with one ledger call
         # (same total as charging page by page).
         if cost is not None and total:
             cost.bimap_op(total, lane)
-
-    @classmethod
-    def from_entries(
-        cls,
-        entries: Iterable[MapsEntry],
-        cost: CostModel | None = None,
-        lane: str = MAIN_LANE,
-        file_filter: str | None = None,
-    ) -> "OracleMappingSnapshot":
-        """``MappingSnapshot.from_entries``'s signature, so that the
-        native backend builds this class when it is patched in."""
-        return cls(list(entries), cost=cost, lane=lane, file_filter=file_filter)
 
     def __len__(self) -> int:
         return len(self._forward)
@@ -132,19 +221,3 @@ class OracleMappingSnapshot:
             which.extend([i] * len(virtuals))
             vpns.extend(virtuals)
         return np.array(which, dtype=np.int64), np.array(vpns, dtype=np.int64)
-
-
-def oracle_snapshot_address_space(
-    address_space: AddressSpace,
-    cost: CostModel | None = None,
-    lane: str = MAIN_LANE,
-    file_filter: str | None = None,
-    shm_prefix: str = "/dev/shm/",
-) -> OracleMappingSnapshot:
-    """Materialize one address space through its maps text: render,
-    parse (charging one parse per line), then insert page by page."""
-    text = render_maps(address_space, shm_prefix=shm_prefix)
-    entries = parse_maps(text, cost=cost, lane=lane)
-    return OracleMappingSnapshot(
-        entries, cost=cost, lane=lane, file_filter=file_filter
-    )

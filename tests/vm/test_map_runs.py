@@ -9,9 +9,12 @@ per-request creation loop in :mod:`tests.core.creation_oracle`.  Every test here
 builds the same state twice, once through each, and requires what can be
 observed to be equal: the VMAs, the allocator's bump pointer, the
 rendered ``/proc``-format text byte for byte, the columns the maps
-snapshot is built from, ledger lanes (``==``, not approx) and counters —
+snapshot is built from (``maps_snapshot`` against the rendered text
+parsed back), ledger lanes (``==``, not approx) and counters —
 and, with the fault plane armed, the journal, the mapped prefix, the
-views' ``_touched`` flags and the retry counters.
+views' ``_touched`` flags and the retry counters.  A plan with a run
+that starts outside every area is refused whole on both sides
+(``mapping_oracle.check_inside`` on the walk's).
 
 Knobs: ``REPRO_SEED`` re-seeds the bulk sweep, ``REPRO_FUZZ_SCHEDULES``
 sets its length (default 200); a failing sweep entry names its seed.
@@ -40,12 +43,13 @@ from repro.vm.constants import VALUES_PER_PAGE
 from repro.vm.cost import MAIN_LANE, MAPPER_LANE, CostModel
 from repro.vm.errors import MapError, VmError
 from repro.vm.physical import PhysicalMemory
-from repro.vm.procmaps import render_maps, snapshot_address_space
+from repro.vm.procmaps import MappingSnapshot, render_maps
 from repro.vm.vma import Vma
 
 from ..conftest import to_reservation
 from ..core.creation_oracle import oracle_materialize_pages
 from . import mapping_oracle
+from .snapshot_oracle import entries_rows, parse_maps
 
 FUZZ_SCHEDULES = int(os.environ.get("REPRO_FUZZ_SCHEDULES", "200"))
 
@@ -110,6 +114,7 @@ class Side:
             ]
             args = (base + columns[0], columns[1], self.files[name], columns[2])
             if self.oracle:
+                mapping_oracle.check_inside(aspace, args[0])
                 mapping_oracle.oracle_map_runs(aspace, cost, *args, populate, lane)
             else:
                 self.substrate.map_runs(*args, populate, lane)
@@ -117,6 +122,7 @@ class Side:
             _, name, offset, npages, file_page = op
             args = (base + offset, npages, self.files[name], file_page)
             if self.oracle:
+                mapping_oracle.check_inside(aspace, [args[0]])
                 mapping_oracle.oracle_map_fixed(aspace, cost, *args)
             else:
                 self.substrate.map_fixed(*args)
@@ -124,6 +130,7 @@ class Side:
             if not self.oracle:
                 to_reservation(self.substrate, base + op[1], op[2])
             else:
+                mapping_oracle.check_inside(aspace, [base + op[1]])
                 mapping_oracle.replace_mapping(aspace, Vma(base + op[1], op[2]))
                 cost.ledger.charge(cost.params.mmap_syscall_ns, MAIN_LANE)
                 cost.ledger.count("mmap_calls")
@@ -140,7 +147,11 @@ class Side:
 
     def observe(self) -> dict:
         aspace = self.aspace
-        snapshot = snapshot_address_space(aspace)
+        if self.oracle:
+            rows = entries_rows(parse_maps(render_maps(aspace)))
+            snapshot = MappingSnapshot(*rows)
+        else:
+            snapshot = self.substrate.maps_snapshot()
         ledger = self.cost.ledger
         return {
             "vmas": [

@@ -1,19 +1,18 @@
-"""Unit tests for /proc/PID/maps rendering, parsing and snapshots."""
+"""Unit tests for /proc/PID/maps rendering, parsing and snapshots.
+
+``parse_maps`` is the kernel-format oracle of :mod:`tests.vm.snapshot_oracle`.
+"""
 
 import numpy as np
 import pytest
 
 from repro.substrate import SimulatedSubstrate
-from repro.vm import procmaps
 from repro.vm.cost import CostModel
 from repro.vm.errors import ProcMapsError
-from repro.vm.procmaps import (
-    MappingSnapshot,
-    parse_maps,
-    render_maps,
-)
+from repro.vm.procmaps import MappingSnapshot, render_maps
 
 from ..oracle_paths import production_paths, reference_paths
+from .snapshot_oracle import parse_maps
 
 
 @pytest.fixture
@@ -114,23 +113,21 @@ class TestRenderAndParse:
 class TestMappingSnapshot:
     def test_build_from_entries(self, substrate, file):
         base = substrate.map_file(4, file, 8)
-        snapshot = procmaps.snapshot_address_space(substrate.address_space)
+        snapshot = substrate.maps_snapshot()
         assert snapshot.physical_of(base + 2) == ("/dev/shm/db", 10)
         assert base + 2 in snapshot.virtuals_of(("/dev/shm/db", 10))
 
     def test_anonymous_entries_skipped(self, substrate, file):
         substrate.reserve(4)
         substrate.map_file(2, file, 0)
-        snapshot = procmaps.snapshot_address_space(substrate.address_space)
+        snapshot = substrate.maps_snapshot()
         assert len(snapshot) == 2
 
     def test_file_filter(self, substrate, memory, file):
         other = memory.create_file("other", 8)
         substrate.map_file(2, file, 0)
         substrate.map_file(2, other, 0)
-        snapshot = procmaps.snapshot_address_space(
-            substrate.address_space, file_filter="/dev/shm/db"
-        )
+        snapshot = substrate.maps_snapshot(file_filter="/dev/shm/db")
         assert len(snapshot) == 2
         assert all(path == "/dev/shm/db" for path, _ in [snapshot.physical_of(v) for v in list(range(0x10000, 0x10100)) if snapshot.physical_of(v)])
 
@@ -158,7 +155,7 @@ class TestMappingSnapshot:
     def test_snapshot_charges_bimap_ops(self, substrate, file):
         substrate.map_file(4, file, 0)
         cost = CostModel()
-        procmaps.snapshot_address_space(substrate.address_space, cost=cost)
+        substrate.maps_snapshot(cost=cost)
         assert cost.ledger.counter("bimap_ops") >= 4
         assert cost.ledger.counter("maps_lines_parsed") == 1
 
@@ -166,7 +163,7 @@ class TestMappingSnapshot:
 class TestMapsCache:
     def _parse_costs(self, substrate, **kwargs):
         cost = CostModel()
-        procmaps.snapshot_address_space(substrate.address_space, cost=cost, **kwargs)
+        substrate.maps_snapshot(cost=cost, **kwargs)
         return cost.ledger.snapshot()
 
     def test_cache_hit_charges_the_same_simulated_cost(self, substrate, file):
@@ -183,12 +180,11 @@ class TestMapsCache:
         substrate.map_file(4, file, 0)
         substrate.reserve(2)  # anonymous
         substrate.map_file(3, file, 10)
-        aspace = substrate.address_space
         base = 0x10000
         with reference_paths():
-            reference = procmaps.snapshot_address_space(aspace)
+            reference = substrate.maps_snapshot()
         with production_paths():
-            fast = procmaps.snapshot_address_space(aspace)
+            fast = substrate.maps_snapshot()
         assert len(fast) == len(reference)
         for vpn in range(0x10000, 0x10000 + 16):
             assert fast.physical_of(vpn) == reference.physical_of(vpn)
@@ -206,11 +202,10 @@ class TestMapsCache:
 
     def test_array_snapshot_mutations_match_reference(self, substrate, file):
         substrate.map_file(6, file, 0)
-        aspace = substrate.address_space
         with reference_paths():
-            reference = procmaps.snapshot_address_space(aspace)
+            reference = substrate.maps_snapshot()
         with production_paths():
-            fast = procmaps.snapshot_address_space(aspace)
+            fast = substrate.maps_snapshot()
         base = 0x10000
         for snapshot in (reference, fast):
             snapshot.unmap(base + 2)

@@ -1,12 +1,16 @@
-"""parse_maps against genuine kernel ``/proc/self/maps`` output.
+"""The maps parsers against genuine kernel ``/proc/self/maps`` output.
 
 The other procmaps tests exercise the text the *simulator* renders; the
-native substrate feeds :func:`~repro.vm.procmaps.parse_maps` the
-kernel's own output instead.  These tests pin the parser to that format
-twice over: against a committed capture from a real Linux process (with
-memfd-backed mappings, a pathname containing spaces, anonymous
-mappings and the ``[heap]``/``[stack]``/``[vdso]`` pseudo-paths), and —
-on Linux — against a live read of this very process.
+native substrate reads the kernel's own output instead, with
+:func:`~repro.vm.procmaps.maps_rows`.  These tests pin the
+kernel-format oracle ``parse_maps`` (:mod:`tests.vm.snapshot_oracle`)
+to that format twice over: against a committed capture from a real
+Linux process (with memfd-backed mappings, a pathname containing
+spaces, anonymous mappings and the ``[heap]``/``[stack]``/``[vdso]``
+pseudo-paths), and — on Linux — against a live read of this very
+process.  ``maps_rows`` is then pinned to the oracle on the capture:
+the same rows for every choice of files, areas and file filter, and a
+line not in maps format refused.
 """
 
 import os
@@ -15,9 +19,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.vm.address_space import AddressSpace
 from repro.vm.constants import PAGE_SIZE
 from repro.vm.cost import CostModel
-from repro.vm.procmaps import parse_maps
+from repro.vm.errors import ProcMapsError
+from repro.vm.procmaps import maps_rows
+from repro.vm.vma import Vma
+
+from .snapshot_oracle import entries_rows, parse_maps
 
 FIXTURE = Path(__file__).parent / "fixtures" / "proc_self_maps.txt"
 
@@ -120,3 +129,79 @@ class TestLiveProcSelfMaps:
                 mm.close()
         finally:
             os.close(fd)
+
+
+def _book(entries) -> AddressSpace:
+    """A page table whose anonymous areas cover exactly ``entries``."""
+    book = AddressSpace()
+    for e in entries:
+        book.add_mapping(Vma(e.start_vpn, e.npages))
+    return book
+
+
+def _oracle_rows(entries, paths, book, file_filter=None):
+    """The oracle's rows: lines of ``paths``' inodes inside ``book``."""
+    kept = [
+        e
+        for e in entries
+        if str(e.inode) in paths
+        and book.find_vma(e.start_vpn) is not None
+        and book.find_vma(e.end_vpn - 1) is not None
+    ]
+    return entries_rows(kept, file_filter)
+
+
+class TestMapsRowsOnTheCapture:
+    """``maps_rows``, the native snapshot's row reader, against the
+    ``parse_maps`` oracle on the committed kernel capture."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, entries):
+        """Every file the capture maps, by inode, under its pathname."""
+        return {str(e.inode): e.pathname for e in entries if e.inode}
+
+    def test_every_file_inside_every_area(self, capture, entries, paths):
+        book = _book(entries)
+        rows = maps_rows(capture, paths, book)
+        assert rows == _oracle_rows(entries, paths, book)
+        names, kept = rows
+        assert "/memfd:t.col with space (deleted)" in names
+        assert any(row[2] > 0 for row in kept)  # file offsets, in pages
+        assert len(kept) == sum(1 for e in entries if e.inode)
+
+    def test_areas_and_inodes_drop_lines(self, capture, entries, paths):
+        book = _book(entries[::2])
+        memfds = {inode: path for inode, path in paths.items() if "memfd" in path}
+        for chosen in (paths, memfds, {}):
+            rows = maps_rows(capture, chosen, book)
+            assert rows == _oracle_rows(entries, chosen, book)
+        assert maps_rows(capture, paths, AddressSpace()) == ([], [])
+
+    def test_file_filter(self, capture, entries, paths):
+        book = _book(entries)
+        for path in ("/memfd:t.col with space (deleted)", "[heap]", "/nowhere"):
+            rows = maps_rows(capture, paths, book, file_filter=path)
+            assert rows == _oracle_rows(entries, paths, book, file_filter=path)
+        python = next(p for p in paths.values() if p.endswith("/python3.11"))
+        names, kept = maps_rows(capture, paths, book, file_filter=python)
+        assert names == [python] and len(kept) > 1
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "this is not a maps line",
+            "00400000-00401000 r-xp",
+            "00400000-00401000 r-xp 00000000 08:01 not-an-inode /x",
+            "0040z000-00401000 rw-s 00000000 00:01 390 /memfd:x",
+            "00400000+00401000 rw-s 00000000 00:01 390 /memfd:x",
+            "00400000-00401000 rw-s 00000010 00:01 390 /memfd:x",
+            "00401000-00400000 rw-s 00000000 00:01 390 /memfd:x",
+        ],
+    )
+    def test_a_line_not_in_maps_format_is_refused(self, capture, entries, line):
+        book = _book(entries)
+        book.add_mapping(Vma(0x400, 1))
+        with pytest.raises(ProcMapsError):
+            parse_maps(line)
+        with pytest.raises(ProcMapsError):
+            maps_rows(capture + line + "\n", {"390": "/memfd:x"}, book)

@@ -17,19 +17,14 @@ from hypothesis import strategies as st
 
 from repro.seeds import derive_seed
 from repro.substrate import SimulatedSubstrate
-from repro.vm import procmaps
 from repro.vm.cost import CostModel
 from repro.vm.physical import PhysicalMemory
-from repro.vm.procmaps import (
-    MapsEntry,
-    MappingSnapshot,
-    parse_maps,
-    render_maps,
-)
+from repro.vm.procmaps import MappingSnapshot, render_maps
+from repro.vm.vma import Vma
 
 from ..conftest import to_reservation
 from ..oracle_paths import production_paths, reference_paths
-from .snapshot_oracle import OracleMappingSnapshot
+from .snapshot_oracle import MapsEntry, OracleMappingSnapshot, entries_rows, parse_maps
 
 FUZZ_SCHEDULES = int(os.environ.get("REPRO_FUZZ_SCHEDULES", "200"))
 
@@ -50,16 +45,17 @@ def test_maps_roundtrip_is_page_accurate(ops):
     memory = PhysicalMemory(capacity_bytes=64 * 1024 * 1024)
     substrate = SimulatedSubstrate(memory)
     file = memory.create_file("db", 64)
+    base = substrate.reserve(64)  # the area the ops play in
 
     for op, start, npages, fpage in ops:
         fpage = min(fpage, file.num_pages - npages)
         try:
             if op in ("map_file", "remap"):
-                substrate.map_fixed(start, npages, file, fpage)
+                substrate.map_fixed(base + start, npages, file, fpage)
             elif op == "map_anon":
-                to_reservation(substrate, start, npages)
+                to_reservation(substrate, base + start, npages)
             else:
-                substrate.release_region(start, npages, npages)
+                substrate.release_region(base + start, npages, npages)
         except Exception:
             continue  # invalid op against current state: fine
 
@@ -73,7 +69,7 @@ def test_maps_roundtrip_is_page_accurate(ops):
     assert len(entries) == asp.num_vmas
 
     # 2. the page-wise snapshot equals the true translations
-    snapshot = OracleMappingSnapshot(entries)
+    snapshot = OracleMappingSnapshot(*entries_rows(entries))
     for vma in asp.vmas():
         for vpn in range(vma.start, vma.end):
             truth = asp.translate(vpn)
@@ -90,11 +86,12 @@ def test_maps_roundtrip_is_page_accurate(ops):
 
 # -- snapshot parity: columns off the VMA list vs. rendered and parsed text ------
 #
-# The fast branch of ``snapshot_address_space`` never renders text: it
-# reads (start, npages, file page, path) per VMA and expands the columns
-# to pages.  The reference branch — render_maps → parse_maps →
-# MappingSnapshot — is the oracle for everything a caller can observe,
-# the ledger included.
+# ``Substrate.maps_snapshot`` never renders text: it reads (start,
+# npages, file page, path) per VMA and expands the columns to pages.  The
+# reference branch — render_maps → parse_maps → the dict snapshot — is
+# the oracle for everything a caller can observe, the ledger included.
+# The page tables below are written directly, anywhere in [0, 48): the
+# snapshot is under test here, not the substrate's plan checks.
 
 _PATHS = ("/dev/shm/db", "/dev/shm/aux", "/dev/shm/never-mapped")
 
@@ -109,26 +106,24 @@ _SPACE_OPS = st.lists(
 )
 
 
-def _address_space(ops):
+def _substrate(ops) -> SimulatedSubstrate:
     memory = PhysicalMemory(capacity_bytes=64 * 1024 * 1024)
     substrate = SimulatedSubstrate(memory)
+    asp = substrate.address_space
     db = memory.create_file("db", 32)
     aux = memory.create_file("aux", 32)
     for op, start, npages, fpage in ops:
-        try:
-            if op in ("map_db", "map_aux"):
-                # consecutive calls with consecutive pages merge into one VMA
-                file = db if op == "map_db" else aux
-                substrate.map_fixed(start, npages, file, fpage)
-            elif op == "map_anon":
-                to_reservation(substrate, start, npages)
-            elif op == "remap_db":
-                substrate.map_fixed(start, npages, db, fpage)
-            else:
-                substrate.release_region(start, npages, npages)
-        except Exception:
-            continue  # invalid against the current state: fine
-    return substrate.address_space
+        if op in ("map_db", "map_aux"):
+            # consecutive calls with consecutive pages merge into one VMA
+            file = db if op == "map_db" else aux
+            asp.map_runs([Vma(start, npages, file, fpage)])
+        elif op == "map_anon":
+            asp.map_runs([Vma(start, npages)])
+        elif op == "remap_db":
+            asp.map_runs([Vma(start, npages, db, fpage)])
+        else:
+            asp.remove_mapping(start, npages)
+    return substrate
 
 
 def _pairs(snapshot, path, fpages):
@@ -136,8 +131,9 @@ def _pairs(snapshot, path, fpages):
     return sorted(zip(which.tolist(), vpns.tolist()))
 
 
-def assert_snapshots_agree(asp, file_filter, mutations=()):
+def assert_snapshots_agree(substrate, file_filter, mutations=()):
     """Both branches over one address space: same answers, same ledger."""
+    asp = substrate.address_space
     built = {}
     for name, ctx in (
         ("reference", reference_paths),
@@ -145,8 +141,8 @@ def assert_snapshots_agree(asp, file_filter, mutations=()):
     ):
         cost = CostModel()
         with ctx():
-            snapshot = procmaps.snapshot_address_space(
-                asp, cost=cost, lane="mapper", file_filter=file_filter
+            snapshot = substrate.maps_snapshot(
+                cost=cost, lane="mapper", file_filter=file_filter
             )
         built[name] = (snapshot, cost)
     (reference, ref_cost), (fast, fast_cost) = built["reference"], built["fast"]
@@ -192,13 +188,13 @@ _MUTATIONS = st.lists(
     mutations=_MUTATIONS,
 )
 def test_column_built_snapshot_matches_parsed_text(ops, file_filter, mutations):
-    assert_snapshots_agree(_address_space(ops), file_filter, mutations)
+    assert_snapshots_agree(_substrate(ops), file_filter, mutations)
 
 
 def test_empty_space_and_merged_neighbours():
-    assert_snapshots_agree(_address_space([]), None)
-    merged = _address_space([("map_db", 4, 3, 7), ("map_db", 7, 2, 10)])
-    assert merged.num_vmas == 1  # adjacent and contiguous: one maps line
+    assert_snapshots_agree(_substrate([]), None)
+    merged = _substrate([("map_db", 4, 3, 7), ("map_db", 7, 2, 10)])
+    assert merged.address_space.num_vmas == 1  # adjacent and contiguous: one maps line
     assert_snapshots_agree(merged, "/dev/shm/db")
     assert_snapshots_agree(merged, "/dev/shm/aux")  # everything filtered out
 
@@ -229,7 +225,7 @@ def test_bulk_seeded_address_spaces():
         ]
         file_filter = [None, *_PATHS][int(rng.integers(0, 4))]
         try:
-            assert_snapshots_agree(_address_space(ops), file_filter, mutations)
+            assert_snapshots_agree(_substrate(ops), file_filter, mutations)
         except AssertionError as exc:
             raise AssertionError(f"sweep entry {i} (seed {seed}): {exc}") from exc
 
@@ -275,12 +271,12 @@ _ENTRY = st.builds(
 def test_repeat_expansion_equals_per_entry_aranges(entries):
     """Hand-built entry lists may overlap virtually: the last entry
     covering a vpn wins, as in the dict reference."""
-    fast = MappingSnapshot.from_entries(entries)
+    fast = MappingSnapshot(*entries_rows(entries))
     vpns, fpages, paths = _per_entry_arrays(entries)
     assert fast._vpns.tolist() == vpns.tolist()
     assert fast._fpages.tolist() == fpages.tolist()
     assert [fast._paths[pid] for pid in fast._pids.tolist()] == paths
-    reference = OracleMappingSnapshot(entries)
+    reference = OracleMappingSnapshot(*entries_rows(entries))
     assert len(fast) == len(reference)
     for vpn in range(0, 70):
         assert fast.physical_of(vpn) == reference.physical_of(vpn)
@@ -290,8 +286,8 @@ def test_overlapping_entries_keep_the_last_occurrence_per_vpn():
     def entry(start, npages, file_page):
         return MapsEntry(start, npages, "rw-s", file_page, "03:0c", 1, "/dev/shm/db")
 
-    fast = MappingSnapshot.from_entries(
-        [entry(10, 4, 0), entry(12, 4, 20), entry(11, 1, 9)]
+    fast = MappingSnapshot(
+        *entries_rows([entry(10, 4, 0), entry(12, 4, 20), entry(11, 1, 9)])
     )
     assert fast._vpns.tolist() == [10, 11, 12, 13, 14, 15]
     assert fast._fpages.tolist() == [0, 9, 20, 21, 22, 23]
