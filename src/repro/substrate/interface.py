@@ -29,7 +29,7 @@ supported by the vanilla Linux kernel":
   an area lands (:meth:`Substrate._place_area`), the real syscalls
   (:meth:`Substrate._issue_runs`, :meth:`Substrate._unmap_area`),
   the read of a page the book says is mapped
-  (:meth:`Substrate._read_page`) and the rows of the maps snapshot
+  (:meth:`Substrate._read_page`) and the columns of the maps snapshot
   (:meth:`Substrate._maps_rows`);
 * **a maps source** — the ``/proc/PID/maps`` snapshot the maintenance
   algorithm parses once per update batch (:meth:`Substrate.maps_text`,
@@ -54,17 +54,17 @@ import time
 from abc import ABC, abstractmethod
 from collections import Counter, defaultdict
 from contextlib import contextmanager
+from operator import add, lt
 from typing import Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
 from ..faults.errors import SubstrateFault
-from ..vm.address_space import AddressSpace
+from ..vm.address_space import FILE, AddressSpace
 from ..vm.constants import VALUES_PER_PAGE
 from ..vm.cost import MAIN_LANE, CostModel
 from ..vm.errors import BadAddressError, MapError
-from ..vm.procmaps import MappingSnapshot, Row
-from ..vm.vma import Vma
+from ..vm.procmaps import MappingSnapshot
 
 
 @runtime_checkable
@@ -172,36 +172,33 @@ def _check_run(npages: int, file: PageStore | None, file_page: int) -> None:
 
 
 def _check_plan(
-    vpns: np.ndarray,
-    npages: np.ndarray,
+    vpns: list[int],
+    npages: list[int],
     file: PageStore | None,
-    file_pages: np.ndarray,
-    book: AddressSpace,
+    file_pages: list[int],
 ) -> None:
-    """Check a plan's bounds, order and place once, as columns.
+    """Check a plan's bounds and order, a column at a time.
 
     A bad run rejects the whole plan with the error it would raise
-    alone, as :func:`_check_run` and :class:`~repro.vm.vma.Vma` would
-    raise it; so does a run that starts before the previous one ends,
-    and a run whose first page lies outside every area ``book`` holds —
-    on the native backend a real ``MAP_FIXED`` over memory the
-    substrate does not own.
+    alone, as :func:`_check_run` would raise it (a negative address as
+    :class:`~repro.vm.vma.Vma` would); so does a run that starts before
+    the previous one ends.  That every page of every run lies inside
+    the areas the page table holds is checked by the splice that books
+    the plan (:meth:`~repro.vm.address_space.AddressSpace.plan_runs`).
     """
-    bad = (npages <= 0) | (vpns < 0)
-    if file is not None:
-        bad |= (file_pages < 0) | (file_pages > file.num_pages - npages)
-    if np.count_nonzero(bad):  # cheaper than bad.any() on a short plan
+    if (
+        min(npages) <= 0
+        or min(vpns) < 0
+        or file is not None
+        and (min(file_pages) < 0 or max(map(add, file_pages, npages)) > file.num_pages)
+    ):
         # the first offending run fails as it would on its own
-        i = int(bad.argmax())
-        _check_run(int(npages[i]), file, int(file_pages[i]))
-        Vma(int(vpns[i]), int(npages[i]), file, int(file_pages[i]))
-    if vpns.size > 1 and np.count_nonzero(vpns[1:] < vpns[:-1] + npages[:-1]):
+        for vpn, n, file_page in zip(vpns, npages, file_pages):
+            _check_run(n, file, file_page)
+            if vpn < 0:
+                raise ValueError("VMA addresses must be non-negative")
+    if any(map(lt, vpns[1:], map(add, vpns, npages))):
         raise MapError("plan not in address order")
-    find = book.find_vma
-    with book.lock:
-        for vpn in vpns.tolist():
-            if find(vpn) is None:
-                raise MapError(f"run at page {vpn:#x} lies outside every area")
 
 
 class Substrate(ABC):
@@ -282,7 +279,7 @@ class Substrate(ABC):
     ) -> int:
         _check_run(npages, file, file_page)
         vpn = self._place_area(npages, file, file_page)
-        self.address_space.add_mapping(Vma._placed(vpn, npages, file, file_page))
+        self.address_space.add_mapping(vpn, npages, file, file_page)
         if file is None:
             self.cost.anon_mmap(lane)
         else:
@@ -326,23 +323,20 @@ class Substrate(ABC):
         """
         if not vpns.size:
             return
-        if file is None:
-            file_pages, kind = np.zeros_like(npages), "anon"
-        else:
-            kind = "fixed"
-        _check_plan(vpns, npages, file, file_pages, self.address_space)
-        vpns, npages, file_pages = vpns.tolist(), npages.tolist(), file_pages.tolist()
-        applied, error = self._issue_runs(vpns, npages, file, file_pages, populate)
-        placed = Vma._placed
-        runs = [
-            placed(vpn, n, file, file_page)
-            for vpn, n, file_page in zip(vpns, npages, file_pages)
-        ]
-        del runs[applied:]
-        self.address_space.map_runs(runs)
+        kind = "anon" if file is None else "fixed"
+        runs, firsts = npages.tolist(), vpns.tolist()
+        pages = [0] * len(runs) if file is None else file_pages.tolist()
+        _check_plan(firsts, runs, file, pages)
+        book = self.address_space
+        with book.lock:
+            splice = book.plan_runs(firsts, runs, file, pages)
+            applied, error = self._issue_runs(firsts, runs, file, pages, populate)
+            if applied < len(runs):
+                splice = book.plan_runs(firsts[:applied], runs[:applied], file, pages)
+            book.commit(splice)
         if self.observer is not None:
-            for run in runs:
-                self.observer.on_mmap(kind, run.npages)
+            for n in runs[:applied]:
+                self.observer.on_mmap(kind, n)
         if error is not None:
             raise error
 
@@ -526,43 +520,48 @@ class Substrate(ABC):
         """Parse the maps source into a page-wise bimap snapshot.
 
         The once-per-update-batch operation of Section 2.5, one body for
-        both backends: the rows come from :meth:`_maps_rows`, and the
+        both backends: the columns come from :meth:`_maps_rows`, and the
         parse is charged for the page table's lines, one per VMA, as
         :meth:`maps_line_count` counts them.  With ``file_filter`` only
         mappings of that pathname are materialized; the parse is still
         charged for every line of the page table.
         """
-        paths, rows = self._maps_rows(file_filter)
+        paths, columns = self._maps_rows(file_filter)
         if cost is not None:
             cost.maps_parse(self.address_space.num_vmas, lane)
-        return MappingSnapshot(paths, rows, cost=cost, lane=lane)
+        return MappingSnapshot(paths, columns, cost=cost, lane=lane)
 
-    def _maps_rows(self, file_filter: str | None) -> tuple[list[str], list[Row]]:
+    def _file_rows(
+        self, pathname: str | None
+    ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        """The page table's columns with a mask of its file-backed columns
+        (of ``pathname``'s file only, if given), and each file id's path.
+        Read under the page table's lock."""
+        table, stores = self.address_space.columns()
+        paths = [self.file_map_path(store) for store in stores]
+        # per file id, whether its lines count; the last entry is id -1's
+        wanted = np.array([pathname in (None, path) for path in paths] + [False])
+        return table, wanted[table[FILE]], paths
+
+    def _maps_rows(self, file_filter: str | None) -> tuple[list[str], np.ndarray]:
         """The maps source's file-backed lines inside this substrate's
-        areas, as snapshot rows, and the pathnames their path ids index;
-        with ``file_filter`` only that pathname's lines.
+        areas, as snapshot columns, and the pathnames their path ids
+        index; with ``file_filter`` only that pathname's lines.
 
-        Read off the page table's VMAs: the lines :meth:`maps_text`
+        Sliced off the page table's columns: the lines :meth:`maps_text`
         would render.
         """
-        path_of = self.file_map_path
-        paths: list[str] = []
-        path_id_of: dict[str, int] = {}  # file name -> path id, -1: filtered out
-        rows = []
-        for vma in self.address_space.vmas():
-            if vma.file is None:
-                continue
-            name = vma.file.name
-            pid = path_id_of.get(name)
-            if pid is None:
-                path = path_of(vma.file)
-                pid = len(paths) if file_filter in (None, path) else -1
-                path_id_of[name] = pid
-                if pid >= 0:
-                    paths.append(path)
-            if pid >= 0:
-                rows.append((vma.start, vma.npages, vma.file_page, pid))
-        return paths, rows
+        with self.address_space.lock:
+            table, kept, paths = self._file_rows(file_filter)
+            start, end, fid, fpage = table[:, kept]
+        # one path id per distinct path, in order of first appearance
+        present = np.flatnonzero(np.bincount(fid, minlength=len(paths))).tolist()
+        firsts = [int((fid == f).argmax()) for f in present]
+        path_ids: dict[str, int] = {}
+        pid_of = np.zeros(len(paths), dtype=np.int64)
+        for _, f in sorted(zip(firsts, present)):
+            pid_of[f] = path_ids.setdefault(paths[f], len(path_ids))
+        return list(path_ids), np.stack((start, end - start, fpage, pid_of[fid]))
 
     def maps_line_count(self, pathname: str | None = None) -> int:
         """Lines of the maps source inside the areas this substrate
@@ -577,12 +576,8 @@ class Substrate(ABC):
         """
         if pathname is None:
             return self.address_space.num_vmas
-        path_of = self.file_map_path
-        return sum(
-            1
-            for vma in self.address_space.vmas()
-            if vma.file is not None and path_of(vma.file) == pathname
-        )
+        with self.address_space.lock:
+            return int(np.count_nonzero(self._file_rows(pathname)[1]))
 
     @abstractmethod
     def file_map_path(self, file: PageStore) -> str:

@@ -13,7 +13,7 @@ Linux kernel":
 * the maps source is the kernel's own ``/proc/self/maps``.  It is read
   only where the paper reads it, once per update batch: the base
   class's :meth:`~repro.substrate.interface.Substrate.maps_snapshot`
-  takes its rows from :meth:`NativeSubstrate._maps_rows`, which keeps
+  takes its columns from :meth:`NativeSubstrate._maps_rows`, which keeps
   the stores' lines inside the page table's areas
   (:func:`~repro.vm.procmaps.maps_rows`).  Line counts, the parse
   charge and the translation behind
@@ -62,7 +62,7 @@ from ..native.rewiring import (
 from ..vm.constants import PAGE_SIZE, VALUES_PER_PAGE
 from ..vm.cost import CostModel
 from ..vm.errors import FileError
-from ..vm.procmaps import Row, maps_rows
+from ..vm.procmaps import maps_rows
 from .interface import Substrate, WallClockLedger
 
 #: int64 slots in one raw page (header slot + data slots).
@@ -352,7 +352,7 @@ class NativeSubstrate(Substrate):
             with open("/proc/self/maps") as fh:
                 return fh.read()
 
-    def _maps_rows(self, file_filter: str | None) -> tuple[list[str], list[Row]]:
+    def _maps_rows(self, file_filter: str | None) -> tuple[list[str], np.ndarray]:
         # The kernel's own file, read once per batch as the paper reads
         # it.  Only the stores' lines inside the page table's areas are
         # the substrate's: the interpreter's mappings are dropped by

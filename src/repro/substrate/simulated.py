@@ -4,13 +4,13 @@
 files of a :class:`~repro.vm.physical.PhysicalMemory`.  The base class's
 page table (:class:`~repro.vm.address_space.AddressSpace`) is the whole
 of its virtual memory: the base checks each mapping operation as
-``mmap(2)`` would, splices the VMA list and charges the shared
+``mmap(2)`` would, splices the VMA columns and charges the shared
 :class:`~repro.vm.cost.CostModel` — anonymous reservations the syscall
 base only, file-backed mappings a small per-page cost as well.  What is
 left here is what only a simulator needs: a bump allocator picks each
 area's address, a page is read from its file, and
 :mod:`repro.vm.procmaps` renders the page table as the maps source,
-whose snapshot the base class reads straight off the VMAs.  The charges are the ones the
+whose snapshot the base class slices off the VMA columns.  The charges are the ones the
 layers booked before the substrate existed, so the
 :class:`~repro.vm.cost.CostLedger` stream is bit-identical to that code
 — the figure and parity tests are the guardrail for that invariant.
@@ -122,11 +122,9 @@ class SimulatedSubstrate(Substrate):
     def close(self) -> None:
         """Delete the main-memory files this substrate created.
 
-        Each file refers to its machine and the machine to each file:
-        while the machine lists them, a closed database's page stores
-        live on until a cyclic GC pass.  Deleted here, they are freed
-        with their last holder, as the native backend's are.  Files that
-        other substrates created on a shared machine stay.
+        Their pages go back to the machine, which may outlive this
+        substrate: a shared machine lists only the files other
+        substrates created, and those stay.
         """
         for name in sorted(self._own):
             self.memory.delete_file(name)

@@ -7,9 +7,11 @@ handle through which virtual pages are (re-)pointed at physical pages.
 
 This module simulates that substrate:
 
-* :class:`PhysicalMemory` is the machine's RAM — a capacity-checked pool
-  of physical pages.
-* :class:`MemoryFile` is one main-memory file carved out of it.  Its page
+* :class:`PhysicalMemory` is the machine's RAM — a capacity-checked
+  :class:`PagePool` of physical pages and the files carved out of it.
+* :class:`MemoryFile` is one main-memory file carved out of it; it
+  holds the pool, never the machine, so a dropped machine and its files
+  are freed by reference counting, without a cyclic GC pass.  Its page
   payloads live in a numpy array of shape ``(num_pages, VALUES_PER_PAGE)``
   plus one int64 header (the embedded pageID) per page, mirroring the
   paper's page layout.
@@ -28,6 +30,33 @@ from .cost import CostModel
 from .errors import FileError, OutOfMemoryError
 
 
+class PagePool:
+    """A machine's physical pages: its capacity and the pages in use."""
+
+    def __init__(self, capacity_pages: int) -> None:
+        self.capacity_pages = capacity_pages
+        self.allocated_pages = 0
+
+    @property
+    def free_pages(self) -> int:
+        """Physical pages still available."""
+        return self.capacity_pages - self.allocated_pages
+
+    def reserve(self, n: int) -> None:
+        """Account ``n`` more physical pages, enforcing capacity."""
+        if n < 0:
+            raise ValueError("cannot reserve a negative page count")
+        if n > self.free_pages:
+            raise OutOfMemoryError(f"requested {n} pages, only {self.free_pages} free")
+        self.allocated_pages += n
+
+    def release(self, n: int) -> None:
+        """Return ``n`` physical pages to the pool."""
+        if n < 0 or n > self.allocated_pages:
+            raise ValueError(f"cannot release {n} pages")
+        self.allocated_pages -= n
+
+
 class MemoryFile:
     """A main-memory file: a user-space handle to physical pages.
 
@@ -39,7 +68,7 @@ class MemoryFile:
         self,
         name: str,
         num_pages: int,
-        memory: "PhysicalMemory",
+        pool: PagePool,
         inode: int = 0,
         slots_per_page: int = VALUES_PER_PAGE,
     ) -> None:
@@ -55,7 +84,7 @@ class MemoryFile:
         #: Records stored per page (fewer than VALUES_PER_PAGE when the
         #: records are wider than 8 bytes).
         self.slots_per_page = slots_per_page
-        self._memory = memory
+        self._pool = pool
         #: Page payloads; row ``p`` is the data area of physical page ``p``.
         self.data = np.zeros((num_pages, slots_per_page), dtype=np.int64)
         #: Embedded 8 B pageID header of every physical page (Section 2).
@@ -100,7 +129,7 @@ class MemoryFile:
             raise FileError("cannot resize to zero pages")
         delta = num_pages - self.num_pages
         if delta > 0:
-            self._memory.reserve_pages(delta)
+            self._pool.reserve(delta)
             self.data = np.vstack(
                 [self.data, np.zeros((delta, self.slots_per_page), dtype=np.int64)]
             )
@@ -108,7 +137,7 @@ class MemoryFile:
                 [self.headers, np.arange(self.num_pages - delta, num_pages)]
             )
         elif delta < 0:
-            self._memory.release_pages(-delta)
+            self._pool.release(-delta)
             self.data = self.data[:num_pages].copy()
             self.headers = self.headers[:num_pages].copy()
 
@@ -134,31 +163,27 @@ class PhysicalMemory:
     ) -> None:
         if capacity_bytes < PAGE_SIZE:
             raise OutOfMemoryError("capacity smaller than one page")
-        self.capacity_pages = capacity_bytes // PAGE_SIZE
+        self.pool = PagePool(capacity_bytes // PAGE_SIZE)
         self.cost = cost or CostModel()
-        self._allocated_pages = 0
         self._files: dict[str, MemoryFile] = {}
+
+    @property
+    def capacity_pages(self) -> int:
+        """Physical pages the machine has."""
+        return self.pool.capacity_pages
 
     @property
     def free_pages(self) -> int:
         """Physical pages still available."""
-        return self.capacity_pages - self._allocated_pages
+        return self.pool.free_pages
 
     def reserve_pages(self, n: int) -> None:
         """Account ``n`` more physical pages, enforcing capacity."""
-        if n < 0:
-            raise ValueError("cannot reserve a negative page count")
-        if self._allocated_pages + n > self.capacity_pages:
-            raise OutOfMemoryError(
-                f"requested {n} pages, only {self.free_pages} free"
-            )
-        self._allocated_pages += n
+        self.pool.reserve(n)
 
     def release_pages(self, n: int) -> None:
         """Return ``n`` physical pages to the pool."""
-        if n < 0 or n > self._allocated_pages:
-            raise ValueError(f"cannot release {n} pages")
-        self._allocated_pages -= n
+        self.pool.release(n)
 
     def create_file(
         self,
@@ -174,7 +199,7 @@ class PhysicalMemory:
         mem_file = MemoryFile(
             name,
             num_pages,
-            self,
+            self.pool,
             inode=self._next_inode,
             slots_per_page=slots_per_page,
         )

@@ -7,8 +7,9 @@ bimap.  This module reproduces both directions:
 
 * :func:`render_maps` prints an :class:`~repro.vm.address_space.AddressSpace`
   in the exact kernel text format (one line per VMA);
-* :func:`maps_rows` reads kernel maps text into the rows of a snapshot,
-  keeping only the lines of given files inside a page table's areas;
+* :func:`maps_rows` reads kernel maps text into the columns of a
+  snapshot, keeping only the lines of given files inside a page table's
+  areas;
 * :class:`MappingSnapshot` is the page-wise materialization used while a
   batch of updates is applied, maintained from user space exactly as the
   paper describes.
@@ -21,7 +22,6 @@ VMAs, and the maps file shrinks.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -36,9 +36,6 @@ _FILE_DEV = "03:0c"
 
 #: Device string rendered for anonymous mappings.
 _ANON_DEV = "00:00"
-
-#: One snapshot row: ``(start_vpn, npages, file_page, path id)``.
-Row = tuple[int, int, int, int]
 
 
 def render_maps(address_space: AddressSpace, shm_prefix: str = "/dev/shm/") -> str:
@@ -67,22 +64,26 @@ def maps_rows(
     paths: dict[str, str],
     book: AddressSpace,
     file_filter: str | None = None,
-) -> tuple[list[str], list[Row]]:
-    """The snapshot rows of the maps lines that map one of ``paths``'
+) -> tuple[list[str], np.ndarray]:
+    """The snapshot columns of the maps lines that map one of ``paths``'
     files inside ``book``'s areas, and the pathnames their path ids index.
 
     ``paths`` maps an inode, as maps lines print it, to the pathname its
     pages are snapshotted under; with ``file_filter`` only that
     pathname's lines are kept.  Each line is split once.  A line is
-    dropped by its inode, then by its range against ``book``, so only
-    the lines kept are hex-decoded.  Input that is not in maps format
-    raises :class:`ProcMapsError`: a line without a numeric inode field,
-    or a kept line whose range or offset does not decode, is not page
-    aligned or is empty.
+    dropped by its inode, so only the lines kept are hex-decoded; then
+    the kept lines with a page no VMA of ``book`` holds are dropped, in
+    one vectorised test against the book's columns
+    (:meth:`~repro.vm.address_space.AddressSpace.covers`).  Input
+    that is not in maps format raises :class:`ProcMapsError`: a line
+    without a numeric inode field, or a kept line whose range or offset
+    does not decode, is not page aligned or is empty.
     """
-    find = book.find_vma
     path_ids: dict[str, int] = {}
-    rows: list[Row] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    offsets: list[int] = []
+    pids: list[int] = []
     for line in text.splitlines():
         fields = line.split(None, 5)
         if not fields:
@@ -103,13 +104,20 @@ def maps_rows(
             raise ProcMapsError(f"addresses not page aligned: {line!r}")
         if end <= start:
             raise ProcMapsError(f"empty or inverted range: {line!r}")
-        start //= PAGE_SIZE
-        end //= PAGE_SIZE
-        if find(start) is None or find(end - 1) is None:
-            continue
-        pid = path_ids.setdefault(path, len(path_ids))
-        rows.append((start, end - start, offset // PAGE_SIZE, pid))
-    return list(path_ids), rows
+        starts.append(start)
+        ends.append(end)
+        offsets.append(offset)
+        pids.append(path_ids.setdefault(path, len(path_ids)))
+    lines = np.array([starts, ends, offsets, pids], dtype=np.int64).reshape(4, -1)
+    lines[:3] //= PAGE_SIZE
+    kept = lines[:, book.covers(lines[0], lines[1])]
+    kept[1] -= kept[0]
+    # the kept lines' path ids, renumbered in order of first appearance
+    used, firsts, inverse = np.unique(kept[3], return_index=True, return_inverse=True)
+    order = np.argsort(firsts)
+    kept[3] = np.argsort(order)[inverse]
+    names = list(path_ids)
+    return [names[pid] for pid in used[order].tolist()], kept
 
 
 #: A physical page identity inside a snapshot: (file pathname, file page).
@@ -125,7 +133,7 @@ def _expand_runs(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class MappingSnapshot:
-    """Page-wise virtual↔physical mapping built from maps rows.
+    """Page-wise virtual↔physical mapping built from maps lines.
 
     Forward direction (virtual page → physical page) is one-to-one;
     the reverse direction is one-to-many because overlapping views share
@@ -147,19 +155,22 @@ class MappingSnapshot:
     def __init__(
         self,
         paths: Sequence[str] = (),
-        rows: Sequence[Row] = (),
+        columns: np.ndarray | None = None,
         cost: CostModel | None = None,
         lane: str = MAIN_LANE,
     ) -> None:
-        """Build from one ``(start_vpn, npages, file_page, path id)`` row
-        per file-backed maps line; ``paths[path id]`` is its pathname."""
+        """Build from the file-backed maps lines as four int64 columns,
+        ``columns = (start_vpns, npages, file_pages, path_ids)``: a
+        ``(4, lines)`` array, or ``None`` for no line.  ``paths[path id]``
+        is a line's pathname."""
+        if columns is None:
+            columns = np.empty((4, 0), dtype=np.int64)
+        start_vpn, npages, file_page, path_id = np.asarray(columns, dtype=np.int64)
         self._cost = cost
         #: Maps lines the snapshot was built from.
-        self.lines = len(rows)
+        self.lines = int(npages.size)
         self._paths = paths
         self._path_ids = {path: pid for pid, path in enumerate(paths)}
-        flat = np.fromiter(chain.from_iterable(rows), np.int64, 4 * len(rows))
-        start_vpn, npages, file_page, path_id = flat.reshape(-1, 4).T
         # A page is its entry's first page plus its offset inside it.
         entry, offset = _expand_runs(npages)
         self._vpns = start_vpn[entry] + offset

@@ -45,8 +45,8 @@ class Vma:
         file_page: int,
     ) -> "Vma":
         """An ordinary, immutable VMA from fields already known to be
-        valid — a clip or merge of valid areas, a run of a plan checked
-        as a whole — filled in without the per-field guards and the
+        valid — a row of a page table, whose plans are checked as a
+        whole — filled in without the per-field guards and the
         re-validation of the dataclass constructor."""
         vma = object.__new__(cls)
         fields = vma.__dict__
@@ -72,40 +72,3 @@ class Vma:
         if self.file is None:
             return None
         return self.file, self.file_page + (vpn - self.start)
-
-    def can_merge_with(self, successor: "Vma") -> bool:
-        """Whether ``successor`` extends this area seamlessly.
-
-        Mirrors the kernel's merge criteria: virtually adjacent, same
-        backing object and (for file mappings) contiguous file offsets.
-        Every area is mapped shared and read-write, so flags never differ.
-        """
-        if self.start + self.npages != successor.start:
-            return False
-        if self.file is not successor.file:
-            return False
-        if self.file is None:
-            return True
-        return self.file_page + self.npages == successor.file_page
-
-    def merged_with(self, successor: "Vma") -> "Vma":
-        """The single VMA covering this area plus ``successor``."""
-        if not self.can_merge_with(successor):
-            raise ValueError(f"cannot merge {self} with {successor}")
-        return Vma._placed(
-            self.start,
-            self.npages + successor.npages,
-            self.file,
-            self.file_page,
-        )
-
-    def clipped(self, start: int, end: int) -> "Vma":
-        """The part of the area inside ``[start, end)``, which must overlap
-        it."""
-        start = max(start, self.start)
-        return Vma._placed(
-            start,
-            min(end, self.end) - start,
-            self.file,
-            self.file_page + (start - self.start) if self.file else 0,
-        )

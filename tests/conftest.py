@@ -54,6 +54,11 @@ def to_reservation(substrate, vpn: int, npages: int = 1) -> None:
     substrate.map_runs(np.array([vpn], dtype=np.int64), run, None, run)
 
 
+def book_run(book, start: int, npages: int, file=None, file_page: int = 0) -> None:
+    """``MAP_FIXED`` one run into a bare page table: no checks, no charges."""
+    book.map_runs([start], [npages], file, [file_page])
+
+
 def reference_rows(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Ground-truth row ids for a range predicate."""
     return np.nonzero((values >= lo) & (values <= hi))[0]

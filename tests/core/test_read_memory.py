@@ -115,3 +115,22 @@ def test_close_frees_the_page_store_without_gc(backend, tiered):
         assert [ref() is None for ref in freed] == [True] * len(freed)
     finally:
         gc.enable()
+
+
+def test_a_dropped_simulated_database_frees_its_pages_without_gc():
+    """Deleted without ``close()``, a simulated database frees its store by
+    reference counting: a main-memory file holds its machine's page pool,
+    not the machine, so files and machine form no cycle.  (The table is
+    loaded, not queried: a query's storage layer hooks the column, a
+    cycle of its own.)"""
+    gc.collect()
+    gc.disable()
+    try:
+        db = AdaptiveDatabase(CONFIG)
+        db.create_table("t", {"k": _values(32)})
+        column = db.table("t").column("k")
+        freed = [weakref.ref(column.file), weakref.ref(column.file.data)]
+        del column, db
+        assert [ref() is None for ref in freed] == [True, True]
+    finally:
+        gc.enable()

@@ -72,7 +72,11 @@ MUTANTS = (
         path="src/repro/substrate/simulated.py",
         old="            self.memory.delete_file(name)\n        self._own.clear()",
         new="            pass",
-        tests=("tests/core/test_read_memory.py::test_close_frees_the_page_store_without_gc",),
+        tests=(
+            "tests/core/test_read_memory.py::test_close_frees_the_page_store_without_gc",
+            "tests/substrate/test_simulated.py::TestProtocolDelegation::"
+            "test_close_deletes_only_its_own_files",
+        ),
     ),
     Mutant(
         name="simulated-close-deletes-shared-machine-files",
@@ -249,8 +253,8 @@ MUTANTS = (
     Mutant(
         name="book-records-every-run-of-a-failed-plan",
         path="src/repro/substrate/interface.py",
-        old="        del runs[applied:]\n",
-        new="",
+        old="            if applied < len(runs):\n",
+        new="            if False:\n",
         tests=(
             "tests/substrate/test_book.py::test_a_plan_failing_at_run_k_books_the_runs_before_it",
         ),
@@ -258,11 +262,8 @@ MUTANTS = (
     Mutant(
         name="native-snapshot-keeps-lines-outside-the-book",
         path="src/repro/vm/procmaps.py",
-        old=(
-            "        if find(start) is None or find(end - 1) is None:\n"
-            "            continue\n"
-        ),
-        new="",
+        old="    kept = lines[:, book.covers(lines[0], lines[1])]\n",
+        new="    kept = lines.copy()\n",
         tests=(
             "tests/native/test_page_table.py::test_the_book_agrees_with_the_kernel_after_every_step",
             "tests/native/test_store_growth.py",
@@ -272,7 +273,7 @@ MUTANTS = (
     Mutant(
         name="plan-check-skipped",
         path="src/repro/substrate/interface.py",
-        old="        _check_plan(vpns, npages, file, file_pages, self.address_space)\n",
+        old="        _check_plan(firsts, runs, file, pages)\n",
         new="",
         tests=(
             "tests/substrate/test_book.py::test_a_run_outside_its_file_is_refused",
@@ -284,7 +285,9 @@ MUTANTS = (
         name="native-snapshot-charges-kept-lines",
         path="src/repro/substrate/interface.py",
         old="cost.maps_parse(self.address_space.num_vmas, lane)",
-        new="cost.maps_parse(len(rows) if self.wall else self.address_space.num_vmas, lane)",
+        new=(
+            "cost.maps_parse(columns.shape[1] if self.wall else self.address_space.num_vmas, lane)"
+        ),
         tests=(
             "tests/native/test_parity.py::test_the_mixed_stream_charges_the_same_ledger_on_both_backends",
             "tests/native/test_parity.py::test_fig7_charges_the_same_ledgers_on_both_backends",
@@ -293,8 +296,8 @@ MUTANTS = (
     Mutant(
         name="native-rows-drop-file-offset",
         path="src/repro/vm/procmaps.py",
-        old="rows.append((start, end - start, offset // PAGE_SIZE, pid))",
-        new="rows.append((start, end - start, 0, pid))",
+        old="        offsets.append(offset)\n",
+        new="        offsets.append(0)\n",
         tests=("tests/vm/test_procmaps_kernel.py::TestMapsRowsOnTheCapture",),
     ),
     Mutant(
@@ -308,9 +311,9 @@ MUTANTS = (
     ),
     Mutant(
         name="plan-outside-book-accepted",
-        path="src/repro/substrate/interface.py",
-        old="            if find(vpn) is None:\n",
-        new="            if False:\n",
+        path="src/repro/vm/address_space.py",
+        old="        return self._plan(vpns, npages, file, file_pages, True)\n",
+        new="        return self._plan(vpns, npages, file, file_pages, False)\n",
         tests=("tests/substrate/test_book.py::test_a_run_outside_every_area_is_refused",),
     ),
     Mutant(
@@ -328,6 +331,42 @@ MUTANTS = (
         old="        _check_run(npages, file, file_page)\n        vpn = self._place_area(",
         new="        vpn = self._place_area(",
         tests=("tests/substrate/test_book.py::test_a_run_outside_its_file_is_refused",),
+    ),
+    # -- the page table as columns ------------------------------------------
+    Mutant(
+        name="containment-checks-only-the-first-page",
+        path="src/repro/vm/address_space.py",
+        old="                    placed = owed = ends[r]\n",
+        new="                    placed, owed = ends[r], lo + 1\n",
+        tests=(
+            "tests/substrate/test_book.py::test_a_run_leaving_its_area_is_refused",
+            "tests/vm/test_map_runs.py::TestPlantedPlans::"
+            "test_run_spilling_past_the_reservation_into_a_hole",
+        ),
+    ),
+    Mutant(
+        name="splice-merges-file-pages-that-do-not-follow-on",
+        path="src/repro/vm/address_space.py",
+        old=" and out_f[-1] == f and out_p[-1] + s - out_s[-1] == p:",
+        new=" and out_f[-1] == f:",
+        tests=(
+            "tests/vm/test_map_runs.py::TestPlantedPlans",
+            "tests/vm/test_address_space.py",
+        ),
+    ),
+    Mutant(
+        name="snapshot-keeps-anonymous-rows",
+        path="src/repro/substrate/interface.py",
+        old="        wanted = np.array([pathname in (None, path) for path in paths] + [False])\n",
+        new="        wanted = np.array([pathname in (None, path) for path in paths] + [True])\n",
+        tests=("tests/vm/test_map_runs.py::TestPlantedPlans",),
+    ),
+    Mutant(
+        name="snapshot-ignores-the-file-filter",
+        path="src/repro/substrate/interface.py",
+        old="        wanted = np.array([pathname in (None, path) for path in paths] + [False])\n",
+        new="        wanted = np.array([True for path in paths] + [False])\n",
+        tests=("tests/vm/test_map_runs.py::TestPlantedPlans",),
     ),
     Mutant(
         name="booked-discard-in-a-map-pages-span",

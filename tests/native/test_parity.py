@@ -15,6 +15,7 @@ table's lines, so the native ledger no longer depends on what else the
 process maps.  Wall time is not compared: it is a different clock.
 """
 
+import gc
 from unittest import mock
 
 import numpy as np
@@ -60,6 +61,10 @@ def _queries() -> list[tuple[int, int]]:
 
 def _run_session(backend: str) -> dict:
     """One adaptive session; returns everything parity must cover."""
+    # A store of another test's database that a reference cycle still
+    # holds keeps its whole-file mapping until a cyclic GC pass, and that
+    # mapping's maps line carries this session's pathname too.
+    gc.collect()
     trace: dict = {"results": [], "view_pages": [], "maps_lines": []}
     with AdaptiveDatabase(
         config=AdaptiveConfig(background_mapping=False), backend=backend

@@ -4,8 +4,9 @@
 anything, then books it in its page table (``address_space``).  So a run
 that reaches outside its file is refused alike on both backends, before
 any syscall (on native, a read of such a page would raise SIGBUS); so is
-a run that starts outside every area the page table holds (on native, a
-real ``MAP_FIXED`` over whatever the process has mapped there); and a
+a run with a page outside every area the page table holds, its first
+page or a later one (on native, a real ``MAP_FIXED`` over whatever the
+process has mapped there); and a
 plan the backend fails at run ``k`` leaves runs ``[0, k)`` in the page
 table, as in the kernel, and no more.
 """
@@ -103,6 +104,54 @@ def test_a_run_outside_every_area_is_refused(backend, call, monkeypatch):
 
         def issued(*args):
             pytest.fail("a plan outside every area reached the backend")
+
+        monkeypatch.setattr(sub, "_issue_runs", issued)
+        with pytest.raises(MapError, match="outside every area"):
+            call(sub, file, base)
+        assert sub.maps_line_count(path) == 0
+        assert sub.cost.ledger.counter("pages_mapped") == 0
+    finally:
+        sub.close()
+
+
+def _into_a_hole(sub, f, v):
+    """Two side-by-side areas, the second released: a run from the first
+    goes on into the hole the second left."""
+    second = sub.reserve(4)
+    assert second == v + 4
+    sub.release_region(second, 4, 0)
+    sub.map_fixed(v + 2, 4, f, 0)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda sub, f, v: sub.map_fixed(v + 2, 4, f, 0), id="past-the-last-area"),
+        pytest.param(_into_a_hole, id="into-a-hole"),
+        pytest.param(
+            lambda sub, f, v: sub.map_runs(
+                v + np.array([0, 3]), np.array([1, 2]), f, np.array([0, 1])
+            ),
+            id="second-run-past-the-area",
+        ),
+        pytest.param(lambda sub, f, v: to_reservation(sub, v + 3, 2), id="anonymous"),
+    ],
+)
+def test_a_run_leaving_its_area_is_refused(backend, call, monkeypatch):
+    """``reserve(4)`` then ``map_fixed(base + 2, 4, f, 0)``: the run starts
+    inside the area but its last pages lie outside every area, so the
+    plan is refused whole, before the backend is asked to issue
+    anything — on native, a ``MAP_FIXED`` over memory the substrate
+    does not own."""
+    sub = make_substrate(backend)
+    try:
+        file = sub.create_file("f", 8)
+        base = sub.reserve(4)
+        path = sub.file_map_path(file)
+
+        def issued(*args):
+            pytest.fail("a run leaving its area reached the backend")
 
         monkeypatch.setattr(sub, "_issue_runs", issued)
         with pytest.raises(MapError, match="outside every area"):

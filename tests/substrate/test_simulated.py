@@ -25,9 +25,8 @@ from repro.vm.cost import CostModel
 from repro.vm.errors import FileError
 from repro.vm.physical import PhysicalMemory
 from repro.vm.procmaps import render_maps
-from repro.vm.vma import Vma
 
-from ..conftest import to_reservation
+from ..conftest import book_run, to_reservation
 from ..vm.snapshot_oracle import OracleMappingSnapshot, entries_rows, parse_maps
 
 
@@ -142,17 +141,17 @@ class TestBitIdentity:
     def _run_via_address_space(memory: PhysicalMemory) -> str:
         cost, aspace = memory.cost, AddressSpace()
         file = memory.create_file("col", 16)
-        aspace.add_mapping(Vma(aspace.allocate_region(16), 16, file, 0))
+        aspace.add_mapping(aspace.allocate_region(16), 16, file, 0)
         cost.mmap_call(16)
         base = aspace.allocate_region(8)
-        aspace.add_mapping(Vma(base, 8))
+        aspace.add_mapping(base, 8)
         cost.anon_mmap()
-        aspace.map_runs([Vma(base + 0, 3, file, 4)])
+        book_run(aspace, base + 0, 3, file, 4)
         cost.mmap_call(3)
-        aspace.map_runs([Vma(base + 3, 2, file, 9)])
+        book_run(aspace, base + 3, 2, file, 9)
         cost.mmap_call(2)
         cost.soft_fault(2)
-        aspace.map_runs([Vma(base + 1, 1)])
+        book_run(aspace, base + 1, 1)
         cost.anon_mmap()
         aspace.translate(base + 4)
         # the snapshot: one parse per maps line, one bimap op per page

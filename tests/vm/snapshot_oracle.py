@@ -105,16 +105,23 @@ def parse_maps(
 
 def entries_rows(
     entries: list[MapsEntry], file_filter: str | None = None
-) -> tuple[list[str], list[tuple[int, int, int, int]]]:
-    """Snapshot rows of the file-backed ``entries`` (of ``file_filter``
-    only, if given), and the pathnames their path ids index."""
+) -> tuple[list[str], np.ndarray]:
+    """Snapshot columns of the file-backed ``entries`` (of ``file_filter``
+    only, if given): ``(start_vpns, npages, file_pages, path_ids)`` as a
+    ``(4, lines)`` array, and the pathnames their path ids index."""
     path_ids: dict[str, int] = {}
     rows = [
         (e.start_vpn, e.npages, e.file_page, path_ids.setdefault(e.pathname, len(path_ids)))
         for e in entries
         if not e.anonymous and file_filter in (None, e.pathname)
     ]
-    return list(path_ids), rows
+    return list(path_ids), np.array(rows, dtype=np.int64).reshape(-1, 4).T
+
+
+def listed(rows: tuple[list[str], np.ndarray]) -> tuple[list[str], list[tuple]]:
+    """``(paths, columns)`` as comparable lists: one tuple per line."""
+    paths, columns = rows
+    return paths, [tuple(line) for line in columns.T.tolist()]
 
 
 def oracle_maps_rows(substrate, file_filter: str | None = None):
@@ -143,10 +150,11 @@ class OracleMappingSnapshot:
     def __init__(
         self,
         paths: Sequence[str] = (),
-        rows: Sequence[tuple[int, int, int, int]] = (),
+        columns: np.ndarray | None = None,
         cost: CostModel | None = None,
         lane: str = MAIN_LANE,
     ) -> None:
+        rows = [] if columns is None else np.asarray(columns).T.tolist()
         self._forward: dict[int, PhysPage] = {}
         self._reverse: dict[PhysPage, set[int]] = {}
         self._cost = cost

@@ -10,6 +10,9 @@ from repro.vm.errors import BadAddressError, MapError
 from repro.vm.physical import PhysicalMemory
 from repro.vm.vma import Vma
 
+from ..conftest import book_run
+from .mapping_oracle import can_merge
+
 
 @pytest.fixture
 def asp():
@@ -24,7 +27,7 @@ def file():
 
 class TestMapping:
     def test_add_and_translate(self, asp, file):
-        asp.add_mapping(Vma(start=100, npages=4, file=file, file_page=8))
+        asp.add_mapping(start=100, npages=4, file=file, file_page=8)
         assert asp.translate(102) == (file, 10)
         assert asp.find_vma(103) is not None
         assert asp.find_vma(104) is None
@@ -34,39 +37,39 @@ class TestMapping:
             asp.translate(5)
 
     def test_overlap_rejected(self, asp):
-        asp.add_mapping(Vma(start=10, npages=4))
+        asp.add_mapping(start=10, npages=4)
         with pytest.raises(MapError):
-            asp.add_mapping(Vma(start=12, npages=4))
+            asp.add_mapping(start=12, npages=4)
         with pytest.raises(MapError):
-            asp.add_mapping(Vma(start=8, npages=3))
+            asp.add_mapping(start=8, npages=3)
 
     def test_adjacent_compatible_vmas_merge(self, asp, file):
-        asp.add_mapping(Vma(start=0, npages=2, file=file, file_page=0))
-        asp.add_mapping(Vma(start=2, npages=2, file=file, file_page=2))
+        asp.add_mapping(start=0, npages=2, file=file, file_page=0)
+        asp.add_mapping(start=2, npages=2, file=file, file_page=2)
         assert asp.num_vmas == 1
         assert asp.translate(3) == (file, 3)
 
     def test_merge_with_both_neighbours(self, asp, file):
-        asp.add_mapping(Vma(start=0, npages=2, file=file, file_page=0))
-        asp.add_mapping(Vma(start=4, npages=2, file=file, file_page=4))
-        asp.add_mapping(Vma(start=2, npages=2, file=file, file_page=2))
+        asp.add_mapping(start=0, npages=2, file=file, file_page=0)
+        asp.add_mapping(start=4, npages=2, file=file, file_page=4)
+        asp.add_mapping(start=2, npages=2, file=file, file_page=2)
         assert asp.num_vmas == 1
 
     def test_incompatible_neighbours_do_not_merge(self, asp, file):
-        asp.add_mapping(Vma(start=0, npages=2, file=file, file_page=0))
-        asp.add_mapping(Vma(start=2, npages=2, file=file, file_page=7))
+        asp.add_mapping(start=0, npages=2, file=file, file_page=0)
+        asp.add_mapping(start=2, npages=2, file=file, file_page=7)
         assert asp.num_vmas == 2
 
 
 class TestUnmapping:
     def test_remove_whole_vma(self, asp):
-        asp.add_mapping(Vma(start=10, npages=4))
+        asp.add_mapping(start=10, npages=4)
         assert asp.remove_mapping(10, 4) == 4
         assert asp.find_vma(10) is None
         assert asp.num_vmas == 0
 
     def test_remove_splits_head_and_tail(self, asp, file):
-        asp.add_mapping(Vma(start=10, npages=10, file=file, file_page=0))
+        asp.add_mapping(start=10, npages=10, file=file, file_page=0)
         assert asp.remove_mapping(13, 4) == 4
         assert asp.num_vmas == 2
         assert asp.translate(12) == (file, 2)
@@ -74,8 +77,8 @@ class TestUnmapping:
         assert asp.find_vma(15) is None
 
     def test_remove_across_holes(self, asp):
-        asp.add_mapping(Vma(start=0, npages=2))
-        asp.add_mapping(Vma(start=5, npages=2))
+        asp.add_mapping(start=0, npages=2)
+        asp.add_mapping(start=5, npages=2)
         assert asp.remove_mapping(0, 10) == 4
 
     def test_remove_nothing(self, asp):
@@ -88,8 +91,8 @@ class TestUnmapping:
 
 class TestReplace:
     def test_replace_overwrites_atomically(self, asp, file):
-        asp.add_mapping(Vma(start=0, npages=8))
-        asp.map_runs([Vma(start=2, npages=2, file=file, file_page=30)])
+        asp.add_mapping(start=0, npages=8)
+        book_run(asp, start=2, npages=2, file=file, file_page=30)
         assert asp.translate(2) == (file, 30)
         assert asp.translate(1) is None  # anonymous remainder
         assert asp.translate(4) is None
@@ -103,7 +106,7 @@ class TestAllocator:
 
     def test_allocator_skips_fixed_mappings(self, asp):
         a = asp.allocate_region(4)
-        asp.add_mapping(Vma(start=a + 100, npages=8))
+        asp.add_mapping(start=a + 100, npages=8)
         c = asp.allocate_region(4)
         assert c >= a + 108
 
@@ -136,9 +139,9 @@ def test_address_space_matches_page_model(ops):
             vma = Vma(start=start, npages=npages, file=file, file_page=start)
             if overlap:
                 with pytest.raises(MapError):
-                    asp.add_mapping(vma)
+                    asp.add_mapping(vma.start, vma.npages, vma.file, vma.file_page)
             else:
-                asp.add_mapping(vma)
+                asp.add_mapping(vma.start, vma.npages, vma.file, vma.file_page)
                 for i in range(npages):
                     model[start + i] = start + i
         elif op == "unmap":
@@ -149,7 +152,7 @@ def test_address_space_matches_page_model(ops):
             assert removed == expected
         else:
             vma = Vma(start=start, npages=npages, file=file, file_page=0)
-            asp.map_runs([vma])
+            book_run(asp, vma.start, vma.npages, vma.file, vma.file_page)
             for v in range(start, start + npages):
                 model[v] = v - start
 
@@ -163,4 +166,22 @@ def test_address_space_matches_page_model(ops):
     vmas = list(asp.vmas())
     for first, second in zip(vmas, vmas[1:]):
         assert first.end <= second.start
-        assert not first.can_merge_with(second)
+        assert not can_merge(first, second)
+
+
+def test_files_no_vma_maps_are_dropped_from_the_file_ids():
+    """A file's id lives while a VMA maps it: once the file list has
+    doubled past the files still mapped, the unmapped ones are dropped
+    and the survivors keep translating to the right file and page."""
+    memory = PhysicalMemory(capacity_bytes=256 * 4096)
+    asp = AddressSpace()
+    kept = memory.create_file("kept", 4)
+    asp.add_mapping(0, 4, kept, 0)
+    for i in range(40):
+        file = memory.create_file(f"f{i}", 2)
+        asp.add_mapping(100, 2, file, 0)
+        assert asp.translate(101) == (file, 1)
+        asp.remove_mapping(100, 2)
+    assert len(asp.columns()[1]) < 20
+    assert asp.translate(3) == (kept, 3)
+    assert [(v.start, v.npages, v.file) for v in asp.vmas()] == [(0, 4, kept)]

@@ -12,9 +12,11 @@ rendered ``/proc``-format text byte for byte, the columns the maps
 snapshot is built from (``maps_snapshot`` against the rendered text
 parsed back), ledger lanes (``==``, not approx) and counters —
 and, with the fault plane armed, the journal, the mapped prefix, the
-views' ``_touched`` flags and the retry counters.  A plan with a run
-that starts outside every area is refused whole on both sides
-(``mapping_oracle.check_inside`` on the walk's).
+views' ``_touched`` flags and the retry counters.  The walk keeps its
+own list of VMAs (``mapping_oracle.OracleAddressSpace``), the substrate
+its columnar page table.  A plan with a page of a run outside every
+area is refused whole on both sides (``mapping_oracle.check_inside``
+on the walk's).
 
 Knobs: ``REPRO_SEED`` re-seeds the bulk sweep, ``REPRO_FUZZ_SCHEDULES``
 sets its length (default 200); a failing sweep entry names its seed.
@@ -38,7 +40,7 @@ from repro.resilience import ResilienceConfig, RetryPolicy
 from repro.seeds import derive_seed
 from repro.storage.column import PhysicalColumn
 from repro.substrate import SimulatedSubstrate, make_substrate
-from repro.vm.address_space import AddressSpace
+from repro.vm.address_space import START
 from repro.vm.constants import VALUES_PER_PAGE
 from repro.vm.cost import MAIN_LANE, MAPPER_LANE, CostModel
 from repro.vm.errors import MapError, VmError
@@ -66,7 +68,7 @@ FILES = ("db", "aux")
 Op = tuple
 
 
-def _mapped_pages(aspace: AddressSpace, lo: int, hi: int) -> int:
+def _mapped_pages(aspace, lo: int, hi: int) -> int:
     """Pages of ``[lo, hi)`` some VMA holds."""
     return sum(
         min(vma.end, hi) - max(vma.start, lo)
@@ -83,7 +85,7 @@ class Side:
         memory = PhysicalMemory(capacity_bytes=64 * 1024 * 1024, cost=CostModel())
         self.cost = memory.cost
         if oracle:
-            self.aspace = AddressSpace()
+            self.aspace = mapping_oracle.OracleAddressSpace()
         else:
             self.substrate = SimulatedSubstrate(memory)
             self.aspace = self.substrate.address_space
@@ -114,7 +116,7 @@ class Side:
             ]
             args = (base + columns[0], columns[1], self.files[name], columns[2])
             if self.oracle:
-                mapping_oracle.check_inside(aspace, args[0])
+                mapping_oracle.check_inside(aspace, args[0], args[1])
                 mapping_oracle.oracle_map_runs(aspace, cost, *args, populate, lane)
             else:
                 self.substrate.map_runs(*args, populate, lane)
@@ -122,7 +124,7 @@ class Side:
             _, name, offset, npages, file_page = op
             args = (base + offset, npages, self.files[name], file_page)
             if self.oracle:
-                mapping_oracle.check_inside(aspace, [args[0]])
+                mapping_oracle.check_inside(aspace, [args[0]], [npages])
                 mapping_oracle.oracle_map_fixed(aspace, cost, *args)
             else:
                 self.substrate.map_fixed(*args)
@@ -130,7 +132,7 @@ class Side:
             if not self.oracle:
                 to_reservation(self.substrate, base + op[1], op[2])
             else:
-                mapping_oracle.check_inside(aspace, [base + op[1]])
+                mapping_oracle.check_inside(aspace, [base + op[1]], [op[2]])
                 mapping_oracle.replace_mapping(aspace, Vma(base + op[1], op[2]))
                 cost.ledger.charge(cost.params.mmap_syscall_ns, MAIN_LANE)
                 cost.ledger.count("mmap_calls")
@@ -147,18 +149,25 @@ class Side:
 
     def observe(self) -> dict:
         aspace = self.aspace
+        db = "/dev/shm/db"
         if self.oracle:
-            rows = entries_rows(parse_maps(render_maps(aspace)))
-            snapshot = MappingSnapshot(*rows)
+            entries = parse_maps(render_maps(aspace))
+            snapshot = MappingSnapshot(*entries_rows(entries))
+            filtered = MappingSnapshot(*entries_rows(entries, file_filter=db))
         else:
             snapshot = self.substrate.maps_snapshot()
+            filtered = self.substrate.maps_snapshot(file_filter=db)
         ledger = self.cost.ledger
+        if self.oracle:
+            starts = list(aspace._starts)
+        else:
+            starts = aspace.columns()[0][START].tolist()
         return {
             "vmas": [
                 (v.start, v.npages, v.file and v.file.name, v.file_page)
                 for v in aspace.vmas()
             ],
-            "starts": list(aspace._starts),
+            "starts": starts,
             "next_vpn": aspace._next_vpn,
             "maps_text": render_maps(aspace),
             "snapshot": (
@@ -166,6 +175,12 @@ class Side:
                 snapshot._vpns.tolist(),
                 snapshot._fpages.tolist(),
                 snapshot._pids.tolist(),
+            ),
+            "snapshot of db": (
+                filtered._paths,
+                filtered._vpns.tolist(),
+                filtered._fpages.tolist(),
+                filtered._pids.tolist(),
             ),
             "lanes": ledger.lanes(),
             "counters": ledger.counters(),
@@ -177,6 +192,7 @@ def assert_parity(ops: list[Op]) -> dict:
     exception type, if any — after every op.  Returns the last state."""
     new, old = Side(oracle=False), Side(oracle=True)
     seen = new.observe()
+    refused = []
     for step, op in enumerate(ops):
         errors = []
         for side in (new, old):
@@ -190,7 +206,10 @@ def assert_parity(ops: list[Op]) -> dict:
         for key in expected:
             assert seen[key] == expected[key], f"step {step} {op!r}: {key} differs"
         assert seen["starts"] == [vma[0] for vma in seen["vmas"]]
+        if errors[0] is not None:
+            refused.append(op)
     seen["base"] = new.base
+    seen["refused"] = refused
     return seen
 
 
@@ -247,11 +266,14 @@ class TestPlantedPlans:
         )
 
     def test_run_spilling_past_the_reservation_into_a_hole(self):
-        seen = assert_parity(
-            [("reserve", 4), ("reserve", 4), ("unmap", 4, 4), plan("db", (2, 9, 8))]
-        )
-        # over the hole and on past everything ever mapped
-        assert seen["next_vpn"] == seen["vmas"][-1][0] + 9
+        spill = plan("db", (2, 9, 8))
+        seen = assert_parity([("reserve", 4), ("reserve", 4), ("unmap", 4, 4), spill])
+        # it starts inside the first area but runs on over the hole and
+        # past everything ever mapped: refused whole, nothing changed
+        assert seen["refused"] == [spill]
+        assert seen["vmas"] == [(seen["base"], 4, None, 0)]
+        assert seen["next_vpn"] == seen["base"] + 8
+        assert seen["counters"] == {"mmap_calls": 2, "munmap_calls": 1, "pages_unmapped": 4}
 
     def test_neighbours_merge_at_both_ends(self):
         seen = assert_parity(
@@ -342,7 +364,8 @@ def test_random_address_spaces(seed):
 
 def test_bulk_seeded_address_spaces():
     """REPRO_FUZZ_SCHEDULES op sequences derived from REPRO_SEED; the
-    sweep as a whole must have merged runs and mapped past the area."""
+    sweep as a whole must have merged runs and refused runs that leave
+    the area (a run is refused, never mapped, past the area's end)."""
     merged = spilled = 0
     for i in range(FUZZ_SCHEDULES):
         seed = derive_seed(i)
@@ -353,7 +376,8 @@ def test_bulk_seeded_address_spaces():
             raise AssertionError(f"sweep entry {i} (seed {seed}): {exc}") from exc
         calls = sum(len(op[2]) for op in ops if op[0] == "plan")
         merged += len(seen["vmas"]) < calls
-        spilled += seen["next_vpn"] > seen["base"] + AREA
+        assert seen["next_vpn"] == seen["base"] + AREA, f"sweep entry {i} (seed {seed})"
+        spilled += bool(seen["refused"])
     if FUZZ_SCHEDULES >= 50:
         assert merged and spilled, (merged, spilled)
 

@@ -30,6 +30,8 @@ from repro.vm.physical import PhysicalMemory
 from repro.vm.procmaps import render_maps
 from repro.vm.vma import Vma
 
+from .mapping_oracle import clipped
+
 FUZZ_SCHEDULES = int(os.environ.get("REPRO_FUZZ_SCHEDULES", "200"))
 
 FILE_PAGES = 64
@@ -255,6 +257,6 @@ class TestVmaStaysStrict:
         assert dataclasses.replace(placed, file_page=9).file_page == 9
         # what is derived from a placed area is as closed as the area
         cut = stack.base + 3
-        for derived in (placed.clipped(placed.start, cut), placed.clipped(cut, placed.end)):
+        for derived in (clipped(placed, placed.start, cut), clipped(placed, cut, placed.end)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 derived.npages = 1

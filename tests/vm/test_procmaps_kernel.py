@@ -24,9 +24,8 @@ from repro.vm.constants import PAGE_SIZE
 from repro.vm.cost import CostModel
 from repro.vm.errors import ProcMapsError
 from repro.vm.procmaps import maps_rows
-from repro.vm.vma import Vma
 
-from .snapshot_oracle import entries_rows, parse_maps
+from .snapshot_oracle import entries_rows, listed, parse_maps
 
 FIXTURE = Path(__file__).parent / "fixtures" / "proc_self_maps.txt"
 
@@ -135,7 +134,7 @@ def _book(entries) -> AddressSpace:
     """A page table whose anonymous areas cover exactly ``entries``."""
     book = AddressSpace()
     for e in entries:
-        book.add_mapping(Vma(e.start_vpn, e.npages))
+        book.add_mapping(e.start_vpn, e.npages)
     return book
 
 
@@ -148,7 +147,7 @@ def _oracle_rows(entries, paths, book, file_filter=None):
         and book.find_vma(e.start_vpn) is not None
         and book.find_vma(e.end_vpn - 1) is not None
     ]
-    return entries_rows(kept, file_filter)
+    return listed(entries_rows(kept, file_filter))
 
 
 class TestMapsRowsOnTheCapture:
@@ -162,7 +161,7 @@ class TestMapsRowsOnTheCapture:
 
     def test_every_file_inside_every_area(self, capture, entries, paths):
         book = _book(entries)
-        rows = maps_rows(capture, paths, book)
+        rows = listed(maps_rows(capture, paths, book))
         assert rows == _oracle_rows(entries, paths, book)
         names, kept = rows
         assert "/memfd:t.col with space (deleted)" in names
@@ -173,17 +172,17 @@ class TestMapsRowsOnTheCapture:
         book = _book(entries[::2])
         memfds = {inode: path for inode, path in paths.items() if "memfd" in path}
         for chosen in (paths, memfds, {}):
-            rows = maps_rows(capture, chosen, book)
+            rows = listed(maps_rows(capture, chosen, book))
             assert rows == _oracle_rows(entries, chosen, book)
-        assert maps_rows(capture, paths, AddressSpace()) == ([], [])
+        assert listed(maps_rows(capture, paths, AddressSpace())) == ([], [])
 
     def test_file_filter(self, capture, entries, paths):
         book = _book(entries)
         for path in ("/memfd:t.col with space (deleted)", "[heap]", "/nowhere"):
-            rows = maps_rows(capture, paths, book, file_filter=path)
+            rows = listed(maps_rows(capture, paths, book, file_filter=path))
             assert rows == _oracle_rows(entries, paths, book, file_filter=path)
         python = next(p for p in paths.values() if p.endswith("/python3.11"))
-        names, kept = maps_rows(capture, paths, book, file_filter=python)
+        names, kept = listed(maps_rows(capture, paths, book, file_filter=python))
         assert names == [python] and len(kept) > 1
 
     @pytest.mark.parametrize(
@@ -200,7 +199,7 @@ class TestMapsRowsOnTheCapture:
     )
     def test_a_line_not_in_maps_format_is_refused(self, capture, entries, line):
         book = _book(entries)
-        book.add_mapping(Vma(0x400, 1))
+        book.add_mapping(0x400, 1)
         with pytest.raises(ProcMapsError):
             parse_maps(line)
         with pytest.raises(ProcMapsError):

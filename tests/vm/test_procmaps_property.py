@@ -20,9 +20,8 @@ from repro.substrate import SimulatedSubstrate
 from repro.vm.cost import CostModel
 from repro.vm.physical import PhysicalMemory
 from repro.vm.procmaps import MappingSnapshot, render_maps
-from repro.vm.vma import Vma
 
-from ..conftest import to_reservation
+from ..conftest import book_run, to_reservation
 from ..oracle_paths import production_paths, reference_paths
 from .snapshot_oracle import MapsEntry, OracleMappingSnapshot, entries_rows, parse_maps
 
@@ -116,11 +115,11 @@ def _substrate(ops) -> SimulatedSubstrate:
         if op in ("map_db", "map_aux"):
             # consecutive calls with consecutive pages merge into one VMA
             file = db if op == "map_db" else aux
-            asp.map_runs([Vma(start, npages, file, fpage)])
+            book_run(asp, start, npages, file, fpage)
         elif op == "map_anon":
-            asp.map_runs([Vma(start, npages)])
+            book_run(asp, start, npages)
         elif op == "remap_db":
-            asp.map_runs([Vma(start, npages, db, fpage)])
+            book_run(asp, start, npages, db, fpage)
         else:
             asp.remove_mapping(start, npages)
     return substrate
