@@ -44,7 +44,7 @@ def main() -> None:
               f"whose page p starts with the value 1000+p")
 
         def first(vpn: int) -> int:
-            return int(sub.peek_virtual(vpn)[0])
+            return int(sub.read_mapped(vpn, 1)[1][0, 0])
 
         view = sub.reserve(8)
         print("\n1) rewire view pages [0..3] to physical pages [7,5,3,1]:")

@@ -7,7 +7,7 @@ mapping state the adaptive stack keeps (PAPER.md §2.4–2.5):
 2. **the address space** — the substrate's page table
    (``address_space``, kept by both backends) and the pages behind it,
    read through uncharged translation (``address_space.translate`` and
-   :meth:`Substrate.peek_virtual`);
+   one :meth:`Substrate.read_mapped` per view);
 3. **the bimap snapshot** — a fresh parse of the backend's maps source
    (on the native backend, the kernel's real ``/proc/self/maps``, whose
    lines inside the areas must number no more than the page table's);
@@ -367,12 +367,8 @@ class InvariantAuditor:
                 view_range=vrange,
             )
 
-        content_budget = (
-            self.max_content_pages
-            if self.max_content_pages is not None
-            else int(mapped.size)
-        )
         page_tables = substrate.address_space
+        agreed = []  # pages whose translation both sources agree on
         for fpage in mapped.tolist():
             vpn = view.vpn_of(fpage)
 
@@ -413,34 +409,44 @@ class InvariantAuditor:
                     fpage=fpage,
                 )
                 continue
-
-            if content_budget <= 0:
-                continue
-            content_budget -= 1
-
-            # Physical contents: reading through the view's virtual page
-            # yields the column's physical page, and the embedded pageID
-            # still matches.
-            report.checks += 1
-            through_view = substrate.peek_virtual(vpn)
-            direct = column.file.page_values(fpage)
-            if not np.array_equal(through_view, direct):
+            agreed.append(fpage)
+        # Physical contents: one read through the view's area yields,
+        # for each page both sources agree on (within the budget), the
+        # column's physical page, and the embedded pageID still names it.
+        checked = agreed[: self.max_content_pages]
+        if checked:
+            headers, values = substrate.read_mapped(view.base_vpn, view.capacity)
+            report.checks += 2 * len(checked)
+            if headers.size != mapped.size:
                 report.add_finding(
                     "content-agreement",
-                    f"virtual read of vpn {vpn} differs from physical "
-                    f"page {fpage}",
+                    f"a read through the view returns {headers.size} pages, "
+                    f"its catalog maps {mapped.size}",
                     label=label,
                     view_range=vrange,
-                    fpage=fpage,
                 )
-            report.checks += 1
-            if column.file.page_id(fpage) != fpage:
-                report.add_finding(
-                    "page-id",
-                    f"embedded pageID {column.file.page_id(fpage)} != {fpage}",
-                    label=label,
-                    fpage=fpage,
-                )
+            else:
+                # the read is in slot order, ``mapped`` sorted
+                pages = np.array(checked)
+                at = np.argsort(view.mapped_fpages())[mapped.searchsorted(pages)]
+                wrong = (values[at] != column.file.data[pages]).any(axis=1)
+                for fpage in pages[wrong].tolist():
+                    report.add_finding(
+                        "content-agreement",
+                        f"virtual read of vpn {view.vpn_of(fpage)} differs from "
+                        f"physical page {fpage}",
+                        label=label,
+                        view_range=vrange,
+                        fpage=fpage,
+                    )
+                for fpage, page_id in zip(checked, headers[at].tolist()):
+                    if page_id != fpage:
+                        report.add_finding(
+                            "page-id",
+                            f"embedded pageID {page_id} != {fpage}",
+                            label=label,
+                            fpage=fpage,
+                        )
 
         # Semantic ground truth: a partial view indexes exactly the
         # pages holding at least one value in its covered range; the

@@ -109,6 +109,10 @@ class AdaptiveStorageLayer:
         # view maps (an update may have moved an in-range value onto a
         # page outside every view's page set).
         self._dirty_fpages: set[int] = set()
+        # The pre-write hook is the set's own ``add``: it holds the set,
+        # not the layer, so a layer dropped without shutdown() is freed by
+        # reference counting.
+        self._note_write = self._dirty_fpages.add
         # Views a query kept while that batch was pending: they reflect
         # the data as of their creation, not the batch's first old
         # values, so their realignment checks every indexed page.
@@ -242,10 +246,6 @@ class AdaptiveStorageLayer:
         return QueryResult(
             rowids=routed.rowids, values=routed.values, stats=stats
         )
-
-    def _note_write(self, row: int, fpage: int) -> None:
-        """Pre-write hook: remember which pages the pending batch touched."""
-        self._dirty_fpages.add(fpage)
 
     def adopt_pending(self, batch: UpdateBatch) -> None:
         """Treat a batch written before this layer existed as pending."""

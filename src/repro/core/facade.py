@@ -618,9 +618,7 @@ class AdaptiveDatabase:
         file = column.file
         if old_rows % per_page != 0:
             # the partial last page is about to change: COW-preserve it
-            page = layout.row_to_page(old_rows, per_page)
-            for hook in column._pre_write_hooks:
-                hook(old_rows, page)
+            column.before_write(layout.row_to_page(old_rows, per_page))
         new_pages = layout.pages_for_rows(new_rows, per_page)
         tier = column.tier
         if new_pages > file.num_pages:

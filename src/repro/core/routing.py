@@ -60,9 +60,12 @@ def scan_views(
 ) -> RoutedScan:
     """Scan the selected views to answer the query ``[lo, hi]``.
 
-    The views must jointly cover ``[lo, hi]``.  Shared physical pages are
-    scanned only once: a fixed-size bitvector over the column's pages
-    tracks processed pages, exactly as Section 2.1 describes.
+    The views must jointly cover ``[lo, hi]``.  Each view is read
+    through its own mapping (:meth:`~repro.substrate.interface.Substrate.read_mapped`),
+    so a query's answer is what the views' virtual memory holds.  Shared
+    physical pages are scanned only once: a fixed-size bitvector over
+    the column's pages tracks processed pages, exactly as Section 2.1
+    describes.
     """
     if not views:
         raise ValueError("need at least one view to answer a query")
@@ -91,12 +94,16 @@ def scan_views(
     max_below_seen = NO_BELOW
     min_above_seen = NO_ABOVE
 
+    read = column.substrate.read_mapped
     for view in views:
-        fpages = view.mapped_fpages()
+        # The view's own area, read through its mappings: the pages in
+        # address order, named by their pageID headers.
+        fpages, rows = read(view.base_vpn, view.capacity)
         if multi:
             # Skip pages another selected view already processed; the
             # bitvector lookups ride along with the page accesses.
-            fpages = fpages[~processed[fpages]]
+            fresh = ~processed[fpages]
+            fpages, rows = fpages[fresh], rows[fresh]
         if fpages.size == 0:
             continue
         views_used += 1
@@ -107,7 +114,9 @@ def scan_views(
             full_view=view.is_full_view,
         ) as vspan:
             view.charge_first_touch(fpages, lane)
-            result = batch_scan(column, fpages, lo, hi, access_kind="seq", lane=lane)
+            result = batch_scan(
+                column, fpages, lo, hi, access_kind="seq", lane=lane, rows=rows
+            )
             vspan.set(pages=result.pages_scanned)
         if multi:
             processed[fpages] = True

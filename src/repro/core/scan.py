@@ -191,8 +191,9 @@ def _valid_slots(
 
 
 def _emit(
-    column: PhysicalColumn,
-    fpages: np.ndarray,
+    read,
+    headers: np.ndarray,
+    per_page: int,
     counts: np.ndarray,
     inside: np.ndarray,
     filtered: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
@@ -201,9 +202,11 @@ def _emit(
 
     ``counts`` are the hits of every scanned page; the pages at the
     positions ``inside`` lie wholly inside the range and are copied
-    without a mask, a run of consecutive pages at a time.  ``filtered``
-    holds the straddling chunks' ``(positions, hits_per_page, rowids,
-    values)``, copied to their pages' places a stretch at a time.
+    without a mask, a run of consecutive positions at a time, their rows
+    read by ``read(positions)``.
+    ``filtered`` holds the straddling chunks' ``(positions,
+    hits_per_page, rowids, values)``, copied to their pages' places a
+    stretch at a time.
     """
     starts = counts.cumsum()
     total = int(starts[-1])
@@ -226,46 +229,48 @@ def _emit(
             rowids[at : at + end - begin] = chunk_rowids[begin:end]
             values[at : at + end - begin] = chunk_values[begin:end]
 
-    data, headers = column.file.data, column.file.headers
-    per_page = column.values_per_page
     slots = np.arange(per_page)
     full = inside[counts[inside] == per_page]
     if full.size:
-        # A run: positions in a row whose pages follow one another in the
-        # file, so that its rows are one slab of the store.
-        pages = fpages[full]
-        cuts = ((full[1:] - full[:-1] != 1) | (pages[1:] - pages[:-1] != 1)).nonzero()[0]
-        cuts = (cuts + 1).tolist()
+        # A run: consecutive positions, whose rows are one slab.
+        cuts = ((full[1:] - full[:-1] != 1).nonzero()[0] + 1).tolist()
         for first, end in zip([0, *cuts], [*cuts, full.size]):
-            page, k = int(pages[first]), end - first
-            at = int(starts[full[first]])
+            i, k = int(full[first]), end - first
+            at = int(starts[i])
             out = slice(at, at + k * per_page)
-            values[out].reshape(k, per_page)[...] = data[page : page + k]
+            values[out].reshape(k, per_page)[...] = read(slice(i, i + k))
             np.add(
-                (headers[page : page + k] * per_page)[:, None],
+                (headers[i : i + k] * per_page)[:, None],
                 slots,
                 out=rowids[out].reshape(k, per_page),
             )
     for i in inside[counts[inside] < per_page].tolist():
         # The padded last page: its filled slots only.
-        page, filled, at = int(fpages[i]), int(counts[i]), int(starts[i])
-        values[at : at + filled] = data[page, :filled]
-        rowids[at : at + filled] = slots[:filled] + int(headers[page]) * per_page
+        filled, at = int(counts[i]), int(starts[i])
+        values[at : at + filled] = read(i)[:filled]
+        rowids[at : at + filled] = slots[:filled] + int(headers[i]) * per_page
     return rowids, values
 
 
 def _scan_by_extent(
-    column: PhysicalColumn,
-    fpages: np.ndarray,
+    read,
+    headers: np.ndarray,
     lo: int,
     hi: int,
     valid_counts: np.ndarray | None,
+    per_page: int,
+    scattered: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(rowids, values, page_qualifies, max_below, min_above)`` of the
     given (non-empty) pages.
 
-    A page list that is one run, or longer than a block, is scanned
-    extent-first, in three phases that each run once per scan.
+    ``read(positions)`` gives the pages at those positions, one page a
+    row, aligned with their pageIDs ``headers``: rows read through a
+    mapping, in place, or an explicit page list gathered a block at a
+    time.  Nothing is ever written into them.
+
+    Pages that are one run of the store, or more than a block, are
+    scanned extent-first, in three phases that each run once per scan.
     *Extents*: two reductions give every page's min and max.
     *Classify*: a page wholly below ``lo`` or wholly above ``hi`` is
     finished — it cannot qualify and its evidence is the extent itself.
@@ -284,10 +289,10 @@ def _scan_by_extent(
     per_page + slot`` written in one pass, and the straddlers' hits are
     copied to their pages' places.
 
-    A scattered list that fits one block — a view hit — is gathered once
-    and filtered whole, mask first: a view's pages nearly all straddle
-    its range, so an extent pass would classify next to nothing.  Only
-    its pages without a hit are reduced, for their evidence.
+    ``scattered`` pages that fit one block — a view hit — are filtered
+    whole, mask first: a view's pages nearly all straddle its range, so
+    an extent pass would classify next to nothing.  Only its pages
+    without a hit are reduced, for their evidence.
 
     Nothing outlives the call — the extents are recomputed from the page
     contents by every scan, so, unlike a stored zone map, there is
@@ -295,34 +300,23 @@ def _scan_by_extent(
     ``.repeat()``) stand where numpy's Python-level wrappers would: on a
     scan of a few dozen pages those cost more than the work.
     """
-    file = column.file
-    data = file.data
-    per_page = column.values_per_page
-    n = fpages.size
-    first = int(fpages[0])
-    if fpages[-1] - first == n - 1 and (fpages == np.arange(first, first + n)).all():
-        pages = data[first : first + n]  # the full view, any run: read in place
-    elif n <= BLOCK_PAGES and lo <= hi:
+    n = headers.size
+    if scattered and n <= BLOCK_PAGES and lo <= hi:
         valid = _valid_slots(valid_counts, per_page)
         rowids, values, hits_per_page, below, above = _filter(
-            data[fpages], file.headers[fpages], lo, hi, valid, per_page
+            np.ascontiguousarray(read(slice(0, n))), headers, lo, hi, valid, per_page
         )
         return rowids, values, hits_per_page > 0, below, above
-    else:
-        pages = None  # gathered a block at a time
 
     page_min = np.empty(n, dtype=np.int64)
     page_max = np.empty(n, dtype=np.int64)
-    if pages is not None:
-        _page_extents(pages, page_min, page_max)
-    else:
-        for start in range(0, n, BLOCK_PAGES):
-            block = slice(start, start + BLOCK_PAGES)
-            _page_extents(data[fpages[block]], page_min[block], page_max[block])
+    for start in range(0, n, BLOCK_PAGES):
+        block = slice(start, start + BLOCK_PAGES)
+        _page_extents(read(block), page_min[block], page_max[block])
     if valid_counts is not None:
         # The padding of a partial page must not enter its extent.
         partial = (valid_counts < per_page).nonzero()[0]
-        rows = data[fpages[partial]]
+        rows = read(partial)
         valid = _slot_mask(valid_counts[partial], per_page)
         page_min[partial] = np.minimum.reduce(
             rows, axis=1, where=valid, initial=NO_ABOVE
@@ -361,15 +355,13 @@ def _scan_by_extent(
 
     for start in range(0, straddling.size, BLOCK_PAGES):
         chunk = straddling[start : start + BLOCK_PAGES]
-        if pages is None:
-            sub = data[fpages[chunk]]
-        elif chunk[-1] - chunk[0] == chunk.size - 1:
-            sub = np.ascontiguousarray(pages[chunk[0] : chunk[-1] + 1])
+        if chunk[-1] - chunk[0] == chunk.size - 1:
+            sub = np.ascontiguousarray(read(slice(chunk[0], chunk[-1] + 1)))
         else:
-            sub = pages[chunk]
+            sub = read(chunk)
         valid = None if valid_counts is None else _valid_slots(valid_counts[chunk], per_page)
         rowids, values, hits_per_page, below, above = _filter(
-            sub, file.headers[fpages[chunk]], lo, hi, valid, per_page
+            sub, headers[chunk], lo, hi, valid, per_page
         )
         counts[chunk] = hits_per_page
         filtered.append((chunk, hits_per_page, rowids, values))
@@ -377,7 +369,7 @@ def _scan_by_extent(
         min_above[chunk] = above
 
     if inside.size:
-        rowids, values = _emit(column, fpages, counts, inside, filtered)
+        rowids, values = _emit(read, headers, per_page, counts, inside, filtered)
     else:
         rowids = joined([part[2] for part in filtered if part[2].size])
         values = joined([part[3] for part in filtered if part[3].size])
@@ -392,8 +384,16 @@ def batch_scan(
     access_kind: str = "seq",
     lane: str = MAIN_LANE,
     charge: bool = True,
+    rows: np.ndarray | None = None,
 ) -> BatchScanResult:
     """Scan-and-filter the given physical pages of ``column``.
+
+    With ``rows``, the pages were read through a mapping
+    (:meth:`~repro.substrate.interface.Substrate.read_mapped`): ``rows``
+    holds their values, one page a row, and ``fpages`` their pageIDs,
+    which name them and give their rowids.  The rows are filtered where
+    they lie.  Without, ``fpages`` is an explicit page list, gathered
+    from the column's store: one run of it is read in place.
 
     Charges one full page scan per page at the given ``access_kind``
     unless ``charge`` is false.
@@ -418,8 +418,18 @@ def batch_scan(
     ):
         # only the last page of a column can be partial
         valid_counts = layout.rows_in_pages(fpages, column.num_rows, per_page)
+    n, first = fpages.size, int(fpages[0])
+    one_run = fpages[-1] - first == n - 1 and (fpages == np.arange(first, first + n)).all()
+    file = column.file
+    if rows is not None:
+        headers, read = fpages, rows.__getitem__
+    elif one_run:
+        run = slice(first, first + n)
+        headers, read = file.headers[run], file.data[run].__getitem__
+    else:  # gathered as the scan asks: a block at a time
+        headers, read = file.headers[fpages], lambda at: file.data[fpages[at]]
     rowids, values, page_qualifies, max_below, min_above = _scan_by_extent(
-        column, fpages, lo, hi, valid_counts
+        read, headers, lo, hi, valid_counts, per_page, not one_run
     )
 
     if charge:

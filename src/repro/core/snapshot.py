@@ -13,7 +13,9 @@ the same substrate:
   a snapshot-private main-memory file and the snapshot's virtual page is
   rewired onto the copy;
 * the snapshot therefore always reads the column exactly as it was at
-  creation time, at a cost proportional to the pages actually modified.
+  creation time, at a cost proportional to the pages actually modified;
+  every read goes through the snapshot's own mapping, so it reads what
+  the rewiring made of it.
 
 The :class:`SnapshotManager` hooks the column's write path and fans the
 preserve signal out to all live snapshots.
@@ -25,9 +27,9 @@ import numpy as np
 
 from ..storage import layout
 from ..storage.column import PhysicalColumn
-from ..storage.page import clamp_range
 from ..substrate.interface import PageStore
 from ..vm.cost import MAIN_LANE
+from .scan import batch_scan
 
 
 class ColumnSnapshot:
@@ -50,13 +52,14 @@ class ColumnSnapshot:
             self.num_pages, column.file, file_page=0, lane=lane
         )
         self._copy_file: PageStore | None = None
-        self._copy_of: dict[int, int] = {}  # column page -> copy-file page
+        #: Column pages preserved so far; the n-th is copy-file page n.
+        self._preserved: set[int] = set()
         self.alive = True
 
     @property
     def copied_pages(self) -> int:
         """Pages preserved copy-on-write so far."""
-        return len(self._copy_of)
+        return len(self._preserved)
 
     def _copy_file_handle(self) -> PageStore:
         if self._copy_file is None:
@@ -77,11 +80,11 @@ class ColumnSnapshot:
         once the rewire has succeeded: a faulted attempt records
         nothing, and its retry reuses the copy-file page it claimed.
         """
-        if not self.alive or fpage in self._copy_of:
+        if not self.alive or fpage in self._preserved:
             return False
         self.column.file.check_page(fpage)
         copy_file = self._copy_file_handle()
-        copy_page = len(self._copy_of)
+        copy_page = len(self._preserved)
         if copy_page == copy_file.num_pages:
             copy_file.resize(copy_page + 1)
         copy_file.data[copy_page] = self.column.file.data[fpage]
@@ -94,18 +97,11 @@ class ColumnSnapshot:
         self.substrate.map_fixed(
             self.base_vpn + fpage, 1, copy_file, copy_page, lane=lane
         )
-        self._copy_of[fpage] = copy_page
+        self._preserved.add(fpage)
         cost.ledger.count("snapshot_pages_copied")
         return True
 
     # -- reads -----------------------------------------------------------
-
-    def _page_values(self, fpage: int) -> np.ndarray:
-        copy_page = self._copy_of.get(fpage)
-        if copy_page is None:
-            return self.column.file.data[fpage]
-        assert self._copy_file is not None
-        return self._copy_file.data[copy_page]
 
     def read(self, row: int, lane: str = MAIN_LANE) -> int:
         """Read one row as of snapshot time."""
@@ -116,17 +112,14 @@ class ColumnSnapshot:
         page = layout.row_to_page(row, per_page)
         slot = layout.row_to_slot(row, per_page)
         self.substrate.cost.page_access("random", 1, lane)
-        return int(self._page_values(page)[slot])
+        _, values = self.substrate.read_mapped(self.base_vpn + page, 1)
+        return int(values[0, slot])
 
     def values(self) -> np.ndarray:
         """All rows as of snapshot time (verification helper, uncharged)."""
         self._check_alive()
-        out = np.empty(
-            (self.num_pages, self.column.values_per_page), dtype=np.int64
-        )
-        for fpage in range(self.num_pages):
-            out[fpage] = self._page_values(fpage)
-        return out.reshape(-1)[: self.num_rows]
+        _, pages = self.substrate.read_mapped(self.base_vpn, self.num_pages)
+        return np.array(pages).reshape(-1)[: self.num_rows]
 
     def scan(
         self, lo: int, hi: int, lane: str = MAIN_LANE
@@ -134,32 +127,18 @@ class ColumnSnapshot:
         """Range-filter the snapshot; returns (rowids, values), charged
         as a sequential scan of the snapshot's virtual area."""
         self._check_alive()
-        lo, hi = clamp_range(lo, hi)
-        all_rowids = []
-        all_values = []
-        for fpage in range(self.num_pages):
-            values = self._page_values(fpage)
-            valid = layout.rows_in_page(
-                fpage, self.num_rows, self.column.values_per_page
-            )
-            values = values[:valid]
-            mask = (values >= lo) & (values <= hi)
-            slots = np.nonzero(mask)[0]
-            if slots.size:
-                all_rowids.append(fpage * self.column.values_per_page + slots)
-                all_values.append(values[slots])
-        cost = self.substrate.cost
-        cost.full_page_scan(
+        fpages, pages = self.substrate.read_mapped(self.base_vpn, self.num_pages)
+        result = batch_scan(self.column, fpages, lo, hi, charge=False, rows=pages)
+        self.substrate.cost.full_page_scan(
             self.column.values_per_page * self.column.value_cost_factor,
             self.num_pages,
             kind="seq",
             lane=lane,
         )
-        empty = np.empty(0, dtype=np.int64)
-        return (
-            np.concatenate(all_rowids) if all_rowids else empty,
-            np.concatenate(all_values) if all_values else empty.copy(),
-        )
+        # the kernel fills pages as the live column does, which may since
+        # have grown past the snapshot's last row
+        keep = result.rowids < self.num_rows
+        return result.rowids[keep], result.values[keep]
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -173,7 +152,7 @@ class ColumnSnapshot:
         if self._copy_file is not None:
             self.substrate.delete_file(self._copy_file.name)
             self._copy_file = None
-        self._copy_of.clear()
+        self._preserved.clear()
 
     def _check_alive(self) -> None:
         if not self.alive:
@@ -205,7 +184,7 @@ class SnapshotManager:
         self._snapshots.append(snapshot)
         return snapshot
 
-    def _on_pre_write(self, row: int, page: int) -> None:
+    def _on_pre_write(self, page: int) -> None:
         for snapshot in self._snapshots:
             if snapshot.alive:
                 snapshot.preserve_page(page)

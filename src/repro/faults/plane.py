@@ -227,7 +227,7 @@ class FaultySubstrate(Substrate):
     # Every mapping call below, and the maps snapshot, goes to the
     # inner backend whole, page table and syscalls alike, so the plane
     # has no backend step of its own.
-    _place_area = _issue_runs = _unmap_area = _read_page = _maps_rows = None
+    _place_area = _issue_runs = _unmap_area = _read_pages = _maps_rows = None
 
     def reserve(self, npages: int, lane: str = MAIN_LANE) -> int:
         self._check("reserve")
@@ -292,10 +292,11 @@ class FaultySubstrate(Substrate):
         # Not a fault point: tear-down is the rollback path.
         self.inner.release_region(vpn, npages, mapped_pages, lane=lane)
 
-    # -- page access through virtual addresses ---------------------------
+    # -- reading through the translation --------------------------------
 
-    def peek_virtual(self, vpn: int):
-        return self.inner.peek_virtual(vpn)
+    def read_mapped(self, vpn: int, npages: int):
+        # Not a fault point: a read makes no syscall.
+        return self.inner.read_mapped(vpn, npages)
 
     # -- the maps source --------------------------------------------------
 

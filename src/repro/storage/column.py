@@ -48,8 +48,9 @@ class PhysicalColumn:
         self.num_rows = num_rows
         #: Width of one stored record; the indexed key is its first 8 B.
         self.record_bytes = record_bytes
-        #: Callbacks invoked as ``hook(row, page)`` before a write lands;
-        #: snapshotting uses this to preserve pages copy-on-write.
+        #: Callbacks invoked as ``hook(page)`` before a write lands on the
+        #: page (:meth:`before_write`): snapshots preserve it
+        #: copy-on-write, adaptive layers note it dirty.
         self._pre_write_hooks: list = []
 
     @property
@@ -134,8 +135,7 @@ class PhysicalColumn:
         per_page = self.values_per_page
         page = layout.row_to_page(row, per_page)
         slot = layout.row_to_slot(row, per_page)
-        for hook in self._pre_write_hooks:
-            hook(row, page)
+        self.before_write(page)
         old = int(self.file.data[page, slot])
         self.file.data[page, slot] = value
         self.cost.value_write(1, lane)
@@ -143,9 +143,14 @@ class PhysicalColumn:
             self.tier.record_write(page, self.cost, lane=lane)
         return old
 
+    def before_write(self, page: int) -> None:
+        """Run every pre-write hook: ``page`` is about to change."""
+        for hook in self._pre_write_hooks:
+            hook(page)
+
     def add_pre_write_hook(self, hook) -> None:
-        """Register a callback invoked as ``hook(row, page)`` before any
-        write modifies the page (used by copy-on-write snapshots)."""
+        """Register a callback invoked as ``hook(page)`` before any
+        write modifies the page."""
         self._pre_write_hooks.append(hook)
 
     def remove_pre_write_hook(self, hook) -> None:

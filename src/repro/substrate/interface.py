@@ -18,8 +18,9 @@ supported by the vanilla Linux kernel":
   memory;
 * **tear-down** — ``munmap`` of a whole region
   (:meth:`Substrate.release_region`);
-* **a read through the translation** — the uncharged diagnostic read of
-  a virtual page (:meth:`Substrate.peek_virtual`);
+* **a read through the translation** — the file-backed pages of a
+  virtual range, uncharged (:meth:`Substrate.read_mapped`): how a view,
+  a snapshot and the auditor read what their mappings hold;
 * **a page table** — :attr:`Substrate.address_space`, the book of every
   area the substrate mapped, run by run, merged as the kernel merges
   them: the paper's bimap (Section 2.4) kept live from the plans.
@@ -28,8 +29,8 @@ supported by the vanilla Linux kernel":
   observer — and a backend supplies only the step that differs: where
   an area lands (:meth:`Substrate._place_area`), the real syscalls
   (:meth:`Substrate._issue_runs`, :meth:`Substrate._unmap_area`),
-  the read of a page the book says is mapped
-  (:meth:`Substrate._read_page`) and the columns of the maps snapshot
+  the read of pages the book maps to a file
+  (:meth:`Substrate._read_pages`) and the columns of the maps snapshot
   (:meth:`Substrate._maps_rows`);
 * **a maps source** — the ``/proc/PID/maps`` snapshot the maintenance
   algorithm parses once per update batch (:meth:`Substrate.maps_text`,
@@ -63,7 +64,7 @@ from ..faults.errors import SubstrateFault
 from ..vm.address_space import FILE, AddressSpace
 from ..vm.constants import VALUES_PER_PAGE
 from ..vm.cost import MAIN_LANE, CostModel
-from ..vm.errors import BadAddressError, MapError
+from ..vm.errors import MapError
 from ..vm.procmaps import MappingSnapshot
 
 
@@ -228,7 +229,7 @@ class Substrate(ABC):
     def __init__(self) -> None:
         #: The page table: every area this substrate mapped, as the VMAs
         #: the maps source shows.  Each mapping operation below updates
-        #: it; ``maps_line_count`` and ``peek_virtual`` read it.
+        #: it; ``maps_line_count`` and ``read_mapped`` read it.
         self.address_space = AddressSpace()
 
     # -- physical-file allocation ---------------------------------------
@@ -478,32 +479,54 @@ class Substrate(ABC):
     def _unmap_area(self, vpn: int, npages: int) -> None:
         """Unmap ``npages`` pages at ``vpn``; the page table follows."""
 
-    # -- page access through virtual addresses ---------------------------
+    # -- reading through the translation --------------------------------
 
-    def peek_virtual(self, vpn: int) -> np.ndarray:
-        """The data values behind virtual page ``vpn`` — never cost-charged.
+    def read_mapped(self, vpn: int, npages: int) -> tuple[np.ndarray, np.ndarray]:
+        """The file-backed pages of the virtual range ``[vpn, vpn +
+        npages)``, in address order, as read-only ``(headers, values)``:
+        each page's embedded pageID (slot 0), from which rowids follow,
+        and its values, a page a row.  Never cost-charged.
 
-        Translates through the page table, then reads the page where it
-        says a file page is mapped (the simulated file page, or the real
-        memory at the address) — the read that proves a view's virtual
-        page really is rewired where the bookkeeping says it is.
-        Unmapped and anonymous pages read as zeros.  It charges nothing
-        to the simulated cost model: the read the invariant auditor uses
-        to cross-check mappings against physical contents without
-        perturbing the measured session.
+        The one read through the translation — of a view's scan, a
+        snapshot and the auditor — so an answer is what the mappings
+        hold.  The range is translated once (one ``bisect`` pair).  One
+        VMA is read in place, zero-copy where the backend can; several
+        of one file are one gather, an index a page (a view's VMAs are
+        often a page each, and a slice per VMA costs more); a snapshot's
+        (copies beside the column) are read a slice a VMA.  Anonymous and
+        ``PROT_NONE`` slots and holes are skipped, never touched.
         """
-        try:
-            backing = self.address_space.translate(vpn)
-        except BadAddressError:
-            backing = None
-        if backing is None:
-            return np.zeros(VALUES_PER_PAGE, dtype=np.int64)
-        return self._read_page(vpn, *backing)
+        with self.address_space.lock:
+            first, count, fids, fpages, stores = self.address_space.file_runs(vpn, vpn + npages)
+            if len(stores) == 1 and count.size > 1:
+                if first[-1] + count[-1] - first[0] > count.size:
+                    # not a page a VMA, side by side: index every page
+                    step = np.arange(count.sum()) - np.repeat(count.cumsum() - count, count)
+                    first = np.repeat(first, count) + step
+                    fpages = np.repeat(fpages, count) + step
+                parts = [self._read_pages(first, *stores.values(), fpages)]
+            else:
+                parts = [
+                    self._read_pages(slice(s, s + n), stores[f], slice(p, p + n))
+                    for s, n, f, p in zip(*(c.tolist() for c in (first, count, fids, fpages)))
+                ]
+            if len(parts) == 1:
+                [(headers, values)] = parts
+            elif parts:
+                headers, values = (np.concatenate(column) for column in zip(*parts))
+            else:
+                headers = np.empty(0, dtype=np.int64)
+                values = np.empty((0, VALUES_PER_PAGE), dtype=np.int64)
+        headers.flags.writeable = values.flags.writeable = False
+        return headers, values
 
     @abstractmethod
-    def _read_page(self, vpn: int, file: PageStore, file_page: int) -> np.ndarray:
-        """A copy of the data values at ``vpn``, where the page table
-        maps ``file``'s page ``file_page``."""
+    def _read_pages(self, vpns, file: PageStore, fpages) -> tuple[np.ndarray, np.ndarray]:
+        """``(headers, values)`` of the pages at virtual pages ``vpns``,
+        where the page table maps ``file``'s pages ``fpages``: two
+        slices for one run, read in place where the backend can, or two
+        index arrays of a page each, gathered.  Called under the page
+        table's lock."""
 
     # -- the maps source --------------------------------------------------
 

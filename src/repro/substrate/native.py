@@ -17,8 +17,9 @@ Linux kernel":
   the stores' lines inside the page table's areas
   (:func:`~repro.vm.procmaps.maps_rows`).  Line counts, the parse
   charge and the translation behind
-  :meth:`~NativeSubstrate.peek_virtual` come from the base class's page
-  table, which each syscall's plan updates.
+  :meth:`~repro.substrate.interface.Substrate.read_mapped` come from the
+  base class's page table, which each syscall's plan updates; mapped
+  pages are read through their own addresses.
 
 Two clocks run side by side: the shared simulated
 :class:`~repro.vm.cost.CostModel` is charged exactly as the simulated
@@ -38,6 +39,7 @@ from __future__ import annotations
 import ctypes
 import os
 import time
+import weakref
 
 import numpy as np
 
@@ -59,6 +61,7 @@ from ..native.rewiring import (
     _errno_error,
     _open_memory_file,
 )
+from ..vm.address_space import AddressSpace
 from ..vm.constants import PAGE_SIZE, VALUES_PER_PAGE
 from ..vm.cost import CostModel
 from ..vm.errors import FileError
@@ -88,6 +91,27 @@ def _free_region_vpn() -> int | None:
         return None
     libc().munmap(addr, _REGION_BYTES)
     return addr // PAGE_SIZE
+
+
+def _release(book: AddressSpace, stores: dict[str, "NativePageStore"]) -> None:
+    """Unmap every area ``book`` holds and close the ``stores``.
+
+    A native substrate's tear-down, on :meth:`NativeSubstrate.close` or
+    once an unclosed substrate is collected: it takes the book and the
+    stores, never the substrate, so it can run as its finalizer.
+    """
+    spans: list[list[int]] = []  # [start, end) of touching areas
+    for vma in book.vmas():
+        if spans and spans[-1][1] == vma.start:
+            spans[-1][1] = vma.end
+        else:
+            spans.append([vma.start, vma.end])
+    for start, end in spans:
+        libc().munmap(start * PAGE_SIZE, (end - start) * PAGE_SIZE)
+        book.remove_mapping(start, end - start)
+    for store in list(stores.values()):
+        store.close()
+    stores.clear()
 
 
 class NativePageStore:
@@ -247,6 +271,8 @@ class NativeSubstrate(Substrate):
         self.wall = WallClockLedger()
         self.observer = None
         self._files: dict[str, NativePageStore] = {}
+        # An unclosed substrate's areas are unmapped once it is collected.
+        weakref.finalize(self, _release, self.address_space, self._files)
 
     # -- physical-file allocation ---------------------------------------
 
@@ -334,16 +360,22 @@ class NativeSubstrate(Substrate):
         if rc != 0:
             raise _errno_error("release munmap")
 
-    def _read_page(
-        self, vpn: int, file: NativePageStore, file_page: int
-    ) -> np.ndarray:
-        # The MMU does the translation, so nothing is charged to the
-        # simulated cost model; the wall-clock charge is harmless for
-        # diagnostics.  Only a page the book maps to a file is touched,
-        # never a PROT_NONE reservation slot.
-        with self.wall.timed("peek_virtual"):
-            raw = ctypes.string_at(vpn * PAGE_SIZE, PAGE_SIZE)
-        return np.frombuffer(raw, dtype=np.int64)[1 : 1 + file.slots_per_page].copy()
+    def _read_pages(
+        self, vpns, file: NativePageStore, fpages
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # The MMU translates: the pages are read at their virtual
+        # addresses, a run in place (zero-copy), a gather page by page.
+        # Only pages the book maps to a file are touched, never a
+        # PROT_NONE reservation slot between them.  No syscall, so
+        # nothing is charged to either ledger.
+        if isinstance(vpns, slice):
+            first, span, rows = vpns.start, vpns.stop - vpns.start, slice(None)
+        else:
+            first = int(vpns[0])
+            span, rows = int(vpns[-1]) - first + 1, vpns - first
+        memory = (ctypes.c_char * (span * PAGE_SIZE)).from_address(first * PAGE_SIZE)
+        raw = np.frombuffer(memory, dtype=np.int64).reshape(span, _SLOTS_PER_RAW_PAGE)
+        return raw[rows, 0].copy(), raw[rows, 1 : 1 + file.slots_per_page]
 
     # -- the maps source --------------------------------------------------
 
@@ -370,15 +402,4 @@ class NativeSubstrate(Substrate):
     # -- observation / lifecycle ------------------------------------------
 
     def close(self) -> None:
-        spans: list[list[int]] = []  # [start, end) of touching areas
-        for vma in self.address_space.vmas():
-            if spans and spans[-1][1] == vma.start:
-                spans[-1][1] = vma.end
-            else:
-                spans.append([vma.start, vma.end])
-        for start, end in spans:
-            libc().munmap(start * PAGE_SIZE, (end - start) * PAGE_SIZE)
-            self.address_space.remove_mapping(start, end - start)
-        for store in list(self._files.values()):
-            store.close()
-        self._files.clear()
+        _release(self.address_space, self._files)

@@ -8,7 +8,7 @@ of its virtual memory: the base checks each mapping operation as
 :class:`~repro.vm.cost.CostModel` — anonymous reservations the syscall
 base only, file-backed mappings a small per-page cost as well.  What is
 left here is what only a simulator needs: a bump allocator picks each
-area's address, a page is read from its file, and
+area's address, mapped pages are read straight from their file, and
 :mod:`repro.vm.procmaps` renders the page table as the maps source,
 whose snapshot the base class slices off the VMA columns.  The charges are the ones the
 layers booked before the substrate existed, so the
@@ -106,8 +106,9 @@ class SimulatedSubstrate(Substrate):
     def _unmap_area(self, vpn: int, npages: int) -> None:
         pass  # the page table is the mapping
 
-    def _read_page(self, vpn: int, file: MemoryFile, file_page: int) -> np.ndarray:
-        return file.page_values(file_page).copy()
+    def _read_pages(self, vpns, file: MemoryFile, fpages) -> tuple[np.ndarray, np.ndarray]:
+        # a run is a slice of the file's arrays, a gather an index of them
+        return file.headers[fpages], file.data[fpages]
 
     # -- the maps source --------------------------------------------------
 

@@ -106,6 +106,33 @@ class AddressSpace:
             raise BadAddressError(f"virtual page {vpn:#x} is not mapped")
         return vma.translate(vpn)
 
+    def file_runs(
+        self, start: int, end: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
+        """The file-backed VMAs over ``[start, end)``, clipped to it, in
+        address order, as columns — first page, pages, file id, file page
+        — and the files the ids name, by id.  Anonymous VMAs and holes
+        are skipped.  Hold :attr:`lock` for as long as the runs are read."""
+        begin, stop, fids, _ = self._columns
+        i = bisect_right(stop, start)
+        j = bisect_left(begin, end, i)
+        if j > i and fids[j - 1] < 0:
+            j -= 1  # the reservation left past a view's slots
+        ids = set(fids[i:j])
+        first, last, fid, fpage = (np.frombuffer(c[i:j], np.int64) for c in self._columns)
+        if -1 in ids:
+            ids.discard(-1)
+            kept = fid >= 0  # reservation slots between the runs
+            first, last, fid, fpage = first[kept], last[kept], fid[kept], fpage[kept]
+        if first.size:
+            # the edge file VMAs are clipped to the range
+            if first[0] < start:
+                fpage[0] += start - first[0]
+                first[0] = start
+            if last[-1] > end:
+                last[-1] = end
+        return first, last - first, fid, fpage, {f: self._files[f] for f in ids}
+
     def covers(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """Per range ``[starts[i], ends[i])``, whether VMAs hold every
         page of it: no page lies in a hole or outside every area."""

@@ -64,16 +64,20 @@ def reference_rows(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.nonzero((values >= lo) & (values <= hi))[0]
 
 
-def layers_on(column: PhysicalColumn) -> list:
-    """Every adaptive storage layer built over ``column``, whoever owns it.
+def layer_hooks(column: PhysicalColumn) -> list:
+    """The pre-write hooks of every adaptive storage layer built over
+    ``column`` and not shut down, whoever owns it.
 
-    Each layer registers a pre-write hook on its column, so the hooks
-    count the layers even when no registry holds them.
+    Each layer registers one hook on its column until it shuts down —
+    its dirty-page set's ``add``, which holds the set, not the layer — so
+    the hooks count the layers even when no registry holds them, and
+    ``layer._note_write`` names its layer's.
     """
-    from repro.core.adaptive import AdaptiveStorageLayer
-
-    owners = (getattr(hook, "__self__", None) for hook in column._pre_write_hooks)
-    return [owner for owner in owners if isinstance(owner, AdaptiveStorageLayer)]
+    return [
+        hook
+        for hook in column._pre_write_hooks
+        if isinstance(getattr(hook, "__self__", None), set)
+    ]
 
 
 @pytest.fixture

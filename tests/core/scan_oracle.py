@@ -15,25 +15,25 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.scan import NO_ABOVE, NO_BELOW, _slot_mask
-from repro.storage.column import PhysicalColumn
 
 
 def oracle_scan_by_extent(
-    column: PhysicalColumn,
-    fpages: np.ndarray,
+    read,
+    headers: np.ndarray,
     lo: int,
     hi: int,
     valid_counts: np.ndarray | None,
+    per_page: int,
+    scattered: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(rowids, values, page_qualifies, max_below, min_above)`` of the
     given (non-empty) pages, every page filtered whole."""
-    file = column.file
-    data = file.data[fpages]
+    data = read(slice(0, headers.size))
     qual_mask = (data >= lo) & (data <= hi)
     below_mask = data < lo
     above_mask = data > hi
     if valid_counts is not None:
-        valid = _slot_mask(valid_counts, column.values_per_page)
+        valid = _slot_mask(valid_counts, per_page)
         qual_mask &= valid
         below_mask &= valid
         above_mask &= valid
@@ -43,6 +43,6 @@ def oracle_scan_by_extent(
     max_below[page_qualifies] = NO_BELOW
     min_above[page_qualifies] = NO_ABOVE
     page_idx, slots = np.nonzero(qual_mask)
-    rowids = file.headers[fpages][page_idx] * column.values_per_page + slots
+    rowids = headers[page_idx] * per_page + slots
     values = data[page_idx, slots]
     return rowids, values, page_qualifies, max_below, min_above

@@ -10,7 +10,8 @@ shards' slices, written once with each shard's row offset: within 2.1x.
 A closed database leaves no reference cycle holding its page store, so
 with the cyclic collector off the store is freed when the last
 reference to the database goes: simulated, native and tiered, the tier's
-far store included.
+far store included.  So does a queried database dropped without
+``close()``.
 """
 
 from __future__ import annotations
@@ -120,15 +121,35 @@ def test_close_frees_the_page_store_without_gc(backend, tiered):
 def test_a_dropped_simulated_database_frees_its_pages_without_gc():
     """Deleted without ``close()``, a simulated database frees its store by
     reference counting: a main-memory file holds its machine's page pool,
-    not the machine, so files and machine form no cycle.  (The table is
-    loaded, not queried: a query's storage layer hooks the column, a
-    cycle of its own.)"""
+    not the machine, so files and machine form no cycle."""
     gc.collect()
     gc.disable()
     try:
         db = AdaptiveDatabase(CONFIG)
         db.create_table("t", {"k": _values(32)})
         column = db.table("t").column("k")
+        freed = [weakref.ref(column.file), weakref.ref(column.file.data)]
+        del column, db
+        assert [ref() is None for ref in freed] == [True, True]
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_dropped_queried_database_frees_its_pages_without_gc(backend):
+    """A query builds the column's storage layer, whose pre-write hook
+    holds the layer's dirty-page set, not the layer: deleted without
+    ``close()``, the queried database still frees its store by reference
+    counting."""
+    gc.collect()
+    gc.disable()
+    try:
+        db = AdaptiveDatabase(CONFIG, backend=backend)
+        db.create_table("t", {"k": _values(32)})
+        for lo in range(0, 10**9, 10**8):
+            db.query("t", "k", lo, lo + 10**7)
+        column = db.table("t").column("k")
+        assert column._pre_write_hooks  # the layer hooks the column
         freed = [weakref.ref(column.file), weakref.ref(column.file.data)]
         del column, db
         assert [ref() is None for ref in freed] == [True, True]

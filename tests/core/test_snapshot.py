@@ -165,7 +165,7 @@ class TestFaultedPreserve:
             for row in rows:
                 page, slot = divmod(row, VALUES_PER_PAGE)
                 assert snap.read(row) == row
-                assert snap.substrate.peek_virtual(snap.base_vpn + page)[slot] == row
+                assert snap.substrate.read_mapped(snap.base_vpn + page, 1)[1][0, slot] == row
             # the faulted attempt left no copy-file page behind
             copies = substrate.get_file(f"{snap.column.file.name}.snap{snap.snapshot_id}")
             assert copies.num_pages == snap.copied_pages == nth

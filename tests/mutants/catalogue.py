@@ -26,12 +26,65 @@ class Mutant:
 
 
 MUTANTS = (
+    # -- a view and a snapshot are read through their mappings -----------
+    Mutant(
+        name="view-run-mapped-one-file-page-off",
+        path="src/repro/core/view.py",
+        old="file_pages=fpages[starts],",
+        new="file_pages=fpages[starts] + (fpages[starts] + npages < self.capacity),",
+        tests=("tests/core/test_read_through_mapping.py",),
+    ),
+    Mutant(
+        name="snapshot-rewire-onto-the-wrong-copy-page",
+        path="src/repro/core/snapshot.py",
+        old="self.base_vpn + fpage, 1, copy_file, copy_page, lane=lane",
+        new="self.base_vpn + fpage, 1, copy_file, 0, lane=lane",
+        tests=("tests/core/test_read_through_mapping.py",),
+    ),
+    Mutant(
+        name="read-clips-the-window-not-its-file-runs",
+        path="src/repro/vm/address_space.py",
+        old="            if first[0] < start:\n                fpage[0] += start - first[0]\n",
+        new="            if begin[i] < start:\n                fpage[0] += start - begin[i]\n",
+        tests=(
+            "tests/substrate/test_book.py::"
+            "test_a_read_returns_the_file_pages_of_its_range_only[simulated]",
+        ),
+    ),
+    # -- guards of earlier changes ---------------------------------------
+    Mutant(
+        name="alignment-check-counts-the-padding",
+        path="src/repro/core/maintenance.py",
+        old="hits = (values >= lows[a:z, None]) & (values <= highs[a:z, None]) & live",
+        new="hits = (values >= lows[a:z, None]) & (values <= highs[a:z, None])",
+        tests=(
+            "tests/core/test_alignment_kernel.py::TestPlanted::"
+            "test_padding_of_a_partial_last_page_holds_no_value",
+        ),
+    ),
+    Mutant(
+        name="multi-row-insert-skips-the-cap-check",
+        path="src/repro/core/facade.py",
+        old="self._wal.check_rows_fit(table_name, len(table.column_names), len(checked))",
+        new="pass",
+        tests=(
+            "tests/wal/test_sql_durability.py::"
+            "test_an_insert_statement_the_log_cap_refuses_part_way_stages_nothing",
+        ),
+    ),
+    Mutant(
+        name="row-writer-head-page-one-row-short",
+        path="src/repro/storage/layout.py",
+        old="head = min(-first_row % per_page, values.size)",
+        new="head = max(min(-first_row % per_page, values.size) - 1, 0)",
+        tests=("tests/storage/test_row_writer.py",),
+    ),
     # -- the read path writes each hit once ------------------------------
     Mutant(
         name="inside-rowid-base-off-by-one-page",
         path="src/repro/core/scan.py",
-        old="(headers[page : page + k] * per_page)[:, None]",
-        new="((headers[page : page + k] + 1) * per_page)[:, None]",
+        old="(headers[i : i + k] * per_page)[:, None]",
+        new="((headers[i : i + k] + 1) * per_page)[:, None]",
         tests=(
             "tests/core/test_scan_kernel.py::test_inside_runs_between_straddlers",
             "tests/core/test_scan_kernel.py::test_seeded_inside_sweep",
@@ -40,8 +93,8 @@ MUTANTS = (
     Mutant(
         name="inside-run-copied-from-the-neighbouring-page",
         path="src/repro/core/scan.py",
-        old="values[out].reshape(k, per_page)[...] = data[page : page + k]",
-        new="values[out].reshape(k, per_page)[...] = data[page - 1 : page + k - 1]",
+        old="values[out].reshape(k, per_page)[...] = read(slice(i, i + k))",
+        new="values[out].reshape(k, per_page)[...] = read(slice(i - 1, i + k - 1))",
         tests=(
             "tests/core/test_scan_kernel.py::test_inside_runs_between_straddlers",
             "tests/core/test_scan_kernel.py::test_seeded_inside_sweep",

@@ -2,7 +2,7 @@
 
 Both backends keep one page table, ``Substrate.address_space``: every
 ``reserve``, ``map_file``, plan and ``release_region`` updates it, and
-``maps_line_count`` and ``peek_virtual`` read it instead of parsing
+``maps_line_count`` and ``read_mapped`` read it instead of parsing
 ``/proc/self/maps``.  A seeded stream of those operations runs on a
 :class:`FaultySubstrate` over a :class:`NativeSubstrate` — reservations,
 whole-file mappings, file and anonymous plans, a plan faulted at run
@@ -29,6 +29,7 @@ its seed.
 from __future__ import annotations
 
 import bisect
+import gc
 import os
 
 import numpy as np
@@ -265,3 +266,34 @@ def test_the_auditor_bounds_the_kernel_lines_by_the_book(monkeypatch):
         report = db.audit()
     assert [f.invariant for f in report.findings] == ["region-accounting"]
     assert "lines" in report.findings[0].detail
+
+
+def _kernel_lines_of(sub, store) -> int:
+    """The kernel's maps lines of ``store``'s memfd name outside the
+    store's own mapping, whichever file of that name they map."""
+    start, npages = _store_area(store)
+    return sum(
+        1
+        for e in parse_maps(sub.maps_text())
+        if e.pathname == store.map_path
+        and not (start < e.end_vpn and e.start_vpn < start + npages)
+    )
+
+
+def test_an_unclosed_database_unmaps_its_views_once_collected():
+    """A queried native database dropped without ``close()`` leaves no
+    mapping behind once collected: the next session's store of the same
+    memfd name shows as many maps lines as its book."""
+    db = AdaptiveDatabase(backend="native")
+    db.create_table("unclosed", {"v": VALUES})
+    for lo in (100, 2000, 9000):
+        db.query("unclosed", "v", lo, lo + 800)
+    assert db.substrate.maps_line_count() > 1  # views were mapped
+    del db
+    gc.collect()
+    with AdaptiveDatabase(backend="native") as db:
+        db.create_table("unclosed", {"v": VALUES})
+        db.query("unclosed", "v", 100, 900)
+        store = db.table("unclosed").column("v").file
+        sub = db.substrate
+        assert _kernel_lines_of(sub, store) == sub.maps_line_count(store.map_path)

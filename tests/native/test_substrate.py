@@ -85,39 +85,44 @@ class TestNativePageStore:
             sub.create_file("empty", 0)
 
 
+def first_value(sub, vpn):
+    """The first data slot of virtual page ``vpn``, read through its mapping."""
+    return int(sub.read_mapped(vpn, 1)[1][0, 0])
+
+
 def write_first_value(vpn, value):
     """Store ``value`` in the first data slot through virtual page ``vpn``."""
     ctypes.c_int64.from_address(vpn * PAGE_SIZE + PAGE_HEADER_BYTES).value = value
 
 
 class TestNativeMapping:
-    def test_reserve_reads_zeros(self, sub):
+    def test_reserve_returns_no_page(self, sub):
         base = sub.reserve(4)
-        assert sub.peek_virtual(base)[0] == 0
-        assert sub.peek_virtual(base + 3).shape == (VALUES_PER_PAGE,)
+        assert sub.read_mapped(base, 1)[0].size == 0
+        assert sub.read_mapped(base + 3, 1)[1].shape == (0, VALUES_PER_PAGE)
 
     def test_map_fixed_rewires_into_reservation(self, sub, file):
         base = sub.reserve(4)
         sub.map_fixed(base + 1, 1, file, 5)
-        assert sub.peek_virtual(base + 1)[0] == 5000
+        assert first_value(sub, base + 1) == 5000
         # The core trick: repoint the same virtual page.
         sub.map_fixed(base + 1, 1, file, 2)
-        assert sub.peek_virtual(base + 1)[0] == 2000
+        assert first_value(sub, base + 1) == 2000
 
     def test_unmap_slot_restores_hole(self, sub, file):
         base = sub.reserve(2)
         sub.map_fixed(base, 1, file, 7)
-        assert sub.peek_virtual(base)[0] == 7000
+        assert first_value(sub, base) == 7000
         to_reservation(sub, base)
-        assert sub.peek_virtual(base)[0] == 0
+        assert sub.read_mapped(base, 1)[0].size == 0
         sub.map_fixed(base, 1, file, 1)
-        assert sub.peek_virtual(base)[0] == 1000
+        assert first_value(sub, base) == 1000
 
     def test_write_through_store_visible_in_view(self, sub, file):
         base = sub.reserve(1)
         sub.map_fixed(base, 1, file, 4)
         file.data[4, 0] = 123456
-        assert sub.peek_virtual(base)[0] == 123456
+        assert first_value(sub, base) == 123456
 
     def test_write_through_view_reaches_store(self, sub, file):
         base = sub.reserve(2)
@@ -132,17 +137,17 @@ class TestNativeMapping:
         sub.map_fixed(base, 1, file, 2)
         sub.map_fixed(base + 3, 1, file, 2)
         write_first_value(base, 4242)
-        assert sub.peek_virtual(base + 3)[0] == 4242
+        assert first_value(sub, base + 3) == 4242
 
     def test_coalesced_run(self, sub, file):
         base = sub.reserve(8)
         sub.map_fixed(base + 1, 3, file, 4)
-        assert [sub.peek_virtual(base + i)[0] for i in (1, 2, 3)] == [4000, 5000, 6000]
+        assert sub.read_mapped(base + 1, 3)[1][:, 0].tolist() == [4000, 5000, 6000]
         assert sub.maps_line_count(sub.file_map_path(file)) == 1
 
     def test_map_file_whole(self, sub, file):
         base = sub.map_file(8, file)
-        assert sub.peek_virtual(base + 6)[0] == 6000
+        assert first_value(sub, base + 6) == 6000
         before = sub.cost.ledger.counter("pages_unmapped")
         sub.release_region(base, 8, mapped_pages=8)
         assert sub.cost.ledger.counter("pages_unmapped") - before == 8

@@ -24,7 +24,7 @@ from repro.server.protocol import (
 )
 from repro.vm.constants import VALUES_PER_PAGE
 
-from ..conftest import layers_on
+from ..conftest import layer_hooks
 
 NUM_PAGES = 4
 NUM_ROWS = NUM_PAGES * VALUES_PER_PAGE
@@ -257,7 +257,7 @@ class TestServerClient:
             with ServerClient(host, port) as second:
                 second.execute("SELECT * FROM w WHERE k BETWEEN 10 AND 20")
             assert [key for key in db._layers if key[0] == "w"] == [("w", "k")]
-            assert layers_on(db.table("w").column("k")) == [layer]
+            assert layer_hooks(db.table("w").column("k")) == [layer._note_write]
 
 
 class TestLifecycle:

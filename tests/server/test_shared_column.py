@@ -21,7 +21,7 @@ from repro.server import DatabaseManager, QueryServer, ServerClient, SessionOpti
 from repro.sql import Session as SqlSession
 from repro.workloads.distributions import sine
 
-from ..conftest import layers_on
+from ..conftest import layer_hooks
 
 NUM_PAGES = 512
 READS = 240
@@ -45,7 +45,7 @@ def test_every_entry_point_reaches_the_databases_layer(served):
         sql.execute(statement)
         assert session.query("t", "v", 0, 1_000).ok
         layer = db.layer("t", "v")
-        assert layers_on(db.table("t").column("v")) == [layer]
+        assert layer_hooks(db.table("t").column("v")) == [layer._note_write]
         assert session._sql_session().db is db
         assert list(db._layers) == [("t", "v")]
     # neither session's close took the layer with it

@@ -27,7 +27,7 @@ from repro.sql import Session
 from repro.vm.constants import VALUES_PER_PAGE
 from repro.workloads.distributions import sine
 
-from ..conftest import layers_on
+from ..conftest import layer_hooks
 
 
 def test_the_600_read_stream_returns_no_wrong_answer():
@@ -85,7 +85,7 @@ class TestOneLayerPerColumn:
                 sql.execute("SELECT COUNT(*) FROM t WHERE v BETWEEN 10 AND 20")
                 assert list(db._layers) == [("t", "v")]
                 layer = db.layer("t", "v")
-                assert layers_on(db.table("t").column("v")) == [layer]
+                assert layer_hooks(db.table("t").column("v")) == [layer._note_write]
             # closing the session left the database's layer running
             assert db.layer("t", "v") is layer
             assert len(db.query("t", "v", 10, 20)) == 11
@@ -98,7 +98,7 @@ class TestOneLayerPerColumn:
             assert sql.execute("SELECT COUNT(*) FROM t WHERE v >= 2").scalar() == 2
             assert list(sql.db._layers) == [("t", "v")]
             layer = sql.db.layer("t", "v")
-            assert layers_on(sql.db.table("t").column("v")) == [layer]
+            assert layer_hooks(sql.db.table("t").column("v")) == [layer._note_write]
             assert layer.config.max_views == 7
 
 
@@ -192,7 +192,7 @@ class SharedColumnMachine(RuleBasedStateMachine):
             table = self.db.table("t")
             for name in table.column_names:
                 owned = self.db._layers.get(("t", name))
-                assert layers_on(table.column(name)) == ([] if owned is None else [owned])
+                assert layer_hooks(table.column(name)) == ([] if owned is None else [owned._note_write])
 
     def teardown(self):
         if hasattr(self, "db"):

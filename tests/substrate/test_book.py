@@ -68,7 +68,7 @@ def test_a_run_outside_its_file_is_refused(backend, call):
         with pytest.raises(MapError, match="outside"):
             call(sub, file, base)
         assert _state(sub, path) == before
-        assert not sub.peek_virtual(base).any()
+        assert sub.read_mapped(base, 8)[0].size == 0
     finally:
         sub.close()
 
@@ -213,5 +213,31 @@ def test_a_plan_failing_at_run_k_books_the_runs_before_it(backend, k):
         if backend == "native":
             assert kernel >= set(vpns[:k].tolist())
             assert not kernel & set(vpns[k:].tolist())
+    finally:
+        sub.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_read_returns_the_file_pages_of_its_range_only(backend):
+    """``read_mapped`` skips the reservation slots wherever the range
+    starts, ends or holes, and clips the edge runs to the range."""
+    sub = make_substrate(backend)
+    try:
+        file = sub.create_file("f", 16)
+        file.data[:, 0] = np.arange(16) * 10
+        base = sub.reserve(10)
+        # slots 3-4 map pages 9-10, slots 7-8 pages 2-3; the rest is reserved
+        sub.map_runs(base + np.array([3, 7]), np.array([2, 2]), file, np.array([9, 2]))
+        for start, npages, pages in [
+            (0, 10, [9, 10, 2, 3]),
+            (1, 8, [9, 10, 2, 3]),
+            (4, 4, [10, 2]),
+            (6, 4, [2, 3]),
+            (8, 2, [3]),
+            (0, 3, []),
+        ]:
+            headers, values = sub.read_mapped(base + start, npages)
+            assert headers.tolist() == pages, (start, npages)
+            assert values[:, 0].tolist() == [10 * p for p in pages], (start, npages)
     finally:
         sub.close()

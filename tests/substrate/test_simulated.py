@@ -88,11 +88,11 @@ class TestProtocolDelegation:
         file = sub.create_file("col", 8)
         file.data[5, :3] = [7, 8, 9]
         base = sub.reserve(4)
-        assert sub.peek_virtual(base)[0] == 0  # reservation reads zeros
+        assert sub.read_mapped(base, 1)[0].size == 0  # a reservation returns no page
         sub.map_fixed(base + 1, 1, file, 5)
-        assert list(sub.peek_virtual(base + 1)[:3]) == [7, 8, 9]
+        assert list(sub.read_mapped(base + 1, 1)[1][0, :3]) == [7, 8, 9]
         to_reservation(sub, base + 1)
-        assert sub.peek_virtual(base + 1)[0] == 0
+        assert sub.read_mapped(base + 1, 1)[0].size == 0
 
     def test_map_file_and_line_counts(self, sub):
         file = sub.create_file("col", 8)
@@ -132,7 +132,7 @@ class TestBitIdentity:
         sub.map_fixed(base + 0, 3, file, 4)
         sub.map_fixed(base + 3, 2, file, 9, populate=True)
         to_reservation(sub, base + 1)
-        sub.peek_virtual(base + 4)
+        sub.read_mapped(base, 8)
         sub.maps_snapshot(cost=sub.cost, file_filter=sub.file_map_path(file))
         sub.release_region(base, 8, mapped_pages=4)
         return sub.maps_text()

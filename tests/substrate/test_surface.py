@@ -9,8 +9,9 @@ plan of one run) are concrete in the base class, so no backend defines
 them; no backend has an ``unmap_slot`` or a ``munmap`` of its own
 (``release_region`` is the one tear-down), and the protocol has no
 ``protect``, ``mprotect`` or ``access``.  The one read through the
-translation is the uncharged ``peek_virtual``: no backend has a
-``read_virtual`` beside it.
+translation is the uncharged ``read_mapped`` of a virtual range: no
+backend has a per-page read (``peek_virtual``, ``read_virtual``) beside
+it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.substrate.interface import Substrate
 from repro.substrate.native import NativeSubstrate
 
 #: ``reserve``, ``map_file``, ``apply_runs``, ``release_region``,
-#: ``peek_virtual``, ``maps_line_count`` and ``maps_snapshot`` are
+#: ``read_mapped``, ``maps_line_count`` and ``maps_snapshot`` are
 #: written once, in the base class, over the page table both backends
 #: keep; a backend supplies only the step that differs (the private
 #: hooks; ``_maps_rows`` has a default, read off the page table).
@@ -33,7 +34,7 @@ ABSTRACT = {
     "_place_area",
     "_issue_runs",
     "_unmap_area",
-    "_read_page",
+    "_read_pages",
     "maps_text",
     "file_map_path",
 }
@@ -46,8 +47,11 @@ def test_abstract_methods_are_pinned():
 
 
 #: What neither the base class nor any backend defines: the one read is
-#: ``peek_virtual``, and no permission model or charged access exists.
-NEVER = ("unmap_slot", "munmap", "protect", "read_virtual", "mprotect", "access")
+#: ``read_mapped``, and no permission model or charged access exists.
+NEVER = (
+    "unmap_slot", "munmap", "protect", "read_virtual", "peek_virtual",
+    "_read_page", "mprotect", "access",
+)
 
 
 def test_no_backend_defines_a_second_mapping_path():
@@ -66,7 +70,7 @@ def test_the_page_table_operations_are_written_once():
     # backend keeps only its hooks.
     once = (
         "reserve", "map_file", "apply_runs", "release_region",
-        "peek_virtual", "maps_line_count", "maps_snapshot", "book_discard",
+        "read_mapped", "maps_line_count", "maps_snapshot", "book_discard",
     )
     for backend in (SimulatedSubstrate, NativeSubstrate):
         for name in once:

@@ -88,22 +88,24 @@ class TestAccess:
     def test_access_returns_backing(self, substrate, file):
         base = substrate.map_file(2, file, file_page=5)
         assert substrate.address_space.translate(base + 1) == (file, 6)
-        assert np.array_equal(substrate.peek_virtual(base + 1), file.page_values(6))
+        headers, values = substrate.read_mapped(base + 1, 1)
+        assert np.array_equal(values[0], file.page_values(6))
+        assert headers.tolist() == [6]
 
     def test_read_page_values_file(self, substrate, file):
         base = substrate.map_file(1, file, file_page=7)
-        values = substrate.peek_virtual(base)
-        assert int(values[0]) == 7
+        _, values = substrate.read_mapped(base, 1)
+        assert int(values[0, 0]) == 7
 
-    def test_read_page_values_anonymous_is_zero(self, substrate):
+    def test_read_anonymous_returns_no_page(self, substrate):
         base = substrate.reserve(1)
-        values = substrate.peek_virtual(base)
-        assert values.shape == (VALUES_PER_PAGE,)
-        assert not values.any()
+        headers, values = substrate.read_mapped(base, 1)
+        assert headers.size == 0
+        assert values.shape == (0, VALUES_PER_PAGE)
 
-    def test_peek_charges_nothing(self, substrate, file):
+    def test_read_charges_nothing(self, substrate, file):
         base = substrate.map_file(1, file, file_page=7)
         before = substrate.cost.ledger.snapshot()
-        substrate.peek_virtual(base)
-        substrate.peek_virtual(base + 5)  # unmapped: zeros, no error
+        substrate.read_mapped(base, 1)
+        assert substrate.read_mapped(base + 5, 1)[0].size == 0  # unmapped: no page, no error
         assert substrate.cost.ledger.snapshot() == before
