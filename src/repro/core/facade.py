@@ -9,8 +9,6 @@ batched update path that keeps all partial views aligned.
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -159,7 +157,6 @@ class AdaptiveDatabase:
         elif durability is not None:
             raise ValueError("durability= requires durable_dir=")
         self._write_buffers: dict[str, WriteBuffer] = {}
-        self._spill_dir: str | None = None
         self._layers: dict[tuple[str, str], AdaptiveStorageLayer] = {}
         self._snapshot_managers: dict[tuple[str, str], SnapshotManager] = {}
 
@@ -239,18 +236,9 @@ class AdaptiveDatabase:
             self.substrate,
             self.tiering,
             observer=self.observer,
-            spill_dir=self._spill_directory(),
         )
         tier.initial_placement(self.cost)
         column.tier = tier
-
-    def _spill_directory(self) -> str | None:
-        """Directory for real spill files (native backend only)."""
-        if self.substrate.backend != "native":
-            return None
-        if self._spill_dir is None:
-            self._spill_dir = tempfile.mkdtemp(prefix="repro-tier-")
-        return self._spill_dir
 
     def table(self, name: str) -> Table:
         """Look up a table."""
@@ -823,13 +811,6 @@ class AdaptiveDatabase:
         for layer in self._layers.values():
             layer.shutdown()
         self._layers.clear()
-        for table in self.catalog.tables():
-            for column in table.columns.values():
-                if column.tier is not None:
-                    column.tier.close()
-        if self._spill_dir is not None:
-            shutil.rmtree(self._spill_dir, ignore_errors=True)
-            self._spill_dir = None
         self.substrate.close()
 
     def __enter__(self) -> "AdaptiveDatabase":

@@ -23,6 +23,8 @@ preserve signal out to all live snapshots.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from ..storage import layout
@@ -175,19 +177,28 @@ class SnapshotManager:
     def __init__(self, column: PhysicalColumn) -> None:
         self.column = column
         self._snapshots: list[ColumnSnapshot] = []
-        self._hook = self._on_pre_write
-        column.add_pre_write_hook(self._hook)
+        # The hook reaches the snapshots weakly: a hook holding them, or
+        # this manager, would close a cycle through the column they hold
+        # and keep a dropped database's pages until a gc pass.  A
+        # snapshot stays copy-on-write for as long as it lives.
+        live: list[weakref.ref[ColumnSnapshot]] = []
+        self._live = live
+
+        def hook(page: int) -> None:
+            for ref in live:
+                snapshot = ref()
+                if snapshot is not None and snapshot.alive:
+                    snapshot.preserve_page(page)
+
+        self._hook = hook
+        column.add_pre_write_hook(hook)
 
     def create_snapshot(self, lane: str = MAIN_LANE) -> ColumnSnapshot:
         """Take a new point-in-time snapshot (one mmap, no copying)."""
         snapshot = ColumnSnapshot(self.column, lane=lane)
         self._snapshots.append(snapshot)
+        self._live.append(weakref.ref(snapshot))
         return snapshot
-
-    def _on_pre_write(self, page: int) -> None:
-        for snapshot in self._snapshots:
-            if snapshot.alive:
-                snapshot.preserve_page(page)
 
     def close(self) -> None:
         """Release all snapshots and detach from the column."""

@@ -2,7 +2,7 @@
 
 A :class:`TieredPageStore` is a tiered column's sidecar
 (``PhysicalColumn.tier``), not a page store: the column's ``file``
-stays the authoritative copy of every page, read and written with no
+stays the one copy of every page, read and written with no
 tier in between.  The charge sites ask the column for its tier and call
 :meth:`~TieredPageStore.record_batch_access` /
 :meth:`~TieredPageStore.record_access` /
@@ -11,26 +11,24 @@ for cold pages, maintain the per-page hit counters, make one placement
 decision per batch (:meth:`TieredPageStore._place`) and run the
 maintenance tick once per column's worth of accesses.
 
-The cold tier is a :class:`ColdStore`: one page-indexed far copy of
-every demoted page, charged as far-tier I/O (``cold_read_ns`` /
-``cold_write_ns``) on the simulator and written through to a real
-on-disk spill file on the native backend.  Pages move in bulk: one
+The cold tier is placement, not a second copy: a cold page stays in
+the column's store, and what makes it cold is the far-tier I/O its
+reads, writes and moves are charged (``cold_read_ns`` /
+``cold_write_ns``), the same on both backends.  Pages move in bulk: one
 placement decision's demotions are one move
 (:meth:`TieredPageStore._demote`) and its promotions another
-(:meth:`TieredPageStore._promote`), each booked once, and a demote
-copies each run of consecutive pages once; a per-page ``demote`` /
-``_install_hot`` is a move of one.  Under an armed fault plane
+(:meth:`TieredPageStore._promote`), each booked once; a per-page
+``demote`` / ``_install_hot`` is a move of one.  Under an armed fault plane
 (:func:`~repro.faults.plane.faults_armed`) spill reads and writes
 consult it (``cold_read`` / ``cold_write`` operations) per page, with
 bounded retries, else a batch's cold reads and spills are one charge
-each; a cold read that stays failed falls back to the resident copy
-(queries never fail), a demotion that stays failed is abandoned (the
+each; a cold read that stays failed is served near (queries never
+fail), a demotion that stays failed is abandoned (the
 page stays hot and the hot-page budget records the excess as debt).
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 
 import numpy as np
@@ -44,132 +42,6 @@ from ..vm.cost import MAIN_LANE, CostModel
 from .config import TierConfig
 
 
-#: Pages per chunk of the simulated far store (64 KiB of values).  A
-#: chunk is small enough that the allocator serves it from, and takes it
-#: back into, its heap.  One array the size of the column was a fresh
-#: mapping at every set-up, and faulting its pages in cost more than
-#: the copies.
-_CHUNK_PAGES = 16
-
-
-class ColdStore:
-    """The far tier: one page-indexed copy of every demoted page.
-
-    Page ``p``'s copy lives at row ``p % 16`` of chunk ``p // 16`` on
-    the simulated backend, a chunk being allocated when a page of it is
-    first written; with ``spill_dir`` set (native backend) it lives at
-    byte ``p * page_bytes`` of a real on-disk spill file, and reads come
-    back from that file — so the native cold tier genuinely round-trips
-    through the filesystem.  A write copies each run of consecutive
-    pages once: one slice assignment per chunk the run covers, or one
-    vectored ``pwritev`` on an unbuffered descriptor (nothing to flush).
-    The far store keeps its own record of which pages hold a copy, which
-    the ``tier-placement`` audit checks against the store's hot bits.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        slots_per_page: int,
-        num_pages: int,
-        spill_dir: str | None = None,
-    ) -> None:
-        self.slots_per_page = slots_per_page
-        self._page_bytes = slots_per_page * 8
-        #: Which pages hold a far copy.
-        self._held = np.zeros(num_pages, dtype=bool)
-        self._chunks: list[np.ndarray | None] | None = None
-        self.path: str | None = None
-        self._fd = -1
-        if spill_dir is None:
-            self._chunks = [None] * -(-num_pages // _CHUNK_PAGES)
-        else:
-            self.path = os.path.join(
-                spill_dir, f"{name.replace(os.sep, '_')}.cold"
-            )
-            self._fd = os.open(
-                self.path, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o600
-            )
-            self._iov_max = os.sysconf("SC_IOV_MAX")
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._held))
-
-    def __contains__(self, fpage: int) -> bool:
-        return 0 <= fpage < self._held.size and bool(self._held[fpage])
-
-    def pages(self) -> list[int]:
-        """Cold page numbers, ascending."""
-        return np.flatnonzero(self._held).tolist()
-
-    def write(self, fpages: np.ndarray, data: np.ndarray) -> None:
-        """Store (or refresh) the copies of ``fpages`` from ``data``, a
-        ``(pages, slots)`` page array: one copy per run of pages."""
-        fpages = np.sort(fpages)
-        breaks = np.flatnonzero(np.diff(fpages) != 1) + 1
-        firsts = fpages[np.concatenate(([0], breaks))].tolist()
-        ends = (fpages[np.concatenate((breaks - 1, [-1]))] + 1).tolist()
-        copy = self._pwrite if self._chunks is None else self._copy
-        for first, end in zip(firsts, ends):
-            copy(data, first, end)
-        self._held[fpages] = True
-
-    def _copy(self, data: np.ndarray, first: int, end: int) -> None:
-        """Copy pages ``first .. end - 1`` into their chunks."""
-        while first < end:
-            index, row = divmod(first, _CHUNK_PAGES)
-            stop = min(end, first - row + _CHUNK_PAGES)
-            chunk = self._chunks[index]
-            if chunk is None:
-                chunk = self._chunks[index] = np.empty(
-                    (_CHUNK_PAGES, self.slots_per_page), dtype=np.int64
-                )
-            chunk[row : row + stop - first] = data[first:stop]
-            first = stop
-
-    def _pwrite(self, data: np.ndarray, first: int, end: int) -> None:
-        """Write pages ``first .. end - 1`` at their spill-file offsets."""
-        for lo in range(first, end, self._iov_max):
-            rows = list(data[lo : min(end, lo + self._iov_max)])
-            size = len(rows) * self._page_bytes
-            if os.pwritev(self._fd, rows, lo * self._page_bytes) != size:
-                raise OSError(f"short write to spill file {self.path}")
-
-    def read_page(self, fpage: int) -> np.ndarray:
-        """The cold copy of ``fpage`` (from the spill file when real)."""
-        if fpage not in self:
-            raise KeyError(f"page {fpage} is not in the cold tier")
-        if self._chunks is not None:
-            index, row = divmod(fpage, _CHUNK_PAGES)
-            return self._chunks[index][row].copy()
-        raw = os.pread(self._fd, self._page_bytes, fpage * self._page_bytes)
-        return np.frombuffer(raw, dtype=np.int64).copy()
-
-    def drop(self, fpages: np.ndarray) -> None:
-        """Forget the copies of ``fpages`` (they were promoted)."""
-        self._held[fpages] = False
-
-    def resize(self, num_pages: int) -> None:
-        """Follow the store to ``num_pages`` pages: a shrink forgets the
-        cut pages' copies, a growth makes room for the new pages."""
-        held = self._held[:num_pages]
-        self._held = np.zeros(num_pages, dtype=bool)
-        self._held[: held.size] = held
-        if self._chunks is not None:
-            count = -(-num_pages // _CHUNK_PAGES)
-            self._chunks = self._chunks[:count] + [None] * (count - len(self._chunks))
-
-    def close(self) -> None:
-        """Release the far copies (the spill file included, if any)."""
-        self._held = self._held[:0]
-        self._chunks = None if self._chunks is None else []
-        if self._fd >= 0:
-            os.close(self._fd)
-            self._fd = -1
-            if self.path is not None and os.path.exists(self.path):
-                os.unlink(self.path)
-
-
 class TieredPageStore:
     """The hot/cold placement of one column's page store ``file``."""
 
@@ -179,7 +51,6 @@ class TieredPageStore:
         substrate: Substrate,
         config: TierConfig,
         observer: NullObserver | None = None,
-        spill_dir: str | None = None,
     ) -> None:
         #: The column's page store, whose pages this tier places.
         self.file = file
@@ -199,9 +70,6 @@ class TieredPageStore:
         self._hot_count = n
         #: Charged page accesses since the last :meth:`maintenance`.
         self._since_maintenance = 0
-        self.cold = ColdStore(
-            file.name, file.slots_per_page, n, spill_dir=spill_dir
-        )
         # The hot-page budget reaches the store through a weak proxy: a
         # strong cycle would keep the store (and on the native backend
         # its whole-file mapping) alive past close until a gc pass.
@@ -219,10 +87,10 @@ class TieredPageStore:
         self.demotions = 0
         self.hot_hits = 0
         self.cold_hits = 0
-        #: Demotions / cold-copy refreshes abandoned on spill failure.
+        #: Demotions / cold-page writes whose far write failed.
         self.spill_failures = 0
-        #: Cold reads served from the resident copy after spill-read
-        #: failure (queries never fail on a broken far tier).
+        #: Cold reads served near after their far read failed (queries
+        #: never fail on a broken far tier).
         self.read_fallbacks = 0
         #: Latched by maintenance when the last window moved at least
         #: ``thrash_threshold`` pages and more pages than it served hot.
@@ -240,11 +108,9 @@ class TieredPageStore:
 
         New pages enter the hot tier (they are about to be written);
         the caller runs :meth:`maintenance` afterwards so the governor
-        can demote down to budget again.  A shrink forgets the cut
-        pages' cold copies in one :meth:`ColdStore.resize`.
+        can demote down to budget again.
         """
         old = self.hot.size
-        self.cold.resize(num_pages)
         if num_pages > old:
             grow = num_pages - old
             self.hot = np.concatenate([self.hot, np.ones(grow, dtype=bool)])
@@ -308,7 +174,6 @@ class TieredPageStore:
             "spill_failures": self.spill_failures,
             "read_fallbacks": self.read_fallbacks,
             "thrashing": self.thrashing,
-            "spill_path": self.cold.path,
         }
 
     # -- tier accounting (the charge sites call these) --------------------
@@ -368,11 +233,10 @@ class TieredPageStore:
         """Account one in-place write to ``fpage``.
 
         The backend store was already mutated by the caller; a cold
-        page's shadow copy is refreshed write-through so the cold tier
-        never holds stale contents.  If the refresh keeps failing, the
-        page is pulled back hot (budget permitting via admission, over
-        budget as governor debt otherwise) — a stale cold copy is the
-        one state the tier invariant forbids.
+        page's write is a far-tier write (:meth:`_spill`).  If it keeps
+        failing, the page is pulled back hot (budget permitting via
+        admission, over budget as governor debt otherwise): a far write
+        that fails lands near.
         """
         self._clock += 1
         self.last_access[fpage] = self._clock
@@ -383,7 +247,7 @@ class TieredPageStore:
         self.cold_hits += 1
         if self._spill(np.array([fpage], dtype=np.int64), cost, lane)[0]:
             return
-        # Write-through refresh failed: promote rather than go stale.
+        # The far write failed: the page lands near.
         self.governor.admit(1, cost, lane)
         self._install_hot(fpage, cost, lane)
         self.governor._sync_debt()
@@ -393,7 +257,7 @@ class TieredPageStore:
     def _spill_read(
         self, fpage: int, cost: CostModel | None, lane: str
     ) -> bool:
-        """One far-tier page read; False = fell back to the resident copy."""
+        """One far-tier page read; False = it failed and was served near."""
         for attempt in range(self.config.spill_retries + 1):
             try:
                 check_fault(self._substrate, "cold_read")
@@ -414,14 +278,14 @@ class TieredPageStore:
         lane: str,
         want: int | None = None,
     ) -> np.ndarray:
-        """Write the current contents of ``fpages`` to the cold tier.
+        """Write ``fpages`` to the far tier: consult and charge.
 
         With a fault plane armed each page's ``cold_write`` is consulted
         in order, with retries; a page whose spill stays failed is a
         spill failure and is not written.  With ``want`` set, pages are
         tried in order only until ``want`` of them passed.  The pages
-        written are booked in one charge and copied in one
-        :meth:`ColdStore.write`.  Returns the mask of pages written.
+        written are booked in one charge.  Returns the mask of pages
+        written.
         """
         written = np.zeros(fpages.size, dtype=bool)
         if not faults_armed(self._substrate):
@@ -436,11 +300,9 @@ class TieredPageStore:
                     passed += 1
                 else:
                     self.spill_failures += 1
-        pages = fpages[written]
-        if pages.size:
-            if cost is not None:
-                cost.cold_write(pages.size, lane)
-            self.cold.write(pages, self.file.data)
+        count = int(np.count_nonzero(written))
+        if count and cost is not None:
+            cost.cold_write(count, lane)
         return written
 
     def _cold_write_passes(self) -> bool:
@@ -478,9 +340,9 @@ class TieredPageStore:
     ) -> np.ndarray:
         """Move the hot ``fpages`` to the cold tier in one move.
 
-        Spill-first ordering: a page's hot bit only flips after its cold
-        copy materialized, so a page whose spill failed stays hot and
-        the placement consistent.  ``want`` as in :meth:`_spill`.
+        Spill-first ordering: a page's hot bit only flips after its far
+        write passed, so a page whose spill failed stays hot and the
+        placement consistent.  ``want`` as in :meth:`_spill`.
         Returns the mask of pages moved.
         """
         with self.observer.span("tier.demote", pages=int(fpages.size)):
@@ -555,7 +417,6 @@ class TieredPageStore:
         with self.observer.span("tier.promote", pages=int(fpages.size)):
             if cost is not None:
                 cost.promote(fpages.size, lane)
-            self.cold.drop(fpages)
             self.hot[fpages] = True
             self._hot_count += fpages.size
             self.promotions += fpages.size
@@ -612,7 +473,3 @@ class TieredPageStore:
             hot, self.hot.size - hot, self.hit_ratio()
         )
         return {"demoted": demoted, "churn": churn, "thrashing": self.thrashing}
-
-    def close(self) -> None:
-        """Release the cold tier (spill file included)."""
-        self.cold.close()

@@ -24,10 +24,10 @@ merges staged rows first — so a delete behind a merge marker dropped on
 a full log still finds its rows.  Content, not layout, is the recovery
 contract.
 
-Tiered columns come back through the normal ``create_table`` path: the
-spill file is rebuilt from scratch (or started cold when the replayed
-placement never demotes), and governor debt starts at zero — the
-persistent tier owes nothing for work the dead process did.
+Tiered columns come back through the normal ``create_table`` path:
+placement starts afresh (the initial placement demotes down to budget),
+and governor debt starts at zero — the persistent tier owes nothing for
+work the dead process did.
 """
 
 from __future__ import annotations

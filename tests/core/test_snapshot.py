@@ -1,5 +1,8 @@
 """Unit and property tests for copy-on-write column snapshots."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +133,12 @@ class TestRelease:
         column.write(0, -1)  # no live hook side effects
         assert column.read(0) == -1
 
+    def test_a_snapshot_outliving_its_manager_stays_copy_on_write(self, column):
+        snap = SnapshotManager(column).create_snapshot()
+        column.write(0, -1)
+        assert snap.read(0) == 0
+        assert snap.copied_pages == 1
+
 
 class TestCostAccounting:
     def test_snapshot_creation_is_one_mmap(self, column, manager):
@@ -209,6 +218,36 @@ class TestReleaseUnderFaults:
             snap.release()
             assert [f.name for f in substrate.files()] == ["t.v"]
             assert substrate.maps_line_count(path) == lines
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "simulated",
+        pytest.param(
+            "native",
+            marks=pytest.mark.skipif(
+                not native_supported(), reason="native rewiring unsupported here"
+            ),
+        ),
+    ],
+)
+def test_a_dropped_database_with_a_snapshot_frees_its_column_without_gc(backend):
+    """The snapshot manager's pre-write hook holds the manager weakly, so
+    a database with a snapshot, dropped without ``close()``, frees its
+    column by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        db = AdaptiveDatabase(backend=backend)
+        db.create_table("t", {"v": np.arange(8 * VALUES_PER_PAGE, dtype=np.int64)})
+        snap = db.snapshot("t", "v")
+        column = db.table("t").column("v")
+        freed = [weakref.ref(column), weakref.ref(column.file)]
+        del column, snap, db
+        assert [ref() is None for ref in freed] == [True, True]
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=30, deadline=None)

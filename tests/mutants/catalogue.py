@@ -35,6 +35,29 @@ MUTANTS = (
         tests=("tests/core/test_read_through_mapping.py",),
     ),
     Mutant(
+        name="snapshot-hook-holds-its-manager",
+        path="src/repro/core/snapshot.py",
+        old="        self._hook = hook\n        column.add_pre_write_hook(hook)\n",
+        new=(
+            "        self._hook = lambda page, manager=self: hook(page)\n"
+            "        column.add_pre_write_hook(self._hook)\n"
+        ),
+        tests=(
+            "tests/core/test_snapshot.py::"
+            "test_a_dropped_database_with_a_snapshot_frees_its_column_without_gc",
+        ),
+    ),
+    Mutant(
+        name="snapshot-hook-holds-its-snapshots",
+        path="src/repro/core/snapshot.py",
+        old="        self._live.append(weakref.ref(snapshot))\n",
+        new="        self._live.append(lambda snapshot=snapshot: snapshot)\n",
+        tests=(
+            "tests/core/test_snapshot.py::"
+            "test_a_dropped_database_with_a_snapshot_frees_its_column_without_gc",
+        ),
+    ),
+    Mutant(
         name="snapshot-rewire-onto-the-wrong-copy-page",
         path="src/repro/core/snapshot.py",
         old="self.base_vpn + fpage, 1, copy_file, copy_page, lane=lane",
@@ -161,18 +184,19 @@ MUTANTS = (
         tests=("tests/tier/test_initial_placement.py",),
     ),
     Mutant(
-        name="spill-file-offset-one-page-late",
+        name="failed-refresh-stays-cold",
         path="src/repro/tier/store.py",
-        old="os.pwritev(self._fd, rows, lo * self._page_bytes)",
-        new="os.pwritev(self._fd, rows, (lo + 1) * self._page_bytes)",
-        tests=("tests/tier/test_native_spill.py::TestNativeSpillFiles",),
-    ),
-    Mutant(
-        name="far-store-chunk-rows-reversed",
-        path="src/repro/tier/store.py",
-        old="chunk[row : row + stop - first] = data[first:stop]",
-        new="chunk[row : row + stop - first] = data[first:stop][::-1]",
-        tests=("tests/tier/test_placement.py", "tests/tier/test_initial_placement.py"),
+        old=(
+            "        if self._spill(np.array([fpage], dtype=np.int64), cost, lane)[0]:\n"
+            "            return\n"
+        ),
+        new=(
+            "        self._spill(np.array([fpage], dtype=np.int64), cost, lane)\n"
+            "        return\n"
+        ),
+        tests=(
+            "tests/tier/test_placement.py::TestPlanted::test_a_failed_far_write_lands_near",
+        ),
     ),
     Mutant(
         name="initial-placement-ascending",
@@ -184,7 +208,7 @@ MUTANTS = (
     Mutant(
         name="failed-spills-charged",
         path="src/repro/tier/store.py",
-        old="cost.cold_write(pages.size, lane)",
+        old="cost.cold_write(count, lane)",
         new="cost.cold_write(fpages.size, lane)",
         tests=("tests/tier/test_initial_placement.py",),
     ),

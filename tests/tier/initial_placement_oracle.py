@@ -4,11 +4,11 @@ reference.
 ``TieredPageStore.initial_placement`` demotes the hot pages above the
 budget, tail first, in one move (``TieredPageStore._demote``): the
 fault plane is consulted per page in descending order until enough
-pages spilled, the spills are booked in one charge and copied once per
-run.  This file states the rule as the loop it replaced — one page at a
-time through the store's own one-page ``demote`` — so
+pages spilled, and the spills are booked in one charge.  This file
+states the rule as the loop it replaced — one page at a time through
+the store's own one-page ``demote`` — so
 ``tests/tier/test_initial_placement.py`` can require equal placement,
-counters, cold contents, fault journals and ledgers from both.
+counters, fault journals and ledgers from both.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ per-page primitives (``_spill_read``, ``demote``, ``_install_hot``,
 writes and charges happen through the very same code in both.
 ``tests/tier/test_placement.py`` runs two stores side by side — one as
 shipped, one with :func:`install` applied — and requires equal
-placement, counters, cold contents and ledgers after every access.
+placement, counters and ledgers after every access.
 """
 
 from __future__ import annotations

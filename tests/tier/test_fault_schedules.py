@@ -5,9 +5,9 @@ Seeded :class:`FaultSchedule` programs inject ``cold_read_fail`` /
 into tiered sessions.  After every step the auditor (tier-placement
 invariant included) must pass and every query must match the numpy
 oracle: a spill fault may cost a demotion or force a resident fallback,
-never a wrong answer or a stale cold copy.  Each session ends with the
-recovery oracle: faults disarmed, one maintenance cycle must clear the
-governor's debt and restore the budget.
+never a wrong answer.  Each session ends with the recovery oracle:
+faults disarmed, one maintenance cycle must clear the governor's debt
+and restore the budget.
 
 The cost bit-identity class pins the disarmed-tiering contract: an
 *untiered* session is bit-identical in simulated cost to a bare run

@@ -5,7 +5,7 @@ tail first (``TieredPageStore.initial_placement``).  Two databases — one
 as shipped, one whose stores place through
 ``initial_placement_oracle`` — load the same column under the same
 ``cold_write`` fault schedule, on both backends.  Placement (``hot``),
-the cold tier's pages and bytes, ``demotions``, ``spill_failures``,
+``demotions``, ``spill_failures``,
 the governor's debt and journal, the fault journal, the schedule's
 per-op call counts and the cost ledger must all be ``==``, and the
 auditor must pass.  A planted case pins the spill-failure rule, and a
@@ -89,10 +89,6 @@ def _observe(db, schedule) -> dict:
     return {
         "hot": store.hot.tolist(),
         "hot_count": store.hot_count(),
-        "cold": {
-            page: store.cold.read_page(page).tobytes()
-            for page in store.cold.pages()
-        },
         "moves": (store.promotions, store.demotions),
         "spill_failures": store.spill_failures,
         "governor": (governor.denials, governor.debt, list(governor.journal)),

